@@ -40,5 +40,5 @@ pub use fastpath::{EvalPlan, EvalScratch};
 pub use packet::{Packet, PacketBuilder};
 pub use parser::{DeepParser, ParseOutcome};
 pub use state::StateStore;
-pub use switch::{InstallError, Switch, SwitchConfig, SwitchOutput, SwitchStats};
+pub use switch::{InstallError, Program, Switch, SwitchConfig, SwitchOutput, SwitchStats};
 pub use telemetry::SwitchTelemetry;

@@ -25,8 +25,11 @@ use camus_core::statics::StaticPipeline;
 use camus_lang::ast::{Action, AggFunc, Operand, Port};
 use camus_lang::spec::Spec;
 use camus_lang::value::Value;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Hardware-model parameters.
 #[derive(Debug, Clone)]
@@ -65,23 +68,41 @@ impl Default for SwitchConfig {
 pub enum InstallError {
     /// The compiled pipeline exceeds this switch's resource budget.
     OverBudget(AdmissionError),
+    /// The program's slot offsets were resolved against another spec
+    /// than this switch parses; running it would mis-read packets.
+    SpecMismatch { switch_spec: u64, program_spec: u64 },
 }
 
 impl fmt::Display for InstallError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             InstallError::OverBudget(e) => write!(f, "{e}"),
+            InstallError::SpecMismatch { switch_spec, program_spec } => write!(
+                f,
+                "program built for spec {program_spec:016x}, switch parses spec {switch_spec:016x}"
+            ),
         }
     }
 }
 
 impl std::error::Error for InstallError {}
 
+/// Identity of a spec: a program is only valid on switches parsing the
+/// spec it was resolved against. In-process only (not a wire format).
+fn spec_identity(spec: &Spec) -> u64 {
+    let mut h = DefaultHasher::new();
+    spec.hash(&mut h);
+    h.finish()
+}
+
 /// A complete forwarding program: the control-plane pipeline plus
-/// everything lowered from it at install time. Built shadow-side and
-/// swapped in atomically, so a failed build never disturbs forwarding.
-#[derive(Debug, Clone)]
-struct Program {
+/// everything lowered from it. Immutable once built, so switches with
+/// identical rule lists hold one `Arc<Program>` between them; whatever
+/// a packet mutates (registers, scratch, counters, port state) lives
+/// in the [`Switch`]. Built shadow-side and swapped in atomically, so a
+/// failed build never disturbs forwarding.
+#[derive(Debug)]
+pub struct Program {
     pipeline: Pipeline,
     /// Fast-path lowering of `pipeline`.
     compiled: CompiledPipeline,
@@ -89,10 +110,17 @@ struct Program {
     plan: EvalPlan,
     /// Aggregate operands appearing in the pipeline, cached.
     aggregates: Vec<(String, AggFunc, String)>, // (key, func, field)
+    /// What `pipeline` costs under the spec's field widths; every
+    /// switch checks it against its own budget.
+    report: ResourceReport,
+    /// [`spec_identity`] of the spec `plan` was resolved against.
+    spec_id: u64,
 }
 
 impl Program {
-    fn build(spec: &Spec, pipeline: Pipeline) -> Program {
+    /// Lower `pipeline` and resolve it against `spec`. The result runs
+    /// only on switches built from the same spec.
+    pub fn build(spec: &Spec, pipeline: Pipeline) -> Program {
         let aggregates = pipeline
             .stages
             .iter()
@@ -103,7 +131,30 @@ impl Program {
             .collect();
         let compiled = CompiledPipeline::lower(&pipeline);
         let plan = EvalPlan::build(spec, &compiled, &pipeline);
-        Program { pipeline, compiled, plan, aggregates }
+        // Widths for resource accounting: dotted path plus bare name
+        // (the compiler keys stages by the bare name when unambiguous).
+        let mut widths = HashMap::new();
+        for (path, f) in spec.subscribable_fields() {
+            let bare = path.rsplit('.').next().unwrap_or(&path).to_string();
+            widths.insert(path, f.width_bits);
+            widths.insert(bare, f.width_bits);
+        }
+        let report = resources::report(&pipeline, pipeline.multicast_group_count(), &widths);
+        Program { pipeline, compiled, plan, aggregates, report, spec_id: spec_identity(spec) }
+    }
+
+    pub fn pipeline(&self) -> &Pipeline {
+        &self.pipeline
+    }
+
+    /// The fast-path lowering of the pipeline.
+    pub fn compiled(&self) -> &CompiledPipeline {
+        &self.compiled
+    }
+
+    /// The resource usage switches admit this program by.
+    pub fn report(&self) -> &ResourceReport {
+        &self.report
     }
 }
 
@@ -210,22 +261,22 @@ pub struct SwitchOutput {
 #[derive(Debug, Clone)]
 pub struct Switch {
     parser: DeepParser,
-    /// The live forwarding program.
-    program: Program,
+    /// [`spec_identity`] of the parser's spec.
+    spec_id: u64,
+    /// The live forwarding program, possibly shared with twins.
+    program: Arc<Program>,
     /// Shadow-side program staged by [`stage`](Self::stage), awaiting
     /// commit, tagged with the install transaction's epoch so a
     /// recovering controller can tell *which* transaction left it
     /// behind. Never touches the data path.
-    staged: Option<(u64, Program)>,
+    staged: Option<(u64, Arc<Program>)>,
     /// Epoch of the last commit that has not been finalised or
     /// reverted — the other half of the reconciliation handshake.
     committed_epoch: Option<u64>,
     /// The program displaced by the last commit, retained until
     /// [`finalize_install`](Self::finalize_install) so a network-wide
     /// transaction can still revert this switch.
-    retired: Option<Program>,
-    /// Field widths for resource accounting, derived from the spec.
-    widths: HashMap<String, u32>,
+    retired: Option<Arc<Program>>,
     /// Reusable per-packet scratch (slot values + keep lists).
     scratch: EvalScratch,
     state: StateStore,
@@ -260,64 +311,65 @@ impl Switch {
         Switch::with_spec(spec, pipeline, state, config)
     }
 
+    /// Panics if the initial pipeline is over `config.budget` — only
+    /// possible once a finite budget is configured.
     fn with_spec(spec: Spec, pipeline: Pipeline, state: StateStore, config: SwitchConfig) -> Self {
-        // Widths for resource accounting: dotted path plus bare name
-        // (the compiler keys stages by the bare name when unambiguous).
-        let mut widths = HashMap::new();
-        for (path, f) in spec.subscribable_fields() {
-            let bare = path.rsplit('.').next().unwrap_or(&path).to_string();
-            widths.insert(path, f.width_bits);
-            widths.insert(bare, f.width_bits);
-        }
         let parser = DeepParser::new(spec, config.max_msgs_per_pass, config.recirc_ports);
-        let program = Program::build(parser.spec(), Pipeline::empty());
-        let mut sw = Switch {
+        let program = Arc::new(Program::build(parser.spec(), pipeline));
+        config.budget.admit(&program.report).expect("install rejected by resource budget");
+        let mut scratch = EvalScratch::default();
+        scratch.reset(program.compiled.slots().len());
+        Switch {
+            spec_id: program.spec_id,
             parser,
             program,
             staged: None,
             committed_epoch: None,
             retired: None,
-            widths,
-            scratch: EvalScratch::default(),
+            scratch,
             state,
             config,
             stats: SwitchStats::default(),
             port_down: HashSet::new(),
             telemetry: None,
             last_eval: EvalCounters::default(),
-        };
-        sw.install(pipeline);
-        sw
+        }
     }
 
-    /// Account `pipeline` against this switch's budget without
-    /// touching any install state.
-    pub fn admit(&self, pipeline: &Pipeline) -> Result<ResourceReport, InstallError> {
-        let report = resources::report(pipeline, pipeline.multicast_group_count(), &self.widths);
-        self.config.budget.admit(&report).map_err(InstallError::OverBudget)?;
-        Ok(report)
+    /// Check `program` against this switch — its spec and its own
+    /// resource budget — without touching any install state.
+    pub fn admit(&self, program: &Program) -> Result<(), InstallError> {
+        if program.spec_id != self.spec_id {
+            return Err(InstallError::SpecMismatch {
+                switch_spec: self.spec_id,
+                program_spec: program.spec_id,
+            });
+        }
+        self.config.budget.admit(&program.report).map_err(InstallError::OverBudget)
     }
 
-    /// Phase one of an install: validate `pipeline` against the
-    /// resource budget and build it shadow-side under transaction
-    /// epoch 0 (library callers that never recover). Forwarding is
-    /// untouched; on rejection nothing is staged and the previous
-    /// staged program (if any) is kept.
+    /// Phase one of an install: lower `pipeline` into a private
+    /// program and stage it under transaction epoch 0 (library callers
+    /// that never recover). Forwarding is untouched; on rejection
+    /// nothing is staged and the previous staged program (if any) is
+    /// kept.
     pub fn stage(&mut self, pipeline: Pipeline) -> Result<ResourceReport, InstallError> {
-        self.stage_epoch(pipeline, 0)
+        let program = Arc::new(Program::build(self.parser.spec(), pipeline));
+        let report = program.report.clone();
+        self.stage_epoch(program, 0)?;
+        Ok(report)
     }
 
-    /// Phase one with an explicit transaction epoch. The epoch rides
-    /// with the shadow program so [`staged_epoch`](Self::staged_epoch)
-    /// can answer a recovering controller's "what did I leave here?".
-    pub fn stage_epoch(
-        &mut self,
-        pipeline: Pipeline,
-        epoch: u64,
-    ) -> Result<ResourceReport, InstallError> {
-        let report = self.admit(&pipeline)?;
-        self.staged = Some((epoch, Program::build(self.parser.spec(), pipeline)));
-        Ok(report)
+    /// Phase one with an explicit transaction epoch and a prebuilt,
+    /// possibly shared program: admission is this switch's call alone
+    /// (its spec, its budget), whoever else holds the same program.
+    /// The epoch rides with the shadow program so
+    /// [`staged_epoch`](Self::staged_epoch) can answer a recovering
+    /// controller's "what did I leave here?".
+    pub fn stage_epoch(&mut self, program: Arc<Program>, epoch: u64) -> Result<(), InstallError> {
+        self.admit(&program)?;
+        self.staged = Some((epoch, program));
+        Ok(())
     }
 
     /// Phase two: atomically swap the staged program into the data
@@ -410,6 +462,12 @@ impl Switch {
         &self.program.pipeline
     }
 
+    /// The live program; twins installed from one rule list hold the
+    /// same allocation.
+    pub fn program(&self) -> &Arc<Program> {
+        &self.program
+    }
+
     /// The fast-path lowering of the installed pipeline.
     pub fn compiled(&self) -> &CompiledPipeline {
         &self.program.compiled
@@ -459,31 +517,43 @@ impl Switch {
     /// straight from the packet bytes, reusable keep lists, and
     /// copy-on-prune replication. Allocation-free once warm.
     pub fn process(&mut self, pkt: &Packet, ingress: Port, now_us: u64) -> SwitchOutput {
-        self.stats.packets += 1;
-        if self.program.plan.is_malformed(pkt) {
-            self.stats.malformed += 1;
+        let Switch {
+            parser,
+            program,
+            state,
+            scratch,
+            config,
+            stats,
+            port_down,
+            telemetry,
+            last_eval,
+            ..
+        } = self;
+        // One deref of the shared program per call; the hot loop below
+        // never touches the `Arc` (or its refcount) again.
+        let program: &Program = program;
+        let (plan, compiled) = (&program.plan, &program.compiled);
+        stats.packets += 1;
+        if plan.is_malformed(pkt) {
+            stats.malformed += 1;
         }
         // Parser budget model (≡ DeepParser::parse without the maps).
-        let total = self.program.plan.message_count(pkt);
-        let budget = (self.config.recirc_ports + 1) * self.config.max_msgs_per_pass;
+        let total = plan.message_count(pkt);
+        let budget = (config.recirc_ports + 1) * config.max_msgs_per_pass;
         let extract = total.min(budget);
         let truncated = total - extract;
-        let passes =
-            if total == 0 { 1 } else { extract.div_ceil(self.config.max_msgs_per_pass).max(1) };
-        self.stats.truncated_messages += truncated as u64;
-        self.stats.dropped_resource += truncated as u64;
-        self.stats.recirculation_passes += (passes - 1) as u64;
+        let passes = if total == 0 { 1 } else { extract.div_ceil(config.max_msgs_per_pass).max(1) };
+        stats.truncated_messages += truncated as u64;
+        stats.dropped_resource += truncated as u64;
+        stats.recirculation_passes += (passes - 1) as u64;
 
         let mut out = SwitchOutput {
             passes,
-            latency_ns: self.config.base_latency_ns
-                + self.config.recirc_latency_ns * (passes as u64 - 1),
+            latency_ns: config.base_latency_ns + config.recirc_latency_ns * (passes as u64 - 1),
             ..Default::default()
         };
 
         let mut counters = EvalCounters::default();
-        let Switch { program, state, scratch, stats, port_down, telemetry, last_eval, .. } = self;
-        let (plan, compiled) = (&program.plan, &program.compiled);
         scratch.keep.clear();
 
         if total == 0 {
@@ -556,7 +626,7 @@ impl Switch {
                 pkt.clone()
             } else {
                 stats.deep_copies += 1;
-                pkt.prune_messages(self.parser.spec(), indices)
+                pkt.prune_messages(parser.spec(), indices)
             };
             stats.copies += 1;
             out.ports.push((port, copy));
@@ -1102,7 +1172,7 @@ mod tests {
         let before_stats = sw.stats();
 
         let err = sw.try_install(compile_itch("stock == MSFT: fwd(2)\n")).unwrap_err();
-        let InstallError::OverBudget(adm) = &err;
+        let InstallError::OverBudget(adm) = &err else { panic!("expected OverBudget, got {err}") };
         assert!(!adm.violations.is_empty());
 
         // The previous compiled pipeline, keep-lists and stats are
@@ -1156,6 +1226,81 @@ mod tests {
         let spec = itch_spec();
         let googl = PacketBuilder::new(&spec).message(order("GOOGL", 1)).build();
         assert_eq!(sw.process(&googl, 0, 0).ports.len(), 1);
+    }
+
+    #[test]
+    fn program_for_another_spec_is_refused_not_run() {
+        let mut sw = itch_switch("stock == GOOGL: fwd(1)\n");
+        let before = sw.pipeline().clone();
+        // Same pipeline, resolved against the INT spec: every slot
+        // offset would point into the wrong header.
+        let foreign =
+            Arc::new(Program::build(&camus_lang::spec::int_spec(), sw.pipeline().clone()));
+        let err = sw.stage_epoch(foreign, 7).unwrap_err();
+        assert!(matches!(err, InstallError::SpecMismatch { .. }), "{err}");
+        assert!(!sw.has_staged());
+        assert_eq!(sw.pipeline(), &before);
+        // A program built against an equal spec is welcome, whoever built it.
+        let native =
+            Arc::new(Program::build(&itch_spec(), compile_itch("stock == MSFT: fwd(2)\n")));
+        sw.stage_epoch(native, 7).unwrap();
+        assert_eq!(sw.staged_epoch(), Some(7));
+    }
+
+    #[test]
+    fn twins_sharing_a_program_keep_private_state() {
+        // One immutable program, two switches: everything a packet
+        // mutates (stats, aggregate registers, scratch, port state)
+        // must stay per switch.
+        let program = Arc::new(Program::build(
+            &itch_spec(),
+            compile_itch("stock == GOOGL and avg(price) > 60: fwd(1)\nstock == MSFT: fwd(2)\n"),
+        ));
+        let mut a = itch_switch("stock == FB: fwd(3)\n");
+        let mut b = a.clone();
+        let mut solo = a.clone();
+        for sw in [&mut a, &mut b] {
+            sw.stage_epoch(Arc::clone(&program), 1).unwrap();
+            assert!(sw.commit_staged());
+            sw.finalize_install();
+        }
+        solo.install(program.pipeline().clone());
+        assert!(Arc::ptr_eq(a.program(), b.program()));
+        assert!(!Arc::ptr_eq(a.program(), solo.program()));
+
+        let spec = itch_spec();
+        let googl = |p: i64| PacketBuilder::new(&spec).message(order("GOOGL", p)).build();
+        let msft = PacketBuilder::new(&spec).message(order("MSFT", 1)).build();
+
+        // `a` sees a low price first, so its running average stays
+        // below the threshold where `b`'s (fed only the high price)
+        // crosses it: the registers are not shared.
+        assert!(a.process(&googl(10), 0, 0).ports.is_empty());
+        assert!(a.process(&googl(90), 0, 1).ports.is_empty(), "avg(10, 90) = 50");
+        assert_eq!(b.process(&googl(90), 0, 1).ports.len(), 1, "avg(90) = 90");
+
+        // Port state and counters are private too.
+        a.set_port_down(2, true);
+        assert!(a.process(&msft, 0, 2).ports.is_empty());
+        assert_eq!(b.process(&msft, 0, 2).ports.len(), 1);
+        assert_eq!(a.stats().dropped_port_down, 1);
+        assert_eq!(b.stats().dropped_port_down, 0);
+        assert_eq!((a.stats().packets, b.stats().packets), (3, 2));
+
+        // And a twin forwards exactly like a switch that owns a
+        // private copy of the same program.
+        let out_b = b.process(&googl(90), 0, 3);
+        solo.process(&googl(90), 0, 1);
+        solo.process(&msft, 0, 2);
+        let out_solo = solo.process(&googl(90), 0, 3);
+        assert_eq!(out_b.ports, out_solo.ports);
+        assert_eq!(b.stats(), solo.stats());
+
+        // Undoing an install on one twin leaves the other's program alone.
+        a.stage(compile_itch("stock == FB: fwd(3)\n")).unwrap();
+        a.commit_staged();
+        assert!(a.revert_committed());
+        assert!(Arc::ptr_eq(a.program(), b.program()));
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub enum MatchHint {
 /// Integer fields are **unsigned on the wire**: encoding a negative
 /// [`Value::Int`] truncates to the low bits and decodes back as a large
 /// non-negative number, exactly as a real header field would.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct FieldSpec {
     pub name: String,
     pub ty: Type,
@@ -86,7 +86,7 @@ impl FieldSpec {
 }
 
 /// A tumbling-window state variable declared with `@counter`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct CounterSpec {
     pub name: String,
     /// Window length in microseconds.
@@ -94,7 +94,7 @@ pub struct CounterSpec {
 }
 
 /// One header type.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct HeaderSpec {
     pub name: String,
     pub fields: Vec<FieldSpec>,
@@ -113,7 +113,7 @@ impl HeaderSpec {
 }
 
 /// A complete application specification.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Spec {
     pub headers: Vec<HeaderSpec>,
     /// Fixed header stack, in parse order (names into `headers`).

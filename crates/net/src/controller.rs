@@ -15,17 +15,17 @@ use camus_core::compiler::{CompileError, Compiler};
 use camus_core::pipeline::{LeafTable, Pipeline, STATE_INIT};
 use camus_core::resources::ResourceBudget;
 use camus_core::statics::StaticPipeline;
-use camus_dataplane::{InstallError, Switch, SwitchConfig};
+use camus_dataplane::{InstallError, Program, Switch, SwitchConfig};
 use camus_lang::ast::{Action, Expr, Port};
 use camus_routing::algorithm1::{route_hierarchical_degraded, RoutingConfig, RoutingResult};
 use camus_routing::compile::{
-    compile_network, compile_network_incremental, compile_network_incremental_delta, DeltaCache,
-    NetworkCompile,
+    compile_network_incremental, compile_network_incremental_delta, DeltaCache, NetworkCompile,
 };
 use camus_routing::topology::{FaultMask, HierNet};
 use camus_telemetry::{DeployTrace, SwitchSpan};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Controller configuration and handles.
@@ -75,9 +75,9 @@ pub struct Deployment {
 pub enum DeployError {
     /// A switch pipeline failed to compile.
     Compile(CompileError),
-    /// One or more switches rejected their pipeline at admission; the
+    /// One or more switches rejected their program at admission; the
     /// offenders (every one found, not just the first) are named with
-    /// their budget violations.
+    /// their budget violations (or spec mismatch).
     Admission { rejected: Vec<(usize, InstallError)>, report: DeployReport },
     /// A control-channel operation to the named switches exhausted its
     /// retries.
@@ -262,7 +262,7 @@ pub enum AdmissionVerdict {
     /// instead (over-delivers, never under-delivers).
     Degraded,
     /// Over budget and degradation disabled (or the fallback itself
-    /// rejected).
+    /// rejected), or a program built for another spec.
     Rejected(InstallError),
     /// The control channel never reached the switch.
     Unreachable,
@@ -442,6 +442,10 @@ impl Controller {
     /// leaves the wreckage in place for recovery to reconcile. Returns
     /// the ledger and the switches that fell back to the coarse
     /// degraded pipeline.
+    ///
+    /// Targets with equal rule-list fingerprints stage one shared
+    /// immutable [`Program`], lowered on first use; admission,
+    /// degradation and rollback stay each switch's own.
     fn apply_transaction(
         &self,
         network: &mut Network,
@@ -460,6 +464,10 @@ impl Controller {
         let mut report = DeployReport::default();
         let mut degraded = BTreeSet::new();
         let mut rejected: Vec<(usize, InstallError)> = Vec::new();
+        // Keyed by fingerprint, the content address the compile cache
+        // already trusts, so twins share even when the caller handed
+        // each its own `Arc<Compiled>`.
+        let mut programs: HashMap<u64, Arc<Program>> = HashMap::new();
 
         // Phase one: stage every target shadow-side.
         for (ti, &s) in targets.iter().enumerate() {
@@ -492,19 +500,24 @@ impl Controller {
                 }
                 return Err(ChannelError { failed: vec![s], report }.into());
             }
-            let pipeline = compile.switches[s].compiled.pipeline.clone();
-            match network.switches[s].stage_epoch(pipeline, epoch) {
-                Ok(_) => {
+            let sc = &compile.switches[s];
+            let program = Arc::clone(programs.entry(sc.fingerprint).or_insert_with(|| {
+                Arc::new(Program::build(&self.statics.spec, sc.compiled.pipeline.clone()))
+            }));
+            match network.switches[s].stage_epoch(program, epoch) {
+                Ok(()) => {
                     entry.verdict = AdmissionVerdict::Admitted;
                     entry.staged = true;
                 }
-                Err(err) if self.degrade_over_budget => {
+                Err(err @ InstallError::OverBudget(_)) if self.degrade_over_budget => {
                     // Fall back to the coarse pipeline; admission of
                     // the fallback is still the switch's call.
-                    match network.switches[s]
-                        .stage_epoch(coarse_pipeline(&routing.switch_rules(s)), epoch)
-                    {
-                        Ok(_) => {
+                    let coarse = Program::build(
+                        &self.statics.spec,
+                        coarse_pipeline(&routing.switch_rules(s)),
+                    );
+                    match network.switches[s].stage_epoch(Arc::new(coarse), epoch) {
+                        Ok(()) => {
                             entry.verdict = AdmissionVerdict::Degraded;
                             entry.staged = true;
                             degraded.insert(s);
@@ -610,7 +623,9 @@ impl Controller {
         let route_start = Instant::now();
         let routing = route_hierarchical_degraded(&topology, subs, self.routing, mask);
         let route_ns = route_start.elapsed().as_nanos() as u64;
-        let compile = compile_network(&routing, &self.compiler())?;
+        // A cold deploy is "converge from empty": the content-addressed
+        // compile with nothing cached, one compile per distinct list.
+        let compile = self.compile_routing(&routing, None)?;
         let mut switches = Vec::with_capacity(topology.switch_count());
         for sc in &compile.switches {
             // Switches boot with the empty pipeline; the real one goes

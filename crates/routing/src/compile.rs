@@ -26,7 +26,7 @@ use crate::par::UnitPanic;
 use crate::topology::HierNet;
 use camus_core::compiler::{CompileError, CompileState, Compiled, Compiler};
 use camus_lang::ast::Rule;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -207,17 +207,55 @@ where
     crate::par::run_parallel(n, f)
 }
 
+/// Indices into `units` (switch ids), longest rule list first; ties
+/// keep their order.
+fn largest_first(result: &RoutingResult, units: &[usize]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..units.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(result.switch_filter_count(units[i])));
+    order
+}
+
+/// Run `f(switch)` for every switch in `units` on the pool, claiming
+/// the longest rule lists first: topology builders number ToRs, then
+/// aggs, then cores, so an ascending claim would start the biggest
+/// compile last and leave it alone on the critical path. Results come
+/// back in the order of `units`; a worker panic names the switch id.
+fn run_largest_first<T, F>(
+    result: &RoutingResult,
+    units: &[usize],
+    f: F,
+) -> Result<Vec<T>, CompileError>
+where
+    T: Send,
+    F: Fn(usize) -> Result<T, CompileError> + Sync,
+{
+    let order = largest_first(result, units);
+    let mut slots: Vec<Option<Result<T, CompileError>>> = units.iter().map(|_| None).collect();
+    for (k, outcome) in run_parallel(order.len(), |k| f(units[order[k]])).into_iter().enumerate() {
+        slots[order[k]] = Some(outcome.map_err(|e| match e {
+            CompileError::Panicked { message, .. } => {
+                CompileError::Panicked { unit: units[order[k]], message }
+            }
+            e => e,
+        }));
+    }
+    slots.into_iter().map(|slot| slot.expect("every unit ran")).collect()
+}
+
 /// Compile every switch of a hierarchical routing result in parallel —
 /// the exhaustive baseline: one compiler invocation per switch, no
 /// caching or sharing. This is what a controller without incremental
-/// recompilation pays on every subscription change.
+/// recompilation pays on every subscription change (the Fig. 13/14
+/// lanes), and the oracle the content-addressed paths are tested
+/// against; the controller itself never calls it.
 pub fn compile_network(
     result: &RoutingResult,
     compiler: &Compiler,
 ) -> Result<NetworkCompile, CompileError> {
     let start = Instant::now();
     let n = result.filters.len();
-    let outcomes = run_parallel(n, |s| {
+    let units: Vec<usize> = (0..n).collect();
+    let switches = run_largest_first(result, &units, |s| {
         let t0 = Instant::now();
         let rules = result.switch_rules(s);
         let fingerprint = fingerprint_rules(&rules);
@@ -230,11 +268,7 @@ pub fn compile_network(
             reused: false,
             compiled: Arc::new(compiled),
         })
-    });
-    let mut switches = Vec::with_capacity(n);
-    for outcome in outcomes {
-        switches.push(outcome?);
-    }
+    })?;
     Ok(NetworkCompile {
         recompiled: n,
         reused: 0,
@@ -242,6 +276,89 @@ pub fn compile_network(
         switches,
         elapsed: start.elapsed(),
     })
+}
+
+/// What a content-addressed compile must actually build: every
+/// switch's fingerprint resolved against the previous run, and one
+/// representative elected per distinct fingerprint the previous run
+/// does not hold.
+struct Election<'p> {
+    start: Instant,
+    /// The previous run, if it came from the same switch count.
+    previous: Option<&'p NetworkCompile>,
+    fingerprints: Vec<u64>,
+    prev_by_fp: HashMap<u64, &'p SwitchCompile>,
+    /// Switch ids, ascending; one per distinct uncached fingerprint.
+    representatives: Vec<usize>,
+}
+
+impl<'p> Election<'p> {
+    fn new(result: &RoutingResult, previous: Option<&'p NetworkCompile>) -> Self {
+        let start = Instant::now();
+        let n = result.filters.len();
+        let previous = previous.filter(|p| p.switches.len() == n);
+        // Fingerprints come from the per-port accumulators Algorithm 1
+        // maintains — `O(ports)` per switch, no rule list materialised
+        // or re-hashed; only representatives pay to build theirs.
+        let fingerprints: Vec<u64> = (0..n).map(|s| result.switch_fingerprint(s)).collect();
+        let prev_by_fp: HashMap<u64, &SwitchCompile> = previous
+            .map(|p| p.switches.iter().map(|sc| (sc.fingerprint, sc)).collect())
+            .unwrap_or_default();
+        let mut elected = HashSet::new();
+        let representatives = (0..n)
+            .filter(|&s| {
+                !prev_by_fp.contains_key(&fingerprints[s]) && elected.insert(fingerprints[s])
+            })
+            .collect();
+        Election { start, previous, fingerprints, prev_by_fp, representatives }
+    }
+
+    /// Assemble per-switch outcomes from `fresh`, the representatives'
+    /// artefacts and compile times in `representatives` order.
+    fn assemble(self, fresh: Vec<(Arc<Compiled>, Duration)>) -> NetworkCompile {
+        let fresh: HashMap<u64, (usize, Arc<Compiled>, Duration)> = self
+            .representatives
+            .iter()
+            .zip(fresh)
+            .map(|(&rep, (compiled, took))| (self.fingerprints[rep], (rep, compiled, took)))
+            .collect();
+        let switches: Vec<SwitchCompile> = self
+            .fingerprints
+            .iter()
+            .enumerate()
+            .map(|(s, &fingerprint)| match self.prev_by_fp.get(&fingerprint) {
+                Some(prev) => SwitchCompile {
+                    switch: s,
+                    entries: prev.entries,
+                    elapsed: Duration::ZERO,
+                    fingerprint,
+                    reused: true,
+                    compiled: Arc::clone(&prev.compiled),
+                },
+                None => {
+                    let (rep, compiled, took) = &fresh[&fingerprint];
+                    SwitchCompile {
+                        switch: s,
+                        entries: compiled.pipeline.total_entries(),
+                        // Only the representative carries the compile
+                        // cost; sharers record zero.
+                        elapsed: if *rep == s { *took } else { Duration::ZERO },
+                        fingerprint,
+                        reused: false,
+                        compiled: Arc::clone(compiled),
+                    }
+                }
+            })
+            .collect();
+        let reused = switches.iter().filter(|s| s.reused).count();
+        NetworkCompile {
+            recompiled: switches.len() - reused,
+            reused,
+            distinct_compiles: fresh.len(),
+            switches,
+            elapsed: self.start.elapsed(),
+        }
+    }
 }
 
 /// Compile a routing result incrementally. The compile cache is
@@ -255,96 +372,22 @@ pub fn compile_network(
 ///   full-mesh Fat Tree the entire core layer has identical rule lists,
 ///   so N core switches cost one compile.
 ///
-/// `previous` must come from the same topology (same switch count) —
-/// anything else is ignored and every switch recompiles.
+/// With `previous = None` this is the cold deploy: every distinct rule
+/// list compiles exactly once. `previous` must come from the same
+/// topology (same switch count) — anything else is ignored and every
+/// switch recompiles.
 pub fn compile_network_incremental(
     result: &RoutingResult,
     compiler: &Compiler,
     previous: Option<&NetworkCompile>,
 ) -> Result<NetworkCompile, CompileError> {
-    let start = Instant::now();
-    let n = result.filters.len();
-    let previous = previous.filter(|p| p.switches.len() == n);
-
-    // Stage 1: fingerprint every switch from the per-port accumulators
-    // maintained by Algorithm 1 — `O(ports)` per switch, no rule list
-    // is materialised or re-hashed. At 10⁶ subscriptions this stage
-    // used to dominate a no-op reconfiguration; now only switches that
-    // actually recompile pay to build their rule lists (stage 3).
-    let fingerprints: Vec<u64> = (0..n).map(|s| result.switch_fingerprint(s)).collect();
-
-    // Stage 2: resolve each switch against the previous run's cache,
-    // and elect one representative per distinct uncached fingerprint.
-    let prev_by_fp: HashMap<u64, &SwitchCompile> = previous
-        .map(|p| p.switches.iter().map(|sc| (sc.fingerprint, sc)).collect())
-        .unwrap_or_default();
-    let mut rep_for_fp: HashMap<u64, usize> = HashMap::new();
-    let mut representatives: Vec<usize> = Vec::new();
-    for (s, fp) in fingerprints.iter().enumerate() {
-        if !prev_by_fp.contains_key(fp) && !rep_for_fp.contains_key(fp) {
-            rep_for_fp.insert(*fp, s);
-            representatives.push(s);
-        }
-    }
-
-    // Stage 3 (parallel): compile each distinct new rule list once.
-    let mut fresh: HashMap<u64, (Arc<Compiled>, Duration)> =
-        HashMap::with_capacity(representatives.len());
-    for (i, outcome) in run_parallel(representatives.len(), |i| {
-        let s = representatives[i];
+    let election = Election::new(result, previous);
+    let fresh = run_largest_first(result, &election.representatives, |s| {
         let t0 = Instant::now();
         let compiled = compiler.compile(&result.switch_rules(s))?;
         Ok((Arc::new(compiled), t0.elapsed()))
-    })
-    .into_iter()
-    .enumerate()
-    {
-        // Surface panics under the switch id, not the dense rep index.
-        let (compiled, took) = match outcome {
-            Ok(v) => v,
-            Err(CompileError::Panicked { message, .. }) => {
-                return Err(CompileError::Panicked { unit: representatives[i], message })
-            }
-            Err(e) => return Err(e),
-        };
-        fresh.insert(fingerprints[representatives[i]], (compiled, took));
-    }
-
-    // Stage 4: assemble per-switch outcomes.
-    let mut switches = Vec::with_capacity(n);
-    for (s, fp) in fingerprints.iter().enumerate() {
-        let sc = if let Some(prev) = prev_by_fp.get(fp) {
-            SwitchCompile {
-                switch: s,
-                entries: prev.entries,
-                elapsed: Duration::ZERO,
-                fingerprint: *fp,
-                reused: true,
-                compiled: Arc::clone(&prev.compiled),
-            }
-        } else {
-            let (compiled, took) = &fresh[fp];
-            SwitchCompile {
-                switch: s,
-                entries: compiled.pipeline.total_entries(),
-                // Only the representative carries the compile cost;
-                // sharers record zero.
-                elapsed: if rep_for_fp[fp] == s { *took } else { Duration::ZERO },
-                fingerprint: *fp,
-                reused: false,
-                compiled: Arc::clone(compiled),
-            }
-        };
-        switches.push(sc);
-    }
-    let reused = switches.iter().filter(|s| s.reused).count();
-    Ok(NetworkCompile {
-        recompiled: n - reused,
-        reused,
-        distinct_compiles: representatives.len(),
-        switches,
-        elapsed: start.elapsed(),
-    })
+    })?;
+    Ok(election.assemble(fresh))
 }
 
 /// Live incremental-compile states, content-addressed by rule-list
@@ -397,80 +440,29 @@ pub fn compile_network_incremental_delta(
     previous: Option<&NetworkCompile>,
     cache: &mut DeltaCache,
 ) -> Result<NetworkCompile, CompileError> {
-    let start = Instant::now();
-    let n = result.filters.len();
-    let previous = previous.filter(|p| p.switches.len() == n);
-
-    let fingerprints: Vec<u64> = (0..n).map(|s| result.switch_fingerprint(s)).collect();
-
-    let prev_by_fp: HashMap<u64, &SwitchCompile> = previous
-        .map(|p| p.switches.iter().map(|sc| (sc.fingerprint, sc)).collect())
-        .unwrap_or_default();
-    let mut rep_for_fp: HashMap<u64, usize> = HashMap::new();
-    let mut representatives: Vec<usize> = Vec::new();
-    for (s, fp) in fingerprints.iter().enumerate() {
-        if !prev_by_fp.contains_key(fp) && !rep_for_fp.contains_key(fp) {
-            rep_for_fp.insert(*fp, s);
-            representatives.push(s);
-        }
-    }
-
-    let mut fresh: HashMap<u64, (Arc<Compiled>, Duration)> =
-        HashMap::with_capacity(representatives.len());
-    for &s in &representatives {
+    let election = Election::new(result, previous);
+    let mut fresh = Vec::with_capacity(election.representatives.len());
+    for &s in &election.representatives {
         let t0 = Instant::now();
         let rules = result.switch_rules(s);
-        let new_fp = fingerprints[s];
         // The state that compiled this slot's previous rule list is the
         // best delta base; it moves to the new fingerprint.
-        let old_fp = previous.and_then(|p| p.switches.get(s)).map(|sc| sc.fingerprint);
+        let old_fp = election.previous.and_then(|p| p.switches.get(s)).map(|sc| sc.fingerprint);
         let taken = old_fp.and_then(|fp| cache.states.remove(&fp));
         let (compiled, state) = match taken {
             Some(mut state) => (compiler.compile_incremental(&mut state, &rules)?, state),
             None => compiler.compile_incremental_seed(&rules)?,
         };
-        cache.states.entry(new_fp).or_insert(state);
-        fresh.insert(new_fp, (Arc::new(compiled), t0.elapsed()));
-    }
-
-    let mut switches = Vec::with_capacity(n);
-    for (s, fp) in fingerprints.iter().enumerate() {
-        let sc = if let Some(prev) = prev_by_fp.get(fp) {
-            SwitchCompile {
-                switch: s,
-                entries: prev.entries,
-                elapsed: Duration::ZERO,
-                fingerprint: *fp,
-                reused: true,
-                compiled: Arc::clone(&prev.compiled),
-            }
-        } else {
-            let (compiled, took) = &fresh[fp];
-            SwitchCompile {
-                switch: s,
-                entries: compiled.pipeline.total_entries(),
-                elapsed: if rep_for_fp[fp] == s { *took } else { Duration::ZERO },
-                fingerprint: *fp,
-                reused: false,
-                compiled: Arc::clone(compiled),
-            }
-        };
-        switches.push(sc);
+        cache.states.entry(election.fingerprints[s]).or_insert(state);
+        fresh.push((Arc::new(compiled), t0.elapsed()));
     }
 
     // Keep only states whose fingerprint is live in this epoch: churn
     // must not accumulate diagrams for rule lists no one holds anymore.
-    let live: std::collections::HashSet<u64> = fingerprints.iter().copied().collect();
+    let live: HashSet<u64> = election.fingerprints.iter().copied().collect();
     cache.states.retain(|fp, _| live.contains(fp));
 
-    let reused = switches.iter().filter(|s| s.reused).count();
-    Ok(NetworkCompile {
-        recompiled: n - reused,
-        reused,
-        distinct_compiles: representatives.len(),
-        switches,
-        elapsed: start.elapsed(),
-    })
+    Ok(election.assemble(fresh))
 }
 
 /// Compile a list of per-switch rule sets (general-topology FIBs) in
@@ -794,6 +786,42 @@ mod tests {
             } else {
                 assert_eq!(*r.as_ref().unwrap(), i * 2);
             }
+        }
+    }
+
+    #[test]
+    fn largest_rule_lists_are_claimed_first_and_results_keep_unit_order() {
+        let net = paper_fat_tree();
+        let r = route_hierarchical(
+            &net,
+            &subs(net.host_count()),
+            RoutingConfig::new(Policy::MemoryReduction),
+        );
+        // A ToR, a core, an agg, another core: not in size order.
+        let units = [0, 19, 9, 16];
+        let order = largest_first(&r, &units);
+        let sizes: Vec<usize> = order.iter().map(|&i| r.switch_filter_count(units[i])).collect();
+        assert!(sizes.windows(2).all(|w| w[0] >= w[1]), "claim order {sizes:?}");
+        assert!(sizes[0] > sizes[3], "the workload must be skewed for this to mean anything");
+        assert_eq!(&order[..2], &[1, 3], "the two cores first, ties in unit order");
+
+        // Whatever the claim order, results line up with `units`...
+        let out = run_largest_first(&r, &units, |s| Ok(s * 10)).unwrap();
+        assert_eq!(out, vec![0, 190, 90, 160]);
+        // ...and a panic names the switch, not a dense index.
+        let err = run_largest_first(&r, &units, |s| {
+            if s == 9 {
+                panic!("boom at {s}");
+            }
+            Ok(s)
+        })
+        .unwrap_err();
+        match err {
+            CompileError::Panicked { unit, message } => {
+                assert_eq!(unit, 9);
+                assert!(message.contains("boom"), "message: {message}");
+            }
+            other => panic!("expected Panicked, got {other:?}"),
         }
     }
 

@@ -7,8 +7,11 @@
 //! fingerprints, byte-identical deliveries for a fixed publication
 //! scenario. And when degradation is enabled instead, the over-budget
 //! switch's coarse fallback may only ever over-deliver, never
-//! under-deliver.
+//! under-deliver. Switches with identical rule lists share one
+//! immutable program, so undoing an install on one of them must be
+//! invisible to its twins as well.
 
+use camus_core::pipeline::Pipeline;
 use camus_core::resources::ResourceBudget;
 use camus_core::statics::compile_static;
 use camus_dataplane::PacketBuilder;
@@ -21,6 +24,7 @@ use camus_net::controller::{Controller, DeployError, Deployment};
 use camus_routing::algorithm1::{Policy, RoutingConfig};
 use camus_routing::topology::paper_fat_tree;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Equality-only filters: they compile to exact-match SRAM entries, so
 /// a `max_tcam_entries: 0` budget admits them all.
@@ -235,5 +239,46 @@ proptest! {
             let delta: Vec<_> = live_all[h][before[h]..].to_vec();
             prop_assert_eq!(&delta, &fresh_del[h], "host {} diverged after rollback", h);
         }
+    }
+}
+
+/// Twins (the full-mesh cores) hold one shared program. Aborting a
+/// stage or reverting a commit on one of them must leave the twin —
+/// and the network's forwarding — exactly as a fresh deploy has it.
+#[test]
+fn undoing_an_install_on_one_twin_leaves_the_other_alone() {
+    let net = paper_fat_tree();
+    let ctrl = controller(Policy::MemoryReduction);
+    let pool = equality_pool();
+    let subs: Vec<Vec<Expr>> =
+        (0..net.host_count()).map(|h| vec![pool[h % pool.len()].clone()]).collect();
+    let mut live = ctrl.deploy(net.clone(), &subs).expect("deploy");
+    let mut fresh = ctrl.deploy(net.clone(), &subs).expect("reference deploy");
+
+    let cores: Vec<usize> =
+        (0..net.switch_count()).filter(|&s| net.switches[s].layer == 2).collect();
+    let (a, b) = (cores[0], cores[1]);
+    let shared = Arc::clone(live.network.switches[a].program());
+    assert!(Arc::ptr_eq(&shared, live.network.switches[b].program()), "cores must be twins");
+
+    // Stage something else on `a`, abort: nothing happened.
+    live.network.switches[a].stage(Pipeline::empty()).unwrap();
+    assert!(live.network.switches[a].abort_staged());
+    // Commit something else on `a` (it now drops everything), revert:
+    // the shared program is back, the very same allocation.
+    live.network.switches[a].stage(Pipeline::empty()).unwrap();
+    assert!(live.network.switches[a].commit_staged());
+    assert!(live.network.switches[a].pipeline().stages.is_empty());
+    assert!(Arc::ptr_eq(&shared, live.network.switches[b].program()), "twin untouched");
+    assert!(live.network.switches[a].revert_committed());
+    assert!(Arc::ptr_eq(&shared, live.network.switches[a].program()));
+
+    assert_eq!(run_and_collect(&mut live), run_and_collect(&mut fresh));
+    for s in 0..net.switch_count() {
+        assert_eq!(
+            live.network.switches[s].stats(),
+            fresh.network.switches[s].stats(),
+            "switch {s}"
+        );
     }
 }
