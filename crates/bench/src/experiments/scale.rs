@@ -62,7 +62,7 @@ pub fn subscriptions(net: &HierNet, n: usize) -> Vec<Vec<Expr>> {
 /// list — every subscription in the network).
 fn hottest_rules(routing: &RoutingResult) -> Vec<Rule> {
     let hottest = (0..routing.filters.len())
-        .max_by_key(|&s| routing.filters[s].values().map(|fs| fs.len()).sum::<usize>())
+        .max_by_key(|&s| routing.switch_filter_count(s))
         .expect("network has switches");
     routing.switch_rules(hottest)
 }

@@ -119,6 +119,9 @@ impl CompileState {
     }
 }
 
+/// What slicing a diagram yields, before the resource report.
+type Emitted = (Bdd, Pipeline, MulticastAllocator);
+
 /// The dynamic compiler.
 #[derive(Debug, Clone, Default)]
 pub struct Compiler {
@@ -176,30 +179,14 @@ impl Compiler {
         // variable chain — 10⁵+ for large exact-match alphabets — so
         // the heavy lifting runs on a dedicated thread with a deep
         // stack.
-        let order = self.order.clone();
-        let limit = self.config.multicast_limit;
-        let (bdd, pipeline, multicast) = std::thread::scope(|scope| {
-            std::thread::Builder::new()
-                .name("camus-compile".into())
-                .stack_size(DEEP_STACK)
-                .spawn_scoped(scope, move || {
-                    let mut builder = BddBuilder::from_rules(rules);
-                    if let Some(order) = order {
-                        builder = builder.with_order(order);
-                    }
-                    let bdd = builder.build();
-                    let mut multicast = MulticastAllocator::new(limit);
-                    let pipeline = bdd_to_pipeline(&bdd, &mut multicast)?;
-                    Ok::<_, TableError>((bdd, pipeline, multicast))
-                })
-                .expect("spawn compile thread")
-                .join()
-                .expect("compile thread panicked")
+        let emitted = Self::on_deep_stack(|| {
+            let mut builder = BddBuilder::from_rules(rules);
+            if let Some(order) = self.order.clone() {
+                builder = builder.with_order(order);
+            }
+            self.slice(builder.build())
         })?;
-        let widths: HashMap<String, u32> =
-            self.statics.as_ref().map(|s| s.widths()).unwrap_or_default();
-        let report = report(&pipeline, multicast.group_count(), &widths);
-        Ok(Compiled { bdd, pipeline, multicast, report, elapsed: start.elapsed() })
+        Ok(self.finish(emitted, start))
     }
 
     /// Run `f` on a dedicated thread with a [`DEEP_STACK`]-sized stack
@@ -217,19 +204,18 @@ impl Compiler {
         })
     }
 
-    /// Snapshot the maintained diagram and slice it into a pipeline.
-    fn finish(&self, state: &CompileState, start: Instant) -> Result<Compiled, CompileError> {
-        let limit = self.config.multicast_limit;
-        let (bdd, pipeline, multicast) = Self::on_deep_stack(|| {
-            let bdd = state.inc.snapshot();
-            let mut multicast = MulticastAllocator::new(limit);
-            let pipeline = bdd_to_pipeline(&bdd, &mut multicast)?;
-            Ok::<_, TableError>((bdd, pipeline, multicast))
-        })?;
+    /// Slice a diagram into a pipeline. Recursive: call on a deep stack.
+    fn slice(&self, bdd: Bdd) -> Result<Emitted, TableError> {
+        let mut multicast = MulticastAllocator::new(self.config.multicast_limit);
+        let pipeline = bdd_to_pipeline(&bdd, &mut multicast)?;
+        Ok((bdd, pipeline, multicast))
+    }
+
+    fn finish(&self, (bdd, pipeline, multicast): Emitted, start: Instant) -> Compiled {
         let widths: HashMap<String, u32> =
             self.statics.as_ref().map(|s| s.widths()).unwrap_or_default();
         let report = report(&pipeline, multicast.group_count(), &widths);
-        Ok(Compiled { bdd, pipeline, multicast, report, elapsed: start.elapsed() })
+        Compiled { bdd, pipeline, multicast, report, elapsed: start.elapsed() }
     }
 
     /// Seed persistent incremental-compile state from a full rule set.
@@ -245,14 +231,17 @@ impl Compiler {
         let start = Instant::now();
         self.validate(rules)?;
         let order = self.order.clone().unwrap_or_else(VarOrder::empty);
-        let inc = Self::on_deep_stack(|| IncrementalBdd::from_rules(rules, &order));
+        // Build and emit in one hop: the deep stack is a fresh thread.
+        let (inc, emitted) = Self::on_deep_stack(|| {
+            let inc = IncrementalBdd::from_rules(rules, &order);
+            let emitted = self.slice(inc.snapshot());
+            (inc, emitted)
+        });
         let mut counts = HashMap::new();
         for r in rules {
             *counts.entry(rule_digest(r)).or_insert(0usize) += 1;
         }
-        let state = CompileState { inc, counts };
-        let compiled = self.finish(&state, start)?;
-        Ok((compiled, state))
+        Ok((self.finish(emitted?, start), CompileState { inc, counts }))
     }
 
     /// Recompile against persistent state: diff the new rule list's
@@ -292,12 +281,15 @@ impl Compiler {
         }
         let delta: usize = removals.iter().map(|&(_, n)| n).sum::<usize>()
             + inserts.iter().map(|&(_, n)| n).sum::<usize>();
-        if 2 * delta > rules.len().max(state.inc.rule_count()) {
-            let order = self.order.clone().unwrap_or_else(VarOrder::empty);
-            state.inc = Self::on_deep_stack(|| IncrementalBdd::from_rules(rules, &order));
-        } else if delta > 0 {
-            let inc = &mut state.inc;
-            Self::on_deep_stack(move || {
+        let rebuild = 2 * delta > rules.len().max(state.inc.rule_count());
+        let inc = &mut state.inc;
+        // Update and emit in one hop: the deep stack is a fresh thread,
+        // and a churn burst pays this once per changed rule list.
+        let emitted = Self::on_deep_stack(move || {
+            if rebuild {
+                let order = self.order.clone().unwrap_or_else(VarOrder::empty);
+                *inc = IncrementalBdd::from_rules(rules, &order);
+            } else {
                 for (d, n) in removals {
                     for _ in 0..n {
                         let removed = inc.remove_by_digest(d);
@@ -309,10 +301,11 @@ impl Compiler {
                         inc.insert_rule(r);
                     }
                 }
-            });
-        }
+            }
+            self.slice(inc.snapshot())
+        });
         state.counts = new_counts;
-        self.finish(state, start)
+        Ok(self.finish(emitted?, start))
     }
 }
 

@@ -59,71 +59,67 @@ impl RoutingConfig {
     }
 }
 
-/// An ordered, deduplicated filter set (one `F_p^s`).
+/// Dense id of one distinct filter in a [`FilterPool`].
+type FilterId = u32;
+
+/// The hash-consed filters of one routing run: every distinct `Expr`
+/// exists once, network-wide, next to its stable structural hash. A
+/// subscription is hashed and looked up once on entry; everything after
+/// that (set membership, union, replication, fingerprinting) works on
+/// ids and the memoised hash, and only [`RoutingResult::switch_rules`]
+/// turns ids back into expressions.
+#[derive(Debug, Clone, Default)]
+struct FilterPool {
+    exprs: Vec<Expr>,
+    /// `stable_expr_hash` of each member, by id.
+    hashes: Vec<u64>,
+    /// Stable hash → id. Distinct filters whose 64-bit hashes collide
+    /// probe linearly (`hash + 1`, …), so identity is always `Expr`
+    /// equality, never hash equality.
+    index: HashMap<u64, FilterId>,
+}
+
+impl FilterPool {
+    fn intern(&mut self, f: &Expr) -> FilterId {
+        let hash = crate::compile::stable_expr_hash(f);
+        let mut key = hash;
+        loop {
+            match self.index.get(&key) {
+                Some(&id) if self.exprs[id as usize] == *f => return id,
+                Some(_) => key = key.wrapping_add(1),
+                None => break,
+            }
+        }
+        let id = FilterId::try_from(self.exprs.len()).expect("fewer than 2^32 distinct filters");
+        self.index.insert(key, id);
+        self.exprs.push(f.clone());
+        self.hashes.push(hash);
+        id
+    }
+}
+
+/// An ordered, deduplicated filter set (one `F_p^s`), as ids into the
+/// routing result's pool.
 ///
-/// Each member's stable structural hash is computed **once**, on
-/// insertion, and folded into a commutative per-set accumulator — so a
-/// whole set fingerprints in `O(1)` and a switch in `O(ports)`
+/// Each member's memoised stable hash is folded into a commutative
+/// per-set accumulator on insertion — so a whole set fingerprints in
+/// `O(1)` and a switch in `O(ports)`
 /// ([`RoutingResult::switch_fingerprint`]) instead of re-hashing every
 /// filter of every switch on every reconfiguration.
 #[derive(Debug, Clone, Default)]
 pub struct FilterSet {
-    filters: Vec<Expr>,
-    /// Member → memoised stable hash (also the dedup index).
-    seen: HashMap<Expr, u64>,
+    ids: Vec<FilterId>,
     /// Wrapping sum of `mix64(hash)` over the members.
     acc: u64,
 }
 
 impl FilterSet {
-    pub fn insert(&mut self, f: Expr) {
-        if !self.seen.contains_key(&f) {
-            let h = crate::compile::stable_expr_hash(&f);
-            self.insert_new(f, h);
-        }
-    }
-
-    /// Insert a filter whose stable hash the caller already knows
-    /// (aggregation re-inserts the same `Expr` at every tree level;
-    /// carrying the hash up avoids re-walking the expression).
-    fn insert_hashed(&mut self, f: &Expr, h: u64) {
-        if !self.seen.contains_key(f) {
-            self.insert_new(f.clone(), h);
-        }
-    }
-
-    fn insert_new(&mut self, f: Expr, h: u64) {
-        self.seen.insert(f.clone(), h);
-        self.acc = self.acc.wrapping_add(crate::compile::mix64(h));
-        self.filters.push(f);
-    }
-
-    pub fn extend<'a, I: IntoIterator<Item = &'a Expr>>(&mut self, it: I) {
-        for f in it {
-            self.insert(f.clone());
-        }
-    }
-
-    pub fn filters(&self) -> &[Expr] {
-        &self.filters
-    }
-
-    /// Members with their memoised stable hashes.
-    fn hashed_filters(&self) -> impl Iterator<Item = (&Expr, u64)> {
-        self.filters.iter().map(|f| (f, self.seen[f]))
-    }
-
-    /// The commutative fingerprint accumulator over the members.
-    pub(crate) fn fingerprint_acc(&self) -> u64 {
-        self.acc
-    }
-
     pub fn len(&self) -> usize {
-        self.filters.len()
+        self.ids.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.filters.is_empty()
+        self.ids.is_empty()
     }
 }
 
@@ -132,9 +128,17 @@ impl FilterSet {
 pub struct RoutingResult {
     /// Per switch: port → filter set. [`LOGICAL_UP`] keys the up set.
     pub filters: Vec<HashMap<Port, FilterSet>>,
+    pool: FilterPool,
 }
 
 impl RoutingResult {
+    /// The members of `F_p^s`, in insertion order (nothing when the port
+    /// holds no set).
+    pub fn port_filters(&self, s: SwitchId, port: Port) -> impl Iterator<Item = &Expr> {
+        let ids = self.filters[s].get(&port).map_or(&[][..], |set| set.ids.as_slice());
+        ids.iter().map(|&id| &self.pool.exprs[id as usize])
+    }
+
     /// The per-switch rule list handed to the Camus compiler: one
     /// `filter: fwd(port)` rule per filter (§IV-D's intermediate
     /// representation).
@@ -149,13 +153,14 @@ impl RoutingResult {
     pub fn switch_rules(&self, s: SwitchId) -> Vec<Rule> {
         let mut ports: Vec<&Port> = self.filters[s].keys().collect();
         ports.sort_unstable();
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.switch_filter_count(s));
         for &port in ports {
-            let mut filters: Vec<(&Expr, u64)> = self.filters[s][&port].hashed_filters().collect();
-            filters.sort_unstable_by_key(|&(_, h)| h);
-            for (f, _) in filters {
-                out.push(Rule { filter: f.clone(), action: Action::Forward(vec![port]) });
-            }
+            let mut ids = self.filters[s][&port].ids.clone();
+            ids.sort_unstable_by_key(|&id| self.pool.hashes[id as usize]);
+            out.extend(ids.iter().map(|&id| Rule {
+                filter: self.pool.exprs[id as usize].clone(),
+                action: Action::Forward(vec![port]),
+            }));
         }
         out
     }
@@ -171,8 +176,7 @@ impl RoutingResult {
         let mut ports: Vec<&Port> = self.filters[s].keys().collect();
         ports.sort_unstable();
         let mut h = Fnv1a(Fnv1a::OFFSET);
-        let total: usize = ports.iter().map(|p| self.filters[s][p].len()).sum();
-        total.hash(&mut h);
+        self.switch_filter_count(s).hash(&mut h);
         for &port in ports {
             let set = &self.filters[s][&port];
             if set.is_empty() {
@@ -180,7 +184,7 @@ impl RoutingResult {
             }
             Action::Forward(vec![port]).hash(&mut h);
             set.len().hash(&mut h);
-            h.write(&set.fingerprint_acc().to_le_bytes());
+            h.write(&set.acc.to_le_bytes());
         }
         h.finish()
     }
@@ -197,6 +201,53 @@ impl RoutingResult {
             *out.entry(net.switches[s].layer).or_insert(0) += self.switch_filter_count(s);
         }
         out
+    }
+}
+
+/// The working state of one routing run: the pool being filled, the
+/// α-widening memo, and the stamp array that deduplicates set members
+/// by id instead of by hashing expressions.
+struct Router {
+    pool: FilterPool,
+    approx: Option<ApproxConfig>,
+    /// Id → id of its widened form, filled on first use, so each
+    /// distinct filter is approximated once per run.
+    widened: Vec<Option<FilterId>>,
+    /// `stamp[id] == generation` ⇔ `id` is in the set being extended.
+    stamp: Vec<u32>,
+    generation: u32,
+}
+
+impl Router {
+    /// The filter that stands for `id` above the access ports.
+    fn widen(&mut self, id: FilterId) -> FilterId {
+        let Some(cfg) = self.approx else { return id };
+        if self.widened.len() < self.pool.exprs.len() {
+            self.widened.resize(self.pool.exprs.len(), None);
+        }
+        if let Some(wide) = self.widened[id as usize] {
+            return wide;
+        }
+        let wide = approximate_expr(&self.pool.exprs[id as usize], cfg).0;
+        let wide = self.pool.intern(&wide);
+        self.widened[id as usize] = Some(wide);
+        wide
+    }
+
+    /// Insert `ids` into `set` in order, skipping the members it holds.
+    fn extend(&mut self, set: &mut FilterSet, ids: &[FilterId]) {
+        self.generation += 1;
+        self.stamp.resize(self.pool.exprs.len(), 0);
+        for &id in &set.ids {
+            self.stamp[id as usize] = self.generation;
+        }
+        for &id in ids {
+            if std::mem::replace(&mut self.stamp[id as usize], self.generation) != self.generation {
+                set.ids.push(id);
+                set.acc =
+                    set.acc.wrapping_add(crate::compile::mix64(self.pool.hashes[id as usize]));
+            }
+        }
     }
 }
 
@@ -219,21 +270,33 @@ pub fn route_hierarchical_degraded(
     mask: &FaultMask,
 ) -> RoutingResult {
     assert_eq!(subs.len(), net.host_count(), "one subscription list per host");
-    let approx = cfg.approx();
-    let widen = |f: &Expr| -> Expr {
-        match &approx {
-            Some(c) => approximate_expr(f, *c).0,
-            None => f.clone(),
-        }
+    let mut r = Router {
+        pool: FilterPool::default(),
+        approx: cfg.approx(),
+        widened: Vec::new(),
+        stamp: Vec::new(),
+        generation: 0,
     };
-
     let mut filters: Vec<HashMap<Port, FilterSet>> = vec![HashMap::new(); net.switch_count()];
+
+    // The only place a subscription's `Expr` is hashed, compared or
+    // cloned: from here on a filter is its id. Detached hosts get no
+    // ids, which is what keeps them out of every set below.
+    let host_ids: Vec<Vec<FilterId>> = (subs.iter().enumerate())
+        .map(|(h, fs)| {
+            if net.host_attached(h, mask) {
+                fs.iter().map(|f| r.pool.intern(f)).collect()
+            } else {
+                Vec::new()
+            }
+        })
+        .collect();
 
     // Access ports: exact subscription sets (soundness, §IV-C), for the
     // hosts that are still attached.
     for (h, &(s, p)) in net.access.iter().enumerate() {
         if net.host_attached(h, mask) {
-            filters[s].entry(p).or_default().extend(subs[h].iter());
+            r.extend(filters[s].entry(p).or_default(), &host_ids[h]);
         }
     }
 
@@ -246,59 +309,43 @@ pub fn route_hierarchical_degraded(
     // under a mask the designated parent is the first up link that
     // still works, which is how the tree self-heals.
     let top = net.top_layer();
+    let mut ascending: Vec<FilterId> = Vec::new();
     for src in net.bottom_up() {
-        if !mask.switch_alive(src) {
-            continue;
-        }
-        let mut union: Vec<(Expr, u64)> = Vec::new();
-        let mut seen = HashSet::new();
+        let Some(designated) = net.designated_up_masked(src, mask) else {
+            continue; // dead, top layer, or partitioned from above
+        };
+        let parents: Vec<(SwitchId, Port)> = if net.switches[designated.0].layer == top {
+            // Replicate to all surviving top switches.
+            net.switches[src]
+                .up
+                .iter()
+                .copied()
+                .filter(|&(peer, port)| {
+                    net.switches[peer].layer == top && net.link_usable(peer, port, mask)
+                })
+                .collect()
+        } else {
+            vec![designated]
+        };
+        // The down sets back to back; `extend` deduplicates the union.
+        ascending.clear();
         for port in 0..net.switches[src].down.len() {
             if let Some(set) = filters[src].get(&(port as Port)) {
-                for (f, h) in set.hashed_filters() {
-                    if seen.insert(f.clone()) {
-                        union.push((f.clone(), h));
-                    }
-                }
+                ascending.extend(set.ids.iter().map(|&id| r.widen(id)));
             }
         }
-        let parents: Vec<(SwitchId, Port)> = match net.designated_up_masked(src, mask) {
-            None => vec![],
-            Some(designated) => {
-                if net.switches[designated.0].layer == top {
-                    // Replicate to all surviving top switches.
-                    net.switches[src]
-                        .up
-                        .iter()
-                        .copied()
-                        .filter(|&(peer, port)| {
-                            net.switches[peer].layer == top && net.link_usable(peer, port, mask)
-                        })
-                        .collect()
-                } else {
-                    vec![designated]
-                }
-            }
-        };
         for (dst, q) in parents {
-            let entry = filters[dst].entry(q).or_default();
-            for (f, h) in &union {
-                // Widening rewrites the expression (new hash); the
-                // exact path re-inserts the same `Expr`, so its
-                // memoised hash rides along.
-                match &approx {
-                    Some(_) => entry.insert(widen(f)),
-                    None => entry.insert_hashed(f, *h),
-                }
-            }
+            r.extend(filters[dst].entry(q).or_default(), &ascending);
         }
     }
 
     // Up sets, per policy.
     match cfg.policy {
         Policy::MemoryReduction => {
+            let everything = [r.pool.intern(&Expr::True)];
             for (s, fs) in filters.iter_mut().enumerate() {
                 if net.designated_up_masked(s, mask).is_some() {
-                    fs.entry(LOGICAL_UP).or_default().insert(Expr::True);
+                    r.extend(fs.entry(LOGICAL_UP).or_default(), &everything);
                 }
             }
         }
@@ -320,14 +367,14 @@ pub fn route_hierarchical_degraded(
                 // through a sibling still needs the packet to ascend.
                 let below: HashSet<usize> =
                     net.designated_below_masked(src, mask).into_iter().collect();
-                let mut up = FilterSet::default();
-                for (h, host_subs) in subs.iter().enumerate() {
-                    if !below.contains(&h) && net.host_attached(h, mask) {
-                        for f in host_subs {
-                            up.insert(widen(f));
-                        }
+                ascending.clear();
+                for (h, ids) in host_ids.iter().enumerate() {
+                    if !below.contains(&h) {
+                        ascending.extend(ids.iter().map(|&id| r.widen(id)));
                     }
                 }
+                let mut up = FilterSet::default();
+                r.extend(&mut up, &ascending);
                 if !up.is_empty() {
                     filters[src].insert(LOGICAL_UP, up);
                 }
@@ -335,7 +382,7 @@ pub fn route_hierarchical_degraded(
         }
     }
 
-    RoutingResult { filters }
+    RoutingResult { filters, pool: r.pool }
 }
 
 #[cfg(test)]
@@ -357,8 +404,10 @@ mod tests {
         for policy in [Policy::MemoryReduction, Policy::TrafficReduction] {
             let r = route_hierarchical(&net, &subs, RoutingConfig::new(policy).with_alpha(10));
             let (s, p) = net.access[0];
-            let set = &r.filters[s][&p];
-            assert_eq!(set.filters(), &[parse_expr("stock == GOOGL").unwrap()]);
+            assert_eq!(
+                r.port_filters(s, p).collect::<Vec<_>>(),
+                [&parse_expr("stock == GOOGL").unwrap()]
+            );
         }
     }
 
@@ -371,7 +420,7 @@ mod tests {
             if sw.up.is_empty() {
                 assert!(!r.filters[s].contains_key(&LOGICAL_UP), "core has no up set");
             } else {
-                assert_eq!(r.filters[s][&LOGICAL_UP].filters(), &[Expr::True]);
+                assert_eq!(r.port_filters(s, LOGICAL_UP).collect::<Vec<_>>(), [&Expr::True]);
             }
         }
     }
@@ -382,8 +431,10 @@ mod tests {
         // Host 15 (last pod) subscribes; ToR 0's up set must cover it.
         let subs = subs_for(&net, |h| if h == 15 { vec!["stock == GOOGL"] } else { vec![] });
         let r = route_hierarchical(&net, &subs, RoutingConfig::new(Policy::TrafficReduction));
-        let up = &r.filters[0][&LOGICAL_UP];
-        assert_eq!(up.filters(), &[parse_expr("stock == GOOGL").unwrap()]);
+        assert_eq!(
+            r.port_filters(0, LOGICAL_UP).collect::<Vec<_>>(),
+            [&parse_expr("stock == GOOGL").unwrap()]
+        );
         // ...and must NOT appear on ToR 0's up set if only host 0 (own
         // subtree) subscribes.
         let subs = subs_for(&net, |h| if h == 0 { vec!["stock == GOOGL"] } else { vec![] });
@@ -439,7 +490,7 @@ mod tests {
         assert_eq!(approx.filters[8][&0].len(), 1);
         // Access ports stay exact.
         let (s, p) = net.access[0];
-        assert_eq!(approx.filters[s][&p].filters()[0], parse_expr("price > 51").unwrap());
+        assert_eq!(approx.port_filters(s, p).next(), Some(&parse_expr("price > 51").unwrap()));
     }
 
     #[test]

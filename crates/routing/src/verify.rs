@@ -24,9 +24,9 @@ use std::collections::HashMap;
 /// A sample packet: attribute assignments.
 pub type SamplePacket = HashMap<String, Value>;
 
-fn matches_any(filters: &[Expr], pkt: &SamplePacket) -> bool {
+fn matches_any<'a>(filters: impl IntoIterator<Item = &'a Expr>, pkt: &SamplePacket) -> bool {
     let lookup = |op: &Operand| pkt.get(&op.key()).cloned();
-    filters.iter().any(|f| f.eval_with(lookup))
+    filters.into_iter().any(|f| f.eval_with(lookup))
 }
 
 /// A violated condition, as a counterexample.
@@ -55,8 +55,7 @@ pub fn check_policy(
             ports.push(LOGICAL_UP);
         }
         for port in ports {
-            let filters =
-                result.filters[sid].get(&port).map(|f| f.filters().to_vec()).unwrap_or_default();
+            let filters: Vec<&Expr> = result.port_filters(sid, port).collect();
             // Reachability on the distribution tree: a down port serves
             // the hosts designated through it; the up port serves the
             // hosts outside the designated subtree.
@@ -68,7 +67,7 @@ pub fn check_policy(
                 net.designated_through(sid, port)
             };
             for pkt in sample {
-                let port_match = matches_any(&filters, pkt);
+                let port_match = matches_any(filters.iter().copied(), pkt);
                 // Completeness: any reachable host's subscription match
                 // must be covered.
                 for &h in &reachable {
@@ -111,7 +110,8 @@ pub fn boundary_sample(subs: &[Vec<Expr>], cap: usize) -> Vec<SamplePacket> {
         match &p.constant {
             Value::Int(c) => {
                 let v = int_vals.entry(key).or_default();
-                for x in [c - 1, *c, c + 1] {
+                // A neighbour beyond the `i64` range does not exist.
+                for x in [c.checked_sub(1), Some(*c), c.checked_add(1)].into_iter().flatten() {
                     if !v.contains(&x) {
                         v.push(x);
                     }
@@ -182,6 +182,7 @@ mod tests {
     use super::*;
     use crate::algorithm1::{route_hierarchical, Policy, RoutingConfig};
     use crate::topology::paper_fat_tree;
+    use camus_lang::ast::{Predicate, Rel};
     use camus_lang::parser::parse_expr;
 
     fn heterogeneous_subs(n: usize) -> Vec<Vec<Expr>> {
@@ -206,6 +207,26 @@ mod tests {
         let prices: Vec<i64> =
             sample.iter().filter_map(|p| p.get("price").and_then(|v| v.as_int())).collect();
         assert!(prices.contains(&49) && prices.contains(&50) && prices.contains(&51));
+    }
+
+    #[test]
+    fn boundary_sample_survives_extreme_constants() {
+        // `c - 1` / `c + 1` used to overflow (a debug-build panic) on
+        // the extremes; the neighbour that does not exist is dropped.
+        let subs = vec![vec![
+            Expr::Atom(Predicate::field("lo", Rel::Ge, i64::MIN)),
+            Expr::Atom(Predicate::field("hi", Rel::Le, i64::MAX)),
+        ]];
+        let sample = boundary_sample(&subs, 100);
+        let values = |key: &str| -> Vec<i64> {
+            let mut v: Vec<i64> =
+                sample.iter().filter_map(|p| p.get(key).and_then(|v| v.as_int())).collect();
+            v.sort_unstable();
+            v.dedup();
+            v
+        };
+        assert_eq!(values("lo"), [i64::MIN, i64::MIN + 1]);
+        assert_eq!(values("hi"), [i64::MAX - 1, i64::MAX]);
     }
 
     #[test]
@@ -257,9 +278,11 @@ mod tests {
         let net = paper_fat_tree();
         let subs = heterogeneous_subs(net.host_count());
         let mut r = route_hierarchical(&net, &subs, RoutingConfig::new(Policy::MemoryReduction));
-        // Break it: widen an access port to `true`.
+        // Break it: host 0's access port also carries host 1's set.
         let (s, p) = net.access[0];
-        r.filters[s].get_mut(&p).unwrap().insert(Expr::True);
+        let (s1, p1) = net.access[1];
+        let theirs = r.filters[s1][&p1].clone();
+        r.filters[s].insert(p, theirs);
         let sample = boundary_sample(&subs, 2000);
         let v = check_policy(&net, &subs, &r, &sample);
         assert!(v.iter().any(|x| matches!(x, Violation::Unsound { host: 0, .. })));

@@ -5,8 +5,9 @@
 //!
 //! "Observationally equivalent" is checked on every surface a client
 //! or a switch can see: the final target subscription state, the
-//! per-switch compiled fingerprints, the pipelines actually installed
-//! on the switches, and which hosts a witness packet is delivered to.
+//! per-switch compiled fingerprints, that each switch runs the pipeline
+//! its controller compiled, and what every host receives over a
+//! publication matrix sweeping the filter pool's predicate space.
 //! The snapshot cadence is part of the generated input, so the
 //! property also pins that cadence only changes recovery *cost*,
 //! never recovered *state*; and the WAL itself must be idempotent
@@ -24,7 +25,6 @@ use camus_routing::algorithm1::{Policy, RoutingConfig};
 use camus_routing::topology::paper_fat_tree;
 use camus_service::{CamusService, ServiceConfig, Wal};
 use proptest::prelude::*;
-use std::collections::BTreeSet;
 
 fn controller() -> Controller {
     let statics = compile_static(&itch_spec()).unwrap();
@@ -69,22 +69,50 @@ fn feed(svc: &mut CamusService, steps: &[Step], pool: &[Expr], t: &mut u64) {
     }
 }
 
-/// Hosts a GOOGL@price=20 witness reaches in this network.
-fn witness_audience(network: &mut Network) -> BTreeSet<usize> {
+/// What each host receives (latency, sorted values) over a publication
+/// matrix sweeping the pool's predicate space: every stock in the pool
+/// plus one absent from it, prices on both sides of each threshold,
+/// shares on both sides of the `>= 5` cut, from three publishers.
+/// Deliveries are taken from each host's current count, and latency
+/// rather than absolute time is compared: the two runs publish from
+/// different network clocks.
+type Deliveries = Vec<Vec<(u64, Vec<(String, String)>)>>;
+
+fn matrix_deliveries(network: &mut Network) -> Deliveries {
     let spec = itch_spec();
-    let pkt = PacketBuilder::new(&spec)
-        .message(vec![("stock", Value::from("GOOGL")), ("price", Value::Int(20))])
-        .build();
-    let t = network.now_ns() + 1;
-    let before: Vec<usize> =
-        (0..network.topology.host_count()).map(|h| network.deliveries(h).len()).collect();
-    network.publish(0, pkt, t);
+    let hosts = network.topology.host_count();
+    let before: Vec<usize> = (0..hosts).map(|h| network.deliveries(h).len()).collect();
+    let base = network.now_ns() + 1;
+    let publishers = [0usize, 6, 11];
+    let mut k = 0u64;
+    for stock in ["GOOGL", "MSFT", "AAPL"] {
+        for price in [5i64, 20, 75] {
+            for shares in [1i64, 10] {
+                let pkt = PacketBuilder::new(&spec)
+                    .message(vec![
+                        ("stock", Value::from(stock)),
+                        ("price", Value::Int(price)),
+                        ("shares", Value::Int(shares)),
+                    ])
+                    .build();
+                network.publish(publishers[k as usize % publishers.len()], pkt, base + k * 10_000);
+                k += 1;
+            }
+        }
+    }
     network.run(None);
-    before
-        .iter()
-        .enumerate()
-        .filter(|&(h, &seen)| network.deliveries(h)[seen..].iter().any(|d| d.published_ns == t))
-        .map(|(h, _)| h)
+    (0..hosts)
+        .map(|h| {
+            network.deliveries(h)[before[h]..]
+                .iter()
+                .map(|del| {
+                    let mut vals: Vec<(String, String)> =
+                        del.values.iter().map(|(k, v)| (k.clone(), format!("{v:?}"))).collect();
+                    vals.sort();
+                    (del.time_ns - del.published_ns, vals)
+                })
+                .collect()
+        })
         .collect()
 }
 
@@ -143,16 +171,26 @@ proptest! {
         };
         prop_assert_eq!(fps(&out), fps(&oracle_out));
 
-        // 3. Same installed pipelines, and no staged wreckage left.
+        // 3. Each side installed exactly what it compiled, and no
+        // staged wreckage is left. Table *structure* is not compared
+        // across the two sides: both compile through delta maintenance
+        // on live BDDs, whose shape depends on how the worker happened
+        // to batch the schedule — timing, not state.
         let mut d = out.deployment;
         let mut od = oracle_out.deployment;
-        for (got, want) in d.network.switches.iter().zip(od.network.switches.iter()) {
-            prop_assert_eq!(got.pipeline(), want.pipeline());
-            prop_assert!(got.staged_epoch().is_none() && got.unfinalized_epoch().is_none());
+        for live in [&d, &od] {
+            for (sw, sc) in live.network.switches.iter().zip(&live.compile.switches) {
+                prop_assert_eq!(sw.pipeline(), &sc.compiled.pipeline, "switch {}", sc.switch);
+                prop_assert!(sw.staged_epoch().is_none() && sw.unfinalized_epoch().is_none());
+            }
         }
 
-        // 4. Same delivery behaviour for a witness publication.
-        prop_assert_eq!(witness_audience(&mut d.network), witness_audience(&mut od.network));
+        // 4. Same delivery behaviour over the publication matrix.
+        let got = matrix_deliveries(&mut d.network);
+        let want = matrix_deliveries(&mut od.network);
+        for (h, (g, w)) in got.iter().zip(&want).enumerate() {
+            prop_assert_eq!(g, w, "deliveries diverge at host {}", h);
+        }
 
         // 5. The WAL is idempotent under double replay, and its
         // replayed state is exactly the final target state.
