@@ -1,81 +1,36 @@
 //! Building a BDD from a rule set.
 //!
-//! Each rule's filter is normalised to DNF ([`camus_lang::dnf`]); each
-//! conjunction becomes a chain of decision nodes ending in a terminal
-//! `{rule}`; the chains are merged with a balanced n-way union, which
-//! keeps intermediate results shared and avoids the quadratic cost of
-//! inserting rules one at a time into an ever-growing diagram.
-//!
-//! Large rule sets (≥ [`SHARD_AUTO_THRESHOLD`] conjunctions) are built
-//! **sharded**: conjunctions are partitioned by their top field group
-//! in the variable order, each shard builds a sub-BDD in its own store
-//! against the shared `Arc` alphabet on its own thread, and the shard
-//! roots are absorbed back and merged with the same balanced union.
-//! Shard threads get deep stacks: union recursion can descend a whole
-//! exact-match band, which is rule-count long.
+//! Each rule's filter is normalised to DNF ([`camus_lang::dnf`]) and
+//! every conjunction becomes a chain of decision nodes ending in a
+//! terminal `{rule}`. [`BddBuilder`] is the one-shot façade over the
+//! crate's single bulk constructor (`IncrementalBdd::bulk`, which
+//! documents the band construction): it skips the per-rule bookkeeping
+//! churn needs and hands the diagram back in place.
 
-use crate::order::{operand_rank, pred_sort_key, VarOrder};
-use crate::store::{Bdd, NodeRef, PredId, RuleId, TermId};
-use camus_lang::ast::{Action, Predicate, Rule};
-use camus_lang::dnf::{to_dnf, Conjunction, Dnf};
-use std::collections::{BTreeSet, HashMap};
+use crate::incremental::IncrementalBdd;
+use crate::order::VarOrder;
+use crate::store::Bdd;
+use camus_lang::ast::Rule;
 
-/// Conjunction count at which `build` fans out to shard threads.
-pub const SHARD_AUTO_THRESHOLD: usize = 65_536;
-
-/// Stack size for BDD-heavy work (shard builds, merges, incremental
-/// maintenance): union recursion depth is bounded by the longest band,
-/// which can reach the rule count. Callers that run construction on
-/// their own threads should use this size too.
+/// Stack size for BDD-heavy work (bulk builds, incremental
+/// maintenance, table emission): union recursion depth is bounded by
+/// the longest band, which can reach the rule count. Callers that run
+/// construction on their own threads should use this size.
 pub const DEEP_STACK: usize = 1 << 30;
 
 /// Configures and runs BDD construction.
-pub struct BddBuilder {
-    dnfs: Vec<Dnf>,
-    /// Label id per DNF (rules with identical actions share a label).
-    rule_labels: Vec<RuleId>,
-    labels: Vec<Action>,
+pub struct BddBuilder<'a> {
+    rules: &'a [Rule],
     order: VarOrder,
-    shards: Option<usize>,
 }
 
-impl BddBuilder {
-    /// Start from complete rules (filters are DNF-normalised here;
-    /// actions are interned so that identical actions share a terminal
-    /// label — the collapse that keeps e.g. 100 K same-collector
-    /// telemetry filters compact).
-    pub fn from_rules(rules: &[Rule]) -> Self {
-        let dnfs = rules.iter().map(|r| to_dnf(&r.filter)).collect();
-        let mut labels: Vec<Action> = Vec::new();
-        let mut index: HashMap<Action, RuleId> = HashMap::new();
-        let rule_labels = rules
-            .iter()
-            .map(|r| {
-                *index.entry(r.action.clone()).or_insert_with(|| {
-                    labels.push(r.action.clone());
-                    labels.len() as RuleId - 1
-                })
-            })
-            .collect();
-        BddBuilder { dnfs, rule_labels, labels, order: VarOrder::empty(), shards: None }
-    }
-
-    /// Start from pre-normalised DNF filters with explicit per-filter
-    /// actions.
-    pub fn from_dnfs(dnfs: Vec<Dnf>, actions: Vec<Action>) -> Self {
-        assert_eq!(dnfs.len(), actions.len(), "one action per filter");
-        let mut labels: Vec<Action> = Vec::new();
-        let mut index: HashMap<Action, RuleId> = HashMap::new();
-        let rule_labels = actions
-            .iter()
-            .map(|a| {
-                *index.entry(a.clone()).or_insert_with(|| {
-                    labels.push(a.clone());
-                    labels.len() as RuleId - 1
-                })
-            })
-            .collect();
-        BddBuilder { dnfs, rule_labels, labels, order: VarOrder::empty(), shards: None }
+impl<'a> BddBuilder<'a> {
+    /// Start from complete rules. Filters are DNF-normalised and
+    /// actions interned at build time, so identical actions share a
+    /// terminal label — the collapse that keeps e.g. 100 K
+    /// same-collector telemetry filters compact.
+    pub fn from_rules(rules: &'a [Rule]) -> Self {
+        BddBuilder { rules, order: VarOrder::empty() }
     }
 
     /// Use an explicit field order (e.g. from the header spec).
@@ -84,268 +39,21 @@ impl BddBuilder {
         self
     }
 
-    /// Force a shard count for the parallel construction path (`1`
-    /// forces the sequential path regardless of size). Default: auto —
-    /// sequential below [`SHARD_AUTO_THRESHOLD`] conjunctions,
-    /// otherwise one shard per available core (capped at 8).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = Some(shards.max(1));
-        self
-    }
-
     /// Construct the BDD.
     pub fn build(self) -> Bdd {
-        let BddBuilder { dnfs, rule_labels, labels, order, shards } = self;
-
-        // 1. Collect the predicate alphabet.
-        let mut appearance: HashMap<String, usize> = HashMap::new();
-        let mut preds: Vec<Predicate> = Vec::new();
-        let mut seen: HashMap<Predicate, ()> = HashMap::new();
-        let mut conj_count = 0usize;
-        for dnf in &dnfs {
-            conj_count += dnf.terms.len();
-            for conj in &dnf.terms {
-                for atom in &conj.atoms {
-                    let key = atom.operand.key();
-                    let next = appearance.len();
-                    appearance.entry(key).or_insert(next);
-                    if seen.insert(atom.clone(), ()).is_none() {
-                        preds.push(atom.clone());
-                    }
-                }
-            }
-        }
-
-        // 2. Sort: field group rank, then canonical within-field order.
-        preds.sort_by(|a, b| {
-            operand_rank(&order, &appearance, &a.operand)
-                .cmp(&operand_rank(&order, &appearance, &b.operand))
-                .then_with(|| a.operand.key().cmp(&b.operand.key()))
-                .then_with(|| pred_sort_key(a).cmp(&pred_sort_key(b)))
-        });
-        let pred_id: HashMap<Predicate, PredId> =
-            preds.iter().enumerate().map(|(i, p)| (p.clone(), PredId(i as u32))).collect();
-
-        let shard_count = match shards {
-            Some(n) => n,
-            None if conj_count >= SHARD_AUTO_THRESHOLD => {
-                std::thread::available_parallelism().map(|p| p.get().min(8)).unwrap_or(1)
-            }
-            None => 1,
-        };
-
-        let mut bdd = Bdd::with_ordered_alphabet(preds, order);
-        bdd.set_labels(labels);
-        let root = if shard_count > 1 {
-            build_sharded(&mut bdd, &dnfs, &rule_labels, &pred_id, shard_count)
-        } else {
-            let chains = build_chains(&mut bdd, &dnfs, &rule_labels, &pred_id);
-            union_all(&mut bdd, chains)
-        };
-        bdd.set_root(root);
-        bdd
+        IncrementalBdd::bulk(self.rules, &self.order, false).into_bdd()
     }
-}
-
-/// Build every per-conjunction diagram in `bdd` (sequential path).
-///
-/// Fast path: a conjunction that is a single equality on one field
-/// joins that field's *exact-match chain*. Same-field equalities are
-/// mutually exclusive, so the sorted chain
-/// `if p₁ then T₁ else if p₂ then T₂ … else ∅` is already the reduced
-/// BDD for all of them — built directly in O(k log k) instead of the
-/// pairwise unions that would cost O(k²) for the canonical
-/// identifier-routing workloads (ILA, DNS, IP, hICN).
-fn build_chains(
-    bdd: &mut Bdd,
-    dnfs: &[Dnf],
-    rule_labels: &[RuleId],
-    pred_id: &HashMap<Predicate, PredId>,
-) -> Vec<NodeRef> {
-    let mut eq_chains: HashMap<u32, HashMap<PredId, BTreeSet<RuleId>>> = HashMap::new();
-    let mut chains: Vec<NodeRef> = Vec::new();
-    for (rule_idx, dnf) in dnfs.iter().enumerate() {
-        for conj in &dnf.terms {
-            if let Some(pid) = single_eq(conj, pred_id) {
-                eq_chains
-                    .entry(bdd.group_of(pid))
-                    .or_default()
-                    .entry(pid)
-                    .or_default()
-                    .insert(rule_labels[rule_idx]);
-                continue;
-            }
-            chains.push(conj_chain(bdd, conj, rule_labels[rule_idx], pred_id));
-        }
-    }
-    let mut groups: Vec<u32> = eq_chains.keys().copied().collect();
-    groups.sort_unstable();
-    for g in groups {
-        let members = eq_chains.remove(&g).unwrap();
-        chains.push(eq_group_chain(bdd, members));
-    }
-    chains
-}
-
-/// The single-equality fast-path test.
-fn single_eq(conj: &Conjunction, pred_id: &HashMap<Predicate, PredId>) -> Option<PredId> {
-    match conj.atoms.as_slice() {
-        [atom] if atom.rel == camus_lang::ast::Rel::Eq => Some(pred_id[atom]),
-        _ => None,
-    }
-}
-
-/// One conjunction as a bottom-up chain of decision nodes. Chains must
-/// be built in descending variable *level* so that mk() sees ordered
-/// descendants.
-fn conj_chain(
-    bdd: &mut Bdd,
-    conj: &Conjunction,
-    label: RuleId,
-    pred_id: &HashMap<Predicate, PredId>,
-) -> NodeRef {
-    let mut vars: Vec<PredId> = conj.atoms.iter().map(|a| pred_id[a]).collect();
-    vars.sort_unstable_by_key(|v| bdd.level_of(*v));
-    let mut cur = bdd.term(BTreeSet::from([label]));
-    let empty = NodeRef::Term(TermId(0));
-    for &v in vars.iter().rev() {
-        cur = bdd.mk(v, empty, cur);
-    }
-    cur
-}
-
-/// One field group's exact-match chain, in descending level order.
-fn eq_group_chain(bdd: &mut Bdd, members: HashMap<PredId, BTreeSet<RuleId>>) -> NodeRef {
-    let mut by_pred: Vec<(PredId, BTreeSet<RuleId>)> = members.into_iter().collect();
-    by_pred.sort_unstable_by_key(|(p, _)| bdd.level_of(*p));
-    let mut cur = NodeRef::Term(TermId(0));
-    for (pid, label_set) in by_pred.into_iter().rev() {
-        let hi = bdd.term(label_set);
-        cur = bdd.mk(pid, cur, hi);
-    }
-    cur
-}
-
-/// A unit of shard work, keyed by its top (lowest-level) field group.
-enum Unit<'a> {
-    Conj(&'a Conjunction, RuleId),
-    EqGroup(HashMap<PredId, BTreeSet<RuleId>>),
-}
-
-/// Partition conjunctions by top field group, build sub-BDDs on shard
-/// threads over the shared alphabet, absorb them back and merge.
-fn build_sharded(
-    bdd: &mut Bdd,
-    dnfs: &[Dnf],
-    rule_labels: &[RuleId],
-    pred_id: &HashMap<Predicate, PredId>,
-    shard_count: usize,
-) -> NodeRef {
-    let mut eq_chains: HashMap<u32, HashMap<PredId, BTreeSet<RuleId>>> = HashMap::new();
-    let mut units: Vec<(u32, Unit)> = Vec::new();
-    for (rule_idx, dnf) in dnfs.iter().enumerate() {
-        for conj in &dnf.terms {
-            if let Some(pid) = single_eq(conj, pred_id) {
-                eq_chains
-                    .entry(bdd.group_of(pid))
-                    .or_default()
-                    .entry(pid)
-                    .or_default()
-                    .insert(rule_labels[rule_idx]);
-                continue;
-            }
-            let top = conj
-                .atoms
-                .iter()
-                .map(|a| {
-                    let p = pred_id[a];
-                    (bdd.level_of(p), bdd.group_of(p))
-                })
-                .min()
-                .map(|(_, g)| g)
-                .unwrap_or(u32::MAX); // empty conjunction (`true`) sorts last
-            units.push((top, Unit::Conj(conj, rule_labels[rule_idx])));
-        }
-    }
-    for (g, members) in eq_chains {
-        units.push((g, Unit::EqGroup(members)));
-    }
-    // Contiguous chunks over the top-group order keep each shard's
-    // variables clustered, so shard unions stay shallow.
-    units.sort_by_key(|(g, _)| *g);
-    let per = units.len().div_ceil(shard_count.max(1)).max(1);
-    let alphabet = bdd.alphabet_arc();
-    let chunks: Vec<Vec<(u32, Unit)>> = {
-        let mut chunks = Vec::new();
-        let mut it = units.into_iter().peekable();
-        while it.peek().is_some() {
-            chunks.push(it.by_ref().take(per).collect());
-        }
-        chunks
-    };
-    let shard_results: Vec<(Bdd, NodeRef)> = std::thread::scope(|s| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|chunk| {
-                let alphabet = std::sync::Arc::clone(&alphabet);
-                std::thread::Builder::new()
-                    .name("camus-bdd-shard".into())
-                    .stack_size(DEEP_STACK)
-                    .spawn_scoped(s, move || {
-                        let mut shard = Bdd::with_shared_alphabet(alphabet);
-                        let mut chains = Vec::with_capacity(chunk.len());
-                        for (_, unit) in chunk {
-                            match unit {
-                                Unit::Conj(conj, label) => {
-                                    chains.push(conj_chain(&mut shard, conj, label, pred_id));
-                                }
-                                Unit::EqGroup(members) => {
-                                    chains.push(eq_group_chain(&mut shard, members));
-                                }
-                            }
-                        }
-                        let root = union_all(&mut shard, chains);
-                        (shard, root)
-                    })
-                    .expect("spawn shard thread")
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("shard thread panicked")).collect()
-    });
-    let mut roots = Vec::with_capacity(shard_results.len());
-    for (shard, root) in &shard_results {
-        roots.push(bdd.absorb(shard, *root));
-    }
-    union_all(bdd, roots)
-}
-
-/// Union a list of diagrams pairwise, halving each round. Balanced
-/// merging keeps operands similar in size, which maximises memo hits.
-pub(crate) fn union_all(bdd: &mut Bdd, mut items: Vec<NodeRef>) -> NodeRef {
-    if items.is_empty() {
-        return NodeRef::Term(TermId(0));
-    }
-    while items.len() > 1 {
-        let mut next = Vec::with_capacity(items.len().div_ceil(2));
-        let mut iter = items.into_iter();
-        while let Some(a) = iter.next() {
-            match iter.next() {
-                Some(b) => next.push(bdd.union(a, b)),
-                None => next.push(a),
-            }
-        }
-        items = next;
-    }
-    items.pop().unwrap()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::{NodeRef, RuleId, TermId};
     use camus_lang::ast::Operand;
     use camus_lang::parser::{parse_rule, parse_rules};
     use camus_lang::value::Value;
     use rand::{rngs::StdRng, Rng, SeedableRng};
+    use std::collections::BTreeSet;
 
     fn lookup_for<'a>(vals: &'a [(&'a str, Value)]) -> impl Fn(&Operand) -> Option<Value> + 'a {
         move |op: &Operand| vals.iter().find(|(n, _)| *n == op.key()).map(|(_, v)| v.clone())
@@ -546,40 +254,5 @@ mod tests {
             (0..50).map(|i| parse_rule(&format!("id == {i}: fwd(1)")).unwrap()).collect();
         let bdd = BddBuilder::from_rules(&rules).build();
         assert!(bdd.node_count() <= 50, "got {}", bdd.node_count());
-    }
-
-    #[test]
-    fn sharded_build_matches_sequential() {
-        // A mixed workload across several fields, forced through the
-        // shard path, must agree with the sequential build packet by
-        // packet (and produce the same reduced size).
-        let mut src = String::new();
-        for i in 0..120 {
-            match i % 4 {
-                0 => src.push_str(&format!("id == {i}: fwd({})\n", i % 8 + 1)),
-                1 => src.push_str(&format!("price > {}: fwd({})\n", i % 30, i % 8 + 1)),
-                2 => src.push_str(&format!("id == {i} and shares > {}: fwd(2)\n", i % 7)),
-                _ => src.push_str(&format!("stock == S{} or price < {}: fwd(3)\n", i % 11, i % 9)),
-            }
-        }
-        let rules = parse_rules(&src).unwrap();
-        let seq = BddBuilder::from_rules(&rules).with_shards(1).build();
-        let par = BddBuilder::from_rules(&rules).with_shards(4).build();
-        let mut rng = StdRng::seed_from_u64(7);
-        for _ in 0..500 {
-            let id = Value::Int(rng.gen_range(-1i64..130));
-            let price = Value::Int(rng.gen_range(-1i64..35));
-            let shares = Value::Int(rng.gen_range(-1i64..9));
-            let stock = Value::from(format!("S{}", rng.gen_range(0..13)));
-            let lookup = |op: &Operand| match op.key().as_str() {
-                "id" => Some(id.clone()),
-                "price" => Some(price.clone()),
-                "shares" => Some(shares.clone()),
-                "stock" => Some(stock.clone()),
-                _ => None,
-            };
-            assert_eq!(seq.eval(lookup), par.eval(lookup));
-        }
-        assert_eq!(seq.node_count(), par.node_count());
     }
 }

@@ -33,7 +33,6 @@
 //! the returned [`NodeRemap`] is applied back, keeping allocation
 //! within a constant factor of the reachable size.
 
-use crate::builder::union_all;
 use crate::order::{operand_rank, pred_sort_key, VarOrder};
 use crate::store::{Bdd, NodeRef, PredId, RuleId, TermId};
 use camus_lang::ast::{Action, Predicate, Rel, Rule};
@@ -174,6 +173,23 @@ fn chain_ref(bdd: &mut Bdd, pids: &[PredId], label: RuleId) -> NodeRef {
     cur
 }
 
+/// Union a list of diagrams pairwise, halving each round. Balanced
+/// merging keeps operands similar in size, which maximises memo hits.
+fn union_all(bdd: &mut Bdd, mut items: Vec<NodeRef>) -> NodeRef {
+    while items.len() > 1 {
+        let mut next = Vec::with_capacity(items.len().div_ceil(2));
+        let mut iter = items.into_iter();
+        while let Some(a) = iter.next() {
+            next.push(match iter.next() {
+                Some(b) => bdd.union(a, b),
+                None => a,
+            });
+        }
+        items = next;
+    }
+    items.pop().unwrap_or(EMPTY)
+}
+
 // -- incremental maintenance structure --------------------------------------
 
 /// How one conjunction of an inserted rule is attached to the diagram.
@@ -257,28 +273,46 @@ pub struct IncrementalBdd {
 }
 
 impl IncrementalBdd {
-    /// Seed from a full rule list. The alphabet is collected and
-    /// sorted exactly like [`crate::BddBuilder`]'s, so the resulting
-    /// variable order — and therefore the reduced diagram — matches a
-    /// scratch build; chains are bulk-built bottom-up (not one
-    /// insert_rule at a time, which would be quadratic).
+    /// Seed from a full rule list: the bulk constructor with per-rule
+    /// bookkeeping, then one sweep so the capacity trigger measures
+    /// churn garbage against the seeded live set.
     pub fn from_rules(rules: &[Rule], order: &VarOrder) -> IncrementalBdd {
+        let mut inc = IncrementalBdd::bulk(rules, order, true);
+        inc.force_gc();
+        inc
+    }
+
+    /// The one bulk constructor of the crate (behind both
+    /// [`IncrementalBdd::from_rules`] and [`crate::BddBuilder::build`]).
+    ///
+    /// Each conjunction attaches by its top atom ([`classify`]). An
+    /// equality head joins its field's *exact-match band*: same-field
+    /// equalities are mutually exclusive, so the level-sorted chain
+    /// `if p₁ then T₁ else if p₂ then T₂ … else ∅` is already the
+    /// reduced diagram for all of them — O(k log k), where pairwise
+    /// unions of k one-rule chains cost O(k²) and strand their
+    /// intermediates. A residual (`id == K and price > t`) hangs off
+    /// its member's hi branch instead of being unioned through the
+    /// band. Everything else is a miscellaneous chain; those are merged
+    /// by balanced union and the bands folded over the result bottom-up
+    /// in level order.
+    ///
+    /// `track` records what churn needs to retract a rule later (its
+    /// digest and the chain slices it occupies). Without it the result
+    /// is only good for its diagram.
+    pub(crate) fn bulk(rules: &[Rule], order: &VarOrder, track: bool) -> IncrementalBdd {
         let dnfs: Vec<Dnf> = rules.iter().map(|r| to_dnf(&r.filter)).collect();
 
-        // Alphabet collection + sort, mirroring BddBuilder::build.
+        // The predicate alphabet: field group rank, then the canonical
+        // within-field order.
         let mut appearance: HashMap<String, usize> = HashMap::new();
+        let mut seen: HashSet<&Predicate> = HashSet::new();
         let mut preds: Vec<Predicate> = Vec::new();
-        let mut seen: HashSet<Predicate> = HashSet::new();
-        for dnf in &dnfs {
-            for conj in &dnf.terms {
-                for atom in &conj.atoms {
-                    let key = atom.operand.key();
-                    let next = appearance.len();
-                    appearance.entry(key).or_insert(next);
-                    if seen.insert(atom.clone()) {
-                        preds.push(atom.clone());
-                    }
-                }
+        for atom in dnfs.iter().flat_map(|d| &d.terms).flat_map(|c| &c.atoms) {
+            if seen.insert(atom) {
+                let next = appearance.len();
+                appearance.entry(atom.operand.key()).or_insert(next);
+                preds.push(atom.clone());
             }
         }
         preds.sort_by(|a, b| {
@@ -298,47 +332,40 @@ impl IncrementalBdd {
             label_index: HashMap::new(),
             label_refs: Vec::new(),
             free_labels: Vec::new(),
-            rule_count: 0,
+            rule_count: rules.len(),
             roots_buf: Vec::new(),
         };
 
-        // Accumulate members per group, then sort and chain once.
-        let mut acc: HashMap<u32, HashMap<PredId, Member>> = HashMap::new();
+        // Accumulate members per band, then sort and chain each once.
+        // Bands are chained in group-id order (a `BTreeMap`), so node
+        // ids — and with them every later tie-break — repeat exactly
+        // from one build of a list to the next.
+        let mut acc: BTreeMap<u32, HashMap<PredId, Member>> = BTreeMap::new();
         for (rule, dnf) in rules.iter().zip(&dnfs) {
-            let digest = rule_digest(rule);
             let label = inc.intern_label(&rule.action);
             let mut parts = Vec::with_capacity(dnf.terms.len());
             for conj in &dnf.terms {
                 let pids: Vec<PredId> = conj.atoms.iter().map(|a| inc.bdd.add_pred(a)).collect();
-                match classify(&inc.bdd, conj, &pids) {
+                parts.push(match classify(&inc.bdd, conj, &pids) {
                     Class::Direct(pred) => {
-                        let member = acc
-                            .entry(inc.bdd.group_of(pred))
-                            .or_default()
-                            .entry(pred)
-                            .or_insert_with(|| new_member(pred));
-                        *member.direct.entry(label).or_insert(0) += 1;
-                        parts.push(Part::EqDirect { pred });
+                        *band_member(&mut acc, &inc.bdd, pred).direct.entry(label).or_insert(0) +=
+                            1;
+                        Part::EqDirect { pred }
                     }
                     Class::Tail(pred, tail) => {
                         let r = chain_ref(&mut inc.bdd, &tail, label);
-                        let member = acc
-                            .entry(inc.bdd.group_of(pred))
-                            .or_default()
-                            .entry(pred)
-                            .or_insert_with(|| new_member(pred));
-                        *member.tails.entry(r).or_insert(0) += 1;
-                        parts.push(Part::EqTail { pred, tail });
+                        *band_member(&mut acc, &inc.bdd, pred).tails.entry(r).or_insert(0) += 1;
+                        Part::EqTail { pred, tail }
                     }
                     Class::Misc => {
                         let chain = chain_ref(&mut inc.bdd, &pids, label);
-                        let slot = inc.alloc_misc(chain);
-                        parts.push(Part::Misc(slot));
+                        Part::Misc(inc.alloc_misc(chain))
                     }
-                }
+                });
             }
-            inc.instances.entry(digest).or_default().push(Instance { label, parts });
-            inc.rule_count += 1;
+            if track {
+                inc.instances.entry(rule_digest(rule)).or_default().push(Instance { label, parts });
+            }
         }
         for (g, members_map) in acc {
             let mut members: Vec<Member> = members_map.into_values().collect();
@@ -346,16 +373,18 @@ impl IncrementalBdd {
             for m in members.iter_mut() {
                 m.hi = member_hi(&mut inc.bdd, &m.direct, &m.tails);
             }
-            let mut group = EqGroup { members, suffix: Vec::new() };
-            group.suffix = vec![EMPTY; group.members.len() + 1];
-            let last = group.members.len().saturating_sub(1);
+            let mut group = EqGroup { suffix: vec![EMPTY; members.len() + 1], members };
+            let last = group.members.len() - 1;
             rebuild_from(&mut inc.bdd, &mut group, last);
             inc.groups.insert(g, group);
         }
-        inc.misc_root = union_all(&mut inc.bdd, inc.misc.clone());
-        inc.refresh(false);
-        inc.force_gc();
+        inc.merge_root(true);
         inc
+    }
+
+    /// The diagram, given up in place (no sweep, no copy).
+    pub(crate) fn into_bdd(self) -> Bdd {
+        self.bdd
     }
 
     // -- churn operations --------------------------------------------------
@@ -531,10 +560,15 @@ impl IncrementalBdd {
         }
     }
 
-    /// Re-merge the root after chain updates. Every union operand pair
-    /// that did not change this op hits the memo, so the cost is the
-    /// changed chain's merge path only.
+    /// Re-merge the root after chain updates, then sweep if due. Every
+    /// union operand pair that did not change this op hits the memo, so
+    /// the cost is the changed chain's merge path only.
     fn refresh(&mut self, misc_dirty: bool) {
+        self.merge_root(misc_dirty);
+        self.maybe_gc();
+    }
+
+    fn merge_root(&mut self, misc_dirty: bool) {
         if misc_dirty {
             self.misc_root = union_all(&mut self.bdd, self.misc.clone());
         }
@@ -552,7 +586,6 @@ impl IncrementalBdd {
             inner = bdd.union(self.groups[&g].suffix[0], inner);
         }
         bdd.set_root(inner);
-        self.maybe_gc();
     }
 
     /// Run the store's mark-and-sweep if the capacity trigger fired.
@@ -597,6 +630,15 @@ impl IncrementalBdd {
 
 fn new_member(pred: PredId) -> Member {
     Member { pred, direct: HashMap::new(), tails: HashMap::new(), hi: EMPTY }
+}
+
+/// The bulk constructor's accumulator slot for a band member.
+fn band_member<'a>(
+    acc: &'a mut BTreeMap<u32, HashMap<PredId, Member>>,
+    bdd: &Bdd,
+    pred: PredId,
+) -> &'a mut Member {
+    acc.entry(bdd.group_of(pred)).or_default().entry(pred).or_insert_with(|| new_member(pred))
 }
 
 /// How a conjunction attaches: by its top (lowest-level) atom.

@@ -19,8 +19,10 @@
 //!   restricts to the other under the tested predicate is replaced by
 //!   that branch, which makes the reduced form independent of the order
 //!   unions are folded in ([`store`], [`builder`]),
-//! * construction from DNF rule sets by n-way union of per-rule chains,
-//!   sharded across threads for large tables ([`builder`]),
+//! * one bulk constructor from DNF rule sets — a sorted exact-match
+//!   chain per equality band, balanced union of the remaining per-rule
+//!   chains — behind both the one-shot [`builder`] and the seed of
+//!   [`incremental`] maintenance,
 //! * rule-granular incremental maintenance — insert/remove against the
 //!   live store in time proportional to the delta, with capacity-
 //!   triggered mark-and-sweep GC ([`incremental`], [`store`]),

@@ -17,11 +17,12 @@
 //! Scaling machinery (million-subscription stores):
 //!
 //! * The predicate alphabet lives in an [`Alphabet`] behind an `Arc`,
-//!   so parallel shard builds share it instead of cloning megabytes of
-//!   predicates. Variable *order* is mediated by a level table rather
-//!   than by predicate ids, which lets [`Alphabet::insert_pred`]
-//!   splice a new predicate into its canonical position without
-//!   rewriting any existing node.
+//!   so a snapshot is copied out over its store's alphabet instead of
+//!   a clone of megabytes of predicates (it then compacts its own).
+//!   Variable *order* is mediated by a level table rather than by
+//!   predicate ids, which lets [`Alphabet::insert_pred`] splice a new
+//!   predicate into its canonical position without rewriting any
+//!   existing node.
 //! * The unique table is open-addressing (a `Vec<u32>` of node ids),
 //!   not a `HashMap<Node, u32>`: half the memory and no per-entry
 //!   boxing at 10⁶⁺ nodes.
@@ -78,8 +79,8 @@ pub struct Node {
 }
 
 /// The ordered predicate alphabet: interned predicates, their variable
-/// levels, and the per-field grouping. Shared across shard stores via
-/// `Arc` during parallel construction.
+/// levels, and the per-field grouping. Behind an `Arc` so a snapshot
+/// is copied out over its store's alphabet, not over a clone.
 #[derive(Debug, Clone, Default)]
 pub struct Alphabet {
     preds: Vec<Predicate>,
@@ -442,7 +443,7 @@ impl Bdd {
         Bdd::with_shared_alphabet(Arc::new(alphabet))
     }
 
-    /// Create an empty BDD sharing an existing alphabet (shard builds).
+    /// Create an empty BDD sharing an existing alphabet (snapshots).
     pub(crate) fn with_shared_alphabet(alphabet: Arc<Alphabet>) -> Bdd {
         let mut bdd = Bdd {
             alphabet,

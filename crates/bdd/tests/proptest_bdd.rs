@@ -91,6 +91,33 @@ fn arb_id_ops() -> impl Strategy<Value = Vec<Op>> {
     prop::collection::vec(prop_oneof![2 => ins, 1 => rem], 1..32)
 }
 
+/// Rule lists that reach every attachment class of the bulk
+/// constructor: `id == K` (a direct band label), `id == K and price ⋛ t`
+/// (a residual tail — or a miscellaneous chain once `price` is ordered
+/// above `id`), range-only, `true`, a disjunction, and duplicates (the
+/// constants and actions are few, and the first rule is repeated).
+fn arb_band_rules() -> impl Strategy<Value = Vec<Rule>> {
+    let rule = (0i64..24, 0i64..12, 0u16..4, 0u8..12).prop_map(|(k, t, a, shape)| {
+        let id = Expr::Atom(Predicate::field("id", Rel::Eq, k));
+        let above = Expr::Atom(Predicate::field("price", Rel::Gt, t));
+        let below = Expr::Atom(Predicate::field("price", Rel::Lt, t + 4));
+        let filter = match shape {
+            0..=3 => id,
+            4..=5 => id.and(above),
+            6 => id.and(above).and(below),
+            7..=8 => above,
+            9 => Expr::True,
+            10 => id.or(below),
+            _ => Expr::Atom(Predicate::field("id", Rel::Ne, k)).and(below),
+        };
+        Rule { filter, action: Action::Forward(vec![a + 1]) }
+    });
+    prop::collection::vec(rule, 1..24).prop_map(|mut rules| {
+        rules.push(rules[0].clone());
+        rules
+    })
+}
+
 /// Matched *actions* for a packet: incremental label ids drift from
 /// scratch ids once freed slots are recycled, so equivalence is over
 /// the actions the labels resolve to.
@@ -328,4 +355,72 @@ proptest! {
         prop_assert_eq!(a.node_count(), b.node_count());
         prop_assert_eq!(a.terminal_count(), b.terminal_count());
     }
+
+    /// The bulk constructor against two independent references: the
+    /// naive one-rule-at-a-time fold of `Bdd::insert_rule` (chains and
+    /// unions only, no bands) and direct evaluation of the filters —
+    /// with the equality field on top (bands carry the list) and with
+    /// the range field above it (every two-field conjunction is a
+    /// miscellaneous chain).
+    #[test]
+    fn bulk_build_equals_naive_fold_equals_direct_eval(
+        rules in arb_band_rules(),
+        pkts in prop::collection::vec((-1i64..26, -1i64..18), 1..12),
+    ) {
+        for order in [VarOrder::empty(), VarOrder::from_keys(["price", "id"])] {
+            let bulk = BddBuilder::from_rules(&rules).with_order(order.clone()).build();
+            let mut naive = BddBuilder::from_rules(&[]).with_order(order).build();
+            for r in &rules {
+                naive.insert_rule(r);
+            }
+            for (id, price) in &pkts {
+                let lookup = |op: &Operand| match op.key().as_str() {
+                    "id" => Some(Value::Int(*id)),
+                    "price" => Some(Value::Int(*price)),
+                    _ => None,
+                };
+                let want: BTreeSet<String> = rules
+                    .iter()
+                    .filter(|r| r.filter.eval_with(lookup))
+                    .map(|r| format!("{:?}", r.action))
+                    .collect();
+                prop_assert_eq!(
+                    matched_actions(&bulk, lookup),
+                    want.clone(),
+                    "bulk: packet id={} price={}\nrules: {:#?}",
+                    id, price, rules
+                );
+                prop_assert_eq!(
+                    matched_actions(&naive, lookup),
+                    want,
+                    "naive: packet id={} price={}\nrules: {:#?}",
+                    id, price, rules
+                );
+            }
+        }
+    }
+}
+
+/// Exact-count guard, taken before any timing: on an identifier-shaped
+/// list the bulk constructor allocates the diagram and nothing else.
+/// (Pairwise union of per-rule chains allocated 19 412 nodes for these
+/// 3 429.)
+#[test]
+fn identifier_list_builds_without_garbage() {
+    let rules: Vec<Rule> = (0..3_000i64)
+        .map(|i| {
+            let id = Expr::Atom(Predicate::field("id", Rel::Eq, i));
+            let filter = if i % 7 == 0 {
+                id.and(Expr::Atom(Predicate::field("price", Rel::Gt, (i * 37) % 1_000)))
+            } else {
+                id
+            };
+            Rule { filter, action: Action::Forward(vec![(i % 32) as u16 + 1]) }
+        })
+        .collect();
+    let bdd =
+        BddBuilder::from_rules(&rules).with_order(VarOrder::from_keys(["id", "price"])).build();
+    assert_eq!(bdd.node_count(), 3_429);
+    assert_eq!(bdd.allocated_nodes(), 3_429);
+    assert_eq!(bdd.gc_stats().runs, 0, "the count is the construction's own, not a sweep's");
 }

@@ -1,7 +1,8 @@
 //! Criterion benches for incremental BDD maintenance: per-op
 //! insert/remove against a live [`IncrementalBdd`], snapshot cost, and
-//! the sharded cold build they amortise away. Backs the `scale`
-//! experiment with microbenchmark-grade numbers.
+//! the bulk construction they amortise away — in place
+//! (`BddBuilder::build`) and as a seed with its per-rule bookkeeping.
+//! Backs the `scale` experiment with microbenchmark-grade numbers.
 
 use camus_bdd::{rule_digest, BddBuilder, IncrementalBdd, VarOrder};
 use camus_lang::ast::Rule;
@@ -75,7 +76,7 @@ fn bench_cold_build(c: &mut Criterion) {
     for n in [10_000usize, 100_000] {
         let rules = ident_rules(n);
         g.throughput(Throughput::Elements(n as u64));
-        g.bench_with_input(BenchmarkId::new("sharded", n), &rules, |b, rules| {
+        g.bench_with_input(BenchmarkId::new("in_place", n), &rules, |b, rules| {
             b.iter(|| BddBuilder::from_rules(rules).with_order(order()).build().node_count())
         });
         g.bench_with_input(BenchmarkId::new("incremental_seed", n), &rules, |b, rules| {

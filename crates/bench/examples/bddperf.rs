@@ -13,6 +13,53 @@ fn main() {
         let bdd = BddBuilder::from_rules(&rules).build();
         println!("eq n={n}: {:?}, nodes={}", t0.elapsed(), bdd.node_count());
     }
+    // The `cold-deploy` ledger workload's core list: `id == K`, every
+    // 7th `and price > t`, fields ordered `id, price`. Rules are
+    // generated off the clock; medians of 5 builds; allocated vs
+    // reachable nodes are exact counts, printed before the timing.
+    for n in [25_000usize, 100_000, 300_000] {
+        let rules: Vec<_> = (0..n)
+            .map(|i| {
+                let text = if i % 7 == 0 {
+                    format!("id == {i} and price > {}: fwd({})", (i * 37) % 1_000, (i % 32) + 1)
+                } else {
+                    format!("id == {i}: fwd({})", (i % 32) + 1)
+                };
+                parse_rule(&text).unwrap()
+            })
+            .collect();
+        let order = VarOrder::from_keys(["id", "price"]);
+        let mut build_ms = Vec::new();
+        let mut seed_ms = Vec::new();
+        let mut snapshot_ms = Vec::new();
+        let mut counts = (0, 0);
+        for _ in 0..5 {
+            let t0 = std::time::Instant::now();
+            let bdd = BddBuilder::from_rules(&rules).with_order(order.clone()).build();
+            build_ms.push(t0.elapsed().as_secs_f64() * 1e3);
+            counts = (bdd.node_count(), bdd.gc_stats().peak_allocated.max(bdd.allocated_nodes()));
+            drop(bdd);
+            let t0 = std::time::Instant::now();
+            let inc = IncrementalBdd::from_rules(&rules, &order);
+            seed_ms.push(t0.elapsed().as_secs_f64() * 1e3);
+            let t0 = std::time::Instant::now();
+            let snap = inc.snapshot();
+            snapshot_ms.push(t0.elapsed().as_secs_f64() * 1e3);
+            assert_eq!(snap.node_count(), counts.0, "both cold paths reduce to one diagram");
+        }
+        let median = |v: &mut Vec<f64>| {
+            v.sort_by(f64::total_cmp);
+            v[v.len() / 2]
+        };
+        println!(
+            "cold n={n}: reachable={} allocated={} | build {:.1} ms | seed {:.1} ms + snapshot {:.1} ms",
+            counts.0,
+            counts.1,
+            median(&mut build_ms),
+            median(&mut seed_ms),
+            median(&mut snapshot_ms),
+        );
+    }
     // ITCH-style: symbol x price-threshold conjunctions.
     for n in [1_000usize, 10_000, 50_000] {
         let t0 = std::time::Instant::now();

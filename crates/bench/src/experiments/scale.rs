@@ -1,7 +1,7 @@
 //! The 10k→1M subscription `scale` ladder — compiler scaling evidence.
 //!
 //! The control-plane tentpole claims the compiler holds up at a
-//! million subscriptions: cold builds stay sharded-parallel and
+//! million subscriptions: cold builds stay near-linear and
 //! memory-bounded, and a subscription change costs time proportional
 //! to the *delta*, not the table. This experiment measures both ends
 //! on the churn testbed (8 pods × 4 ToRs × 4 hosts, 72 switches) with
@@ -14,9 +14,12 @@
 //!   one agg list per pod (~N/8) and one shared core list (all N).
 //! * **per-op reconfigure**: on the hottest switch's live
 //!   [`IncrementalBdd`] (the core: all N rules), one op = insert a
-//!   fresh rule + remove it again. The full-recompile baseline is a
-//!   scratch `from_rules` of the same list — what a dirty-list
-//!   recompile pays for that switch on every op.
+//!   fresh rule + remove it again. The full-recompile baseline is one
+//!   `IncrementalBdd::from_rules` of the same list: the bulk
+//!   constructor every cold path runs (it is also what builds each
+//!   unit inside `cold_ms`), plus the per-rule bookkeeping of a seed —
+//!   what a dirty-list recompile pays for that switch on every op,
+//!   table emission excluded.
 //! * **memory**: live vs allocated nodes after GC (the mark-and-sweep
 //!   bound), the store's allocated-node high-water, plus process-level
 //!   heap high-water (counting allocator, when the running binary
@@ -78,8 +81,9 @@ pub struct ScalePoint {
     /// Mean per-op incremental maintenance latency on the hottest
     /// switch (insert + remove), µs.
     pub inc_op_us: f64,
-    /// Scratch rebuild of the hottest switch's diagram, ms — the
-    /// dirty-list recompile baseline for one op.
+    /// One bulk construction (`IncrementalBdd::from_rules`) of the
+    /// hottest switch's diagram, ms — the dirty-list recompile
+    /// baseline for one op.
     pub full_op_ms: f64,
     /// Reachable nodes of the hottest diagram after a forced GC.
     pub live_nodes: usize,
@@ -105,8 +109,8 @@ impl ScalePoint {
 }
 
 /// Measure one rung: cold network compile, then `ops` incremental
-/// insert+remove pairs against the hottest switch's live diagram, and
-/// one scratch rebuild as the dirty-list baseline. Runs on a
+/// insert+remove pairs against the hottest switch's live diagram,
+/// whose seeding is timed as the dirty-list baseline. Runs on a
 /// deep-stack thread — BDD construction recursion is proportional to
 /// the rule count.
 pub fn measure(net: &HierNet, n: usize, ops: usize) -> ScalePoint {

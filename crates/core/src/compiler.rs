@@ -173,20 +173,34 @@ impl Compiler {
 
     /// Compile a rule set into a pipeline.
     pub fn compile(&self, rules: &[Rule]) -> Result<Compiled, CompileError> {
+        let (compiled, ()) = self.cold(rules, |order| {
+            ((), BddBuilder::from_rules(rules).with_order(order.clone()).build())
+        })?;
+        Ok(compiled)
+    }
+
+    /// The cold step behind [`Compiler::compile`] and
+    /// [`Compiler::compile_incremental_seed`]: validate, build the
+    /// diagram, slice it. `build` only chooses whether the bulk
+    /// constructor keeps its maintenance state (returned as `S`) beside
+    /// the diagram to deploy; the construction is the same either way,
+    /// so a scratch compile and a seed of one list emit equal pipelines.
+    fn cold<S: Send>(
+        &self,
+        rules: &[Rule],
+        build: impl FnOnce(&VarOrder) -> (S, Bdd) + Send,
+    ) -> Result<(Compiled, S), CompileError> {
         let start = Instant::now();
         self.validate(rules)?;
+        let order = self.order.clone().unwrap_or_else(VarOrder::empty);
         // BDD union/prune recursion depth is bounded by the longest
         // variable chain — 10⁵+ for large exact-match alphabets — so
-        // the heavy lifting runs on a dedicated thread with a deep
-        // stack.
-        let emitted = Self::on_deep_stack(|| {
-            let mut builder = BddBuilder::from_rules(rules);
-            if let Some(order) = self.order.clone() {
-                builder = builder.with_order(order);
-            }
-            self.slice(builder.build())
-        })?;
-        Ok(self.finish(emitted, start))
+        // build and emission share one hop onto a deep stack.
+        let (state, emitted) = Self::on_deep_stack(|| {
+            let (state, bdd) = build(&order);
+            (state, self.slice(bdd))
+        });
+        Ok((self.finish(emitted?, start), state))
     }
 
     /// Run `f` on a dedicated thread with a [`DEEP_STACK`]-sized stack
@@ -218,38 +232,33 @@ impl Compiler {
         Compiled { bdd, pipeline, multicast, report, elapsed: start.elapsed() }
     }
 
-    /// Seed persistent incremental-compile state from a full rule set.
-    ///
-    /// The cold build goes through [`IncrementalBdd::from_rules`]
-    /// (bulk eq-band construction); subsequent epochs go through
+    /// Seed persistent incremental-compile state from a full rule set:
+    /// [`Compiler::compile`] with the constructor's maintenance state
+    /// kept. Subsequent epochs go through
     /// [`Compiler::compile_incremental`], which applies only the digest
     /// delta to the live diagram.
     pub fn compile_incremental_seed(
         &self,
         rules: &[Rule],
     ) -> Result<(Compiled, CompileState), CompileError> {
-        let start = Instant::now();
-        self.validate(rules)?;
-        let order = self.order.clone().unwrap_or_else(VarOrder::empty);
-        // Build and emit in one hop: the deep stack is a fresh thread.
-        let (inc, emitted) = Self::on_deep_stack(|| {
-            let inc = IncrementalBdd::from_rules(rules, &order);
-            let emitted = self.slice(inc.snapshot());
-            (inc, emitted)
-        });
+        let (compiled, inc) = self.cold(rules, |order| {
+            let inc = IncrementalBdd::from_rules(rules, order);
+            let snapshot = inc.snapshot();
+            (inc, snapshot)
+        })?;
         let mut counts = HashMap::new();
         for r in rules {
             *counts.entry(rule_digest(r)).or_insert(0usize) += 1;
         }
-        Ok((self.finish(emitted?, start), CompileState { inc, counts }))
+        Ok((compiled, CompileState { inc, counts }))
     }
 
     /// Recompile against persistent state: diff the new rule list's
     /// digest multiset against the live one and replay only the delta
     /// (removals first, then inserts) on the maintained diagram. Falls
-    /// back to a scratch rebuild when the delta exceeds half the rule
-    /// set — past that point the (sharded) bulk builder wins over
-    /// replaying ops one by one.
+    /// back to re-seeding the state ([`IncrementalBdd::from_rules`])
+    /// when the delta exceeds half the rule set — past that point one
+    /// bulk construction wins over replaying ops one by one.
     pub fn compile_incremental(
         &self,
         state: &mut CompileState,
@@ -432,6 +441,76 @@ mod tests {
         // No-op epoch: zero delta still yields a valid pipeline.
         let c = compiler.compile_incremental(&mut state, &rules).unwrap();
         check(&c, &rules);
+    }
+
+    /// Identifier band with direct labels, residual tails and duplicate
+    /// rules, range-only and `true` rules, a disjunction and a second
+    /// equality band: every attachment class of the bulk constructor.
+    fn mixed_rules() -> Vec<Rule> {
+        let mut src = String::new();
+        for i in 0..60 {
+            src.push_str(&match i % 6 {
+                0 => format!("id == {i} and price > {}: fwd({})\n", i % 17, i % 5 + 1),
+                1 => format!("price > {}: fwd({})\n", i % 23, i % 3 + 1),
+                2 => format!("stock == S{} or id == {}: fwd(4)\n", i % 7, i + 100),
+                3 => format!("id == {} and price < {}: fwd(2)\n", i - 3, i % 11),
+                _ => format!("id == {i}: fwd({})\n", i % 4 + 1),
+            });
+        }
+        src.push_str("true: fwd(9)\nid == 4: fwd(1)\nid == 4: fwd(1)\n");
+        parse_rules(&src).unwrap()
+    }
+
+    #[test]
+    fn a_predicate_reduced_away_does_not_widen_its_stage() {
+        // `true: fwd(1)` subsumes `price > 5: fwd(1)`, so no node tests
+        // the range predicate. The in-place diagram still has it in its
+        // alphabet, the seed's snapshot has compacted it away; both
+        // must emit the exact-match stage the surviving test needs.
+        let rules = parse_rules("price == 3: fwd(2)\nprice > 5: fwd(1)\ntrue: fwd(1)\n").unwrap();
+        let scratch = Compiler::new().compile(&rules).unwrap();
+        let (seed, _) = Compiler::new().compile_incremental_seed(&rules).unwrap();
+        assert_eq!(scratch.pipeline.stages[0].kind, crate::pipeline::MatchKind::Exact);
+        assert_eq!(scratch.pipeline, seed.pipeline);
+    }
+
+    #[test]
+    fn scratch_compile_and_seed_emit_the_same_pipeline() {
+        let rules = mixed_rules();
+        for compiler in [
+            Compiler::new(),
+            Compiler::new().with_order(VarOrder::from_keys(["id", "price", "stock"])),
+            Compiler::new().with_order(VarOrder::from_keys(["price", "id"])),
+        ] {
+            let scratch = compiler.compile(&rules).unwrap();
+            let (seed, state) = compiler.compile_incremental_seed(&rules).unwrap();
+            assert_eq!(scratch.pipeline, seed.pipeline);
+            assert_eq!(scratch.bdd.node_count(), seed.bdd.node_count());
+            assert_eq!(state.rule_count(), rules.len());
+        }
+    }
+
+    #[test]
+    fn repeated_builds_emit_identical_pipelines() {
+        // `deploy_sharing`, `incremental_reconfigure` and
+        // `fault_recovery` compare pipelines structurally across
+        // independent compiles, so nothing in the build may follow a
+        // `HashMap`'s per-instance iteration order. The pipeline is a
+        // function of the reduced diagram; the store node for node is
+        // the stricter check (it sees the order bands were chained in).
+        let rules = mixed_rules();
+        let order = VarOrder::from_keys(["id", "price"]);
+        let build = || {
+            let bdd = BddBuilder::from_rules(&rules).with_order(order.clone()).build();
+            let mut multicast = MulticastAllocator::new(MulticastAllocator::DEFAULT_LIMIT);
+            let pipeline = bdd_to_pipeline(&bdd, &mut multicast).unwrap();
+            let nodes: Vec<_> = (0..bdd.allocated_nodes() as u32).map(|i| *bdd.node(i)).collect();
+            (pipeline, bdd.root(), nodes)
+        };
+        let first = build();
+        for run in 1..32 {
+            assert_eq!(build(), first, "build {run} differs from build 0");
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@ use crate::pipeline::{
 use camus_bdd::{Bdd, NodeRef};
 #[cfg(test)]
 use camus_lang::ast::Rule;
-use camus_lang::ast::{Action, Rel};
+use camus_lang::ast::{Action, Predicate, Rel};
 use camus_lang::sets::{IntSet, StrSet};
 use camus_lang::value::Value;
 use std::collections::{HashMap, HashSet};
@@ -135,8 +135,15 @@ pub fn bdd_to_pipeline(bdd: &Bdd, mcast: &mut MulticastAllocator) -> Result<Pipe
         in_nodes.entry(group(rid)).or_default().push(rid);
         in_seen.insert(rid);
     }
+    // A stage's match kind follows the predicates the diagram still
+    // tests, not the alphabet: a predicate whose every node was reduced
+    // away must not widen the table, or a diagram emitted in place and
+    // its compacted snapshot would disagree.
+    let mut kinds = vec![MatchKind::Exact; bdd.field_groups().len()];
     for &nid in &reachable {
         let n = bdd.node(nid);
+        let kind = &mut kinds[group(nid) as usize];
+        *kind = widen_kind(*kind, bdd.pred(n.var));
         for child in [n.lo, n.hi] {
             match child {
                 NodeRef::Node(c) if group(c) != group(nid) => {
@@ -163,11 +170,11 @@ pub fn bdd_to_pipeline(bdd: &Bdd, mcast: &mut MulticastAllocator) -> Result<Pipe
     group_order.sort_unstable_by_key(|&g| bdd.field_groups()[g].1.start);
     let mut stages = Vec::new();
     for gid in group_order {
-        let (operand, pred_range) = &bdd.field_groups()[gid];
+        let (operand, _) = &bdd.field_groups()[gid];
         let Some(ins) = in_nodes.get(&(gid as u32)) else {
             continue; // no reachable node tests this field
         };
-        let kind = stage_kind(bdd, pred_range.clone());
+        let kind = kinds[gid];
         let mut entries = Vec::new();
         let mut misses: HashMap<StateId, StateId> = HashMap::new();
         for &u in ins {
@@ -259,21 +266,16 @@ pub fn bdd_to_pipeline(bdd: &Bdd, mcast: &mut MulticastAllocator) -> Result<Pipe
     })
 }
 
-/// Decide the match kind of a stage from its predicate population
-/// (§V-E: exact matches go to SRAM whenever possible). The range is a
-/// *level* range — predicate ids are resolved through the level table.
-fn stage_kind(bdd: &Bdd, levels: std::ops::Range<u32>) -> MatchKind {
-    let mut kind = MatchKind::Exact;
-    for level in levels {
-        let p = bdd.pred(bdd.pred_at_level(level));
-        match (&p.constant, p.rel) {
-            (Value::Int(_), Rel::Eq | Rel::Ne) => {}
-            (Value::Int(_), _) => return MatchKind::Range,
-            (Value::Str(_), Rel::Eq | Rel::Ne) => {}
-            (Value::Str(_), _) => kind = MatchKind::Ternary,
-        }
+/// Fold one tested predicate into a stage's match kind (§V-E: exact
+/// matches go to SRAM whenever possible; any integer range predicate
+/// makes the stage a range table, any string prefix a ternary one).
+fn widen_kind(kind: MatchKind, p: &Predicate) -> MatchKind {
+    match (&p.constant, p.rel) {
+        (_, Rel::Eq | Rel::Ne) => kind,
+        (Value::Int(_), _) => MatchKind::Range,
+        (Value::Str(_), _) if kind == MatchKind::Exact => MatchKind::Ternary,
+        (Value::Str(_), _) => kind,
     }
-    kind
 }
 
 /// Emit the table entries for one region (one component path).

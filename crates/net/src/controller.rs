@@ -600,25 +600,14 @@ impl Controller {
     /// Deploy onto a topology with faults already present: routing
     /// avoids masked elements and the network starts with the mask
     /// injected. A fresh `deploy_degraded` is the oracle that
-    /// [`Controller::repair`] must converge to.
+    /// [`Controller::repair`] must converge to. On error no
+    /// [`Deployment`] is produced at all, so the caller's previous
+    /// deployment (if any) is untouched.
     pub fn deploy_degraded(
         &self,
         topology: HierNet,
         subs: &[Vec<Expr>],
         mask: &FaultMask,
-    ) -> Result<Deployment, DeployError> {
-        self.deploy_degraded_with(topology, subs, mask, &mut PerfectChannel)
-    }
-
-    /// [`deploy_degraded`](Self::deploy_degraded) over an explicit
-    /// control channel. On error no [`Deployment`] is produced at all,
-    /// so the caller's previous deployment (if any) is untouched.
-    pub fn deploy_degraded_with(
-        &self,
-        topology: HierNet,
-        subs: &[Vec<Expr>],
-        mask: &FaultMask,
-        channel: &mut dyn ControlChannel,
     ) -> Result<Deployment, DeployError> {
         let route_start = Instant::now();
         let routing = route_hierarchical_degraded(&topology, subs, self.routing, mask);
@@ -639,8 +628,14 @@ impl Controller {
         let mut network = Network::new(topology, switches, self.link_latency_ns);
         network.apply_mask(mask);
         let targets: Vec<usize> = (0..compile.switches.len()).collect();
-        let (report, degraded) =
-            self.apply_transaction(&mut network, &compile, &routing, &targets, 1, channel)?;
+        let (report, degraded) = self.apply_transaction(
+            &mut network,
+            &compile,
+            &routing,
+            &targets,
+            1,
+            &mut PerfectChannel,
+        )?;
         let trace = build_trace(route_ns, &compile, &report);
         Ok(Deployment { network, routing, compile, report, degraded, trace, next_epoch: 2 })
     }
@@ -738,38 +733,6 @@ impl Controller {
         compile_network_incremental_delta(routing, &self.compiler(), previous, cache)
     }
 
-    /// [`repair`](Self::repair) with delta-maintained per-switch BDDs:
-    /// route, delta-compile through `cache`, install. Error semantics
-    /// match [`repair_with`](Self::repair_with); on error the cache may
-    /// have advanced (it is a pure cost cache, so that is harmless).
-    pub fn repair_delta_with(
-        &self,
-        deployment: &mut Deployment,
-        subs: &[Vec<Expr>],
-        cache: &mut DeltaCache,
-        channel: &mut dyn ControlChannel,
-    ) -> Result<RepairStats, DeployError> {
-        let start = Instant::now();
-        let mask = deployment.network.fault_mask().clone();
-        let routing = self.plan_routing(&deployment.network.topology, subs, &mask);
-        let route_ns = start.elapsed().as_nanos() as u64;
-        let compile = self.compile_routing_delta(&routing, Some(&deployment.compile), cache)?;
-        self.install(deployment, routing, compile, route_ns, channel)
-    }
-
-    /// [`reconfigure`](Self::reconfigure) with delta-maintained
-    /// per-switch BDDs. At large subscription counts this is the fast
-    /// path: a small churn touches each dirty switch's diagram in time
-    /// proportional to the delta instead of rebuilding it.
-    pub fn reconfigure_delta(
-        &self,
-        deployment: &mut Deployment,
-        subs: &[Vec<Expr>],
-        cache: &mut DeltaCache,
-    ) -> Result<Duration, DeployError> {
-        Ok(self.repair_delta_with(deployment, subs, cache, &mut PerfectChannel)?.compile_elapsed)
-    }
-
     /// Stage three: install a precomputed `(routing, compile)` pair
     /// into a live deployment over `channel`, reinstalling exactly the
     /// switches whose pipeline differs from what is *actually
@@ -840,7 +803,7 @@ impl Controller {
     /// * committed-but-unfinalised under an unlogged epoch → revert
     ///   (defensive: the protocol logs the decision before the first
     ///   commit op, so this arm only fires on a corrupted log).
-    pub fn reconcile_staged(
+    fn reconcile_staged(
         &self,
         network: &mut Network,
         committed_epochs: &BTreeSet<u64>,
@@ -875,7 +838,7 @@ impl Controller {
     /// compile state, ledger) died with the old process, so recovery
     /// interrogates the switches instead:
     ///
-    /// 1. [`reconcile_staged`](Self::reconcile_staged) settles every
+    /// 1. `reconcile_staged` settles every
     ///    in-doubt install against the logged commit decisions,
     /// 2. routing is re-planned from the durable subscription set and
     ///    the network's *current* fault mask, and every pipeline is
@@ -938,8 +901,8 @@ impl Controller {
     }
 }
 
-/// What [`Controller::reconcile_staged`] (and the surrounding
-/// [`Controller::recover_deployment`]) did to settle a crash's
+/// What [`Controller::recover_deployment`] (its `reconcile_staged`
+/// step and the recovery transaction) did to settle a crash's
 /// in-doubt state.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReconcileStats {
@@ -1177,8 +1140,9 @@ mod tests {
     #[test]
     fn reconfigure_delta_matches_fresh_deploy_through_churn() {
         // Drive a deployment through a sequence of subscription changes
-        // with the delta-maintained compile path and check after every
-        // round that the installed pipelines are exactly what a fresh
+        // with the delta-maintained compile path (plan, delta-compile,
+        // install — the stages `camus-service` runs) and check after
+        // every round that the installed pipelines are exactly what a fresh
         // deploy of the same subscriptions installs — same fingerprints
         // and same table sizes (the controller pins the spec's variable
         // order, so delta-maintained diagrams reduce identically).
@@ -1204,7 +1168,10 @@ mod tests {
         let mut d = ctrl.deploy(net.clone(), &rounds[0]).unwrap();
         let mut delta_hits = 0;
         for round in &rounds[1..] {
-            ctrl.reconfigure_delta(&mut d, round, &mut cache).unwrap();
+            let routing = ctrl.plan_routing(&net, round, &FaultMask::default());
+            let compile =
+                ctrl.compile_routing_delta(&routing, Some(&d.compile), &mut cache).unwrap();
+            ctrl.install(&mut d, routing, compile, 0, &mut PerfectChannel).unwrap();
             delta_hits += d.compile.reused;
             let oracle = ctrl.deploy(net.clone(), round).unwrap();
             for (got, want) in d.compile.switches.iter().zip(oracle.compile.switches.iter()) {
