@@ -15,6 +15,7 @@ use camus_dataplane::{Packet, PacketBuilder};
 use camus_lang::ast::Expr;
 use camus_lang::parser::parse_expr;
 use camus_lang::spec::Spec;
+use camus_net::channel::PerfectChannel;
 use camus_net::controller::{Controller, Deployment};
 use camus_routing::algorithm1::{Policy, RoutingConfig};
 use camus_routing::topology::HierNet;
@@ -107,7 +108,7 @@ impl PubSub {
         let filters: Vec<Vec<Expr>> =
             self.subs.iter().map(|v| v.iter().map(|s| s.filter()).collect()).collect();
         self.controller
-            .reconfigure(&mut self.deployment, &filters)
+            .repair(&mut self.deployment, &filters, &mut PerfectChannel)
             .expect("reconfiguration compiles");
     }
 

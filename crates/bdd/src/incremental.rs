@@ -493,9 +493,9 @@ impl IncrementalBdd {
         self.rule_count
     }
 
-    /// Occurrences of a given digest.
-    pub fn count(&self, digest: u64) -> usize {
-        self.instances.get(&digest).map_or(0, |v| v.len())
+    /// The live rule multiset: each held digest with its occurrences.
+    pub fn digest_counts(&self) -> impl Iterator<Item = (u64, usize)> + '_ {
+        self.instances.iter().map(|(&d, v)| (d, v.len()))
     }
 
     /// Reachable nodes via the store's reusable scratch.
@@ -933,7 +933,7 @@ mod tests {
         let d1 = inc.insert_rule(&r);
         let d2 = inc.insert_rule(&r);
         assert_eq!(d1, d2);
-        assert_eq!(inc.count(d1), 2);
+        assert_eq!(inc.digest_counts().collect::<Vec<_>>(), vec![(d1, 2)]);
         assert!(inc.remove_by_digest(d1));
         // Still matches: one occurrence remains.
         let m = inc.bdd().eval(lookup_for(vec![("id", Value::Int(4))]));

@@ -39,27 +39,31 @@ const IDS: &[&str] = &[
 
 fn run_one(id: &str, scale: Scale) -> bool {
     let t0 = std::time::Instant::now();
-    let ran = match id {
-        "fig8" => !experiments::fig8::run(scale).is_empty(),
-        "fig9" => !experiments::fig9::run(scale).is_empty(),
-        "fig11" => !experiments::fig11::run(scale).is_empty(),
-        "fig12" => !experiments::fig12::run(scale).is_empty(),
-        "tab1" => !experiments::tab1::run(scale).is_empty(),
-        "fig13" => !experiments::fig13::run(scale).is_empty(),
-        "fig14" => !experiments::fig14::run(scale).is_empty(),
-        "fig15" => !experiments::fig15::run(scale).is_empty(),
-        "churn" => !experiments::churn::run(scale).is_empty(),
-        "scale" => !experiments::scale::run(scale).is_empty(),
-        "service" => !experiments::service::run(scale).is_empty(),
-        "faults" => !experiments::faults::run(scale).is_empty(),
-        "chaos" => !experiments::chaos::run(scale).is_empty(),
-        "throughput" => !experiments::throughput::run(scale).is_empty(),
-        "telemetry" => !experiments::telemetry::run(scale).is_empty(),
-        "recovery" => !experiments::recovery::run(scale).is_empty(),
+    let tables = match id {
+        "fig8" => experiments::fig8::run(scale),
+        "fig9" => experiments::fig9::run(scale),
+        "fig11" => experiments::fig11::run(scale),
+        "fig12" => experiments::fig12::run(scale),
+        "tab1" => experiments::tab1::run(scale),
+        "fig13" => experiments::fig13::run(scale),
+        "fig14" => experiments::fig14::run(scale),
+        "fig15" => experiments::fig15::run(scale),
+        "churn" => experiments::churn::run(scale),
+        "scale" => experiments::scale::run(scale),
+        "service" => experiments::service::run(scale),
+        "faults" => experiments::faults::run(scale),
+        "chaos" => experiments::chaos::run(scale),
+        "throughput" => experiments::throughput::run(scale),
+        "telemetry" => experiments::telemetry::run(scale),
+        "recovery" => experiments::recovery::run(scale),
         _ => return false,
     };
+    // The one place results are printed and persisted.
+    for table in &tables {
+        table.emit();
+    }
     eprintln!("[{id}] done in {:.1?}\n", t0.elapsed());
-    ran
+    !tables.is_empty()
 }
 
 fn main() {

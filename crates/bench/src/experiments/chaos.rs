@@ -86,6 +86,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
     let r = soak(n_subs, 16, &cfg);
 
     let mut t = Table::new(
+        "chaos",
         "Chaos soak: per-step transactional repair audit",
         &[
             "step",
@@ -140,9 +141,9 @@ pub fn run(scale: Scale) -> Vec<Table> {
             s.loops.to_string(),
         ]);
     }
-    t.emit("chaos");
 
     let mut summary = Table::new(
+        "chaos_summary",
         "Chaos soak: summary",
         &[
             "subscriptions",
@@ -174,7 +175,6 @@ pub fn run(scale: Scale) -> Vec<Table> {
         r.final_delivered.to_string(),
         r.converged.to_string(),
     ]);
-    summary.emit("chaos_summary");
     vec![t, summary]
 }
 

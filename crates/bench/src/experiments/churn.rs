@@ -121,7 +121,7 @@ pub fn measure_churn(
         std::hint::black_box(full.total_entries());
 
         let t0 = std::time::Instant::now();
-        let incremental = compile_network_incremental(&routing, &compiler, Some(&previous))
+        let incremental = compile_network_incremental(&routing, &compiler, Some(&previous), None)
             .expect("incremental recompile");
         let incremental_ms = t0.elapsed().as_secs_f64() * 1e3;
         std::hint::black_box(incremental.total_entries());
@@ -142,6 +142,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
     let steps = scale.pick(6, 12);
     let net = churn_net();
     let mut t = Table::new(
+        "churn",
         "Churn: full vs incremental recompile per subscription change (ms)",
         &["subscriptions", "step", "full_ms", "incremental_ms", "speedup", "recompiled", "reused"],
     );
@@ -161,7 +162,6 @@ pub fn run(scale: Scale) -> Vec<Table> {
             ]);
         }
     }
-    t.emit("churn");
     vec![t]
 }
 

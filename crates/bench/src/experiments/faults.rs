@@ -70,6 +70,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
     let net = churn_net();
 
     let mut t = Table::new(
+        "faults",
         "Faults: repair latency and convergence per failure type",
         &[
             "failure",
@@ -188,7 +189,6 @@ pub fn run(scale: Scale) -> Vec<Table> {
         }
         assert!(d.network.fault_mask().is_healthy(), "every fault was healed");
     }
-    t.emit("faults");
     vec![t]
 }
 

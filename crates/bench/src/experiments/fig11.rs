@@ -53,6 +53,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
     let camus = run_hicn(&reqs, Mode::Camus, cfg);
 
     let mut t = Table::new(
+        "fig11",
         "Fig. 11: hICN latency for uncached (cold) content",
         &["system", "cold p50", "cold p95", "cold p99", "forwarder load", "hot hit-rate"],
     );
@@ -79,14 +80,13 @@ pub fn run(scale: Scale) -> Vec<Table> {
     let (cold_c, _) = split_cold(&camus, &reqs, catalogue);
     let p95_b = latency_quantile(&cold_b, 0.95) as f64;
     let p95_c = latency_quantile(&cold_c, 0.95) as f64;
-    let mut headline = Table::new("Fig. 11 headline", &["metric", "value", "paper"]);
+    let mut headline =
+        Table::new("fig11_headline", "Fig. 11 headline", &["metric", "value", "paper"]);
     headline.row([
         "cold p95 reduction".into(),
         format!("{:.0}%", 100.0 * (1.0 - p95_c / p95_b)),
         "21%".into(),
     ]);
-    t.emit("fig11");
-    headline.emit("fig11_headline");
     vec![t, headline]
 }
 

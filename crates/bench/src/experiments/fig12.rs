@@ -52,6 +52,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         Scale::Full => &[10, 100, 1_000, 10_000, 30_000],
     };
     let mut a = Table::new(
+        "fig12a",
         "Fig. 12a: table entries vs #subscriptions (3 predicates/filter)",
         &["subscriptions", "camus", "big-table"],
     );
@@ -64,11 +65,11 @@ pub fn run(scale: Scale) -> Vec<Table> {
             if big.capped { format!(">{}", big.entries) } else { big.entries.to_string() },
         ]);
     }
-    a.emit("fig12a");
 
     // Panel (b): sweep predicates per filter at a fixed count.
     let n = scale.pick(300, 1_000);
     let mut b = Table::new(
+        "fig12b",
         &format!("Fig. 12b: table entries vs predicates/filter ({n} subscriptions)"),
         &["predicates", "camus", "big-table"],
     );
@@ -81,7 +82,6 @@ pub fn run(scale: Scale) -> Vec<Table> {
             if big.capped { format!(">{}", big.entries) } else { big.entries.to_string() },
         ]);
     }
-    b.emit("fig12b");
     vec![a, b]
 }
 

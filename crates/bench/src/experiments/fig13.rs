@@ -75,6 +75,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         ("c (MR, α=10)", Policy::MemoryReduction, 10),
     ] {
         let mut t = Table::new(
+            &format!("fig13{}", &panel[..1]),
             &format!("Fig. 13{panel}: table entries per layer"),
             &["filters", "ToR", "Agg", "Core"],
         );
@@ -82,13 +83,13 @@ pub fn run(scale: Scale) -> Vec<Table> {
             let [tor, agg, core] = layer_entries(n, policy, alpha);
             t.row([n.to_string(), tor.to_string(), agg.to_string(), core.to_string()]);
         }
-        t.emit(&format!("fig13{}", &panel[..1]));
         tables.push(t);
     }
 
     // Panel d: extra core traffic vs α, measured by actually running
     // the network.
     let mut d = Table::new(
+        "fig13d",
         "Fig. 13d: extra core-layer traffic vs discretisation unit α (TR)",
         &["alpha", "core messages", "extra %"],
     );
@@ -101,7 +102,6 @@ pub fn run(scale: Scale) -> Vec<Table> {
         let extra = if base == 0 { 0.0 } else { 100.0 * (core as f64 - base as f64) / base as f64 };
         d.row([alpha.to_string(), core.to_string(), format!("{extra:.1}")]);
     }
-    d.emit("fig13d");
     tables.push(d);
     tables
 }

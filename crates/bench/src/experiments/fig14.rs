@@ -59,6 +59,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         [("a (MR)", Policy::MemoryReduction), ("b (TR)", Policy::TrafficReduction)]
     {
         let mut t = Table::new(
+            &format!("fig14{}", &panel[..1]),
             &format!("Fig. 14{panel}: network recompile time (ms)"),
             &["subscriptions", "1 var", "2 vars", "3 vars", "3 vars, α=10"],
         );
@@ -68,7 +69,6 @@ pub fn run(scale: Scale) -> Vec<Table> {
             };
             t.row([n.to_string(), ms(1, 1), ms(2, 1), ms(3, 1), ms(3, 10)]);
         }
-        t.emit(&format!("fig14{}", &panel[..1]));
         tables.push(t);
     }
     tables

@@ -88,6 +88,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         let g = to_graph(edges);
         for rules_per_node in [1usize, 10] {
             let mut t = Table::new(
+                &format!("fig15_{}_{}", name.to_lowercase().replace('-', "_"), rules_per_node),
                 &format!(
                     "Fig. 15 ({name}, {} nodes, {rules_per_node} rule(s)/node): max FIB entries",
                     g.node_count()
@@ -110,7 +111,6 @@ pub fn run(scale: Scale) -> Vec<Table> {
                     median(mstpp_runs).to_string(),
                 ]);
             }
-            t.emit(&format!("fig15_{}_{}", name.to_lowercase().replace('-', "_"), rules_per_node));
             tables.push(t);
         }
     }

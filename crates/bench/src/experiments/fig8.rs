@@ -118,6 +118,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
     ] {
         let r = run_workload(cfg, packets);
         let mut t = Table::new(
+            &format!("fig8_{name}"),
             &format!("Fig. 8 ({name}): ITCH publication→delivery latency (µs)"),
             &["system", "p50", "p90", "p99", "p99.9", "max", "messages"],
         );
@@ -133,7 +134,6 @@ pub fn run(scale: Scale) -> Vec<Table> {
                 q.sojourn_s.len().to_string(),
             ]);
         }
-        t.emit(&format!("fig8_{name}"));
         tables.push(t);
     }
     tables

@@ -119,6 +119,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
     let sample = scale.pick(2_000, 20_000);
     let compiled_cap = scale.pick(1_000, 10_000);
     let mut t = Table::new(
+        "fig9",
         "Fig. 9: INT filtering throughput vs #filters",
         &["filters", "c", "dpdk", "camus", "rust-measured", "rust-compiled", "hw-util"],
     );
@@ -138,7 +139,6 @@ pub fn run(scale: Scale) -> Vec<Table> {
             util,
         ]);
     }
-    t.emit("fig9");
     vec![t]
 }
 

@@ -1,6 +1,7 @@
 //! One module per reproduced table/figure. Each exposes
 //! `run(scale) -> Vec<Table>`: `Scale::Quick` shrinks workload sizes
-//! for CI; `Scale::Full` matches the paper's parameters.
+//! for CI; `Scale::Full` matches the paper's parameters. `run` writes
+//! nothing — the `experiments` binary emits what it returns.
 
 pub mod chaos;
 pub mod churn;

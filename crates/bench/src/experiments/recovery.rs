@@ -25,7 +25,7 @@
 use super::churn::{churn_net, spread_subscriptions};
 use super::service::generator;
 use super::Scale;
-use crate::output::{merge_bench_json, Table};
+use crate::output::Table;
 use camus_core::statics::compile_static;
 use camus_net::controller::Controller;
 use camus_net::PerfectChannel;
@@ -107,6 +107,7 @@ fn sustained_per_s(out: &ServiceOutcome, first_arrival: u64) -> f64 {
 pub fn run(scale: Scale) -> Vec<Table> {
     // --- Recovery cost vs log length × snapshot cadence ---
     let mut t = Table::new(
+        "recovery",
         "Controller recovery: WAL replay + staged reconciliation cost",
         &[
             "snapshot_every",
@@ -181,7 +182,6 @@ pub fn run(scale: Scale) -> Vec<Table> {
             ]);
         }
     }
-    t.emit("recovery");
 
     // --- WAL overhead vs the volatile batched lane ---
     let ops = scale.pick(120, 600);
@@ -214,6 +214,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
     );
 
     let mut o = Table::new(
+        "recovery_overhead",
         "WAL overhead: batched churn lane, volatile vs write-ahead logged",
         &["mode", "ops", "accepted", "wal_lines", "snapshots", "sustained_per_s", "wall_ms"],
     );
@@ -231,11 +232,10 @@ pub fn run(scale: Scale) -> Vec<Table> {
             format!("{wall_ms:.0}"),
         ]);
     }
-    o.emit("recovery_overhead");
 
-    merge_bench_json(
-        "recovery",
-        &format!(
+    o.bench_json.push((
+        "recovery".to_string(),
+        format!(
             "{{\"volatile_subs_per_s\": {volatile_per_s:.0}, \
              \"wal_subs_per_s\": {logged_per_s:.0}, \
              \"wal_overhead_pct\": {overhead_pct:.2}, \
@@ -243,7 +243,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             logged_out.stats.snapshots,
             logged_wal.len(),
         ),
-    );
+    ));
 
     vec![t, o]
 }

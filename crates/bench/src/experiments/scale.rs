@@ -31,7 +31,7 @@
 use super::churn::churn_net;
 use super::Scale;
 use crate::mem;
-use crate::output::{merge_bench_json, Table};
+use crate::output::Table;
 use camus_bdd::{IncrementalBdd, VarOrder, DEEP_STACK};
 use camus_core::compiler::Compiler;
 use camus_lang::ast::{Expr, Rule};
@@ -183,6 +183,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
     let ops = scale.pick(64, 256);
     let net = churn_net();
     let mut t = Table::new(
+        "scale",
         "Scale: cold compile and per-op reconfigure, 10k -> 1M subscriptions",
         &[
             "subs",
@@ -253,10 +254,10 @@ pub fn run(scale: Scale) -> Vec<Table> {
             p.peak_rss_mb,
         ));
     }
-    t.emit("scale");
     // Not under a plain `"scale"` key: the throughput lane already
     // writes `"scale": "quick|full"` (run-mode metadata) at top level.
-    merge_bench_json("scale_ladder", &format!("{{\"points\": [{}]}}", json.join(", ")));
+    t.bench_json
+        .push(("scale_ladder".to_string(), format!("{{\"points\": [{}]}}", json.join(", "))));
     vec![t]
 }
 

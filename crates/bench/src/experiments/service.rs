@@ -26,7 +26,7 @@
 
 use super::churn::{churn_net, spread_subscriptions};
 use super::Scale;
-use crate::output::{merge_bench_json, Table};
+use crate::output::Table;
 use camus_core::statics::compile_static;
 use camus_dataplane::PacketBuilder;
 use camus_lang::ast::Expr;
@@ -161,6 +161,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
     let batched = run_mode(false, scale, ops);
 
     let mut t = Table::new(
+        "service",
         "Controller service: batched/coalesced vs one-op-at-a-time (modelled time)",
         &[
             "mode",
@@ -204,11 +205,11 @@ pub fn run(scale: Scale) -> Vec<Table> {
             format!("{:.0}", r.wall_ms),
         ]);
     }
-    t.emit("service");
 
     // Per-request spans of the batched run: the raw material for the
     // time-to-traffic distribution.
     let mut spans = Table::new(
+        "service_trace",
         "Batched run: per-request spans (ns, modelled)",
         &["request", "host", "arrival_ns", "batched_ns", "compiled_ns", "deployed_ns", "ttt_ns"],
     );
@@ -225,12 +226,11 @@ pub fn run(scale: Scale) -> Vec<Table> {
             ]);
         }
     }
-    spans.write_csv("service_trace").ok();
 
     let speedup = batched.sustained_per_s / naive.sustained_per_s.max(1e-9);
-    merge_bench_json(
-        "service",
-        &format!(
+    t.bench_json.push((
+        "service".to_string(),
+        format!(
             "{{\"naive_subs_per_s\": {:.0}, \"batched_subs_per_s\": {:.0}, \
              \"speedup\": {:.2}, \"coalescing_ratio\": {:.2}, \
              \"batched_p99_ttt_ms\": {:.3}, \"audit_probes\": {}, \"misdelivered\": {}}}",
@@ -242,7 +242,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             batched.out.stats.audit.probes + naive.out.stats.audit.probes,
             batched.out.stats.audit.misdelivered + naive.out.stats.audit.misdelivered,
         ),
-    );
+    ));
 
     // The CI smoke rides these (quick scale included): the audit must
     // stay clean in both modes, coalescing must actually coalesce, and

@@ -54,6 +54,7 @@ fn hicn_report(ids: usize) -> (usize, ResourceReport) {
 
 pub fn run(scale: Scale) -> Vec<Table> {
     let mut t = Table::new(
+        "tab1",
         "Table I: switch resource usage for three applications",
         &["app", "filters", "tables", "entries", "sram KB", "tcam KB", "mcast", "state bits"],
     );
@@ -75,7 +76,6 @@ pub fn run(scale: Scale) -> Vec<Table> {
             r.state_bits.to_string(),
         ]);
     }
-    t.emit("tab1");
     vec![t]
 }
 

@@ -23,7 +23,7 @@ use super::churn::{churn_net, spread_subscriptions};
 use super::faults::{chain_link, generator};
 use super::throughput::{build_switch, int_packets};
 use super::Scale;
-use crate::output::{fmt_mpps, merge_bench_json, Table};
+use crate::output::{fmt_mpps, Table};
 use camus_core::statics::compile_static;
 use camus_dataplane::packet::{Packet, PacketBuilder};
 use camus_dataplane::{Switch, SwitchTelemetry};
@@ -60,8 +60,7 @@ struct OverheadLane {
 /// Measure bare vs telemetry-attached throughput at each sampling rate.
 ///
 /// All lanes are built and warmed before any timing, then repetitions
-/// are *interleaved* round-robin with a per-lane best-of (the same
-/// discipline as the `eval_fastpath` bench guard). An earlier revision
+/// are *interleaved* round-robin with a per-lane best-of. An earlier revision
 /// timed the bare lane first, start to finish: it absorbed the
 /// process-wide warmup alone and the experiment reported *negative*
 /// telemetry overhead. Interleaving spreads drift evenly, so the bare
@@ -183,6 +182,7 @@ fn anomaly_table(scale: Scale) -> Table {
     let (agg, port) = chain_link(&net, target);
 
     let mut t = Table::new(
+        "telemetry_anomaly",
         "Telemetry: blackhole detection vs delivery-log ground truth",
         &[
             "failure",
@@ -248,6 +248,7 @@ fn trace_table(scale: Scale) -> Table {
     assert_eq!(d.trace.modelled_control_ns(), ledger, "trace must tile the ledger");
 
     let mut t = Table::new(
+        "telemetry_trace",
         "Telemetry: deploy span trace (wall vs modelled control time)",
         &["phase", "clock", "duration_ns"],
     );
@@ -264,6 +265,7 @@ fn trace_table(scale: Scale) -> Table {
 pub fn run(scale: Scale) -> Vec<Table> {
     let (lanes, disabled_overhead) = overhead_lanes(scale);
     let mut overhead = Table::new(
+        "telemetry_overhead",
         "Telemetry: fast-path overhead by sampling rate (1k filters, batched)",
         &["rate", "ns_per_pkt", "mpps", "overhead_pct", "sampled_packets"],
     );
@@ -276,19 +278,17 @@ pub fn run(scale: Scale) -> Vec<Table> {
             l.sampled.to_string(),
         ]);
     }
-    overhead.emit("telemetry_overhead");
     // The acceptance bound: disabled telemetry within 3% of the bare
     // PR-3 lane. Quick (CI) runs keep a looser bound — short timings on
-    // shared runners jitter more than the effect being measured; the
-    // `eval_fastpath` bench guard enforces 3% with interleaved timing.
+    // shared runners jitter more than the effect being measured.
     let bound = scale.pick(25.0, 3.0);
     assert!(
         disabled_overhead <= bound,
         "disabled telemetry costs {disabled_overhead:.2}% (> {bound}%)"
     );
-    merge_bench_json(
-        "telemetry",
-        &format!(
+    overhead.bench_json.push((
+        "telemetry".to_string(),
+        format!(
             "{{\"disabled_overhead_pct\": {:.2}, \"ns_per_pkt\": {{{}}}}}",
             disabled_overhead,
             lanes
@@ -297,13 +297,9 @@ pub fn run(scale: Scale) -> Vec<Table> {
                 .collect::<Vec<_>>()
                 .join(", ")
         ),
-    );
+    ));
 
-    let anomaly = anomaly_table(scale);
-    anomaly.emit("telemetry_anomaly");
-    let trace = trace_table(scale);
-    trace.emit("telemetry_trace");
-    vec![overhead, anomaly, trace]
+    vec![overhead, anomaly_table(scale), trace_table(scale)]
 }
 
 #[cfg(test)]
@@ -328,8 +324,8 @@ mod tests {
         // Trace: all six phases in order.
         let phases: Vec<&str> = tables[2].rows.iter().map(|r| r[0].as_str()).collect();
         assert_eq!(phases, vec!["route", "compile", "admit", "stage", "commit", "finalize"]);
-        let json = std::fs::read_to_string("BENCH_throughput.json").unwrap();
-        assert!(json.contains("\"telemetry\""));
+        let (key, json) = &tables[0].bench_json[0];
+        assert_eq!(key, "telemetry");
         assert!(json.contains("\"disabled_overhead_pct\""));
     }
 

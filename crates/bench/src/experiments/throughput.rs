@@ -311,10 +311,10 @@ fn measure_depth_ns(depth: usize, probes: usize) -> f64 {
     best
 }
 
-/// Hand-formatted JSON (the vendored `serde_json` stub has no
-/// serializer): eval-ns, Mpps, and the shard ladder keyed by filter
-/// count.
-fn write_json(scale: Scale, lanes: &[Lane], depths: &[(usize, f64)]) {
+/// The lane's `BENCH_throughput.json` entries, hand-formatted (the
+/// vendored `serde_json` stub has no serializer): eval-ns, Mpps, and
+/// the shard ladder keyed by filter count.
+fn bench_json(scale: Scale, lanes: &[Lane], depths: &[(usize, f64)]) -> Vec<(String, String)> {
     let series = lanes
         .iter()
         .map(|l| {
@@ -344,21 +344,19 @@ fn write_json(scale: Scale, lanes: &[Lane], depths: &[(usize, f64)]) {
         .collect::<Vec<_>>()
         .join(",\n");
     let mode = lanes.last().map_or("isolated", |l| l.parallel_mode);
-    let json = format!(
-        "{{\n  \"experiment\": \"throughput\",\n  \"scale\": \"{}\",\n  \
-         \"shards\": {},\n  \"parallel_mode\": \"{}\",\n  \
-         \"filters\": [{}],\n  \"by_filter_count\": {{\n{}\n  }},\n  \
-         \"eval_ns_by_depth\": {{\n{}\n  }}\n}}\n",
-        if scale == Scale::Quick { "quick" } else { "full" },
-        SHARD_LADDER.last().unwrap(),
-        mode,
-        lanes.iter().map(|l| l.filters.to_string()).collect::<Vec<_>>().join(", "),
-        series,
-        depth_ns,
-    );
-    if let Err(e) = std::fs::write("BENCH_throughput.json", json) {
-        eprintln!("warning: could not write BENCH_throughput.json: {e}");
-    }
+    let filters = lanes.iter().map(|l| l.filters.to_string()).collect::<Vec<_>>().join(", ");
+    [
+        ("experiment", "\"throughput\"".to_string()),
+        ("scale", format!("\"{}\"", scale.pick("quick", "full"))),
+        ("shards", SHARD_LADDER.last().unwrap().to_string()),
+        ("parallel_mode", format!("\"{mode}\"")),
+        ("filters", format!("[{filters}]")),
+        ("by_filter_count", format!("{{\n{series}\n  }}")),
+        ("eval_ns_by_depth", format!("{{\n{depth_ns}\n  }}")),
+    ]
+    .into_iter()
+    .map(|(key, value)| (key.to_string(), value))
+    .collect()
 }
 
 pub fn run(scale: Scale) -> Vec<Table> {
@@ -388,6 +386,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
     }
 
     let mut a = Table::new(
+        "throughput",
         "Throughput: compiled fast path vs interpreted reference (INT workload)",
         &["filters", "interp-eval", "compiled-eval", "speedup", "batch", "parallel", "par-mode"],
     );
@@ -402,21 +401,21 @@ pub fn run(scale: Scale) -> Vec<Table> {
             l.parallel_mode.to_string(),
         ]);
     }
-    a.emit("throughput");
 
     let depth_probes = scale.pick(200_000, 2_000_000);
     let depths: Vec<(usize, f64)> =
         [1usize, 2, 4, 8].iter().map(|&d| (d, measure_depth_ns(d, depth_probes))).collect();
     let mut b = Table::new(
+        "throughput_depth",
         "Throughput: compiled eval ns vs pipeline depth (state chain)",
         &["depth", "eval-ns"],
     );
     for &(d, ns) in &depths {
         b.row([d.to_string(), format!("{ns:.1}")]);
     }
-    b.emit("throughput_depth");
 
     let mut c = Table::new(
+        "throughput_counters",
         "Eval counters (compiled runs)",
         &[
             "filters",
@@ -442,9 +441,9 @@ pub fn run(scale: Scale) -> Vec<Table> {
             s.deep_copies.to_string(),
         ]);
     }
-    c.emit("throughput_counters");
 
     let mut d = Table::new(
+        "throughput_resources",
         "Per-switch resource utilization vs the default Tofino-class budget",
         &[
             "filters",
@@ -474,9 +473,9 @@ pub fn run(scale: Scale) -> Vec<Table> {
             fits.to_string(),
         ]);
     }
-    d.emit("throughput_resources");
 
     let mut e = Table::new(
+        "throughput_scaling",
         "Throughput scaling ladder: aggregate Mpps by shard count",
         &["filters", "shards", "mode", "mpps", "speedup-vs-1"],
     );
@@ -492,9 +491,8 @@ pub fn run(scale: Scale) -> Vec<Table> {
             ]);
         }
     }
-    e.emit("throughput_scaling");
 
-    write_json(scale, &lanes, &depths);
+    a.bench_json = bench_json(scale, &lanes, &depths);
     vec![a, b, c, d, e]
 }
 
@@ -563,7 +561,8 @@ mod tests {
         assert_eq!(tables[0].rows.len(), 3);
         // Ladder table: one row per (filter count, shard count).
         assert_eq!(tables[4].rows.len(), 3 * SHARD_LADDER.len());
-        let json = std::fs::read_to_string("BENCH_throughput.json").unwrap();
+        let json: String =
+            tables[0].bench_json.iter().map(|(k, v)| format!("\"{k}\": {v}\n")).collect();
         assert!(json.contains("\"by_filter_count\""));
         assert!(json.contains("\"eval_ns_by_depth\""));
         assert!(json.contains("\"parallel_scaling\""));

@@ -1,5 +1,8 @@
 //! Result output: aligned console tables plus CSV files under
-//! `results/` for EXPERIMENTS.md.
+//! `results/` for EXPERIMENTS.md. Experiments only *build* tables;
+//! [`Table::emit`] prints and writes relative to the working
+//! directory, and only the `experiments` binary calls it — a test that
+//! runs an experiment leaves no file behind.
 
 use std::fs;
 use std::io::Write as _;
@@ -11,14 +14,20 @@ pub struct Table {
     pub title: String,
     pub header: Vec<String>,
     pub rows: Vec<Vec<String>>,
+    /// File stem the table persists under: `results/<name>.csv`.
+    pub name: String,
+    /// Top-level `"key": value` entries the table's experiment
+    /// contributes to `BENCH_throughput.json`; each value is valid JSON.
+    pub bench_json: Vec<(String, String)>,
 }
 
 impl Table {
-    pub fn new(title: &str, header: &[&str]) -> Self {
+    pub fn new(name: &str, title: &str, header: &[&str]) -> Self {
         Table {
             title: title.to_string(),
             header: header.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
+            name: name.to_string(),
+            ..Table::default()
         }
     }
 
@@ -52,10 +61,10 @@ impl Table {
     }
 
     /// Write as CSV to `results/<name>.csv`.
-    pub fn write_csv(&self, name: &str) -> std::io::Result<()> {
+    fn write_csv(&self) -> std::io::Result<()> {
         let dir = Path::new("results");
         fs::create_dir_all(dir)?;
-        let mut f = fs::File::create(dir.join(format!("{name}.csv")))?;
+        let mut f = fs::File::create(dir.join(format!("{}.csv", self.name)))?;
         writeln!(f, "{}", self.header.join(","))?;
         for row in &self.rows {
             writeln!(f, "{}", row.join(","))?;
@@ -63,11 +72,25 @@ impl Table {
         Ok(())
     }
 
-    /// Print and persist.
-    pub fn emit(&self, name: &str) {
-        println!("{}", self.render());
-        if let Err(e) = self.write_csv(name) {
-            eprintln!("warning: could not write results/{name}.csv: {e}");
+    /// Print and persist: the CSV, and the table's entries merged into
+    /// `BENCH_throughput.json`. A raw-data table too long to read on a
+    /// console is only persisted.
+    pub fn emit(&self) {
+        if self.rows.len() <= 100 {
+            println!("{}", self.render());
+        } else {
+            println!(
+                "== {} == ({} rows, results/{}.csv)\n",
+                self.title,
+                self.rows.len(),
+                self.name
+            );
+        }
+        if let Err(e) = self.write_csv() {
+            eprintln!("warning: could not write results/{}.csv: {e}", self.name);
+        }
+        for (key, value) in &self.bench_json {
+            merge_bench_json(key, value);
         }
     }
 }
@@ -76,7 +99,7 @@ impl Table {
 /// without clobbering the other experiments' entries (the vendored
 /// `serde_json` has no serializer, so this splices text). `value` must
 /// already be valid JSON.
-pub fn merge_bench_json(key: &str, value: &str) {
+fn merge_bench_json(key: &str, value: &str) {
     let path = "BENCH_throughput.json";
     let current = fs::read_to_string(path).unwrap_or_default();
     if let Err(e) = fs::write(path, splice_json_key(&current, key, value)) {
@@ -145,7 +168,7 @@ mod tests {
 
     #[test]
     fn table_renders_aligned() {
-        let mut t = Table::new("demo", &["a", "long_header"]);
+        let mut t = Table::new("demo", "demo", &["a", "long_header"]);
         t.row(["1".into(), "2".into()]);
         t.row(["333".into(), "4".into()]);
         let s = t.render();
@@ -157,7 +180,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "row arity")]
     fn arity_checked() {
-        let mut t = Table::new("x", &["a", "b"]);
+        let mut t = Table::new("x", "x", &["a", "b"]);
         t.row(["only-one".into()]);
     }
 

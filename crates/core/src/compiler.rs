@@ -89,17 +89,15 @@ pub struct Compiled {
 }
 
 /// Persistent state for incremental recompilation of one unit (one
-/// switch FIB): the live maintained diagram plus the digest multiset of
-/// the rules it currently holds. Feed [`Compiler::compile_incremental`]
-/// each epoch's *full* rule list; the compiler diffs the list against
-/// the multiset and applies only the delta to the diagram, so a
-/// reconfigure that touches `k` of `n` rules costs `O(k)` maintenance
-/// work instead of an `O(n)` rebuild.
+/// switch FIB): the live maintained diagram, which records the digest
+/// multiset of the rules it holds. Feed
+/// [`Compiler::compile_incremental`] each epoch's *full* rule list; the
+/// compiler diffs the list against that multiset and applies only the
+/// delta to the diagram, so a reconfigure that touches `k` of `n` rules
+/// costs `O(k)` maintenance work instead of an `O(n)` rebuild.
 #[derive(Debug)]
 pub struct CompileState {
     inc: IncrementalBdd,
-    /// Rule-digest multiset of the live set (digest → occurrences).
-    counts: HashMap<u64, usize>,
 }
 
 impl CompileState {
@@ -218,7 +216,9 @@ impl Compiler {
         })
     }
 
-    /// Slice a diagram into a pipeline. Recursive: call on a deep stack.
+    /// Slice a diagram into a pipeline. `bdd_to_pipeline` walks with
+    /// explicit stacks; callers are on the deep stack because the build
+    /// beside it recurses.
     fn slice(&self, bdd: Bdd) -> Result<Emitted, TableError> {
         let mut multicast = MulticastAllocator::new(self.config.multicast_limit);
         let pipeline = bdd_to_pipeline(&bdd, &mut multicast)?;
@@ -246,11 +246,7 @@ impl Compiler {
             let snapshot = inc.snapshot();
             (inc, snapshot)
         })?;
-        let mut counts = HashMap::new();
-        for r in rules {
-            *counts.entry(rule_digest(r)).or_insert(0usize) += 1;
-        }
-        Ok((compiled, CompileState { inc, counts }))
+        Ok((compiled, CompileState { inc }))
     }
 
     /// Recompile against persistent state: diff the new rule list's
@@ -273,21 +269,18 @@ impl Compiler {
             *new_counts.entry(d).or_insert(0) += 1;
             rep.entry(d).or_insert(r);
         }
+        // Subtract what the diagram already holds; what is left of
+        // `new_counts` is what it lacks.
         let mut removals: Vec<(u64, usize)> = Vec::new();
-        let mut inserts: Vec<(&Rule, usize)> = Vec::new();
-        for (&d, &n) in &new_counts {
-            let old = state.counts.get(&d).copied().unwrap_or(0);
-            if n > old {
-                inserts.push((rep[&d], n - old));
-            } else if old > n {
-                removals.push((d, old - n));
+        for (d, held) in state.inc.digest_counts() {
+            let wanted = new_counts.remove(&d).unwrap_or(0);
+            if held > wanted {
+                removals.push((d, held - wanted));
+            } else if wanted > held {
+                new_counts.insert(d, wanted - held);
             }
         }
-        for (&d, &n) in &state.counts {
-            if !new_counts.contains_key(&d) {
-                removals.push((d, n));
-            }
-        }
+        let inserts: Vec<(&Rule, usize)> = new_counts.iter().map(|(d, &n)| (rep[d], n)).collect();
         let delta: usize = removals.iter().map(|&(_, n)| n).sum::<usize>()
             + inserts.iter().map(|&(_, n)| n).sum::<usize>();
         let rebuild = 2 * delta > rules.len().max(state.inc.rule_count());
@@ -301,8 +294,7 @@ impl Compiler {
             } else {
                 for (d, n) in removals {
                     for _ in 0..n {
-                        let removed = inc.remove_by_digest(d);
-                        debug_assert!(removed, "digest accounted in counts must be live");
+                        inc.remove_by_digest(d);
                     }
                 }
                 for (r, n) in inserts {
@@ -313,7 +305,6 @@ impl Compiler {
             }
             self.slice(inc.snapshot())
         });
-        state.counts = new_counts;
         Ok(self.finish(emitted?, start))
     }
 }

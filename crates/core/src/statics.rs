@@ -58,17 +58,9 @@ impl StaticPipeline {
         order
     }
 
-    /// Field widths for resource accounting, keyed by both the slot key
-    /// and (when distinct) the dotted path.
+    /// Field widths for resource accounting ([`Spec::field_widths`]).
     pub fn widths(&self) -> HashMap<String, u32> {
-        let mut m = HashMap::new();
-        for slot in &self.slots {
-            m.insert(slot.key.clone(), slot.width_bits);
-        }
-        for (path, f) in self.spec.subscribable_fields() {
-            m.insert(path, f.width_bits);
-        }
-        m
+        self.spec.field_widths()
     }
 
     /// Look up the register slot for a counter name.

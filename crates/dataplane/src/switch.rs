@@ -131,15 +131,8 @@ impl Program {
             .collect();
         let compiled = CompiledPipeline::lower(&pipeline);
         let plan = EvalPlan::build(spec, &compiled, &pipeline);
-        // Widths for resource accounting: dotted path plus bare name
-        // (the compiler keys stages by the bare name when unambiguous).
-        let mut widths = HashMap::new();
-        for (path, f) in spec.subscribable_fields() {
-            let bare = path.rsplit('.').next().unwrap_or(&path).to_string();
-            widths.insert(path, f.width_bits);
-            widths.insert(bare, f.width_bits);
-        }
-        let report = resources::report(&pipeline, pipeline.multicast_group_count(), &widths);
+        let report =
+            resources::report(&pipeline, pipeline.multicast_group_count(), &spec.field_widths());
         Program { pipeline, compiled, plan, aggregates, report, spec_id: spec_identity(spec) }
     }
 
@@ -432,22 +425,16 @@ impl Switch {
         self.committed_epoch
     }
 
-    /// Admission-checked atomic install (dynamic reconfiguration,
-    /// §VIII-G.3): stage, commit, finalize. On error the previous
-    /// program keeps forwarding, byte for byte. State registers
-    /// persist across reconfigurations.
-    pub fn try_install(&mut self, pipeline: Pipeline) -> Result<ResourceReport, InstallError> {
-        let report = self.stage(pipeline)?;
+    /// Atomic install outside a transaction (tests and unbudgeted
+    /// simulations; dynamic reconfiguration, §VIII-G.3): stage, commit,
+    /// finalize. State registers persist across reconfigurations.
+    /// Panics if the pipeline is rejected — only possible once a finite
+    /// budget is configured; a caller that must survive rejection uses
+    /// [`stage`](Self::stage) and keeps forwarding on the old program.
+    pub fn install(&mut self, pipeline: Pipeline) {
+        self.stage(pipeline).expect("install rejected by resource budget");
         self.commit_staged();
         self.finalize_install();
-        Ok(report)
-    }
-
-    /// Infallible install wrapper (tests and unbudgeted simulations).
-    /// Panics if the pipeline is rejected — only possible once a
-    /// finite budget is configured.
-    pub fn install(&mut self, pipeline: Pipeline) {
-        self.try_install(pipeline).expect("install rejected by resource budget");
     }
 
     pub fn spec(&self) -> &Spec {
@@ -1171,7 +1158,7 @@ mod tests {
         let before_pipeline = sw.pipeline().clone();
         let before_stats = sw.stats();
 
-        let err = sw.try_install(compile_itch("stock == MSFT: fwd(2)\n")).unwrap_err();
+        let err = sw.stage(compile_itch("stock == MSFT: fwd(2)\n")).unwrap_err();
         let InstallError::OverBudget(adm) = &err else { panic!("expected OverBudget, got {err}") };
         assert!(!adm.violations.is_empty());
 

@@ -193,7 +193,6 @@ fn recover_controller(
             subs,
             &committed,
             next_epoch,
-            None,
             &mut DecisionLog { inner: channel, decisions },
         )
         .expect("recovery over the management channel must commit");
@@ -395,7 +394,7 @@ pub fn run_chaos(input: ChaosInput<'_>, cfg: &ChaosConfig) -> ChaosReport {
             ("controller-down", 0, 0, 0)
         } else {
             let mut logged = DecisionLog { inner: &mut channel, decisions: &mut decisions };
-            match ctrl.repair_with(&mut d, &subs, &mut logged) {
+            match ctrl.repair(&mut d, &subs, &mut logged) {
                 Ok(stats) => {
                     deployed_subs = subs.clone();
                     in_doubt = None;
@@ -623,7 +622,7 @@ pub fn run_chaos(input: ChaosInput<'_>, cfg: &ChaosConfig) -> ChaosReport {
     }
     channel.heal_all();
     let mut logged = DecisionLog { inner: &mut channel, decisions: &mut decisions };
-    ctrl.repair_with(&mut d, &subs, &mut logged).expect("healed repair must commit");
+    ctrl.repair(&mut d, &subs, &mut logged).expect("healed repair must commit");
     assert!(d.network.fault_mask().is_healthy());
 
     let fresh = ctrl.deploy(net.clone(), &subs).expect("fresh oracle deploy");

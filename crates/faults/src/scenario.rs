@@ -19,6 +19,7 @@ use crate::event::{FaultKind, FaultSchedule};
 use crate::report::FaultReport;
 use camus_dataplane::Packet;
 use camus_lang::ast::Expr;
+use camus_net::channel::PerfectChannel;
 use camus_net::controller::{Controller, DeployError, Deployment, RepairStats};
 use camus_net::sim::Network;
 use camus_routing::topology::HostId;
@@ -196,7 +197,7 @@ pub fn run_fault(
     if !kind.is_degrading() {
         apply_fault(&mut d.network, kind);
     }
-    let repair = ctrl.repair(d, subs)?;
+    let repair = ctrl.repair(d, subs, &mut PerfectChannel)?;
     d.network.run(None);
 
     // --- accounting ---

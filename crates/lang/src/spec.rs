@@ -172,6 +172,21 @@ impl Spec {
         out
     }
 
+    /// Bit widths of the subscribable fields for resource accounting,
+    /// keyed by every name a table stage can carry: the dotted path,
+    /// and the bare field name when it resolves unambiguously.
+    pub fn field_widths(&self) -> HashMap<String, u32> {
+        let mut widths = HashMap::new();
+        for (path, f) in self.subscribable_fields() {
+            let bare = path.rsplit('.').next().unwrap_or(&path);
+            if self.resolve(bare).is_some() {
+                widths.insert(bare.to_string(), f.width_bits);
+            }
+            widths.insert(path, f.width_bits);
+        }
+        widths
+    }
+
     /// Byte offset of `header` within the fixed stack, if it is part of
     /// the `sequence`.
     pub fn stack_offset(&self, header: &str) -> Option<usize> {

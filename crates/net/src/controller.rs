@@ -18,9 +18,7 @@ use camus_core::statics::StaticPipeline;
 use camus_dataplane::{InstallError, Program, Switch, SwitchConfig};
 use camus_lang::ast::{Action, Expr, Port};
 use camus_routing::algorithm1::{route_hierarchical_degraded, RoutingConfig, RoutingResult};
-use camus_routing::compile::{
-    compile_network_incremental, compile_network_incremental_delta, DeltaCache, NetworkCompile,
-};
+use camus_routing::compile::{compile_network_incremental, DeltaCache, NetworkCompile};
 use camus_routing::topology::{FaultMask, HierNet};
 use camus_telemetry::{DeployTrace, SwitchSpan};
 use std::collections::{BTreeSet, HashMap};
@@ -118,140 +116,6 @@ impl fmt::Display for DeployError {
 }
 
 impl std::error::Error for DeployError {}
-
-/// Admission failure of an install transaction: one or more switches
-/// rejected their pipeline. Typed form of
-/// [`DeployError::Admission`], which remains the public façade.
-#[derive(Debug)]
-pub struct AdmissionError {
-    /// Every offender found (not just the first), with its violation.
-    pub rejected: Vec<(usize, InstallError)>,
-    /// The full transaction ledger at the point of rejection.
-    pub report: DeployReport,
-}
-
-impl fmt::Display for AdmissionError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "rejected at admission:")?;
-        for (s, e) in &self.rejected {
-            write!(f, " switch {s}: {e};")?;
-        }
-        Ok(())
-    }
-}
-
-impl std::error::Error for AdmissionError {}
-
-/// Control-channel failure of an install transaction: an operation to
-/// the named switches exhausted its retries. Typed form of
-/// [`DeployError::Channel`].
-#[derive(Debug)]
-pub struct ChannelError {
-    pub failed: Vec<usize>,
-    pub report: DeployReport,
-}
-
-impl fmt::Display for ChannelError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "control channel exhausted retries to switches {:?}", self.failed)
-    }
-}
-
-impl std::error::Error for ChannelError {}
-
-/// The controller died mid-transaction (fault injection). Nothing was
-/// rolled back; the ledger records exactly how far the two phases got
-/// so tests and the recovery arm can reason about the wreckage.
-#[derive(Debug)]
-pub struct CrashedError {
-    /// The epoch the transaction staged under.
-    pub epoch: u64,
-    pub report: DeployReport,
-}
-
-impl fmt::Display for CrashedError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "controller crashed mid-transaction (epoch {})", self.epoch)
-    }
-}
-
-impl std::error::Error for CrashedError {}
-
-/// Why a two-phase install transaction rolled back (or, for
-/// [`Crashed`](Self::Crashed), could not). The per-phase taxonomy the
-/// service's deploy stage consumes; callers of the batch API keep
-/// seeing it as [`DeployError`] through `From`.
-#[derive(Debug)]
-pub enum TransactionError {
-    Admission(AdmissionError),
-    Channel(ChannelError),
-    Crashed(CrashedError),
-}
-
-impl TransactionError {
-    /// The transaction ledger, whichever phase failed.
-    pub fn report(&self) -> &DeployReport {
-        match self {
-            TransactionError::Admission(e) => &e.report,
-            TransactionError::Channel(e) => &e.report,
-            TransactionError::Crashed(e) => &e.report,
-        }
-    }
-}
-
-impl fmt::Display for TransactionError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TransactionError::Admission(e) => write!(f, "install transaction {e}"),
-            TransactionError::Channel(e) => write!(f, "install transaction failed: {e}"),
-            TransactionError::Crashed(e) => write!(f, "install transaction abandoned: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for TransactionError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            TransactionError::Admission(e) => Some(e),
-            TransactionError::Channel(e) => Some(e),
-            TransactionError::Crashed(e) => Some(e),
-        }
-    }
-}
-
-impl From<CrashedError> for TransactionError {
-    fn from(e: CrashedError) -> Self {
-        TransactionError::Crashed(e)
-    }
-}
-
-impl From<AdmissionError> for TransactionError {
-    fn from(e: AdmissionError) -> Self {
-        TransactionError::Admission(e)
-    }
-}
-
-impl From<ChannelError> for TransactionError {
-    fn from(e: ChannelError) -> Self {
-        TransactionError::Channel(e)
-    }
-}
-
-impl From<TransactionError> for DeployError {
-    fn from(e: TransactionError) -> Self {
-        match e {
-            TransactionError::Admission(AdmissionError { rejected, report }) => {
-                DeployError::Admission { rejected, report }
-            }
-            TransactionError::Channel(ChannelError { failed, report }) => {
-                DeployError::Channel { failed, report }
-            }
-            TransactionError::Crashed(CrashedError { epoch, report }) => {
-                DeployError::Crashed { epoch, report }
-            }
-        }
-    }
-}
 
 /// Admission outcome for one switch in a deploy transaction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -438,7 +302,7 @@ impl Controller {
     /// [`ControlChannel::commit_point`], then commit only if every
     /// stage landed and was admitted; any failure rolls every touched
     /// switch back so forwarding is byte-identical to before the call —
-    /// except a controller crash ([`TransactionError::Crashed`]), which
+    /// except a controller crash ([`DeployError::Crashed`]), which
     /// leaves the wreckage in place for recovery to reconcile. Returns
     /// the ledger and the switches that fell back to the coarse
     /// degraded pipeline.
@@ -454,7 +318,7 @@ impl Controller {
         targets: &[usize],
         epoch: u64,
         channel: &mut dyn ControlChannel,
-    ) -> Result<(DeployReport, BTreeSet<usize>), TransactionError> {
+    ) -> Result<(DeployReport, BTreeSet<usize>), DeployError> {
         // The ledger is ordered by switch index regardless of how the
         // caller discovered the targets, so reports from different
         // change-detection orders compare equal.
@@ -481,7 +345,7 @@ impl Controller {
                 for &rest in &targets[ti + 1..] {
                     report.switches.push(SwitchDeploy::new(rest));
                 }
-                return Err(CrashedError { epoch, report }.into());
+                return Err(DeployError::Crashed { epoch, report });
             }
             if !out.landed {
                 // Channel exhausted: abort the scan, roll back
@@ -498,7 +362,7 @@ impl Controller {
                 for &rest in &targets[ti + 1..] {
                     report.switches.push(SwitchDeploy::new(rest));
                 }
-                return Err(ChannelError { failed: vec![s], report }.into());
+                return Err(DeployError::Channel { failed: vec![s], report });
             }
             let sc = &compile.switches[s];
             let program = Arc::clone(programs.entry(sc.fingerprint).or_insert_with(|| {
@@ -546,7 +410,7 @@ impl Controller {
                     e.rolled_back = true;
                 }
             }
-            return Err(AdmissionError { rejected, report }.into());
+            return Err(DeployError::Admission { rejected, report });
         }
 
         // Commit point: every switch admitted its staged program, so
@@ -565,7 +429,7 @@ impl Controller {
                 // Dead coordinator past the commit point: the committed
                 // prefix and staged tail stay exactly as they are;
                 // recovery rolls the whole epoch forward.
-                return Err(CrashedError { epoch, report }.into());
+                return Err(DeployError::Crashed { epoch, report });
             }
             if !out.landed {
                 let failed = report.switches[i].switch;
@@ -580,7 +444,7 @@ impl Controller {
                         e.rolled_back = true;
                     }
                 }
-                return Err(ChannelError { failed: vec![failed], report }.into());
+                return Err(DeployError::Channel { failed: vec![failed], report });
             }
             let s = report.switches[i].switch;
             network.switches[s].commit_staged();
@@ -599,94 +463,76 @@ impl Controller {
 
     /// Deploy onto a topology with faults already present: routing
     /// avoids masked elements and the network starts with the mask
-    /// injected. A fresh `deploy_degraded` is the oracle that
-    /// [`Controller::repair`] must converge to. On error no
-    /// [`Deployment`] is produced at all, so the caller's previous
-    /// deployment (if any) is untouched.
+    /// injected. A cold deploy is "converge from empty": the switches
+    /// boot with the empty pipeline and nothing compiled, so the first
+    /// [`repair`](Self::repair) compiles each distinct rule list once
+    /// and installs every switch through the admission-checked
+    /// transaction. A fresh `deploy_degraded` is the oracle that later
+    /// repairs must converge to. On error no [`Deployment`] is produced
+    /// at all, so the caller's previous deployment (if any) is
+    /// untouched.
     pub fn deploy_degraded(
         &self,
         topology: HierNet,
         subs: &[Vec<Expr>],
         mask: &FaultMask,
     ) -> Result<Deployment, DeployError> {
-        let route_start = Instant::now();
-        let routing = route_hierarchical_degraded(&topology, subs, self.routing, mask);
-        let route_ns = route_start.elapsed().as_nanos() as u64;
-        // A cold deploy is "converge from empty": the content-addressed
-        // compile with nothing cached, one compile per distinct list.
-        let compile = self.compile_routing(&routing, None)?;
-        let mut switches = Vec::with_capacity(topology.switch_count());
-        for sc in &compile.switches {
-            // Switches boot with the empty pipeline; the real one goes
-            // in through the admission-checked transaction below.
-            switches.push(Switch::new(
-                &self.statics,
-                Pipeline::empty(),
-                self.config_for(sc.switch),
-            ));
-        }
+        let switches = (0..topology.switch_count())
+            .map(|s| Switch::new(&self.statics, Pipeline::empty(), self.config_for(s)))
+            .collect();
         let mut network = Network::new(topology, switches, self.link_latency_ns);
         network.apply_mask(mask);
-        let targets: Vec<usize> = (0..compile.switches.len()).collect();
-        let (report, degraded) = self.apply_transaction(
-            &mut network,
-            &compile,
-            &routing,
-            &targets,
-            1,
-            &mut PerfectChannel,
-        )?;
-        let trace = build_trace(route_ns, &compile, &report);
-        Ok(Deployment { network, routing, compile, report, degraded, trace, next_epoch: 2 })
-    }
-
-    /// Recompute and reinstall pipelines after a subscription change,
-    /// preserving switch state. Returns the recompile wall-clock time
-    /// (the Fig. 14 measurement).
-    ///
-    /// Recompilation is *incremental*: switches whose routed rule list
-    /// is fingerprint-identical to the deployed one keep their compiled
-    /// pipeline and are not reinstalled (`deployment.compile` records
-    /// the recompiled/reused split for inspection).
-    pub fn reconfigure(
-        &self,
-        deployment: &mut Deployment,
-        subs: &[Vec<Expr>],
-    ) -> Result<Duration, DeployError> {
-        Ok(self.repair(deployment, subs)?.compile_elapsed)
+        let mut deployment = Deployment::adopt(network, 1);
+        self.repair(&mut deployment, subs, &mut PerfectChannel)?;
+        Ok(deployment)
     }
 
     /// Recompute routing around the network's current fault mask and
-    /// reinstall only the switches whose pipeline changed. This is the
-    /// convergence step after a failure (or a restore — the same code
-    /// path heals in both directions), and also the general
-    /// reconfiguration primitive: with a healthy mask it degenerates to
-    /// plain incremental reconfiguration.
-    pub fn repair(
-        &self,
-        deployment: &mut Deployment,
-        subs: &[Vec<Expr>],
-    ) -> Result<RepairStats, DeployError> {
-        self.repair_with(deployment, subs, &mut PerfectChannel)
-    }
-
-    /// [`repair`](Self::repair) over an explicit control channel. Any
-    /// error (admission or exhausted retries) rolls the transaction
+    /// reinstall, over `channel`, only the switches whose pipeline
+    /// changed. This is the convergence step after a failure (or a
+    /// restore — the same code path heals in both directions), and also
+    /// dynamic reconfiguration (§VIII-G.3): with a healthy mask it
+    /// recomputes and reinstalls pipelines after a subscription change,
+    /// preserving switch state. Recompilation is *incremental*:
+    /// switches whose routed rule list is fingerprint-identical to the
+    /// deployed one keep their compiled pipeline and are not
+    /// reinstalled ([`RepairStats::compile_elapsed`] is the Fig. 14
+    /// measurement).
+    ///
+    /// Any error (admission or exhausted retries) rolls the transaction
     /// back: the deployment keeps its previous routing, compile state
     /// and installed pipelines, and deliveries are byte-identical to
     /// before the call.
-    pub fn repair_with(
+    pub fn repair(
         &self,
         deployment: &mut Deployment,
         subs: &[Vec<Expr>],
         channel: &mut dyn ControlChannel,
     ) -> Result<RepairStats, DeployError> {
-        let start = Instant::now();
-        let mask = deployment.network.fault_mask().clone();
-        let routing = self.plan_routing(&deployment.network.topology, subs, &mask);
-        let route_ns = start.elapsed().as_nanos() as u64;
-        let compile = self.compile_routing(&routing, Some(&deployment.compile))?;
+        let (routing, compile, route_ns) = self.replan(deployment, subs)?;
         self.install(deployment, routing, compile, route_ns, channel)
+    }
+
+    /// Stages one and two against a live deployment: route around its
+    /// current fault mask, then compile with its installed compile as
+    /// the content-addressed cache (no maintained diagrams — callers
+    /// that carry a [`DeltaCache`] drive the stages themselves).
+    fn replan(
+        &self,
+        deployment: &Deployment,
+        subs: &[Vec<Expr>],
+    ) -> Result<(RoutingResult, NetworkCompile, u64), CompileError> {
+        let start = Instant::now();
+        let network = &deployment.network;
+        let routing = self.plan_routing(&network.topology, subs, network.fault_mask());
+        let route_ns = start.elapsed().as_nanos() as u64;
+        let compile = compile_network_incremental(
+            &routing,
+            &self.compiler(),
+            Some(&deployment.compile),
+            None,
+        )?;
+        Ok((routing, compile, route_ns))
     }
 
     /// Stage one of a repair: run Algorithm 1 around `mask`. Split out
@@ -702,44 +548,36 @@ impl Controller {
     }
 
     /// Stage two: compile a routing result, reusing `previous` as a
-    /// content-addressed cache. The cache only affects cost, never the
-    /// produced pipelines — which is what makes it safe to compile
-    /// transaction N+1 against a compile whose install has not landed
-    /// (or will roll back): the result is identical either way.
-    pub fn compile_routing(
-        &self,
-        routing: &RoutingResult,
-        previous: Option<&NetworkCompile>,
-    ) -> Result<NetworkCompile, CompileError> {
-        compile_network_incremental(routing, &self.compiler(), previous)
-    }
-
-    /// [`compile_routing`](Self::compile_routing) with *delta
-    /// maintenance*: switches that miss the fingerprint cache are not
-    /// recompiled from scratch but have their per-switch BDD updated
-    /// in place through `cache`, in time proportional to the rule-list
-    /// delta. The cache only affects cost, never the produced
-    /// pipelines (the controller's compiler pins the spec's variable
-    /// order, so delta-maintained and scratch-built diagrams reduce to
-    /// the same tables). Callers own the cache and carry it across
-    /// reconfigurations; a fresh cache degenerates to seeding every
-    /// representative.
+    /// content-addressed cache and maintaining, through `cache`, the
+    /// per-switch BDDs of the switches that miss it — in time
+    /// proportional to the rule-list delta instead of a rebuild.
+    /// Neither cache affects the produced pipelines, only cost (the
+    /// controller's compiler pins the spec's variable order, so
+    /// delta-maintained and scratch-built diagrams reduce to the same
+    /// tables) — which is what makes it safe to compile transaction
+    /// N+1 against a compile whose install has not landed (or will roll
+    /// back): the result is identical either way. Callers own the cache
+    /// and carry it across reconfigurations; a fresh cache degenerates
+    /// to seeding every representative.
     pub fn compile_routing_delta(
         &self,
         routing: &RoutingResult,
         previous: Option<&NetworkCompile>,
         cache: &mut DeltaCache,
     ) -> Result<NetworkCompile, CompileError> {
-        compile_network_incremental_delta(routing, &self.compiler(), previous, cache)
+        compile_network_incremental(routing, &self.compiler(), previous, Some(cache))
     }
 
     /// Stage three: install a precomputed `(routing, compile)` pair
     /// into a live deployment over `channel`, reinstalling exactly the
-    /// switches whose pipeline differs from what is *actually
+    /// switches whose own rule list differs from what is *actually
     /// installed* (`deployment.compile` — not whatever cache the
-    /// compile was computed against). Error semantics match
-    /// [`repair_with`](Self::repair_with): any failure rolls back and
-    /// the deployment keeps forwarding byte-identically.
+    /// compile was computed against). `reused` is not the right gate:
+    /// the compile cache is content-addressed across slots, so a switch
+    /// can reuse another switch's previous pipeline while its own
+    /// installed one is stale. Error semantics match
+    /// [`repair`](Self::repair): any failure rolls back and the
+    /// deployment keeps forwarding byte-identically.
     pub fn install(
         &self,
         deployment: &mut Deployment,
@@ -748,13 +586,23 @@ impl Controller {
         route_ns: u64,
         channel: &mut dyn ControlChannel,
     ) -> Result<RepairStats, DeployError> {
-        let start = Instant::now();
-        // Reinstall exactly the switches whose own rule list changed.
-        // `reused` is not the right gate here: the compile cache is
-        // content-addressed across slots, so a switch can reuse another
-        // switch's previous pipeline while its own installed one is
-        // stale.
         let changed = compile.changed_since(&deployment.compile);
+        self.install_on(deployment, routing, compile, route_ns, &changed, channel)
+    }
+
+    /// The one install step: run the two-phase transaction over
+    /// `targets` under the deployment's next epoch and, once it has
+    /// committed, make `(routing, compile)` the deployment's state.
+    fn install_on(
+        &self,
+        deployment: &mut Deployment,
+        routing: RoutingResult,
+        compile: NetworkCompile,
+        route_ns: u64,
+        targets: &[usize],
+        channel: &mut dyn ControlChannel,
+    ) -> Result<RepairStats, DeployError> {
+        let start = Instant::now();
         // Consume the epoch up front: even a crashed transaction used
         // it (switches may hold state tagged with it), so the next
         // attempt must stage under a fresh one.
@@ -764,7 +612,7 @@ impl Controller {
             &mut deployment.network,
             &compile,
             &routing,
-            &changed,
+            targets,
             epoch,
             channel,
         )?;
@@ -776,9 +624,9 @@ impl Controller {
             distinct_compiles: compile.distinct_compiles,
             reinstalled: report.committed(),
         };
-        // A changed switch that re-admitted its precise pipeline is no
-        // longer degraded; newly over-budget ones join the set.
-        for s in &changed {
+        // A target that re-admitted its precise pipeline is no longer
+        // degraded; newly over-budget ones join the set.
+        for s in targets {
             deployment.degraded.remove(s);
         }
         deployment.degraded.extend(degraded);
@@ -841,63 +689,58 @@ impl Controller {
     /// 1. `reconcile_staged` settles every
     ///    in-doubt install against the logged commit decisions,
     /// 2. routing is re-planned from the durable subscription set and
-    ///    the network's *current* fault mask, and every pipeline is
-    ///    recompiled (through `cache` when the service carried one),
+    ///    the network's *current* fault mask, and every distinct rule
+    ///    list is recompiled cold,
     /// 3. exactly the switches whose installed pipeline differs from
-    ///    the recompiled intent are reinstalled through a normal
-    ///    two-phase transaction under `next_epoch`.
+    ///    the recompiled intent are reinstalled through the normal
+    ///    install step under `next_epoch`.
     ///
     /// The result is byte-identical to a fresh
     /// [`deploy_degraded`](Self::deploy_degraded) of the same
     /// subscriptions onto the same mask, but without disturbing
     /// switches that already forward correctly.
-    #[allow(clippy::too_many_arguments)]
     pub fn recover_deployment(
         &self,
-        mut network: Network,
+        network: Network,
         subs: &[Vec<Expr>],
         committed_epochs: &BTreeSet<u64>,
         next_epoch: u64,
-        cache: Option<&mut DeltaCache>,
         channel: &mut dyn ControlChannel,
     ) -> Result<(Deployment, ReconcileStats), DeployError> {
-        let mut stats = self.reconcile_staged(&mut network, committed_epochs);
-        let route_start = Instant::now();
-        let mask = network.fault_mask().clone();
-        let routing = self.plan_routing(&network.topology, subs, &mask);
-        let route_ns = route_start.elapsed().as_nanos() as u64;
-        let compile = match cache {
-            Some(c) => self.compile_routing_delta(&routing, None, c)?,
-            None => self.compile_routing(&routing, None)?,
-        };
+        let mut deployment = Deployment::adopt(network, next_epoch);
+        let mut stats = self.reconcile_staged(&mut deployment.network, committed_epochs);
+        let (routing, compile, route_ns) = self.replan(&deployment, subs)?;
         // Interrogation-based diff: the old compile baseline is gone,
         // so compare compiled intent against what each switch actually
         // runs. Degraded switches always differ from their precise
         // pipeline and re-degrade deterministically, so they converge
         // too.
+        let switches = &deployment.network.switches;
         let targets: Vec<usize> = (0..compile.switches.len())
-            .filter(|&s| compile.switches[s].compiled.pipeline != *network.switches[s].pipeline())
+            .filter(|&s| compile.switches[s].compiled.pipeline != *switches[s].pipeline())
             .collect();
-        let (report, degraded) = self.apply_transaction(
-            &mut network,
-            &compile,
-            &routing,
-            &targets,
-            next_epoch,
-            channel,
-        )?;
-        stats.reinstalled = report.committed();
-        let trace = build_trace(route_ns, &compile, &report);
-        let deployment = Deployment {
-            network,
-            routing,
-            compile,
-            report,
-            degraded,
-            trace,
-            next_epoch: next_epoch + 1,
-        };
+        stats.reinstalled = self
+            .install_on(&mut deployment, routing, compile, route_ns, &targets, channel)?
+            .reinstalled;
         Ok((deployment, stats))
+    }
+}
+
+impl Deployment {
+    /// A deployment around `network` as it stands, with nothing routed
+    /// or compiled on the controller side yet: what a cold deploy boots
+    /// and what recovery starts from. An empty compile holds no
+    /// fingerprint, so the first install sees every switch as changed.
+    fn adopt(network: Network, next_epoch: u64) -> Deployment {
+        Deployment {
+            network,
+            routing: RoutingResult::default(),
+            compile: NetworkCompile::default(),
+            report: DeployReport::default(),
+            degraded: BTreeSet::new(),
+            trace: DeployTrace::default(),
+            next_epoch,
+        }
     }
 }
 
@@ -1080,7 +923,7 @@ mod tests {
         d.network.run(None);
         assert_eq!(d.network.deliveries(2).len(), 1);
         // Reconfigure: GOOGL no longer interesting.
-        let elapsed = ctrl.reconfigure(&mut d, &sub_b).unwrap();
+        let elapsed = ctrl.repair(&mut d, &sub_b, &mut PerfectChannel).unwrap().compile_elapsed;
         assert!(elapsed.as_nanos() > 0);
         d.network.publish(0, googl_packet(10), 1_000_000);
         d.network.run(None);
@@ -1103,7 +946,7 @@ mod tests {
         let ctrl = controller(Policy::MemoryReduction);
         let mut d = ctrl.deploy(net.clone(), &base).unwrap();
         assert_eq!(d.compile.reused, 0, "initial deploy compiles everything");
-        ctrl.reconfigure(&mut d, &changed).unwrap();
+        ctrl.repair(&mut d, &changed, &mut PerfectChannel).unwrap();
 
         // Distribution path: the designated chain plus every core the
         // chain's agg can ascend to.
@@ -1199,7 +1042,7 @@ mod tests {
         let s = subs(&net, |h| if h == 3 { vec!["price > 1"] } else { vec![] });
         let ctrl = controller(Policy::TrafficReduction);
         let mut d = ctrl.deploy(net.clone(), &s).unwrap();
-        ctrl.reconfigure(&mut d, &s).unwrap();
+        ctrl.repair(&mut d, &s, &mut PerfectChannel).unwrap();
         assert_eq!(d.compile.recompiled, 0);
         assert_eq!(d.compile.reused, net.switch_count());
     }
@@ -1245,7 +1088,7 @@ mod tests {
         d.network.run(None);
         assert_eq!(d.network.deliveries(15).len(), 1, "blackout until repair");
 
-        let stats = ctrl.repair(&mut d, &subs).unwrap();
+        let stats = ctrl.repair(&mut d, &subs, &mut PerfectChannel).unwrap();
         assert!(stats.reinstalled > 0, "the detour must be installed");
         assert!(stats.reused > 0, "off-path switches keep their pipelines");
         d.network.publish(0, googl_packet(12), 2_000_000);
@@ -1263,7 +1106,7 @@ mod tests {
         // Restoring the link and repairing again heals back to the
         // original deployment.
         assert!(d.network.restore_link(agg, port));
-        let back = ctrl.repair(&mut d, &subs).unwrap();
+        let back = ctrl.repair(&mut d, &subs, &mut PerfectChannel).unwrap();
         assert!(back.reinstalled > 0);
         let fresh = ctrl.deploy(net.clone(), &subs).unwrap();
         for (got, want) in d.compile.switches.iter().zip(fresh.compile.switches.iter()) {
@@ -1290,13 +1133,13 @@ mod tests {
         // The other host on the dead ToR is unreachable, but a repair
         // keeps everyone else consistent: host 2 (pod 0, other ToR) can
         // still reach host 15.
-        ctrl.repair(&mut d, &subs).unwrap();
+        ctrl.repair(&mut d, &subs, &mut PerfectChannel).unwrap();
         d.network.publish(2, googl_packet(10), 1_000_000);
         d.network.run(None);
         assert_eq!(d.network.deliveries(15).len(), 1);
         // Restore heals completely.
         assert!(d.network.restore_switch(tor));
-        ctrl.repair(&mut d, &subs).unwrap();
+        ctrl.repair(&mut d, &subs, &mut PerfectChannel).unwrap();
         d.network.publish(0, googl_packet(10), 2_000_000);
         d.network.run(None);
         assert_eq!(d.network.deliveries(15).len(), 2);
@@ -1356,7 +1199,7 @@ mod tests {
         let new =
             subs(&net, |h| if h == 15 { vec!["stock == GOOGL", "price > 5"] } else { vec![] });
         let before_fp: Vec<u64> = d.compile.switches.iter().map(|s| s.fingerprint).collect();
-        match ctrl.reconfigure(&mut d, &new) {
+        match ctrl.repair(&mut d, &new, &mut PerfectChannel) {
             Err(DeployError::Admission { rejected, report }) => {
                 assert!(rejected.iter().any(|(s, _)| *s == tor), "must name the ToR");
                 for (_, e) in &rejected {
@@ -1420,6 +1263,57 @@ mod tests {
     }
 
     #[test]
+    fn cold_deploy_equals_empty_deploy_plus_the_three_stages() {
+        // A cold deploy is nothing but the first transaction on booted
+        // switches, so booting with no subscriptions and then driving
+        // plan → compile → install by hand must land in the same place:
+        // same installed pipelines, same degraded set, same deliveries,
+        // one epoch further on.
+        for policy in [Policy::MemoryReduction, Policy::TrafficReduction] {
+            let net = paper_fat_tree();
+            let tor = net.designated_chain(15)[0];
+            let mut ctrl = controller(policy);
+            ctrl.budget_overrides
+                .insert(tor, ResourceBudget { max_tcam_entries: 0, ..ResourceBudget::unlimited() });
+            let wanted = subs(&net, |h| match h {
+                15 => vec!["price > 5"],
+                h if h % 3 == 0 => vec!["stock == GOOGL"],
+                _ => vec![],
+            });
+
+            let mut cold = ctrl.deploy(net.clone(), &wanted).unwrap();
+            let mut staged = ctrl.deploy(net.clone(), &subs(&net, |_| vec![])).unwrap();
+            assert!(staged.degraded.is_empty(), "{policy:?}: nothing to reject yet");
+            let routing = ctrl.plan_routing(&net, &wanted, &FaultMask::default());
+            let compile = ctrl
+                .compile_routing_delta(&routing, Some(&staged.compile), &mut DeltaCache::new())
+                .unwrap();
+            ctrl.install(&mut staged, routing, compile, 0, &mut PerfectChannel).unwrap();
+
+            for (a, b) in cold.network.switches.iter().zip(&staged.network.switches) {
+                assert_eq!(a.pipeline(), b.pipeline(), "{policy:?}");
+                assert!(!b.has_staged());
+            }
+            assert_eq!(cold.degraded, BTreeSet::from([tor]), "{policy:?}");
+            assert_eq!(staged.degraded, cold.degraded, "{policy:?}");
+            assert_eq!((cold.next_epoch, staged.next_epoch), (2, 3), "one epoch per transaction");
+            for d in [&mut cold, &mut staged] {
+                d.network.publish(14, googl_packet(10), 0);
+                d.network.publish(1, msft_packet(2), 100);
+                d.network.run(None);
+            }
+            for h in 0..net.host_count() {
+                assert_eq!(
+                    cold.network.deliveries(h).len(),
+                    staged.network.deliveries(h).len(),
+                    "{policy:?} host {h}"
+                );
+            }
+            assert!(cold.network.all_deliveries().count() > 1, "{policy:?}: probes must land");
+        }
+    }
+
+    #[test]
     fn exhausted_stage_op_rolls_the_transaction_back() {
         let net = paper_fat_tree();
         let tor = net.designated_chain(15)[0];
@@ -1431,7 +1325,7 @@ mod tests {
             subs(&net, |h| if h == 15 { vec!["stock == GOOGL", "stock == MSFT"] } else { vec![] });
         let before_fp: Vec<u64> = d.compile.switches.iter().map(|s| s.fingerprint).collect();
         let mut dead = DeadOp { switch: tor, op: Some(ControlOp::Stage) };
-        match ctrl.repair_with(&mut d, &new, &mut dead) {
+        match ctrl.repair(&mut d, &new, &mut dead) {
             Err(DeployError::Channel { failed, report }) => {
                 assert_eq!(failed, vec![tor]);
                 let entry = report.switches.iter().find(|e| e.switch == tor).unwrap();
@@ -1466,7 +1360,7 @@ mod tests {
         // Stages land everywhere, but the ToR never acks its commit:
         // switches committed before it must be reverted.
         let mut dead = DeadOp { switch: tor, op: Some(ControlOp::Commit) };
-        match ctrl.repair_with(&mut d, &new, &mut dead) {
+        match ctrl.repair(&mut d, &new, &mut dead) {
             Err(DeployError::Channel { failed, report }) => {
                 assert_eq!(failed, vec![tor]);
                 let entry = report.switches.iter().find(|e| e.switch == tor).unwrap();
@@ -1489,7 +1383,7 @@ mod tests {
 
         // The same repair over a healthy channel then succeeds and the
         // new subscription goes live.
-        ctrl.repair(&mut d, &new).unwrap();
+        ctrl.repair(&mut d, &new, &mut PerfectChannel).unwrap();
         d.network.publish(0, msft_packet(10), 1_000_000);
         d.network.run(None);
         assert_eq!(d.network.deliveries(15).len(), 2);
@@ -1577,7 +1471,7 @@ mod tests {
                 h if h % 2 == 0 => vec!["price > 10"],
                 _ => vec![],
             });
-            ctrl.repair_with(&mut d, &more, &mut HashFlaky { seed }).unwrap();
+            ctrl.repair(&mut d, &more, &mut HashFlaky { seed }).unwrap();
             d.report
         };
         let a = run(0xFEED);
@@ -1603,18 +1497,10 @@ mod tests {
         // Feed the transaction a deliberately shuffled target list; the
         // ledger must come back sorted anyway.
         let shuffled: Vec<usize> = (0..net.switch_count()).rev().collect();
-        let (report, _) = ctrl
-            .apply_transaction(
-                &mut d.network,
-                &d.compile,
-                &d.routing,
-                &shuffled,
-                2,
-                &mut PerfectChannel,
-            )
-            .unwrap();
-        assert!(sorted(&report), "shuffled-target ledger out of order");
-        assert_eq!(report.switches.len(), net.switch_count());
+        let (routing, compile) = (d.routing.clone(), d.compile.clone());
+        ctrl.install_on(&mut d, routing, compile, 0, &shuffled, &mut PerfectChannel).unwrap();
+        assert!(sorted(&d.report), "shuffled-target ledger out of order");
+        assert_eq!(d.report.switches.len(), net.switch_count());
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub use channel::{
 };
 pub use clock::Clock;
 pub use controller::{
-    AdmissionError, AdmissionVerdict, ChannelError, Controller, CrashedError, DeployError,
-    DeployReport, Deployment, ReconcileStats, RepairStats, SwitchDeploy, TransactionError,
+    AdmissionVerdict, Controller, DeployError, DeployReport, Deployment, ReconcileStats,
+    RepairStats, SwitchDeploy,
 };
 pub use sim::{Delivered, NetTelemetry, Network, NetworkStats};

@@ -4,25 +4,24 @@
 //! subscriptions or topology change (§VIII-G.3); Fig. 13 plots the
 //! resulting per-layer FIB sizes and Fig. 14 the recompile times.
 //!
-//! Two properties make subscription *churn* cheap:
+//! There are two network compiles. [`compile_network`] is the paper's
+//! per-switch baseline and the test oracle: one compiler invocation per
+//! switch, nothing cached or shared. [`compile_network_incremental`] is
+//! what the controller runs: every switch's routed rule list is
+//! [fingerprinted](fingerprint_rules), a fingerprint the previous run
+//! holds reuses that [`Compiled`] artefact, and each distinct new list
+//! is built once and shared — cold on the pool, or, for a caller that
+//! carries a [`DeltaCache`] through churn, by replaying its rule delta
+//! on the maintained diagram of its predecessor.
 //!
-//! * **Incremental recompilation** — every switch's routed rule list is
-//!   [fingerprinted](fingerprint_rules) (a stable hash over the
-//!   canonical rule order that [`RoutingResult::switch_rules`]
-//!   produces). [`compile_network_incremental`] reuses the previous
-//!   run's [`Compiled`] pipeline for every switch whose fingerprint is
-//!   unchanged, so a single-host subscription change only recompiles
-//!   the switches on that host's distribution path.
-//! * **Work stealing** — switch compiles are distributed to worker
-//!   threads through an atomic claim index rather than static chunks,
-//!   so one slow core-layer switch cannot serialise the rest of its
-//!   chunk behind it.
-//!
-//! Worker panics are caught per switch and surfaced as
-//! [`CompileError::Panicked`] instead of aborting the controller.
+//! Pool builds go to worker threads through an atomic claim index,
+//! longest rule list first, so one slow core-layer switch cannot
+//! serialise the rest behind it. Worker panics are caught per switch
+//! and surfaced as [`CompileError::Panicked`] instead of aborting the
+//! controller.
 
 use crate::algorithm1::RoutingResult;
-use crate::par::UnitPanic;
+use crate::par::{run_parallel, UnitPanic};
 use crate::topology::HierNet;
 use camus_core::compiler::{CompileError, CompileState, Compiled, Compiler};
 use camus_lang::ast::Rule;
@@ -53,7 +52,7 @@ pub struct SwitchCompile {
 }
 
 /// Aggregate of a network-wide compilation run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct NetworkCompile {
     pub switches: Vec<SwitchCompile>,
     /// Wall-clock time for the whole parallel run (the Fig. 14 metric).
@@ -195,16 +194,6 @@ pub fn fingerprint_rules(rules: &[Rule]) -> u64 {
         h.write(&acc.to_le_bytes());
     }
     h.finish()
-}
-
-/// Run `f(0..n)` with the shared work-stealing pool, mapping worker
-/// panics to [`CompileError::Panicked`].
-fn run_parallel<T, F>(n: usize, f: F) -> Vec<Result<T, CompileError>>
-where
-    T: Send,
-    F: Fn(usize) -> Result<T, CompileError> + Sync,
-{
-    crate::par::run_parallel(n, f)
 }
 
 /// Indices into `units` (switch ids), longest rule list first; ties
@@ -361,35 +350,6 @@ impl<'p> Election<'p> {
     }
 }
 
-/// Compile a routing result incrementally. The compile cache is
-/// *content-addressed* by rule-list fingerprint:
-///
-/// * a switch whose fingerprint appeared anywhere in `previous` reuses
-///   that artefact (`reused = true` — no reinstall needed when it is
-///   the same switch slot, which it virtually always is);
-/// * switches that do need new pipelines are grouped by fingerprint and
-///   each distinct rule list is compiled once, then shared — in a
-///   full-mesh Fat Tree the entire core layer has identical rule lists,
-///   so N core switches cost one compile.
-///
-/// With `previous = None` this is the cold deploy: every distinct rule
-/// list compiles exactly once. `previous` must come from the same
-/// topology (same switch count) — anything else is ignored and every
-/// switch recompiles.
-pub fn compile_network_incremental(
-    result: &RoutingResult,
-    compiler: &Compiler,
-    previous: Option<&NetworkCompile>,
-) -> Result<NetworkCompile, CompileError> {
-    let election = Election::new(result, previous);
-    let fresh = run_largest_first(result, &election.representatives, |s| {
-        let t0 = Instant::now();
-        let compiled = compiler.compile(&result.switch_rules(s))?;
-        Ok((Arc::new(compiled), t0.elapsed()))
-    })?;
-    Ok(election.assemble(fresh))
-}
-
 /// Live incremental-compile states, content-addressed by rule-list
 /// fingerprint. A state is **moved** from its old fingerprint to its
 /// new one as a switch's rule list transitions, so one maintained
@@ -416,40 +376,68 @@ impl DeltaCache {
     }
 }
 
-/// [`compile_network_incremental`], with **delta recompilation** for
-/// the switches that do change: instead of rebuilding a changed
-/// switch's BDD from scratch, the maintained diagram that compiled its
-/// *previous* rule list is taken from `cache` (keyed by the slot's old
-/// fingerprint) and only the rule delta is replayed on it
-/// ([`Compiler::compile_incremental`]). Fingerprint hits still reuse
-/// the previous artefact outright; only cache misses with no previous
-/// state pay a cold build.
+/// Compile a routing result incrementally. The compile is
+/// *content-addressed* by rule-list fingerprint:
 ///
-/// Representatives compile sequentially — the delta path is
-/// maintenance-bound (`O(delta)` per switch), not build-bound, so the
-/// parallel fan-out of the scratch path buys nothing here.
+/// * a switch whose fingerprint appeared anywhere in `previous` reuses
+///   that artefact (`reused = true` — no reinstall needed when it is
+///   the same switch slot, which it virtually always is);
+/// * switches that do need new pipelines are grouped by fingerprint and
+///   each distinct rule list is compiled once, then shared — in a
+///   full-mesh Fat Tree the entire core layer has identical rule lists,
+///   so N core switches cost one compile.
 ///
-/// Pin a variable order on `compiler` (e.g. via a static spec) for
-/// deterministic table sizes: with an unpinned order a maintained
-/// diagram keeps the field order of its construction history, so its
-/// pipelines — while always semantically equivalent — can differ
-/// structurally from what a scratch compile of the same rules picks.
-pub fn compile_network_incremental_delta(
+/// How a distinct new list is compiled depends on `cache`. Without one
+/// every list is built cold ([`Compiler::compile`]) on the pool,
+/// longest first: that is a cold deploy or a recovery, and it is
+/// build-bound. With one, representatives compile inline: if the
+/// maintained diagram that compiled the slot's *previous* rule list is
+/// cached (keyed by the slot's old fingerprint), only the rule delta is
+/// replayed on it ([`Compiler::compile_incremental`]) and the state
+/// moves to the new fingerprint — `O(delta)` maintenance, which a
+/// fan-out would not speed up — and a list with no state to inherit is
+/// seeded in place. Seeding stays off the pool on purpose: the states
+/// outlive the run, and building them on several threads at once
+/// spreads them over that many allocator arenas (measured on the
+/// ledger's `churn-burst`: +8–11 % peak RSS for a service's first
+/// burst). The cache only affects cost, never the produced pipelines.
+///
+/// With `previous = None` this is the cold deploy: every distinct rule
+/// list compiles exactly once. `previous` must come from the same
+/// topology (same switch count) — anything else is ignored and every
+/// switch recompiles.
+///
+/// Pin a variable order on `compiler` (e.g. via a static spec) when
+/// passing a cache: with an unpinned order a maintained diagram keeps
+/// the field order of its construction history, so its pipelines —
+/// while always semantically equivalent — can differ structurally from
+/// what a scratch compile of the same rules picks.
+pub fn compile_network_incremental(
     result: &RoutingResult,
     compiler: &Compiler,
     previous: Option<&NetworkCompile>,
-    cache: &mut DeltaCache,
+    cache: Option<&mut DeltaCache>,
 ) -> Result<NetworkCompile, CompileError> {
     let election = Election::new(result, previous);
+    let Some(cache) = cache else {
+        let built = run_largest_first(result, &election.representatives, |s| {
+            let t0 = Instant::now();
+            let compiled = compiler.compile(&result.switch_rules(s))?;
+            Ok((Arc::new(compiled), t0.elapsed()))
+        })?;
+        return Ok(election.assemble(built));
+    };
+
     let mut fresh = Vec::with_capacity(election.representatives.len());
     for &s in &election.representatives {
         let t0 = Instant::now();
         let rules = result.switch_rules(s);
         // The state that compiled this slot's previous rule list is the
-        // best delta base; it moves to the new fingerprint.
+        // best delta base; it moves to the new fingerprint. Twins that
+        // diverge share one old fingerprint: the first takes the state,
+        // the rest are seeded.
         let old_fp = election.previous.and_then(|p| p.switches.get(s)).map(|sc| sc.fingerprint);
-        let taken = old_fp.and_then(|fp| cache.states.remove(&fp));
-        let (compiled, state) = match taken {
+        let (compiled, state) = match old_fp.and_then(|fp| cache.states.remove(&fp)) {
             Some(mut state) => (compiler.compile_incremental(&mut state, &rules)?, state),
             None => compiler.compile_incremental_seed(&rules)?,
         };
@@ -645,7 +633,7 @@ mod tests {
         let mut hosts = subs(net.host_count());
 
         let r0 = route_hierarchical(&net, &hosts, cfg);
-        let mut prev = compile_network_incremental_delta(&r0, &compiler, None, &mut cache).unwrap();
+        let mut prev = compile_network_incremental(&r0, &compiler, None, Some(&mut cache)).unwrap();
         assert!(!cache.is_empty());
 
         for round in 0..4 {
@@ -654,7 +642,7 @@ mod tests {
             hosts[h] = vec![parse_expr(&format!("price > {}", 1000 + round)).unwrap()];
             let r = route_hierarchical(&net, &hosts, cfg);
             let delta =
-                compile_network_incremental_delta(&r, &compiler, Some(&prev), &mut cache).unwrap();
+                compile_network_incremental(&r, &compiler, Some(&prev), Some(&mut cache)).unwrap();
             let scratch = compile_network(&r, &compiler).unwrap();
             assert!(delta.reused > 0, "round {round}: unchanged switches must be reused");
             for (a, b) in delta.switches.iter().zip(&scratch.switches) {
@@ -666,6 +654,82 @@ mod tests {
                 delta.switches.iter().map(|sc| sc.fingerprint).collect();
             assert!(cache.len() <= distinct.len(), "cache leaks stale states");
             prev = delta;
+        }
+
+        // Twins diverge. The cores have held one list all along — one
+        // fingerprint, one maintained state. A churned host changes
+        // that list everywhere while a dead down-link changes it
+        // differently at the last core: the first core to ask takes the
+        // state and replays its delta, the last finds it gone and is
+        // seeded cold. Both must match scratch, and both lists end the
+        // run with a state of their own.
+        let cores: Vec<usize> =
+            (0..net.switch_count()).filter(|&s| net.switches[s].layer == 2).collect();
+        let (first, last) = (cores[0], *cores.last().unwrap());
+        assert_eq!(prev.switches[first].fingerprint, prev.switches[last].fingerprint);
+        hosts[7] = vec![parse_expr("price > 5000").unwrap()];
+        let mut mask = crate::topology::FaultMask::new();
+        mask.fail_link(last, 0);
+        let r = crate::algorithm1::route_hierarchical_degraded(&net, &hosts, cfg, &mask);
+        let delta =
+            compile_network_incremental(&r, &compiler, Some(&prev), Some(&mut cache)).unwrap();
+        let scratch = compile_network(&r, &compiler).unwrap();
+        let (a, b) = (&delta.switches[first], &delta.switches[last]);
+        assert_ne!(a.fingerprint, b.fingerprint, "the dead link must split the twins");
+        assert!(!a.reused && !b.reused);
+        for (got, want) in delta.switches.iter().zip(&scratch.switches) {
+            assert_eq!(got.fingerprint, want.fingerprint, "diverged switch {}", got.switch);
+            assert_eq!(got.entries, want.entries, "diverged switch {}", got.switch);
+        }
+        assert!(cache.states.contains_key(&a.fingerprint), "the taken state moved");
+        assert!(cache.states.contains_key(&b.fingerprint), "the cold twin was seeded");
+    }
+
+    #[test]
+    fn empty_cache_compile_equals_uncached_and_seeds_each_representative() {
+        let net = paper_fat_tree();
+        let compiler = Compiler::new().with_order(camus_core::VarOrder::from_keys(["id", "price"]));
+        let r = route_hierarchical(
+            &net,
+            &subs(net.host_count()),
+            RoutingConfig::new(Policy::MemoryReduction),
+        );
+        let plain = compile_network_incremental(&r, &compiler, None, None).unwrap();
+        let mut cache = DeltaCache::new();
+        let seeded = compile_network_incremental(&r, &compiler, None, Some(&mut cache)).unwrap();
+        // With no state to find, a cache changes what is kept, not what
+        // is built: the same representatives, the same pipelines.
+        assert_eq!(seeded.distinct_compiles, plain.distinct_compiles);
+        assert!(seeded.distinct_compiles < net.switch_count(), "the cores share");
+        for (a, b) in seeded.switches.iter().zip(&plain.switches) {
+            assert_eq!(a.fingerprint, b.fingerprint);
+            assert_eq!(a.compiled.pipeline, b.compiled.pipeline, "switch {}", a.switch);
+        }
+        assert_eq!(cache.len(), seeded.distinct_compiles, "one state per distinct list");
+        for sc in &seeded.switches {
+            assert_eq!(
+                cache.states[&sc.fingerprint].rule_count(),
+                r.switch_filter_count(sc.switch),
+                "switch {}",
+                sc.switch
+            );
+        }
+    }
+
+    #[test]
+    fn panic_in_a_pool_build_surfaces_as_compile_error_naming_the_switch() {
+        // Filter sets spliced in from another routing run point past
+        // this run's pool, so materialising core 16's rule list panics
+        // inside its worker; the fingerprint fold never resolves ids
+        // and the election does not notice.
+        let net = paper_fat_tree();
+        let cfg = RoutingConfig::new(Policy::MemoryReduction);
+        let foreign = route_hierarchical(&net, &subs(net.host_count()), cfg);
+        let mut r = route_hierarchical(&net, &vec![Vec::new(); net.host_count()], cfg);
+        r.filters[16] = foreign.filters[16].clone();
+        match compile_network_incremental(&r, &Compiler::new(), None, None) {
+            Err(CompileError::Panicked { unit, .. }) => assert_eq!(unit, 16),
+            other => panic!("expected Panicked, got {:?}", other.map(|nc| nc.recompiled)),
         }
     }
 
@@ -683,7 +747,7 @@ mod tests {
         let mut churned = base.clone();
         churned[5] = vec![parse_expr("volume > 999").unwrap()];
         let r1 = route_hierarchical(&net, &churned, cfg);
-        let inc = compile_network_incremental(&r1, &compiler, Some(&full)).unwrap();
+        let inc = compile_network_incremental(&r1, &compiler, Some(&full), None).unwrap();
 
         assert_eq!(inc.recompiled + inc.reused, net.switch_count());
         assert!(inc.reused > 0, "unchanged switches must be reused");
@@ -727,7 +791,7 @@ mod tests {
             cores.iter().map(|&s| fingerprint_rules(&r.switch_rules(s))).collect();
         assert_eq!(fps.len(), 1, "cores must share one fingerprint");
 
-        let inc = compile_network_incremental(&r, &Compiler::new(), None).unwrap();
+        let inc = compile_network_incremental(&r, &Compiler::new(), None, None).unwrap();
         assert_eq!(inc.reused, 0);
         assert_eq!(inc.recompiled, net.switch_count());
         assert!(
@@ -760,7 +824,7 @@ mod tests {
         // A "previous" result with the wrong switch count is ignored.
         let mut wrong = full.clone();
         wrong.switches.truncate(3);
-        let inc = compile_network_incremental(&r, &compiler, Some(&wrong)).unwrap();
+        let inc = compile_network_incremental(&r, &compiler, Some(&wrong), None).unwrap();
         assert_eq!(inc.reused, 0);
         assert_eq!(inc.recompiled, net.switch_count());
     }
@@ -829,7 +893,7 @@ mod tests {
     fn work_stealing_covers_all_units_once() {
         // Many more units than workers: every unit must be produced
         // exactly once and in order after the sort.
-        let results = run_parallel(257, Ok);
+        let results = run_parallel::<_, CompileError, _>(257, Ok);
         let values: Vec<usize> = results.into_iter().map(Result::unwrap).collect();
         assert_eq!(values, (0..257).collect::<Vec<_>>());
     }

@@ -10,9 +10,9 @@
 //! failure, an audit violation — stop the stage and surface through
 //! [`ServiceError`], the roll-up the service owner sees.
 //!
-//! The batch controller API keeps its own façade:
-//! [`camus_net::DeployError`] variants are unchanged, with the typed
-//! `TransactionError` taxonomy underneath (see `camus_net::controller`).
+//! The batch controller API has one error enum of its own,
+//! [`camus_net::DeployError`]: what the install transaction returns is
+//! what the deploy stage matches on.
 
 use camus_core::compiler::CompileError;
 use std::fmt;

@@ -38,7 +38,6 @@ use crate::stages::{AuditProbe, AuditReport, DeployService, RouteCompileService,
 use camus_lang::ast::Expr;
 use camus_net::controller::{Controller, Deployment};
 use camus_net::{ControlChannel, DeployError, Network, ReconcileStats};
-use camus_routing::compile::DeltaCache;
 use camus_telemetry::MetricsRegistry;
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -323,13 +322,11 @@ impl CamusService {
         mut cfg: ServiceConfig,
     ) -> Result<(CamusService, RecoveryStats), DeployError> {
         let st = wal.replay();
-        let mut cache = DeltaCache::new();
         let (deployment, reconcile) = ctrl.recover_deployment(
             network,
             &st.subs,
             &st.committed_epochs,
             st.next_epoch,
-            Some(&mut cache),
             &mut *channel,
         )?;
         let stats = RecoveryStats {

@@ -19,7 +19,7 @@ use camus_lang::ast::Expr;
 use camus_lang::parser::parse_expr;
 use camus_lang::spec::itch_spec;
 use camus_lang::value::Value;
-use camus_net::channel::{ChannelOutcome, ControlChannel, ControlOp};
+use camus_net::channel::{ChannelOutcome, ControlChannel, ControlOp, PerfectChannel};
 use camus_net::controller::{Controller, DeployError, Deployment};
 use camus_routing::algorithm1::{Policy, RoutingConfig};
 use camus_routing::topology::paper_fat_tree;
@@ -129,7 +129,7 @@ proptest! {
 
         let mut wanted = subs.clone();
         wanted[target].push(parse_expr(&format!("price > {threshold}")).unwrap());
-        match ctrl.reconfigure(&mut live, &wanted) {
+        match ctrl.repair(&mut live, &wanted, &mut PerfectChannel) {
             Err(DeployError::Admission { rejected, report }) => {
                 prop_assert!(rejected.iter().any(|(s, _)| *s == tor), "must name ToR {}", tor);
                 prop_assert_eq!(report.committed(), 0);
@@ -219,7 +219,7 @@ proptest! {
         wanted[target].push(parse_expr("price > 42").unwrap());
         let op = if kill_commit { ControlOp::Commit } else { ControlOp::Stage };
         let mut dead = DeadOp { switch: tor, op };
-        match ctrl.repair_with(&mut live, &wanted, &mut dead) {
+        match ctrl.repair(&mut live, &wanted, &mut dead) {
             Err(DeployError::Channel { failed, report }) => {
                 prop_assert_eq!(failed, vec![tor]);
                 for e in &report.switches {

@@ -17,6 +17,7 @@ use camus_lang::ast::Expr;
 use camus_lang::parser::parse_expr;
 use camus_lang::spec::itch_spec;
 use camus_lang::value::Value;
+use camus_net::channel::PerfectChannel;
 use camus_net::controller::Controller;
 use camus_routing::algorithm1::{Policy, RoutingConfig};
 use camus_routing::topology::paper_fat_tree;
@@ -148,7 +149,7 @@ proptest! {
                     }
                 }
             }
-            ctrl.repair(&mut live, &subs).expect("repair");
+            ctrl.repair(&mut live, &subs, &mut PerfectChannel).expect("repair");
             let mut fresh = ctrl
                 .deploy_degraded(net.clone(), &subs, live.network.fault_mask())
                 .expect("fresh degraded deploy");

@@ -14,6 +14,7 @@ use camus_lang::ast::Expr;
 use camus_lang::parser::parse_expr;
 use camus_lang::spec::itch_spec;
 use camus_lang::value::Value;
+use camus_net::channel::PerfectChannel;
 use camus_net::controller::Controller;
 use camus_routing::algorithm1::{Policy, RoutingConfig};
 use camus_routing::topology::paper_fat_tree;
@@ -121,7 +122,7 @@ proptest! {
                     subs[*host].pop();
                 }
             }
-            ctrl.reconfigure(&mut live, &subs).expect("reconfigure");
+            ctrl.repair(&mut live, &subs, &mut PerfectChannel).expect("reconfigure");
             let mut fresh = ctrl.deploy(net.clone(), &subs).expect("fresh deploy");
 
             // Same compile outcome: per-switch fingerprints, entry
