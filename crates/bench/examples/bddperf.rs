@@ -1,6 +1,9 @@
 //! Quick scaling probe for BDD construction and incremental
 //! maintenance (not a Criterion bench).
 use camus_bdd::{rule_digest, BddBuilder, IncrementalBdd, VarOrder};
+use camus_core::compiled::CompiledPipeline;
+use camus_core::multicast::MulticastAllocator;
+use camus_core::tables::bdd_to_pipeline;
 use camus_lang::parser::parse_rule;
 
 fn main() {
@@ -15,8 +18,11 @@ fn main() {
     }
     // The `cold-deploy` ledger workload's core list: `id == K`, every
     // 7th `and price > t`, fields ordered `id, price`. Rules are
-    // generated off the clock; medians of 5 builds; allocated vs
-    // reachable nodes are exact counts, printed before the timing.
+    // generated off the clock; medians of 5 runs of the whole cold step
+    // (build → `bdd_to_pipeline` → `CompiledPipeline::lower`, then the
+    // maintained store's seed + snapshot); allocated vs reachable nodes
+    // and emitted vs lowered entries are exact counts, printed before
+    // the timings.
     for n in [25_000usize, 100_000, 300_000] {
         let rules: Vec<_> = (0..n)
             .map(|i| {
@@ -30,15 +36,27 @@ fn main() {
             .collect();
         let order = VarOrder::from_keys(["id", "price"]);
         let mut build_ms = Vec::new();
+        let mut emit_ms = Vec::new();
+        let mut lower_ms = Vec::new();
         let mut seed_ms = Vec::new();
         let mut snapshot_ms = Vec::new();
         let mut counts = (0, 0);
+        let mut entries = (0, 0);
         for _ in 0..5 {
             let t0 = std::time::Instant::now();
             let bdd = BddBuilder::from_rules(&rules).with_order(order.clone()).build();
             build_ms.push(t0.elapsed().as_secs_f64() * 1e3);
             counts = (bdd.node_count(), bdd.gc_stats().peak_allocated.max(bdd.allocated_nodes()));
-            drop(bdd);
+            let t0 = std::time::Instant::now();
+            let pipeline = bdd_to_pipeline(&bdd, &mut MulticastAllocator::new(1024)).unwrap();
+            emit_ms.push(t0.elapsed().as_secs_f64() * 1e3);
+            let t0 = std::time::Instant::now();
+            let lowered = CompiledPipeline::lower(&pipeline);
+            lower_ms.push(t0.elapsed().as_secs_f64() * 1e3);
+            // The pipeline's count includes its leaf table; the lowered
+            // form counts match entries only.
+            entries = (pipeline.total_entries(), lowered.total_entries());
+            drop((bdd, pipeline, lowered));
             let t0 = std::time::Instant::now();
             let inc = IncrementalBdd::from_rules(&rules, &order);
             seed_ms.push(t0.elapsed().as_secs_f64() * 1e3);
@@ -52,10 +70,15 @@ fn main() {
             v[v.len() / 2]
         };
         println!(
-            "cold n={n}: reachable={} allocated={} | build {:.1} ms | seed {:.1} ms + snapshot {:.1} ms",
+            "cold n={n}: reachable={} allocated={} entries={} lowered={} | build {:.1} ms | \
+             bdd_to_pipeline {:.1} ms | lower {:.1} ms | seed {:.1} ms + snapshot {:.1} ms",
             counts.0,
             counts.1,
+            entries.0,
+            entries.1,
             median(&mut build_ms),
+            median(&mut emit_ms),
+            median(&mut lower_ms),
             median(&mut seed_ms),
             median(&mut snapshot_ms),
         );

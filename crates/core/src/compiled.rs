@@ -1,32 +1,40 @@
 //! The compiled fast-path evaluator.
 //!
 //! [`Pipeline`] is the faithful *control-plane* artifact: string-keyed
-//! operands, `HashMap`-backed per-state entry lists scanned linearly in
-//! priority order, and a cloned [`Action`] per evaluation. That shape
-//! mirrors the paper's table layout but is the slowest possible
-//! software encoding. [`CompiledPipeline::lower`] converts an installed
-//! pipeline once, at install time, into a flat data-plane form:
+//! operands, per-state entry lists scanned linearly in priority order,
+//! and a cloned [`Action`] per evaluation. That shape mirrors the
+//! paper's table layout but is the slowest possible software encoding.
+//! [`CompiledPipeline::lower`] converts an installed pipeline once, at
+//! install time, into one flat data-plane form:
 //!
 //! * **Slot interning** — every distinct operand gets a dense slot id;
 //!   the parser resolves each slot against the `Spec` once and emits a
 //!   slot-indexed `[Option<Value>]` array per message, so evaluation
 //!   never hashes a field-name string.
-//! * **Dense state dispatch** — each stage keeps its states in a sorted
-//!   array with one match [`Group`] per state; `(state, value)` lookup
-//!   is typed probes (exact via open-addressing hash tables for large
-//!   groups, binary search for small ones, prefixes via a
-//!   length-ordered linear scan, ranges via binary search when provably
-//!   disjoint), not a priority scan.
-//! * **Flattened dispatch** — instead of walking every stage and
-//!   binary-searching each stage's state list (depth-linear even for
-//!   states most stages cannot transition), lowering builds a CSR jump
-//!   index from each state id to the stages that actually hold entries
-//!   for it. Evaluation jumps straight from transition to transition;
-//!   skipped stages are §V-D pass-throughs by construction and are
-//!   accounted as bulk stage misses, so the hit/miss totals match the
-//!   stage walk exactly while the probe count (`entries_scanned`, the
-//!   memory-accesses-per-lookup currency) drops to the transitions
-//!   actually taken.
+//! * **Dense state ids** — the ids the pipeline mentions (entry states
+//!   and targets, leaf keys, the initial state) are renumbered onto
+//!   `0..n` in id order. The compiler already emits `0..n`, so for its
+//!   output this is the identity; a hand-written pipeline may use any
+//!   `u32` and still lowers to tables no larger than its entry count.
+//! * **Jump rows** — all entries one stage holds for one state become
+//!   one [`Row`]: the stage, the value slot it reads, and the state's
+//!   match [`Group`] — typed probes (exact via open-addressing hash
+//!   tables for large groups, binary search for small ones, prefixes
+//!   via a length-ordered linear scan, ranges via binary search when
+//!   provably disjoint), not a priority scan. `rows[state]` is the
+//!   state's first row, so a transition is one indexed load and one
+//!   probe. Algorithm 2 makes every state the In-node of exactly one
+//!   component, so compiler output has exactly one row per state; a
+//!   hand-built state with entries in several stages chains its later
+//!   rows behind the first, read only after a probe miss. Each group is
+//!   built once and held once, by the row that owns it.
+//! * **Flattened dispatch** — evaluation jumps from transition to
+//!   transition instead of visiting every stage. Skipped stages hold no
+//!   entry for the current state — §V-D pass-throughs by construction —
+//!   and are accounted as bulk stage misses, so `hits + misses == depth`
+//!   per message while the probe count (`entries_scanned`, the
+//!   memory-accesses-per-lookup currency) covers only the transitions
+//!   actually attempted.
 //! * **Action arena** — leaf states map to [`ActionId`]s into a shared
 //!   arena, so evaluation returns a copy-free id; callers borrow the
 //!   `Action` only when they need it.
@@ -38,7 +46,7 @@
 //! `tests/compiled_equivalence.rs` pins `eval ≡ Pipeline::evaluate` on
 //! randomized pipelines and inputs.
 
-use crate::pipeline::{LeafTable, MatchSpec, Pipeline, StageTable, StateId};
+use crate::pipeline::{MatchSpec, Pipeline, StageTable, StateId};
 use camus_lang::ast::{Action, Operand};
 use camus_lang::value::Value;
 
@@ -74,135 +82,93 @@ impl EvalCounters {
     }
 }
 
-/// Occupancy sentinel for the open-addressing exact tables. Real BDD
-/// state ids are dense and start at 0; a pipeline that actually uses
-/// `u32::MAX` falls back to the sorted encoding.
+/// Occupancy sentinel for the open-addressing exact tables. Lowered
+/// state ids are `0..n` with `n` bounded by the entry count, so no real
+/// state is `u32::MAX`.
 const EMPTY_STATE: StateId = StateId::MAX;
 
 /// Groups at or above this many exact keys get an open-addressing
 /// table (≤50% load): ~1–2 probes per lookup instead of log₂(n).
 const HASH_MIN_KEYS: usize = 8;
 
-/// Fibonacci multiply + xor-fold: a full-avalanche hash for interned
-/// integer keys.
-#[inline]
-fn hash_int(x: i64) -> u64 {
-    let h = (x as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    h ^ (h >> 29)
+/// An exact-match key type and its hash.
+trait ExactKey: Ord + Default + Clone {
+    fn hash(&self) -> u64;
 }
 
-/// FNV-1a over the key bytes (string exact keys).
-#[inline]
-fn hash_str(s: &str) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in s.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1_0000_01B3);
+impl ExactKey for i64 {
+    /// Fibonacci multiply + xor-fold: a full-avalanche hash for
+    /// integer keys.
+    #[inline]
+    fn hash(&self) -> u64 {
+        let h = (*self as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        h ^ (h >> 29)
     }
-    h
 }
 
-/// Exact-match dispatch over int keys: open-addressed for large
+impl ExactKey for String {
+    /// FNV-1a over the key bytes.
+    #[inline]
+    fn hash(&self) -> u64 {
+        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+        for &b in self.as_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x1_0000_01B3);
+        }
+        h
+    }
+}
+
+/// Exact-match dispatch over one key type: open-addressed for large
 /// groups, sorted binary search for small ones.
 #[derive(Debug, Clone)]
-enum IntIndex {
-    Sorted(Vec<(i64, StateId)>),
+enum ExactIndex<K> {
+    Sorted(Vec<(K, StateId)>),
     /// Power-of-two open-addressing table, linear probing, `EMPTY_STATE`
     /// marks a free slot.
-    Hashed(Vec<(i64, StateId)>),
+    Hashed(Vec<(K, StateId)>),
 }
 
-impl IntIndex {
-    fn build(keys: Vec<(i64, StateId)>) -> IntIndex {
-        if keys.len() < HASH_MIN_KEYS || keys.iter().any(|&(_, s)| s == EMPTY_STATE) {
-            return IntIndex::Sorted(keys);
+impl<K: ExactKey> ExactIndex<K> {
+    /// Index `keys`, given in scan order. Of duplicate keys the first
+    /// in scan order wins (the interpreter never reaches the later
+    /// ones): a stable sort keeps it in front and `dedup` drops the
+    /// rest.
+    fn build(mut keys: Vec<(K, StateId)>) -> Self {
+        keys.sort_by(|a, b| a.0.cmp(&b.0));
+        keys.dedup_by(|later, first| later.0 == first.0);
+        if keys.len() < HASH_MIN_KEYS {
+            return ExactIndex::Sorted(keys);
         }
         let cap = (keys.len() * 2).next_power_of_two();
-        let mut table = vec![(0i64, EMPTY_STATE); cap];
+        let mut table = vec![(K::default(), EMPTY_STATE); cap];
         for (k, s) in keys {
-            let mut i = hash_int(k) as usize & (cap - 1);
+            let mut i = k.hash() as usize & (cap - 1);
             while table[i].1 != EMPTY_STATE {
                 i = (i + 1) & (cap - 1);
             }
             table[i] = (k, s);
         }
-        IntIndex::Hashed(table)
+        ExactIndex::Hashed(table)
     }
 
     fn len(&self) -> usize {
         match self {
-            IntIndex::Sorted(v) => v.len(),
-            IntIndex::Hashed(t) => t.iter().filter(|&&(_, s)| s != EMPTY_STATE).count(),
+            ExactIndex::Sorted(v) => v.len(),
+            ExactIndex::Hashed(t) => t.iter().filter(|(_, s)| *s != EMPTY_STATE).count(),
         }
     }
 
     #[inline]
-    fn lookup(&self, x: i64, scanned: &mut u64) -> Option<StateId> {
+    fn lookup(&self, x: &K, scanned: &mut u64) -> Option<StateId> {
         match self {
-            IntIndex::Sorted(v) => {
+            ExactIndex::Sorted(v) => {
                 *scanned += bsearch_cost(v.len());
-                v.binary_search_by(|probe| probe.0.cmp(&x)).ok().map(|i| v[i].1)
+                v.binary_search_by(|probe| probe.0.cmp(x)).ok().map(|i| v[i].1)
             }
-            IntIndex::Hashed(t) => {
+            ExactIndex::Hashed(t) => {
                 let mask = t.len() - 1;
-                let mut i = hash_int(x) as usize & mask;
-                loop {
-                    *scanned += 1;
-                    let (k, s) = t[i];
-                    if s == EMPTY_STATE {
-                        return None;
-                    }
-                    if k == x {
-                        return Some(s);
-                    }
-                    i = (i + 1) & mask;
-                }
-            }
-        }
-    }
-}
-
-/// Exact-match dispatch over string keys, same strategy split.
-#[derive(Debug, Clone)]
-enum StrIndex {
-    Sorted(Vec<(String, StateId)>),
-    Hashed(Vec<(String, StateId)>),
-}
-
-impl StrIndex {
-    fn build(keys: Vec<(String, StateId)>) -> StrIndex {
-        if keys.len() < HASH_MIN_KEYS || keys.iter().any(|&(_, s)| s == EMPTY_STATE) {
-            return StrIndex::Sorted(keys);
-        }
-        let cap = (keys.len() * 2).next_power_of_two();
-        let mut table = vec![(String::new(), EMPTY_STATE); cap];
-        for (k, s) in keys {
-            let mut i = hash_str(&k) as usize & (cap - 1);
-            while table[i].1 != EMPTY_STATE {
-                i = (i + 1) & (cap - 1);
-            }
-            table[i] = (k, s);
-        }
-        StrIndex::Hashed(table)
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            StrIndex::Sorted(v) => v.len(),
-            StrIndex::Hashed(t) => t.iter().filter(|&(_, s)| *s != EMPTY_STATE).count(),
-        }
-    }
-
-    #[inline]
-    fn lookup(&self, x: &str, scanned: &mut u64) -> Option<StateId> {
-        match self {
-            StrIndex::Sorted(v) => {
-                *scanned += bsearch_cost(v.len());
-                v.binary_search_by(|probe| probe.0.as_str().cmp(x)).ok().map(|i| v[i].1)
-            }
-            StrIndex::Hashed(t) => {
-                let mask = t.len() - 1;
-                let mut i = hash_str(x) as usize & mask;
+                let mut i = x.hash() as usize & mask;
                 loop {
                     *scanned += 1;
                     let (k, s) = &t[i];
@@ -252,9 +218,9 @@ impl RangeIndex {
 #[derive(Debug, Clone)]
 struct Group {
     /// Exact int keys, first-in-scan-order on duplicates.
-    int_exact: IntIndex,
+    int_exact: ExactIndex<i64>,
     /// Exact string keys, first-in-scan-order on duplicates.
-    str_exact: StrIndex,
+    str_exact: ExactIndex<String>,
     /// Prefix entries in interpreter scan order (length-descending,
     /// stable): a linear first-match scan is exact-equivalent.
     str_prefix: Vec<(String, StateId)>,
@@ -264,16 +230,44 @@ struct Group {
 }
 
 impl Group {
-    /// A group with no entries: every probe misses. Used to pad
-    /// strided jump rows for states with no transitions.
-    fn empty() -> Group {
-        Group {
-            int_exact: IntIndex::Sorted(Vec::new()),
-            str_exact: StrIndex::Sorted(Vec::new()),
-            str_prefix: Vec::new(),
-            ranges: RangeIndex::Disjoint(Vec::new()),
-            any: None,
+    /// Build one state's match group from its entries in scan order.
+    fn lower<'a>(entries: impl Iterator<Item = (&'a MatchSpec, StateId)>) -> Group {
+        let mut int_exact: Vec<(i64, StateId)> = Vec::new();
+        let mut str_exact: Vec<(String, StateId)> = Vec::new();
+        let mut str_prefix: Vec<(String, StateId)> = Vec::new();
+        let mut ranges: Vec<(i64, i64, StateId)> = Vec::new();
+        let mut any: Option<StateId> = None;
+        for (spec, next) in entries {
+            match spec {
+                MatchSpec::IntExact(v) => int_exact.push((*v, next)),
+                MatchSpec::StrExact(s) => str_exact.push((s.clone(), next)),
+                // Scan order is length-descending (priority = 1M + len),
+                // stable within a length — keep it for first-match scans.
+                MatchSpec::StrPrefix(p) => str_prefix.push((p.clone(), next)),
+                MatchSpec::IntRange(lo, hi) => {
+                    // Empty ranges can never match.
+                    if lo <= hi {
+                        ranges.push((*lo, *hi, next));
+                    }
+                }
+                MatchSpec::Any => any = any.or(Some(next)),
+            }
         }
+        Group {
+            int_exact: ExactIndex::build(int_exact),
+            str_exact: ExactIndex::build(str_exact),
+            str_prefix,
+            ranges: index_ranges(ranges),
+            any,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.int_exact.len()
+            + self.str_exact.len()
+            + self.str_prefix.len()
+            + self.ranges.len()
+            + usize::from(self.any.is_some())
     }
 
     #[inline]
@@ -289,7 +283,7 @@ impl Group {
                 // No emptiness pre-checks: an empty index probes at
                 // `bsearch_cost(0) == 0` cost, so skipping the guard
                 // branches is counter-neutral and shorter hot code.
-                if let Some(next) = self.int_exact.lookup(*x, scanned) {
+                if let Some(next) = self.int_exact.lookup(x, scanned) {
                     return Some(next);
                 }
                 match &self.ranges {
@@ -347,29 +341,38 @@ fn bsearch_cost(n: usize) -> u64 {
     u64::from(usize::BITS - n.leading_zeros())
 }
 
-/// One lowered match stage: sorted state dispatch over per-state match
-/// groups, reading one interned value slot.
-#[derive(Debug, Clone)]
-struct CompiledStage {
-    /// Index into the pipeline's slot array (interned operand).
-    slot: u32,
-    /// States with entries, sorted for binary-search dispatch.
-    states: Vec<StateId>,
-    /// `groups[i]` holds the entries for `states[i]`.
-    groups: Vec<Group>,
+/// Choose the range dispatch strategy: binary search when the ranges
+/// are pairwise disjoint, priority-scan order otherwise.
+fn index_ranges(ranges: Vec<(i64, i64, StateId)>) -> RangeIndex {
+    if let [(lo, hi, next)] = ranges[..] {
+        return RangeIndex::Single(lo, hi, next);
+    }
+    let mut sorted = ranges.clone();
+    sorted.sort_by_key(|&(lo, _, _)| lo);
+    let disjoint = sorted.windows(2).all(|w| w[0].1 < w[1].0);
+    if disjoint {
+        RangeIndex::Disjoint(sorted)
+    } else {
+        RangeIndex::Ordered(ranges)
+    }
 }
 
-/// One row of the flattened-dispatch jump index: stage `stage` can
-/// transition the row's state, reading value slot `slot`, probing a
-/// row-ordered clone of the stage's match group. Fusing the header and
-/// group into one arena element makes a transition two dependent loads
-/// (offset, row) instead of four (offset, entry, stage, group), and
-/// consecutive probes of a row touch adjacent memory rather than
-/// hopping across stages.
+/// "No later row" in [`Row::link`].
+const NO_ROW: u32 = u32::MAX;
+
+/// One jump row: stage `stage` can transition the row's state, reading
+/// value slot `slot`, probing the match group the row owns. Fusing the
+/// header and group into one arena element makes a transition two
+/// dependent loads (row, probe) instead of four (offset, entry, stage,
+/// group).
 #[derive(Debug, Clone)]
-struct JumpRow {
+struct Row {
     stage: u32,
     slot: u32,
+    /// Index of the same state's row at its next later stage, or
+    /// [`NO_ROW`] — always `NO_ROW` in compiler output, where a state
+    /// belongs to one stage.
+    link: u32,
     /// Precomputed single-compare probe for the dominant group shape;
     /// `FastProbe::No` falls back to the full [`Group::lookup`].
     fast: FastProbe,
@@ -394,8 +397,8 @@ impl FastProbe {
     fn of(group: &Group) -> FastProbe {
         match group {
             Group {
-                int_exact: IntIndex::Sorted(ie),
-                str_exact: StrIndex::Sorted(se),
+                int_exact: ExactIndex::Sorted(ie),
+                str_exact: ExactIndex::Sorted(se),
                 str_prefix,
                 ranges: RangeIndex::Single(lo, hi, next),
                 any,
@@ -407,138 +410,36 @@ impl FastProbe {
     }
 }
 
-/// Map from state id → the stages that can transition it, in stage
-/// order. Evaluation jumps from transition to transition instead of
-/// probing every stage; stages with no entry for the current state are
-/// §V-D pass-throughs by construction and are bulk-counted as misses.
-#[derive(Debug, Clone)]
-enum JumpIndex {
-    /// One-row-per-state layout — the common case: Algorithm 2 gives
-    /// every BDD state one owning stage. `rows[s]` IS the row for
-    /// state `s`, so locating it is pure arithmetic (no offset load on
-    /// the `state → row → probe` dependency chain) and the row scan
-    /// degenerates to a single probe. States with no entries hold an
-    /// always-miss element at stage 0.
-    Unit { rows: Vec<JumpRow> },
-    /// CSR layout for states spanning several stages:
-    /// `offsets[s]..offsets[s + 1]` indexes `rows` for state `s`.
-    Dense { offsets: Vec<u32>, rows: Vec<JumpRow> },
-    /// State ids too sparse for a dense offset table: fall back to the
-    /// depth-linear stage walk.
-    Walk,
-}
-
-/// Largest state id the dense jump encoding will allocate offsets for
-/// (mirrors `DENSE_LEAF_LIMIT`); walk beyond that.
-const DENSE_JUMP_LIMIT: StateId = 1 << 22;
-
-impl JumpIndex {
-    fn build(stages: &[CompiledStage]) -> JumpIndex {
-        let max_state = stages.iter().filter_map(|st| st.states.last().copied()).max();
-        let Some(max_state) = max_state else {
-            return JumpIndex::Unit { rows: Vec::new() };
-        };
-        if max_state >= DENSE_JUMP_LIMIT {
-            return JumpIndex::Walk;
-        }
-        let n = max_state as usize + 1;
-        let mut offsets = vec![0u32; n + 1];
-        for st in stages {
-            for &s in &st.states {
-                offsets[s as usize + 1] += 1;
-            }
-        }
-        for i in 1..offsets.len() {
-            offsets[i] += offsets[i - 1];
-        }
-        let total = offsets[n] as usize;
-        let mut slots: Vec<Option<(u32, u32)>> = vec![None; total];
-        let mut cursor: Vec<u32> = offsets[..n].to_vec();
-        // Stage-major fill keeps each row stage-ascending.
-        for (si, st) in stages.iter().enumerate() {
-            for (gi, &s) in st.states.iter().enumerate() {
-                slots[cursor[s as usize] as usize] = Some((si as u32, gi as u32));
-                cursor[s as usize] += 1;
-            }
-        }
-        let row_of = |slot: Option<(u32, u32)>| {
-            let (si, gi) = slot.expect("counting sort fills every jump slot");
-            let group = stages[si as usize].groups[gi as usize].clone();
-            JumpRow {
-                stage: si,
-                slot: stages[si as usize].slot,
-                fast: FastProbe::of(&group),
-                group,
-            }
-        };
-        let widest = (0..n).map(|s| (offsets[s + 1] - offsets[s]) as usize).max().unwrap_or(0);
-        if widest <= 1 {
-            let rows = (0..n)
-                .map(|s| {
-                    let lo = offsets[s] as usize;
-                    if offsets[s + 1] as usize > lo {
-                        row_of(slots[lo])
-                    } else {
-                        // No entries anywhere for this state: an
-                        // always-miss element at stage 0 keeps the
-                        // hit/miss accounting identical to the walk.
-                        JumpRow { stage: 0, slot: 0, fast: FastProbe::No, group: Group::empty() }
-                    }
-                })
-                .collect();
-            return JumpIndex::Unit { rows };
-        }
-        let rows = slots.into_iter().map(row_of).collect();
-        JumpIndex::Dense { offsets, rows }
-    }
-}
-
-/// Leaf dispatch: dense vector when the state space is small (the
-/// common case — BDD node ids are dense), sparse sorted pairs
-/// otherwise. `ActionId::DEFAULT` is the miss sentinel.
-#[derive(Debug, Clone)]
-enum LeafIndex {
-    Dense(Vec<ActionId>),
-    Sparse(Vec<(StateId, ActionId)>),
-}
-
-/// Largest state id the dense leaf encoding will allocate for (16 MiB
-/// of ids); sparse beyond that.
-const DENSE_LEAF_LIMIT: StateId = 1 << 22;
-
-impl LeafIndex {
-    fn build(leaf: &LeafTable, actions: &mut Vec<Action>) -> LeafIndex {
-        let mut states: Vec<StateId> = leaf.actions.keys().copied().collect();
-        states.sort_unstable();
-        let ids: Vec<(StateId, ActionId)> = states
-            .iter()
-            .map(|&s| {
-                let id = ActionId(actions.len() as u32);
-                actions.push(leaf.actions[&s].0.clone());
-                (s, id)
-            })
-            .collect();
-        match states.last() {
-            Some(&max) if max < DENSE_LEAF_LIMIT => {
-                let mut dense = vec![ActionId::DEFAULT; max as usize + 1];
-                for &(s, id) in &ids {
-                    dense[s as usize] = id;
-                }
-                LeafIndex::Dense(dense)
-            }
-            Some(_) => LeafIndex::Sparse(ids),
-            None => LeafIndex::Dense(Vec::new()),
+impl Row {
+    /// The row of a state no stage holds entries for (a terminal):
+    /// every probe misses.
+    fn empty() -> Row {
+        Row {
+            stage: 0,
+            slot: 0,
+            link: NO_ROW,
+            fast: FastProbe::No,
+            group: Group::lower(std::iter::empty()),
         }
     }
 
-    fn lookup(&self, state: StateId) -> ActionId {
-        match self {
-            LeafIndex::Dense(v) => v.get(state as usize).copied().unwrap_or(ActionId::DEFAULT),
-            LeafIndex::Sparse(v) => match v.binary_search_by_key(&state, |&(s, _)| s) {
-                Ok(i) => v[i].1,
-                Err(_) => ActionId::DEFAULT,
-            },
+    /// Probe the row: the precomputed fast path when it applies,
+    /// [`Group::lookup`] otherwise. Counter-exact either way.
+    #[inline(always)]
+    fn probe(&self, value: Option<&Value>, scanned: &mut u64) -> Option<StateId> {
+        if let (FastProbe::IntSingle { lo, hi, next, any_next }, Some(Value::Int(x))) =
+            (&self.fast, value)
+        {
+            *scanned += 1;
+            return if *lo <= *x && *x <= *hi {
+                Some(*next)
+            } else {
+                // The range missed: the only remaining probe is `Any`.
+                *scanned += 1;
+                *any_next
+            };
         }
+        self.group.lookup(value, scanned)
     }
 }
 
@@ -549,11 +450,17 @@ impl LeafIndex {
 pub struct CompiledPipeline {
     /// Interned operands; `slots[i]` is what value index `i` must hold.
     slots: Vec<Operand>,
-    stages: Vec<CompiledStage>,
-    jump: JumpIndex,
-    leaf: LeafIndex,
+    /// Number of match stages.
+    depth: u32,
+    /// `rows[s]` for `s < leaf.len()` is state `s`'s first row; later
+    /// rows of multi-stage states follow, reached through `Row::link`.
+    rows: Vec<Row>,
+    /// `leaf[s]` is state `s`'s action; `ActionId::DEFAULT` when the
+    /// leaf table has no entry for it.
+    leaf: Vec<ActionId>,
     /// Action arena; index 0 is the leaf default.
     actions: Vec<Action>,
+    /// The initial state, as a lowered (dense) id.
     pub initial: StateId,
 }
 
@@ -563,22 +470,74 @@ impl CompiledPipeline {
     /// [`StageTable::new`] — so lowering is correct even if the public
     /// `entries` field was mutated without a `reindex`.
     pub fn lower(pipeline: &Pipeline) -> CompiledPipeline {
+        let mut ids: Vec<StateId> = pipeline
+            .stages
+            .iter()
+            .flat_map(|st| &st.entries)
+            .flat_map(|e| [e.state, e.next])
+            .chain(pipeline.leaf.actions.keys().copied())
+            .chain([pipeline.initial])
+            .collect();
+        ids.sort_unstable();
+        ids.dedup();
+        let dense = |s: StateId| {
+            ids.binary_search(&s).expect("every mentioned id was collected") as StateId
+        };
+
         let mut slots: Vec<Operand> = Vec::new();
-        let mut stages = Vec::with_capacity(pipeline.stages.len());
-        for stage in &pipeline.stages {
-            let slot = match slots.iter().position(|o| o == &stage.operand) {
-                Some(i) => i,
-                None => {
-                    slots.push(stage.operand.clone());
-                    slots.len() - 1
+        let mut rows: Vec<Row> = ids.iter().map(|_| Row::empty()).collect();
+        // Last row of each state's chain so far; `NO_ROW` while the
+        // state's own `rows[s]` is still the empty placeholder.
+        let mut tail = vec![NO_ROW; ids.len()];
+        for (si, stage) in pipeline.stages.iter().enumerate() {
+            let slot = slots.iter().position(|o| o == &stage.operand).unwrap_or_else(|| {
+                slots.push(stage.operand.clone());
+                slots.len() - 1
+            });
+            let order = scan_order(stage);
+            for run in order.chunk_by(|&a, &b| stage.entries[a].state == stage.entries[b].state) {
+                let s = dense(stage.entries[run[0]].state) as usize;
+                let group = Group::lower(run.iter().map(|&k| {
+                    let e = &stage.entries[k];
+                    (&e.spec, dense(e.next))
+                }));
+                let row = Row {
+                    stage: si as u32,
+                    slot: slot as u32,
+                    link: NO_ROW,
+                    fast: FastProbe::of(&group),
+                    group,
+                };
+                // Stages are visited in order, so each chain is
+                // stage-ascending.
+                if tail[s] == NO_ROW {
+                    rows[s] = row;
+                    tail[s] = s as u32;
+                } else {
+                    let at = rows.len() as u32;
+                    rows[tail[s] as usize].link = at;
+                    tail[s] = at;
+                    rows.push(row);
                 }
-            };
-            stages.push(lower_stage(stage, slot as u32));
+            }
         }
+
         let mut actions = vec![pipeline.leaf.default.clone()];
-        let leaf = LeafIndex::build(&pipeline.leaf, &mut actions);
-        let jump = JumpIndex::build(&stages);
-        CompiledPipeline { slots, stages, jump, leaf, actions, initial: pipeline.initial }
+        let mut leaf = vec![ActionId::DEFAULT; ids.len()];
+        let mut leaf_states: Vec<StateId> = pipeline.leaf.actions.keys().copied().collect();
+        leaf_states.sort_unstable();
+        for s in leaf_states {
+            leaf[dense(s) as usize] = ActionId(actions.len() as u32);
+            actions.push(pipeline.leaf.actions[&s].0.clone());
+        }
+        CompiledPipeline {
+            slots,
+            depth: pipeline.stages.len() as u32,
+            rows,
+            leaf,
+            actions,
+            initial: dense(pipeline.initial),
+        }
     }
 
     /// The interned operands, in slot order. The parser resolves each
@@ -599,7 +558,7 @@ impl CompiledPipeline {
 
     /// Number of match stages (pipeline depth, excluding the leaf).
     pub fn depth(&self) -> usize {
-        self.stages.len()
+        self.depth as usize
     }
 
     /// Evaluate one message given its slot-indexed values.
@@ -612,316 +571,73 @@ impl CompiledPipeline {
 
     /// [`eval`](Self::eval), accumulating hit/miss/scan counters.
     ///
-    /// Flattened dispatch: follow the jump row for the current state
-    /// instead of probing every stage. Stages skipped between
-    /// transitions have no entry for the state — guaranteed §V-D
-    /// pass-throughs — so they are bulk-counted as misses and the
-    /// hit/miss totals stay identical to the stage walk
-    /// (`hits + misses == depth` per message); only `entries_scanned`
-    /// drops, which is the measured improvement.
+    /// Flattened dispatch: follow the current state's rows instead of
+    /// probing every stage. Stages skipped between transitions have no
+    /// entry for the state — guaranteed §V-D pass-throughs — so they
+    /// are bulk-counted as misses (`hits + misses == depth` per
+    /// message) and `entries_scanned` counts only the probes made.
     #[inline]
     pub fn eval_counted(&self, values: &[Option<Value>], counters: &mut EvalCounters) -> ActionId {
-        match &self.jump {
-            JumpIndex::Unit { rows } => self.eval_jump_unit(rows, values, counters),
-            JumpIndex::Dense { offsets, rows } => self.eval_jump(rows, values, counters, |s| {
-                if s + 1 < offsets.len() {
-                    (offsets[s] as usize, offsets[s + 1] as usize)
-                } else {
-                    (0, 0)
-                }
-            }),
-            JumpIndex::Walk => self.eval_walked(values, counters),
-        }
-    }
-
-    /// The flattened-dispatch hot loop for the one-row-per-state
-    /// layout: `rows[state]` is the only stage that can transition the
-    /// current state, so each step is one arithmetic row locate, one
-    /// cursor compare, and one probe — no inner scan.
-    #[inline]
-    fn eval_jump_unit(
-        &self,
-        rows: &[JumpRow],
-        values: &[Option<Value>],
-        counters: &mut EvalCounters,
-    ) -> ActionId {
-        let depth = self.stages.len() as u32;
+        let rows = &self.rows[..];
+        let depth = self.depth;
         let mut state = self.initial;
         let mut pos: u32 = 0;
         // Accumulate in registers; one write-back on exit.
         let mut hits: u64 = 0;
         let mut misses: u64 = 0;
         let mut scanned = counters.entries_scanned;
-        while pos < depth {
-            // A row behind the cursor was consumed by a probe under
-            // this state's predecessor (or a previous miss): with one
-            // row per state, no later stage can transition the state,
-            // so the rest of the pipeline passes it through.
-            let s = state as usize;
-            if s >= rows.len() {
-                misses += u64::from(depth - pos);
-                break;
-            }
-            let e = &rows[s];
-            if e.stage < pos {
-                misses += u64::from(depth - pos);
-                break;
-            }
-            misses += u64::from(e.stage - pos);
-            let value = values[e.slot as usize].as_ref();
-            match probe_row(e, value, &mut scanned) {
-                Some(next) => {
-                    hits += 1;
-                    pos = e.stage + 1;
-                    state = next;
-                }
-                // Probe miss: the next iteration's cursor check turns
-                // the remaining stages into pass-throughs.
-                None => {
-                    misses += 1;
-                    pos = e.stage + 1;
-                }
-            }
-        }
-        counters.stage_hits += hits;
-        counters.stage_misses += misses;
-        counters.entries_scanned = scanned;
-        self.leaf.lookup(state)
-    }
-
-    /// The flattened-dispatch hot loop, generic over how a state's row
-    /// bounds are located (CSR offsets today).
-    /// `inline(always)`: the `bounds` closure must fold into the loop —
-    /// an out-of-line call per transition costs more than the loads it
-    /// saves.
-    #[inline(always)]
-    fn eval_jump(
-        &self,
-        rows: &[JumpRow],
-        values: &[Option<Value>],
-        counters: &mut EvalCounters,
-        bounds: impl Fn(usize) -> (usize, usize),
-    ) -> ActionId {
-        let depth = self.stages.len() as u32;
-        let mut state = self.initial;
-        let mut pos: u32 = 0;
-        // Accumulate in registers; one write-back on exit.
-        let mut hits: u64 = 0;
-        let mut misses: u64 = 0;
-        let mut scanned = counters.entries_scanned;
-        while pos < depth {
-            let (mut i, end) = bounds(state as usize);
-            let mut advanced = false;
-            while i < end {
-                let e = &rows[i];
-                // Rows are stage-ascending; entries behind the cursor
-                // belong to stages already evaluated under this state's
-                // predecessors.
-                if e.stage >= pos {
-                    misses += u64::from(e.stage - pos);
-                    let value = values[e.slot as usize].as_ref();
-                    match probe_row(e, value, &mut scanned) {
-                        Some(next) => {
-                            hits += 1;
-                            pos = e.stage + 1;
-                            state = next;
-                            advanced = true;
-                            break;
-                        }
-                        // Probe miss: the value matched no entry; stay
-                        // on this state's row.
-                        None => {
-                            misses += 1;
-                            pos = e.stage + 1;
-                        }
+        'transition: while pos < depth {
+            let mut row = &rows[state as usize];
+            loop {
+                // A row behind the cursor belongs to a stage already
+                // evaluated under this state's predecessors.
+                if row.stage >= pos {
+                    misses += u64::from(row.stage - pos);
+                    pos = row.stage + 1;
+                    let value = values[row.slot as usize].as_ref();
+                    if let Some(next) = row.probe(value, &mut scanned) {
+                        hits += 1;
+                        state = next;
+                        continue 'transition;
                     }
+                    misses += 1;
                 }
-                i += 1;
-            }
-            if !advanced {
-                // No further stage can transition this state: the rest
-                // of the pipeline passes it through.
-                misses += u64::from(depth - pos);
-                break;
+                // Only a later stage's row can still transition the
+                // state; without one the rest of the pipeline passes it
+                // through.
+                match rows.get(row.link as usize) {
+                    Some(later) => row = later,
+                    None => break 'transition,
+                }
             }
         }
         counters.stage_hits += hits;
-        counters.stage_misses += misses;
+        counters.stage_misses += misses + u64::from(depth - pos);
         counters.entries_scanned = scanned;
-        self.leaf.lookup(state)
-    }
-
-    /// Depth-linear stage walk: the fallback when state ids are too
-    /// sparse for the dense jump index.
-    #[inline]
-    fn eval_walked(&self, values: &[Option<Value>], counters: &mut EvalCounters) -> ActionId {
-        let mut state = self.initial;
-        for stage in &self.stages {
-            let value = values[stage.slot as usize].as_ref();
-            match lookup_stage(stage, state, value, &mut counters.entries_scanned) {
-                Some(next) => {
-                    counters.stage_hits += 1;
-                    state = next;
-                }
-                // Pass-through: the state belongs to a later component.
-                None => counters.stage_misses += 1,
-            }
-        }
-        self.leaf.lookup(state)
+        self.leaf[state as usize]
     }
 
     /// Total entries across all lowered stages (diagnostics).
     pub fn total_entries(&self) -> usize {
-        self.stages
-            .iter()
-            .map(|st| {
-                st.groups
-                    .iter()
-                    .map(|g| {
-                        g.int_exact.len()
-                            + g.str_exact.len()
-                            + g.str_prefix.len()
-                            + g.ranges.len()
-                            + usize::from(g.any.is_some())
-                    })
-                    .sum::<usize>()
-            })
-            .sum()
+        self.rows.iter().map(|row| row.group.len()).sum()
     }
 }
 
-/// Probe one jump row: the precomputed fast path when it applies,
-/// [`Group::lookup`] otherwise. Counter-exact either way.
-#[inline(always)]
-fn probe_row(row: &JumpRow, value: Option<&Value>, scanned: &mut u64) -> Option<StateId> {
-    if let (FastProbe::IntSingle { lo, hi, next, any_next }, Some(Value::Int(x))) =
-        (&row.fast, value)
-    {
-        *scanned += 1;
-        return if *lo <= *x && *x <= *hi {
-            Some(*next)
-        } else {
-            // The range missed: the only remaining probe is `Any`.
-            *scanned += 1;
-            *any_next
-        };
-    }
-    row.group.lookup(value, scanned)
-}
-
-#[inline]
-fn lookup_stage(
-    stage: &CompiledStage,
-    state: StateId,
-    value: Option<&Value>,
-    scanned: &mut u64,
-) -> Option<StateId> {
-    *scanned += bsearch_cost(stage.states.len());
-    let i = stage.states.binary_search(&state).ok()?;
-    stage.groups[i].lookup(value, scanned)
-}
-
-fn lower_stage(stage: &StageTable, slot: u32) -> CompiledStage {
-    // Canonical scan order, independent of the pub `entries` order.
+/// A stage's entry indices in canonical scan order, independent of the
+/// order of the pub `entries` field.
+fn scan_order(stage: &StageTable) -> Vec<usize> {
     let mut order: Vec<usize> = (0..stage.entries.len()).collect();
     order.sort_by(|&a, &b| {
         let (ea, eb) = (&stage.entries[a], &stage.entries[b]);
         ea.state.cmp(&eb.state).then(eb.spec.priority().cmp(&ea.spec.priority()))
     });
-
-    let mut states: Vec<StateId> = Vec::new();
-    let mut groups: Vec<Group> = Vec::new();
-    let mut i = 0;
-    while i < order.len() {
-        let state = stage.entries[order[i]].state;
-        let mut j = i;
-        while j < order.len() && stage.entries[order[j]].state == state {
-            j += 1;
-        }
-        states.push(state);
-        groups.push(lower_group(
-            order[i..j]
-                .iter()
-                .map(|&k| &stage.entries[k].spec)
-                .zip(order[i..j].iter().map(|&k| stage.entries[k].next)),
-        ));
-        i = j;
-    }
-    CompiledStage { slot, states, groups }
-}
-
-/// Build one state's match group from its entries in scan order.
-fn lower_group<'a, I>(entries: I) -> Group
-where
-    I: Iterator<Item = (&'a MatchSpec, StateId)>,
-{
-    let mut int_exact: Vec<(i64, StateId)> = Vec::new();
-    let mut str_exact: Vec<(String, StateId)> = Vec::new();
-    let mut str_prefix: Vec<(String, StateId)> = Vec::new();
-    let mut ranges: Vec<(i64, i64, StateId)> = Vec::new();
-    let mut any: Option<StateId> = None;
-    for (spec, next) in entries {
-        match spec {
-            // Duplicate keys: the first entry in scan order wins, so
-            // later duplicates are unreachable and dropped.
-            MatchSpec::IntExact(v) => {
-                if !int_exact.iter().any(|(k, _)| k == v) {
-                    int_exact.push((*v, next));
-                }
-            }
-            MatchSpec::StrExact(s) => {
-                if !str_exact.iter().any(|(k, _)| k == s) {
-                    str_exact.push((s.clone(), next));
-                }
-            }
-            // Scan order is length-descending (priority = 1M + len),
-            // stable within a length — keep it for first-match scans.
-            MatchSpec::StrPrefix(p) => str_prefix.push((p.clone(), next)),
-            MatchSpec::IntRange(lo, hi) => {
-                // Empty ranges can never match.
-                if lo <= hi {
-                    ranges.push((*lo, *hi, next));
-                }
-            }
-            MatchSpec::Any => {
-                if any.is_none() {
-                    any = Some(next);
-                }
-            }
-        }
-    }
-    int_exact.sort_by_key(|&(k, _)| k);
-    str_exact.sort_by(|a, b| a.0.cmp(&b.0));
-    let ranges = index_ranges(ranges);
-    Group {
-        int_exact: IntIndex::build(int_exact),
-        str_exact: StrIndex::build(str_exact),
-        str_prefix,
-        ranges,
-        any,
-    }
-}
-
-/// Choose the range dispatch strategy: binary search when the ranges
-/// are pairwise disjoint, priority-scan order otherwise.
-fn index_ranges(ranges: Vec<(i64, i64, StateId)>) -> RangeIndex {
-    if let [(lo, hi, next)] = ranges[..] {
-        return RangeIndex::Single(lo, hi, next);
-    }
-    let mut sorted = ranges.clone();
-    sorted.sort_by_key(|&(lo, _, _)| lo);
-    let disjoint = sorted.windows(2).all(|w| w[0].1 < w[1].0);
-    if disjoint {
-        RangeIndex::Disjoint(sorted)
-    } else {
-        RangeIndex::Ordered(ranges)
-    }
+    order
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{MatchKind, TableEntry};
+    use crate::pipeline::{LeafTable, MatchKind, TableEntry};
     use std::collections::HashMap;
 
     fn op(name: &str) -> Operand {
@@ -1025,21 +741,48 @@ mod tests {
 
     #[test]
     fn duplicate_exact_keys_keep_first_in_scan_order() {
-        // Two IntExact(7) entries: StageTable::new's stable sort keeps
-        // input order, so the interpreter hits next=1 first.
-        let p = Pipeline {
-            stages: vec![StageTable::new(
-                op("x"),
-                MatchKind::Exact,
-                vec![
-                    TableEntry { state: 0, spec: MatchSpec::IntExact(7), next: 1 },
-                    TableEntry { state: 0, spec: MatchSpec::IntExact(7), next: 2 },
+        // Every key appears twice with different targets;
+        // StageTable::new's stable sort keeps input order, so the
+        // interpreter hits the first. One key per group exercises the
+        // sorted index, 2 × HASH_MIN_KEYS the open-addressed one; state
+        // 0 owns both stages, so the string row hangs off the int row.
+        for keys in [1, 2 * HASH_MIN_KEYS as i64] {
+            let twice = |spec: fn(i64) -> MatchSpec, first: StateId| -> Vec<TableEntry> {
+                (0..keys)
+                    .flat_map(|k| [(k, first), (k, first + 1)])
+                    .map(|(k, next)| TableEntry { state: 0, spec: spec(k), next })
+                    .collect()
+            };
+            let p = Pipeline {
+                stages: vec![
+                    StageTable::new(op("x"), MatchKind::Exact, twice(MatchSpec::IntExact, 1)),
+                    StageTable::new(
+                        op("s"),
+                        MatchKind::Exact,
+                        twice(|k| MatchSpec::StrExact(format!("K{k}")), 3),
+                    ),
                 ],
-            )],
-            leaf: leaf(&[(1, Action::Forward(vec![1])), (2, Action::Forward(vec![2]))]),
-            initial: 0,
-        };
-        assert_equivalent(&p, &[HashMap::from([("x".to_string(), Value::Int(7))])]);
+                leaf: leaf(
+                    &(1..=4).map(|s| (s, Action::Forward(vec![s as u16]))).collect::<Vec<_>>(),
+                ),
+                initial: 0,
+            };
+            let c = CompiledPipeline::lower(&p);
+            let hashed = keys as usize >= HASH_MIN_KEYS;
+            let str_row = &c.rows[c.rows[0].link as usize];
+            assert_eq!(matches!(c.rows[0].group.int_exact, ExactIndex::Hashed(_)), hashed);
+            assert_eq!(matches!(str_row.group.str_exact, ExactIndex::Hashed(_)), hashed);
+            assert_eq!(c.total_entries(), 2 * keys as usize);
+            for k in 0..keys {
+                let (x, s) = (Value::Int(k), Value::Str(format!("K{k}")));
+                assert_eq!(c.action(c.eval(&[Some(x.clone()), None])), &Action::Forward(vec![1]));
+                assert_eq!(c.action(c.eval(&[None, Some(s.clone())])), &Action::Forward(vec![3]));
+                assert_equivalent(
+                    &p,
+                    &[HashMap::from([("x".to_string(), x)]), HashMap::from([("s".to_string(), s)])],
+                );
+            }
+        }
     }
 
     #[test]
@@ -1156,7 +899,7 @@ mod tests {
 
     #[test]
     fn sparse_leaf_beyond_dense_limit() {
-        let far = DENSE_LEAF_LIMIT + 5;
+        let far = (1 << 22) + 5;
         let p = Pipeline {
             stages: vec![StageTable::new(
                 op("x"),
@@ -1167,7 +910,6 @@ mod tests {
             initial: 0,
         };
         let c = CompiledPipeline::lower(&p);
-        assert!(matches!(c.leaf, LeafIndex::Sparse(_)));
         assert_eq!(c.action(c.eval(&[Some(Value::Int(1))])), &Action::Forward(vec![9]));
         assert_eq!(c.action(c.eval(&[Some(Value::Int(2))])), &Action::Drop);
     }

@@ -16,6 +16,10 @@ use camus_lang::ast::Rule;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
+/// Name of a thread whose stack is [`DEEP_STACK`]-sized: the compiler's
+/// own and the network compile pool's workers.
+const DEEP_THREAD: &str = "camus-compile";
+
 /// Compiler tunables.
 #[derive(Debug, Clone)]
 pub struct CompilerConfig {
@@ -201,13 +205,21 @@ impl Compiler {
         Ok((self.finish(emitted?, start), state))
     }
 
-    /// Run `f` on a dedicated thread with a [`DEEP_STACK`]-sized stack
-    /// (BDD recursion depth is bounded by the longest variable band,
-    /// which can reach the rule count).
+    /// Run `f` on a thread with a [`DEEP_STACK`]-sized stack (BDD
+    /// recursion depth is bounded by the longest variable band, which
+    /// can reach the rule count): here, if the caller already is one —
+    /// `camus_routing::par` workers carry this stack under this name —
+    /// else on a dedicated thread. A thread per compile under the pool
+    /// moved every unit's tables to whichever allocator arena the last
+    /// exited thread left free, so the heap a deploy retains differed
+    /// from run to run (EXPERIMENTS.md "Ledger — one lowered form").
     fn on_deep_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+        if std::thread::current().name() == Some(DEEP_THREAD) {
+            return f();
+        }
         std::thread::scope(|scope| {
             std::thread::Builder::new()
-                .name("camus-compile".into())
+                .name(DEEP_THREAD.into())
                 .stack_size(DEEP_STACK)
                 .spawn_scoped(scope, f)
                 .expect("spawn compile thread")
@@ -333,6 +345,20 @@ mod tests {
         });
         assert_eq!(act, Action::Forward(vec![1, 2]));
         assert_eq!(c.multicast.group_count(), 1);
+    }
+
+    #[test]
+    fn a_deep_thread_compiles_in_place() {
+        let hops = || Compiler::on_deep_stack(|| std::thread::current().id());
+        assert_ne!(hops(), std::thread::current().id(), "a plain thread hops");
+        let (own, ran_on) = std::thread::Builder::new()
+            .name(DEEP_THREAD.into())
+            .stack_size(DEEP_STACK)
+            .spawn(move || (std::thread::current().id(), hops()))
+            .unwrap()
+            .join()
+            .unwrap();
+        assert_eq!(own, ran_on, "a deep-stack thread does not spawn another");
     }
 
     #[test]

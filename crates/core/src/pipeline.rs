@@ -115,9 +115,10 @@ pub struct StageTable {
     pub kind: MatchKind,
     /// Entries sorted per state by descending priority at build time.
     pub entries: Vec<TableEntry>,
-    /// Lookup index: state → entry indices (priority-ordered).
+    /// Lookup index: state → the range of `entries` it owns (sorting
+    /// makes a state's entries adjacent, in priority order).
     #[serde(skip)]
-    index: HashMap<StateId, Vec<usize>>,
+    index: HashMap<StateId, (usize, usize)>,
 }
 
 impl StageTable {
@@ -138,16 +139,15 @@ impl StageTable {
             .sort_by(|a, b| a.state.cmp(&b.state).then(b.spec.priority().cmp(&a.spec.priority())));
         self.index.clear();
         for (i, e) in self.entries.iter().enumerate() {
-            self.index.entry(e.state).or_default().push(i);
+            self.index.entry(e.state).or_insert((i, i)).1 = i + 1;
         }
     }
 
     /// Look up the transition for `(state, value)`. `None` is a miss:
     /// the state passes through unchanged.
     pub fn lookup(&self, state: StateId, value: Option<&Value>) -> Option<StateId> {
-        let idxs = self.index.get(&state)?;
-        for &i in idxs {
-            let e = &self.entries[i];
+        let &(start, end) = self.index.get(&state)?;
+        for e in &self.entries[start..end] {
             let hit = match value {
                 Some(v) => e.spec.matches(v),
                 // A packet without the attribute can only take Any

@@ -176,9 +176,10 @@ pub fn bdd_to_pipeline(bdd: &Bdd, mcast: &mut MulticastAllocator) -> Result<Pipe
         };
         let kind = kinds[gid];
         let mut entries = Vec::new();
-        let mut misses: HashMap<StateId, StateId> = HashMap::new();
         for &u in ins {
             let ustate = states[&NodeRef::Node(u)];
+            let first = entries.len();
+            let mut miss = None;
             // DFS within the component, accumulating the region.
             let mut stack: Vec<(NodeRef, Region, bool)> =
                 vec![(NodeRef::Node(u), Region::Unconstrained, true)];
@@ -203,12 +204,24 @@ pub fn bdd_to_pipeline(bdd: &Bdd, mcast: &mut MulticastAllocator) -> Result<Pipe
                 // `exit` leaves the component: emit entries.
                 let vstate = states[&exit];
                 if all_false {
-                    misses.insert(ustate, vstate);
+                    miss = Some(vstate);
                 }
                 emit_entries(&mut entries, ustate, &region, vstate, kind);
             }
+            // Miss transition: the exit of the all-false path is where a
+            // packet lacking the attribute must go. A state whose paths
+            // emitted no `Any` gets one as an explicit lowest-priority
+            // entry — for attribute-carrying packets the region entries
+            // match first (they tile the domain), so the extra wildcard
+            // is only reachable on a genuine miss. Its `(state, priority)`
+            // is unique, so the table's sort places it the same wherever
+            // it is pushed.
+            let has_any = entries[first..].iter().any(|e| matches!(e.spec, MatchSpec::Any));
+            if let (Some(next), false) = (miss, has_any) {
+                entries.push(TableEntry { state: ustate, spec: MatchSpec::Any, next });
+            }
         }
-        stages.push((StageTable::new(operand.clone(), kind, entries), misses));
+        stages.push(StageTable::new(operand.clone(), kind, entries));
     }
 
     // ---- leaf table ----------------------------------------------------------
@@ -251,19 +264,7 @@ pub fn bdd_to_pipeline(bdd: &Bdd, mcast: &mut MulticastAllocator) -> Result<Pipe
         }
     }
 
-    // Attach miss transitions by materialising them as lowest-priority
-    // Any entries *only when the all-false region was not already an
-    // Any entry*; plus an explicit miss map for absent attributes.
-    let mut final_stages = Vec::new();
-    for (stage, misses) in stages {
-        final_stages.push(attach_misses(stage, misses));
-    }
-
-    Ok(Pipeline {
-        stages: final_stages,
-        leaf: LeafTable { actions, default: Action::Drop },
-        initial: STATE_INIT,
-    })
+    Ok(Pipeline { stages, leaf: LeafTable { actions, default: Action::Drop }, initial: STATE_INIT })
 }
 
 /// Fold one tested predicate into a stage's match kind (§V-E: exact
@@ -334,28 +335,6 @@ fn emit_entries(
             }
         }
     }
-}
-
-/// Fold miss transitions into the stage: a state whose all-false path
-/// region was *not* emitted as `Any` gets an explicit miss entry used
-/// for packets lacking the attribute. We reuse `MatchSpec::Any` with
-/// the lowest priority — for attribute-carrying packets the region
-/// entries match first (they tile the domain), so the extra wildcard is
-/// only reachable on a genuine miss.
-fn attach_misses(stage: StageTable, misses: HashMap<StateId, StateId>) -> StageTable {
-    let mut entries = stage.entries.clone();
-    // Sorted so the appended wildcard entries land in a deterministic
-    // order (entry vectors are compared structurally by the incremental
-    // recompilation tests).
-    let mut misses: Vec<(StateId, StateId)> = misses.into_iter().collect();
-    misses.sort_unstable();
-    for (state, next) in misses {
-        let has_any = entries.iter().any(|e| e.state == state && matches!(e.spec, MatchSpec::Any));
-        if !has_any {
-            entries.push(TableEntry { state, spec: MatchSpec::Any, next });
-        }
-    }
-    StageTable::new(stage.operand, stage.kind, entries)
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@
 
 use std::collections::HashMap;
 
-use camus_core::compiled::CompiledPipeline;
+use camus_core::compiled::{CompiledPipeline, EvalCounters};
 use camus_core::compiler::Compiler;
 use camus_core::pipeline::{
     LeafTable, MatchKind, MatchSpec, Pipeline, StageTable, TableEntry, STATE_INIT,
@@ -23,13 +23,17 @@ use camus_lang::ast::{Action, Expr, Operand, Predicate, Rel, Rule};
 use camus_lang::value::Value;
 use proptest::prelude::*;
 
-/// Evaluate a pipeline through the compiled path.
+/// Evaluate a pipeline through the compiled path. Every stage is
+/// accounted as exactly one hit or one miss, whatever was skipped.
 fn eval_compiled(
     compiled: &CompiledPipeline,
     lookup: impl Fn(&Operand) -> Option<Value>,
 ) -> Action {
     let values: Vec<Option<Value>> = compiled.slots().iter().map(&lookup).collect();
-    compiled.action(compiled.eval(&values)).clone()
+    let mut counters = EvalCounters::default();
+    let id = compiled.eval_counted(&values, &mut counters);
+    assert_eq!(counters.stage_hits + counters.stage_misses, compiled.depth() as u64);
+    compiled.action(id).clone()
 }
 
 /// Strategy: one table entry spec over a small typed universe,
@@ -47,10 +51,17 @@ fn arb_spec() -> impl Strategy<Value = MatchSpec> {
     ]
 }
 
-const N_STATES: u32 = 5;
+/// The state universe: the small ids the compiler emits plus ids a
+/// hand-written pipeline may use — far past any dense table, and the
+/// `u32::MAX` the exact index uses as its free-slot mark.
+const STATES: [u32; 8] = [0, 1, 2, 3, 4, 1 << 22, (1 << 22) + 5, u32::MAX];
+
+fn arb_state() -> impl Strategy<Value = u32> {
+    (0..STATES.len()).prop_map(|i| STATES[i])
+}
 
 fn arb_entries() -> impl Strategy<Value = Vec<TableEntry>> {
-    prop::collection::vec((0..N_STATES, arb_spec(), 0..N_STATES), 0..12).prop_map(|v| {
+    prop::collection::vec((arb_state(), arb_spec(), arb_state()), 0..12).prop_map(|v| {
         v.into_iter().map(|(state, spec, next)| TableEntry { state, spec, next }).collect()
     })
 }
@@ -67,7 +78,7 @@ fn arb_pipeline() -> impl Strategy<Value = Pipeline> {
             })
             .collect();
         let mut actions = HashMap::new();
-        for s in 0..N_STATES {
+        for s in STATES {
             if s % 2 == 1 {
                 actions.insert(s, (Action::Forward(vec![s as u16]), None));
             }
