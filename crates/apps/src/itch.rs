@@ -131,6 +131,32 @@ mod tests {
     }
 
     #[test]
+    fn fan_out_rules_compile_symbol_first() {
+        // The ledger benchmark's fan-out shape: 100 symbols × 8 ports,
+        // `stock == S and price > t`, one threshold per port and symbol
+        // spread over the 1..=2000 price range. The spec declares
+        // `price` above `stock`; compiled in that order the price bands
+        // cross every symbol (56 040 entries). Every rule tests `stock`
+        // with `==`, so the fitted order puts the symbol band on top
+        // with eight price tests under each symbol (1 159).
+        let app = ItchApp::new();
+        let rules: Vec<Rule> = (0..100i64)
+            .flat_map(|s| {
+                let stock = if s == 0 { "GOOGL".to_string() } else { format!("S{s:04}") };
+                (0..8i64).map(move |k| {
+                    let floor = k * 250 + (s * 37) % 219 + (s * 7 + k * 13) % 31;
+                    ItchApp::subscription(&stock, floor, (s + k) as u16 % 8 + 1)
+                })
+            })
+            .collect();
+        assert_eq!(rules.len(), 800);
+        let compiled = Compiler::new().with_static(app.statics).compile(&rules).unwrap();
+        let entries = compiled.report.total_entries;
+        assert!(entries <= 2_000, "800 fan-out rules compiled to {entries} entries");
+        assert_eq!(compiled.pipeline.stages[0].operand.key(), "stock");
+    }
+
+    #[test]
     fn moldudp_header_is_preserved() {
         let app = ItchApp::new();
         let o = ItchOrder { stock: "GOOGL".into(), price: 1, shares: 1, side: 'S' };

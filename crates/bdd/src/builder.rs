@@ -33,7 +33,8 @@ impl<'a> BddBuilder<'a> {
         BddBuilder { rules, order: VarOrder::empty() }
     }
 
-    /// Use an explicit field order (e.g. from the header spec).
+    /// Use a field order: a [`VarOrder::tie_break`] (what a header spec
+    /// yields) is fitted to the rules, any other order is used verbatim.
     pub fn with_order(mut self, order: VarOrder) -> Self {
         self.order = order;
         self

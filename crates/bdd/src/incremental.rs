@@ -33,7 +33,7 @@
 //! the returned [`NodeRemap`] is applied back, keeping allocation
 //! within a constant factor of the reachable size.
 
-use crate::order::{operand_rank, pred_sort_key, VarOrder};
+use crate::order::{operand_rank, pred_sort_key, FieldStats, VarOrder};
 use crate::store::{Bdd, NodeRef, PredId, RuleId, TermId};
 use camus_lang::ast::{Action, Predicate, Rel, Rule};
 use camus_lang::dnf::{to_dnf, Conjunction, Dnf};
@@ -195,14 +195,26 @@ fn union_all(bdd: &mut Bdd, mut items: Vec<NodeRef>) -> NodeRef {
 /// How one conjunction of an inserted rule is attached to the diagram.
 #[derive(Debug, Clone)]
 enum Part {
-    /// A slot in the miscellaneous chain list.
-    Misc(usize),
+    /// A slot in the miscellaneous chain list, and the chain's atoms.
+    Misc { slot: usize, atoms: Vec<PredId> },
     /// A single equality: a direct label on its band member.
     EqDirect { pred: PredId },
     /// An equality head with a residual chain hanging off the member's
     /// hi branch. `tail` keeps predicate ids (stable across splices),
     /// so removal can deterministically rebuild the same tail ref.
     EqTail { pred: PredId, tail: Vec<PredId> },
+}
+
+impl Part {
+    /// Every atom of the conjunction this part attached.
+    fn preds(&self) -> impl Iterator<Item = PredId> + '_ {
+        let (head, rest): (Option<PredId>, &[PredId]) = match self {
+            Part::Misc { atoms, .. } => (None, atoms),
+            Part::EqDirect { pred } => (Some(*pred), &[]),
+            Part::EqTail { pred, tail } => (Some(*pred), tail),
+        };
+        head.into_iter().chain(rest.iter().copied())
+    }
 }
 
 /// One inserted occurrence of a rule (duplicates each get their own).
@@ -269,6 +281,8 @@ pub struct IncrementalBdd {
     label_refs: Vec<u32>,
     free_labels: Vec<RuleId>,
     rule_count: usize,
+    /// How the live rules use their fields: what the order is fitted to.
+    stats: FieldStats,
     roots_buf: Vec<NodeRef>,
 }
 
@@ -297,11 +311,21 @@ impl IncrementalBdd {
     /// by balanced union and the bands folded over the result bottom-up
     /// in level order.
     ///
+    /// `order` is first fitted to the list ([`VarOrder::fit`]: a
+    /// tie-break order puts the fields every rule tests on top), and the
+    /// fitted order is the one the alphabet records, so churn splices
+    /// keep it.
+    ///
     /// `track` records what churn needs to retract a rule later (its
     /// digest and the chain slices it occupies). Without it the result
     /// is only good for its diagram.
     pub(crate) fn bulk(rules: &[Rule], order: &VarOrder, track: bool) -> IncrementalBdd {
         let dnfs: Vec<Dnf> = rules.iter().map(|r| to_dnf(&r.filter)).collect();
+        let mut stats = FieldStats::default();
+        for dnf in &dnfs {
+            stats.count(dnf.terms.iter().flat_map(|c| &c.atoms), true);
+        }
+        let order = &order.fit(&stats);
 
         // The predicate alphabet: field group rank, then the canonical
         // within-field order.
@@ -333,6 +357,7 @@ impl IncrementalBdd {
             label_refs: Vec::new(),
             free_labels: Vec::new(),
             rule_count: rules.len(),
+            stats,
             roots_buf: Vec::new(),
         };
 
@@ -359,7 +384,7 @@ impl IncrementalBdd {
                     }
                     Class::Misc => {
                         let chain = chain_ref(&mut inc.bdd, &pids, label);
-                        Part::Misc(inc.alloc_misc(chain))
+                        Part::Misc { slot: inc.alloc_misc(chain), atoms: pids }
                     }
                 });
             }
@@ -395,6 +420,7 @@ impl IncrementalBdd {
         let digest = rule_digest(rule);
         let label = self.intern_label(&rule.action);
         let dnf = to_dnf(&rule.filter);
+        self.stats.count(dnf.terms.iter().flat_map(|c| &c.atoms), true);
         let mut parts = Vec::with_capacity(dnf.terms.len());
         let mut misc_dirty = false;
         for conj in &dnf.terms {
@@ -427,7 +453,7 @@ impl IncrementalBdd {
                     let chain = chain_ref(&mut self.bdd, &pids, label);
                     let slot = self.alloc_misc(chain);
                     misc_dirty = true;
-                    parts.push(Part::Misc(slot));
+                    parts.push(Part::Misc { slot, atoms: pids });
                 }
             }
         }
@@ -452,10 +478,12 @@ impl IncrementalBdd {
         if insts.is_empty() {
             self.instances.remove(&digest);
         }
+        let bdd = &self.bdd;
+        self.stats.count(inst.parts.iter().flat_map(Part::preds).map(|p| bdd.pred(p)), false);
         let mut misc_dirty = false;
         for part in &inst.parts {
             match part {
-                Part::Misc(slot) => {
+                Part::Misc { slot, .. } => {
                     self.misc[*slot] = EMPTY;
                     self.free_misc.push(*slot);
                     misc_dirty = true;
@@ -496,6 +524,14 @@ impl IncrementalBdd {
     /// The live rule multiset: each held digest with its occurrences.
     pub fn digest_counts(&self) -> impl Iterator<Item = (u64, usize)> + '_ {
         self.instances.iter().map(|(&d, v)| (d, v.len()))
+    }
+
+    /// Whether `order`, fitted to the rules held now, is still the order
+    /// the diagram was built with. O(fields): the fit reads counts kept
+    /// per insert and removal. When it is not, a scratch build of the
+    /// live list would order its fields differently.
+    pub fn fits(&self, order: &VarOrder) -> bool {
+        order.fit(&self.stats) == *self.bdd.var_order()
     }
 
     /// Reachable nodes via the store's reusable scratch.

@@ -6,8 +6,16 @@
 //! field-specific components; the field order itself is a heuristic
 //! choice (§V-C: "determining an optimal field order is NP-hard, but
 //! simple heuristics often work well").
+//!
+//! The heuristic here is chosen from the rule list, not from the spec
+//! alone: a *tie-break* order ([`VarOrder::tie_break`], what a header
+//! spec yields) is fitted to each list the bulk constructor is given.
+//! Fields every rule tests go first, equality-only ones before ranged
+//! ones. `stock == S and price > t` over a spec declaring `price` first
+//! then builds one `stock` band with a few `price` tests under each
+//! symbol, instead of a cross product of price bands and symbols.
 
-use camus_lang::ast::{Operand, Predicate, Rel, Rule};
+use camus_lang::ast::{Operand, Predicate, Rel};
 use camus_lang::value::Value;
 use std::collections::HashMap;
 
@@ -20,6 +28,9 @@ use std::collections::HashMap;
 pub struct VarOrder {
     keys: Vec<String>,
     rank: HashMap<String, usize>,
+    /// A tie-break order is fitted to each rule list ([`VarOrder::fit`]);
+    /// any other order is used verbatim.
+    tie_break: bool,
 }
 
 impl VarOrder {
@@ -30,7 +41,8 @@ impl VarOrder {
     }
 
     /// An explicit order over operand keys (`price`, `avg(price)`,
-    /// `itch_order.stock` ... — must match [`Operand::key`] exactly).
+    /// `itch_order.stock` ... — must match [`Operand::key`] exactly),
+    /// used verbatim for every rule list.
     pub fn from_keys<I, S>(keys: I) -> Self
     where
         I: IntoIterator<Item = S>,
@@ -43,26 +55,15 @@ impl VarOrder {
         order
     }
 
-    /// A frequency heuristic: fields constrained by more rules come
-    /// first, so the most discriminating tests sit near the root. Ties
-    /// break by first appearance for determinism.
-    pub fn by_frequency(rules: &[Rule]) -> Self {
-        let mut counts: Vec<(String, usize, usize)> = Vec::new(); // (key, count, first)
-        let mut index: HashMap<String, usize> = HashMap::new();
-        for rule in rules {
-            for op in rule.filter.operands() {
-                let key = op.key();
-                match index.get(&key) {
-                    Some(&i) => counts[i].1 += 1,
-                    None => {
-                        index.insert(key.clone(), counts.len());
-                        counts.push((key, 1, counts.len()));
-                    }
-                }
-            }
-        }
-        counts.sort_by(|a, b| b.1.cmp(&a.1).then(a.2.cmp(&b.2)));
-        VarOrder::from_keys(counts.into_iter().map(|(k, _, _)| k))
+    /// An order the bulk constructor fits to each rule list it builds
+    /// ([`VarOrder::fit`]), with `keys` breaking the ties: the order a
+    /// header spec declares its fields in.
+    pub fn tie_break<I, S>(keys: I) -> Self
+    where
+        I: IntoIterator<Item = S>,
+        S: Into<String>,
+    {
+        VarOrder { tie_break: true, ..VarOrder::from_keys(keys) }
     }
 
     /// Append a key (no-op if already present).
@@ -89,6 +90,104 @@ impl VarOrder {
 
     pub fn is_empty(&self) -> bool {
         self.keys.is_empty()
+    }
+
+    /// The order to build a rule list with. A tie-break order moves the
+    /// operands every field-bearing rule tests to the top — those tested
+    /// only by `==` first, then the rest, each group in tie-break order —
+    /// and keeps every other key in tie-break order; an aggregate key
+    /// (`avg(price)`) follows its field wherever the field goes. With no
+    /// such operand the result is the tie-break order itself. Any other
+    /// order is returned as it is.
+    pub(crate) fn fit(&self, stats: &FieldStats) -> VarOrder {
+        if !self.tie_break {
+            return self.clone();
+        }
+        // Operands every field-bearing rule tests, and whether any of
+        // those tests is not an equality.
+        let universal: HashMap<String, bool> = stats
+            .uses
+            .iter()
+            .filter(|(_, u)| u.rules == stats.rules)
+            .map(|(op, u)| (op.key(), u.ranged > 0))
+            .collect();
+        // The field an aggregate key reads, when that field is ranked.
+        let field_of = |k: &str| -> Option<String> {
+            let (_, field) = k.strip_suffix(')')?.split_once('(')?;
+            self.rank.contains_key(field).then(|| field.to_string())
+        };
+        let class = |k: &String| match universal.get(k) {
+            Some(false) => 0,
+            Some(true) => 1,
+            None => 2,
+        };
+        let heads: Vec<&String> = self.keys.iter().filter(|k| field_of(k).is_none()).collect();
+        let mut keys = Vec::with_capacity(self.keys.len());
+        for c in 0..3 {
+            for &head in heads.iter().filter(|&&h| class(h) == c) {
+                keys.push(head.clone());
+                keys.extend(
+                    self.keys.iter().filter(|k| field_of(k).as_ref() == Some(head)).cloned(),
+                );
+            }
+        }
+        VarOrder::from_keys(keys)
+    }
+}
+
+/// What [`VarOrder::fit`] reads off a rule list: how many rules test any
+/// field at all (`true` and `false` rules test none), and per operand how
+/// many of those rules test it — and how many with anything but `==`.
+/// Counts over DNF atoms, kept per rule insert and removal by
+/// [`crate::IncrementalBdd`], so refitting after a delta costs
+/// O(delta + fields).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct FieldStats {
+    rules: usize,
+    uses: HashMap<Operand, FieldUse>,
+}
+
+#[derive(Debug, Clone, Copy, Default)]
+struct FieldUse {
+    rules: usize,
+    ranged: usize,
+}
+
+impl FieldStats {
+    /// Count (`add`) or uncount one rule, given all its DNF atoms.
+    pub(crate) fn count<'a>(&mut self, atoms: impl IntoIterator<Item = &'a Predicate>, add: bool) {
+        let mut fields: Vec<(&Operand, bool)> = Vec::new();
+        for a in atoms {
+            let ranged = a.rel != Rel::Eq;
+            match fields.iter_mut().find(|(op, _)| *op == &a.operand) {
+                Some(f) => f.1 |= ranged,
+                None => fields.push((&a.operand, ranged)),
+            }
+        }
+        if fields.is_empty() {
+            return;
+        }
+        if add {
+            self.rules += 1;
+            for (op, ranged) in fields {
+                let u = match self.uses.get_mut(op) {
+                    Some(u) => u,
+                    None => self.uses.entry(op.clone()).or_default(),
+                };
+                u.rules += 1;
+                u.ranged += usize::from(ranged);
+            }
+        } else {
+            self.rules -= 1;
+            for (op, ranged) in fields {
+                let u = self.uses.get_mut(op).expect("a counted rule's operands are counted");
+                u.rules -= 1;
+                u.ranged -= usize::from(ranged);
+                if u.rules == 0 {
+                    self.uses.remove(op);
+                }
+            }
+        }
     }
 }
 
@@ -124,7 +223,29 @@ pub fn operand_rank(order: &VarOrder, fallback: &HashMap<String, usize>, op: &Op
 #[cfg(test)]
 mod tests {
     use super::*;
+    use camus_lang::dnf::to_dnf;
     use camus_lang::parser::parse_rules;
+
+    /// The ITCH spec's declaration order, as `StaticPipeline::var_order`
+    /// lists it: each field followed by its aggregates.
+    fn itch_tie_break() -> VarOrder {
+        VarOrder::tie_break(["shares", "price", "stock", "side"].iter().flat_map(|f| {
+            [f.to_string(), format!("count({f})"), format!("sum({f})"), format!("avg({f})")]
+        }))
+    }
+
+    fn fit(order: &VarOrder, rules: &str) -> Vec<String> {
+        let mut stats = FieldStats::default();
+        for r in parse_rules(rules).unwrap() {
+            stats.count(to_dnf(&r.filter).terms.iter().flat_map(|c| &c.atoms), true);
+        }
+        order.fit(&stats).keys().to_vec()
+    }
+
+    /// The plain fields of an order, aggregates left out.
+    fn fields(keys: &[String]) -> Vec<&str> {
+        keys.iter().filter(|k| !k.contains('(')).map(String::as_str).collect()
+    }
 
     #[test]
     fn from_keys_ranks_in_order() {
@@ -145,23 +266,97 @@ mod tests {
     }
 
     #[test]
-    fn frequency_heuristic_orders_by_count() {
-        let rules = parse_rules(
+    fn itch_shape_puts_the_symbol_above_the_price() {
+        // Every rule tests `stock` with `==` and `price` with `>`: the
+        // symbol band goes first, the price tests hang under it.
+        let keys = fit(
+            &itch_tie_break(),
             "stock == A and price > 1: fwd(1)\n\
              stock == B and price > 2: fwd(2)\n\
-             stock == C: fwd(3)\n",
-        )
-        .unwrap();
-        let o = VarOrder::by_frequency(&rules);
-        assert_eq!(o.keys()[0], "stock"); // 3 uses
-        assert_eq!(o.keys()[1], "price"); // 2 uses
+             stock == A and price > 7: fwd(3)\n",
+        );
+        assert_eq!(fields(&keys), ["stock", "price", "shares", "side"]);
+        assert_eq!(keys.len(), itch_tie_break().len(), "a permutation of the tie-break");
     }
 
     #[test]
-    fn frequency_ties_break_by_appearance() {
-        let rules = parse_rules("b == 1 and a == 2: fwd(1)").unwrap();
-        let o = VarOrder::by_frequency(&rules);
-        assert_eq!(o.keys(), &["b".to_string(), "a".to_string()]);
+    fn anchored_siena_shape_keeps_spec_order() {
+        // Only the anchor is tested by every rule, and it is declared
+        // first already; a string field tested by some rules must not
+        // rise above it.
+        let order = VarOrder::tie_break(["attr0", "attr1", "attr2", "attr3"]);
+        let keys = fit(
+            &order,
+            "attr0 == 1 and attr2 == SYM3 and attr1 > 5: fwd(1)\n\
+             attr0 == 2 and attr3 < 9: fwd(2)\n\
+             attr0 == 1 and attr2 == SYM1: fwd(3)\n",
+        );
+        assert_eq!(keys, order.keys());
+    }
+
+    #[test]
+    fn no_universal_field_keeps_spec_order_exactly() {
+        let order = itch_tie_break();
+        let keys = fit(&order, "stock == A: fwd(1)\nprice > 3: fwd(2)\nside == 1: fwd(3)\n");
+        assert_eq!(keys, order.keys());
+        assert_eq!(fit(&order, ""), order.keys(), "an empty list fits to the tie-break");
+    }
+
+    #[test]
+    fn true_rules_are_ignored() {
+        // `true` (and `false`) rules test no field, so they neither
+        // count against a field's universality nor promote anything.
+        let keys = fit(
+            &itch_tie_break(),
+            "true: fwd(9)\n\
+             stock == A and price > 1: fwd(1)\n\
+             false: fwd(8)\n\
+             stock == B: fwd(2)\n",
+        );
+        assert_eq!(fields(&keys), ["stock", "shares", "price", "side"]);
+    }
+
+    #[test]
+    fn equality_only_fields_go_before_ranged_ones() {
+        // Both are universal; `shares` is declared first but tested
+        // with `>`, so the equality-only `side` goes above it.
+        let keys = fit(
+            &itch_tie_break(),
+            "shares > 1 and side == 1: fwd(1)\nshares == 4 and side == 2: fwd(2)\n",
+        );
+        assert_eq!(fields(&keys), ["side", "shares", "price", "stock"]);
+    }
+
+    #[test]
+    fn aggregates_follow_their_field() {
+        let keys = fit(&itch_tie_break(), "price > 5 and avg(price) > 60: fwd(1)\n");
+        let at = |k: &str| keys.iter().position(|x| x == k).unwrap();
+        assert_eq!(at("price"), 0);
+        assert_eq!(at("avg(price)"), at("price") + 3, "count, sum, avg right after price");
+        assert!(at("avg(price)") < at("shares"));
+    }
+
+    #[test]
+    fn pinned_and_empty_orders_are_used_verbatim() {
+        let rules = "stock == A and price > 1: fwd(1)\n";
+        let pinned = VarOrder::from_keys(["price", "stock"]);
+        assert_eq!(fit(&pinned, rules), pinned.keys());
+        assert!(fit(&VarOrder::empty(), rules).is_empty());
+    }
+
+    #[test]
+    fn counts_retract_exactly() {
+        let rules = parse_rules("stock == A and price > 1: fwd(1)\nstock == B: fwd(2)\n").unwrap();
+        let atoms = |i: usize| to_dnf(&rules[i].filter).terms;
+        let mut stats = FieldStats::default();
+        stats.count(atoms(0).iter().flat_map(|c| &c.atoms), true);
+        let one = itch_tie_break().fit(&stats);
+        stats.count(atoms(1).iter().flat_map(|c| &c.atoms), true);
+        assert_ne!(itch_tie_break().fit(&stats), one, "price is no longer universal");
+        stats.count(atoms(1).iter().flat_map(|c| &c.atoms), false);
+        assert_eq!(itch_tie_break().fit(&stats), one);
+        stats.count(atoms(0).iter().flat_map(|c| &c.atoms), false);
+        assert!(stats.uses.is_empty() && stats.rules == 0);
     }
 
     #[test]

@@ -483,6 +483,12 @@ impl Bdd {
         &self.alphabet.preds[id.0 as usize]
     }
 
+    /// The field order the diagram was built with: a tie-break order
+    /// as fitted to the rule list, any other order as given.
+    pub fn var_order(&self) -> &crate::order::VarOrder {
+        &self.alphabet.order
+    }
+
     /// The variable level of a predicate: the *order* every traversal
     /// compares by. Levels shift when predicates are spliced in; ids
     /// do not.

@@ -38,15 +38,16 @@ fn subscriptions(total: usize, vars: usize, seed: u64) -> Vec<Vec<Expr>> {
     subs
 }
 
-/// Wall-clock time to route + compile the whole network.
-pub fn recompile_time(total: usize, vars: usize, policy: Policy, alpha: i64) -> Duration {
+/// Route + compile the whole network: the wall-clock time, and the
+/// table entries compiled over all switches (what α shrinks).
+pub fn recompile(total: usize, vars: usize, policy: Policy, alpha: i64) -> (Duration, usize) {
     let net = paper_fat_tree();
     let subs = subscriptions(total, vars, 0xF14);
     let t0 = std::time::Instant::now();
     let routing = route_hierarchical(&net, &subs, RoutingConfig::new(policy).with_alpha(alpha));
     let compiled = compile_network(&routing, &Compiler::new()).expect("fig14 compiles");
-    std::hint::black_box(compiled.total_entries());
-    t0.elapsed()
+    let entries = compiled.total_entries();
+    (t0.elapsed(), entries)
 }
 
 pub fn run(scale: Scale) -> Vec<Table> {
@@ -65,7 +66,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         );
         for &n in counts {
             let ms = |vars: usize, alpha: i64| {
-                format!("{:.1}", recompile_time(n, vars, policy, alpha).as_secs_f64() * 1e3)
+                format!("{:.1}", recompile(n, vars, policy, alpha).0.as_secs_f64() * 1e3)
             };
             t.row([n.to_string(), ms(1, 1), ms(2, 1), ms(3, 1), ms(3, 10)]);
         }
@@ -79,19 +80,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn discretisation_speeds_up_compilation() {
-        // α=10 collapses similar constants, shrinking the BDDs — the
-        // paper reports ~two orders of magnitude at its largest scale;
-        // at our test size we just require a real speedup.
-        let exact = recompile_time(512, 3, Policy::TrafficReduction, 1);
-        let approx = recompile_time(512, 3, Policy::TrafficReduction, 10);
-        assert!(approx < exact, "α=10 {approx:?} must be faster than exact {exact:?}");
+    fn discretisation_shrinks_the_tables() {
+        // α=10 collapses similar constants, shrinking the BDDs and the
+        // tables emitted from them — the work behind the paper's ~two
+        // orders of magnitude of compile time at its largest scale.
+        // Checked on the entry count, which is exact: two single-shot
+        // wall times at this size flake under a loaded test run.
+        let (_, exact) = recompile(512, 3, Policy::TrafficReduction, 1);
+        let (_, approx) = recompile(512, 3, Policy::TrafficReduction, 10);
+        assert!(approx < exact, "α=10 compiles {approx} entries, exact {exact}");
     }
 
     #[test]
     fn fewer_variables_compile_faster() {
-        let one = recompile_time(256, 1, Policy::TrafficReduction, 1);
-        let three = recompile_time(256, 3, Policy::TrafficReduction, 1);
+        let one = recompile(256, 1, Policy::TrafficReduction, 1).0;
+        let three = recompile(256, 3, Policy::TrafficReduction, 1).0;
         assert!(one < three * 2, "1-var {one:?} vs 3-var {three:?}");
     }
 

@@ -127,26 +127,28 @@ type Emitted = (Bdd, Pipeline, MulticastAllocator);
 /// The dynamic compiler.
 #[derive(Debug, Clone, Default)]
 pub struct Compiler {
-    order: Option<VarOrder>,
+    order: VarOrder,
     statics: Option<StaticPipeline>,
     config: CompilerConfig,
 }
 
 impl Compiler {
     pub fn new() -> Self {
-        Compiler { order: None, statics: None, config: CompilerConfig::default() }
+        Compiler { order: VarOrder::empty(), statics: None, config: CompilerConfig::default() }
     }
 
     /// Use an explicit BDD variable order.
     pub fn with_order(mut self, order: VarOrder) -> Self {
-        self.order = Some(order);
+        self.order = order;
         self
     }
 
-    /// Attach the static pipeline: its declaration-order variable order
-    /// and field widths are used, and rules are validated against it.
+    /// Attach the static pipeline: its variable order (the declaration
+    /// order as a tie-break, fitted to each rule list by the BDD
+    /// constructor — [`StaticPipeline::var_order`]) and field widths are
+    /// used, and rules are validated against it.
     pub fn with_static(mut self, statics: StaticPipeline) -> Self {
-        self.order = Some(statics.var_order());
+        self.order = statics.var_order();
         self.statics = Some(statics);
         self
     }
@@ -194,12 +196,12 @@ impl Compiler {
     ) -> Result<(Compiled, S), CompileError> {
         let start = Instant::now();
         self.validate(rules)?;
-        let order = self.order.clone().unwrap_or_else(VarOrder::empty);
+        let order = &self.order;
         // BDD union/prune recursion depth is bounded by the longest
         // variable chain — 10⁵+ for large exact-match alphabets — so
         // build and emission share one hop onto a deep stack.
         let (state, emitted) = Self::on_deep_stack(|| {
-            let (state, bdd) = build(&order);
+            let (state, bdd) = build(order);
             (state, self.slice(bdd))
         });
         Ok((self.finish(emitted?, start), state))
@@ -266,7 +268,10 @@ impl Compiler {
     /// (removals first, then inserts) on the maintained diagram. Falls
     /// back to re-seeding the state ([`IncrementalBdd::from_rules`])
     /// when the delta exceeds half the rule set — past that point one
-    /// bulk construction wins over replaying ops one by one.
+    /// bulk construction wins over replaying ops one by one — and when
+    /// the delta changes the field order fitted to the list
+    /// ([`IncrementalBdd::fits`]), so the maintained diagram is always
+    /// ordered as a scratch build of the same list.
     pub fn compile_incremental(
         &self,
         state: &mut CompileState,
@@ -300,10 +305,7 @@ impl Compiler {
         // Update and emit in one hop: the deep stack is a fresh thread,
         // and a churn burst pays this once per changed rule list.
         let emitted = Self::on_deep_stack(move || {
-            if rebuild {
-                let order = self.order.clone().unwrap_or_else(VarOrder::empty);
-                *inc = IncrementalBdd::from_rules(rules, &order);
-            } else {
+            if !rebuild {
                 for (d, n) in removals {
                     for _ in 0..n {
                         inc.remove_by_digest(d);
@@ -314,6 +316,9 @@ impl Compiler {
                         inc.insert_rule(r);
                     }
                 }
+            }
+            if rebuild || !inc.fits(&self.order) {
+                *inc = IncrementalBdd::from_rules(rules, &self.order);
             }
             self.slice(inc.snapshot())
         });
@@ -366,10 +371,16 @@ mod tests {
         let statics = crate::statics::compile_static(&itch_spec()).unwrap();
         let rules = parse_rules("stock == GOOGL and price > 50: fwd(1)\n").unwrap();
         let c = Compiler::new().with_static(statics.clone()).compile(&rules).unwrap();
-        // Spec declares shares before price before stock, so the first
-        // stage present must not be stock.
-        assert_eq!(c.pipeline.stages[0].operand.key(), "price");
-        assert_eq!(c.pipeline.stages[1].operand.key(), "stock");
+        // The spec declares price before stock, but the rule tests both
+        // and `stock` only with `==`: the fitted order puts the exact
+        // symbol stage first and the price range under it.
+        assert_eq!(c.pipeline.stages[0].operand.key(), "stock");
+        assert_eq!(c.pipeline.stages[1].operand.key(), "price");
+        // With no field every rule tests, declaration order decides.
+        let split = parse_rules("stock == GOOGL: fwd(1)\nprice > 50: fwd(2)\n").unwrap();
+        let c = Compiler::new().with_static(statics.clone()).compile(&split).unwrap();
+        let keys: Vec<String> = c.pipeline.stages.iter().map(|s| s.operand.key()).collect();
+        assert_eq!(keys, vec!["price", "stock"]);
 
         // Unknown fields are rejected.
         let bad = parse_rules("bogus == 1: fwd(1)\n").unwrap();
@@ -382,9 +393,11 @@ mod tests {
         let statics = crate::statics::compile_static(&itch_spec()).unwrap();
         let rules = parse_rules("stock == GOOGL and avg(price) > 60: fwd(1)\n").unwrap();
         let c = Compiler::new().with_static(statics).compile(&rules).unwrap();
-        // The aggregate is its own stage, ordered right after price.
+        // The aggregate is its own stage. `stock`, tested by every rule
+        // with `==`, is fitted to the top; `avg(price)` keeps its place
+        // after `price` among the rest.
         let keys: Vec<String> = c.pipeline.stages.iter().map(|s| s.operand.key()).collect();
-        assert_eq!(keys, vec!["avg(price)", "stock"]);
+        assert_eq!(keys, vec!["stock", "avg(price)"]);
     }
 
     #[test]
@@ -458,6 +471,32 @@ mod tests {
         // No-op epoch: zero delta still yields a valid pipeline.
         let c = compiler.compile_incremental(&mut state, &rules).unwrap();
         check(&c, &rules);
+    }
+
+    #[test]
+    fn a_delta_that_refits_the_order_reseeds() {
+        use camus_lang::parser::parse_rule;
+        let compiler =
+            Compiler::new().with_static(crate::statics::compile_static(&itch_spec()).unwrap());
+        let seeded: Vec<Rule> = (0..8)
+            .map(|i| parse_rule(&format!("stock == S{i} and price > {i}: fwd({})", i % 3 + 1)))
+            .collect::<Result<_, _>>()
+            .unwrap();
+        let (seed, mut state) = compiler.compile_incremental_seed(&seeded).unwrap();
+        assert_eq!(seed.pipeline.stages[0].operand.key(), "stock");
+        // One rule without a symbol: `price` is now the only field every
+        // rule tests, so a scratch build puts it on top. The one-rule
+        // delta is far below the half-table fallback; the order check
+        // alone re-seeds.
+        let mut rules = seeded.clone();
+        rules.push(parse_rule("price > 3: fwd(2)").unwrap());
+        let c = compiler.compile_incremental(&mut state, &rules).unwrap();
+        assert_eq!(c.pipeline, compiler.compile(&rules).unwrap().pipeline);
+        assert_eq!(c.pipeline.stages[0].operand.key(), "price");
+        // Retracting it fits the symbol-first order again.
+        let c = compiler.compile_incremental(&mut state, &seeded).unwrap();
+        assert_eq!(c.pipeline, seed.pipeline);
+        assert!(state.incremental().fits(&compiler.order));
     }
 
     /// Identifier band with direct labels, residual tails and duplicate

@@ -44,18 +44,17 @@ pub struct StaticPipeline {
 
 impl StaticPipeline {
     /// The default BDD variable order: subscribable fields in
-    /// declaration order (the order the spec author chose — the
-    /// "simple heuristic" of §V-C). Aggregate operands over a field are
-    /// ordered right after the field itself.
+    /// declaration order, each followed by its aggregate operands, as a
+    /// *tie-break* ([`VarOrder::tie_break`]). The BDD constructor fits
+    /// it to every rule list it builds — fields every rule tests go on
+    /// top, equality-only ones first — and declaration order decides
+    /// the rest (§V-C's "simple heuristic", chosen from the rules rather
+    /// than from the spec alone). Stage slots keep declaration order.
     pub fn var_order(&self) -> VarOrder {
-        let mut order = VarOrder::empty();
-        for slot in &self.slots {
-            order.push(slot.key.clone());
-            for agg in ["count", "sum", "avg"] {
-                order.push(format!("{agg}({})", slot.key));
-            }
-        }
-        order
+        VarOrder::tie_break(self.slots.iter().flat_map(|slot| {
+            let key = &slot.key;
+            [key.clone(), format!("count({key})"), format!("sum({key})"), format!("avg({key})")]
+        }))
     }
 
     /// Field widths for resource accounting ([`Spec::field_widths`]).
@@ -118,12 +117,27 @@ mod tests {
 
     #[test]
     fn var_order_includes_aggregates() {
+        // The tie-break lists each aggregate right after its field, in
+        // declaration order.
         let sp = compile_static(&itch_spec()).unwrap();
         let order = sp.var_order();
         let price = order.rank("price").unwrap();
         let avg_price = order.rank("avg(price)").unwrap();
         assert!(avg_price > price);
         assert!(avg_price < order.rank("stock").unwrap());
+        // Fitted to ITCH subscriptions, which all test `stock` with `==`
+        // and `price` with `>`, the symbol goes above the price, and
+        // `avg(price)` still follows `price`.
+        let rules = camus_lang::parser::parse_rules(
+            "stock == GOOGL and price > 50: fwd(1)\nstock == FB and price > 7: fwd(2)\n",
+        )
+        .unwrap();
+        let fitted = camus_bdd::BddBuilder::from_rules(&rules).with_order(order).build();
+        let fitted = fitted.var_order();
+        let rank = |k: &str| fitted.rank(k).unwrap();
+        assert_eq!(rank("stock"), 0);
+        assert!(rank("stock") < rank("price") && rank("price") < rank("shares"));
+        assert_eq!(rank("avg(price)"), rank("price") + 3);
     }
 
     #[test]

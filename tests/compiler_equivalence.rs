@@ -4,6 +4,7 @@
 //! compiler (language → DNF → BDD → tables).
 
 use camus_core::compiler::Compiler;
+use camus_core::VarOrder;
 use camus_lang::ast::{Action, Expr, Operand, Predicate, Rel, Rule};
 use camus_lang::value::Value;
 use proptest::prelude::*;
@@ -51,6 +52,25 @@ fn arb_rules() -> impl Strategy<Value = Vec<Rule>> {
     })
 }
 
+/// The universe's fields, in the order a spec would declare them.
+const FIELDS: [&str; 5] = ["price", "shares", "qty", "stock", "venue"];
+
+/// Strategy: a field order — a random permutation pinned verbatim, the
+/// declaration order as a tie-break fitted to each rule list, or none
+/// (first appearance).
+fn arb_order() -> impl Strategy<Value = VarOrder> {
+    let n = FIELDS.len();
+    prop_oneof![
+        prop::collection::vec(any::<u64>(), n..n + 1).prop_map(|draws| {
+            let mut keyed: Vec<(u64, &str)> = draws.into_iter().zip(FIELDS).collect();
+            keyed.sort_unstable();
+            VarOrder::from_keys(keyed.into_iter().map(|(_, f)| f))
+        }),
+        Just(VarOrder::tie_break(FIELDS)),
+        Just(VarOrder::empty()),
+    ]
+}
+
 /// Strategy: a full packet assignment over the universe.
 fn arb_packet() -> impl Strategy<Value = Vec<(String, Value)>> {
     let sym =
@@ -69,14 +89,17 @@ fn arb_packet() -> impl Strategy<Value = Vec<(String, Value)>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// For any rule set and any packet, the pipeline's forwarding
-    /// decision equals the union of ports of directly-matching rules.
+    /// For any rule set, any field order and any packet, the pipeline's
+    /// forwarding decision equals the union of ports of directly-matching
+    /// rules: the order may change what the tables cost, never what they
+    /// do.
     #[test]
     fn pipeline_equals_direct_evaluation(
         rules in arb_rules(),
+        order in arb_order(),
         packets in prop::collection::vec(arb_packet(), 1..12),
     ) {
-        let compiled = Compiler::new().compile(&rules).unwrap();
+        let compiled = Compiler::new().with_order(order.clone()).compile(&rules).unwrap();
         for pkt in &packets {
             let lookup = |op: &Operand| {
                 pkt.iter().find(|(n, _)| *n == op.key()).map(|(_, v)| v.clone())
@@ -90,7 +113,7 @@ proptest! {
             want.dedup();
             let got = compiled.pipeline.evaluate(lookup);
             let got_ports = got.ports().map(<[u16]>::to_vec).unwrap_or_default();
-            prop_assert_eq!(got_ports, want, "packet {:?}", pkt);
+            prop_assert_eq!(got_ports, want, "packet {:?} order {:?}", pkt, order);
         }
     }
 
