@@ -16,9 +16,10 @@
 //!
 //! **WAL overhead** (`"recovery"` in `BENCH_throughput.json`): the
 //! same churn stream is fed to the batched service lane (PR-7's
-//! configuration) twice — volatile vs write-ahead logged — and the
-//! sustained accepted-ops/second must stay within 10% of the volatile
-//! lane. The log is append-only text with no sync barrier, so the
+//! configuration) in [`PAIRS`] alternated volatile / write-ahead logged
+//! pairs, and the median pair's logged sustained accepted-ops/second
+//! must stay within 10% of its volatile lane; the table reports that
+//! pair. The log is append-only text with no sync barrier, so the
 //! cost is one formatted line per accepted request plus a snapshot
 //! per cadence; the assertion pins that it stays noise-level.
 
@@ -32,6 +33,9 @@ use camus_net::PerfectChannel;
 use camus_routing::algorithm1::{Policy, RoutingConfig};
 use camus_service::{CamusService, RequestOp, ServiceConfig, ServiceOutcome, Wal};
 use camus_workloads::churn::{ChurnConfig, ChurnOp, PoissonChurn};
+
+/// Volatile / logged lane pairs behind the WAL-overhead verdict.
+const PAIRS: usize = 5;
 
 struct Harness {
     ctrl: Controller,
@@ -199,17 +203,31 @@ pub fn run(scale: Scale) -> Vec<Table> {
         let per_s = sustained_per_s(&out, first_arrival);
         (out, per_s, wall_ms)
     };
-    let (volatile_out, volatile_per_s, volatile_wall) = lane(None);
-    let logged_wal = Wal::in_memory();
-    let (logged_out, logged_per_s, logged_wall) = lane(Some(logged_wal.clone()));
-
-    // Identical churn, identical batching: the logged lane must accept
-    // and commit exactly what the volatile lane did.
-    assert_eq!(logged_out.stats.accepted, volatile_out.stats.accepted);
-    let overhead_pct = (1.0 - logged_per_s / volatile_per_s.max(1e-9)) * 100.0;
+    // One wall-clock sample per lane is at the mercy of whatever else
+    // the host runs; alternated pairs see the same noise on both lanes,
+    // and the verdict is the median pair's overhead.
+    let mut pairs: Vec<_> = (0..PAIRS)
+        .map(|_| {
+            let volatile = lane(None);
+            let wal = Wal::in_memory();
+            let logged = lane(Some(wal.clone()));
+            // Identical churn, identical batching: the logged lane must
+            // accept and commit exactly what the volatile lane did.
+            assert_eq!(logged.0.stats.accepted, volatile.0.stats.accepted);
+            let overhead_pct = (1.0 - logged.1 / volatile.1.max(1e-9)) * 100.0;
+            (overhead_pct, volatile, logged, wal)
+        })
+        .collect();
+    pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let (
+        overhead_pct,
+        (volatile_out, volatile_per_s, volatile_wall),
+        (logged_out, logged_per_s, logged_wall),
+        logged_wal,
+    ) = pairs.swap_remove(PAIRS / 2);
     assert!(
         overhead_pct <= 10.0,
-        "WAL overhead {overhead_pct:.1}% exceeds the 10% budget \
+        "median-pair WAL overhead {overhead_pct:.1}% exceeds the 10% budget \
          (volatile {volatile_per_s:.0}/s, logged {logged_per_s:.0}/s)"
     );
 

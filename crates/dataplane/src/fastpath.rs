@@ -25,6 +25,7 @@
 
 use crate::packet::Packet;
 use crate::state::StateStore;
+use bytes::Bytes;
 use camus_core::compiled::{ActionId, CompiledPipeline, EvalCounters};
 use camus_core::pipeline::Pipeline;
 use camus_lang::ast::{AggFunc, Operand, Port};
@@ -172,6 +173,23 @@ impl EvalPlan {
     /// Byte offset of message `index`.
     pub fn msg_offset(&self, index: usize) -> usize {
         self.msg_base + index * self.msg_width
+    }
+
+    /// Egress pruning (≡ [`Packet::prune_messages`]) from the cached
+    /// geometry: the stack and the kept messages are staged in the
+    /// reusable `buf`, then copied once into the copy's own buffer — one
+    /// allocation and one memcpy per pruned copy.
+    pub(crate) fn prune(&self, pkt: &Packet, keep: &[usize], buf: &mut Vec<u8>) -> Packet {
+        let bytes = pkt.bytes.as_slice();
+        buf.clear();
+        buf.extend_from_slice(&bytes[..self.msg_base.min(bytes.len())]);
+        for &i in keep {
+            let off = self.msg_offset(i);
+            if let Some(msg) = bytes.get(off..off + self.msg_width) {
+                buf.extend_from_slice(msg);
+            }
+        }
+        Packet::new(Bytes::copy_from_slice(buf))
     }
 
     /// Whether the packet carries any stack attributes (the parser's
@@ -384,6 +402,8 @@ pub struct EvalScratch {
     /// Slot-indexed values for the message under evaluation.
     pub values: Vec<Option<Value>>,
     pub keep: KeepLists,
+    /// Staging buffer for the pruned copy being built.
+    pub(crate) prune: Vec<u8>,
 }
 
 impl EvalScratch {

@@ -288,6 +288,14 @@ mod tests {
     }
 
     #[test]
+    fn a_packet_is_one_fat_pointer() {
+        // Benchmarks keep every input packet resident and every output
+        // slot holds `(Port, Packet)` pairs: a wider handle (a window
+        // into a shared buffer, say) is paid in resident memory.
+        assert_eq!(std::mem::size_of::<Packet>(), 16);
+    }
+
+    #[test]
     fn prune_to_empty() {
         let spec = itch_spec();
         let pkt = PacketBuilder::new(&spec).message(order("A", 1, 1)).build();

@@ -502,19 +502,22 @@ impl Switch {
     /// Process a packet arriving on `ingress` at absolute time
     /// `now_us`, through the compiled fast path: slot-indexed decode
     /// straight from the packet bytes, reusable keep lists, and
-    /// copy-on-prune replication. Allocation-free once warm.
+    /// copy-on-prune replication. Once warm, a packet that leaves
+    /// through no port allocates nothing; a forwarded one allocates its
+    /// port vector plus one buffer per pruned copy (unpruned copies
+    /// share the input buffer).
     pub fn process(&mut self, pkt: &Packet, ingress: Port, now_us: u64) -> SwitchOutput {
+        let mut out = SwitchOutput::default();
+        self.process_into(pkt, ingress, now_us, &mut out);
+        out
+    }
+
+    /// [`process`](Self::process) into a caller-owned slot: every field
+    /// of `out` is overwritten, and its `ports`/`actions` vectors are
+    /// cleared but keep their capacity.
+    fn process_into(&mut self, pkt: &Packet, ingress: Port, now_us: u64, out: &mut SwitchOutput) {
         let Switch {
-            parser,
-            program,
-            state,
-            scratch,
-            config,
-            stats,
-            port_down,
-            telemetry,
-            last_eval,
-            ..
+            program, state, scratch, config, stats, port_down, telemetry, last_eval, ..
         } = self;
         // One deref of the shared program per call; the hot loop below
         // never touches the `Arc` (or its refcount) again.
@@ -534,11 +537,10 @@ impl Switch {
         stats.dropped_resource += truncated as u64;
         stats.recirculation_passes += (passes - 1) as u64;
 
-        let mut out = SwitchOutput {
-            passes,
-            latency_ns: config.base_latency_ns + config.recirc_latency_ns * (passes as u64 - 1),
-            ..Default::default()
-        };
+        out.ports.clear();
+        out.actions.clear();
+        out.passes = passes;
+        out.latency_ns = config.base_latency_ns + config.recirc_latency_ns * (passes as u64 - 1);
 
         let mut counters = EvalCounters::default();
         scratch.keep.clear();
@@ -564,7 +566,7 @@ impl Switch {
                     port_down,
                     &mut scratch.keep,
                     stats,
-                    &mut out,
+                    out,
                 );
             }
         } else {
@@ -587,7 +589,7 @@ impl Switch {
                     port_down,
                     &mut scratch.keep,
                     stats,
-                    &mut out,
+                    out,
                 );
             }
         }
@@ -601,24 +603,24 @@ impl Switch {
 
         // Crossbar replication + egress pruning: one copy per port. A
         // copy that keeps every byte shares the input buffer (`Bytes`
-        // is refcounted) instead of deep-cloning.
+        // is refcounted) instead of deep-cloning; a pruned copy is built
+        // from the plan's geometry straight into its own buffer.
         scratch.keep.sort_ports();
+        out.ports.reserve(scratch.keep.touched.len());
         let share_whole = plan.msg_width == 0;
         let exact_len = plan.msg_base + total * plan.msg_width;
-        for ti in 0..scratch.keep.touched.len() {
-            let port = scratch.keep.touched[ti];
+        for &port in &scratch.keep.touched {
             let indices = &scratch.keep.lists[port as usize];
             let copy = if share_whole || (indices.len() == total && pkt.len() == exact_len) {
                 stats.shared_copies += 1;
                 pkt.clone()
             } else {
                 stats.deep_copies += 1;
-                pkt.prune_messages(parser.spec(), indices)
+                plan.prune(pkt, indices, &mut scratch.prune)
             };
             stats.copies += 1;
             out.ports.push((port, copy));
         }
-        out
     }
 
     /// Process a batch of `(packet, ingress)` pairs arriving together.
@@ -634,22 +636,24 @@ impl Switch {
     /// processed at time `first_index + j`, so a driver that splits one
     /// packet stream across shards can hand each shard its *global*
     /// packet indices and every shard agrees with the sequential lanes
-    /// on timestamp-keyed aggregate/window semantics. `out` is cleared
-    /// and refilled, letting a hot loop reuse one allocation across
-    /// batches.
+    /// on timestamp-keyed aggregate/window semantics. `out` ends with
+    /// exactly one slot per packet, and the slots a previous batch left
+    /// are overwritten in place — their `ports`/`actions` vectors
+    /// cleared but keeping their capacity — so a hot loop that reuses
+    /// one `out` allocates, once warm, only the pruned copies' buffers.
     pub fn process_batch_indexed(
         &mut self,
         pkts: &[(Packet, Port)],
         first_index: u64,
         out: &mut Vec<SwitchOutput>,
     ) {
-        out.clear();
         self.batch_into(pkts, first_index, 1, out);
     }
 
-    /// Shared batch loop: packet `j` runs at `base_us + j * step_us`,
-    /// with the next packet's header bytes prefetched while the current
-    /// one evaluates.
+    /// Shared batch loop: packet `j` runs at `base_us + j * step_us`
+    /// into slot `j` of `out` (resized to the batch), with the next
+    /// packet's header bytes prefetched while the current one
+    /// evaluates.
     fn batch_into(
         &mut self,
         pkts: &[(Packet, Port)],
@@ -659,12 +663,12 @@ impl Switch {
     ) {
         self.stats.batches += 1;
         self.stats.batched_packets += pkts.len() as u64;
-        out.reserve(pkts.len());
-        for (j, (pkt, ingress)) in pkts.iter().enumerate() {
+        out.resize_with(pkts.len(), SwitchOutput::default);
+        for (j, ((pkt, ingress), slot)) in pkts.iter().zip(out.iter_mut()).enumerate() {
             if let Some((next, _)) = pkts.get(j + 1) {
                 crate::fastpath::prefetch_read(next.bytes.as_slice());
             }
-            out.push(self.process(pkt, *ingress, base_us + j as u64 * step_us));
+            self.process_into(pkt, *ingress, base_us + j as u64 * step_us, slot);
         }
     }
 

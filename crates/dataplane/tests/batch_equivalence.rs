@@ -10,7 +10,10 @@
 //!   the same global timestamps — batching is a driver optimisation,
 //!   never a semantic change;
 //! * both agree with [`Switch::process_reference`], the interpreted
-//!   oracle, on ports and actions;
+//!   oracle, on every egress copy (port and bytes) and on actions;
+//! * a caller-owned output reused across batches of any length holds,
+//!   slot for slot, what [`Switch::process`] returns for each packet —
+//!   slots are overwritten in place, never left stale;
 //! * per-shard switches driven over a partition of the stream produce
 //!   stats that [`SwitchStats::merge`] sums to the single-core totals
 //!   (for stateless rules, where partitioning cannot change per-message
@@ -59,21 +62,29 @@ fn stateless_switch() -> Switch {
     Switch::new(&statics, compiled.pipeline, SwitchConfig::default())
 }
 
-fn packet(stock: &str, price: i64) -> Packet {
+/// A packet batching one message per `(symbol, price)` order.
+fn packet<S: AsRef<str>>(orders: &[(S, i64)]) -> Packet {
     let spec = itch_spec();
-    PacketBuilder::new(&spec)
-        .message(vec![("stock", Value::from(stock)), ("price", Value::Int(price))])
-        .build()
+    let mut b = PacketBuilder::new(&spec);
+    for (stock, price) in orders {
+        b = b.message(vec![("stock", Value::from(stock.as_ref())), ("price", Value::Int(*price))]);
+    }
+    b.build()
 }
 
 fn arb_symbol() -> impl Strategy<Value = String> {
     prop_oneof![Just("GOOGL".to_string()), Just("MSFT".to_string()), Just("AAPL".to_string()),]
 }
 
-/// A stream of (symbol, price) orders long enough that the 100 μs
-/// default window tumbles mid-stream.
-fn arb_stream() -> impl Strategy<Value = Vec<(String, i64)>> {
-    prop::collection::vec((arb_symbol(), 0i64..1_000), 1..220)
+/// A stream of packets of one to three (symbol, price) orders — so
+/// egress copies are pruned whenever a packet's messages part ways —
+/// long enough that the 100 μs default window tumbles mid-stream.
+fn arb_stream() -> impl Strategy<Value = Vec<Vec<(String, i64)>>> {
+    prop::collection::vec(prop::collection::vec((arb_symbol(), 0i64..1_000), 1..4), 1..220)
+}
+
+fn packets(stream: &[Vec<(String, i64)>]) -> Vec<(Packet, Port)> {
+    stream.iter().map(|orders| (packet(orders), 0)).collect()
 }
 
 fn ports_of(out: &SwitchOutput) -> Vec<Port> {
@@ -105,8 +116,7 @@ proptest! {
         stream in arb_stream(),
         chunk in 1usize..70,
     ) {
-        let pkts: Vec<(Packet, Port)> =
-            stream.iter().map(|(s, p)| (packet(s, *p), 0)).collect();
+        let pkts = packets(&stream);
         let base = stateful_switch();
 
         let mut batched = base.clone();
@@ -126,7 +136,7 @@ proptest! {
         for (i, ((b, s), r)) in outs_batch.iter().zip(&outs_seq).zip(&outs_ref).enumerate() {
             prop_assert_eq!(b.ports.clone(), s.ports.clone(), "batch/seq ports @ {}", i);
             prop_assert_eq!(&b.actions, &s.actions, "batch/seq actions @ {}", i);
-            prop_assert_eq!(ports_of(b), ports_of(r), "batch/reference ports @ {}", i);
+            prop_assert_eq!(b.ports.clone(), r.ports.clone(), "batch/reference copies @ {}", i);
             prop_assert_eq!(&b.actions, &r.actions, "batch/reference actions @ {}", i);
         }
         // Everything but the batching shape matches the per-packet
@@ -144,8 +154,7 @@ proptest! {
         stream in arb_stream(),
         shards in 1usize..9,
     ) {
-        let pkts: Vec<(Packet, Port)> =
-            stream.iter().map(|(s, p)| (packet(s, *p), 0)).collect();
+        let pkts = packets(&stream);
         let base = stateless_switch();
 
         let mut single = base.clone();
@@ -179,7 +188,7 @@ fn window_spanning_batches_agree_with_sequential() {
     // Any driver that restarts timestamps at a batch boundary (or
     // pins them, like the legacy single-timestamp API) tumbles at the
     // wrong packets.
-    let pkts: Vec<(Packet, Port)> = (0..150).map(|_| (packet("MSFT", 10), 0)).collect();
+    let pkts: Vec<(Packet, Port)> = (0..150).map(|_| (packet(&[("MSFT", 10)]), 0)).collect();
     let base = stateful_switch();
 
     let mut seq = base.clone();
@@ -203,4 +212,60 @@ fn window_spanning_batches_agree_with_sequential() {
     let legacy_ports: Vec<Vec<Port>> =
         legacy.process_batch(&pkts, 0).iter().map(ports_of).collect();
     assert_ne!(legacy_ports, seq_ports, "stateful stream must distinguish the two batch APIs");
+}
+
+/// One output `Vec` driven through batches of 64, 7, 64, 1 and 0
+/// packets on a rule set that prunes, raises a custom action and
+/// recirculates: after every batch, `out` holds exactly one slot per
+/// packet, each equal to `process` run packet by packet. A slot left
+/// over from a longer batch, or a copy or action surviving from the
+/// packet a slot held before, fails here.
+#[test]
+fn reused_output_slots_equal_per_packet_processing() {
+    let spec = itch_spec();
+    let statics = compile_static(&spec).unwrap();
+    let rules = parse_rules(
+        "stock == GOOGL and avg(price) > 60: fwd(1)\n\
+         price > 500: fwd(2)\n\
+         stock == MSFT: fwd(3)\n\
+         stock == FB and price < 100: mirror(9)\n",
+    )
+    .unwrap();
+    let compiled = Compiler::new().with_static(statics.clone()).compile(&rules).unwrap();
+    let base = Switch::new(&statics, compiled.pipeline, SwitchConfig::default());
+
+    let symbols = ["GOOGL", "MSFT", "AAPL", "FB"];
+    let stream: Vec<(Packet, Port)> = (0..136usize)
+        .map(|i| {
+            // 1..=6 messages: beyond four, the packet recirculates.
+            let orders: Vec<(&str, i64)> = (0..1 + (i * 5) % 6)
+                .map(|m| {
+                    let k = i * 3 + m * 7;
+                    (symbols[k % 4], (k * 131 % 1_000) as i64)
+                })
+                .collect();
+            (packet(&orders), (i % 3) as Port)
+        })
+        .collect();
+
+    let (mut batched, mut seq) = (base.clone(), base);
+    let mut out = Vec::new();
+    let mut next = 0;
+    for len in [64usize, 7, 64, 1, 0] {
+        let chunk = &stream[next..next + len];
+        batched.process_batch_indexed(chunk, next as u64, &mut out);
+        assert_eq!(out.len(), len, "one slot per packet of a {len}-packet batch");
+        for (j, (pkt, ingress)) in chunk.iter().enumerate() {
+            let want = seq.process(pkt, *ingress, (next + j) as u64);
+            let got = &out[j];
+            assert_eq!(got.ports, want.ports, "copies @ packet {}", next + j);
+            assert_eq!(got.actions, want.actions, "actions @ packet {}", next + j);
+            assert_eq!((got.latency_ns, got.passes), (want.latency_ns, want.passes));
+        }
+        next += len;
+    }
+    let stats = seq.stats();
+    assert!(stats.deep_copies > 0 && stats.shared_copies > 0, "{stats:?}");
+    assert!(stats.recirculation_passes > 0, "{stats:?}");
+    assert_eq!(batched.stats().forwarding_stats(), stats.forwarding_stats());
 }

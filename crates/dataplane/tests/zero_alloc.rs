@@ -3,8 +3,12 @@
 //! A counting global allocator wraps `System`; after warming the
 //! switch (scratch slots sized, string buffers grown, aggregate
 //! registers created), repeated `Switch::process` calls on drop-path
-//! packets must perform **zero** heap allocations, and matching-path
-//! packets only the unavoidable output-assembly ones.
+//! packets must perform **zero** heap allocations. Forwarded packets
+//! allocate exactly their output: one buffer per pruned copy (counted
+//! by `SwitchStats::deep_copies`; an unpruned copy shares the input
+//! buffer), plus the port vector `Switch::process` returns —
+//! `process_batch_indexed` into a reused output overwrites its slots
+//! in place and allocates the pruned buffers alone.
 //!
 //! This file holds exactly one `#[test]`: the allocator counter is
 //! global, so a second concurrently running test would pollute it.
@@ -14,9 +18,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use camus_core::compiler::Compiler;
 use camus_core::statics::compile_static;
-use camus_dataplane::packet::PacketBuilder;
-use camus_dataplane::switch::{Switch, SwitchConfig};
+use camus_dataplane::packet::{Packet, PacketBuilder};
+use camus_dataplane::switch::{Switch, SwitchConfig, SwitchOutput};
 use camus_dataplane::telemetry::SwitchTelemetry;
+use camus_lang::ast::Port;
 use camus_lang::parser::parse_rules;
 use camus_lang::spec::itch_spec;
 use camus_lang::value::Value;
@@ -94,18 +99,88 @@ fn steady_state_process_does_not_allocate() {
     }
     assert_eq!(allocs() - before, 0, "drop-path processing must not allocate");
 
-    // Matching path: only output assembly (SwitchOutput's port vector;
-    // the shared packet clone is a refcount bump). Budget a handful of
-    // allocations per packet — evaluation itself contributes none.
-    let before = allocs();
+    // Matching path: evaluation contributes nothing. Each of the three
+    // copies keeps one of two messages, so `process` allocates its port
+    // vector and one buffer per pruned copy — exactly four.
+    let (before, deep_before) = (allocs(), sw.stats().deep_copies);
     let rounds = 500u64;
     for _ in 0..rounds {
         let out = sw.process(&fwd_pkt, 0, 5);
-        let ports: Vec<u16> = out.ports.iter().map(|(p, _)| *p).collect();
-        assert_eq!(ports, vec![1, 2, 3], "actions: {:?}", out.actions);
+        assert_eq!(out.ports.len(), 3, "actions: {:?}", out.actions);
+        assert!(out.ports.iter().map(|(p, _)| *p).eq([1, 2, 3]));
     }
-    let per_packet = (allocs() - before) / rounds;
-    assert!(per_packet <= 12, "matching path allocates {per_packet}/packet, want <= 12");
+    let deep = sw.stats().deep_copies - deep_before;
+    assert_eq!(deep, 3 * rounds);
+    assert_eq!(allocs() - before, rounds + deep, "matching path: port vector + pruned buffers");
+
+    // Fan-out: multi-message packets, each pruned differently on
+    // several ports, and one port that keeps everything (a shared copy).
+    let fan_rules = parse_rules(
+        "stock == GOOGL: fwd(1)\n\
+         stock == MSFT: fwd(2)\n\
+         price > 500: fwd(3)\n\
+         shares < 10: fwd(4)\n\
+         price >= 0: fwd(5)\n",
+    )
+    .unwrap();
+    let fan_compiled = Compiler::new().with_static(statics.clone()).compile(&fan_rules).unwrap();
+    let mut fan = Switch::new(&statics, fan_compiled.pipeline, SwitchConfig::default());
+    let symbols = ["GOOGL", "MSFT", "AAPL", "FB"];
+    let batch: Vec<(Packet, Port)> = (0..24usize)
+        .map(|i| {
+            let mut b = PacketBuilder::new(&spec).stack_field("moldudp", "seq", i as i64);
+            for m in 0..2 + i % 4 {
+                let k = i * 7 + m * 3;
+                b = b.message(vec![
+                    ("stock", Value::from(symbols[k % 4])),
+                    ("price", Value::Int((k * 97 % 1_000) as i64)),
+                    ("shares", Value::Int((k % 20) as i64)),
+                ]);
+            }
+            (b.build(), 0)
+        })
+        .collect();
+    let mut out = Vec::new();
+    fan.process_batch_indexed(&batch, 0, &mut out);
+    let distinct_copies = |o: &SwitchOutput| {
+        let mut lens: Vec<usize> = o.ports.iter().map(|(_, c)| c.len()).collect();
+        lens.sort_unstable();
+        lens.dedup();
+        lens.len()
+    };
+    assert!(out.iter().all(|o| !o.ports.is_empty()), "every packet leaves through port 5");
+    assert!(out.iter().any(|o| distinct_copies(o) >= 3), "copies pruned differently per port");
+    for _ in 0..8 {
+        fan.process_batch_indexed(&batch, 0, &mut out);
+        for (i, (pkt, ingress)) in batch.iter().enumerate() {
+            fan.process(pkt, *ingress, i as u64);
+        }
+    }
+
+    // Batched into a reused `out`: the slots are overwritten in place,
+    // so the only allocations are the pruned copies' buffers.
+    let (before, deep_before, shared_before) =
+        (allocs(), fan.stats().deep_copies, fan.stats().shared_copies);
+    for _ in 0..rounds {
+        fan.process_batch_indexed(&batch, 0, &mut out);
+    }
+    let deep = fan.stats().deep_copies - deep_before;
+    assert!(deep > 0 && fan.stats().shared_copies > shared_before);
+    assert_eq!(allocs() - before, deep, "batched fan-out: one allocation per pruned copy");
+
+    // Packet by packet: each call adds the port vector it returns.
+    let (before, deep_before) = (allocs(), fan.stats().deep_copies);
+    for _ in 0..rounds {
+        for (i, (pkt, ingress)) in batch.iter().enumerate() {
+            std::hint::black_box(fan.process(pkt, *ingress, i as u64));
+        }
+    }
+    let deep = fan.stats().deep_copies - deep_before;
+    assert_eq!(
+        allocs() - before,
+        rounds * batch.len() as u64 + deep,
+        "per-packet fan-out: port vector + one allocation per pruned copy"
+    );
 
     // Telemetry attached but disabled: the hot path gains one sampler
     // tick and must stay strictly allocation-free.
