@@ -28,7 +28,7 @@ use crate::state::StateStore;
 use bytes::Bytes;
 use camus_core::compiled::{ActionId, CompiledPipeline, EvalCounters};
 use camus_core::pipeline::Pipeline;
-use camus_lang::ast::{AggFunc, Operand, Port};
+use camus_lang::ast::{AggFunc, Operand};
 use camus_lang::spec::Spec;
 use camus_lang::value::{Type, Value};
 
@@ -176,14 +176,19 @@ impl EvalPlan {
     }
 
     /// Egress pruning (≡ [`Packet::prune_messages`]) from the cached
-    /// geometry: the stack and the kept messages are staged in the
-    /// reusable `buf`, then copied once into the copy's own buffer — one
-    /// allocation and one memcpy per pruned copy.
-    pub(crate) fn prune(&self, pkt: &Packet, keep: &[usize], buf: &mut Vec<u8>) -> Packet {
+    /// geometry: the stack and the kept messages (indices ascending) are
+    /// staged in the reusable `buf`, then copied once into the copy's
+    /// own buffer — one allocation and one memcpy per pruned copy.
+    pub(crate) fn prune(
+        &self,
+        pkt: &Packet,
+        keep: impl IntoIterator<Item = usize>,
+        buf: &mut Vec<u8>,
+    ) -> Packet {
         let bytes = pkt.bytes.as_slice();
         buf.clear();
         buf.extend_from_slice(&bytes[..self.msg_base.min(bytes.len())]);
-        for &i in keep {
+        for i in keep {
             let off = self.msg_offset(i);
             if let Some(msg) = bytes.get(off..off + self.msg_width) {
                 buf.extend_from_slice(msg);
@@ -362,48 +367,12 @@ fn read_input_int(fl: &FieldLookup, pkt: &Packet, msg_off: Option<usize>) -> Opt
     None
 }
 
-/// Reusable per-port keep lists: the port mask of §VI-A without a fresh
-/// `HashMap<Port, Vec<usize>>` per packet. Lists are indexed by port
-/// and only the touched ones are cleared between packets.
-#[derive(Debug, Clone, Default)]
-pub struct KeepLists {
-    pub(crate) touched: Vec<Port>,
-    pub(crate) lists: Vec<Vec<usize>>,
-}
-
-impl KeepLists {
-    pub fn clear(&mut self) {
-        for &p in &self.touched {
-            self.lists[p as usize].clear();
-        }
-        self.touched.clear();
-    }
-
-    pub fn push(&mut self, port: Port, msg_index: usize) {
-        let pi = port as usize;
-        if pi >= self.lists.len() {
-            self.lists.resize_with(pi + 1, Vec::new);
-        }
-        if self.lists[pi].is_empty() {
-            self.touched.push(port);
-        }
-        self.lists[pi].push(msg_index);
-    }
-
-    /// Ports touched by this packet, sorted (deterministic fan-out).
-    pub fn sort_ports(&mut self) {
-        self.touched.sort_unstable();
-    }
-}
-
-/// Per-switch scratch reused across packets (allocation-free once warm).
+/// Per-switch evaluation scratch reused across packets (allocation-free
+/// once warm).
 #[derive(Debug, Clone, Default)]
 pub struct EvalScratch {
     /// Slot-indexed values for the message under evaluation.
     pub values: Vec<Option<Value>>,
-    pub keep: KeepLists,
-    /// Staging buffer for the pruned copy being built.
-    pub(crate) prune: Vec<u8>,
 }
 
 impl EvalScratch {
@@ -411,6 +380,5 @@ impl EvalScratch {
     pub fn reset(&mut self, slot_count: usize) {
         self.values.clear();
         self.values.resize(slot_count, None);
-        self.keep = KeepLists::default();
     }
 }

@@ -20,7 +20,8 @@
 //!   pipeline evaluation in ingress → port-mask computation → crossbar
 //!   replication (one copy per output port) → egress pruning of the
 //!   messages each subscriber did not ask for (§VI-A) → custom actions
-//!   (e.g. `answerDNS`).
+//!   (e.g. `answerDNS`). Port masks are bit rows over each program's
+//!   own port table (`replicate`, crate-private).
 //! * [`telemetry`] — optional sampled instruments on the switch path
 //!   ([`camus_telemetry`] handles); one mask test per packet when
 //!   attached, nothing at all when not.
@@ -32,6 +33,7 @@
 pub mod fastpath;
 pub mod packet;
 pub mod parser;
+mod replicate;
 pub mod state;
 pub mod switch;
 pub mod telemetry;

@@ -6,16 +6,18 @@
 //! one copy per output port — and egress prunes from each copy the
 //! messages that port's subscribers did not ask for (§VI-A; on
 //! hardware the mask rides in an unused header field, here it is
-//! explicit). Non-forward actions (`answerDNS`, custom) are surfaced
-//! to the embedding application.
+//! explicit: a bit row over the program's own port table, see
+//! `replicate`). Non-forward actions (`answerDNS`, custom) are
+//! surfaced to the embedding application.
 //!
 //! Latency is modelled as a base pipeline traversal plus a penalty per
 //! recirculation pass, defaulting to the paper's sub-microsecond
 //! pipeline (§VIII-F).
 
-use crate::fastpath::{EvalPlan, EvalScratch, KeepLists};
+use crate::fastpath::{EvalPlan, EvalScratch};
 use crate::packet::Packet;
 use crate::parser::{DeepParser, ParseOutcome};
+use crate::replicate::{Egress, PortMasks};
 use crate::state::StateStore;
 use crate::telemetry::SwitchTelemetry;
 use camus_core::compiled::{CompiledPipeline, EvalCounters};
@@ -108,6 +110,9 @@ pub struct Program {
     compiled: CompiledPipeline,
     /// Slot resolution of `compiled` against the spec.
     plan: EvalPlan,
+    /// The forward set of each of `compiled`'s actions, as a bit row
+    /// over the program's port table.
+    masks: PortMasks,
     /// Aggregate operands appearing in the pipeline, cached.
     aggregates: Vec<(String, AggFunc, String)>, // (key, func, field)
     /// What `pipeline` costs under the spec's field widths; every
@@ -131,13 +136,28 @@ impl Program {
             .collect();
         let compiled = CompiledPipeline::lower(&pipeline);
         let plan = EvalPlan::build(spec, &compiled, &pipeline);
+        let masks = PortMasks::build(compiled.actions());
         let report =
             resources::report(&pipeline, pipeline.multicast_group_count(), &spec.field_widths());
-        Program { pipeline, compiled, plan, aggregates, report, spec_id: spec_identity(spec) }
+        Program {
+            pipeline,
+            compiled,
+            plan,
+            masks,
+            aggregates,
+            report,
+            spec_id: spec_identity(spec),
+        }
     }
 
     pub fn pipeline(&self) -> &Pipeline {
         &self.pipeline
+    }
+
+    /// The program's port table: the distinct ports its forward actions
+    /// name, ascending. Port masks are bit rows over it.
+    pub fn ports(&self) -> &[Port] {
+        self.masks.ports()
     }
 
     /// The fast-path lowering of the pipeline.
@@ -197,10 +217,12 @@ pub struct SwitchStats {
     /// Packets processed through `process_batch` (with `batches`, the
     /// mean batch size).
     pub batched_packets: u64,
-    /// Output copies that shared the input buffer (no pruning needed:
-    /// an `Arc` bump, not a byte copy).
+    /// Output copies that share an existing buffer: the input's (no
+    /// message pruned) or an identical pruned copy's (another port keeps
+    /// the same messages). An `Arc` bump, not a byte copy.
     pub shared_copies: u64,
-    /// Output copies that materialised a pruned buffer.
+    /// Output copies that materialised a pruned buffer: one per distinct
+    /// kept-message set of a packet that is not the whole packet.
     pub deep_copies: u64,
 }
 
@@ -270,8 +292,11 @@ pub struct Switch {
     /// [`finalize_install`](Self::finalize_install) so a network-wide
     /// transaction can still revert this switch.
     retired: Option<Arc<Program>>,
-    /// Reusable per-packet scratch (slot values + keep lists).
+    /// Reusable per-message slot values.
     scratch: EvalScratch,
+    /// `port_down` as a row of the live program's port table, plus the
+    /// scratch replication reuses across packets.
+    egress: Egress,
     state: StateStore,
     config: SwitchConfig,
     stats: SwitchStats,
@@ -312,7 +337,7 @@ impl Switch {
         config.budget.admit(&program.report).expect("install rejected by resource budget");
         let mut scratch = EvalScratch::default();
         scratch.reset(program.compiled.slots().len());
-        Switch {
+        let mut sw = Switch {
             spec_id: program.spec_id,
             parser,
             program,
@@ -320,13 +345,22 @@ impl Switch {
             committed_epoch: None,
             retired: None,
             scratch,
+            egress: Egress::default(),
             state,
             config,
             stats: SwitchStats::default(),
             port_down: HashSet::new(),
             telemetry: None,
             last_eval: EvalCounters::default(),
-        }
+        };
+        sw.sync_down();
+        sw
+    }
+
+    /// Re-derive the down row over the live program's port table: after
+    /// a port changes state and whenever the live program changes.
+    fn sync_down(&mut self) {
+        self.egress.set_down(&self.program.masks, &self.port_down);
     }
 
     /// Check `program` against this switch — its spec and its own
@@ -375,6 +409,7 @@ impl Switch {
                 self.scratch.reset(p.compiled.slots().len());
                 self.retired = Some(std::mem::replace(&mut self.program, p));
                 self.committed_epoch = Some(epoch);
+                self.sync_down();
                 true
             }
             None => false,
@@ -389,6 +424,7 @@ impl Switch {
                 self.scratch.reset(p.compiled.slots().len());
                 self.program = p;
                 self.committed_epoch = None;
+                self.sync_down();
                 true
             }
             None => false,
@@ -471,6 +507,7 @@ impl Switch {
         } else {
             self.port_down.remove(&port);
         }
+        self.sync_down();
     }
 
     pub fn port_is_down(&self, port: Port) -> bool {
@@ -501,11 +538,14 @@ impl Switch {
 
     /// Process a packet arriving on `ingress` at absolute time
     /// `now_us`, through the compiled fast path: slot-indexed decode
-    /// straight from the packet bytes, reusable keep lists, and
-    /// copy-on-prune replication. Once warm, a packet that leaves
-    /// through no port allocates nothing; a forwarded one allocates its
-    /// port vector plus one buffer per pruned copy (unpruned copies
-    /// share the input buffer).
+    /// straight from the packet bytes, then replication by port mask —
+    /// each forwarded message's egress set is a bit row over the
+    /// program's port table, and copies come out in port order. Once
+    /// warm, a packet that leaves through no port allocates nothing; a
+    /// forwarded one allocates its port vector plus one buffer per
+    /// distinct pruned copy (a copy keeping every message shares the
+    /// input buffer, and ports that keep the same messages share one
+    /// pruned buffer).
     pub fn process(&mut self, pkt: &Packet, ingress: Port, now_us: u64) -> SwitchOutput {
         let mut out = SwitchOutput::default();
         self.process_into(pkt, ingress, now_us, &mut out);
@@ -516,13 +556,12 @@ impl Switch {
     /// of `out` is overwritten, and its `ports`/`actions` vectors are
     /// cleared but keep their capacity.
     fn process_into(&mut self, pkt: &Packet, ingress: Port, now_us: u64, out: &mut SwitchOutput) {
-        let Switch {
-            program, state, scratch, config, stats, port_down, telemetry, last_eval, ..
-        } = self;
+        let Switch { program, state, scratch, egress, config, stats, telemetry, last_eval, .. } =
+            self;
         // One deref of the shared program per call; the hot loop below
         // never touches the `Arc` (or its refcount) again.
         let program: &Program = program;
-        let (plan, compiled) = (&program.plan, &program.compiled);
+        let (plan, compiled, masks) = (&program.plan, &program.compiled, &program.masks);
         stats.packets += 1;
         if plan.is_malformed(pkt) {
             stats.malformed += 1;
@@ -543,54 +582,29 @@ impl Switch {
         out.latency_ns = config.base_latency_ns + config.recirc_latency_ns * (passes as u64 - 1);
 
         let mut counters = EvalCounters::default();
-        scratch.keep.clear();
-
-        if total == 0 {
-            // Stack-only application (e.g. INT): the packet itself is
-            // the message.
-            if plan.stack_has_fields(pkt) {
-                stats.messages += 1;
-                let id = plan.eval(
-                    compiled,
-                    state,
-                    &mut scratch.values,
-                    pkt,
-                    None,
-                    now_us,
-                    &mut counters,
-                );
-                apply_action(
-                    compiled.action(id),
-                    0,
-                    ingress,
-                    port_down,
-                    &mut scratch.keep,
-                    stats,
-                    out,
-                );
-            }
-        } else {
-            for index in 0..extract {
-                stats.messages += 1;
-                let off = plan.msg_offset(index);
-                let id = plan.eval(
-                    compiled,
-                    state,
-                    &mut scratch.values,
-                    pkt,
-                    Some(off),
-                    now_us,
-                    &mut counters,
-                );
-                apply_action(
-                    compiled.action(id),
-                    index,
-                    ingress,
-                    port_down,
-                    &mut scratch.keep,
-                    stats,
-                    out,
-                );
+        // A stack-only application (e.g. INT) evaluates the packet
+        // itself as its one message.
+        let evals = if total == 0 { usize::from(plan.stack_has_fields(pkt)) } else { extract };
+        let mut forwarded = false;
+        for index in 0..evals {
+            stats.messages += 1;
+            let off = (total > 0).then(|| plan.msg_offset(index));
+            let id =
+                plan.eval(compiled, state, &mut scratch.values, pkt, off, now_us, &mut counters);
+            // Drops and custom actions touch no mask state.
+            match compiled.action(id) {
+                Action::Forward(_) => {
+                    if !forwarded {
+                        egress.begin(masks, ingress, evals);
+                        forwarded = true;
+                    }
+                    egress.forward(masks, id, index, stats);
+                }
+                Action::Drop => {
+                    stats.dropped_messages += 1;
+                    stats.dropped_no_route += 1;
+                }
+                other => out.actions.push((index, other.clone())),
             }
         }
         stats.stage_hits += counters.stage_hits;
@@ -600,26 +614,8 @@ impl Switch {
         if let Some(t) = telemetry.as_deref_mut() {
             t.observe(&counters, out.latency_ns, passes);
         }
-
-        // Crossbar replication + egress pruning: one copy per port. A
-        // copy that keeps every byte shares the input buffer (`Bytes`
-        // is refcounted) instead of deep-cloning; a pruned copy is built
-        // from the plan's geometry straight into its own buffer.
-        scratch.keep.sort_ports();
-        out.ports.reserve(scratch.keep.touched.len());
-        let share_whole = plan.msg_width == 0;
-        let exact_len = plan.msg_base + total * plan.msg_width;
-        for &port in &scratch.keep.touched {
-            let indices = &scratch.keep.lists[port as usize];
-            let copy = if share_whole || (indices.len() == total && pkt.len() == exact_len) {
-                stats.shared_copies += 1;
-                pkt.clone()
-            } else {
-                stats.deep_copies += 1;
-                plan.prune(pkt, indices, &mut scratch.prune)
-            };
-            stats.copies += 1;
-            out.ports.push((port, copy));
+        if forwarded {
+            egress.replicate(masks, plan, pkt, total, stats, &mut out.ports);
         }
     }
 
@@ -640,7 +636,8 @@ impl Switch {
     /// exactly one slot per packet, and the slots a previous batch left
     /// are overwritten in place — their `ports`/`actions` vectors
     /// cleared but keeping their capacity — so a hot loop that reuses
-    /// one `out` allocates, once warm, only the pruned copies' buffers.
+    /// one `out` allocates, once warm, only one buffer per distinct
+    /// pruned copy of each packet.
     pub fn process_batch_indexed(
         &mut self,
         pkts: &[(Packet, Port)],
@@ -694,8 +691,10 @@ impl Switch {
             ..Default::default()
         };
 
-        // Per-port keep lists (the port mask of §VI-A).
-        let mut keep = KeepLists::default();
+        // Per-port keep lists (the port mask of §VI-A), found by linear
+        // scan: the oracle's own representation, independent of the
+        // fast path's bit rows.
+        let mut keep: Vec<(Port, Vec<usize>)> = Vec::new();
 
         if outcome.messages.is_empty() {
             // Stack-only application (e.g. INT): the packet itself is
@@ -731,12 +730,10 @@ impl Switch {
         }
 
         // Crossbar replication + egress pruning: one copy per port.
-        keep.sort_ports();
-        for ti in 0..keep.touched.len() {
-            let port = keep.touched[ti];
-            let indices = &keep.lists[port as usize];
+        keep.sort_unstable_by_key(|&(port, _)| port);
+        for (port, indices) in keep {
             let copy = if self.parser.spec().messages.is_some() {
-                pkt.prune_messages(self.parser.spec(), indices)
+                pkt.prune_messages(self.parser.spec(), &indices)
             } else {
                 pkt.clone()
             };
@@ -772,13 +769,14 @@ impl Switch {
     }
 }
 
-/// Route one message's action into the keep lists and stats.
+/// Route one message's action into the reference path's keep lists and
+/// stats.
 fn apply_action(
     action: &Action,
     msg_index: usize,
     ingress: Port,
     port_down: &HashSet<Port>,
-    keep: &mut KeepLists,
+    keep: &mut Vec<(Port, Vec<usize>)>,
     stats: &mut SwitchStats,
     out: &mut SwitchOutput,
 ) {
@@ -795,7 +793,10 @@ fn apply_action(
                     suppressed_down = true;
                     continue;
                 }
-                keep.push(p, msg_index);
+                match keep.iter_mut().find(|(q, _)| *q == p) {
+                    Some((_, list)) => list.push(msg_index),
+                    None => keep.push((p, vec![msg_index])),
+                }
                 any = true;
             }
             if !any {
@@ -1055,6 +1056,57 @@ mod tests {
     }
 
     #[test]
+    fn identical_prunes_share_one_buffer() {
+        let mut sw =
+            itch_switch("stock == GOOGL: fwd(4)\nprice > 5: fwd(2)\nshares > 50: fwd(7)\n");
+        assert_eq!(sw.program().ports(), &[2, 4, 7]);
+        let spec = itch_spec();
+        let msg = |stock: &str, price: i64, shares: i64| {
+            vec![
+                ("stock", Value::from(stock)),
+                ("price", Value::Int(price)),
+                ("shares", Value::Int(shares)),
+            ]
+        };
+        // Ports 2 and 4 keep message 0 alone, port 7 keeps message 1.
+        let pkt =
+            PacketBuilder::new(&spec).message(msg("GOOGL", 9, 1)).message(msg("FB", 1, 99)).build();
+        let out = sw.process(&pkt, 0, 0);
+        let ports: Vec<Port> = out.ports.iter().map(|(p, _)| *p).collect();
+        assert_eq!(ports, vec![2, 4, 7]);
+        let buf = |i: usize| out.ports[i].1.bytes.as_slice().as_ptr();
+        assert_eq!(buf(0), buf(1), "ports 2 and 4 share one pruned buffer");
+        assert_ne!(buf(0), buf(2));
+        assert_eq!(out.ports[0].1.message(&spec, 0).unwrap()["stock"], Value::from("GOOGL"));
+        assert_eq!(out.ports[2].1.message(&spec, 0).unwrap()["stock"], Value::from("FB"));
+        let s = sw.stats();
+        assert_eq!((s.copies, s.deep_copies, s.shared_copies), (3, 2, 1));
+    }
+
+    #[test]
+    fn duplicate_forward_ports_send_one_copy() {
+        // `fwd(2, 2)` names port 2 once: its copy carries the message
+        // once, on the fast path and the reference alike. The GOOGL
+        // message matches that rule alone, so no merge dedups it.
+        let mut fast = itch_switch("stock == GOOGL: fwd(2, 2)\nprice > 5: fwd(3)\n");
+        let mut reference = fast.clone();
+        let spec = itch_spec();
+        let pkt =
+            PacketBuilder::new(&spec).message(order("GOOGL", 1)).message(order("MSFT", 10)).build();
+        let (a, r) = (fast.process(&pkt, 0, 0), reference.process_reference(&pkt, 0, 0));
+        assert_eq!(a.ports, r.ports);
+        assert_eq!(a.ports.iter().map(|(p, _)| *p).collect::<Vec<_>>(), vec![2, 3]);
+        assert!(a.ports.iter().all(|(_, c)| c.message_count(&spec) == 1));
+        // Port 2 down: one suppressed decision, not two.
+        fast.set_port_down(2, true);
+        reference.set_port_down(2, true);
+        let (a, r) = (fast.process(&pkt, 0, 1), reference.process_reference(&pkt, 0, 1));
+        assert_eq!(a.ports, r.ports);
+        assert_eq!(fast.stats().dropped_port_down, 1);
+        assert_eq!(reference.stats().dropped_port_down, 1);
+    }
+
+    #[test]
     fn stack_only_copies_are_shared() {
         let spec = camus_lang::spec::int_spec();
         let statics = compile_static(&spec).unwrap();
@@ -1166,7 +1218,7 @@ mod tests {
         let InstallError::OverBudget(adm) = &err else { panic!("expected OverBudget, got {err}") };
         assert!(!adm.violations.is_empty());
 
-        // The previous compiled pipeline, keep-lists and stats are
+        // The previous compiled pipeline, port masks and stats are
         // untouched, and forwarding is byte-identical.
         assert_eq!(sw.pipeline(), &before_pipeline);
         assert_eq!(sw.stats(), before_stats);

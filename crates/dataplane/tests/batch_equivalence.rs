@@ -18,6 +18,11 @@
 //!   stats that [`SwitchStats::merge`] sums to the single-core totals
 //!   (for stateless rules, where partitioning cannot change per-message
 //!   outcomes).
+//!
+//! Streams arrive on any of the forward ports (the logical up port
+//! `u16::MAX` included) with any of them marked down, and a port marked
+//! down stays suppressed across program swaps that change the port
+//! table its mask is a row of.
 
 use camus_core::compiler::Compiler;
 use camus_core::statics::compile_static;
@@ -29,37 +34,37 @@ use camus_lang::spec::itch_spec;
 use camus_lang::value::Value;
 use proptest::prelude::*;
 
+/// The logical up port.
+const UP: Port = u16::MAX;
+
+fn itch_switch(rules: &str) -> Switch {
+    let statics = compile_static(&itch_spec()).unwrap();
+    let rules = parse_rules(rules).unwrap();
+    let compiled = Compiler::new().with_static(statics.clone()).compile(&rules).unwrap();
+    Switch::new(&statics, compiled.pipeline, SwitchConfig::default())
+}
+
 /// Stateful rules: the `avg(price)` aggregate makes every forwarding
 /// decision depend on the whole history of timestamps seen so far, so
 /// any batching bug that perturbs timestamps shows up as a port
 /// divergence. The default window is 100 μs and timestamps advance
 /// 1 μs per packet, so a ~200-packet stream tumbles the window twice.
 fn stateful_switch() -> Switch {
-    let spec = itch_spec();
-    let statics = compile_static(&spec).unwrap();
-    let rules = parse_rules(
+    itch_switch(
         "stock == GOOGL and avg(price) > 60: fwd(1)\n\
-         price > 500: fwd(2)\n\
+         price > 500: fwd(2, 65535)\n\
          stock == MSFT and count(price) > 3: fwd(3)\n",
     )
-    .unwrap();
-    let compiled = Compiler::new().with_static(statics.clone()).compile(&rules).unwrap();
-    Switch::new(&statics, compiled.pipeline, SwitchConfig::default())
 }
 
 /// Stateless rules, for the shard-sum identity (per-shard state
 /// registers legitimately differ from a single switch's, so the
 /// stats-sum identity holds only without aggregates).
 fn stateless_switch() -> Switch {
-    let spec = itch_spec();
-    let statics = compile_static(&spec).unwrap();
-    let rules = parse_rules(
+    itch_switch(
         "stock == GOOGL: fwd(1)\n\
-         price > 500: fwd(2)\n",
+         price > 500: fwd(2, 65535)\n",
     )
-    .unwrap();
-    let compiled = Compiler::new().with_static(statics.clone()).compile(&rules).unwrap();
-    Switch::new(&statics, compiled.pipeline, SwitchConfig::default())
 }
 
 /// A packet batching one message per `(symbol, price)` order.
@@ -76,15 +81,38 @@ fn arb_symbol() -> impl Strategy<Value = String> {
     prop_oneof![Just("GOOGL".to_string()), Just("MSFT".to_string()), Just("AAPL".to_string()),]
 }
 
-/// A stream of packets of one to three (symbol, price) orders — so
-/// egress copies are pruned whenever a packet's messages part ways —
-/// long enough that the 100 μs default window tumbles mid-stream.
-fn arb_stream() -> impl Strategy<Value = Vec<Vec<(String, i64)>>> {
-    prop::collection::vec(prop::collection::vec((arb_symbol(), 0i64..1_000), 1..4), 1..220)
+/// One of the rules' forward ports, the up port included.
+fn arb_forward_port() -> impl Strategy<Value = Port> {
+    prop_oneof![Just(1), Just(2), Just(3), Just(UP)]
 }
 
-fn packets(stream: &[Vec<(String, i64)>]) -> Vec<(Packet, Port)> {
-    stream.iter().map(|orders| (packet(orders), 0)).collect()
+/// A stream of packets of one to three (symbol, price) orders — so
+/// egress copies are pruned whenever a packet's messages part ways —
+/// long enough that the 100 μs default window tumbles mid-stream. Each
+/// packet arrives on port 0 (no rule forwards there) or on a forward
+/// port, which its copies must then skip.
+fn arb_stream() -> impl Strategy<Value = Vec<(Vec<(String, i64)>, Port)>> {
+    let ingress = prop_oneof![2 => Just(0), 1 => arb_forward_port()];
+    prop::collection::vec(
+        (prop::collection::vec((arb_symbol(), 0i64..1_000), 1..4), ingress),
+        1..220,
+    )
+}
+
+/// Up to two forward ports marked down.
+fn arb_down() -> impl Strategy<Value = Vec<Port>> {
+    prop::collection::vec(arb_forward_port(), 0..3)
+}
+
+fn packets(stream: &[(Vec<(String, i64)>, Port)]) -> Vec<(Packet, Port)> {
+    stream.iter().map(|(orders, ingress)| (packet(orders), *ingress)).collect()
+}
+
+fn with_down(mut sw: Switch, down: &[Port]) -> Switch {
+    for &port in down {
+        sw.set_port_down(port, true);
+    }
+    sw
 }
 
 fn ports_of(out: &SwitchOutput) -> Vec<Port> {
@@ -115,9 +143,10 @@ proptest! {
     fn batch_matches_sequential_and_reference(
         stream in arb_stream(),
         chunk in 1usize..70,
+        down in arb_down(),
     ) {
         let pkts = packets(&stream);
-        let base = stateful_switch();
+        let base = with_down(stateful_switch(), &down);
 
         let mut batched = base.clone();
         let outs_batch = drive_batched(&mut batched, &pkts, chunk);
@@ -145,6 +174,11 @@ proptest! {
             batched.stats().forwarding_stats(),
             seq.stats().forwarding_stats()
         );
+        // And the drop attribution agrees with the oracle's.
+        let drops = |s: SwitchStats| {
+            (s.copies, s.dropped_messages, s.dropped_no_route, s.dropped_port_down)
+        };
+        prop_assert_eq!(drops(batched.stats()), drops(oracle.stats()));
     }
 
     /// Per-shard stats over any contiguous partition of a stateless
@@ -153,9 +187,10 @@ proptest! {
     fn shard_stats_sum_to_single_core(
         stream in arb_stream(),
         shards in 1usize..9,
+        down in arb_down(),
     ) {
         let pkts = packets(&stream);
-        let base = stateless_switch();
+        let base = with_down(stateless_switch(), &down);
 
         let mut single = base.clone();
         drive_batched(&mut single, &pkts, 64);
@@ -222,17 +257,12 @@ fn window_spanning_batches_agree_with_sequential() {
 /// packet a slot held before, fails here.
 #[test]
 fn reused_output_slots_equal_per_packet_processing() {
-    let spec = itch_spec();
-    let statics = compile_static(&spec).unwrap();
-    let rules = parse_rules(
+    let base = itch_switch(
         "stock == GOOGL and avg(price) > 60: fwd(1)\n\
          price > 500: fwd(2)\n\
          stock == MSFT: fwd(3)\n\
          stock == FB and price < 100: mirror(9)\n",
-    )
-    .unwrap();
-    let compiled = Compiler::new().with_static(statics.clone()).compile(&rules).unwrap();
-    let base = Switch::new(&statics, compiled.pipeline, SwitchConfig::default());
+    );
 
     let symbols = ["GOOGL", "MSFT", "AAPL", "FB"];
     let stream: Vec<(Packet, Port)> = (0..136usize)
@@ -268,4 +298,76 @@ fn reused_output_slots_equal_per_packet_processing() {
     assert!(stats.deep_copies > 0 && stats.shared_copies > 0, "{stats:?}");
     assert!(stats.recirculation_passes > 0, "{stats:?}");
     assert_eq!(batched.stats().forwarding_stats(), stats.forwarding_stats());
+}
+
+/// A port marked down stays suppressed while the live program changes
+/// under it: commits and reverts between programs whose port tables
+/// differ, so the port's bit moves or vanishes. The fast path agrees
+/// with the reference on every copy and on every drop counter, and
+/// bringing the port back up resumes forwarding on the program then
+/// live.
+#[test]
+fn port_down_survives_program_swaps() {
+    let table_a = "stock == GOOGL: fwd(2, 65535)\nprice > 500: fwd(5)\n";
+    let table_b = "stock == GOOGL: fwd(1, 65535)\nstock == MSFT: fwd(3, 7)\n";
+    let table_c = "price > 100: fwd(65535)\nstock == MSFT: fwd(2)\n";
+    let (b, c) = (itch_switch(table_b), itch_switch(table_c));
+    let mut fast = itch_switch(table_a);
+    assert_eq!(fast.program().ports(), &[2, 5, UP]);
+    assert_eq!(b.program().ports(), &[1, 3, 7, UP]);
+    assert_eq!(c.program().ports(), &[2, UP]);
+    fast.set_port_down(UP, true);
+    fast.set_port_down(2, true);
+    let mut reference = fast.clone();
+
+    let pkts: Vec<Packet> = [
+        vec![("GOOGL", 600), ("MSFT", 700)],
+        vec![("MSFT", 50), ("AAPL", 900), ("GOOGL", 20)],
+        vec![("GOOGL", 10)],
+    ]
+    .iter()
+    .map(|orders| packet(orders))
+    .collect();
+    let mut now = 0u64;
+    let mut check = |fast: &mut Switch, reference: &mut Switch| -> Vec<Port> {
+        let before = fast.stats().dropped_port_down;
+        let mut seen = Vec::new();
+        for pkt in &pkts {
+            let (f, r) = (fast.process(pkt, 0, now), reference.process_reference(pkt, 0, now));
+            assert_eq!(f.ports, r.ports, "copies @ t = {now}");
+            seen.extend(ports_of(&f));
+            now += 1;
+        }
+        let drops = |s: SwitchStats| {
+            (s.copies, s.dropped_messages, s.dropped_no_route, s.dropped_port_down)
+        };
+        assert_eq!(drops(fast.stats()), drops(reference.stats()));
+        assert!(fast.stats().dropped_port_down > before, "a down port lost a decision");
+        seen
+    };
+
+    let seen = check(&mut fast, &mut reference);
+    assert!(!seen.contains(&UP) && !seen.contains(&2), "{seen:?}");
+    for sw in [&mut fast, &mut reference] {
+        sw.stage(b.pipeline().clone()).unwrap();
+        assert!(sw.commit_staged());
+    }
+    let seen = check(&mut fast, &mut reference);
+    assert!(!seen.contains(&UP) && seen.contains(&1), "{seen:?}");
+    for sw in [&mut fast, &mut reference] {
+        assert!(sw.revert_committed());
+    }
+    let seen = check(&mut fast, &mut reference);
+    assert!(!seen.contains(&UP) && seen.contains(&5), "{seen:?}");
+    for sw in [&mut fast, &mut reference] {
+        sw.install(c.pipeline().clone());
+    }
+    let seen = check(&mut fast, &mut reference);
+    assert!(!seen.contains(&UP) && !seen.contains(&2), "{seen:?}");
+
+    fast.set_port_down(UP, false);
+    reference.set_port_down(UP, false);
+    let (f, r) = (fast.process(&pkts[0], 0, 99), reference.process_reference(&pkts[0], 0, 99));
+    assert_eq!(f.ports, r.ports);
+    assert_eq!(ports_of(&f), vec![UP], "port 2 is still down");
 }

@@ -4,11 +4,15 @@
 //! switch (scratch slots sized, string buffers grown, aggregate
 //! registers created), repeated `Switch::process` calls on drop-path
 //! packets must perform **zero** heap allocations. Forwarded packets
-//! allocate exactly their output: one buffer per pruned copy (counted
-//! by `SwitchStats::deep_copies`; an unpruned copy shares the input
+//! allocate exactly their output: one buffer per distinct pruned copy
+//! (counted by `SwitchStats::deep_copies`; an unpruned copy shares the
+//! input buffer, and ports keeping the same messages share one pruned
 //! buffer), plus the port vector `Switch::process` returns —
 //! `process_batch_indexed` into a reused output overwrites its slots
-//! in place and allocates the pruned buffers alone.
+//! in place and allocates the pruned buffers alone. The allocator also
+//! counts bytes: a switch forwarding to the logical up port
+//! (`u16::MAX`) must warm up in kilobytes, not in a table indexed by
+//! port number.
 //!
 //! This file holds exactly one `#[test]`: the allocator counter is
 //! global, so a second concurrently running test would pollute it.
@@ -30,10 +34,16 @@ use camus_telemetry::metrics::{MetricsRegistry, SampleRate};
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+
+fn count(bytes: usize) {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    ALLOC_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         System.alloc(layout)
     }
 
@@ -42,12 +52,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
 }
@@ -57,6 +67,10 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocs() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
+}
+
+fn alloc_bytes() -> u64 {
+    ALLOC_BYTES.load(Ordering::Relaxed)
 }
 
 #[test]
@@ -85,7 +99,7 @@ fn steady_state_process_does_not_allocate() {
         PacketBuilder::new(&spec).message(order("GOOGL", 99)).message(order("MSFT", 950)).build();
 
     // Warm up: size the slot scratch's string buffers, create the
-    // aggregate registers, and grow the keep lists to every port seen.
+    // aggregate registers, and grow the replication scratch.
     for _ in 0..32 {
         sw.process(&drop_pkt, 0, 5);
         sw.process(&fwd_pkt, 0, 5);
@@ -100,9 +114,11 @@ fn steady_state_process_does_not_allocate() {
     assert_eq!(allocs() - before, 0, "drop-path processing must not allocate");
 
     // Matching path: evaluation contributes nothing. Each of the three
-    // copies keeps one of two messages, so `process` allocates its port
-    // vector and one buffer per pruned copy — exactly four.
-    let (before, deep_before) = (allocs(), sw.stats().deep_copies);
+    // copies keeps one of two messages, and ports 2 and 3 keep the same
+    // one, so `process` allocates its port vector and two pruned
+    // buffers — exactly three.
+    let (before, deep_before, shared_before) =
+        (allocs(), sw.stats().deep_copies, sw.stats().shared_copies);
     let rounds = 500u64;
     for _ in 0..rounds {
         let out = sw.process(&fwd_pkt, 0, 5);
@@ -110,8 +126,24 @@ fn steady_state_process_does_not_allocate() {
         assert!(out.ports.iter().map(|(p, _)| *p).eq([1, 2, 3]));
     }
     let deep = sw.stats().deep_copies - deep_before;
-    assert_eq!(deep, 3 * rounds);
-    assert_eq!(allocs() - before, rounds + deep, "matching path: port vector + pruned buffers");
+    assert_eq!(deep, 2 * rounds);
+    assert_eq!(sw.stats().shared_copies - shared_before, rounds);
+    assert_eq!(allocs() - before, 3 * rounds, "matching path: port vector + pruned buffers");
+
+    // Forwarding up: the logical up port is `u16::MAX`. Warming such a
+    // switch must cost what its packets need, not a table indexed by
+    // port number (≥ 1.5 MiB of list headers).
+    let up_rules = parse_rules("stock == GOOGL: fwd(1, 65535)\nprice > 500: fwd(65535)\n").unwrap();
+    let up_compiled = Compiler::new().with_static(statics.clone()).compile(&up_rules).unwrap();
+    let mut up = Switch::new(&statics, up_compiled.pipeline, SwitchConfig::default());
+    let before = alloc_bytes();
+    for _ in 0..32 {
+        up.process(&drop_pkt, 0, 5);
+        let out = up.process(&fwd_pkt, 0, 5);
+        assert!(out.ports.iter().map(|(p, _)| *p).eq([1, u16::MAX]));
+    }
+    let warm_up = alloc_bytes() - before;
+    assert!(warm_up < 64 << 10, "up-port warm-up allocated {warm_up} bytes");
 
     // Fan-out: multi-message packets, each pruned differently on
     // several ports, and one port that keeps everything (a shared copy).

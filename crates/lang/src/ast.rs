@@ -316,6 +316,7 @@ pub type Port = u16;
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Action {
     /// Forward to one or more ports (multicast when more than one).
+    /// The parser and [`Action::merge`] keep the ports sorted, each once.
     Forward(Vec<Port>),
     /// Craft a DNS authoritative answer with the given IPv4 address and
     /// send it back to the source (custom action, §VIII-C.5).

@@ -313,6 +313,10 @@ impl Parser {
                 if ports.is_empty() {
                     return Err(LangError::Semantic("fwd() requires at least one port".into()));
                 }
+                // A forward set, not a list: `fwd(2, 2)` sends one copy
+                // to port 2, on the fast path and the reference alike.
+                ports.sort_unstable();
+                ports.dedup();
                 Ok(Action::Forward(ports))
             }
             "answerDNS" => {
@@ -391,6 +395,8 @@ mod tests {
             parse_rule("a == 1: fwd(1,2,3)").unwrap().action,
             Action::Forward(vec![1, 2, 3])
         );
+        // Port lists are canonical: sorted, each port once.
+        assert_eq!(parse_rule("a == 1: fwd(3,1,3)").unwrap().action, Action::Forward(vec![1, 3]));
         assert_eq!(
             parse_rule("name == h105: answerDNS(10.0.0.105)").unwrap().action,
             Action::AnswerDns(0x0A00_0069)
