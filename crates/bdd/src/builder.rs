@@ -12,10 +12,9 @@ use crate::order::VarOrder;
 use crate::store::Bdd;
 use camus_lang::ast::Rule;
 
-/// Stack size for BDD-heavy work (bulk builds, incremental
-/// maintenance, table emission): union recursion depth is bounded by
-/// the longest band, which can reach the rule count. Callers that run
-/// construction on their own threads should use this size.
+/// A 1 GiB stack size, kept for callers outside the workspace that name
+/// it. No workspace code uses it: construction keeps its work on the
+/// heap and runs on any thread.
 pub const DEEP_STACK: usize = 1 << 30;
 
 /// Configures and runs BDD construction.

@@ -32,6 +32,9 @@
 //!   terminals with an id remap returned to the caller, so long-lived
 //!   incremental stores ([`crate::incremental`]) stay within a
 //!   constant factor of their reachable size.
+//! * `union`, `prune` and `mk` run on one reused work stack, and every
+//!   other walk keeps an explicit stack too, so construction runs on
+//!   any thread with a bounded native stack.
 
 use camus_lang::ast::{Action, Operand, Predicate, Rel};
 use camus_lang::sets::implication;
@@ -312,6 +315,32 @@ struct Scratch {
     stack: Vec<NodeRef>,
 }
 
+/// One step on the construction kernels' work stack ([`Bdd::run`]). A
+/// kernel call pushes the steps it takes, last first; a finished call
+/// leaves its node on the result stack, and a step that consumes
+/// results pops them there.
+#[derive(Debug, Clone, Copy)]
+enum Work {
+    Union(NodeRef, NodeRef),
+    Prune(NodeRef, PredId, bool),
+    /// `mk(var, lo, hi)` of the two results on top.
+    Mk(PredId),
+    /// `union`'s four pruned cofactors are on top: the sub-unions next.
+    Split,
+    /// Memoise the result on top.
+    UnionMemo(NodeRef, NodeRef),
+    PruneMemo(u32, PredId, bool),
+    /// `mk`'s pruned branches are on top.
+    Reduce(PredId),
+    /// `hi` restricted to `var = false` is on top.
+    TestHi(PredId, NodeRef, NodeRef),
+    /// `lo` restricted to `var = true` is on top.
+    TestLo(PredId, NodeRef, NodeRef),
+}
+
+/// Room the kernels' stacks keep between walks (a few KiB per store).
+const KEPT_STEPS: usize = 256;
+
 /// Open-addressing unique table: slots hold node ids (`u32::MAX` =
 /// empty), keys are the nodes themselves, compared against the node
 /// arena. Rebuilt wholesale after a gc sweep.
@@ -418,6 +447,9 @@ pub struct Bdd {
     labels: Vec<Action>,
     root: NodeRef,
     scratch: Scratch,
+    /// The kernels' work and result stacks, reused from call to call.
+    work: Vec<Work>,
+    results: Vec<NodeRef>,
     stats: GcStats,
 }
 
@@ -457,6 +489,8 @@ impl Bdd {
             labels: Vec::new(),
             root: NodeRef::Term(TermId(0)),
             scratch: Scratch::default(),
+            work: Vec::new(),
+            results: Vec::new(),
             stats: GcStats::default(),
         };
         // Terminal 0 is the canonical empty set ("no rule matches").
@@ -646,42 +680,109 @@ impl Bdd {
     /// Make (or reuse) the node `if var then hi else lo`, applying all
     /// four reductions.
     pub(crate) fn mk(&mut self, var: PredId, lo: NodeRef, hi: NodeRef) -> NodeRef {
-        let lo = self.prune(lo, var, false);
-        let hi = self.prune(hi, var, true);
-        if lo == hi {
-            return lo; // reduction (ii)
-        }
-        // Reduction (iv): redundant-test elimination. If `hi`
-        // restricted to `var = false` is exactly `lo`, then the test
-        // contributes nothing — every packet evaluates `hi` to the same
-        // set whether or not it satisfies `var` (a var-false packet
-        // walks `hi` along the branches the restriction took).
-        // Symmetrically for `lo` restricted to `var = true`. Without
-        // this check the reduced form depends on the order unions are
-        // folded in: a rule subsumed by a same-action rule on another
-        // field collapses when the subsumer is merged first but leaves
-        // a vacuous test chain when it is merged later, so incremental
-        // maintenance (which re-merges against the full misc conjunct
-        // every refresh) would keep nodes a scratch build drops. For a
-        // pure-equality band the `lo` restriction is the memoised
-        // lo-spine exit, so the common identifier-routing path costs
-        // O(1).
-        if self.prune(hi, var, false) == lo {
-            return hi;
-        }
-        if self.prune(lo, var, true) == hi {
-            return lo;
-        }
-        let node = Node { var, lo, hi };
-        if let Some(id) = self.unique.get(&self.nodes, &node) {
-            return NodeRef::Node(id); // reduction (i)
-        }
-        self.push_node(node)
+        self.run(&[lo, hi], Work::Mk(var))
     }
 
-    /// Append a node without the reduction checks (used by `absorb`,
-    /// whose source is already reduced over the same alphabet).
-    fn push_node(&mut self, node: Node) -> NodeRef {
+    /// Union of two BDDs (pointwise union of terminal rule sets).
+    pub(crate) fn union(&mut self, a: NodeRef, b: NodeRef) -> NodeRef {
+        self.run(&[], Work::Union(a, b))
+    }
+
+    /// Run `union`, `prune` and `mk` — which call each other once per
+    /// band member — as one loop over the reused work stack, so the
+    /// native stack stays flat. Each step returns the node it finishes
+    /// with, if any. Steps run in depth-first call order, as recursive
+    /// kernels would make the calls, and fill the memos at the same
+    /// points, so nodes are created in the order recursion creates them.
+    fn run(&mut self, args: &[NodeRef], first: Work) -> NodeRef {
+        self.work.clear();
+        self.results.clear();
+        self.results.extend_from_slice(args);
+        self.work.push(first);
+        while let Some(step) = self.work.pop() {
+            let done = match step {
+                Work::Union(a, b) => self.union_step(a, b),
+                Work::Prune(n, var, val) => self.prune_step(n, var, val),
+                Work::Mk(var) => {
+                    let [lo, hi] = self.take();
+                    self.then([
+                        Work::Reduce(var),
+                        Work::Prune(hi, var, true),
+                        Work::Prune(lo, var, false),
+                    ])
+                }
+                Work::Split => {
+                    let [alo, blo, ahi, bhi] = self.take();
+                    self.then([Work::Union(ahi, bhi), Work::Union(alo, blo)])
+                }
+                Work::UnionMemo(a, b) => {
+                    self.union_memo.insert((a, b), self.results[self.results.len() - 1]);
+                    None
+                }
+                Work::PruneMemo(id, var, val) => {
+                    self.prune_memo.insert((id, var, val), self.results[self.results.len() - 1]);
+                    None
+                }
+                Work::Reduce(var) => match self.take() {
+                    [lo, hi] if lo == hi => Some(lo), // reduction (ii)
+                    [lo, hi] => self.then([Work::TestHi(var, lo, hi), Work::Prune(hi, var, false)]),
+                },
+                // Reduction (iv): redundant-test elimination. If `hi`
+                // restricted to `var = false` is exactly `lo`, then the
+                // test contributes nothing — every packet evaluates `hi`
+                // to the same set whether or not it satisfies `var` (a
+                // var-false packet walks `hi` along the branches the
+                // restriction took). Symmetrically for `lo` restricted to
+                // `var = true`. Without this check the reduced form
+                // depends on the order unions are folded in: a rule
+                // subsumed by a same-action rule on another field
+                // collapses when the subsumer is merged first but leaves
+                // a vacuous test chain when it is merged later, so
+                // incremental maintenance (which re-merges against the
+                // full misc conjunct every refresh) would keep nodes a
+                // scratch build drops. For a pure-equality band the `lo`
+                // restriction is the memoised lo-spine exit, so the
+                // common identifier-routing path costs O(1).
+                Work::TestHi(var, lo, hi) => match self.take() {
+                    [r] if r == lo => Some(hi),
+                    _ => self.then([Work::TestLo(var, lo, hi), Work::Prune(lo, var, true)]),
+                },
+                Work::TestLo(var, lo, hi) => Some(match self.take() {
+                    [r] if r == hi => lo,
+                    _ => self.intern(Node { var, lo, hi }),
+                }),
+            };
+            self.results.extend(done);
+        }
+        // A store outlives its walks: what a deep walk grew the stacks
+        // to goes back to the allocator.
+        self.work.shrink_to(KEPT_STEPS);
+        self.results.shrink_to(KEPT_STEPS);
+        self.take::<1>()[0]
+    }
+
+    /// Push `steps`, the last to run first; the step that pushes them
+    /// finishes with no node of its own.
+    fn then<const N: usize>(&mut self, steps: [Work; N]) -> Option<NodeRef> {
+        self.work.extend(steps);
+        None
+    }
+
+    /// Pop the `N` results on top, oldest first.
+    fn take<const N: usize>(&mut self) -> [NodeRef; N] {
+        let at = self.results.len() - N;
+        let out = std::array::from_fn(|i| self.results[at + i]);
+        self.results.truncate(at);
+        out
+    }
+
+    /// Reduction (i): the stored node equal to `node`, else `node`
+    /// appended. `absorb`, whose source is already reduced over the same
+    /// alphabet, interns without the other reductions.
+    fn intern(&mut self, node: Node) -> NodeRef {
+        if let Some(id) = self.unique.get(&self.nodes, &node) {
+            return NodeRef::Node(id);
+        }
         let id = self.nodes.len() as u32;
         self.nodes.push(node);
         self.stats.peak_allocated = self.stats.peak_allocated.max(self.nodes.len());
@@ -693,24 +794,23 @@ impl Bdd {
     /// bypassing same-field descendant predicates that the assumption
     /// decides. Variables are grouped by field, so the walk stops as
     /// soon as it leaves `var`'s group.
-    fn prune(&mut self, n: NodeRef, var: PredId, val: bool) -> NodeRef {
-        let NodeRef::Node(id) = n else { return n };
+    fn prune_step(&mut self, n: NodeRef, var: PredId, val: bool) -> Option<NodeRef> {
+        let NodeRef::Node(id) = n else { return Some(n) };
         let node = self.nodes[id as usize];
         // Only same-field descendants can be decided by the assumption.
         let group = self.alphabet.groups[var.0 as usize];
         if self.alphabet.groups[node.var.0 as usize] != group {
-            return n;
+            return Some(n);
         }
         debug_assert!(
             self.level_of(node.var) > self.level_of(var),
             "descendants have higher variable levels"
         );
+        let given = &self.alphabet.preds[var.0 as usize];
         // Pure-equality bands have closed-form answers (O(1) instead of
         // walking the band) — the common case for identifier routing.
-        if self.alphabet.group_pure_eq[group as usize]
-            && self.alphabet.preds[var.0 as usize].rel == Rel::Eq
-        {
-            return if val {
+        if self.alphabet.group_pure_eq[group as usize] && given.rel == Rel::Eq {
+            return Some(if val {
                 // The assumed equality falsifies every other equality
                 // on the field: take lo until the band is exited.
                 self.lo_spine_exit(id, group)
@@ -718,24 +818,22 @@ impl Bdd {
                 // One equality being false decides nothing about the
                 // others.
                 n
-            };
+            });
         }
         if let Some(&cached) = self.prune_memo.get(&(id, var, val)) {
-            return cached;
+            return Some(cached);
         }
-        let given = self.alphabet.preds[var.0 as usize].clone();
-        let q = self.alphabet.preds[node.var.0 as usize].clone();
-        let out = match implication(&given, val, &q) {
-            Some(true) => self.prune(node.hi, var, val),
-            Some(false) => self.prune(node.lo, var, val),
-            None => {
-                let lo = self.prune(node.lo, var, val);
-                let hi = self.prune(node.hi, var, val);
-                self.mk(node.var, lo, hi)
-            }
-        };
-        self.prune_memo.insert((id, var, val), out);
-        out
+        let memo = Work::PruneMemo(id, var, val);
+        match implication(given, val, &self.alphabet.preds[node.var.0 as usize]) {
+            Some(true) => self.then([memo, Work::Prune(node.hi, var, val)]),
+            Some(false) => self.then([memo, Work::Prune(node.lo, var, val)]),
+            None => self.then([
+                memo,
+                Work::Mk(node.var),
+                Work::Prune(node.hi, var, val),
+                Work::Prune(node.lo, var, val),
+            ]),
+        }
     }
 
     /// Exit of the all-false lo-spine of node `id` within `group`:
@@ -767,64 +865,49 @@ impl Bdd {
         out
     }
 
-    /// Union of two BDDs (pointwise union of terminal rule sets).
-    pub(crate) fn union(&mut self, a: NodeRef, b: NodeRef) -> NodeRef {
-        if a == b {
-            return a;
+    /// A `union` step: the trivial cases, the memo and terminal pairs
+    /// finish here. Otherwise both operands split on the top variable,
+    /// and each cofactor is pruned under the branch assumption *before*
+    /// the sub-unions: a same-field chain that the assumption kills
+    /// collapses now, instead of being merged into O(band²) garbage
+    /// nodes that `mk` would only discard afterwards.
+    fn union_step(&mut self, a: NodeRef, b: NodeRef) -> Option<NodeRef> {
+        // The empty terminal is the identity.
+        if a == b || b == NodeRef::Term(TermId(0)) {
+            return Some(a);
         }
-        // Empty terminal is the identity.
         if a == NodeRef::Term(TermId(0)) {
-            return b;
-        }
-        if b == NodeRef::Term(TermId(0)) {
-            return a;
+            return Some(b);
         }
         // Normalise the memo key: union is commutative.
         let key = normalise_pair(a, b);
         if let Some(&cached) = self.union_memo.get(&key) {
-            return cached;
+            return Some(cached);
         }
-        let out = match (a, b) {
-            (NodeRef::Term(ta), NodeRef::Term(tb)) => {
-                let set: BTreeSet<RuleId> = self.terminals[ta.0 as usize]
-                    .union(&self.terminals[tb.0 as usize])
-                    .copied()
-                    .collect();
-                self.term(set)
-            }
-            _ => {
-                let va = top_var(self, a);
-                let vb = top_var(self, b);
-                let v = match (va, vb) {
-                    (Some(x), Some(y)) => {
-                        if self.level_of(x) <= self.level_of(y) {
-                            x
-                        } else {
-                            y
-                        }
-                    }
-                    (Some(x), None) => x,
-                    (None, Some(y)) => y,
-                    (None, None) => unreachable!("terminal/terminal handled above"),
-                };
-                let (alo, ahi) = cofactor(self, a, v);
-                let (blo, bhi) = cofactor(self, b, v);
-                // Prune each cofactor under the branch assumption
-                // *before* recursing: a same-field chain that the
-                // assumption kills collapses now, instead of being
-                // merged into O(band²) garbage nodes that mk() would
-                // only discard afterwards.
-                let alo = self.prune(alo, v, false);
-                let blo = self.prune(blo, v, false);
-                let ahi = self.prune(ahi, v, true);
-                let bhi = self.prune(bhi, v, true);
-                let lo = self.union(alo, blo);
-                let hi = self.union(ahi, bhi);
-                self.mk(v, lo, hi)
-            }
+        if let (NodeRef::Term(ta), NodeRef::Term(tb)) = (a, b) {
+            let set: BTreeSet<RuleId> = self.terminals[ta.0 as usize]
+                .union(&self.terminals[tb.0 as usize])
+                .copied()
+                .collect();
+            let out = self.term(set);
+            self.union_memo.insert(key, out);
+            return Some(out);
+        }
+        let v = match (top_var(self, a), top_var(self, b)) {
+            (Some(x), Some(y)) => std::cmp::min_by_key(x, y, |&p| self.level_of(p)),
+            (x, y) => x.or(y).expect("one operand is a node"),
         };
-        self.union_memo.insert(key, out);
-        out
+        let (alo, ahi) = cofactor(self, a, v);
+        let (blo, bhi) = cofactor(self, b, v);
+        self.then([
+            Work::UnionMemo(key.0, key.1),
+            Work::Mk(v),
+            Work::Split,
+            Work::Prune(bhi, v, true),
+            Work::Prune(ahi, v, true),
+            Work::Prune(blo, v, false),
+            Work::Prune(alo, v, false),
+        ])
     }
 
     /// Import the diagram rooted at `r` in `other` into this store,
@@ -884,12 +967,7 @@ impl Bdd {
                         NodeRef::Term(t) => translate_term(self, t),
                     };
                     debug_assert_ne!(lo, hi, "source diagrams are reduced");
-                    let node = Node { var: n.var, lo, hi };
-                    let here = match self.unique.get(&self.nodes, &node) {
-                        Some(existing) => NodeRef::Node(existing),
-                        None => self.push_node(node),
-                    };
-                    node_map.insert(id, here);
+                    node_map.insert(id, self.intern(Node { var: n.var, lo, hi }));
                 }
             }
         }

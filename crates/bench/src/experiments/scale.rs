@@ -32,7 +32,7 @@ use super::churn::churn_net;
 use super::Scale;
 use crate::mem;
 use crate::output::Table;
-use camus_bdd::{IncrementalBdd, VarOrder, DEEP_STACK};
+use camus_bdd::{IncrementalBdd, VarOrder};
 use camus_core::compiler::Compiler;
 use camus_lang::ast::{Expr, Rule};
 use camus_lang::parser::{parse_expr, parse_rule};
@@ -110,21 +110,8 @@ impl ScalePoint {
 
 /// Measure one rung: cold network compile, then `ops` incremental
 /// insert+remove pairs against the hottest switch's live diagram,
-/// whose seeding is timed as the dirty-list baseline. Runs on a
-/// deep-stack thread — BDD construction recursion is proportional to
-/// the rule count.
+/// whose seeding is timed as the dirty-list baseline.
 pub fn measure(net: &HierNet, n: usize, ops: usize) -> ScalePoint {
-    let net = net.clone();
-    std::thread::Builder::new()
-        .name("camus-scale".into())
-        .stack_size(DEEP_STACK)
-        .spawn(move || measure_inner(&net, n, ops))
-        .expect("spawn scale thread")
-        .join()
-        .expect("scale thread panicked")
-}
-
-fn measure_inner(net: &HierNet, n: usize, ops: usize) -> ScalePoint {
     mem::reset_peak();
     let subs = subscriptions(net, n);
     let routing = route_hierarchical(net, &subs, RoutingConfig::new(Policy::MemoryReduction));

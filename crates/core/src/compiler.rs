@@ -11,14 +11,10 @@ use crate::pipeline::Pipeline;
 use crate::resources::{report, ResourceReport};
 use crate::statics::StaticPipeline;
 use crate::tables::{bdd_to_pipeline, TableError};
-use camus_bdd::{rule_digest, Bdd, BddBuilder, IncrementalBdd, VarOrder, DEEP_STACK};
+use camus_bdd::{rule_digest, Bdd, BddBuilder, IncrementalBdd, VarOrder};
 use camus_lang::ast::Rule;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
-
-/// Name of a thread whose stack is [`DEEP_STACK`]-sized: the compiler's
-/// own and the network compile pool's workers.
-const DEEP_THREAD: &str = "camus-compile";
 
 /// Compiler tunables.
 #[derive(Debug, Clone)]
@@ -121,9 +117,6 @@ impl CompileState {
     }
 }
 
-/// What slicing a diagram yields, before the resource report.
-type Emitted = (Bdd, Pipeline, MulticastAllocator);
-
 /// The dynamic compiler.
 #[derive(Debug, Clone, Default)]
 pub struct Compiler {
@@ -177,90 +170,35 @@ impl Compiler {
 
     /// Compile a rule set into a pipeline.
     pub fn compile(&self, rules: &[Rule]) -> Result<Compiled, CompileError> {
-        let (compiled, ()) = self.cold(rules, |order| {
-            ((), BddBuilder::from_rules(rules).with_order(order.clone()).build())
-        })?;
-        Ok(compiled)
-    }
-
-    /// The cold step behind [`Compiler::compile`] and
-    /// [`Compiler::compile_incremental_seed`]: validate, build the
-    /// diagram, slice it. `build` only chooses whether the bulk
-    /// constructor keeps its maintenance state (returned as `S`) beside
-    /// the diagram to deploy; the construction is the same either way,
-    /// so a scratch compile and a seed of one list emit equal pipelines.
-    fn cold<S: Send>(
-        &self,
-        rules: &[Rule],
-        build: impl FnOnce(&VarOrder) -> (S, Bdd) + Send,
-    ) -> Result<(Compiled, S), CompileError> {
         let start = Instant::now();
         self.validate(rules)?;
-        let order = &self.order;
-        // BDD union/prune recursion depth is bounded by the longest
-        // variable chain — 10⁵+ for large exact-match alphabets — so
-        // build and emission share one hop onto a deep stack.
-        let (state, emitted) = Self::on_deep_stack(|| {
-            let (state, bdd) = build(order);
-            (state, self.slice(bdd))
-        });
-        Ok((self.finish(emitted?, start), state))
+        self.finish(BddBuilder::from_rules(rules).with_order(self.order.clone()).build(), start)
     }
 
-    /// Run `f` on a thread with a [`DEEP_STACK`]-sized stack (BDD
-    /// recursion depth is bounded by the longest variable band, which
-    /// can reach the rule count): here, if the caller already is one —
-    /// `camus_routing::par` workers carry this stack under this name —
-    /// else on a dedicated thread. A thread per compile under the pool
-    /// moved every unit's tables to whichever allocator arena the last
-    /// exited thread left free, so the heap a deploy retains differed
-    /// from run to run (EXPERIMENTS.md "Ledger — one lowered form").
-    fn on_deep_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
-        if std::thread::current().name() == Some(DEEP_THREAD) {
-            return f();
-        }
-        std::thread::scope(|scope| {
-            std::thread::Builder::new()
-                .name(DEEP_THREAD.into())
-                .stack_size(DEEP_STACK)
-                .spawn_scoped(scope, f)
-                .expect("spawn compile thread")
-                .join()
-                .expect("compile thread panicked")
-        })
-    }
-
-    /// Slice a diagram into a pipeline. `bdd_to_pipeline` walks with
-    /// explicit stacks; callers are on the deep stack because the build
-    /// beside it recurses.
-    fn slice(&self, bdd: Bdd) -> Result<Emitted, TableError> {
+    /// Slice a diagram into a pipeline and report its resources.
+    fn finish(&self, bdd: Bdd, start: Instant) -> Result<Compiled, CompileError> {
         let mut multicast = MulticastAllocator::new(self.config.multicast_limit);
         let pipeline = bdd_to_pipeline(&bdd, &mut multicast)?;
-        Ok((bdd, pipeline, multicast))
-    }
-
-    fn finish(&self, (bdd, pipeline, multicast): Emitted, start: Instant) -> Compiled {
         let widths: HashMap<String, u32> =
             self.statics.as_ref().map(|s| s.widths()).unwrap_or_default();
         let report = report(&pipeline, multicast.group_count(), &widths);
-        Compiled { bdd, pipeline, multicast, report, elapsed: start.elapsed() }
+        Ok(Compiled { bdd, pipeline, multicast, report, elapsed: start.elapsed() })
     }
 
     /// Seed persistent incremental-compile state from a full rule set:
     /// [`Compiler::compile`] with the constructor's maintenance state
-    /// kept. Subsequent epochs go through
+    /// kept. The bulk construction is the one `compile` runs, so both
+    /// emit equal pipelines for one list. Subsequent epochs go through
     /// [`Compiler::compile_incremental`], which applies only the digest
     /// delta to the live diagram.
     pub fn compile_incremental_seed(
         &self,
         rules: &[Rule],
     ) -> Result<(Compiled, CompileState), CompileError> {
-        let (compiled, inc) = self.cold(rules, |order| {
-            let inc = IncrementalBdd::from_rules(rules, order);
-            let snapshot = inc.snapshot();
-            (inc, snapshot)
-        })?;
-        Ok((compiled, CompileState { inc }))
+        let start = Instant::now();
+        self.validate(rules)?;
+        let inc = IncrementalBdd::from_rules(rules, &self.order);
+        Ok((self.finish(inc.snapshot(), start)?, CompileState { inc }))
     }
 
     /// Recompile against persistent state: diff the new rule list's
@@ -302,33 +240,29 @@ impl Compiler {
             + inserts.iter().map(|&(_, n)| n).sum::<usize>();
         let rebuild = 2 * delta > rules.len().max(state.inc.rule_count());
         let inc = &mut state.inc;
-        // Update and emit in one hop: the deep stack is a fresh thread,
-        // and a churn burst pays this once per changed rule list.
-        let emitted = Self::on_deep_stack(move || {
-            if !rebuild {
-                for (d, n) in removals {
-                    for _ in 0..n {
-                        inc.remove_by_digest(d);
-                    }
-                }
-                for (r, n) in inserts {
-                    for _ in 0..n {
-                        inc.insert_rule(r);
-                    }
+        if !rebuild {
+            for (d, n) in removals {
+                for _ in 0..n {
+                    inc.remove_by_digest(d);
                 }
             }
-            if rebuild || !inc.fits(&self.order) {
-                *inc = IncrementalBdd::from_rules(rules, &self.order);
+            for (r, n) in inserts {
+                for _ in 0..n {
+                    inc.insert_rule(r);
+                }
             }
-            self.slice(inc.snapshot())
-        });
-        Ok(self.finish(emitted?, start))
+        }
+        if rebuild || !inc.fits(&self.order) {
+            *inc = IncrementalBdd::from_rules(rules, &self.order);
+        }
+        self.finish(inc.snapshot(), start)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use camus_bdd::NodeRef;
     use camus_lang::ast::Action;
     use camus_lang::parser::parse_rules;
     use camus_lang::spec::itch_spec;
@@ -350,20 +284,6 @@ mod tests {
         });
         assert_eq!(act, Action::Forward(vec![1, 2]));
         assert_eq!(c.multicast.group_count(), 1);
-    }
-
-    #[test]
-    fn a_deep_thread_compiles_in_place() {
-        let hops = || Compiler::on_deep_stack(|| std::thread::current().id());
-        assert_ne!(hops(), std::thread::current().id(), "a plain thread hops");
-        let (own, ran_on) = std::thread::Builder::new()
-            .name(DEEP_THREAD.into())
-            .stack_size(DEEP_STACK)
-            .spawn(move || (std::thread::current().id(), hops()))
-            .unwrap()
-            .join()
-            .unwrap();
-        assert_eq!(own, ran_on, "a deep-stack thread does not spawn another");
     }
 
     #[test]
@@ -567,6 +487,22 @@ mod tests {
         for run in 1..32 {
             assert_eq!(build(), first, "build {run} differs from build 0");
         }
+        // Node ids follow the order the kernels make their calls in, so
+        // an FNV-1a digest of the root and the node array pins that
+        // order, not just a deterministic one.
+        let enc = |r: NodeRef| match r {
+            NodeRef::Term(t) => u64::from(t.0) << 1,
+            NodeRef::Node(n) => u64::from(n) << 1 | 1,
+        };
+        let (_, root, nodes) = &first;
+        let words = nodes.iter().flat_map(|n| [u64::from(n.var.0), enc(n.lo), enc(n.hi)]);
+        let digest = std::iter::once(enc(*root))
+            .chain(words)
+            .flat_map(u64::to_le_bytes)
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            });
+        assert_eq!(digest, 0x3e85_ab25_7958_25bf, "{} nodes", nodes.len());
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub mod resources;
 pub mod statics;
 pub mod tables;
 
-pub use camus_bdd::{VarOrder, DEEP_STACK};
+pub use camus_bdd::VarOrder;
 pub use compiled::{ActionId, CompiledPipeline, EvalCounters};
 pub use compiler::{CompileState, Compiled, Compiler, CompilerConfig};
 pub use pipeline::{MatchKind, MatchSpec, Pipeline, StageTable, StateId, TableEntry};

@@ -147,35 +147,50 @@ pub fn to_dnf(expr: &Expr) -> Dnf {
     Dnf { terms }
 }
 
-/// Recursive DNF with negation context (`neg` = an odd number of `not`s
-/// above us).
-fn dnf_rec(expr: &Expr, neg: bool) -> Vec<Conjunction> {
-    match (expr, neg) {
-        (Expr::True, false) | (Expr::False, true) => vec![Conjunction::new(vec![])],
-        (Expr::True, true) | (Expr::False, false) => vec![],
-        (Expr::Atom(p), false) => vec![Conjunction::new(vec![p.clone()])],
-        (Expr::Atom(p), true) => vec![Conjunction::new(vec![p.negated()])],
-        (Expr::Not(e), _) => dnf_rec(e, !neg),
-        // ¬(a ∧ b) = ¬a ∨ ¬b and ¬(a ∨ b) = ¬a ∧ ¬b.
-        (Expr::And(a, b), false) | (Expr::Or(a, b), true) => {
-            let left = dnf_rec(a, neg);
-            let right = dnf_rec(b, neg);
-            let mut out = Vec::with_capacity(left.len() * right.len());
-            for l in &left {
-                for r in &right {
-                    let mut atoms = l.atoms.clone();
-                    atoms.extend(r.atoms.iter().cloned());
-                    out.push(Conjunction::new(atoms));
-                }
+/// DNF with negation context (`neg` = an odd number of `not`s above
+/// us). A run of `not`s and a maximal chain of one operator are each
+/// walked by a loop, so recursion follows how often the operators
+/// alternate, not how long a chain is.
+fn dnf_rec(mut expr: &Expr, mut neg: bool) -> Vec<Conjunction> {
+    while let Expr::Not(e) = expr {
+        expr = e;
+        neg = !neg;
+    }
+    // ¬(a ∧ b) = ¬a ∨ ¬b and ¬(a ∨ b) = ¬a ∧ ¬b.
+    let (conjunctive, mut out) = match (expr, neg) {
+        (Expr::True, false) | (Expr::False, true) => return vec![Conjunction::new(vec![])],
+        (Expr::True, true) | (Expr::False, false) => return vec![],
+        (Expr::Atom(p), false) => return vec![Conjunction::new(vec![p.clone()])],
+        (Expr::Atom(p), true) => return vec![Conjunction::new(vec![p.negated()])],
+        (Expr::And(..), false) | (Expr::Or(..), true) => (true, vec![Conjunction::new(vec![])]),
+        _ => (false, vec![]),
+    };
+    // The chain's operands left to right. Products and unions are
+    // associative, term order included, so folding them in sequence
+    // lists the terms in the order the nested definition does.
+    let mut chain = vec![expr];
+    while let Some(e) = chain.pop() {
+        let operand = match (e, expr) {
+            (Expr::And(a, b), Expr::And(..)) | (Expr::Or(a, b), Expr::Or(..)) => {
+                chain.extend([&**b, &**a]);
+                continue;
             }
-            out
-        }
-        (Expr::Or(a, b), false) | (Expr::And(a, b), true) => {
-            let mut out = dnf_rec(a, neg);
-            out.extend(dnf_rec(b, neg));
-            out
+            _ => dnf_rec(e, neg),
+        };
+        match (conjunctive, operand.as_slice()) {
+            (false, _) => out.extend(operand),
+            // A one-term operand extends every term in place.
+            (true, [r]) => out.iter_mut().for_each(|l| l.atoms.extend_from_slice(&r.atoms)),
+            (true, _) => {
+                out = out
+                    .iter()
+                    .flat_map(|l| operand.iter().map(|r| [&l.atoms[..], &r.atoms[..]].concat()))
+                    .map(Conjunction::new)
+                    .collect()
+            }
         }
     }
+    out
 }
 
 #[cfg(test)]

@@ -6,9 +6,9 @@
 //! * the abstract syntax of filters (Fig. 1 of the paper): logical
 //!   expressions of constraints over packet attributes and state
 //!   variables ([`ast`]),
-//! * a lexer and recursive-descent parser for the concrete syntax used
-//!   throughout the paper, e.g. `stock == GOOGL and price > 50: fwd(1)`
-//!   ([`lexer`], [`parser`]),
+//! * a lexer and a precedence parser that nests on the heap, for the
+//!   concrete syntax used throughout the paper, e.g.
+//!   `stock == GOOGL and price > 50: fwd(1)` ([`lexer`], [`parser`]),
 //! * normalisation to disjunctive normal form, the first step of the
 //!   compiler pipeline ([`dnf`]),
 //! * the semantic algebra of atomic predicates — satisfiability,

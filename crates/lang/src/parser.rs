@@ -1,6 +1,6 @@
-//! Recursive-descent parser for filters and rules.
+//! Parser for filters and rules.
 //!
-//! Grammar (precedence: `not` > `and` > `or`):
+//! Grammar (precedence: `not` > `and` > `or`; chains associate left):
 //!
 //! ```text
 //! rule      := expr ':' action
@@ -19,6 +19,9 @@
 //!
 //! Bare identifiers on the right-hand side of a relation are string
 //! constants, so the paper's `stock == GOOGL` parses as expected.
+//! Open parentheses wait on an explicit stack rather than in native
+//! frames, so no input overflows the parser's stack, and a run of more
+//! than 256 `not`s is a parse error.
 
 use crate::ast::{Action, AggFunc, Expr, Operand, Predicate, Rel, Rule};
 use crate::error::{LangError, Result};
@@ -49,6 +52,22 @@ pub fn parse_rules(src: &str) -> Result<Vec<Rule>> {
         .filter(|l| !l.is_empty() && !l.starts_with('#'))
         .map(parse_rule)
         .collect()
+}
+
+/// How many `not`s may stand in a row. `Expr`'s `Display` never prints
+/// two in a row, so no printed filter is refused; a corrupt line of
+/// `not`s is refused instead of becoming a `Not` chain as deep as the
+/// line is long. Parentheses and chains are not capped: they nest as
+/// deep as the input does, on the heap.
+const MAX_NOT_RUN: usize = 256;
+
+/// An open `(`: the `or` and `and` chains parsed inside it so far, and
+/// the `not`s in front of it.
+#[derive(Default)]
+struct Group {
+    or: Option<Expr>,
+    and: Option<Expr>,
+    nots: usize,
 }
 
 struct Parser {
@@ -116,39 +135,61 @@ impl Parser {
         Ok(Rule { filter, action })
     }
 
+    /// `expr`, `and` and `unary` of the grammar in one loop. Each open
+    /// `(` starts a [`Group`] and parks the enclosing one on an
+    /// explicit stack, so the native stack stays flat however deep the
+    /// input nests.
     fn expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.and_expr()?;
-        while self.eat(&TokenKind::Or) {
-            let rhs = self.and_expr()?;
-            lhs = lhs.or(rhs);
+        let mut group = Group::default();
+        let mut enclosing: Vec<Group> = Vec::new();
+        loop {
+            // An operand: its `not`s, then a `(` or a leaf.
+            let mut nots = 0;
+            while self.eat(&TokenKind::Not) {
+                if nots == MAX_NOT_RUN {
+                    return Err(LangError::parse(
+                        self.pos(),
+                        format!("more than {MAX_NOT_RUN} `not`s in a row"),
+                    ));
+                }
+                nots += 1;
+            }
+            if self.eat(&TokenKind::LParen) {
+                enclosing.push(std::mem::replace(&mut group, Group { nots, ..Group::default() }));
+                continue;
+            }
+            let mut operand = self.primary()?;
+            // Fold the operand into its group; a group that ends here
+            // becomes the operand of the group around it.
+            loop {
+                operand = (0..nots).fold(operand, |e, _| e.not());
+                let and = match group.and.take() {
+                    Some(lhs) => lhs.and(operand),
+                    None => operand,
+                };
+                if self.eat(&TokenKind::And) {
+                    group.and = Some(and);
+                    break;
+                }
+                let or = match group.or.take() {
+                    Some(lhs) => lhs.or(and),
+                    None => and,
+                };
+                if self.eat(&TokenKind::Or) {
+                    group.or = Some(or);
+                    break;
+                }
+                let Some(outer) = enclosing.pop() else { return Ok(or) };
+                self.expect(TokenKind::RParen)?;
+                (operand, nots) = (or, group.nots);
+                group = outer;
+            }
         }
-        Ok(lhs)
     }
 
-    fn and_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.unary()?;
-        while self.eat(&TokenKind::And) {
-            let rhs = self.unary()?;
-            lhs = lhs.and(rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn unary(&mut self) -> Result<Expr> {
-        if self.eat(&TokenKind::Not) {
-            return Ok(self.unary()?.not());
-        }
-        self.primary()
-    }
-
+    /// A leaf operand: `true`, `false` or a constraint.
     fn primary(&mut self) -> Result<Expr> {
         match self.peek().clone() {
-            TokenKind::LParen => {
-                self.bump();
-                let e = self.expr()?;
-                self.expect(TokenKind::RParen)?;
-                Ok(e)
-            }
             TokenKind::True => {
                 self.bump();
                 Ok(Expr::True)
@@ -373,6 +414,10 @@ mod tests {
             Expr::And(lhs, _) => assert!(matches!(*lhs, Expr::Not(_))),
             other => panic!("expected And at top, got {other:?}"),
         }
+        let e = parse_expr("not (a == 1 or not (b == 2 and c == 3)) and d == 4").unwrap();
+        let atom = |f: &str, v: i64| Expr::Atom(Predicate::field(f, Rel::Eq, v));
+        let inner = atom("b", 2).and(atom("c", 3)).not();
+        assert_eq!(e, atom("a", 1).or(inner).not().and(atom("d", 4)));
     }
 
     #[test]
@@ -435,6 +480,41 @@ mod tests {
         assert!(parse_rule("a == 1: fwd(1) extra").is_err());
         assert!(parse_rule("a == 1: fwd()").is_err());
         assert!(parse_rule("a == 1: fwd(70000)").is_err());
+        assert!(parse_expr("(a == 1").is_err());
+        assert!(parse_expr("a == 1)").is_err());
+        assert!(parse_expr("not").is_err());
+    }
+
+    #[test]
+    fn deep_input_parses_on_a_small_stack() {
+        let on_small_stack = |src: String| {
+            std::thread::Builder::new()
+                .stack_size(256 << 10)
+                .spawn(move || parse_expr(&src).map(drop))
+                .unwrap()
+                .join()
+                .unwrap()
+        };
+        let n = 100_000;
+        // Parentheses nest as deep as the input; they build no nodes.
+        assert!(on_small_stack(format!("{}a == 1{}", "(".repeat(n), ")".repeat(n))).is_ok());
+        for src in [format!("{}a == 1", "(".repeat(n)), format!("{}a == 1", "not ".repeat(n))] {
+            let err = on_small_stack(src).unwrap_err();
+            assert!(matches!(err, LangError::Parse { .. }), "{err}");
+        }
+        // The cap itself parses; one more `not` does not.
+        assert!(on_small_stack(format!("{}a == 1", "not ".repeat(MAX_NOT_RUN))).is_ok());
+        assert!(on_small_stack(format!("{}a == 1", "not ".repeat(MAX_NOT_RUN + 1))).is_err());
+    }
+
+    #[test]
+    fn printed_filters_reparse_past_the_not_cap() {
+        let atom = |v: i64| Expr::Atom(Predicate::field("a", Rel::Eq, v));
+        let chain = Expr::disj((0..300).map(atom));
+        let nots = (0..2 * MAX_NOT_RUN).fold(atom(0), |e, _| e.not());
+        for e in [chain, nots, Expr::conj((0..300).map(|v| atom(v).not()))] {
+            assert_eq!(parse_expr(&e.to_string()).unwrap(), e);
+        }
     }
 
     #[test]

@@ -6,17 +6,11 @@
 //! [`UnitPanic`] values converted into the caller's error type, instead
 //! of aborting the process.
 //!
-//! The controller uses this for network-wide compiles (Figs. 13/14);
-//! the bench traffic driver reuses it to shard packet generation and
-//! switch evaluation across cores.
-//!
-//! Workers are the compiler's deep-stack threads — its stack size, its
-//! thread name — so a compile claimed by a worker runs on that worker
-//! (`Compiler::on_deep_stack`) instead of on a thread of its own. One
-//! thread per unit handed each unit's tables to whichever allocator
-//! arena the last exited thread had left free; with one arena per
-//! worker for the whole call, what a deploy retains is the same from
-//! run to run.
+//! The controller uses this for network-wide compiles (Figs. 13/14).
+//! Workers are plain threads: the compiler runs in place on whichever
+//! thread calls it, so a unit claimed by a worker compiles on that
+//! worker, and each worker's allocator arena serves its units for the
+//! whole call.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -65,10 +59,7 @@ where
     let results: Mutex<Vec<(usize, Result<T, E>)>> = Mutex::new(Vec::with_capacity(n));
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            let worker = std::thread::Builder::new()
-                .name("camus-compile".into())
-                .stack_size(camus_core::DEEP_STACK);
-            let spawned = worker.spawn_scoped(scope, || {
+            scope.spawn(|| {
                 let mut local = Vec::new();
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
@@ -85,7 +76,6 @@ where
                 }
                 results.lock().unwrap().extend(local);
             });
-            spawned.expect("spawn pool worker");
         }
     });
     let mut collected = results.into_inner().unwrap();
@@ -117,15 +107,6 @@ mod tests {
         assert_eq!(err.unit, 3);
         assert!(err.message.contains("boom"));
         assert_eq!(out[7], Ok(7));
-    }
-
-    #[test]
-    fn workers_carry_the_compilers_thread_name() {
-        // What `Compiler::on_deep_stack` looks for before it spawns.
-        let out = run_parallel::<_, UnitPanic, _>(4, |_| {
-            Ok(std::thread::current().name().map(str::to_owned))
-        });
-        assert!(out.into_iter().all(|name| name.unwrap().as_deref() == Some("camus-compile")));
     }
 
     #[test]

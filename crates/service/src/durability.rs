@@ -500,6 +500,32 @@ mod tests {
     }
 
     #[test]
+    fn corrupt_deep_records_are_skipped() {
+        let wal = Wal::in_memory();
+        wal.append_snapshot(&vec![Vec::new(); 1], &[], 1, None);
+        {
+            let mut w = wal.inner.lock().unwrap();
+            w.append(&format!("req 0 0 1 sub {}price > 1", "(".repeat(100_000)));
+            w.append(&format!("req 1 0 2 sub {}price > 2", "not ".repeat(100_000)));
+        }
+        wal.append_request(&req(2, 0, RequestOp::Subscribe(f("price > 3")), 3));
+        let st = wal.replay();
+        assert_eq!(st.subs, vec![vec![f("price > 3")]], "both deep records are skipped");
+        assert_eq!(st.replayed_requests, 1);
+    }
+
+    #[test]
+    fn long_chains_and_deep_nots_replay() {
+        let wal = Wal::in_memory();
+        wal.append_snapshot(&vec![Vec::new(); 1], &[], 1, None);
+        let chain = Expr::disj((0..300).map(|v| f(&format!("price == {v}"))));
+        let nots = (0..200).fold(f("price > 1"), |e, _| e.not());
+        wal.append_request(&req(0, 0, RequestOp::Subscribe(chain.clone()), 1));
+        wal.append_request(&req(1, 0, RequestOp::Subscribe(nots.clone()), 2));
+        assert_eq!(wal.replay().subs[0], vec![chain, nots]);
+    }
+
+    #[test]
     fn filters_round_trip_through_display() {
         let wal = Wal::in_memory();
         wal.append_snapshot(&vec![Vec::new(); 1], &[], 1, None);

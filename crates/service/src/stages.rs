@@ -260,10 +260,17 @@ impl Service for RouteCompileService {
             let wall = Instant::now();
             let routing = self.ctrl.plan_routing(&self.topology, &batch.subs, &self.mask);
             let route_ns = wall.elapsed().as_nanos() as u64;
-            let compile = self
-                .ctrl
-                .compile_routing_delta(&routing, Some(&self.prev_compile), &mut self.delta)
-                .map_err(|e| ServiceError::from(CompileStageError::from(e)))?;
+            // The compile gets a thread of its own only for glibc, which
+            // then serves it from an arena of its own: on this thread
+            // `churn-burst` peak RSS rises by a third and varies widely
+            // (equal under `MALLOC_ARENA_MAX=1`; EXPERIMENTS.md "Ledger —
+            // compile on any thread"). Other allocators gain nothing.
+            let (ctrl, prev, delta) = (&self.ctrl, &self.prev_compile, &mut self.delta);
+            let compile = std::thread::scope(|s| {
+                let compiling = s.spawn(|| ctrl.compile_routing_delta(&routing, Some(prev), delta));
+                compiling.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .map_err(|e| ServiceError::from(CompileStageError::from(e)))?;
             // Fold the measured wall time into the modelled timeline.
             let compiled_ns = self.clock.advance(wall.elapsed().as_nanos() as u64);
             self.prev_compile = compile.clone();
