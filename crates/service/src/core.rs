@@ -186,23 +186,8 @@ impl<E: std::error::Error + 'static> std::error::Error for StageFailure<E> {
     }
 }
 
-/// Restart policy for a supervised stage.
-#[derive(Debug, Clone, Copy)]
-pub struct Supervision {
-    /// Consecutive `handle` panics tolerated before the stage is
-    /// declared dead (the message that triggered each panic is lost —
-    /// poison — and counted in the restarts counter).
-    pub max_restarts: u32,
-    /// Base backoff slept (wall-clock) before re-entering the loop
-    /// after a panic; doubles per consecutive panic, capped at 64×.
-    pub backoff: std::time::Duration,
-}
-
-impl Default for Supervision {
-    fn default() -> Self {
-        Supervision { max_restarts: 3, backoff: std::time::Duration::from_micros(200) }
-    }
-}
+/// Consecutive [`Service::handle`] panics that kill a supervised stage.
+pub(crate) const MAX_PANICS: u32 = 3;
 
 /// Run `svc` on its own thread until `Stop` (or sender hang-up).
 /// Returns the service back (with its accumulated state) plus how it
@@ -211,9 +196,9 @@ impl Default for Supervision {
 ///
 /// The harness is a supervisor: a panic inside [`Service::handle`] is
 /// caught, counted into `restarts` (the `service.stage.restarts`
-/// counter), and the loop re-enters after a doubling backoff — the
+/// counter), and the loop moves on to the next queued message — the
 /// poison message is dropped, downstream keeps its pipe. Only
-/// `sup.max_restarts` *consecutive* panics kill the stage (with a
+/// `MAX_PANICS` *consecutive* panics kill the stage (with a
 /// [`StageFailure::Panicked`]), so one bad message cannot hang the
 /// pipeline and a deterministically-crashing one cannot spin it
 /// forever.
@@ -222,7 +207,6 @@ pub fn spawn<S>(
     mut svc: S,
     rx: StageRx<S::In>,
     out: Pipe<S::Out>,
-    sup: Supervision,
     restarts: Arc<Counter>,
 ) -> JoinHandle<(S, Result<(), StageFailure<S::Error>>)>
 where
@@ -275,19 +259,17 @@ where
                             Err(_panic) => {
                                 consecutive_panics += 1;
                                 restarts.inc();
-                                if consecutive_panics >= sup.max_restarts {
+                                if consecutive_panics >= MAX_PANICS {
                                     let _ = out.ctl(Ctl::Stop);
                                     return (
                                         svc,
                                         Err(StageFailure::Panicked { panics: consecutive_panics }),
                                     );
                                 }
-                                // Supervised restart: back off, then
-                                // re-enter the loop with the same
-                                // service state (the poison message is
-                                // gone; everything else survives).
-                                let exp = (consecutive_panics - 1).min(6);
-                                thread::sleep(sup.backoff * (1u32 << exp));
+                                // Supervised restart: re-enter the loop
+                                // with the same service state (the
+                                // poison message is gone; everything
+                                // else survives).
                             }
                         }
                     }
@@ -320,8 +302,8 @@ where
 mod tests {
     use super::*;
 
-    fn sup() -> (Supervision, Arc<Counter>) {
-        (Supervision::default(), Arc::new(Counter::new()))
+    fn counter() -> Arc<Counter> {
+        Arc::new(Counter::new())
     }
 
     /// Doubles numbers; merges queued inputs by addition when asked.
@@ -365,8 +347,7 @@ mod tests {
         let reg = MetricsRegistry::new();
         let (tx, rx) = pipe(&reg, "a");
         let (out_tx, out_rx) = pipe::<u64>(&reg, "b");
-        let (s, c) = sup();
-        let h = spawn(Doubler { merge: false, merged: 0, flushed: false }, rx, out_tx, s, c);
+        let h = spawn(Doubler { merge: false, merged: 0, flushed: false }, rx, out_tx, counter());
         tx.send(3).unwrap();
         tx.send(4).unwrap();
         tx.ctl(Ctl::Drain).unwrap();
@@ -399,8 +380,7 @@ mod tests {
             tx.send(v).unwrap();
         }
         tx.ctl(Ctl::Stop).unwrap();
-        let (s, c) = sup();
-        let h = spawn(Doubler { merge: true, merged: 0, flushed: false }, rx, out_tx, s, c);
+        let h = spawn(Doubler { merge: true, merged: 0, flushed: false }, rx, out_tx, counter());
         let mut got = Vec::new();
         while let Some(c) = out_rx.recv() {
             match c {
@@ -420,8 +400,7 @@ mod tests {
         let reg = MetricsRegistry::new();
         let (tx, rx) = pipe::<u64>(&reg, "x");
         let (out_tx, out_rx) = pipe::<u64>(&reg, "y");
-        let (s, c) = sup();
-        let h = spawn(Doubler { merge: false, merged: 0, flushed: false }, rx, out_tx, s, c);
+        let h = spawn(Doubler { merge: false, merged: 0, flushed: false }, rx, out_tx, counter());
         tx.send(5).unwrap();
         drop(tx);
         let mut got = Vec::new();
@@ -468,13 +447,7 @@ mod tests {
         let (tx, rx) = pipe(&reg, "p");
         let (out_tx, out_rx) = pipe::<u64>(&reg, "q");
         let restarts = reg.counter("service.stage.restarts");
-        let h = spawn(
-            Fussy { poison: 13, handled: 0 },
-            rx,
-            out_tx,
-            Supervision::default(),
-            restarts.clone(),
-        );
+        let h = spawn(Fussy { poison: 13, handled: 0 }, rx, out_tx, restarts.clone());
         tx.send(1).unwrap();
         tx.send(13).unwrap(); // poison: dropped, stage restarts
         tx.send(2).unwrap();
@@ -501,9 +474,8 @@ mod tests {
         let (tx, rx) = pipe(&reg, "p2");
         let (out_tx, out_rx) = pipe::<u64>(&reg, "q2");
         let restarts = reg.counter("service.stage.restarts");
-        let sup = Supervision { max_restarts: 3, ..Supervision::default() };
-        let h = spawn(Fussy { poison: 13, handled: 0 }, rx, out_tx, sup, restarts.clone());
-        for _ in 0..5 {
+        let h = spawn(Fussy { poison: 13, handled: 0 }, rx, out_tx, restarts.clone());
+        for _ in 0..MAX_PANICS + 2 {
             tx.send(13).unwrap();
         }
         // The dead stage forwards Stop so downstream never hangs.
@@ -516,8 +488,8 @@ mod tests {
         }
         assert!(saw_stop, "a dead stage must still propagate shutdown");
         let (_, res) = h.join().unwrap();
-        assert!(matches!(res, Err(StageFailure::Panicked { panics: 3 })), "{res:?}");
-        assert_eq!(restarts.get(), 3, "each panic counted before giving up");
+        assert!(matches!(res, Err(StageFailure::Panicked { panics: MAX_PANICS })), "{res:?}");
+        assert_eq!(restarts.get(), MAX_PANICS as u64, "each panic counted before giving up");
     }
 
     #[test]
@@ -525,8 +497,7 @@ mod tests {
         let reg = MetricsRegistry::new();
         let (tx, rx) = pipe::<u64>(&reg, "c1");
         let (out_tx, out_rx) = pipe::<u64>(&reg, "c2");
-        let (s, c) = sup();
-        let h = spawn(Doubler { merge: false, merged: 0, flushed: false }, rx, out_tx, s, c);
+        let h = spawn(Doubler { merge: false, merged: 0, flushed: false }, rx, out_tx, counter());
         tx.send(21).unwrap();
         tx.ctl(Ctl::Crash).unwrap();
         let mut got = Vec::new();

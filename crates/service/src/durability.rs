@@ -28,7 +28,7 @@
 //! previous snapshot plus a longer tail still reconstructs the same
 //! state).
 
-use crate::intake::{RequestId, RequestOp, SubRequest};
+use crate::intake::{apply_request, RequestId, RequestOp, SubRequest};
 use camus_lang::ast::Expr;
 use camus_lang::parser::parse_expr;
 use std::collections::BTreeSet;
@@ -243,7 +243,7 @@ fn replay_lines(lines: &[String]) -> WalState {
     // across the two writers. Ids are monotonic, so the watermark
     // alone decides what the snapshot already reflects.
     let mut last_snap: Option<PendingSnap> = None;
-    let mut reqs: Vec<(RequestId, usize, bool, Expr)> = Vec::new();
+    let mut reqs: Vec<SubRequest> = Vec::new();
 
     for line in lines {
         let mut parts = line.splitn(2, ' ');
@@ -326,7 +326,7 @@ fn replay_lines(lines: &[String]) -> WalState {
                 let mut f = rest.splitn(4, ' ');
                 let id: Option<RequestId> = f.next().and_then(|x| x.parse().ok());
                 let host: Option<usize> = f.next().and_then(|x| x.parse().ok());
-                let _arrival: Option<u64> = f.next().and_then(|x| x.parse().ok());
+                let arrival: Option<u64> = f.next().and_then(|x| x.parse().ok());
                 let tail = f.next().unwrap_or("");
                 let (kind, filter_text) = match tail.split_once(' ') {
                     Some((k, t)) => (k, t),
@@ -335,7 +335,11 @@ fn replay_lines(lines: &[String]) -> WalState {
                 let (Some(id), Some(host), Ok(filter)) = (id, host, parse_expr(filter_text)) else {
                     continue;
                 };
-                reqs.push((id, host, kind == "sub", filter));
+                let op = match kind {
+                    "sub" => RequestOp::Subscribe(filter),
+                    _ => RequestOp::Unsubscribe(filter),
+                };
+                reqs.push(SubRequest { id, host, op, arrival_ns: arrival.unwrap_or(0) });
             }
             _ => {
                 pending = None;
@@ -354,21 +358,15 @@ fn replay_lines(lines: &[String]) -> WalState {
         st.fingerprints = p.fingerprints;
         st.last_request = p.watermark;
     }
-    for (id, host, is_sub, filter) in reqs {
-        if Some(id) <= st.last_request {
+    for req in reqs {
+        if Some(req.id) <= st.last_request {
             // Already reflected in the snapshot (or a duplicate).
             continue;
         }
-        st.last_request = Some(id);
+        st.last_request = Some(req.id);
         st.replayed_requests += 1;
-        if host >= st.subs.len() {
-            continue; // soft reject, same as intake
-        }
-        if is_sub {
-            st.subs[host].push(filter);
-        } else if let Some(i) = st.subs[host].iter().rposition(|x| *x == filter) {
-            st.subs[host].remove(i);
-        }
+        // A soft reject replays as the no-op it was at intake.
+        let _ = apply_request(&mut st.subs, &req);
     }
     st
 }

@@ -1,7 +1,7 @@
 //! Per-service error taxonomy.
 //!
 //! Each stage of the controller service owns an explicit error enum —
-//! intake, route, compile, deploy — with hand-rolled `Display` and
+//! intake, compile, deploy — with hand-rolled `Display` and
 //! `Error` impls (the vendored-deps build has no `thiserror`; the
 //! shape follows the same taxonomy style). Soft, per-request failures
 //! (an unknown host, an unsubscribe with no matching subscription)
@@ -44,26 +44,6 @@ impl fmt::Display for IntakeError {
 }
 
 impl std::error::Error for IntakeError {}
-
-/// Route-stage errors: the planner's input invariants.
-#[derive(Debug)]
-pub enum RouteError {
-    /// A batch's subscription snapshot does not line up with the
-    /// deployed topology.
-    HostCountMismatch { expected: usize, got: usize },
-}
-
-impl fmt::Display for RouteError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RouteError::HostCountMismatch { expected, got } => {
-                write!(f, "batch carries {got} hosts, topology has {expected}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for RouteError {}
 
 /// Compile-stage errors. A compile failure is fatal for the service:
 /// it means a routed rule list the compiler cannot lower, which no
@@ -138,7 +118,6 @@ impl std::error::Error for DeployStageError {}
 #[derive(Debug)]
 pub enum ServiceError {
     Intake(IntakeError),
-    Route(RouteError),
     Compile(CompileStageError),
     Deploy(DeployStageError),
     /// A stage thread panicked repeatedly enough to exhaust its
@@ -153,7 +132,6 @@ impl fmt::Display for ServiceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServiceError::Intake(e) => write!(f, "intake service: {e}"),
-            ServiceError::Route(e) => write!(f, "route service: {e}"),
             ServiceError::Compile(e) => write!(f, "compile service: {e}"),
             ServiceError::Deploy(e) => write!(f, "deploy service: {e}"),
             ServiceError::Panicked { stage, panics } => {
@@ -167,7 +145,6 @@ impl std::error::Error for ServiceError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ServiceError::Intake(e) => Some(e),
-            ServiceError::Route(e) => Some(e),
             ServiceError::Compile(e) => Some(e),
             ServiceError::Deploy(e) => Some(e),
             ServiceError::Panicked { .. } => None,
@@ -178,12 +155,6 @@ impl std::error::Error for ServiceError {
 impl From<IntakeError> for ServiceError {
     fn from(e: IntakeError) -> Self {
         ServiceError::Intake(e)
-    }
-}
-
-impl From<RouteError> for ServiceError {
-    fn from(e: RouteError) -> Self {
-        ServiceError::Route(e)
     }
 }
 
@@ -212,9 +183,6 @@ mod tests {
             "intake service: request 9: host 200 outside topology (128 hosts)"
         );
         assert!(e.source().is_some());
-
-        let e = ServiceError::from(RouteError::HostCountMismatch { expected: 128, got: 16 });
-        assert!(e.to_string().contains("128"));
 
         let e = DeployStageError::Audit { txn: 3, misdelivered: 1, duplicated: 0, missed: 0 };
         assert!(e.to_string().contains("audit violation after txn 3"));

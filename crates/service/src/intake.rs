@@ -1,8 +1,9 @@
 //! Subscription intake: the live API surface and the churn batcher.
 //!
-//! Intake owns the authoritative target subscription state. Every
-//! request mutates that state immediately (or is rejected), and gets
-//! folded into the *open batch window*. The window is adaptive:
+//! Intake keeps the authoritative target subscription state. Every
+//! request mutates that state immediately through `apply_request`
+//! (or is rejected), and gets folded into the *open batch window*. The
+//! window is adaptive:
 //!
 //! * it opens at the first request's arrival `t0`;
 //! * each further arrival within the window extends a short quiet
@@ -17,11 +18,11 @@
 //! happened to run — so the same request schedule always produces the
 //! same batches.
 //!
-//! A batch carries a full snapshot of the target state, not a delta.
-//! That makes downstream coalescing trivially safe (merging two
-//! batches = taking the later snapshot) and makes rejected
-//! transactions self-healing (the next committed batch carries the
-//! complete desired state).
+//! A batch carries only the requests intake accepted, in arrival
+//! order. The compile stage applies them to its own copy of the target
+//! state with the same `apply_request`, so merging two queued
+//! batches is concatenating their requests, and a batch costs time in
+//! proportion to its ops, not to the subscriptions held.
 
 use crate::core::{Pipe, Service};
 use crate::durability::Wal;
@@ -90,14 +91,11 @@ impl Default for BatchPolicy {
     }
 }
 
-/// A closed batch window: the requests it absorbed and the full
-/// target subscription state after them.
+/// A closed batch window: the requests it absorbed.
 #[derive(Debug, Clone)]
 pub struct ChurnBatch {
     /// Transaction id (intake-assigned, monotonic).
     pub txn: u64,
-    /// Target per-host subscriptions after this batch's ops.
-    pub subs: Vec<Vec<Expr>>,
     /// The accepted requests folded in, arrival order.
     pub requests: Vec<SubRequest>,
     /// First arrival in the window.
@@ -110,6 +108,30 @@ impl ChurnBatch {
     pub fn ops(&self) -> usize {
         self.requests.len()
     }
+}
+
+/// The one subscription-edit rule, shared by intake, the compile stage
+/// and WAL replay: a subscribe pushes the filter; an unsubscribe
+/// removes the most recently added equal filter the host holds. An
+/// unknown host or a filter the host does not hold is a soft reject
+/// that leaves `subs` unchanged.
+pub(crate) fn apply_request(subs: &mut [Vec<Expr>], req: &SubRequest) -> Result<(), IntakeError> {
+    let hosts = subs.len();
+    let Some(held) = subs.get_mut(req.host) else {
+        return Err(IntakeError::UnknownHost { request: req.id, host: req.host, hosts });
+    };
+    match &req.op {
+        RequestOp::Subscribe(f) => held.push(f.clone()),
+        RequestOp::Unsubscribe(f) => match held.iter().rposition(|x| x == f) {
+            Some(i) => {
+                held.remove(i);
+            }
+            None => {
+                return Err(IntakeError::NoSuchSubscription { request: req.id, host: req.host })
+            }
+        },
+    }
+    Ok(())
 }
 
 struct OpenWindow {
@@ -181,32 +203,11 @@ impl IntakeService {
             self.inflight.add(1);
             out.send(ChurnBatch {
                 txn: w.txn,
-                subs: self.subs.clone(),
                 requests: w.requests,
                 opened_ns: w.opened_ns,
                 closed_ns,
             })
             .map_err(|_| IntakeError::Closed)?;
-        }
-        Ok(())
-    }
-
-    /// Apply one request to the target state, or say why not.
-    fn apply(&mut self, req: &SubRequest) -> Result<(), IntakeError> {
-        let hosts = self.subs.len();
-        if req.host >= hosts {
-            return Err(IntakeError::UnknownHost { request: req.id, host: req.host, hosts });
-        }
-        match &req.op {
-            RequestOp::Subscribe(f) => self.subs[req.host].push(f.clone()),
-            RequestOp::Unsubscribe(f) => match self.subs[req.host].iter().rposition(|x| x == f) {
-                Some(i) => {
-                    self.subs[req.host].remove(i);
-                }
-                None => {
-                    return Err(IntakeError::NoSuchSubscription { request: req.id, host: req.host })
-                }
-            },
         }
         Ok(())
     }
@@ -229,8 +230,8 @@ impl Service for IntakeService {
         self.clock_ns = req.arrival_ns;
 
         // Write ahead: the request is durable before it mutates the
-        // target state (soft rejects are logged too — replay mirrors
-        // `apply`'s semantics, so they replay as the same no-ops).
+        // target state (soft rejects are logged too — replay applies
+        // the same `apply_request`, so they replay as the same no-ops).
         if let Some(w) = &self.wal {
             w.append_request(&req);
         }
@@ -245,14 +246,10 @@ impl Service for IntakeService {
             }
         }
 
-        match self.apply(&req) {
-            Ok(()) => {}
-            Err(e @ (IntakeError::UnknownHost { .. } | IntakeError::NoSuchSubscription { .. })) => {
-                // Soft reject: record and move on, no state change.
-                self.rejected.push(e);
-                return Ok(());
-            }
-            Err(e) => return Err(e),
+        if let Err(e) = apply_request(&mut self.subs, &req) {
+            // Soft reject: record and move on, no state change.
+            self.rejected.push(e);
+            return Ok(());
         }
         self.accepted += 1;
 
@@ -326,7 +323,8 @@ mod tests {
         assert_eq!(got.len(), 3);
         assert!(got.iter().all(|b| b.ops() == 1));
         assert_eq!(got[2].closed_ns, 500);
-        assert_eq!(got[2].subs[0].len(), 3, "snapshot carries cumulative state");
+        assert_eq!(got[2].requests[0].id, 2, "a batch carries its own requests only");
+        assert_eq!(s.subs()[0].len(), 3, "intake's target state is cumulative");
     }
 
     #[test]

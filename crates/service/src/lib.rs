@@ -12,11 +12,13 @@
 //!   drain/stop markers, and the [`Service`](core::Service) trait with
 //!   its thread harness (std `mpsc`, one thread per stage, no
 //!   executor);
-//! * [`intake`] — the live subscribe/unsubscribe API and the adaptive
-//!   churn batcher (quiet-period window with a hard deadline, full
-//!   state snapshots per batch);
-//! * [`stages`] — route+compile (incremental against the last
-//!   compile, cancels net-zero batches, merges backlog) and deploy
+//! * [`intake`] — the live subscribe/unsubscribe API, the one
+//!   subscription-edit rule, and the adaptive churn batcher
+//!   (quiet-period window with a hard deadline; a batch carries its
+//!   accepted requests);
+//! * [`stages`] — route+compile (owns the live target state,
+//!   incremental against the last compile, cancels net-zero batches,
+//!   merges backlog) and deploy
 //!   (owns the network, serial modelled control channel, per-commit
 //!   zero-mis-delivery audit);
 //! * [`service`] — [`CamusService`]: wiring, drain, shutdown, and the
@@ -38,13 +40,9 @@ pub mod intake;
 pub mod service;
 pub mod stages;
 
-pub use crate::core::{
-    pipe, spawn, Ctl, Pipe, PipeClosed, Service, StageFailure, StageRx, Supervision,
-};
+pub use crate::core::{pipe, spawn, Ctl, Pipe, PipeClosed, Service, StageFailure, StageRx};
 pub use crate::durability::{FileWal, MemoryWal, Wal, WalBackend, WalChannel, WalState};
-pub use crate::error::{
-    CompileStageError, DeployStageError, IntakeError, RouteError, ServiceError,
-};
+pub use crate::error::{CompileStageError, DeployStageError, IntakeError, ServiceError};
 pub use crate::intake::{BatchPolicy, ChurnBatch, IntakeService, RequestId, RequestOp, SubRequest};
 pub use crate::service::{CamusService, ServiceConfig, ServiceOutcome, ServiceStats};
 pub use crate::stages::{

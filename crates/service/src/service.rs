@@ -15,6 +15,11 @@
 //!        ◀─────────────────────── TxnReport ─────────────────────┘
 //! ```
 //!
+//! A `ChurnBatch` carries only the requests intake accepted. Intake
+//! and the compile stage each keep a copy of the target state and
+//! apply those requests to it with the one edit rule
+//! (`intake::apply_request`), which WAL replay applies too.
+//!
 //! In the default overlapped mode the feedback edge is absent:
 //! transaction N+1 compiles while transaction N installs, which is
 //! safe because the PR-1 compile cache affects only cost, never
@@ -30,7 +35,7 @@
 //! [`ServiceOutcome`] — the live [`Deployment`] included, so a caller
 //! can keep publishing into the network after the service winds down.
 
-use crate::core::{pipe, spawn, Ctl, Pipe, StageFailure, StageRx, Supervision};
+use crate::core::{pipe, spawn, Ctl, Pipe, StageFailure, StageRx};
 use crate::durability::{Wal, WalChannel};
 use crate::error::ServiceError;
 use crate::intake::{BatchPolicy, IntakeService, RequestId, RequestOp, SubRequest};
@@ -68,10 +73,9 @@ pub struct ServiceConfig {
     /// Snapshot the committed state every this many committed
     /// transactions (with `wal`; 0 disables cadence snapshots).
     pub snapshot_every: u64,
-    /// Restart policy for panicking stage threads.
-    pub supervision: Supervision,
     /// Fault injection: transaction ids at which the compile stage
-    /// panics (once each).
+    /// panics (once each), after applying the batch's requests: the
+    /// transaction is lost, and the next compile deploys its edits.
     pub compile_panic_on: Vec<u64>,
     /// First request id this service instance assigns. A recovered
     /// service continues above the log's watermark so ids stay
@@ -90,7 +94,6 @@ impl Default for ServiceConfig {
             registry: None,
             wal: None,
             snapshot_every: 0,
-            supervision: Supervision::default(),
             compile_panic_on: Vec::new(),
             first_request: 0,
         }
@@ -209,7 +212,7 @@ fn lift<E: Into<ServiceError>>(
 impl CamusService {
     /// Take a deployed network live. `subs` must be the subscription
     /// state `deployment` was deployed with — it seeds both intake's
-    /// target state and the compile stage's churn-distance baseline.
+    /// and the compile stage's copy of the target state.
     pub fn start(
         ctrl: Controller,
         deployment: Deployment,
@@ -285,9 +288,9 @@ impl CamusService {
         }
 
         let restarts = registry.counter("service.stage.restarts");
-        let h_intake = spawn(intake_svc, intake_rx, batch_tx, cfg.supervision, restarts.clone());
-        let h_compile = spawn(compile_svc, batch_rx, txn_tx, cfg.supervision, restarts.clone());
-        let h_deploy = spawn(deploy_svc, txn_rx, rep_tx, cfg.supervision, restarts);
+        let h_intake = spawn(intake_svc, intake_rx, batch_tx, restarts.clone());
+        let h_compile = spawn(compile_svc, batch_rx, txn_tx, restarts.clone());
+        let h_deploy = spawn(deploy_svc, txn_rx, rep_tx, restarts);
 
         CamusService {
             intake: intake_tx,
@@ -466,6 +469,7 @@ impl CamusService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::core::MAX_PANICS;
     use camus_core::statics::compile_static;
     use camus_dataplane::PacketBuilder;
     use camus_lang::parser::parse_expr;
@@ -849,9 +853,10 @@ mod tests {
     #[test]
     fn compile_panic_is_supervised_and_later_batches_land() {
         // Satellite: a panicking stage thread must not hang the pipe.
-        // The poison batch is dropped, the supervisor restarts the
-        // loop, and because batches carry full state snapshots the
-        // next one self-heals the lost work.
+        // The poison batch's transaction is dropped and the supervisor
+        // restarts the loop; the compile stage applied the batch's
+        // requests before it panicked, so the next compile deploys
+        // the lost work.
         let cfg = ServiceConfig { compile_panic_on: vec![0], ..ServiceConfig::default() };
         let (mut svc, hosts) = start(cfg);
         svc.subscribe(15, f("stock == GOOGL"), 1_000);
@@ -861,7 +866,6 @@ mod tests {
         assert!(out.errors.is_empty(), "one panic is within budget: {:?}", out.errors);
         assert_eq!(out.stats.restarts, 1, "the panic must be counted");
         assert_eq!(out.stats.unaccounted_ops, 1, "the poisoned batch's op is named, not hidden");
-        // The second batch's snapshot carries host 15's filter too.
         let mut expect = vec![Vec::new(); hosts];
         expect[15].push(f("stock == GOOGL"));
         expect[7].push(f("price > 50"));
@@ -870,8 +874,31 @@ mod tests {
         assert_eq!(
             fingerprints(&out.deployment.compile),
             fingerprints(&fresh.compile),
-            "the full-snapshot batch self-heals the dropped one"
+            "the next compile deploys the dropped batch's edits"
         );
+    }
+
+    #[test]
+    fn a_cancelling_batch_after_a_poisoned_one_still_compiles() {
+        // The noop test spans batches: the edits of a batch lost to a
+        // panic stay pending, so a later batch whose own ops cancel
+        // must still compile them. Counting each batch's ops on their
+        // own would call it a noop and never deploy host 15's filter.
+        let cfg = ServiceConfig { compile_panic_on: vec![0], ..ServiceConfig::default() };
+        let (mut svc, hosts) = start(cfg);
+        svc.subscribe(15, f("stock == GOOGL"), 1_000);
+        svc.drain(); // txn 0: compile panics, batch dropped
+        svc.subscribe(7, f("price > 50"), 9_000_000);
+        svc.unsubscribe(7, f("price > 50"), 9_000_100);
+        let out = svc.shutdown();
+        assert!(out.errors.is_empty(), "one panic is within budget: {:?}", out.errors);
+        assert_eq!(out.stats.restarts, 1);
+        assert_eq!((out.stats.compiles, out.stats.noops), (1, 0));
+        let mut expect = vec![Vec::new(); hosts];
+        expect[15].push(f("stock == GOOGL"));
+        assert_eq!(out.subs, expect);
+        let fresh = controller().deploy(paper_fat_tree(), &expect).unwrap();
+        assert_eq!(fingerprints(&out.deployment.compile), fingerprints(&fresh.compile));
     }
 
     #[test]
@@ -882,26 +909,22 @@ mod tests {
             compile_panic_on: (0..16).collect(),
             batch: BatchPolicy::naive(),
             merge_backlog: false,
-            supervision: Supervision {
-                max_restarts: 2,
-                backoff: std::time::Duration::from_micros(10),
-            },
             ..ServiceConfig::default()
         };
         let (mut svc, _) = start(cfg);
-        svc.subscribe(1, f("price > 10"), 1_000);
-        svc.subscribe(2, f("price > 10"), 2_000_000);
-        svc.subscribe(3, f("price > 10"), 4_000_000);
+        for i in 0..MAX_PANICS {
+            svc.subscribe(1 + i as usize, f("price > 10"), 1_000 + u64::from(i) * 2_000_000);
+        }
         let out = svc.shutdown();
         assert!(
             out.errors.iter().any(|e| matches!(
                 e,
-                ServiceError::Panicked { stage: "camus-route-compile", panics: 2 }
+                ServiceError::Panicked { stage: "camus-route-compile", panics: MAX_PANICS }
             )),
             "{:?}",
             out.errors
         );
-        assert_eq!(out.stats.restarts, 2);
+        assert_eq!(out.stats.restarts, u64::from(MAX_PANICS));
         assert_eq!(out.stats.committed_txns, 0);
     }
 

@@ -12,17 +12,20 @@
 //! and advances by the measured route+compile wall time folded into
 //! modelled nanoseconds.
 //!
-//! Coalescing happens here, twice:
+//! The stage owns the live target state: the deployed subscriptions
+//! with every batch's requests applied through intake's edit rule,
+//! before any other work on the batch. Coalescing happens here, twice:
 //!
-//! * *cancellation*: a batch whose ops net out (subscribe then
-//!   unsubscribe inside one window, for the whole batch) has churn
-//!   distance zero against the installed state — it costs **zero**
-//!   compiles and installs (a `Noop` transaction flows through for
-//!   accounting);
+//! * *cancellation*: the stage keeps the net edits since its last
+//!   compile as a multiset `(host, filter) → count`. A batch after
+//!   which that multiset is empty (subscribe then unsubscribe inside
+//!   one window) leaves the state of the last compile in place — it
+//!   costs **zero** compiles and installs (a `Noop` transaction flows
+//!   through for accounting). The multiset spans batches, so the edits
+//!   of a batch lost to a panic still make the next batch compile;
 //! * *backlog merging* (via [`Service::coalesce`]): when compiles are
-//!   the bottleneck, queued batches merge into one — the snapshot of
-//!   the latest wins, so repeated dirtying of one switch compiles
-//!   once.
+//!   the bottleneck, queued batches merge into one by concatenating
+//!   their requests, so repeated dirtying of one switch compiles once.
 //!
 //! [`DeployService`] owns the live [`Deployment`] and the control
 //! channel. Its clock is the control-plane timeline: an install
@@ -36,8 +39,8 @@
 
 use crate::core::{Pipe, Service};
 use crate::durability::Wal;
-use crate::error::{CompileStageError, DeployStageError, RouteError, ServiceError};
-use crate::intake::{ChurnBatch, RequestId, SubRequest};
+use crate::error::{CompileStageError, DeployStageError, ServiceError};
+use crate::intake::{apply_request, ChurnBatch, RequestId, RequestOp, SubRequest};
 use camus_dataplane::Packet;
 use camus_lang::ast::{Expr, Operand};
 use camus_lang::value::Value;
@@ -88,9 +91,14 @@ pub struct RouteCompileService {
     /// Content-addressed compile cache: the last compile *produced*
     /// here (not necessarily installed yet — that is the overlap).
     prev_compile: NetworkCompile,
-    /// The subscription state behind `prev_compile`; churn distance
-    /// against it detects net-zero batches.
-    prev_subs: Vec<Vec<Expr>>,
+    /// The live target state: the deployed subscriptions with every
+    /// batch's requests applied, in order.
+    subs: Vec<Vec<Expr>>,
+    /// Net edits to `subs` since `prev_compile`: subscribes minus
+    /// unsubscribes per `(host, filter)`, zero counts dropped after
+    /// each batch. Empty exactly when `subs` is the state behind
+    /// `prev_compile`.
+    net_edits: HashMap<(usize, Expr), i64>,
     /// Live per-switch BDD states keyed by rule-list fingerprint:
     /// switches that miss the fingerprint cache are delta-maintained
     /// from their previous diagram instead of recompiled from scratch.
@@ -109,9 +117,10 @@ pub struct RouteCompileService {
     merge_backlog: bool,
     inflight: Arc<Gauge>,
     /// Fault injection: transaction ids at which this stage panics
-    /// (once each) before doing any work — exercises the supervisor's
-    /// restart path. The poisoned batch is dropped; the next batch's
-    /// full snapshot self-heals the gap.
+    /// (once each) right after applying the batch's requests —
+    /// exercises the supervisor's restart path. The poisoned batch's
+    /// transaction is lost, but its edits stay in the target state and
+    /// in `net_edits`, so the next compile deploys them.
     panic_on: std::collections::BTreeSet<u64>,
     pub merged_batches: u64,
     pub compiles: u64,
@@ -119,25 +128,23 @@ pub struct RouteCompileService {
     pub cancelled_ops: u64,
 }
 
-/// Per-host multiset distance between two subscription states: the
-/// number of single-filter edits separating them. Each accepted op
-/// moves the state by exactly one edit, so
-/// `ops - distance(prev, next)` is the number of ops that cancelled
-/// out inside the batch.
-fn churn_distance(prev: &[Vec<Expr>], next: &[Vec<Expr>]) -> usize {
-    prev.iter()
-        .zip(next)
-        .map(|(a, b)| {
-            let mut counts: HashMap<&Expr, i64> = HashMap::new();
-            for f in a {
-                *counts.entry(f).or_insert(0) += 1;
-            }
-            for f in b {
-                *counts.entry(f).or_insert(0) -= 1;
-            }
-            counts.values().map(|c| c.unsigned_abs() as usize).sum::<usize>()
-        })
-        .sum()
+/// Apply one request to `subs` and count it in `net_edits` (+1 for a
+/// subscribe, −1 for an unsubscribe). The sum of the counts' absolute
+/// values is then the number of single-filter edits separating `subs`
+/// from the state the counting started at.
+fn apply_counted(
+    subs: &mut [Vec<Expr>],
+    net_edits: &mut HashMap<(usize, Expr), i64>,
+    req: &SubRequest,
+) {
+    // Intake accepted `req` against the same state, so this applies.
+    if apply_request(subs, req).is_ok() {
+        let (f, step) = match &req.op {
+            RequestOp::Subscribe(f) => (f, 1),
+            RequestOp::Unsubscribe(f) => (f, -1),
+        };
+        *net_edits.entry((req.host, f.clone())).or_insert(0) += step;
+    }
 }
 
 impl RouteCompileService {
@@ -157,7 +164,8 @@ impl RouteCompileService {
             topology,
             mask,
             prev_compile: deployed_compile,
-            prev_subs: deployed_subs,
+            subs: deployed_subs,
+            net_edits: HashMap::new(),
             delta: DeltaCache::new(),
             clock: Clock::new(),
             serialize,
@@ -198,10 +206,9 @@ impl Service for RouteCompileService {
         if !self.merge_backlog {
             return Err(next);
         }
-        // Snapshots are cumulative: merging = taking the later state
-        // and the union of requests. The merged batch is one
-        // transaction, so one inflight slot is released here.
-        pending.subs = next.subs;
+        // Requests apply in order, so merging is concatenation. The
+        // merged batch is one transaction, so one inflight slot is
+        // released here.
         pending.requests.extend(next.requests);
         pending.closed_ns = next.closed_ns;
         self.merged_batches += 1;
@@ -210,6 +217,12 @@ impl Service for RouteCompileService {
     }
 
     fn handle(&mut self, batch: ChurnBatch, out: &Pipe<Txn>) -> Result<(), ServiceError> {
+        // The requests land before anything can fail, so a batch lost
+        // below still moves the target state the next compile deploys.
+        for req in &batch.requests {
+            apply_counted(&mut self.subs, &mut self.net_edits, req);
+        }
+        self.net_edits.retain(|_, count| *count != 0);
         if self.panic_on.remove(&batch.txn) {
             panic!("injected compile-stage panic at txn {}", batch.txn);
         }
@@ -226,15 +239,10 @@ impl Service for RouteCompileService {
                 }
             }
         }
-        let hosts = self.topology.host_count();
-        if batch.subs.len() != hosts {
-            return Err(
-                RouteError::HostCountMismatch { expected: hosts, got: batch.subs.len() }.into()
-            );
-        }
-
+        // Each accepted op moves the state by one edit, so ops beyond
+        // the edits separating it from the last compile cancelled out.
         let ops = batch.requests.len();
-        let distance = churn_distance(&self.prev_subs, &batch.subs);
+        let distance: usize = self.net_edits.values().map(|c| c.unsigned_abs() as usize).sum();
         let cancelled = ops.saturating_sub(distance);
         self.cancelled_ops += cancelled as u64;
 
@@ -243,8 +251,8 @@ impl Service for RouteCompileService {
         let compile_start_ns = self.clock.advance_to(batch.closed_ns);
 
         let txn = if distance == 0 {
-            // Net-zero batch: every op cancelled inside the window.
-            // Zero compiles, zero installs — the whole point.
+            // Net-zero batch: the state is back where the last compile
+            // left it. Zero compiles, zero installs — the whole point.
             self.noops += 1;
             Txn {
                 txn: batch.txn,
@@ -258,13 +266,14 @@ impl Service for RouteCompileService {
             }
         } else {
             let wall = Instant::now();
-            let routing = self.ctrl.plan_routing(&self.topology, &batch.subs, &self.mask);
+            let routing = self.ctrl.plan_routing(&self.topology, &self.subs, &self.mask);
             let route_ns = wall.elapsed().as_nanos() as u64;
             // The compile gets a thread of its own only for glibc, which
             // then serves it from an arena of its own: on this thread
-            // `churn-burst` peak RSS rises by a third and varies widely
-            // (equal under `MALLOC_ARENA_MAX=1`; EXPERIMENTS.md "Ledger —
-            // compile on any thread"). Other allocators gain nothing.
+            // `churn-burst` peak RSS rises by a quarter to a third and
+            // varies widely (equal under `MALLOC_ARENA_MAX=1`;
+            // EXPERIMENTS.md "Ledger — compile on any thread" and
+            // "Ledger — batches carry ops"). Other allocators gain nothing.
             let (ctrl, prev, delta) = (&self.ctrl, &self.prev_compile, &mut self.delta);
             let compile = std::thread::scope(|s| {
                 let compiling = s.spawn(|| ctrl.compile_routing_delta(&routing, Some(prev), delta));
@@ -274,7 +283,7 @@ impl Service for RouteCompileService {
             // Fold the measured wall time into the modelled timeline.
             let compiled_ns = self.clock.advance(wall.elapsed().as_nanos() as u64);
             self.prev_compile = compile.clone();
-            self.prev_subs = batch.subs.clone();
+            self.net_edits.clear();
             self.compiles += 1;
             Txn {
                 txn: batch.txn,
@@ -284,7 +293,7 @@ impl Service for RouteCompileService {
                 closed_ns: batch.closed_ns,
                 compile_start_ns,
                 compiled_ns,
-                payload: Some(TxnPayload { subs: batch.subs, routing, compile, route_ns }),
+                payload: Some(TxnPayload { subs: self.subs.clone(), routing, compile, route_ns }),
             }
         };
         self.outstanding += 1;
@@ -376,9 +385,10 @@ pub struct DeployService {
     /// Snapshot after this many committed transactions (0 = never).
     snapshot_every: u64,
     committed_since_snapshot: u64,
-    /// Highest request id folded into any handled transaction; batch
-    /// snapshots are cumulative, so after a committed install this is
-    /// exactly the watermark the deployed state reflects.
+    /// Highest request id folded into any handled transaction; each
+    /// payload's target state reflects every request up to its batch,
+    /// so after a committed install this is exactly the watermark the
+    /// deployed state reflects.
     max_seen_request: Option<RequestId>,
     pub committed_txns: u64,
     pub rejected_txns: u64,
@@ -670,19 +680,44 @@ mod tests {
         parse_expr(s).unwrap()
     }
 
+    /// Apply `ops` to `subs` as the compile stage does, returning the
+    /// net edit distance they leave.
+    fn net_distance(subs: &mut [Vec<Expr>], ops: &[(usize, RequestOp)]) -> usize {
+        let mut net = HashMap::new();
+        for (id, (host, op)) in ops.iter().enumerate() {
+            let req = SubRequest { id: id as u64, host: *host, op: op.clone(), arrival_ns: 0 };
+            apply_counted(subs, &mut net, &req);
+        }
+        net.values().map(|c: &i64| c.unsigned_abs() as usize).sum()
+    }
+
     #[test]
-    fn churn_distance_counts_multiset_edits() {
+    fn net_edits_count_multiset_edits() {
         let a = vec![vec![f("price > 1"), f("price > 1")], vec![f("shares >= 5")]];
-        let same = a.clone();
-        assert_eq!(churn_distance(&a, &same), 0);
+        assert_eq!(net_distance(&mut a.clone(), &[]), 0);
 
         // One copy of a duplicate filter removed, one filter added.
-        let b = vec![vec![f("price > 1")], vec![f("shares >= 5"), f("price < 50")]];
-        assert_eq!(churn_distance(&a, &b), 2);
+        let mut b = a.clone();
+        let ops = [
+            (0, RequestOp::Unsubscribe(f("price > 1"))),
+            (1, RequestOp::Subscribe(f("price < 50"))),
+        ];
+        assert_eq!(net_distance(&mut b, &ops), 2);
+        assert_eq!(b, vec![vec![f("price > 1")], vec![f("shares >= 5"), f("price < 50")]]);
 
         // A sub+unsub pair that cancels is distance 0 even though two
-        // ops happened.
-        let c = vec![vec![f("price > 1"), f("price > 1")], vec![f("shares >= 5")]];
-        assert_eq!(churn_distance(&a, &c), 0);
+        // ops happened, whichever comes first.
+        let (sub, unsub) =
+            (RequestOp::Subscribe(f("price > 1")), RequestOp::Unsubscribe(f("price > 1")));
+        for ops in [[(0, sub.clone()), (0, unsub.clone())], [(0, unsub), (0, sub)]] {
+            let mut c = a.clone();
+            assert_eq!(net_distance(&mut c, &ops), 0);
+            assert_eq!(c, a);
+        }
+
+        // A rejected unsubscribe (the host holds no such filter) is no
+        // edit at all.
+        let unheld = [(1, RequestOp::Unsubscribe(f("price > 1")))];
+        assert_eq!(net_distance(&mut a.clone(), &unheld), 0);
     }
 }
