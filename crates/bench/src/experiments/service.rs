@@ -17,7 +17,8 @@
 //! zero-mis-delivery invariant while transactions overlap. Measured
 //! per mode: sustained accepted-ops/second on the modelled timeline,
 //! p50/p99 time-to-traffic per request, batches/compiles/coalescing
-//! ratio, and peak compile-queue depth. Per-request spans of the
+//! ratio, and peak compile-queue depth (the most batches one compile
+//! absorbed from the backlog). Per-request spans of the
 //! batched run land in `results/service_trace.csv`.
 //!
 //! The in-run assertions double as the CI smoke: audits clean in both
@@ -143,7 +144,7 @@ fn run_mode(naive: bool, scale: Scale, ops: usize) -> ModeRun {
         out.reports.iter().map(|r| r.deployed_ns).max().unwrap_or(first_arrival + 1);
     let span_ns = last_deployed.saturating_sub(first_arrival).max(1);
     let sustained_per_s = out.stats.accepted as f64 / span_ns as f64 * 1e9;
-    let peak_compile_queue = out.registry.histogram("service.queue.compile.depth").snapshot().max;
+    let peak_compile_queue = out.registry.histogram("service.backlog.depth").snapshot().max;
 
     ModeRun {
         sustained_per_s,

@@ -103,9 +103,9 @@ impl WalBackend for FileWal {
 }
 
 /// The shared write-ahead log handle. Clones share one backend; every
-/// record append is atomic under the internal lock, so the intake
-/// thread (request records), the deploy thread (snapshots) and the
-/// channel wrapper (commit decisions) can interleave safely.
+/// record append is atomic under the internal lock, so intake (request
+/// records), the deploy stage (snapshots), the channel wrapper (commit
+/// decisions) and a caller replaying the log never see a torn record.
 #[derive(Clone)]
 pub struct Wal {
     inner: Arc<Mutex<Box<dyn WalBackend>>>,
@@ -187,11 +187,11 @@ impl Wal {
 
     /// Rebuild controller state from the log: the last *complete*
     /// snapshot, plus every request record above its watermark —
-    /// regardless of file position, because the intake thread may
-    /// append newer requests before the deploy thread's (older)
-    /// snapshot reaches the log. Replay is a pure function of the
-    /// log's content — replaying the same log any number of times
-    /// yields the same state.
+    /// regardless of file position, because intake logs requests on
+    /// arrival while a snapshot holds only committed state, which lags
+    /// the open window and the compile backlog. Replay is a pure
+    /// function of the log's content — replaying the same log any
+    /// number of times yields the same state.
     pub fn replay(&self) -> WalState {
         replay_lines(&self.lock().read_all())
     }
@@ -237,7 +237,7 @@ fn replay_lines(lines: &[String]) -> WalState {
 
     // Pass 1: find the last complete snapshot and collect every
     // request record in append order. Requests cannot be applied
-    // inline, because the deploy thread's snapshot (watermark `w`)
+    // inline, because the deploy stage's snapshot (watermark `w`)
     // may be *appended after* intake has already logged requests with
     // ids above `w` — file order and state order genuinely differ
     // across the two writers. Ids are monotonic, so the watermark
@@ -458,7 +458,7 @@ mod tests {
 
     #[test]
     fn snapshot_lagging_behind_newer_requests_keeps_them() {
-        // The deploy thread snapshots *committed* state, which lags
+        // The deploy stage snapshots *committed* state, which lags
         // intake: requests newer than the watermark can already sit in
         // the log when the snapshot is appended. They must survive.
         let wal = Wal::in_memory();

@@ -1,14 +1,14 @@
 //! Per-service error taxonomy.
 //!
-//! Each stage of the controller service owns an explicit error enum —
-//! intake, compile, deploy — with hand-rolled `Display` and
-//! `Error` impls (the vendored-deps build has no `thiserror`; the
-//! shape follows the same taxonomy style). Soft, per-request failures
-//! (an unknown host, an unsubscribe with no matching subscription)
-//! are *recorded*, not fatal: the service keeps running and reports
-//! them at shutdown. Fatal variants — a hung-up pipe, a compile
-//! failure, an audit violation — stop the stage and surface through
-//! [`ServiceError`], the roll-up the service owner sees.
+//! Errors are explicit enums with hand-rolled `Display` and `Error`
+//! impls (the vendored-deps build has no `thiserror`; the shape follows
+//! the same taxonomy style). Soft, per-request failures (an unknown
+//! host, an unsubscribe with no matching subscription) are
+//! [`IntakeError`]s: *recorded*, not fatal — the service keeps running
+//! and reports them at shutdown. Fatal errors — a compile failure, a
+//! crashed or audit-violating install, a stage out of restarts — stop
+//! the service and surface through [`ServiceError`], the roll-up the
+//! service owner sees.
 //!
 //! The batch controller API has one error enum of its own,
 //! [`camus_net::DeployError`]: what the install transaction returns is
@@ -17,16 +17,13 @@
 use camus_core::compiler::CompileError;
 use std::fmt;
 
-/// Intake-stage errors. The first two are soft per-request rejects
-/// (recorded, service keeps running); `Closed` is fatal.
+/// Soft per-request rejects: recorded, the service keeps running.
 #[derive(Debug)]
 pub enum IntakeError {
     /// The request named a host outside the deployed topology.
     UnknownHost { request: u64, host: usize, hosts: usize },
     /// An unsubscribe for a filter the host does not hold.
     NoSuchSubscription { request: u64, host: usize },
-    /// The compile stage hung up.
-    Closed,
 }
 
 impl fmt::Display for IntakeError {
@@ -38,51 +35,15 @@ impl fmt::Display for IntakeError {
             IntakeError::NoSuchSubscription { request, host } => {
                 write!(f, "request {request}: host {host} holds no matching subscription")
             }
-            IntakeError::Closed => write!(f, "intake: downstream stage hung up"),
         }
     }
 }
 
 impl std::error::Error for IntakeError {}
 
-/// Compile-stage errors. A compile failure is fatal for the service:
-/// it means a routed rule list the compiler cannot lower, which no
-/// retry will fix.
-#[derive(Debug)]
-pub enum CompileStageError {
-    Compile(CompileError),
-    /// The deploy stage hung up.
-    Closed,
-}
-
-impl fmt::Display for CompileStageError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CompileStageError::Compile(e) => write!(f, "pipeline compile failed: {e}"),
-            CompileStageError::Closed => write!(f, "compile: downstream stage hung up"),
-        }
-    }
-}
-
-impl std::error::Error for CompileStageError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            CompileStageError::Compile(e) => Some(e),
-            CompileStageError::Closed => None,
-        }
-    }
-}
-
-impl From<CompileError> for CompileStageError {
-    fn from(e: CompileError) -> Self {
-        CompileStageError::Compile(e)
-    }
-}
-
 /// Deploy-stage errors. A *rejected transaction* (admission or
 /// channel failure) is soft — it rolls back and is reported per-txn;
-/// what is fatal here is a broken invariant: the post-commit audit
-/// finding mis-delivery, or the report pipe hanging up.
+/// what is fatal here is a broken invariant or a dead coordinator.
 #[derive(Debug)]
 pub enum DeployStageError {
     /// The zero-mis-delivery audit failed after a commit. The network
@@ -92,8 +53,6 @@ pub enum DeployStageError {
     /// install was abandoned with staged state still on the switches.
     /// Fatal by construction — a dead coordinator does nothing else.
     Crashed { txn: u64, epoch: u64 },
-    /// The report consumer hung up.
-    Closed,
 }
 
 impl fmt::Display for DeployStageError {
@@ -107,21 +66,21 @@ impl fmt::Display for DeployStageError {
             DeployStageError::Crashed { txn, epoch } => {
                 write!(f, "controller crashed installing txn {txn} (epoch {epoch})")
             }
-            DeployStageError::Closed => write!(f, "deploy: report consumer hung up"),
         }
     }
 }
 
 impl std::error::Error for DeployStageError {}
 
-/// The roll-up: any stage's fatal error, tagged by service.
+/// The roll-up: the fatal error that stopped the service.
 #[derive(Debug)]
 pub enum ServiceError {
-    Intake(IntakeError),
-    Compile(CompileStageError),
+    /// A routed rule list the compiler cannot lower, which no retry
+    /// will fix.
+    Compile(CompileError),
     Deploy(DeployStageError),
-    /// A stage thread panicked repeatedly enough to exhaust its
-    /// supervisor's restart budget and was taken down.
+    /// A stage panicked repeatedly enough to exhaust its restart
+    /// budget and was taken down.
     Panicked {
         stage: &'static str,
         panics: u32,
@@ -131,11 +90,10 @@ pub enum ServiceError {
 impl fmt::Display for ServiceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ServiceError::Intake(e) => write!(f, "intake service: {e}"),
-            ServiceError::Compile(e) => write!(f, "compile service: {e}"),
+            ServiceError::Compile(e) => write!(f, "compile service: pipeline compile failed: {e}"),
             ServiceError::Deploy(e) => write!(f, "deploy service: {e}"),
             ServiceError::Panicked { stage, panics } => {
-                write!(f, "{stage}: stage thread panicked {panics}x, restart budget exhausted")
+                write!(f, "{stage}: stage panicked {panics}x, restart budget exhausted")
             }
         }
     }
@@ -144,7 +102,6 @@ impl fmt::Display for ServiceError {
 impl std::error::Error for ServiceError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            ServiceError::Intake(e) => Some(e),
             ServiceError::Compile(e) => Some(e),
             ServiceError::Deploy(e) => Some(e),
             ServiceError::Panicked { .. } => None,
@@ -152,14 +109,8 @@ impl std::error::Error for ServiceError {
     }
 }
 
-impl From<IntakeError> for ServiceError {
-    fn from(e: IntakeError) -> Self {
-        ServiceError::Intake(e)
-    }
-}
-
-impl From<CompileStageError> for ServiceError {
-    fn from(e: CompileStageError) -> Self {
+impl From<CompileError> for ServiceError {
+    fn from(e: CompileError) -> Self {
         ServiceError::Compile(e)
     }
 }
@@ -177,15 +128,17 @@ mod tests {
 
     #[test]
     fn displays_and_sources_chain() {
-        let e = ServiceError::from(IntakeError::UnknownHost { request: 9, host: 200, hosts: 128 });
-        assert_eq!(
-            e.to_string(),
-            "intake service: request 9: host 200 outside topology (128 hosts)"
-        );
-        assert!(e.source().is_some());
+        let e = IntakeError::UnknownHost { request: 9, host: 200, hosts: 128 };
+        assert_eq!(e.to_string(), "request 9: host 200 outside topology (128 hosts)");
 
         let e = DeployStageError::Audit { txn: 3, misdelivered: 1, duplicated: 0, missed: 0 };
         assert!(e.to_string().contains("audit violation after txn 3"));
-        assert!(ServiceError::from(e).source().is_some());
+        let e = ServiceError::from(e);
+        assert!(e.to_string().starts_with("deploy service: audit violation"));
+        assert!(e.source().is_some());
+
+        let e = ServiceError::Panicked { stage: "camus-deploy", panics: 3 };
+        assert_eq!(e.to_string(), "camus-deploy: stage panicked 3x, restart budget exhausted");
+        assert!(e.source().is_none());
     }
 }

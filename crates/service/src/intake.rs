@@ -14,9 +14,8 @@
 //! * `max_ops` caps the batch outright.
 //!
 //! Batch boundaries are decided purely on the *modelled arrival
-//! timestamps* carried by the requests — never on when a thread
-//! happened to run — so the same request schedule always produces the
-//! same batches.
+//! timestamps* carried by the requests, so the same request schedule
+//! always produces the same batches.
 //!
 //! A batch carries only the requests intake accepted, in arrival
 //! order. The compile stage applies them to its own copy of the target
@@ -24,12 +23,9 @@
 //! batches is concatenating their requests, and a batch costs time in
 //! proportion to its ops, not to the subscriptions held.
 
-use crate::core::{Pipe, Service};
 use crate::durability::Wal;
 use crate::error::IntakeError;
 use camus_lang::ast::Expr;
-use camus_telemetry::Gauge;
-use std::sync::Arc;
 
 /// Service-assigned request identifier.
 pub type RequestId = u64;
@@ -150,7 +146,6 @@ pub struct IntakeService {
     next_txn: u64,
     /// Monotonic arrival clamp: arrivals never run backwards.
     clock_ns: u64,
-    inflight: Arc<Gauge>,
     /// Durability: every request is appended here *before* it mutates
     /// the target state (`None` = volatile controller).
     wal: Option<Wal>,
@@ -165,14 +160,13 @@ pub struct IntakeService {
 }
 
 impl IntakeService {
-    pub fn new(policy: BatchPolicy, subs: Vec<Vec<Expr>>, inflight: Arc<Gauge>) -> Self {
+    pub fn new(policy: BatchPolicy, subs: Vec<Vec<Expr>>) -> Self {
         IntakeService {
             policy,
             subs,
             open: None,
             next_txn: 0,
             clock_ns: 0,
-            inflight,
             wal: None,
             accepted: 0,
             rejected: Vec::new(),
@@ -197,32 +191,27 @@ impl IntakeService {
         self.subs
     }
 
-    fn emit(&mut self, closed_ns: u64, out: &Pipe<ChurnBatch>) -> Result<(), IntakeError> {
-        if let Some(w) = self.open.take() {
-            self.batches += 1;
-            self.inflight.add(1);
-            out.send(ChurnBatch {
-                txn: w.txn,
-                requests: w.requests,
-                opened_ns: w.opened_ns,
-                closed_ns,
-            })
-            .map_err(|_| IntakeError::Closed)?;
-        }
-        Ok(())
-    }
-}
-
-impl Service for IntakeService {
-    type In = SubRequest;
-    type Out = ChurnBatch;
-    type Error = IntakeError;
-
-    fn name(&self) -> &'static str {
-        "camus-intake"
+    /// Intake's clock: the latest arrival, clamped monotonic. Every
+    /// window still open, or still to open, closes at or after it.
+    pub fn now_ns(&self) -> u64 {
+        self.clock_ns
     }
 
-    fn handle(&mut self, mut req: SubRequest, out: &Pipe<ChurnBatch>) -> Result<(), IntakeError> {
+    fn close(&mut self, closed_ns: u64) -> Option<ChurnBatch> {
+        let w = self.open.take()?;
+        self.batches += 1;
+        Some(ChurnBatch { txn: w.txn, requests: w.requests, opened_ns: w.opened_ns, closed_ns })
+    }
+
+    /// Take one request: log it, apply it or soft-reject it, and fold
+    /// it into the open window. Returns the window the request closed,
+    /// if any: the previous one when this arrival falls past its
+    /// deadline (closed at the deadline, before this request existed),
+    /// or the request's own when it reaches `max_ops`. Never both: a
+    /// window left open holds fewer than `max_ops` requests, so then
+    /// `max_ops` is at least 2 and the window this request opens holds
+    /// one.
+    pub fn handle(&mut self, mut req: SubRequest) -> Option<ChurnBatch> {
         if req.arrival_ns < self.clock_ns {
             self.out_of_order += 1;
             req.arrival_ns = self.clock_ns;
@@ -236,20 +225,17 @@ impl Service for IntakeService {
             w.append_request(&req);
         }
 
-        // This arrival may fall past the open window's deadline: the
-        // window closed (at the deadline, not at this arrival) before
-        // this request existed.
-        if let Some(w) = &self.open {
-            let deadline = self.policy.deadline_ns(w.opened_ns, w.last_ns);
-            if req.arrival_ns > deadline {
-                self.emit(deadline, out)?;
-            }
-        }
+        let expired = self
+            .open
+            .as_ref()
+            .map(|w| self.policy.deadline_ns(w.opened_ns, w.last_ns))
+            .filter(|&deadline| req.arrival_ns > deadline);
+        let closed = expired.and_then(|deadline| self.close(deadline));
 
         if let Err(e) = apply_request(&mut self.subs, &req) {
             // Soft reject: record and move on, no state change.
             self.rejected.push(e);
-            return Ok(());
+            return closed;
         }
         self.accepted += 1;
 
@@ -266,60 +252,55 @@ impl Service for IntakeService {
         w.last_ns = req.arrival_ns;
         w.requests.push(req);
         if w.requests.len() >= self.policy.max_ops {
-            let closed = w.last_ns;
-            self.emit(closed, out)?;
+            debug_assert!(closed.is_none(), "one request closes at most one window");
+            let last = w.last_ns;
+            return self.close(last);
         }
-        Ok(())
+        closed
     }
 
-    fn flush(&mut self, out: &Pipe<ChurnBatch>) -> Result<(), IntakeError> {
-        // Drain closes the window immediately: at its last arrival,
-        // not at a deadline that may never be reached.
-        if let Some(w) = &self.open {
-            let closed = w.last_ns;
-            self.emit(closed, out)?;
-        }
-        Ok(())
+    /// Close the open window now (drain, shutdown): at its last
+    /// arrival, not at a deadline that may never be reached.
+    pub fn flush(&mut self) -> Option<ChurnBatch> {
+        let last = self.open.as_ref()?.last_ns;
+        self.close(last)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::core::{pipe, Ctl};
     use camus_lang::parser::parse_expr;
-    use camus_telemetry::MetricsRegistry;
 
     fn f(s: &str) -> Expr {
         parse_expr(s).unwrap()
     }
 
-    fn svc(policy: BatchPolicy, hosts: usize) -> (IntakeService, Arc<Gauge>) {
-        let g = Arc::new(Gauge::new());
-        (IntakeService::new(policy, vec![Vec::new(); hosts], g.clone()), g)
+    fn svc(policy: BatchPolicy, hosts: usize) -> IntakeService {
+        IntakeService::new(policy, vec![Vec::new(); hosts])
     }
 
     fn req(id: u64, host: usize, op: RequestOp, at: u64) -> SubRequest {
         SubRequest { id, host, op, arrival_ns: at }
     }
 
-    fn collect(rx: &crate::core::StageRx<ChurnBatch>) -> Vec<ChurnBatch> {
-        let mut out = Vec::new();
-        while let Some(Ctl::Msg(b)) = rx.try_recv() {
-            out.push(b);
-        }
-        out
+    /// Subscribe `host` to `filter` once per `(id, arrival)`, collecting
+    /// the batches the requests close.
+    fn subscribe_all(
+        s: &mut IntakeService,
+        host: usize,
+        filter: &str,
+        at: &[(u64, u64)],
+    ) -> Vec<ChurnBatch> {
+        at.iter()
+            .filter_map(|&(i, t)| s.handle(req(i, host, RequestOp::Subscribe(f(filter)), t)))
+            .collect()
     }
 
     #[test]
     fn naive_policy_emits_one_batch_per_request() {
-        let reg = MetricsRegistry::new();
-        let (tx, rx) = pipe(&reg, "t");
-        let (mut s, _) = svc(BatchPolicy::naive(), 4);
-        for (i, t) in [(0u64, 10u64), (1, 11), (2, 500)] {
-            s.handle(req(i, 0, RequestOp::Subscribe(f("price > 1")), t), &tx).unwrap();
-        }
-        let got = collect(&rx);
+        let mut s = svc(BatchPolicy::naive(), 4);
+        let got = subscribe_all(&mut s, 0, "price > 1", &[(0, 10), (1, 11), (2, 500)]);
         assert_eq!(got.len(), 3);
         assert!(got.iter().all(|b| b.ops() == 1));
         assert_eq!(got[2].closed_ns, 500);
@@ -329,42 +310,32 @@ mod tests {
 
     #[test]
     fn adaptive_window_batches_bursts_and_splits_on_gaps() {
-        let reg = MetricsRegistry::new();
-        let (tx, rx) = pipe(&reg, "t");
         let policy = BatchPolicy { min_window_ns: 100, max_window_ns: 1_000, max_ops: 64 };
-        let (mut s, _) = svc(policy, 4);
+        let mut s = svc(policy, 4);
         // A burst at t=0,50,120 (each within 100 of the last), then a
         // gap: the next arrival at t=5_000 is past the deadline.
-        for (i, t) in [(0u64, 0u64), (1, 50), (2, 120)] {
-            s.handle(req(i, 1, RequestOp::Subscribe(f("price > 1")), t), &tx).unwrap();
-        }
-        assert!(collect(&rx).is_empty(), "window still open");
-        s.handle(req(3, 1, RequestOp::Subscribe(f("price > 2")), 5_000), &tx).unwrap();
-        let got = collect(&rx);
+        let burst = subscribe_all(&mut s, 1, "price > 1", &[(0, 0), (1, 50), (2, 120)]);
+        assert!(burst.is_empty(), "window still open");
+        let got = subscribe_all(&mut s, 1, "price > 2", &[(3, 5_000)]);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].ops(), 3);
         // Closed at the quiet-period deadline, not the late arrival.
         assert_eq!(got[0].closed_ns, 220);
         // The late request sits in a fresh window; flush emits it.
-        s.flush(&tx).unwrap();
-        let tail = collect(&rx);
-        assert_eq!(tail.len(), 1);
-        assert_eq!(tail[0].ops(), 1);
-        assert_eq!(tail[0].closed_ns, 5_000, "drain closes at last arrival");
+        let tail = s.flush().expect("the late request's window");
+        assert_eq!(tail.ops(), 1);
+        assert_eq!(tail.closed_ns, 5_000, "drain closes at last arrival");
+        assert!(s.flush().is_none(), "nothing left open");
     }
 
     #[test]
     fn max_window_bounds_a_steady_trickle() {
-        let reg = MetricsRegistry::new();
-        let (tx, rx) = pipe(&reg, "t");
         let policy = BatchPolicy { min_window_ns: 100, max_window_ns: 250, max_ops: 64 };
-        let (mut s, _) = svc(policy, 1);
+        let mut s = svc(policy, 1);
         // Arrivals every 90 ns keep extending the quiet period, but
         // the hard deadline at t0+250 still closes the window.
-        for i in 0..6u64 {
-            s.handle(req(i, 0, RequestOp::Subscribe(f("price > 1")), i * 90), &tx).unwrap();
-        }
-        let got = collect(&rx);
+        let at: Vec<(u64, u64)> = (0..6u64).map(|i| (i, i * 90)).collect();
+        let got = subscribe_all(&mut s, 0, "price > 1", &at);
         assert!(!got.is_empty());
         assert_eq!(got[0].closed_ns, 250, "hard deadline wins");
         assert_eq!(got[0].ops(), 3, "t=0,90,180 made the window; t=270 did not");
@@ -372,12 +343,10 @@ mod tests {
 
     #[test]
     fn rejects_are_soft_and_recorded() {
-        let reg = MetricsRegistry::new();
-        let (tx, rx) = pipe(&reg, "t");
-        let (mut s, _) = svc(BatchPolicy::naive(), 2);
-        s.handle(req(0, 9, RequestOp::Subscribe(f("price > 1")), 0), &tx).unwrap();
-        s.handle(req(1, 0, RequestOp::Unsubscribe(f("price > 1")), 1), &tx).unwrap();
-        assert!(collect(&rx).is_empty(), "rejected requests emit no batch");
+        let mut s = svc(BatchPolicy::naive(), 2);
+        assert!(s.handle(req(0, 9, RequestOp::Subscribe(f("price > 1")), 0)).is_none());
+        assert!(s.handle(req(1, 0, RequestOp::Unsubscribe(f("price > 1")), 1)).is_none());
+        assert!(s.flush().is_none(), "rejected requests emit no batch");
         assert_eq!(s.rejected.len(), 2);
         assert!(matches!(s.rejected[0], IntakeError::UnknownHost { host: 9, .. }));
         assert!(matches!(s.rejected[1], IntakeError::NoSuchSubscription { .. }));
@@ -386,25 +355,20 @@ mod tests {
 
     #[test]
     fn unsubscribe_drops_newest_equal_filter() {
-        let reg = MetricsRegistry::new();
-        let (tx, _rx) = pipe(&reg, "t");
-        let (mut s, _) = svc(BatchPolicy { max_ops: 100, ..BatchPolicy::adaptive() }, 1);
-        s.handle(req(0, 0, RequestOp::Subscribe(f("price > 1")), 0), &tx).unwrap();
-        s.handle(req(1, 0, RequestOp::Subscribe(f("price > 2")), 1), &tx).unwrap();
-        s.handle(req(2, 0, RequestOp::Subscribe(f("price > 1")), 2), &tx).unwrap();
-        s.handle(req(3, 0, RequestOp::Unsubscribe(f("price > 1")), 3), &tx).unwrap();
+        let mut s = svc(BatchPolicy { max_ops: 100, ..BatchPolicy::adaptive() }, 1);
+        s.handle(req(0, 0, RequestOp::Subscribe(f("price > 1")), 0));
+        s.handle(req(1, 0, RequestOp::Subscribe(f("price > 2")), 1));
+        s.handle(req(2, 0, RequestOp::Subscribe(f("price > 1")), 2));
+        s.handle(req(3, 0, RequestOp::Unsubscribe(f("price > 1")), 3));
         assert_eq!(s.subs()[0], vec![f("price > 1"), f("price > 2")]);
     }
 
     #[test]
     fn out_of_order_arrivals_are_clamped_monotonic() {
-        let reg = MetricsRegistry::new();
-        let (tx, rx) = pipe(&reg, "t");
-        let (mut s, _) = svc(BatchPolicy::naive(), 1);
-        s.handle(req(0, 0, RequestOp::Subscribe(f("price > 1")), 100), &tx).unwrap();
-        s.handle(req(1, 0, RequestOp::Subscribe(f("price > 2")), 40), &tx).unwrap();
-        let got = collect(&rx);
+        let mut s = svc(BatchPolicy::naive(), 1);
+        let got = subscribe_all(&mut s, 0, "price > 1", &[(0, 100), (1, 40)]);
         assert_eq!(s.out_of_order, 1);
         assert_eq!(got[1].requests[0].arrival_ns, 100, "clamped to the intake clock");
+        assert_eq!(s.now_ns(), 100);
     }
 }

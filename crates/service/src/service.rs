@@ -1,18 +1,15 @@
 //! The assembled controller service.
 //!
-//! [`CamusService::start`] takes ownership of a deployed network and
-//! wires the three stages — intake/batcher, route+compile, deploy —
-//! into a running pipeline:
+//! [`CamusService`] is a step loop on the caller's thread. It owns the
+//! three stages — intake/batcher, route+compile, deploy — and moves
+//! each request through them as far as the modelled clocks allow
+//! before [`CamusService::request`] returns:
 //!
 //! ```text
 //!   subscribe()/unsubscribe()
 //!        │ SubRequest
 //!        ▼
-//!   [intake]  ── ChurnBatch ──▶  [route+compile]  ── Txn ──▶  [deploy]
-//!                                      ▲                         │
-//!                                      └── done_ns feedback ─────┘
-//!                                          (serialized mode only)
-//!        ◀─────────────────────── TxnReport ─────────────────────┘
+//!   [intake] ── ChurnBatch ──▶ backlog ──▶ [route+compile] ── Txn ──▶ [deploy] ── TxnReport ──▶ reports
 //! ```
 //!
 //! A `ChurnBatch` carries only the requests intake accepted. Intake
@@ -20,33 +17,48 @@
 //! apply those requests to it with the one edit rule
 //! (`intake::apply_request`), which WAL replay applies too.
 //!
-//! In the default overlapped mode the feedback edge is absent:
-//! transaction N+1 compiles while transaction N installs, which is
-//! safe because the PR-1 compile cache affects only cost, never
-//! output, and the deploy stage diffs against the *installed* state.
-//! With [`ServiceConfig::overlap`] off the service degenerates into
-//! the one-op-at-a-time baseline the `service` experiment measures
-//! against.
+//! **Backlog.** A closed batch waits until the compile executor picks
+//! it up, at [`RouteCompileService::start_ns`]: once the batch has
+//! closed and the previous compile has finished on the modelled clock.
+//! A batch that closes by then is already queued behind it and, with
+//! [`ServiceConfig::merge_backlog`], merges into it (its requests are
+//! appended), so repeated dirtying of one switch compiles once. The
+//! loop runs the backlog once intake's clock passes that start (every
+//! later batch closes after it), when a batch arrives that cannot
+//! join it, and on drain. Which batches merge is therefore a function
+//! of the arrival stamps and the modelled compile times alone.
 //!
-//! Shutdown is a forward wave: a `Stop` marker enters at intake, each
-//! stage flushes (intake closes its open window) and passes the
-//! marker on, and [`CamusService::shutdown`] joins the threads and
-//! collects every stage's accumulated state into a
-//! [`ServiceOutcome`] — the live [`Deployment`] included, so a caller
-//! can keep publishing into the network after the service winds down.
+//! **Overlap.** By default transaction N+1 starts compiling when its
+//! batch closes, while transaction N may still be installing on the
+//! deploy stage's clock — safe because the compile cache affects only
+//! cost, never output, and the deploy stage diffs against the
+//! *installed* state. With [`ServiceConfig::overlap`] off, each compile
+//! waits for the previous install to land: the one-op-at-a-time
+//! baseline the `service` experiment measures against.
+//!
+//! **Supervision.** Every stage step runs under `catch_unwind`. A panic
+//! drops the step's input, counts into `service.stage.restarts`, and
+//! the loop goes on with the next input; [`MAX_PANICS`] in a row from
+//! one stage stop the service. After a fatal error the service takes
+//! no more requests: their ids land in
+//! [`ServiceOutcome::lost_requests`].
+//!
+//! [`CamusService::shutdown`] closes intake's open window, runs the
+//! backlog, and hands every stage's state back in a [`ServiceOutcome`]
+//! — the live [`Deployment`] included, so a caller can keep publishing
+//! into the network after the service winds down.
+//! [`CamusService::kill`] hands it back without closing or running
+//! anything: the crash analogue.
 
-use crate::core::{pipe, spawn, Ctl, Pipe, StageFailure, StageRx};
 use crate::durability::{Wal, WalChannel};
 use crate::error::ServiceError;
-use crate::intake::{BatchPolicy, IntakeService, RequestId, RequestOp, SubRequest};
+use crate::intake::{BatchPolicy, ChurnBatch, IntakeService, RequestId, RequestOp, SubRequest};
 use crate::stages::{AuditProbe, AuditReport, DeployService, RouteCompileService, TxnReport};
 use camus_lang::ast::Expr;
 use camus_net::controller::{Controller, Deployment};
 use camus_net::{ControlChannel, DeployError, Network, ReconcileStats};
-use camus_telemetry::MetricsRegistry;
-use std::sync::mpsc;
+use camus_telemetry::{Counter, Histogram, MetricsRegistry};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 /// How the service batches, overlaps, audits, persists, and survives.
 pub struct ServiceConfig {
@@ -54,8 +66,8 @@ pub struct ServiceConfig {
     /// Compile transaction N+1 while transaction N installs. Off =
     /// the serialized naive baseline.
     pub overlap: bool,
-    /// Let the compile stage merge a backlog of closed batches into
-    /// one transaction when it falls behind.
+    /// Merge batches that close while the compile executor is busy
+    /// into one transaction.
     pub merge_backlog: bool,
     /// Probes the deploy stage republishes after every commit for the
     /// zero-mis-delivery audit (empty = audit off).
@@ -128,7 +140,7 @@ pub struct ServiceStats {
     pub committed_txns: u64,
     pub rejected_txns: u64,
     pub out_of_order: u64,
-    /// Supervised stage-thread restarts after panics.
+    /// Supervised stage restarts after panics.
     pub restarts: u64,
     /// Cadence snapshots the deploy stage wrote to the WAL.
     pub snapshots: u64,
@@ -159,11 +171,10 @@ pub struct ServiceOutcome {
     pub reports: Vec<TxnReport>,
     /// Soft per-request rejects, in arrival order.
     pub rejected_requests: Vec<crate::error::IntakeError>,
-    /// Requests the caller submitted that never reached intake (a
-    /// dead stage): the send failure is recorded here instead of
-    /// being swallowed.
+    /// Requests submitted after a fatal error stopped the service:
+    /// recorded here instead of being swallowed.
     pub lost_requests: Vec<RequestId>,
-    /// Fatal stage errors (empty on a clean run).
+    /// The fatal error that stopped the service (empty on a clean run).
     pub errors: Vec<ServiceError>,
     pub stats: ServiceStats,
     pub registry: Arc<MetricsRegistry>,
@@ -183,30 +194,72 @@ pub struct RecoveryStats {
     pub control_ns: u64,
 }
 
-/// A running controller service.
-pub struct CamusService {
-    intake: Pipe<SubRequest>,
-    reports_rx: StageRx<TxnReport>,
-    h_intake: JoinHandle<(IntakeService, Result<(), StageFailure<crate::error::IntakeError>>)>,
-    h_compile: JoinHandle<(RouteCompileService, Result<(), StageFailure<ServiceError>>)>,
-    h_deploy: JoinHandle<(DeployService, Result<(), StageFailure<crate::error::DeployStageError>>)>,
-    next_request: RequestId,
-    reports: Vec<TxnReport>,
-    lost_requests: Vec<RequestId>,
-    registry: Arc<MetricsRegistry>,
+/// Consecutive panics of one stage that stop the service.
+pub(crate) const MAX_PANICS: u32 = 3;
+
+/// One stage's restart budget.
+struct Supervisor {
+    stage: &'static str,
+    /// Panics since the stage last finished a step.
+    panics: u32,
+    restarts: Arc<Counter>,
 }
 
-/// Lift a supervised stage's terminal result into the service error
-/// roll-up.
-fn lift<E: Into<ServiceError>>(
-    stage: &'static str,
-    r: Result<(), StageFailure<E>>,
-) -> Option<ServiceError> {
-    match r {
-        Ok(()) => None,
-        Err(StageFailure::Service(e)) => Some(e.into()),
-        Err(StageFailure::Panicked { panics }) => Some(ServiceError::Panicked { stage, panics }),
+impl Supervisor {
+    fn new(stage: &'static str, restarts: &Arc<Counter>) -> Self {
+        Supervisor { stage, panics: 0, restarts: restarts.clone() }
     }
+
+    /// Run one step of the stage. A panic drops the step's input,
+    /// counts a restart and yields `Ok(None)`; there is nothing to wait
+    /// for, so the next input runs at once. The `MAX_PANICS`-th panic
+    /// in a row is fatal.
+    fn run<T>(
+        &mut self,
+        step: impl FnOnce() -> Result<T, ServiceError>,
+    ) -> Result<Option<T>, ServiceError> {
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(step)) {
+            Ok(done) => {
+                self.panics = 0;
+                done.map(Some)
+            }
+            Err(_panic) => {
+                self.panics += 1;
+                self.restarts.inc();
+                if self.panics < MAX_PANICS {
+                    Ok(None)
+                } else {
+                    Err(ServiceError::Panicked { stage: self.stage, panics: self.panics })
+                }
+            }
+        }
+    }
+}
+
+/// A running controller service.
+pub struct CamusService {
+    intake: IntakeService,
+    compile: RouteCompileService,
+    deploy: DeployService,
+    intake_sup: Supervisor,
+    compile_sup: Supervisor,
+    deploy_sup: Supervisor,
+    /// Closed batches the compile executor has not picked up yet,
+    /// merged into one, and how many batches that is.
+    backlog: Option<(ChurnBatch, u64)>,
+    overlap: bool,
+    merge_backlog: bool,
+    merged_batches: u64,
+    /// Batches per picked-up backlog: the compile queue's depth.
+    backlog_depth: Arc<Histogram>,
+    next_request: RequestId,
+    reports: Vec<TxnReport>,
+    /// Reports already handed out by [`CamusService::drain`].
+    drained: usize,
+    lost_requests: Vec<RequestId>,
+    /// The fatal error, once one stops the service.
+    errors: Vec<ServiceError>,
+    registry: Arc<MetricsRegistry>,
 }
 
 impl CamusService {
@@ -221,23 +274,6 @@ impl CamusService {
         cfg: ServiceConfig,
     ) -> CamusService {
         let registry = cfg.registry.unwrap_or_else(|| Arc::new(MetricsRegistry::new()));
-        let inflight = registry.gauge("service.txn.inflight");
-        let ttt = registry.histogram("service.request.ttt_ns");
-
-        let (intake_tx, intake_rx) = pipe(&registry, "intake");
-        let (batch_tx, batch_rx) = pipe(&registry, "compile");
-        let (txn_tx, txn_rx) = pipe(&registry, "deploy");
-        let (rep_tx, rep_rx) = pipe(&registry, "reports");
-
-        // Serialized mode: the deploy stage reports each install's
-        // completion time back, and the compile stage waits for it.
-        let (feedback_tx, feedback_rx) = if cfg.overlap {
-            (None, None)
-        } else {
-            let (tx, rx) = mpsc::channel();
-            (Some(tx), Some(rx))
-        };
-
         let topology = deployment.network.topology.clone();
         let mask = deployment.network.fault_mask().clone();
         let deployed_compile = deployment.compile.clone();
@@ -258,49 +294,36 @@ impl CamusService {
             None => channel,
         };
 
-        let mut intake_svc = IntakeService::new(cfg.batch, subs.clone(), inflight.clone());
-        if let Some(w) = &cfg.wal {
-            intake_svc = intake_svc.with_wal(w.clone());
-        }
-        let compile_svc = RouteCompileService::new(
-            ctrl.clone(),
-            topology,
-            mask,
-            deployed_compile,
-            subs,
-            feedback_rx,
-            cfg.merge_backlog,
-            inflight.clone(),
-        )
-        .with_panic_on(cfg.compile_panic_on);
-        let mut deploy_svc = DeployService::new(
-            ctrl,
-            deployment,
-            channel,
-            feedback_tx,
-            cfg.probes,
-            cfg.probe_gap_ns,
-            ttt,
-            inflight,
-        );
-        if let Some(w) = &cfg.wal {
-            deploy_svc = deploy_svc.with_wal(w.clone(), cfg.snapshot_every);
+        let mut intake = IntakeService::new(cfg.batch, subs.clone());
+        let compile =
+            RouteCompileService::new(ctrl.clone(), topology, mask, deployed_compile, subs)
+                .with_panic_on(cfg.compile_panic_on);
+        let ttt = registry.histogram("service.request.ttt_ns");
+        let mut deploy =
+            DeployService::new(ctrl, deployment, channel, cfg.probes, cfg.probe_gap_ns, ttt);
+        if let Some(w) = cfg.wal {
+            intake = intake.with_wal(w.clone());
+            deploy = deploy.with_wal(w, cfg.snapshot_every);
         }
 
         let restarts = registry.counter("service.stage.restarts");
-        let h_intake = spawn(intake_svc, intake_rx, batch_tx, restarts.clone());
-        let h_compile = spawn(compile_svc, batch_rx, txn_tx, restarts.clone());
-        let h_deploy = spawn(deploy_svc, txn_rx, rep_tx, restarts);
-
         CamusService {
-            intake: intake_tx,
-            reports_rx: rep_rx,
-            h_intake,
-            h_compile,
-            h_deploy,
+            intake,
+            compile,
+            deploy,
+            intake_sup: Supervisor::new("camus-intake", &restarts),
+            compile_sup: Supervisor::new("camus-route-compile", &restarts),
+            deploy_sup: Supervisor::new("camus-deploy", &restarts),
+            backlog: None,
+            overlap: cfg.overlap,
+            merge_backlog: cfg.merge_backlog,
+            merged_batches: 0,
+            backlog_depth: registry.histogram("service.backlog.depth"),
             next_request: cfg.first_request,
             reports: Vec::new(),
+            drained: 0,
             lost_requests: Vec::new(),
+            errors: Vec::new(),
             registry,
         }
     }
@@ -347,14 +370,32 @@ impl CamusService {
         &self.registry
     }
 
-    /// Submit a request with its modelled arrival time. A send that
-    /// fails (intake died) is *recorded* — the id lands in
+    /// Submit a request with its modelled arrival time and run the
+    /// stages as far as it lets them. Once a fatal error has stopped
+    /// the service the request is *recorded* — its id lands in
     /// [`ServiceOutcome::lost_requests`] — never silently swallowed.
     pub fn request(&mut self, host: usize, op: RequestOp, arrival_ns: u64) -> RequestId {
         let id = self.next_request;
         self.next_request += 1;
-        if self.intake.send(SubRequest { id, host, op, arrival_ns }).is_err() {
+        if !self.errors.is_empty() {
             self.lost_requests.push(id);
+            return id;
+        }
+        let intake = &mut self.intake;
+        let req = SubRequest { id, host, op, arrival_ns };
+        match self.intake_sup.run(|| Ok(intake.handle(req))) {
+            Ok(closed) => {
+                if let Some(batch) = closed.flatten() {
+                    self.enqueue(batch);
+                }
+            }
+            Err(e) => self.errors.push(e),
+        }
+        // Every batch still to come closes at or after intake's clock,
+        // so a backlog the executor picked up before it is complete.
+        let now = self.intake.now_ns();
+        if self.backlog.as_ref().is_some_and(|(b, _)| self.compile.start_ns(b.closed_ns) < now) {
+            self.run_backlog();
         }
         id
     }
@@ -367,77 +408,100 @@ impl CamusService {
         self.request(host, RequestOp::Unsubscribe(filter), arrival_ns)
     }
 
-    /// Flush everything in flight — intake's open window included —
-    /// and wait until it has all landed. Returns the transaction
-    /// reports that landed during the drain.
-    pub fn drain(&mut self) -> &[TxnReport] {
-        let start = self.reports.len();
-        if self.intake.ctl(Ctl::Drain).is_err() {
-            return &self.reports[start..];
-        }
-        while let Some(c) = self.reports_rx.recv() {
-            match c {
-                Ctl::Msg(r) => self.reports.push(r),
-                Ctl::Drain => break,
-                // A stage died mid-drain; its error waits at join.
-                Ctl::Stop | Ctl::Crash => break,
+    /// Queue a closed batch. It merges into the backlog if it closed
+    /// by the time the executor picks the backlog up; otherwise the
+    /// backlog runs first and the batch takes its place.
+    fn enqueue(&mut self, batch: ChurnBatch) {
+        if let Some((queued, depth)) = &mut self.backlog {
+            if self.merge_backlog && batch.closed_ns <= self.compile.start_ns(queued.closed_ns) {
+                queued.requests.extend(batch.requests);
+                queued.closed_ns = batch.closed_ns;
+                *depth += 1;
+                self.merged_batches += 1;
+                return;
             }
+            self.run_backlog();
         }
-        &self.reports[start..]
+        self.backlog = Some((batch, 1));
     }
 
-    /// Stop the pipeline: flush, wait for the shutdown wave to cross
-    /// all three stages, join them, and collect the pieces. Loss-free
-    /// by construction: every stage flushes before forwarding the
-    /// marker, so every request accepted before the stop is compiled,
-    /// deployed, and reported (`stats.unaccounted_ops == 0` on a
-    /// clean run — the regression the audit checks).
-    pub fn shutdown(mut self) -> ServiceOutcome {
-        let _ = self.intake.ctl(Ctl::Stop);
-        while let Some(c) = self.reports_rx.recv() {
-            match c {
-                Ctl::Msg(r) => self.reports.push(r),
-                Ctl::Stop | Ctl::Crash => break,
-                Ctl::Drain => {}
-            }
+    /// The executor picks the backlog up: compile it, install it,
+    /// report it.
+    fn run_backlog(&mut self) {
+        if !self.errors.is_empty() {
+            return;
         }
+        let Some((batch, depth)) = self.backlog.take() else { return };
+        self.backlog_depth.record(depth);
+        let compile = &mut self.compile;
+        let txn = match self.compile_sup.run(|| compile.handle(batch)) {
+            Ok(Some(txn)) => txn,
+            // The batch is lost; its edits are in the compile stage's
+            // target state, so the next compile deploys them.
+            Ok(None) => return,
+            Err(e) => return self.errors.push(e),
+        };
+        let (deploy, reports) = (&mut self.deploy, &mut self.reports);
+        if let Err(e) = self.deploy_sup.run(|| Ok(deploy.handle(txn, reports)?)) {
+            self.errors.push(e);
+        }
+        if !self.overlap {
+            self.compile.wait_until(self.deploy.now_ns());
+        }
+    }
+
+    /// Close intake's open window and run the backlog.
+    fn flush(&mut self) {
+        if let Some(batch) = self.intake.flush() {
+            self.enqueue(batch);
+        }
+        self.run_backlog();
+    }
+
+    /// Flush everything in flight — intake's open window included —
+    /// and return the transaction reports that landed since the last
+    /// drain.
+    pub fn drain(&mut self) -> &[TxnReport] {
+        self.flush();
+        let from = std::mem::replace(&mut self.drained, self.reports.len());
+        &self.reports[from..]
+    }
+
+    /// Stop the service: flush, then collect the pieces. Loss-free by
+    /// construction: every request accepted before the stop is
+    /// compiled, deployed, and reported (`stats.unaccounted_ops == 0`
+    /// on a clean run — the regression the audit checks).
+    pub fn shutdown(mut self) -> ServiceOutcome {
+        self.flush();
         self.collect()
     }
 
-    /// Fault injection: "kill" the controller process. The crash
-    /// marker sweeps the pipeline without flushing — intake's open
-    /// window and queued transactions are lost exactly the way a real
-    /// crash loses them — and the threads terminate where they stand.
-    /// The outcome's [`Deployment`] is the *wreckage*: the network as
-    /// the crash left it (staged shadow programs included), ready for
-    /// [`CamusService::recover`].
-    pub fn kill(mut self) -> ServiceOutcome {
-        let _ = self.intake.ctl(Ctl::Crash);
-        while let Some(c) = self.reports_rx.recv() {
-            match c {
-                Ctl::Msg(r) => self.reports.push(r),
-                Ctl::Stop | Ctl::Crash => break,
-                Ctl::Drain => {}
-            }
-        }
+    /// Fault injection: "kill" the controller process. Nothing is
+    /// flushed — intake's open window and the backlog are lost exactly
+    /// the way a real crash loses them. The outcome's [`Deployment`]
+    /// is the *wreckage*: the network as the crash left it (staged
+    /// shadow programs included), ready for [`CamusService::recover`].
+    pub fn kill(self) -> ServiceOutcome {
         self.collect()
     }
 
     fn collect(self) -> ServiceOutcome {
-        let (intake, r_intake) = self.h_intake.join().expect("intake stage harness panicked");
-        let (compile, r_compile) = self.h_compile.join().expect("compile stage harness panicked");
-        let (deploy, r_deploy) = self.h_deploy.join().expect("deploy stage harness panicked");
-
-        let mut errors = Vec::new();
-        errors.extend(lift("camus-intake", r_intake));
-        errors.extend(lift("camus-route-compile", r_compile));
-        errors.extend(lift("camus-deploy", r_deploy));
-
-        let reported_ops: u64 = self.reports.iter().map(|r| r.ops as u64).sum();
+        let CamusService {
+            mut intake,
+            compile,
+            deploy,
+            merged_batches,
+            reports,
+            lost_requests,
+            errors,
+            registry,
+            ..
+        } = self;
+        let reported_ops: u64 = reports.iter().map(|r| r.ops as u64).sum();
         let stats = ServiceStats {
             accepted: intake.accepted,
             batches: intake.batches,
-            merged_batches: compile.merged_batches,
+            merged_batches,
             compiles: compile.compiles,
             noops: compile.noops,
             cancelled_ops: compile.cancelled_ops,
@@ -445,23 +509,21 @@ impl CamusService {
             committed_txns: deploy.committed_txns,
             rejected_txns: deploy.rejected_txns,
             out_of_order: intake.out_of_order,
-            restarts: self.registry.counter("service.stage.restarts").get(),
+            restarts: registry.counter("service.stage.restarts").get(),
             snapshots: deploy.snapshots_written,
             unaccounted_ops: intake.accepted.saturating_sub(reported_ops),
             audit: deploy.audit_totals,
         };
-
-        let mut intake = intake;
         let rejected_requests = std::mem::take(&mut intake.rejected);
         ServiceOutcome {
             deployment: deploy.deployment,
             subs: intake.into_subs(),
-            reports: self.reports,
+            reports,
             rejected_requests,
-            lost_requests: self.lost_requests,
+            lost_requests,
             errors,
             stats,
-            registry: self.registry,
+            registry,
         }
     }
 }
@@ -469,7 +531,6 @@ impl CamusService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::core::MAX_PANICS;
     use camus_core::statics::compile_static;
     use camus_dataplane::PacketBuilder;
     use camus_lang::parser::parse_expr;
@@ -620,6 +681,7 @@ mod tests {
         assert_eq!(landed.len(), 1);
         assert!(landed[0].noop);
         assert_eq!(landed[0].cancelled, 2);
+        assert!(svc.drain().is_empty(), "a drain hands each report out once");
         let out = svc.shutdown();
         assert!(out.errors.is_empty(), "{:?}", out.errors);
         assert_eq!(out.stats.compiles, 0, "cancelled churn must cost zero compiles");
@@ -629,8 +691,8 @@ mod tests {
 
     #[test]
     fn audit_rides_every_commit_and_stays_clean() {
-        // merge_backlog off: queued batches must not merge, so each
-        // commit's audit round is individually checkable.
+        // merge_backlog off: batches must not merge, so each commit's
+        // audit round is individually checkable.
         let cfg = ServiceConfig {
             probes: vec![probe(75), probe(5)],
             merge_backlog: false,
@@ -662,10 +724,52 @@ mod tests {
         assert_eq!(out.stats.compiles, 5);
         assert_eq!(out.stats.merged_batches, 0, "naive mode must not coalesce");
         assert!((out.stats.coalescing_ratio() - 1.0).abs() < 1e-9);
-        // Installs are serialized: each starts after the previous
-        // one's modelled completion.
+        // Serialized: each compile starts after the previous install's
+        // modelled completion.
         for w in out.reports.windows(2) {
-            assert!(w[1].install_start_ns >= w[0].deployed_ns);
+            assert!(w[1].compile_start_ns >= w[0].deployed_ns);
+        }
+    }
+
+    #[test]
+    fn backlog_merging_follows_the_modelled_clock() {
+        // Singleton batches. Three close at t = 1 µs, when the idle
+        // executor picks them up together; two more close at 2 and
+        // 3 µs, while that compile (well over a microsecond of
+        // measured route + compile time) is still running, and queue
+        // up behind it. The merges follow from the stamps and the
+        // modelled clock alone.
+        for merge_backlog in [true, false] {
+            let cfg = ServiceConfig {
+                batch: BatchPolicy::naive(),
+                merge_backlog,
+                ..ServiceConfig::default()
+            };
+            let (mut svc, _) = start(cfg);
+            for (host, at) in [(1, 1_000), (2, 1_000), (3, 1_000), (4, 2_000), (5, 3_000)] {
+                svc.subscribe(host, f("price > 10"), at);
+            }
+            let out = svc.shutdown();
+            assert!(out.errors.is_empty(), "{:?}", out.errors);
+            assert_eq!(out.stats.batches, 5);
+            let ops: Vec<usize> = out.reports.iter().map(|r| r.ops).collect();
+            let depth = out.registry.histogram("service.backlog.depth").snapshot();
+            if merge_backlog {
+                assert_eq!(ops, vec![3, 2]);
+                assert_eq!((out.stats.compiles, out.stats.merged_batches), (2, 3));
+                assert_eq!(depth.max, 3);
+                let (first, second) = (&out.reports[0], &out.reports[1]);
+                assert_eq!(first.compile_start_ns, 1_000);
+                assert_eq!(second.closed_ns, 3_000);
+                assert_eq!(
+                    second.compile_start_ns, first.compiled_ns,
+                    "the merged backlog starts when the executor frees up"
+                );
+            } else {
+                assert_eq!(ops, vec![1; 5]);
+                assert_eq!((out.stats.compiles, out.stats.merged_batches), (5, 0));
+                assert_eq!(depth.max, 1);
+            }
         }
     }
 
@@ -703,7 +807,7 @@ mod tests {
         let (mut svc, hosts) = start(ServiceConfig::default());
         svc.subscribe(15, f("stock == GOOGL"), 1_000);
         svc.subscribe(7, f("price > 50"), 1_100);
-        // No drain: the window is still open when Stop enters.
+        // No drain: the window is still open at shutdown.
         let out = svc.shutdown();
         assert!(out.errors.is_empty(), "{:?}", out.errors);
         assert!(out.lost_requests.is_empty());
@@ -732,7 +836,7 @@ mod tests {
         svc.subscribe(15, f("stock == GOOGL"), 1_000);
         svc.subscribe(7, f("price > 50"), 1_200);
         svc.drain();
-        // These land in intake (and the WAL) but die in the pipeline.
+        // These land in intake (and the WAL) but die in the open window.
         svc.subscribe(3, f("price > 10"), 9_000_000);
         svc.subscribe(9, f("stock == MSFT"), 9_000_100);
         let wreck = svc.kill();
@@ -852,11 +956,10 @@ mod tests {
 
     #[test]
     fn compile_panic_is_supervised_and_later_batches_land() {
-        // Satellite: a panicking stage thread must not hang the pipe.
-        // The poison batch's transaction is dropped and the supervisor
-        // restarts the loop; the compile stage applied the batch's
-        // requests before it panicked, so the next compile deploys
-        // the lost work.
+        // A panicking compile must not take the service down. The
+        // poison batch's transaction is dropped and the loop moves on;
+        // the compile stage applied the batch's requests before it
+        // panicked, so the next compile deploys the lost work.
         let cfg = ServiceConfig { compile_panic_on: vec![0], ..ServiceConfig::default() };
         let (mut svc, hosts) = start(cfg);
         svc.subscribe(15, f("stock == GOOGL"), 1_000);
@@ -902,9 +1005,10 @@ mod tests {
     }
 
     #[test]
-    fn panic_budget_exhaustion_kills_the_stage_but_not_the_collector() {
-        // Every batch panics: the supervisor gives up after the budget
-        // and the outcome names the dead stage instead of hanging.
+    fn panic_budget_exhaustion_stops_the_service_but_not_the_collector() {
+        // Every batch panics: the budget runs out and the outcome
+        // names the dead stage instead of hanging; requests after that
+        // are recorded as lost.
         let cfg = ServiceConfig {
             compile_panic_on: (0..16).collect(),
             batch: BatchPolicy::naive(),
@@ -912,20 +1016,49 @@ mod tests {
             ..ServiceConfig::default()
         };
         let (mut svc, _) = start(cfg);
-        for i in 0..MAX_PANICS {
+        // Request k's batch runs when request k + 1 arrives, so the
+        // fourth request sets off the third panic and the fifth is lost.
+        for i in 0..MAX_PANICS + 2 {
             svc.subscribe(1 + i as usize, f("price > 10"), 1_000 + u64::from(i) * 2_000_000);
         }
         let out = svc.shutdown();
         assert!(
-            out.errors.iter().any(|e| matches!(
-                e,
-                ServiceError::Panicked { stage: "camus-route-compile", panics: MAX_PANICS }
-            )),
+            matches!(
+                out.errors[..],
+                [ServiceError::Panicked { stage: "camus-route-compile", panics: MAX_PANICS }]
+            ),
             "{:?}",
             out.errors
         );
         assert_eq!(out.stats.restarts, u64::from(MAX_PANICS));
         assert_eq!(out.stats.committed_txns, 0);
+        assert_eq!(out.lost_requests, vec![u64::from(MAX_PANICS) + 1]);
+    }
+
+    #[test]
+    fn supervisor_drops_a_panicked_step_and_counts_it() {
+        let restarts = Arc::new(Counter::new());
+        let mut sup = Supervisor::new("test-stage", &restarts);
+        let step = |x: u64| -> Result<u64, ServiceError> {
+            if x == 13 {
+                panic!("injected stage panic");
+            }
+            Ok(x * 2)
+        };
+        // Panics that are not consecutive never exhaust the budget.
+        for _ in 0..MAX_PANICS {
+            assert!(matches!(sup.run(|| step(13)), Ok(None)), "the poison input is dropped");
+            assert!(matches!(sup.run(|| step(4)), Ok(Some(8))), "the next input runs at once");
+        }
+        assert_eq!(restarts.get(), u64::from(MAX_PANICS));
+        for _ in 1..MAX_PANICS {
+            assert!(matches!(sup.run(|| step(13)), Ok(None)));
+        }
+        assert!(matches!(
+            sup.run(|| step(13)),
+            Err(ServiceError::Panicked { stage: "test-stage", panics: MAX_PANICS })
+        ));
+        assert_eq!(restarts.get(), u64::from(2 * MAX_PANICS), "each panic counted");
     }
 
     #[test]
@@ -941,6 +1074,6 @@ mod tests {
         assert!(spans[0].time_to_traffic_ns() > 0);
         let h = out.registry.histogram("service.request.ttt_ns");
         assert_eq!(h.count(), 1);
-        assert_eq!(out.registry.gauge("service.txn.inflight").get(), 0);
+        assert_eq!(out.registry.histogram("service.backlog.depth").count(), 1);
     }
 }

@@ -1,31 +1,31 @@
 //! The route/compile and deploy stages.
 //!
+//! Both are step machines: [`CamusService`](crate::CamusService) calls
+//! `handle` with one input on the caller's thread and gets its output
+//! back. Each keeps a modelled [`Clock`]; the service compares them to
+//! decide what merges and what waits.
+//!
 //! [`RouteCompileService`] turns a closed churn batch into an
 //! installable transaction: Algorithm-1 routing plus an incremental
 //! network compile against the previous compile as a content-addressed
 //! cache. Because the cache affects only *cost*, never the produced
 //! pipelines, it is safe to compile transaction N+1 while transaction
-//! N is still installing (or about to roll back) — the overlap the
-//! service exists for. Its modelled [`Clock`] is the compile
-//! executor's timeline: a batch's compile starts no earlier than its
-//! window closed and no earlier than the previous compile finished,
+//! N is still installing (or about to roll back) on the deploy stage's
+//! clock. Its clock is the compile executor's timeline: a batch's
+//! compile starts no earlier than its window closed and no earlier
+//! than the previous compile finished ([`RouteCompileService::start_ns`]),
 //! and advances by the measured route+compile wall time folded into
 //! modelled nanoseconds.
 //!
 //! The stage owns the live target state: the deployed subscriptions
 //! with every batch's requests applied through intake's edit rule,
-//! before any other work on the batch. Coalescing happens here, twice:
-//!
-//! * *cancellation*: the stage keeps the net edits since its last
-//!   compile as a multiset `(host, filter) → count`. A batch after
-//!   which that multiset is empty (subscribe then unsubscribe inside
-//!   one window) leaves the state of the last compile in place — it
-//!   costs **zero** compiles and installs (a `Noop` transaction flows
-//!   through for accounting). The multiset spans batches, so the edits
-//!   of a batch lost to a panic still make the next batch compile;
-//! * *backlog merging* (via [`Service::coalesce`]): when compiles are
-//!   the bottleneck, queued batches merge into one by concatenating
-//!   their requests, so repeated dirtying of one switch compiles once.
+//! before any other work on the batch. It keeps the net edits since its
+//! last compile as a multiset `(host, filter) → count`. A batch after
+//! which that multiset is empty (subscribe then unsubscribe inside one
+//! window) leaves the state of the last compile in place — it costs
+//! **zero** compiles and installs (a `Noop` transaction flows through
+//! for accounting). The multiset spans batches, so the edits of a batch
+//! lost to a panic still make the next batch compile.
 //!
 //! [`DeployService`] owns the live [`Deployment`] and the control
 //! channel. Its clock is the control-plane timeline: an install
@@ -33,13 +33,12 @@
 //! the previous install finished (the channel is serial), and
 //! advances by the transaction ledger's modelled control time. After
 //! every commit it can replay configured audit probes through the
-//! network and checks the PR-2/PR-4 invariant — zero mis-delivery,
-//! zero duplicates, committed ⇒ delivered — while transactions are
-//! still overlapping upstream.
+//! network and checks the zero-mis-delivery invariant — zero
+//! mis-delivery, zero duplicates, committed ⇒ delivered — while
+//! transactions overlap.
 
-use crate::core::{Pipe, Service};
 use crate::durability::Wal;
-use crate::error::{CompileStageError, DeployStageError, ServiceError};
+use crate::error::{DeployStageError, ServiceError};
 use crate::intake::{apply_request, ChurnBatch, RequestId, RequestOp, SubRequest};
 use camus_dataplane::Packet;
 use camus_lang::ast::{Expr, Operand};
@@ -49,9 +48,8 @@ use camus_net::{Clock, ControlChannel};
 use camus_routing::algorithm1::RoutingResult;
 use camus_routing::compile::{DeltaCache, NetworkCompile};
 use camus_routing::topology::{FaultMask, HierNet};
-use camus_telemetry::{Gauge, Histogram, RequestSpan};
+use camus_telemetry::{Histogram, RequestSpan};
 use std::collections::HashMap;
-use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -106,23 +104,12 @@ pub struct RouteCompileService {
     delta: DeltaCache,
     /// The compile executor's modelled timeline.
     clock: Clock,
-    /// In serialized (naive-baseline) mode, the deploy stage feeds
-    /// back each transaction's completion time and the next compile
-    /// waits for it; `None` overlaps freely.
-    serialize: Option<Receiver<u64>>,
-    /// Transactions sent downstream but not yet fed back (serialized
-    /// mode bookkeeping).
-    outstanding: usize,
-    /// Whether backlog batches may merge ([`Service::coalesce`]).
-    merge_backlog: bool,
-    inflight: Arc<Gauge>,
     /// Fault injection: transaction ids at which this stage panics
     /// (once each) right after applying the batch's requests —
-    /// exercises the supervisor's restart path. The poisoned batch's
+    /// exercises the service's restart path. The poisoned batch's
     /// transaction is lost, but its edits stay in the target state and
     /// in `net_edits`, so the next compile deploys them.
     panic_on: std::collections::BTreeSet<u64>,
-    pub merged_batches: u64,
     pub compiles: u64,
     pub noops: u64,
     pub cancelled_ops: u64,
@@ -148,16 +135,12 @@ fn apply_counted(
 }
 
 impl RouteCompileService {
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         ctrl: Controller,
         topology: HierNet,
         mask: FaultMask,
         deployed_compile: NetworkCompile,
         deployed_subs: Vec<Vec<Expr>>,
-        serialize: Option<Receiver<u64>>,
-        merge_backlog: bool,
-        inflight: Arc<Gauge>,
     ) -> Self {
         RouteCompileService {
             ctrl,
@@ -168,12 +151,7 @@ impl RouteCompileService {
             net_edits: HashMap::new(),
             delta: DeltaCache::new(),
             clock: Clock::new(),
-            serialize,
-            outstanding: 0,
-            merge_backlog,
-            inflight,
             panic_on: std::collections::BTreeSet::new(),
-            merged_batches: 0,
             compiles: 0,
             noops: 0,
             cancelled_ops: 0,
@@ -191,32 +169,23 @@ impl RouteCompileService {
     pub fn delta_states(&self) -> usize {
         self.delta.len()
     }
-}
 
-impl Service for RouteCompileService {
-    type In = ChurnBatch;
-    type Out = Txn;
-    type Error = ServiceError;
-
-    fn name(&self) -> &'static str {
-        "camus-route-compile"
+    /// When the executor picks up a batch that closed at `closed_ns`:
+    /// once the batch has closed and the previous compile is done. The
+    /// executor is serial, so every batch closed by then is queued
+    /// behind it.
+    pub fn start_ns(&self, closed_ns: u64) -> u64 {
+        self.clock.now_ns().max(closed_ns)
     }
 
-    fn coalesce(&mut self, pending: &mut ChurnBatch, next: ChurnBatch) -> Result<(), ChurnBatch> {
-        if !self.merge_backlog {
-            return Err(next);
-        }
-        // Requests apply in order, so merging is concatenation. The
-        // merged batch is one transaction, so one inflight slot is
-        // released here.
-        pending.requests.extend(next.requests);
-        pending.closed_ns = next.closed_ns;
-        self.merged_batches += 1;
-        self.inflight.add(-1);
-        Ok(())
+    /// Start no compile before `ns` (the serialized baseline waits for
+    /// the previous install to land).
+    pub fn wait_until(&mut self, ns: u64) {
+        self.clock.advance_to(ns);
     }
 
-    fn handle(&mut self, batch: ChurnBatch, out: &Pipe<Txn>) -> Result<(), ServiceError> {
+    /// Compile one batch (or a merged backlog) into a transaction.
+    pub fn handle(&mut self, batch: ChurnBatch) -> Result<Txn, ServiceError> {
         // The requests land before anything can fail, so a batch lost
         // below still moves the target state the next compile deploys.
         for req in &batch.requests {
@@ -226,19 +195,6 @@ impl Service for RouteCompileService {
         if self.panic_on.remove(&batch.txn) {
             panic!("injected compile-stage panic at txn {}", batch.txn);
         }
-        // Naive-baseline serialization: wait until every outstanding
-        // install has landed before compiling the next transaction.
-        if let Some(rx) = &self.serialize {
-            while self.outstanding > 0 {
-                match rx.recv() {
-                    Ok(done_ns) => {
-                        self.clock.advance_to(done_ns);
-                        self.outstanding -= 1;
-                    }
-                    Err(_) => return Err(CompileStageError::Closed.into()),
-                }
-            }
-        }
         // Each accepted op moves the state by one edit, so ops beyond
         // the edits separating it from the last compile cancelled out.
         let ops = batch.requests.len();
@@ -246,58 +202,35 @@ impl Service for RouteCompileService {
         let cancelled = ops.saturating_sub(distance);
         self.cancelled_ops += cancelled as u64;
 
-        // The compile executor is serial: a batch starts when its
-        // window has closed *and* the previous compile is done.
         let compile_start_ns = self.clock.advance_to(batch.closed_ns);
-
-        let txn = if distance == 0 {
+        let (compiled_ns, payload) = if distance == 0 {
             // Net-zero batch: the state is back where the last compile
             // left it. Zero compiles, zero installs — the whole point.
             self.noops += 1;
-            Txn {
-                txn: batch.txn,
-                requests: batch.requests,
-                cancelled,
-                opened_ns: batch.opened_ns,
-                closed_ns: batch.closed_ns,
-                compile_start_ns,
-                compiled_ns: compile_start_ns,
-                payload: None,
-            }
+            (compile_start_ns, None)
         } else {
             let wall = Instant::now();
             let routing = self.ctrl.plan_routing(&self.topology, &self.subs, &self.mask);
             let route_ns = wall.elapsed().as_nanos() as u64;
-            // The compile gets a thread of its own only for glibc, which
-            // then serves it from an arena of its own: on this thread
-            // `churn-burst` peak RSS rises by a quarter to a third and
-            // varies widely (equal under `MALLOC_ARENA_MAX=1`;
-            // EXPERIMENTS.md "Ledger — compile on any thread" and
-            // "Ledger — batches carry ops"). Other allocators gain nothing.
-            let (ctrl, prev, delta) = (&self.ctrl, &self.prev_compile, &mut self.delta);
-            let compile = std::thread::scope(|s| {
-                let compiling = s.spawn(|| ctrl.compile_routing_delta(&routing, Some(prev), delta));
-                compiling.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-            })
-            .map_err(|e| ServiceError::from(CompileStageError::from(e)))?;
+            let prev = Some(&self.prev_compile);
+            let compile = self.ctrl.compile_routing_delta(&routing, prev, &mut self.delta)?;
             // Fold the measured wall time into the modelled timeline.
             let compiled_ns = self.clock.advance(wall.elapsed().as_nanos() as u64);
             self.prev_compile = compile.clone();
             self.net_edits.clear();
             self.compiles += 1;
-            Txn {
-                txn: batch.txn,
-                requests: batch.requests,
-                cancelled,
-                opened_ns: batch.opened_ns,
-                closed_ns: batch.closed_ns,
-                compile_start_ns,
-                compiled_ns,
-                payload: Some(TxnPayload { subs: self.subs.clone(), routing, compile, route_ns }),
-            }
+            (compiled_ns, Some(TxnPayload { subs: self.subs.clone(), routing, compile, route_ns }))
         };
-        self.outstanding += 1;
-        out.send(txn).map_err(|_| ServiceError::from(CompileStageError::Closed))
+        Ok(Txn {
+            txn: batch.txn,
+            requests: batch.requests,
+            cancelled,
+            opened_ns: batch.opened_ns,
+            closed_ns: batch.closed_ns,
+            compile_start_ns,
+            compiled_ns,
+            payload,
+        })
     }
 }
 
@@ -374,12 +307,9 @@ pub struct DeployService {
     channel: Box<dyn ControlChannel + Send>,
     /// The control channel's modelled timeline.
     clock: Clock,
-    /// Serialized-mode feedback to the compile stage.
-    feedback: Option<Sender<u64>>,
     probes: Vec<AuditProbe>,
     probe_gap_ns: u64,
     ttt: Arc<Histogram>,
-    inflight: Arc<Gauge>,
     /// Durability: where cadence snapshots go (`None` = volatile).
     wal: Option<Wal>,
     /// Snapshot after this many committed transactions (0 = never).
@@ -411,27 +341,22 @@ fn matching_hosts(subs: &[Vec<Expr>], witness: &[(String, Value)], publisher: us
 }
 
 impl DeployService {
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         ctrl: Controller,
         deployment: Deployment,
         channel: Box<dyn ControlChannel + Send>,
-        feedback: Option<Sender<u64>>,
         probes: Vec<AuditProbe>,
         probe_gap_ns: u64,
         ttt: Arc<Histogram>,
-        inflight: Arc<Gauge>,
     ) -> Self {
         DeployService {
             ctrl,
             deployment,
             channel,
             clock: Clock::new(),
-            feedback,
             probes,
             probe_gap_ns,
             ttt,
-            inflight,
             wal: None,
             snapshot_every: 0,
             committed_since_snapshot: 0,
@@ -449,6 +374,12 @@ impl DeployService {
         self.wal = Some(wal);
         self.snapshot_every = every;
         self
+    }
+
+    /// When the last install finished on the control channel's
+    /// timeline.
+    pub fn now_ns(&self) -> u64 {
+        self.clock.now_ns()
     }
 
     /// Republish every configured probe and check deliveries against
@@ -490,18 +421,16 @@ impl DeployService {
         self.audit_totals.absorb(&rep);
         rep
     }
-}
 
-impl Service for DeployService {
-    type In = Txn;
-    type Out = TxnReport;
-    type Error = DeployStageError;
-
-    fn name(&self) -> &'static str {
-        "camus-deploy"
-    }
-
-    fn handle(&mut self, txn: Txn, out: &Pipe<TxnReport>) -> Result<(), DeployStageError> {
+    /// Install one transaction and push its report onto `reports`. A
+    /// rolled-back install is reported, not an error. A failed
+    /// post-commit audit is reported *and* returned: the report goes
+    /// out for the post-mortem, then the service stops.
+    pub fn handle(
+        &mut self,
+        txn: Txn,
+        reports: &mut Vec<TxnReport>,
+    ) -> Result<(), DeployStageError> {
         // The control channel is serial: this install starts when its
         // compile is done and the channel is free.
         let install_start_ns = self.clock.advance_to(txn.compiled_ns);
@@ -513,6 +442,7 @@ impl Service for DeployService {
         let mut distinct_compiles = 0;
         let mut reinstalled = 0;
         let mut audit = None;
+        let mut violation = None;
         let noop = txn.payload.is_none();
         let deployed_ns = match txn.payload {
             None => {
@@ -521,103 +451,81 @@ impl Service for DeployService {
                 committed = true;
                 install_start_ns
             }
-            Some(p) => {
-                match self.ctrl.install(
-                    &mut self.deployment,
-                    p.routing,
-                    p.compile,
-                    p.route_ns,
-                    &mut *self.channel,
-                ) {
-                    Ok(stats) => {
-                        committed = true;
-                        distinct_compiles = stats.distinct_compiles;
-                        reinstalled = stats.reinstalled;
-                        let control_ns = self.deployment.report.total_control_ns();
-                        let done = self.clock.advance(control_ns);
-                        // Cadence snapshot: the committed state, the
-                        // fingerprints the controller believes are
-                        // installed, and the epoch watermark — bounds
-                        // the tail a recovery must replay.
-                        self.committed_since_snapshot += 1;
-                        if let Some(w) = &self.wal {
-                            if self.snapshot_every > 0
-                                && self.committed_since_snapshot >= self.snapshot_every
-                            {
-                                let fps: Vec<(usize, u64)> = self
-                                    .deployment
-                                    .compile
-                                    .switches
-                                    .iter()
-                                    .map(|s| (s.switch, s.fingerprint))
-                                    .collect();
-                                w.append_snapshot(
-                                    &p.subs,
-                                    &fps,
-                                    self.deployment.next_epoch,
-                                    self.max_seen_request,
-                                );
-                                self.committed_since_snapshot = 0;
-                                self.snapshots_written += 1;
-                            }
+            Some(p) => match self.ctrl.install(
+                &mut self.deployment,
+                p.routing,
+                p.compile,
+                p.route_ns,
+                &mut *self.channel,
+            ) {
+                Ok(stats) => {
+                    committed = true;
+                    distinct_compiles = stats.distinct_compiles;
+                    reinstalled = stats.reinstalled;
+                    let control_ns = self.deployment.report.total_control_ns();
+                    let done = self.clock.advance(control_ns);
+                    // Cadence snapshot: the committed state, the
+                    // fingerprints the controller believes are
+                    // installed, and the epoch watermark — bounds the
+                    // tail a recovery must replay.
+                    self.committed_since_snapshot += 1;
+                    if let Some(w) = &self.wal {
+                        if self.snapshot_every > 0
+                            && self.committed_since_snapshot >= self.snapshot_every
+                        {
+                            let fps: Vec<(usize, u64)> = self
+                                .deployment
+                                .compile
+                                .switches
+                                .iter()
+                                .map(|s| (s.switch, s.fingerprint))
+                                .collect();
+                            w.append_snapshot(
+                                &p.subs,
+                                &fps,
+                                self.deployment.next_epoch,
+                                self.max_seen_request,
+                            );
+                            self.committed_since_snapshot = 0;
+                            self.snapshots_written += 1;
                         }
-                        let a = self.audit(&p.subs);
-                        if !a.clean() {
-                            // Invariant broken after a commit: stop
-                            // the world (the report still goes out
-                            // below the error for post-mortems).
-                            let _ = out.send(TxnReport {
-                                txn: txn.txn,
-                                ops: txn.requests.len(),
-                                cancelled: txn.cancelled,
-                                noop,
-                                committed,
-                                error,
-                                opened_ns: txn.opened_ns,
-                                closed_ns: txn.closed_ns,
-                                compile_start_ns: txn.compile_start_ns,
-                                compiled_ns: txn.compiled_ns,
-                                install_start_ns,
-                                deployed_ns: done,
-                                distinct_compiles,
-                                reinstalled,
-                                requests: Vec::new(),
-                                audit: Some(a),
-                            });
-                            return Err(DeployStageError::Audit {
-                                txn: txn.txn,
-                                misdelivered: a.misdelivered,
-                                duplicated: a.duplicated,
-                                missed: a.missed,
-                            });
-                        }
-                        audit = Some(a);
-                        done
                     }
-                    Err(DeployError::Crashed { epoch, .. }) => {
-                        // Dead coordinator: nothing was rolled back,
-                        // staged programs sit on the switches, and
-                        // this "process" does nothing further. The
-                        // kill path harvests the wreckage for the
-                        // recovery arm to reconcile.
-                        return Err(DeployStageError::Crashed { txn: txn.txn, epoch });
+                    let a = self.audit(&p.subs);
+                    if !a.clean() {
+                        // Invariant broken after a commit: stop the
+                        // world once the report is out.
+                        violation = Some(DeployStageError::Audit {
+                            txn: txn.txn,
+                            misdelivered: a.misdelivered,
+                            duplicated: a.duplicated,
+                            missed: a.missed,
+                        });
                     }
-                    Err(e) => {
-                        // Rolled back: the channel time was still
-                        // spent. The next committed transaction
-                        // carries the full target state, so nothing
-                        // is lost — record and continue.
-                        let control_ns = match &e {
-                            DeployError::Admission { report, .. }
-                            | DeployError::Channel { report, .. } => report.total_control_ns(),
-                            DeployError::Compile(_) | DeployError::Crashed { .. } => 0,
-                        };
-                        let done = self.clock.advance(control_ns);
-                        error = Some(e);
-                        done
-                    }
+                    audit = Some(a);
+                    done
                 }
-            }
+                Err(DeployError::Crashed { epoch, .. }) => {
+                    // Dead coordinator: nothing was rolled back, staged
+                    // programs sit on the switches, and this "process"
+                    // does nothing further. The kill path harvests the
+                    // wreckage for the recovery arm to reconcile.
+                    return Err(DeployStageError::Crashed { txn: txn.txn, epoch });
+                }
+                Err(e) => {
+                    // Rolled back: the channel time was still spent.
+                    // The next committed transaction carries the full
+                    // target state, so nothing is lost — record and
+                    // continue.
+                    let control_ns = match &e {
+                        DeployError::Admission { report, .. }
+                        | DeployError::Channel { report, .. } => report.total_control_ns(),
+                        DeployError::Compile(_) | DeployError::Crashed { .. } => 0,
+                    };
+                    let done = self.clock.advance(control_ns);
+                    error = Some(e);
+                    done
+                }
+            },
         };
         if committed {
             self.committed_txns += 1;
@@ -645,11 +553,7 @@ impl Service for DeployService {
             self.deployment.trace.requests = requests.clone();
         }
 
-        self.inflight.add(-1);
-        if let Some(fb) = &self.feedback {
-            let _ = fb.send(self.clock.now_ns());
-        }
-        out.send(TxnReport {
+        reports.push(TxnReport {
             txn: txn.txn,
             ops: requests.len(),
             cancelled: txn.cancelled,
@@ -666,8 +570,8 @@ impl Service for DeployService {
             reinstalled,
             requests,
             audit,
-        })
-        .map_err(|_| DeployStageError::Closed)
+        });
+        violation.map_or(Ok(()), Err)
     }
 }
 

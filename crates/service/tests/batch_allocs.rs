@@ -2,9 +2,10 @@
 //!
 //! A counting global allocator wraps `System`. One net-zero batch — a
 //! subscribe and an unsubscribe of the same filter inside one window —
-//! goes through `IntakeService` and `RouteCompileService::handle`, once
-//! with 1 024 and once with 16 384 subscriptions held. A batch carries
-//! its requests only, and the compile stage finds a noop from the net
+//! goes through `CamusService` (intake, the compile backlog, the
+//! compile stage and the deploy stage's noop report), once with 1 024
+//! and once with 16 384 subscriptions held. A batch carries its
+//! requests only, and the compile stage finds a noop from the net
 //! edits since its last compile, so both runs must allocate exactly as
 //! often. Copying the target state into every batch, or diffing whole
 //! states, allocates in proportion to the subscriptions held.
@@ -14,19 +15,16 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use camus_core::statics::compile_static;
 use camus_lang::ast::Expr;
 use camus_lang::parser::parse_expr;
 use camus_lang::spec::itch_spec;
 use camus_net::controller::Controller;
+use camus_net::PerfectChannel;
 use camus_routing::algorithm1::{Policy, RoutingConfig};
 use camus_routing::topology::paper_fat_tree;
-use camus_service::{
-    pipe, BatchPolicy, Ctl, IntakeService, RequestOp, RouteCompileService, Service, SubRequest,
-};
-use camus_telemetry::{Gauge, MetricsRegistry};
+use camus_service::{CamusService, RequestOp, ServiceConfig};
 
 struct CountingAlloc;
 
@@ -58,8 +56,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Allocations made while one net-zero batch crosses intake and the
-/// compile stage, with `held` subscriptions spread over the hosts.
+/// Allocations made while one net-zero batch crosses the service, with
+/// `held` subscriptions spread over the hosts.
 fn net_zero_batch_allocs(held: usize) -> u64 {
     let net = paper_fat_tree();
     let hosts = net.host_count();
@@ -69,48 +67,36 @@ fn net_zero_batch_allocs(held: usize) -> u64 {
     );
     // A noop batch never routes or compiles, so the deployed compile
     // may stay empty while the stages hold `held` subscriptions.
-    let deployment = ctrl.deploy(net.clone(), &vec![Vec::new(); hosts]).unwrap();
+    let deployment = ctrl.deploy(net, &vec![Vec::new(); hosts]).unwrap();
     let mut subs: Vec<Vec<Expr>> = vec![Vec::new(); hosts];
     for i in 0..held {
         subs[i % hosts].push(parse_expr(&format!("price > {i}")).unwrap());
     }
-
-    let reg = MetricsRegistry::new();
-    let inflight = Arc::new(Gauge::new());
-    let (batch_tx, batch_rx) = pipe(&reg, "compile");
-    let (txn_tx, txn_rx) = pipe(&reg, "deploy");
-    let mut intake = IntakeService::new(BatchPolicy::adaptive(), subs.clone(), inflight.clone());
-    let mut compile = RouteCompileService::new(
-        ctrl,
-        net,
-        deployment.network.fault_mask().clone(),
-        deployment.compile,
-        subs,
-        None,
-        true,
-        inflight,
-    );
     // Both sizes leave every host's list at capacity (a power of two
     // per host), so the subscribe regrows the touched list once in each
-    // run.
+    // run and in each stage's copy.
+    let mut svc = CamusService::start(
+        ctrl,
+        deployment,
+        subs,
+        Box::new(PerfectChannel),
+        ServiceConfig::default(),
+    );
     let filter = parse_expr("stock == GOOGL").unwrap();
-    let sub =
-        SubRequest { id: 0, host: 3, op: RequestOp::Subscribe(filter.clone()), arrival_ns: 1_000 };
-    let unsub =
-        SubRequest { id: 1, host: 3, op: RequestOp::Unsubscribe(filter), arrival_ns: 1_100 };
+    let (sub, unsub) = (RequestOp::Subscribe(filter.clone()), RequestOp::Unsubscribe(filter));
 
     let before = ALLOCS.load(Ordering::Relaxed);
-    intake.handle(sub, &batch_tx).unwrap();
-    intake.handle(unsub, &batch_tx).unwrap();
-    intake.flush(&batch_tx).unwrap();
-    let Some(Ctl::Msg(batch)) = batch_rx.try_recv() else { panic!("intake emits the batch") };
-    compile.handle(batch, &txn_tx).unwrap();
+    svc.request(3, sub, 1_000);
+    svc.request(3, unsub, 1_100);
+    let landed = svc.drain();
     let spent = ALLOCS.load(Ordering::Relaxed) - before;
 
-    let Some(Ctl::Msg(txn)) = txn_rx.try_recv() else { panic!("the stage emits a transaction") };
-    assert!(txn.payload.is_none(), "a net-zero batch is a noop");
-    assert_eq!(txn.cancelled, 2);
-    assert_eq!(compile.compiles, 0);
+    assert_eq!(landed.len(), 1);
+    assert!(landed[0].noop, "a net-zero batch is a noop");
+    assert_eq!(landed[0].cancelled, 2);
+    let out = svc.shutdown();
+    assert!(out.errors.is_empty(), "{:?}", out.errors);
+    assert_eq!(out.stats.compiles, 0);
     spent
 }
 

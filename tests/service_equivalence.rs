@@ -20,6 +20,11 @@
 //! diagram is often strictly smaller than the scratch build for the
 //! same rule list. Equivalence is behavioural, and that is what the
 //! publication matrix proves.
+//!
+//! One run of a schedule, though, is a function of the schedule: the
+//! service steps on the caller's thread and merges its backlog on the
+//! modelled clock, so two runs of one schedule must agree transaction
+//! for transaction and table entry for table entry.
 
 use camus_core::statics::compile_static;
 use camus_dataplane::PacketBuilder;
@@ -318,5 +323,57 @@ proptest! {
         prop_assert!(out.stats.noops >= 1);
         prop_assert_eq!(out.stats.cancelled_ops, 2 * n_pairs as u64);
         prop_assert_eq!(&out.subs, &initial);
+    }
+
+    #[test]
+    fn one_schedule_runs_one_way(
+        groups in proptest::collection::vec(proptest::collection::vec(arb_ev(16, 9), 1..5), 1..6),
+    ) {
+        // Every request is its own batch, and the requests of a group
+        // arrive at one instant, so the executor picks each group up
+        // whole; groups are ten seconds apart, far longer than any
+        // compile. Which batches merge then follows from the stamps
+        // alone: two runs of the schedule must agree transaction for
+        // transaction and install entry-for-entry identical tables.
+        let pool = filter_pool();
+        let initial: Vec<Vec<Expr>> = vec![Vec::new(); paper_fat_tree().host_count()];
+        let mut events = Vec::new();
+        // Accepted requests per group: each group that has any is one
+        // transaction.
+        let mut mirror = initial.clone();
+        let mut per_group = Vec::new();
+        for (g, evs) in groups.iter().enumerate() {
+            let at = (g as u64 + 1) * 10_000_000_000;
+            events.extend(evs.iter().map(|ev| (ev.clone(), at)));
+            let accepted = evs.iter().filter(|ev| mirror_apply(&mut mirror, &pool, ev)).count();
+            if accepted > 0 {
+                per_group.push(accepted);
+            }
+        }
+        let cfg = || ServiceConfig {
+            batch: BatchPolicy { min_window_ns: 0, max_window_ns: 0, max_ops: 1 },
+            ..ServiceConfig::default()
+        };
+        let runs = [
+            run_service(cfg(), &initial, &events, &pool),
+            run_service(cfg(), &initial, &events, &pool),
+        ];
+        for out in &runs {
+            prop_assert!(out.errors.is_empty(), "{:?}", out.errors);
+            let ops: Vec<usize> = out.reports.iter().map(|r| r.ops).collect();
+            prop_assert_eq!(&ops, &per_group, "one transaction per group");
+            prop_assert_eq!(&out.subs, &mirror);
+        }
+        let shape = |o: &camus_service::ServiceOutcome| -> Vec<(u64, usize, bool, u64, u64)> {
+            o.reports
+                .iter()
+                .map(|r| (r.txn, r.cancelled, r.noop, r.opened_ns, r.closed_ns))
+                .collect()
+        };
+        prop_assert_eq!(shape(&runs[0]), shape(&runs[1]));
+        let (a, b) = (&runs[0].deployment, &runs[1].deployment);
+        for (s, (x, y)) in a.network.switches.iter().zip(&b.network.switches).enumerate() {
+            prop_assert_eq!(x.pipeline(), y.pipeline(), "switch {} differs between runs", s);
+        }
     }
 }
