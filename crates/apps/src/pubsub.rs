@@ -7,7 +7,7 @@
 //! persistence (§VIII-C.9 — timely delivery over replay).
 //!
 //! The API is shaped after a minimal Kafka client: [`Producer::send`]
-//! and [`Consumer::poll`], with the whole Fat-Tree network of
+//! and [`PubSub::poll`], with the whole Fat-Tree network of
 //! [`camus_net`] standing where the broker fleet would be.
 
 use camus_core::statics::{compile_static, StaticPipeline};

@@ -28,10 +28,11 @@
 //! band chain with O(1) new nodes.
 //!
 //! Garbage: every chain rebuild strands its old prefix. The store's
-//! capacity-triggered mark-and-sweep ([`Bdd::gc`]) runs at operation
+//! capacity-triggered mark-and-sweep (`Bdd::gc`) runs at operation
 //! boundaries with the maintenance structures as external roots, and
-//! the returned [`NodeRemap`] is applied back, keeping allocation
-//! within a constant factor of the reachable size.
+//! the returned [`NodeRemap`](crate::store::NodeRemap) is applied
+//! back, keeping allocation within a constant factor of the reachable
+//! size.
 
 use crate::order::{operand_rank, pred_sort_key, FieldStats, VarOrder};
 use crate::store::{Bdd, NodeRef, PredId, RuleId, TermId};

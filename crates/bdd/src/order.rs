@@ -56,7 +56,7 @@ impl VarOrder {
     }
 
     /// An order the bulk constructor fits to each rule list it builds
-    /// ([`VarOrder::fit`]), with `keys` breaking the ties: the order a
+    /// (`VarOrder::fit`), with `keys` breaking the ties: the order a
     /// header spec declares its fields in.
     pub fn tie_break<I, S>(keys: I) -> Self
     where

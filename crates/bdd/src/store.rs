@@ -1,6 +1,6 @@
 //! The hash-consed multi-terminal BDD store and its reduction rules.
 //!
-//! Reductions implemented in [`Bdd::mk`] (§V-C of the paper):
+//! Reductions implemented in `Bdd::mk` (§V-C of the paper):
 //!
 //! 1. **Isomorphism sharing** — nodes are hash-consed in a unique
 //!    table, so structurally equal subgraphs exist once.
@@ -28,7 +28,7 @@
 //!   boxing at 10⁶⁺ nodes.
 //! * Terminal rule sets are interned behind `Arc`, so the many
 //!   diagrams that share a terminal share one allocation.
-//! * [`Bdd::gc`] is a capacity-triggered mark-and-sweep over nodes and
+//! * `Bdd::gc` is a capacity-triggered mark-and-sweep over nodes and
 //!   terminals with an id remap returned to the caller, so long-lived
 //!   incremental stores ([`crate::incremental`]) stay within a
 //!   constant factor of their reachable size.
@@ -276,7 +276,7 @@ impl Alphabet {
     }
 }
 
-/// Remap of node/terminal ids produced by a [`Bdd::gc`] sweep. Callers
+/// Remap of node/terminal ids produced by a `Bdd::gc` sweep. Callers
 /// holding external `NodeRef`s (e.g. the incremental maintenance tree)
 /// must rewrite them through [`NodeRemap::apply`].
 #[derive(Debug)]

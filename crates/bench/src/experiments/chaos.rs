@@ -25,10 +25,10 @@ use crate::output::Table;
 use camus_core::statics::compile_static;
 use camus_dataplane::PacketBuilder;
 use camus_faults::{run_chaos, ChaosConfig, ChaosInput, ChaosReport};
-use camus_lang::ast::{Expr, Operand};
 use camus_lang::value::Value;
 use camus_net::controller::Controller;
 use camus_routing::algorithm1::{Policy, RoutingConfig};
+use camus_routing::verify::matching_hosts;
 use camus_telemetry::SampleRate;
 
 fn soak(n_subs: usize, pool_size: usize, cfg: &ChaosConfig) -> ChaosReport {
@@ -45,15 +45,9 @@ fn soak(n_subs: usize, pool_size: usize, cfg: &ChaosConfig) -> ChaosReport {
     // soak never churns the publisher, so this stays true).
     let target = (0..net.host_count()).find(|&h| !subs[h].is_empty()).expect("a subscriber");
     let witness_values: Vec<(String, Value)> = g.matching_packet(&subs[target][0]);
-    let lookup = |op: &Operand| match op {
-        Operand::Field(name) => {
-            witness_values.iter().find(|(n, _)| n == name).map(|(_, v)| v.clone())
-        }
-        Operand::Aggregate { .. } => None,
-    };
-    let matches = |fs: &[Expr]| fs.iter().any(|f| f.eval_with(lookup));
+    let matching = matching_hosts(&subs, &witness_values, None);
     let publisher = (0..net.host_count())
-        .find(|&h| net.access[h].0 != net.access[target].0 && !matches(&subs[h]))
+        .find(|&h| net.access[h].0 != net.access[target].0 && !matching.contains(&h))
         .expect("a non-matching publisher on another ToR");
 
     let mut b = PacketBuilder::new(&spec);

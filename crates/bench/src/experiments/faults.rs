@@ -25,14 +25,13 @@ use crate::output::Table;
 use camus_core::statics::compile_static;
 use camus_dataplane::PacketBuilder;
 use camus_faults::{run_fault, FaultKind, ProbeConfig, RepairModel};
-use camus_lang::ast::{Expr, Operand, Port};
-use camus_lang::value::Value;
+use camus_lang::ast::Port;
 use camus_net::controller::Controller;
 use camus_routing::algorithm1::{Policy, RoutingConfig};
 use camus_routing::topology::{DownTarget, HierNet, SwitchId};
+use camus_routing::verify::matching_hosts;
 use camus_telemetry::SampleRate;
 use camus_workloads::siena::{SienaConfig, SienaGenerator};
-use std::collections::HashMap;
 
 /// Same workload shape as the churn experiment (the point is to compare
 /// repair against subscription churn on identical state). Shared with
@@ -101,21 +100,14 @@ pub fn run(scale: Scale) -> Vec<Table> {
         // expected receivers are computed analytically by evaluating
         // every host's filters against the witness values.
         let target = (0..net.host_count()).find(|&h| !subs[h].is_empty()).expect("a subscriber");
-        let witness: HashMap<String, Value> =
-            g.matching_packet(&subs[target][0]).into_iter().collect();
-        let lookup = |op: &Operand| match op {
-            Operand::Field(name) => witness.get(name).cloned(),
-            Operand::Aggregate { .. } => None,
-        };
-        let matches = |fs: &[Expr]| fs.iter().any(|f| f.eval_with(lookup));
+        let witness = g.matching_packet(&subs[target][0]);
+        let expected = matching_hosts(&subs, &witness, None);
         // Publish from a non-matching host on a different ToR, so the
         // probe always crosses the fabric and the publisher is never an
         // expected receiver.
         let publisher = (0..net.host_count())
-            .find(|&h| net.access[h].0 != net.access[target].0 && !matches(&subs[h]))
+            .find(|&h| net.access[h].0 != net.access[target].0 && !expected.contains(&h))
             .expect("a non-matching publisher on another ToR");
-        let expected: Vec<usize> =
-            (0..net.host_count()).filter(|&h| h != publisher && matches(&subs[h])).collect();
         assert!(expected.contains(&target));
 
         let mut b = PacketBuilder::new(&spec);

@@ -16,7 +16,7 @@
 //!
 //! **WAL overhead** (`"recovery"` in `BENCH_throughput.json`): the
 //! same churn stream is fed to the batched service lane (PR-7's
-//! configuration) in [`PAIRS`] alternated volatile / write-ahead logged
+//! configuration) in `PAIRS` alternated volatile / write-ahead logged
 //! pairs, and the median pair's logged sustained accepted-ops/second
 //! must stay within 10% of its volatile lane; the table reports that
 //! pair. The log is append-only text with no sync barrier, so the

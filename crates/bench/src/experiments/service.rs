@@ -10,7 +10,7 @@
 //!   op, as a pre-service caller would;
 //! * **batched** — the adaptive window batches bursts, net-zero churn
 //!   cancels before it costs a compile, backlog merges when the
-//!   compile stage falls behind, and transaction N+1 compiles while
+//!   compile executor falls behind, and transaction N+1 compiles while
 //!   transaction N installs.
 //!
 //! Both runs carry audit probes, so every commit re-proves the

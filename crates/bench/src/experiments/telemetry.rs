@@ -15,9 +15,9 @@
 //!   missing-delivery count must equal the delivery-log count (100%
 //!   blackhole detection) with zero loop reports.
 //! * **Trace** (`results/telemetry_trace.csv`) — the controller's
-//!   [`DeployTrace`] for the initial deploy: per-phase latency split
-//!   into wall-clock (route, compile) and modelled control time
-//!   (stage, commit).
+//!   [`DeployTrace`](camus_telemetry::DeployTrace) for the initial
+//!   deploy: per-phase latency split into wall-clock (route, compile)
+//!   and modelled control time (stage, commit).
 
 use super::churn::{churn_net, spread_subscriptions};
 use super::faults::{chain_link, generator};
@@ -28,12 +28,11 @@ use camus_core::statics::compile_static;
 use camus_dataplane::packet::{Packet, PacketBuilder};
 use camus_dataplane::{Switch, SwitchTelemetry};
 use camus_faults::{run_fault, FaultKind, ProbeConfig, RepairModel};
-use camus_lang::ast::{Expr, Operand, Port};
-use camus_lang::value::Value;
+use camus_lang::ast::Port;
 use camus_net::controller::Controller;
 use camus_routing::algorithm1::{Policy, RoutingConfig};
+use camus_routing::verify::matching_hosts;
 use camus_telemetry::{MetricsRegistry, SampleRate};
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// Per-packet cost of one full pass over `packets` through the batched
@@ -159,17 +158,11 @@ fn anomaly_table(scale: Scale) -> Table {
     let ctrl = Controller::new(statics, RoutingConfig::new(Policy::MemoryReduction));
 
     let target = (0..net.host_count()).find(|&h| !subs[h].is_empty()).expect("a subscriber");
-    let witness: HashMap<String, Value> = g.matching_packet(&subs[target][0]).into_iter().collect();
-    let lookup = |op: &Operand| match op {
-        Operand::Field(name) => witness.get(name).cloned(),
-        Operand::Aggregate { .. } => None,
-    };
-    let matches = |fs: &[Expr]| fs.iter().any(|f| f.eval_with(lookup));
+    let witness = g.matching_packet(&subs[target][0]);
+    let expected = matching_hosts(&subs, &witness, None);
     let publisher = (0..net.host_count())
-        .find(|&h| net.access[h].0 != net.access[target].0 && !matches(&subs[h]))
+        .find(|&h| net.access[h].0 != net.access[target].0 && !expected.contains(&h))
         .expect("a non-matching publisher on another ToR");
-    let expected: Vec<usize> =
-        (0..net.host_count()).filter(|&h| h != publisher && matches(&subs[h])).collect();
 
     let mut b = PacketBuilder::new(&spec);
     for (field, value) in &witness {

@@ -17,8 +17,8 @@
 //!   output this is the identity; a hand-written pipeline may use any
 //!   `u32` and still lowers to tables no larger than its entry count.
 //! * **Jump rows** — all entries one stage holds for one state become
-//!   one [`Row`]: the stage, the value slot it reads, and the state's
-//!   match [`Group`] — typed probes (exact via open-addressing hash
+//!   one `Row`: the stage, the value slot it reads, and the state's
+//!   match `Group` — typed probes (exact via open-addressing hash
 //!   tables for large groups, binary search for small ones, prefixes
 //!   via a length-ordered linear scan, ranges via binary search when
 //!   provably disjoint), not a priority scan. `rows[state]` is the

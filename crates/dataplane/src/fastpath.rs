@@ -1,7 +1,7 @@
 //! Slot-resolved evaluation plans: the data-plane half of the compiled
 //! fast path.
 //!
-//! [`CompiledPipeline`](camus_core::CompiledPipeline) interns operands
+//! [`CompiledPipeline`] interns operands
 //! to dense slot ids; [`EvalPlan::build`] resolves each slot against
 //! the application [`Spec`] **once**, at install time, into byte
 //! offsets. Per message, [`EvalPlan::eval`] decodes fields straight

@@ -4,10 +4,9 @@
 //! [`Switch`](crate::switch::Switch): when present, every processed
 //! packet pays one sampler tick (an increment plus a mask test), and
 //! sampled packets record their evaluation latency and table activity
-//! into shared lock-free instruments from a
-//! [`MetricsRegistry`](camus_telemetry::MetricsRegistry). Nothing on
-//! this path allocates, so the PR-3 zero-alloc guarantee holds with
-//! telemetry attached, disabled or enabled.
+//! into shared lock-free instruments from a [`MetricsRegistry`].
+//! Nothing on this path allocates, so the PR-3 zero-alloc guarantee
+//! holds with telemetry attached, disabled or enabled.
 
 use camus_core::compiled::EvalCounters;
 use camus_telemetry::metrics::{Counter, Histogram, MetricsRegistry, SampleRate, Sampler};

@@ -42,12 +42,13 @@ use crate::event::FaultKind;
 use crate::inject::FaultInjector;
 use crate::scenario::apply_fault;
 use camus_dataplane::Packet;
+use camus_lang::ast::Expr;
 use camus_lang::ast::Port;
-use camus_lang::ast::{Expr, Operand};
 use camus_lang::value::Value;
 use camus_net::controller::{Controller, Deployment};
 use camus_net::{ChannelOutcome, ControlChannel, ControlOp, ReconcileStats};
 use camus_routing::topology::{HierNet, HostId, SwitchId};
+use camus_routing::verify::matching_hosts;
 use camus_telemetry::{PostcardId, SampleRate};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -217,23 +218,6 @@ pub struct ChaosInput<'a> {
     /// The witness's attribute values, for deciding who must hear it.
     pub witness_values: Vec<(String, Value)>,
     pub publisher: HostId,
-}
-
-/// Hosts whose subscription set matches the witness packet.
-fn matching_hosts(
-    subs: &[Vec<Expr>],
-    witness: &[(String, Value)],
-    publisher: HostId,
-) -> BTreeSet<HostId> {
-    let lookup = |op: &Operand| match op {
-        Operand::Field(name) => witness.iter().find(|(n, _)| n == name).map(|(_, v)| v.clone()),
-        Operand::Aggregate { .. } => None,
-    };
-    subs.iter()
-        .enumerate()
-        .filter(|(h, fs)| *h != publisher && fs.iter().any(|f| f.eval_with(lookup)))
-        .map(|(h, _)| h)
-        .collect()
 }
 
 /// Run the soak. Panics (test failure) on any invariant violation.
@@ -468,21 +452,17 @@ pub fn run_chaos(input: ChaosInput<'_>, cfg: &ChaosConfig) -> ChaosReport {
         d.network.run(None);
 
         let mask = d.network.fault_mask().clone();
-        let matching_deployed = matching_hosts(&deployed_subs, &witness_values, publisher);
+        let matching_deployed = matching_hosts(&deployed_subs, &witness_values, Some(publisher));
         // While a crashed transaction is in doubt, a host matching
         // either the old deployed state or the half-committed target
         // may legitimately hear the witness; anything outside the
         // union is still a leak.
-        let matching: BTreeSet<HostId> = match &in_doubt {
-            Some(target) => matching_deployed
-                .union(&matching_hosts(target, &witness_values, publisher))
-                .copied()
-                .collect(),
-            None => matching_deployed.clone(),
-        };
+        let mut matching: BTreeSet<HostId> = matching_deployed.iter().copied().collect();
+        if let Some(target) = &in_doubt {
+            matching.extend(matching_hosts(target, &witness_values, Some(publisher)));
+        }
         let expected_hosts: BTreeSet<HostId> = matching_deployed
-            .iter()
-            .copied()
+            .into_iter()
             .filter(|&h| d.network.topology.host_attached(h, &mask))
             .collect();
         let (mut delivered, mut missed, mut duplicated, mut misdelivered) = (0, 0, 0, 0);
@@ -643,7 +623,7 @@ pub fn run_chaos(input: ChaosInput<'_>, cfg: &ChaosConfig) -> ChaosReport {
         d.network.publish(publisher, witness.clone(), t);
     }
     d.network.run(None);
-    let matching = matching_hosts(&subs, &witness_values, publisher);
+    let matching = matching_hosts(&subs, &witness_values, Some(publisher));
     let mut final_delivered = 0usize;
     for &h in &matching {
         let got = d.network.deliveries(h)[before[h]..]

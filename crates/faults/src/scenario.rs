@@ -10,10 +10,11 @@
 //! own (masked designated ascent).
 //!
 //! Accounting is exact because probes are identified by their publish
-//! timestamp ([`Delivered::published_ns`]), which the simulator carries
-//! end-to-end: every (expected host, probe) pair is delivered once,
-//! dropped, or duplicated, and any probe surfacing at a host that never
-//! subscribed is a mis-delivery.
+//! timestamp
+//! ([`Delivered::published_ns`](camus_net::Delivered::published_ns)),
+//! which the simulator carries end-to-end: every (expected host,
+//! probe) pair is delivered once, dropped, or duplicated, and any probe
+//! surfacing at a host that never subscribed is a mis-delivery.
 
 use crate::event::{FaultKind, FaultSchedule};
 use crate::report::FaultReport;

@@ -536,8 +536,10 @@ impl Controller {
     }
 
     /// Stage one of a repair: run Algorithm 1 around `mask`. Split out
-    /// so a pipelined caller (the service's route stage) can plan a
-    /// transaction without holding the deployment.
+    /// with [`compile_routing_delta`](Self::compile_routing_delta) and
+    /// [`install`](Self::install) so a caller that keeps its own delta
+    /// cache and times each step (the service's transaction step) can
+    /// run them one by one.
     pub fn plan_routing(
         &self,
         topology: &HierNet,
@@ -554,11 +556,10 @@ impl Controller {
     /// Neither cache affects the produced pipelines, only cost (the
     /// controller's compiler pins the spec's variable order, so
     /// delta-maintained and scratch-built diagrams reduce to the same
-    /// tables) — which is what makes it safe to compile transaction
-    /// N+1 against a compile whose install has not landed (or will roll
-    /// back): the result is identical either way. Callers own the cache
-    /// and carry it across reconfigurations; a fresh cache degenerates
-    /// to seeding every representative.
+    /// tables), so any earlier compile may serve as `previous`; the
+    /// installed one (`deployment.compile`) is the natural choice.
+    /// Callers own the cache and carry it across reconfigurations; a
+    /// fresh cache degenerates to seeding every representative.
     pub fn compile_routing_delta(
         &self,
         routing: &RoutingResult,

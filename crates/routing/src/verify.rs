@@ -29,6 +29,25 @@ fn matches_any<'a>(filters: impl IntoIterator<Item = &'a Expr>, pkt: &SamplePack
     filters.into_iter().any(|f| f.eval_with(lookup))
 }
 
+/// Hosts whose subscriptions match `witness`, the attribute values a
+/// published packet carries, in host order. `publisher`, when given,
+/// is left out: the network never loops a message back to its source.
+pub fn matching_hosts(
+    subs: &[Vec<Expr>],
+    witness: &[(String, Value)],
+    publisher: Option<usize>,
+) -> Vec<usize> {
+    let lookup = |op: &Operand| match op {
+        Operand::Field(name) => witness.iter().find(|(n, _)| n == name).map(|(_, v)| v.clone()),
+        Operand::Aggregate { .. } => None,
+    };
+    subs.iter()
+        .enumerate()
+        .filter(|&(h, fs)| Some(h) != publisher && fs.iter().any(|f| f.eval_with(lookup)))
+        .map(|(h, _)| h)
+        .collect()
+}
+
 /// A violated condition, as a counterexample.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Violation {
@@ -198,6 +217,19 @@ mod tests {
                 v
             })
             .collect()
+    }
+
+    #[test]
+    fn matching_hosts_leaves_out_the_publisher() {
+        let subs: Vec<Vec<Expr>> = ["price > 10", "stock == GOOGL", "price > 99", "price > 10"]
+            .iter()
+            .map(|f| vec![parse_expr(f).unwrap()])
+            .collect();
+        let witness = vec![("price".to_string(), Value::Int(50))];
+        assert_eq!(matching_hosts(&subs, &witness, None), vec![0, 3]);
+        assert_eq!(matching_hosts(&subs, &witness, Some(3)), vec![0]);
+        // A field the witness does not carry matches nothing.
+        assert!(matching_hosts(&subs[1..2], &witness, None).is_empty());
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //!   before the first commit op goes on the wire — the presumed-abort
 //!   rule: a staged epoch with a logged decision rolls forward, one
 //!   without rolls back;
-//! * periodic **snapshots** of the committed subscription set,
-//!   per-switch pipeline fingerprints and the epoch watermark bound
-//!   replay to the tail since the last snapshot.
+//! * periodic **snapshots** of the committed subscription set, the
+//!   epoch watermark and the request watermark bound replay to the
+//!   tail since the last snapshot. They carry no pipeline
+//!   fingerprints: recovery diffs by interrogating the switches.
 //!
 //! The encoding is line-based text. Filters serialise through
 //! [`Expr`]'s `Display` (the fully parenthesised form that is
@@ -104,8 +105,8 @@ impl WalBackend for FileWal {
 
 /// The shared write-ahead log handle. Clones share one backend; every
 /// record append is atomic under the internal lock, so intake (request
-/// records), the deploy stage (snapshots), the channel wrapper (commit
-/// decisions) and a caller replaying the log never see a torn record.
+/// records), the transaction step (snapshots), the channel wrapper
+/// (commit decisions) and a caller replaying the log never see a torn record.
 #[derive(Clone)]
 pub struct Wal {
     inner: Arc<Mutex<Box<dyn WalBackend>>>,
@@ -147,14 +148,12 @@ impl Wal {
         self.lock().append(&format!("commit {epoch}"));
     }
 
-    /// Log a snapshot: the full committed subscription state,
-    /// per-switch pipeline fingerprints, the epoch watermark, and the
-    /// highest request id the state reflects. All records go out under
-    /// one lock acquisition.
+    /// Log a snapshot: the full committed subscription state, the
+    /// epoch watermark, and the highest request id the state reflects.
+    /// All records go out under one lock acquisition.
     pub fn append_snapshot(
         &self,
         subs: &[Vec<Expr>],
-        fingerprints: &[(usize, u64)],
         next_epoch: u64,
         last_request: Option<RequestId>,
     ) {
@@ -164,9 +163,6 @@ impl Wal {
             None => "-".to_string(),
         };
         w.append(&format!("snap begin {next_epoch} {watermark} {}", subs.len()));
-        for (s, fp) in fingerprints {
-            w.append(&format!("snap fp {s} {fp}"));
-        }
         for (h, fs) in subs.iter().enumerate() {
             for f in fs {
                 w.append(&format!("snap sub {h} {f}"));
@@ -207,18 +203,12 @@ pub struct WalState {
     /// The epoch the next (recovery) transaction must stage under:
     /// strictly above everything the log has seen.
     pub next_epoch: u64,
-    /// Per-switch pipeline fingerprints from the last snapshot (what
-    /// the pre-crash controller believed was installed).
-    pub fingerprints: Vec<(usize, u64)>,
     /// Highest request id the rebuilt state reflects.
     pub last_request: Option<RequestId>,
     /// Request records replayed from the tail (after the snapshot).
     pub replayed_requests: u64,
     /// Total records scanned.
     pub lines: usize,
-    /// Records after the last complete snapshot (the replay tail the
-    /// `recovery` experiment plots recovery time against).
-    pub tail_len: usize,
 }
 
 /// A snapshot being accumulated during the replay scan.
@@ -226,18 +216,16 @@ struct PendingSnap {
     next_epoch: u64,
     watermark: Option<RequestId>,
     subs: Vec<Vec<Expr>>,
-    fingerprints: Vec<(usize, u64)>,
 }
 
 fn replay_lines(lines: &[String]) -> WalState {
     let mut st = WalState { next_epoch: 1, ..WalState::default() };
     st.lines = lines.len();
     let mut pending: Option<PendingSnap> = None;
-    let mut since_snapshot = 0usize;
 
     // Pass 1: find the last complete snapshot and collect every
     // request record in append order. Requests cannot be applied
-    // inline, because the deploy stage's snapshot (watermark `w`)
+    // inline, because the transaction step's snapshot (watermark `w`)
     // may be *appended after* intake has already logged requests with
     // ids above `w` — file order and state order genuinely differ
     // across the two writers. Ids are monotonic, so the watermark
@@ -264,19 +252,7 @@ fn replay_lines(lines: &[String]) -> WalState {
                             next_epoch,
                             watermark,
                             subs: vec![Vec::new(); hosts],
-                            fingerprints: Vec::new(),
                         });
-                    }
-                    "fp" => {
-                        if let Some(p) = &mut pending {
-                            let mut f = body.split(' ');
-                            if let (Some(s), Some(fp)) = (
-                                f.next().and_then(|x| x.parse().ok()),
-                                f.next().and_then(|x| x.parse().ok()),
-                            ) {
-                                p.fingerprints.push((s, fp));
-                            }
-                        }
                     }
                     "sub" => {
                         if let Some(p) = &mut pending {
@@ -297,17 +273,13 @@ fn replay_lines(lines: &[String]) -> WalState {
                             // hint — that part is position-independent.
                             st.next_epoch = st.next_epoch.max(p.next_epoch);
                             last_snap = Some(p);
-                            since_snapshot = 0;
-                            continue;
                         }
                     }
+                    // Unknown snapshot records (older logs carried
+                    // per-switch `snap fp` fingerprints) are skipped
+                    // without aborting the snapshot.
                     _ => {}
                 }
-                // snap records do not count toward the tail unless the
-                // snapshot never completes — handled by `continue`
-                // above only for `end`; an eventually-abandoned
-                // snapshot's records are dead weight counted below.
-                since_snapshot += 1;
             }
             "commit" => {
                 // A record other than `snap *` aborts any snapshot in
@@ -317,11 +289,9 @@ fn replay_lines(lines: &[String]) -> WalState {
                     st.committed_epochs.insert(e);
                     st.next_epoch = st.next_epoch.max(e + 1);
                 }
-                since_snapshot += 1;
             }
             "req" => {
                 pending = None;
-                since_snapshot += 1;
                 // req <id> <host> <arrival_ns> <sub|unsub> <filter>
                 let mut f = rest.splitn(4, ' ');
                 let id: Option<RequestId> = f.next().and_then(|x| x.parse().ok());
@@ -341,13 +311,9 @@ fn replay_lines(lines: &[String]) -> WalState {
                 };
                 reqs.push(SubRequest { id, host, op, arrival_ns: arrival.unwrap_or(0) });
             }
-            _ => {
-                pending = None;
-                since_snapshot += 1;
-            }
+            _ => pending = None,
         }
     }
-    st.tail_len = since_snapshot;
 
     // Pass 2: start from the winning snapshot and apply every request
     // above its watermark, in id order (intake is a single writer, so
@@ -355,7 +321,6 @@ fn replay_lines(lines: &[String]) -> WalState {
     // skip is also what makes double replay idempotent.
     if let Some(p) = last_snap {
         st.subs = p.subs;
-        st.fingerprints = p.fingerprints;
         st.last_request = p.watermark;
     }
     for req in reqs {
@@ -417,7 +382,7 @@ mod tests {
     #[test]
     fn requests_replay_into_the_subscription_state() {
         let wal = Wal::in_memory();
-        wal.append_snapshot(&vec![Vec::new(); 3], &[], 1, None);
+        wal.append_snapshot(&vec![Vec::new(); 3], 1, None);
         wal.append_request(&req(0, 0, RequestOp::Subscribe(f("price > 10")), 5));
         wal.append_request(&req(1, 2, RequestOp::Subscribe(f("stock == GOOGL")), 9));
         wal.append_request(&req(2, 0, RequestOp::Unsubscribe(f("price > 10")), 12));
@@ -432,11 +397,11 @@ mod tests {
     #[test]
     fn snapshot_bounds_replay_and_double_replay_is_idempotent() {
         let wal = Wal::in_memory();
-        wal.append_snapshot(&vec![Vec::new(); 2], &[], 1, None);
+        wal.append_snapshot(&vec![Vec::new(); 2], 1, None);
         wal.append_request(&req(0, 0, RequestOp::Subscribe(f("price > 10")), 1));
         wal.append_commit(7);
         let snap_subs = vec![vec![f("price > 10")], Vec::new()];
-        wal.append_snapshot(&snap_subs, &[(0, 0xAB), (1, 0xCD)], 8, Some(0));
+        wal.append_snapshot(&snap_subs, 8, Some(0));
         wal.append_request(&req(1, 1, RequestOp::Subscribe(f("price > 50")), 2));
         // A record with id at the watermark replays as a no-op.
         wal.append_request(&req(0, 0, RequestOp::Subscribe(f("price > 10")), 1));
@@ -444,10 +409,8 @@ mod tests {
         let st = wal.replay();
         assert_eq!(st.subs, vec![vec![f("price > 10")], vec![f("price > 50")]]);
         assert_eq!(st.replayed_requests, 1, "only the post-snapshot tail replays");
-        assert_eq!(st.fingerprints, vec![(0, 0xAB), (1, 0xCD)]);
         assert!(st.committed_epochs.contains(&7));
         assert_eq!(st.next_epoch, 8);
-        assert_eq!(st.tail_len, 2);
 
         // Pure function of the log: replaying again changes nothing.
         let again = wal.replay();
@@ -458,15 +421,15 @@ mod tests {
 
     #[test]
     fn snapshot_lagging_behind_newer_requests_keeps_them() {
-        // The deploy stage snapshots *committed* state, which lags
+        // The transaction step snapshots *committed* state, which lags
         // intake: requests newer than the watermark can already sit in
         // the log when the snapshot is appended. They must survive.
         let wal = Wal::in_memory();
-        wal.append_snapshot(&vec![Vec::new(); 2], &[], 1, None);
+        wal.append_snapshot(&vec![Vec::new(); 2], 1, None);
         wal.append_request(&req(0, 0, RequestOp::Subscribe(f("price > 10")), 1));
         wal.append_request(&req(1, 1, RequestOp::Subscribe(f("price > 50")), 2));
         // Snapshot reflects only request 0 — written after request 1.
-        wal.append_snapshot(&[vec![f("price > 10")], Vec::new()], &[], 2, Some(0));
+        wal.append_snapshot(&[vec![f("price > 10")], Vec::new()], 2, Some(0));
         let st = wal.replay();
         assert_eq!(
             st.subs,
@@ -478,9 +441,41 @@ mod tests {
     }
 
     #[test]
+    fn a_log_with_snapshot_fingerprints_replays_the_same() {
+        // A log written when snapshots still carried per-switch
+        // pipeline fingerprints (`snap fp <switch> <fingerprint>`).
+        let old = [
+            "snap begin 1 - 2",
+            "snap fp 0 171",
+            "snap fp 1 205",
+            "snap end",
+            "req 0 0 5 sub (price > 10)",
+            "commit 3",
+            "snap begin 4 0 2",
+            "snap fp 0 9001",
+            "snap sub 0 (price > 10)",
+            "snap fp 1 9002",
+            "snap end",
+            "req 1 1 9 sub (stock == GOOGL)",
+            "req 2 0 12 unsub (price > 10)",
+        ];
+        let wal = Wal::in_memory();
+        for line in old {
+            wal.inner.lock().unwrap().append(line);
+        }
+        let st = wal.replay();
+        assert_eq!(st.subs, vec![Vec::new(), vec![f("stock == GOOGL")]]);
+        assert_eq!(st.last_request, Some(2));
+        assert_eq!(st.replayed_requests, 2, "the second snapshot completes despite its fp lines");
+        assert_eq!(st.committed_epochs, BTreeSet::from([3]));
+        assert_eq!(st.next_epoch, 4);
+        assert_eq!(st.lines, old.len());
+    }
+
+    #[test]
     fn incomplete_snapshot_is_ignored() {
         let wal = Wal::in_memory();
-        wal.append_snapshot(&[vec![f("price > 10")]], &[], 3, Some(4));
+        wal.append_snapshot(&[vec![f("price > 10")]], 3, Some(4));
         // A snapshot whose writer died before `snap end`:
         {
             let mut w = wal.inner.lock().unwrap();
@@ -500,7 +495,7 @@ mod tests {
     #[test]
     fn corrupt_deep_records_are_skipped() {
         let wal = Wal::in_memory();
-        wal.append_snapshot(&vec![Vec::new(); 1], &[], 1, None);
+        wal.append_snapshot(&vec![Vec::new(); 1], 1, None);
         {
             let mut w = wal.inner.lock().unwrap();
             w.append(&format!("req 0 0 1 sub {}price > 1", "(".repeat(100_000)));
@@ -515,7 +510,7 @@ mod tests {
     #[test]
     fn long_chains_and_deep_nots_replay() {
         let wal = Wal::in_memory();
-        wal.append_snapshot(&vec![Vec::new(); 1], &[], 1, None);
+        wal.append_snapshot(&vec![Vec::new(); 1], 1, None);
         let chain = Expr::disj((0..300).map(|v| f(&format!("price == {v}"))));
         let nots = (0..200).fold(f("price > 1"), |e, _| e.not());
         wal.append_request(&req(0, 0, RequestOp::Subscribe(chain.clone()), 1));
@@ -526,7 +521,7 @@ mod tests {
     #[test]
     fn filters_round_trip_through_display() {
         let wal = Wal::in_memory();
-        wal.append_snapshot(&vec![Vec::new(); 1], &[], 1, None);
+        wal.append_snapshot(&vec![Vec::new(); 1], 1, None);
         let gnarly = f("(price > 10 and not (stock == GOOGL)) or shares >= 5");
         wal.append_request(&req(0, 0, RequestOp::Subscribe(gnarly.clone()), 1));
         assert_eq!(wal.replay().subs[0], vec![gnarly]);
@@ -540,7 +535,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let wal = Wal::file(&path).unwrap();
-            wal.append_snapshot(&vec![Vec::new(); 2], &[], 1, None);
+            wal.append_snapshot(&vec![Vec::new(); 2], 1, None);
             wal.append_request(&req(0, 1, RequestOp::Subscribe(f("price > 10")), 3));
             wal.append_commit(2);
         } // drop = crash: no close protocol, no fsync

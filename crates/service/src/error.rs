@@ -12,7 +12,7 @@
 //!
 //! The batch controller API has one error enum of its own,
 //! [`camus_net::DeployError`]: what the install transaction returns is
-//! what the deploy stage matches on.
+//! what the transaction step matches on.
 
 use camus_core::compiler::CompileError;
 use std::fmt;
@@ -41,9 +41,10 @@ impl fmt::Display for IntakeError {
 
 impl std::error::Error for IntakeError {}
 
-/// Deploy-stage errors. A *rejected transaction* (admission or
-/// channel failure) is soft — it rolls back and is reported per-txn;
-/// what is fatal here is a broken invariant or a dead coordinator.
+/// Install errors of the transaction step. A *rejected transaction*
+/// (admission or channel failure) is soft — it rolls back and is
+/// reported per-txn; what is fatal here is a broken invariant or a
+/// dead coordinator.
 #[derive(Debug)]
 pub enum DeployStageError {
     /// The zero-mis-delivery audit failed after a commit. The network

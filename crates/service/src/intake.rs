@@ -18,8 +18,8 @@
 //! always produces the same batches.
 //!
 //! A batch carries only the requests intake accepted, in arrival
-//! order. The compile stage applies them to its own copy of the target
-//! state with the same `apply_request`, so merging two queued
+//! order. The transaction step applies them to its own copy of the
+//! target state with the same `apply_request`, so merging two queued
 //! batches is concatenating their requests, and a batch costs time in
 //! proportion to its ops, not to the subscriptions held.
 
@@ -106,8 +106,8 @@ impl ChurnBatch {
     }
 }
 
-/// The one subscription-edit rule, shared by intake, the compile stage
-/// and WAL replay: a subscribe pushes the filter; an unsubscribe
+/// The one subscription-edit rule, shared by intake, the transaction
+/// step and WAL replay: a subscribe pushes the filter; an unsubscribe
 /// removes the most recently added equal filter the host holds. An
 /// unknown host or a filter the host does not hold is a soft reject
 /// that leaves `subs` unchanged.

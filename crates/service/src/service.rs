@@ -1,26 +1,27 @@
 //! The assembled controller service.
 //!
-//! [`CamusService`] is a step loop on the caller's thread. It owns the
-//! three stages — intake/batcher, route+compile, deploy — and moves
-//! each request through them as far as the modelled clocks allow
-//! before [`CamusService::request`] returns:
+//! [`CamusService`] is a step loop on the caller's thread. It owns two
+//! stages — intake/batcher and the transaction step — and moves each
+//! request through them as far as the modelled clocks allow before
+//! [`CamusService::request`] returns:
 //!
 //! ```text
 //!   subscribe()/unsubscribe()
 //!        │ SubRequest
 //!        ▼
-//!   [intake] ── ChurnBatch ──▶ backlog ──▶ [route+compile] ── Txn ──▶ [deploy] ── TxnReport ──▶ reports
+//!   [intake] ── ChurnBatch ──▶ backlog ──▶ [route + compile + install + audit] ── TxnReport ──▶ reports
 //! ```
 //!
 //! A `ChurnBatch` carries only the requests intake accepted. Intake
-//! and the compile stage each keep a copy of the target state and
-//! apply those requests to it with the one edit rule
+//! and the transaction step each keep a copy of the target state —
+//! intake's runs ahead by the open window and the backlog — and apply
+//! those requests to it with the one edit rule
 //! (`intake::apply_request`), which WAL replay applies too.
 //!
 //! **Backlog.** A closed batch waits until the compile executor picks
-//! it up, at [`RouteCompileService::start_ns`]: once the batch has
-//! closed and the previous compile has finished on the modelled clock.
-//! A batch that closes by then is already queued behind it and, with
+//! it up, at `TxnStage::start_ns`: once the batch has closed and the
+//! previous compile has finished on the modelled clock. A batch that
+//! closes by then is already queued behind it and, with
 //! [`ServiceConfig::merge_backlog`], merges into it (its requests are
 //! appended), so repeated dirtying of one switch compiles once. The
 //! loop runs the backlog once intake's clock passes that start (every
@@ -30,17 +31,17 @@
 //!
 //! **Overlap.** By default transaction N+1 starts compiling when its
 //! batch closes, while transaction N may still be installing on the
-//! deploy stage's clock — safe because the compile cache affects only
-//! cost, never output, and the deploy stage diffs against the
-//! *installed* state. With [`ServiceConfig::overlap`] off, each compile
-//! waits for the previous install to land: the one-op-at-a-time
-//! baseline the `service` experiment measures against.
+//! control channel's clock — the compile cache affects only cost,
+//! never output, and the install diffs against the *installed* state.
+//! With [`ServiceConfig::overlap`] off, each compile waits for the
+//! previous install to land: the one-op-at-a-time baseline the
+//! `service` experiment measures against.
 //!
-//! **Supervision.** Every stage step runs under `catch_unwind`. A panic
-//! drops the step's input, counts into `service.stage.restarts`, and
-//! the loop goes on with the next input; [`MAX_PANICS`] in a row from
-//! one stage stop the service. After a fatal error the service takes
-//! no more requests: their ids land in
+//! **Supervision.** Every intake step and every transaction step runs
+//! under `catch_unwind`. A panic drops the step's input, counts into
+//! `service.stage.restarts`, and the loop goes on with the next input;
+//! `MAX_PANICS` in a row from one stage stop the service. After a
+//! fatal error the service takes no more requests: their ids land in
 //! [`ServiceOutcome::lost_requests`].
 //!
 //! [`CamusService::shutdown`] closes intake's open window, runs the
@@ -51,9 +52,9 @@
 //! anything: the crash analogue.
 
 use crate::durability::{Wal, WalChannel};
-use crate::error::ServiceError;
+use crate::error::{DeployStageError, ServiceError};
 use crate::intake::{BatchPolicy, ChurnBatch, IntakeService, RequestId, RequestOp, SubRequest};
-use crate::stages::{AuditProbe, AuditReport, DeployService, RouteCompileService, TxnReport};
+use crate::stages::{AuditProbe, AuditReport, TxnReport, TxnStage};
 use camus_lang::ast::Expr;
 use camus_net::controller::{Controller, Deployment};
 use camus_net::{ControlChannel, DeployError, Network, ReconcileStats};
@@ -69,30 +70,21 @@ pub struct ServiceConfig {
     /// Merge batches that close while the compile executor is busy
     /// into one transaction.
     pub merge_backlog: bool,
-    /// Probes the deploy stage republishes after every commit for the
-    /// zero-mis-delivery audit (empty = audit off).
+    /// Probes the transaction step republishes after every commit for
+    /// the zero-mis-delivery audit (empty = audit off).
     pub probes: Vec<AuditProbe>,
-    /// Publish-stamp spacing between probes of one audit round.
-    pub probe_gap_ns: u64,
-    /// Share a registry with the host process; `None` makes a fresh
-    /// one (returned in the outcome).
-    pub registry: Option<Arc<MetricsRegistry>>,
     /// Durability: every accepted request is write-ahead logged here,
     /// every install's commit decision is logged at the commit point,
-    /// and the deploy stage snapshots on a cadence. `None` = the
-    /// volatile controller every PR before this one ran.
+    /// and the transaction step snapshots on a cadence. `None` = a
+    /// volatile controller.
     pub wal: Option<Wal>,
     /// Snapshot the committed state every this many committed
     /// transactions (with `wal`; 0 disables cadence snapshots).
     pub snapshot_every: u64,
-    /// Fault injection: transaction ids at which the compile stage
+    /// Fault injection: transaction ids at which the transaction step
     /// panics (once each), after applying the batch's requests: the
     /// transaction is lost, and the next compile deploys its edits.
     pub compile_panic_on: Vec<u64>,
-    /// First request id this service instance assigns. A recovered
-    /// service continues above the log's watermark so ids stay
-    /// monotonic across incarnations.
-    pub first_request: RequestId,
 }
 
 impl Default for ServiceConfig {
@@ -102,12 +94,9 @@ impl Default for ServiceConfig {
             overlap: true,
             merge_backlog: true,
             probes: Vec::new(),
-            probe_gap_ns: 10_000,
-            registry: None,
             wal: None,
             snapshot_every: 0,
             compile_panic_on: Vec::new(),
-            first_request: 0,
         }
     }
 }
@@ -142,7 +131,7 @@ pub struct ServiceStats {
     pub out_of_order: u64,
     /// Supervised stage restarts after panics.
     pub restarts: u64,
-    /// Cadence snapshots the deploy stage wrote to the WAL.
+    /// Cadence snapshots the transaction step wrote to the WAL.
     pub snapshots: u64,
     /// Accepted requests that never surfaced in any transaction
     /// report: 0 on every clean shutdown (the loss-free drain
@@ -239,15 +228,12 @@ impl Supervisor {
 /// A running controller service.
 pub struct CamusService {
     intake: IntakeService,
-    compile: RouteCompileService,
-    deploy: DeployService,
+    txns: TxnStage,
     intake_sup: Supervisor,
-    compile_sup: Supervisor,
-    deploy_sup: Supervisor,
+    txn_sup: Supervisor,
     /// Closed batches the compile executor has not picked up yet,
     /// merged into one, and how many batches that is.
     backlog: Option<(ChurnBatch, u64)>,
-    overlap: bool,
     merge_backlog: bool,
     merged_batches: u64,
     /// Batches per picked-up backlog: the compile queue's depth.
@@ -265,7 +251,7 @@ pub struct CamusService {
 impl CamusService {
     /// Take a deployed network live. `subs` must be the subscription
     /// state `deployment` was deployed with — it seeds both intake's
-    /// and the compile stage's copy of the target state.
+    /// and the transaction step's copy of the target state.
     pub fn start(
         ctrl: Controller,
         deployment: Deployment,
@@ -273,53 +259,51 @@ impl CamusService {
         channel: Box<dyn ControlChannel + Send>,
         cfg: ServiceConfig,
     ) -> CamusService {
-        let registry = cfg.registry.unwrap_or_else(|| Arc::new(MetricsRegistry::new()));
-        let topology = deployment.network.topology.clone();
-        let mask = deployment.network.fault_mask().clone();
-        let deployed_compile = deployment.compile.clone();
+        CamusService::start_at(ctrl, deployment, subs, channel, cfg, 0)
+    }
+
+    /// [`CamusService::start`], assigning request ids from
+    /// `first_request` on: a recovered service continues above the
+    /// log's watermark so ids stay monotonic across incarnations.
+    fn start_at(
+        ctrl: Controller,
+        deployment: Deployment,
+        subs: Vec<Vec<Expr>>,
+        channel: Box<dyn ControlChannel + Send>,
+        cfg: ServiceConfig,
+        first_request: RequestId,
+    ) -> CamusService {
+        let registry = Arc::new(MetricsRegistry::new());
 
         // Durability: anchor the log with a snapshot of the state the
         // service starts from (it carries the host count replay needs
         // and bounds any earlier incarnation's records), log every
         // commit decision through the channel wrapper, and every
         // accepted request through intake.
+        let mut intake = IntakeService::new(cfg.batch, subs.clone());
         let channel: Box<dyn ControlChannel + Send> = match &cfg.wal {
             Some(w) => {
-                let fps: Vec<(usize, u64)> =
-                    deployment.compile.switches.iter().map(|s| (s.switch, s.fingerprint)).collect();
-                let watermark = cfg.first_request.checked_sub(1);
-                w.append_snapshot(&subs, &fps, deployment.next_epoch, watermark);
+                w.append_snapshot(&subs, deployment.next_epoch, first_request.checked_sub(1));
+                intake = intake.with_wal(w.clone());
                 Box::new(WalChannel::new(channel, w.clone()))
             }
             None => channel,
         };
-
-        let mut intake = IntakeService::new(cfg.batch, subs.clone());
-        let compile =
-            RouteCompileService::new(ctrl.clone(), topology, mask, deployed_compile, subs)
-                .with_panic_on(cfg.compile_panic_on);
+        let merge_backlog = cfg.merge_backlog;
         let ttt = registry.histogram("service.request.ttt_ns");
-        let mut deploy =
-            DeployService::new(ctrl, deployment, channel, cfg.probes, cfg.probe_gap_ns, ttt);
-        if let Some(w) = cfg.wal {
-            intake = intake.with_wal(w.clone());
-            deploy = deploy.with_wal(w, cfg.snapshot_every);
-        }
+        let txns = TxnStage::new(ctrl, deployment, subs, channel, cfg, ttt);
 
         let restarts = registry.counter("service.stage.restarts");
         CamusService {
             intake,
-            compile,
-            deploy,
+            txns,
             intake_sup: Supervisor::new("camus-intake", &restarts),
-            compile_sup: Supervisor::new("camus-route-compile", &restarts),
-            deploy_sup: Supervisor::new("camus-deploy", &restarts),
+            txn_sup: Supervisor::new("camus-txn", &restarts),
             backlog: None,
-            overlap: cfg.overlap,
-            merge_backlog: cfg.merge_backlog,
+            merge_backlog,
             merged_batches: 0,
             backlog_depth: registry.histogram("service.backlog.depth"),
-            next_request: cfg.first_request,
+            next_request: first_request,
             reports: Vec::new(),
             drained: 0,
             lost_requests: Vec::new(),
@@ -362,8 +346,8 @@ impl CamusService {
             control_ns: deployment.report.total_control_ns(),
         };
         cfg.wal = Some(wal);
-        cfg.first_request = st.last_request.map_or(0, |x| x + 1);
-        Ok((CamusService::start(ctrl, deployment, st.subs, channel, cfg), stats))
+        let first_request = st.last_request.map_or(0, |x| x + 1);
+        Ok((CamusService::start_at(ctrl, deployment, st.subs, channel, cfg, first_request), stats))
     }
 
     pub fn registry(&self) -> &Arc<MetricsRegistry> {
@@ -394,7 +378,7 @@ impl CamusService {
         // Every batch still to come closes at or after intake's clock,
         // so a backlog the executor picked up before it is complete.
         let now = self.intake.now_ns();
-        if self.backlog.as_ref().is_some_and(|(b, _)| self.compile.start_ns(b.closed_ns) < now) {
+        if self.backlog.as_ref().is_some_and(|(b, _)| self.txns.start_ns(b.closed_ns) < now) {
             self.run_backlog();
         }
         id
@@ -413,7 +397,7 @@ impl CamusService {
     /// backlog runs first and the batch takes its place.
     fn enqueue(&mut self, batch: ChurnBatch) {
         if let Some((queued, depth)) = &mut self.backlog {
-            if self.merge_backlog && batch.closed_ns <= self.compile.start_ns(queued.closed_ns) {
+            if self.merge_backlog && batch.closed_ns <= self.txns.start_ns(queued.closed_ns) {
                 queued.requests.extend(batch.requests);
                 queued.closed_ns = batch.closed_ns;
                 *depth += 1;
@@ -425,28 +409,32 @@ impl CamusService {
         self.backlog = Some((batch, 1));
     }
 
-    /// The executor picks the backlog up: compile it, install it,
-    /// report it.
+    /// The executor picks the backlog up: one transaction step.
     fn run_backlog(&mut self) {
         if !self.errors.is_empty() {
             return;
         }
         let Some((batch, depth)) = self.backlog.take() else { return };
         self.backlog_depth.record(depth);
-        let compile = &mut self.compile;
-        let txn = match self.compile_sup.run(|| compile.handle(batch)) {
-            Ok(Some(txn)) => txn,
-            // The batch is lost; its edits are in the compile stage's
-            // target state, so the next compile deploys them.
-            Ok(None) => return,
-            Err(e) => return self.errors.push(e),
-        };
-        let (deploy, reports) = (&mut self.deploy, &mut self.reports);
-        if let Err(e) = self.deploy_sup.run(|| Ok(deploy.handle(txn, reports)?)) {
-            self.errors.push(e);
-        }
-        if !self.overlap {
-            self.compile.wait_until(self.deploy.now_ns());
+        let txns = &mut self.txns;
+        match self.txn_sup.run(|| txns.handle(batch)) {
+            Ok(Some(report)) => {
+                if let Some(a) = report.audit.filter(|a| !a.clean()) {
+                    // Invariant broken after a commit: stop the world
+                    // once the report is out for the post-mortem.
+                    self.errors.push(ServiceError::Deploy(DeployStageError::Audit {
+                        txn: report.txn,
+                        misdelivered: a.misdelivered,
+                        duplicated: a.duplicated,
+                        missed: a.missed,
+                    }));
+                }
+                self.reports.push(report);
+            }
+            // The batch is lost; its edits are in the step's target
+            // state, so the next compile deploys them.
+            Ok(None) => {}
+            Err(e) => self.errors.push(e),
         }
     }
 
@@ -488,8 +476,7 @@ impl CamusService {
     fn collect(self) -> ServiceOutcome {
         let CamusService {
             mut intake,
-            compile,
-            deploy,
+            txns,
             merged_batches,
             reports,
             lost_requests,
@@ -502,21 +489,21 @@ impl CamusService {
             accepted: intake.accepted,
             batches: intake.batches,
             merged_batches,
-            compiles: compile.compiles,
-            noops: compile.noops,
-            cancelled_ops: compile.cancelled_ops,
-            delta_states: compile.delta_states(),
-            committed_txns: deploy.committed_txns,
-            rejected_txns: deploy.rejected_txns,
+            compiles: txns.compiles,
+            noops: txns.noops,
+            cancelled_ops: txns.cancelled_ops,
+            delta_states: txns.delta_states(),
+            committed_txns: txns.committed_txns,
+            rejected_txns: txns.rejected_txns,
             out_of_order: intake.out_of_order,
             restarts: registry.counter("service.stage.restarts").get(),
-            snapshots: deploy.snapshots_written,
+            snapshots: txns.snapshots_written,
             unaccounted_ops: intake.accepted.saturating_sub(reported_ops),
-            audit: deploy.audit_totals,
+            audit: txns.audit_totals,
         };
         let rejected_requests = std::mem::take(&mut intake.rejected);
         ServiceOutcome {
-            deployment: deploy.deployment,
+            deployment: txns.deployment,
             subs: intake.into_subs(),
             reports,
             rejected_requests,
@@ -613,7 +600,7 @@ mod tests {
     #[test]
     fn delta_compiled_service_matches_fresh_deploy_under_random_churn() {
         // Drive the live service through several windows of random
-        // subscribe/unsubscribe churn. The compile stage maintains
+        // subscribe/unsubscribe churn. The transaction step maintains
         // per-switch BDDs incrementally through its delta cache; the
         // final deployment must still be pipeline-identical (same
         // fingerprints, same table sizes) to a cold deploy of the
@@ -799,6 +786,74 @@ mod tests {
         c.switches.iter().map(|s| (s.switch, s.fingerprint)).collect()
     }
 
+    /// A control channel that loses its first `lost` attempts, then
+    /// delivers everything.
+    struct LosingChannel {
+        lost: u32,
+    }
+
+    impl ControlChannel for LosingChannel {
+        fn attempt(
+            &mut self,
+            _switch: usize,
+            _op: camus_net::ControlOp,
+            _attempt: u32,
+        ) -> camus_net::ChannelOutcome {
+            if self.lost == 0 {
+                return camus_net::ChannelOutcome::Delivered;
+            }
+            self.lost -= 1;
+            camus_net::ChannelOutcome::Dropped
+        }
+    }
+
+    #[test]
+    fn a_rolled_back_install_is_reported_and_the_next_commit_converges() {
+        // The first install's first op exhausts its retries, so the
+        // install raises a channel error and rolls back. Its edit stays
+        // owed to the network: a later batch whose own ops cancel must
+        // still compile against the installed state and commit it.
+        let net = paper_fat_tree();
+        let hosts = net.host_count();
+        let subs = vec![Vec::new(); hosts];
+        let ctrl = controller();
+        let d = ctrl.deploy(net, &subs).unwrap();
+        let channel = LosingChannel { lost: ctrl.retry.max_attempts };
+        let cfg = ServiceConfig { probes: vec![probe(75)], ..ServiceConfig::default() };
+        let mut svc = CamusService::start(ctrl, d, subs, Box::new(channel), cfg);
+        svc.subscribe(15, f("stock == GOOGL"), 1_000);
+        svc.drain(); // txn 0: every op of its install is lost
+        svc.subscribe(7, f("price > 50"), 9_000_000);
+        svc.unsubscribe(7, f("price > 50"), 9_000_100);
+        let out = svc.shutdown();
+        assert!(out.errors.is_empty(), "a rollback is not fatal: {:?}", out.errors);
+        assert_eq!(out.stats.rejected_txns, 1);
+        assert_eq!(out.stats.committed_txns, 1);
+
+        let [rejected, later] = &out.reports[..] else {
+            panic!("two transactions, got {}", out.reports.len())
+        };
+        assert!(!rejected.committed);
+        assert!(
+            matches!(rejected.error, Some(DeployError::Channel { .. })),
+            "{:?}",
+            rejected.error
+        );
+        assert!(rejected.audit.is_none(), "a rolled-back install is not audited");
+        assert!(later.committed && !later.noop, "the owed edit compiles and commits");
+        assert!(later.audit.is_some_and(|a| a.clean() && a.delivered == 1));
+
+        let mut expect = vec![Vec::new(); hosts];
+        expect[15].push(f("stock == GOOGL"));
+        assert_eq!(out.subs, expect);
+        let fresh = controller().deploy(paper_fat_tree(), &expect).unwrap();
+        assert_eq!(fingerprints(&out.deployment.compile), fingerprints(&fresh.compile));
+        let installed = out.deployment.network.switches.iter().zip(&fresh.network.switches);
+        for (s, (got, want)) in installed.enumerate() {
+            assert_eq!(got.pipeline(), want.pipeline(), "switch {s}");
+        }
+    }
+
     #[test]
     fn shutdown_drains_open_window_loss_free() {
         // Regression (loss-free drain): requests sitting in intake's
@@ -911,7 +966,7 @@ mod tests {
                 e,
                 ServiceError::Deploy(crate::error::DeployStageError::Crashed { .. })
             )),
-            "the deploy stage must surface the crash: {:?}",
+            "the transaction step must surface the crash: {:?}",
             out.errors
         );
         let wrecked: usize = out
@@ -958,7 +1013,7 @@ mod tests {
     fn compile_panic_is_supervised_and_later_batches_land() {
         // A panicking compile must not take the service down. The
         // poison batch's transaction is dropped and the loop moves on;
-        // the compile stage applied the batch's requests before it
+        // the transaction step applied the batch's requests before it
         // panicked, so the next compile deploys the lost work.
         let cfg = ServiceConfig { compile_panic_on: vec![0], ..ServiceConfig::default() };
         let (mut svc, hosts) = start(cfg);
@@ -1025,7 +1080,7 @@ mod tests {
         assert!(
             matches!(
                 out.errors[..],
-                [ServiceError::Panicked { stage: "camus-route-compile", panics: MAX_PANICS }]
+                [ServiceError::Panicked { stage: "camus-txn", panics: MAX_PANICS }]
             ),
             "{:?}",
             out.errors

@@ -1,101 +1,74 @@
-//! The route/compile and deploy stages.
+//! The transaction step: the service's one step machine.
 //!
-//! Both are step machines: [`CamusService`](crate::CamusService) calls
-//! `handle` with one input on the caller's thread and gets its output
-//! back. Each keeps a modelled [`Clock`]; the service compares them to
-//! decide what merges and what waits.
-//!
-//! [`RouteCompileService`] turns a closed churn batch into an
-//! installable transaction: Algorithm-1 routing plus an incremental
-//! network compile against the previous compile as a content-addressed
-//! cache. Because the cache affects only *cost*, never the produced
-//! pipelines, it is safe to compile transaction N+1 while transaction
-//! N is still installing (or about to roll back) on the deploy stage's
-//! clock. Its clock is the compile executor's timeline: a batch's
-//! compile starts no earlier than its window closed and no earlier
-//! than the previous compile finished ([`RouteCompileService::start_ns`]),
-//! and advances by the measured route+compile wall time folded into
-//! modelled nanoseconds.
+//! [`CamusService`](crate::CamusService) hands `TxnStage::handle` one
+//! closed churn batch (or a merged backlog) on the caller's thread.
+//! The step applies the batch's requests to the live target state,
+//! routes and delta-compiles it, installs it, audits the commit,
+//! snapshots on the cadence, and returns the [`TxnReport`].
 //!
 //! The stage owns the live target state: the deployed subscriptions
 //! with every batch's requests applied through intake's edit rule,
-//! before any other work on the batch. It keeps the net edits since its
-//! last compile as a multiset `(host, filter) → count`. A batch after
-//! which that multiset is empty (subscribe then unsubscribe inside one
-//! window) leaves the state of the last compile in place — it costs
-//! **zero** compiles and installs (a `Noop` transaction flows through
-//! for accounting). The multiset spans batches, so the edits of a batch
-//! lost to a panic still make the next batch compile.
+//! before any other work on the batch. It keeps the net edits since
+//! the last committed install as a multiset `(host, filter) → count`.
+//! A batch after which that multiset is empty (subscribe then
+//! unsubscribe inside one window) leaves the installed state in place:
+//! it costs **zero** compiles and installs, and its report is a noop.
+//! The multiset spans batches, so the edits of a batch lost to a panic
+//! or a rolled-back install still make the next batch compile.
 //!
-//! [`DeployService`] owns the live [`Deployment`] and the control
-//! channel. Its clock is the control-plane timeline: an install
-//! starts no earlier than its compile finished and no earlier than
-//! the previous install finished (the channel is serial), and
-//! advances by the transaction ledger's modelled control time. After
-//! every commit it can replay configured audit probes through the
-//! network and checks the zero-mis-delivery invariant — zero
-//! mis-delivery, zero duplicates, committed ⇒ delivered — while
-//! transactions overlap.
+//! Routing plus an incremental network compile run against the
+//! installed compile (`deployment.compile`) as a content-addressed
+//! cache, with a [`DeltaCache`] of live per-switch BDDs for the
+//! switches that miss it; both caches change cost, never the produced
+//! pipelines. The install then diffs against the same installed state.
+//!
+//! Two modelled [`Clock`]s keep the stamps. The compile executor's: a
+//! batch's compile starts no earlier than its window closed and no
+//! earlier than the previous compile finished (`TxnStage::start_ns`),
+//! and advances by the measured route + compile wall time. The control
+//! channel's: an install starts no earlier than its compile finished
+//! and no earlier than the previous install finished (the channel is
+//! serial), and advances by the transaction ledger's modelled control
+//! time. With overlap on, the next compile does not wait for the
+//! channel, so transaction N+1 compiles while N installs on the
+//! modelled timelines. After every commit the stage can replay
+//! configured audit probes through the network and count mis-, double
+//! and missed deliveries against the target state.
 
 use crate::durability::Wal;
 use crate::error::{DeployStageError, ServiceError};
 use crate::intake::{apply_request, ChurnBatch, RequestId, RequestOp, SubRequest};
+use crate::service::ServiceConfig;
 use camus_dataplane::Packet;
-use camus_lang::ast::{Expr, Operand};
+use camus_lang::ast::Expr;
 use camus_lang::value::Value;
 use camus_net::controller::{Controller, DeployError, Deployment};
 use camus_net::{Clock, ControlChannel};
-use camus_routing::algorithm1::RoutingResult;
-use camus_routing::compile::{DeltaCache, NetworkCompile};
-use camus_routing::topology::{FaultMask, HierNet};
+use camus_routing::compile::DeltaCache;
+use camus_routing::verify::matching_hosts;
 use camus_telemetry::{Histogram, RequestSpan};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// An installable transaction: the compile stage's output.
-#[derive(Debug)]
-pub struct Txn {
-    pub txn: u64,
-    pub requests: Vec<SubRequest>,
-    /// Ops cancelled out inside the batch (paid zero compile work).
-    pub cancelled: usize,
-    pub opened_ns: u64,
-    pub closed_ns: u64,
-    /// When the compile executor picked the batch up.
-    pub compile_start_ns: u64,
-    /// When routing + compile finished (modelled).
-    pub compiled_ns: u64,
-    /// `None` for a net-zero batch: nothing to install.
-    pub payload: Option<TxnPayload>,
-}
+/// Publish-stamp spacing between the probes of one audit round.
+const PROBE_GAP_NS: u64 = 10_000;
 
-/// The artefacts a non-noop transaction installs.
-#[derive(Debug)]
-pub struct TxnPayload {
-    /// Target state (the audit's ground truth).
-    pub subs: Vec<Vec<Expr>>,
-    pub routing: RoutingResult,
-    pub compile: NetworkCompile,
-    /// Measured routing wall time (for the deploy trace).
-    pub route_ns: u64,
-}
-
-/// The route + compile stage.
-pub struct RouteCompileService {
+/// The transaction step machine: owns the live target state, the
+/// deployment and the control channel.
+pub(crate) struct TxnStage {
     ctrl: Controller,
-    topology: HierNet,
-    mask: FaultMask,
-    /// Content-addressed compile cache: the last compile *produced*
-    /// here (not necessarily installed yet — that is the overlap).
-    prev_compile: NetworkCompile,
+    /// The live deployment: the network and the routing and compile it
+    /// runs.
+    pub deployment: Deployment,
+    channel: Box<dyn ControlChannel + Send>,
     /// The live target state: the deployed subscriptions with every
     /// batch's requests applied, in order.
     subs: Vec<Vec<Expr>>,
-    /// Net edits to `subs` since `prev_compile`: subscribes minus
-    /// unsubscribes per `(host, filter)`, zero counts dropped after
-    /// each batch. Empty exactly when `subs` is the state behind
-    /// `prev_compile`.
+    /// Net edits to `subs` since the last committed install:
+    /// subscribes minus unsubscribes per `(host, filter)`, zero counts
+    /// dropped after each batch. Empty exactly when `subs` is the state
+    /// behind `deployment.compile`.
     net_edits: HashMap<(usize, Expr), i64>,
     /// Live per-switch BDD states keyed by rule-list fingerprint:
     /// switches that miss the fingerprint cache are delta-maintained
@@ -103,16 +76,31 @@ pub struct RouteCompileService {
     /// Pure cost cache — produced pipelines are identical either way.
     delta: DeltaCache,
     /// The compile executor's modelled timeline.
-    clock: Clock,
-    /// Fault injection: transaction ids at which this stage panics
-    /// (once each) right after applying the batch's requests —
-    /// exercises the service's restart path. The poisoned batch's
-    /// transaction is lost, but its edits stay in the target state and
-    /// in `net_edits`, so the next compile deploys them.
-    panic_on: std::collections::BTreeSet<u64>,
+    compile_clock: Clock,
+    /// The control channel's modelled timeline.
+    channel_clock: Clock,
+    /// Compile transaction N+1 without waiting for N's install.
+    overlap: bool,
+    probes: Vec<AuditProbe>,
+    ttt: Arc<Histogram>,
+    /// Durability: where cadence snapshots go (`None` = volatile).
+    wal: Option<Wal>,
+    /// Snapshot after this many committed transactions (0 = never).
+    snapshot_every: u64,
+    committed_since_snapshot: u64,
+    /// Highest request id applied to `subs`: after a committed install,
+    /// exactly the watermark the deployed state reflects.
+    last_request: Option<RequestId>,
+    /// Fault injection: transaction ids at which the step panics (once
+    /// each) right after applying the batch's requests.
+    panic_on: BTreeSet<u64>,
     pub compiles: u64,
     pub noops: u64,
     pub cancelled_ops: u64,
+    pub committed_txns: u64,
+    pub rejected_txns: u64,
+    pub snapshots_written: u64,
+    pub audit_totals: AuditReport,
 }
 
 /// Apply one request to `subs` and count it in `net_edits` (+1 for a
@@ -134,38 +122,47 @@ fn apply_counted(
     }
 }
 
-impl RouteCompileService {
+impl TxnStage {
+    /// `subs` must be the state `deployment` was deployed with. Takes
+    /// the configuration's overlap, audit, durability and fault
+    /// injection settings.
     pub fn new(
         ctrl: Controller,
-        topology: HierNet,
-        mask: FaultMask,
-        deployed_compile: NetworkCompile,
-        deployed_subs: Vec<Vec<Expr>>,
+        deployment: Deployment,
+        subs: Vec<Vec<Expr>>,
+        channel: Box<dyn ControlChannel + Send>,
+        cfg: ServiceConfig,
+        ttt: Arc<Histogram>,
     ) -> Self {
-        RouteCompileService {
+        TxnStage {
             ctrl,
-            topology,
-            mask,
-            prev_compile: deployed_compile,
-            subs: deployed_subs,
+            deployment,
+            channel,
+            subs,
             net_edits: HashMap::new(),
             delta: DeltaCache::new(),
-            clock: Clock::new(),
-            panic_on: std::collections::BTreeSet::new(),
+            compile_clock: Clock::new(),
+            channel_clock: Clock::new(),
+            overlap: cfg.overlap,
+            probes: cfg.probes,
+            ttt,
+            wal: cfg.wal,
+            snapshot_every: cfg.snapshot_every,
+            committed_since_snapshot: 0,
+            last_request: None,
+            panic_on: cfg.compile_panic_on.into_iter().collect(),
             compiles: 0,
             noops: 0,
             cancelled_ops: 0,
+            committed_txns: 0,
+            rejected_txns: 0,
+            snapshots_written: 0,
+            audit_totals: AuditReport::default(),
         }
     }
 
-    /// Arm fault injection: panic on the named transaction ids.
-    pub fn with_panic_on(mut self, txns: impl IntoIterator<Item = u64>) -> Self {
-        self.panic_on = txns.into_iter().collect();
-        self
-    }
-
     /// Live delta-maintained BDD states, one per distinct rule-list
-    /// fingerprint in the last produced compile.
+    /// fingerprint in the last compile.
     pub fn delta_states(&self) -> usize {
         self.delta.len()
     }
@@ -175,66 +172,197 @@ impl RouteCompileService {
     /// executor is serial, so every batch closed by then is queued
     /// behind it.
     pub fn start_ns(&self, closed_ns: u64) -> u64 {
-        self.clock.now_ns().max(closed_ns)
+        self.compile_clock.now_ns().max(closed_ns)
     }
 
-    /// Start no compile before `ns` (the serialized baseline waits for
-    /// the previous install to land).
-    pub fn wait_until(&mut self, ns: u64) {
-        self.clock.advance_to(ns);
-    }
-
-    /// Compile one batch (or a merged backlog) into a transaction.
-    pub fn handle(&mut self, batch: ChurnBatch) -> Result<Txn, ServiceError> {
+    /// Run one batch (or a merged backlog) as a transaction. A
+    /// rolled-back install is reported, not an error; a compile failure
+    /// or a crashed coordinator is.
+    pub fn handle(&mut self, batch: ChurnBatch) -> Result<TxnReport, ServiceError> {
         // The requests land before anything can fail, so a batch lost
         // below still moves the target state the next compile deploys.
         for req in &batch.requests {
             apply_counted(&mut self.subs, &mut self.net_edits, req);
+            self.last_request = Some(req.id);
         }
         self.net_edits.retain(|_, count| *count != 0);
         if self.panic_on.remove(&batch.txn) {
-            panic!("injected compile-stage panic at txn {}", batch.txn);
+            panic!("injected transaction-step panic at txn {}", batch.txn);
         }
         // Each accepted op moves the state by one edit, so ops beyond
-        // the edits separating it from the last compile cancelled out.
+        // the edits separating it from the installed state cancelled out.
         let ops = batch.requests.len();
         let distance: usize = self.net_edits.values().map(|c| c.unsigned_abs() as usize).sum();
         let cancelled = ops.saturating_sub(distance);
         self.cancelled_ops += cancelled as u64;
 
-        let compile_start_ns = self.clock.advance_to(batch.closed_ns);
-        let (compiled_ns, payload) = if distance == 0 {
-            // Net-zero batch: the state is back where the last compile
-            // left it. Zero compiles, zero installs — the whole point.
-            self.noops += 1;
-            (compile_start_ns, None)
-        } else {
-            let wall = Instant::now();
-            let routing = self.ctrl.plan_routing(&self.topology, &self.subs, &self.mask);
-            let route_ns = wall.elapsed().as_nanos() as u64;
-            let prev = Some(&self.prev_compile);
-            let compile = self.ctrl.compile_routing_delta(&routing, prev, &mut self.delta)?;
-            // Fold the measured wall time into the modelled timeline.
-            let compiled_ns = self.clock.advance(wall.elapsed().as_nanos() as u64);
-            self.prev_compile = compile.clone();
-            self.net_edits.clear();
-            self.compiles += 1;
-            (compiled_ns, Some(TxnPayload { subs: self.subs.clone(), routing, compile, route_ns }))
-        };
-        Ok(Txn {
+        let compile_start_ns = self.compile_clock.advance_to(batch.closed_ns);
+        let mut report = TxnReport {
             txn: batch.txn,
-            requests: batch.requests,
+            ops,
             cancelled,
+            noop: distance == 0,
+            committed: true,
+            error: None,
             opened_ns: batch.opened_ns,
             closed_ns: batch.closed_ns,
             compile_start_ns,
-            compiled_ns,
-            payload,
-        })
+            compiled_ns: compile_start_ns,
+            install_start_ns: 0,
+            deployed_ns: 0,
+            distinct_compiles: 0,
+            reinstalled: 0,
+            requests: Vec::new(),
+            audit: None,
+        };
+        if report.noop {
+            // Net-zero batch: the installed state is already the
+            // target, so the batch is traffic-visible at once. Zero
+            // compiles, zero installs — the whole point.
+            self.noops += 1;
+            report.install_start_ns = self.channel_clock.advance_to(compile_start_ns);
+            report.deployed_ns = report.install_start_ns;
+        } else {
+            self.install(&mut report)?;
+        }
+        if report.committed {
+            self.committed_txns += 1;
+        } else {
+            self.rejected_txns += 1;
+        }
+        if !self.overlap {
+            // The serialized baseline: the next compile waits for this
+            // install to land.
+            self.compile_clock.advance_to(self.channel_clock.now_ns());
+        }
+
+        report.requests = batch
+            .requests
+            .iter()
+            .map(|r| RequestSpan {
+                request: r.id,
+                host: r.host,
+                arrival_ns: r.arrival_ns,
+                batched_ns: report.closed_ns,
+                compiled_ns: report.compiled_ns,
+                deployed_ns: report.deployed_ns,
+            })
+            .collect();
+        for s in &report.requests {
+            self.ttt.record(s.time_to_traffic_ns());
+        }
+        if report.committed && !report.noop {
+            // The live trace carries the last transaction's spans.
+            self.deployment.trace.requests = report.requests.clone();
+        }
+        Ok(report)
+    }
+
+    /// Route, compile and install the target state, stamping `report`.
+    fn install(&mut self, report: &mut TxnReport) -> Result<(), ServiceError> {
+        let wall = Instant::now();
+        let net = &self.deployment.network;
+        let routing = self.ctrl.plan_routing(&net.topology, &self.subs, net.fault_mask());
+        let route_ns = wall.elapsed().as_nanos() as u64;
+        let installed = Some(&self.deployment.compile);
+        let compile = self.ctrl.compile_routing_delta(&routing, installed, &mut self.delta)?;
+        // Fold the measured wall time into the modelled timeline.
+        report.compiled_ns = self.compile_clock.advance(wall.elapsed().as_nanos() as u64);
+        self.compiles += 1;
+
+        // The control channel is serial: this install starts when its
+        // compile is done and the channel is free.
+        report.install_start_ns = self.channel_clock.advance_to(report.compiled_ns);
+        let result =
+            self.ctrl.install(&mut self.deployment, routing, compile, route_ns, &mut *self.channel);
+        let control_ns = match result {
+            Ok(stats) => {
+                report.distinct_compiles = stats.distinct_compiles;
+                report.reinstalled = stats.reinstalled;
+                self.net_edits.clear();
+                self.snapshot_on_cadence();
+                report.audit = Some(self.audit());
+                self.deployment.report.total_control_ns()
+            }
+            Err(DeployError::Crashed { epoch, .. }) => {
+                // Dead coordinator: nothing was rolled back, staged
+                // programs sit on the switches, and this "process"
+                // does nothing further. The kill path harvests the
+                // wreckage for the recovery arm to reconcile.
+                return Err(DeployStageError::Crashed { txn: report.txn, epoch }.into());
+            }
+            Err(e) => {
+                // Rolled back: the channel time was still spent. The
+                // net edits stay pending, so the next batch compiles
+                // and installs the full target state.
+                let control_ns = match &e {
+                    DeployError::Admission { report: ledger, .. }
+                    | DeployError::Channel { report: ledger, .. } => ledger.total_control_ns(),
+                    DeployError::Compile(_) | DeployError::Crashed { .. } => 0,
+                };
+                report.committed = false;
+                report.error = Some(e);
+                control_ns
+            }
+        };
+        report.deployed_ns = self.channel_clock.advance(control_ns);
+        Ok(())
+    }
+
+    /// Cadence snapshot of the committed state and the epoch and
+    /// request watermarks: bounds the tail a recovery must replay.
+    fn snapshot_on_cadence(&mut self) {
+        self.committed_since_snapshot += 1;
+        let Some(w) = &self.wal else { return };
+        if self.snapshot_every > 0 && self.committed_since_snapshot >= self.snapshot_every {
+            w.append_snapshot(&self.subs, self.deployment.next_epoch, self.last_request);
+            self.committed_since_snapshot = 0;
+            self.snapshots_written += 1;
+        }
+    }
+
+    /// Republish every configured probe and check deliveries against
+    /// the target state: no mis-delivery, no duplicates, every
+    /// expected host reached.
+    fn audit(&mut self) -> AuditReport {
+        let mut rep = AuditReport { probes: self.probes.len(), ..AuditReport::default() };
+        if self.probes.is_empty() {
+            return rep;
+        }
+        let net = &mut self.deployment.network;
+        let hosts = net.topology.host_count();
+        let before: Vec<usize> = (0..hosts).map(|h| net.deliveries(h).len()).collect();
+        // Distinct publish stamps attribute deliveries to probes.
+        let base = net.now_ns() + 1;
+        let times: Vec<u64> =
+            (0..self.probes.len()).map(|i| base + i as u64 * PROBE_GAP_NS).collect();
+        for (p, t) in self.probes.iter().zip(&times) {
+            let _ = net.publish(p.publisher, p.packet.clone(), *t);
+        }
+        net.run(None);
+        for (p, t) in self.probes.iter().zip(&times) {
+            let expect = matching_hosts(&self.subs, &p.values, Some(p.publisher));
+            rep.expected += expect.len();
+            for (h, &seen) in before.iter().enumerate() {
+                let n = net.deliveries(h)[seen..].iter().filter(|d| d.published_ns == *t).count();
+                if expect.contains(&h) {
+                    if n == 0 {
+                        rep.missed += 1;
+                    } else {
+                        rep.delivered += 1;
+                        rep.duplicated += n - 1;
+                    }
+                } else {
+                    rep.misdelivered += n;
+                }
+            }
+        }
+        self.audit_totals.absorb(&rep);
+        rep
     }
 }
 
-/// A configured audit probe: a packet the deploy stage republishes
+/// A configured audit probe: a packet the transaction step republishes
 /// after every commit, with the attribute values subscriptions are
 /// matched against.
 #[derive(Debug, Clone)]
@@ -300,281 +428,6 @@ pub struct TxnReport {
     pub audit: Option<AuditReport>,
 }
 
-/// The deploy stage: owns the live deployment and the channel.
-pub struct DeployService {
-    ctrl: Controller,
-    pub deployment: Deployment,
-    channel: Box<dyn ControlChannel + Send>,
-    /// The control channel's modelled timeline.
-    clock: Clock,
-    probes: Vec<AuditProbe>,
-    probe_gap_ns: u64,
-    ttt: Arc<Histogram>,
-    /// Durability: where cadence snapshots go (`None` = volatile).
-    wal: Option<Wal>,
-    /// Snapshot after this many committed transactions (0 = never).
-    snapshot_every: u64,
-    committed_since_snapshot: u64,
-    /// Highest request id folded into any handled transaction; each
-    /// payload's target state reflects every request up to its batch,
-    /// so after a committed install this is exactly the watermark the
-    /// deployed state reflects.
-    max_seen_request: Option<RequestId>,
-    pub committed_txns: u64,
-    pub rejected_txns: u64,
-    pub snapshots_written: u64,
-    pub audit_totals: AuditReport,
-}
-
-/// Hosts whose subscriptions match `witness` (excluding the
-/// publisher — the network never loops a message back to its source).
-fn matching_hosts(subs: &[Vec<Expr>], witness: &[(String, Value)], publisher: usize) -> Vec<usize> {
-    let lookup = |op: &Operand| match op {
-        Operand::Field(name) => witness.iter().find(|(n, _)| n == name).map(|(_, v)| v.clone()),
-        Operand::Aggregate { .. } => None,
-    };
-    subs.iter()
-        .enumerate()
-        .filter(|(h, fs)| *h != publisher && fs.iter().any(|f| f.eval_with(lookup)))
-        .map(|(h, _)| h)
-        .collect()
-}
-
-impl DeployService {
-    pub fn new(
-        ctrl: Controller,
-        deployment: Deployment,
-        channel: Box<dyn ControlChannel + Send>,
-        probes: Vec<AuditProbe>,
-        probe_gap_ns: u64,
-        ttt: Arc<Histogram>,
-    ) -> Self {
-        DeployService {
-            ctrl,
-            deployment,
-            channel,
-            clock: Clock::new(),
-            probes,
-            probe_gap_ns,
-            ttt,
-            wal: None,
-            snapshot_every: 0,
-            committed_since_snapshot: 0,
-            max_seen_request: None,
-            committed_txns: 0,
-            rejected_txns: 0,
-            snapshots_written: 0,
-            audit_totals: AuditReport::default(),
-        }
-    }
-
-    /// Arm durability: snapshot the committed state to `wal` every
-    /// `every` committed transactions.
-    pub fn with_wal(mut self, wal: Wal, every: u64) -> Self {
-        self.wal = Some(wal);
-        self.snapshot_every = every;
-        self
-    }
-
-    /// When the last install finished on the control channel's
-    /// timeline.
-    pub fn now_ns(&self) -> u64 {
-        self.clock.now_ns()
-    }
-
-    /// Republish every configured probe and check deliveries against
-    /// the target state `subs`: no mis-delivery, no duplicates, every
-    /// expected host reached.
-    fn audit(&mut self, subs: &[Vec<Expr>]) -> AuditReport {
-        let mut rep = AuditReport { probes: self.probes.len(), ..AuditReport::default() };
-        if self.probes.is_empty() {
-            return rep;
-        }
-        let net = &mut self.deployment.network;
-        let hosts = net.topology.host_count();
-        let before: Vec<usize> = (0..hosts).map(|h| net.deliveries(h).len()).collect();
-        // Distinct publish stamps attribute deliveries to probes.
-        let base = net.now_ns() + 1;
-        let times: Vec<u64> =
-            (0..self.probes.len()).map(|i| base + i as u64 * self.probe_gap_ns).collect();
-        for (p, t) in self.probes.iter().zip(&times) {
-            let _ = net.publish(p.publisher, p.packet.clone(), *t);
-        }
-        net.run(None);
-        for (p, t) in self.probes.iter().zip(&times) {
-            let expect = matching_hosts(subs, &p.values, p.publisher);
-            rep.expected += expect.len();
-            for (h, &seen) in before.iter().enumerate() {
-                let n = net.deliveries(h)[seen..].iter().filter(|d| d.published_ns == *t).count();
-                if expect.contains(&h) {
-                    if n == 0 {
-                        rep.missed += 1;
-                    } else {
-                        rep.delivered += 1;
-                        rep.duplicated += n - 1;
-                    }
-                } else {
-                    rep.misdelivered += n;
-                }
-            }
-        }
-        self.audit_totals.absorb(&rep);
-        rep
-    }
-
-    /// Install one transaction and push its report onto `reports`. A
-    /// rolled-back install is reported, not an error. A failed
-    /// post-commit audit is reported *and* returned: the report goes
-    /// out for the post-mortem, then the service stops.
-    pub fn handle(
-        &mut self,
-        txn: Txn,
-        reports: &mut Vec<TxnReport>,
-    ) -> Result<(), DeployStageError> {
-        // The control channel is serial: this install starts when its
-        // compile is done and the channel is free.
-        let install_start_ns = self.clock.advance_to(txn.compiled_ns);
-        if let Some(m) = txn.requests.iter().map(|r| r.id).max() {
-            self.max_seen_request = Some(self.max_seen_request.map_or(m, |x| x.max(m)));
-        }
-        let mut committed = false;
-        let mut error = None;
-        let mut distinct_compiles = 0;
-        let mut reinstalled = 0;
-        let mut audit = None;
-        let mut violation = None;
-        let noop = txn.payload.is_none();
-        let deployed_ns = match txn.payload {
-            None => {
-                // Nothing to install: the target state is already
-                // live, so the batch is traffic-visible at once.
-                committed = true;
-                install_start_ns
-            }
-            Some(p) => match self.ctrl.install(
-                &mut self.deployment,
-                p.routing,
-                p.compile,
-                p.route_ns,
-                &mut *self.channel,
-            ) {
-                Ok(stats) => {
-                    committed = true;
-                    distinct_compiles = stats.distinct_compiles;
-                    reinstalled = stats.reinstalled;
-                    let control_ns = self.deployment.report.total_control_ns();
-                    let done = self.clock.advance(control_ns);
-                    // Cadence snapshot: the committed state, the
-                    // fingerprints the controller believes are
-                    // installed, and the epoch watermark — bounds the
-                    // tail a recovery must replay.
-                    self.committed_since_snapshot += 1;
-                    if let Some(w) = &self.wal {
-                        if self.snapshot_every > 0
-                            && self.committed_since_snapshot >= self.snapshot_every
-                        {
-                            let fps: Vec<(usize, u64)> = self
-                                .deployment
-                                .compile
-                                .switches
-                                .iter()
-                                .map(|s| (s.switch, s.fingerprint))
-                                .collect();
-                            w.append_snapshot(
-                                &p.subs,
-                                &fps,
-                                self.deployment.next_epoch,
-                                self.max_seen_request,
-                            );
-                            self.committed_since_snapshot = 0;
-                            self.snapshots_written += 1;
-                        }
-                    }
-                    let a = self.audit(&p.subs);
-                    if !a.clean() {
-                        // Invariant broken after a commit: stop the
-                        // world once the report is out.
-                        violation = Some(DeployStageError::Audit {
-                            txn: txn.txn,
-                            misdelivered: a.misdelivered,
-                            duplicated: a.duplicated,
-                            missed: a.missed,
-                        });
-                    }
-                    audit = Some(a);
-                    done
-                }
-                Err(DeployError::Crashed { epoch, .. }) => {
-                    // Dead coordinator: nothing was rolled back, staged
-                    // programs sit on the switches, and this "process"
-                    // does nothing further. The kill path harvests the
-                    // wreckage for the recovery arm to reconcile.
-                    return Err(DeployStageError::Crashed { txn: txn.txn, epoch });
-                }
-                Err(e) => {
-                    // Rolled back: the channel time was still spent.
-                    // The next committed transaction carries the full
-                    // target state, so nothing is lost — record and
-                    // continue.
-                    let control_ns = match &e {
-                        DeployError::Admission { report, .. }
-                        | DeployError::Channel { report, .. } => report.total_control_ns(),
-                        DeployError::Compile(_) | DeployError::Crashed { .. } => 0,
-                    };
-                    let done = self.clock.advance(control_ns);
-                    error = Some(e);
-                    done
-                }
-            },
-        };
-        if committed {
-            self.committed_txns += 1;
-        } else {
-            self.rejected_txns += 1;
-        }
-
-        let requests: Vec<RequestSpan> = txn
-            .requests
-            .iter()
-            .map(|r| RequestSpan {
-                request: r.id,
-                host: r.host,
-                arrival_ns: r.arrival_ns,
-                batched_ns: txn.closed_ns,
-                compiled_ns: txn.compiled_ns,
-                deployed_ns,
-            })
-            .collect();
-        for s in &requests {
-            self.ttt.record(s.time_to_traffic_ns());
-        }
-        if committed && !noop {
-            // The live trace carries the last transaction's spans.
-            self.deployment.trace.requests = requests.clone();
-        }
-
-        reports.push(TxnReport {
-            txn: txn.txn,
-            ops: requests.len(),
-            cancelled: txn.cancelled,
-            noop,
-            committed,
-            error,
-            opened_ns: txn.opened_ns,
-            closed_ns: txn.closed_ns,
-            compile_start_ns: txn.compile_start_ns,
-            compiled_ns: txn.compiled_ns,
-            install_start_ns,
-            deployed_ns,
-            distinct_compiles,
-            reinstalled,
-            requests,
-            audit,
-        });
-        violation.map_or(Ok(()), Err)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -584,7 +437,7 @@ mod tests {
         parse_expr(s).unwrap()
     }
 
-    /// Apply `ops` to `subs` as the compile stage does, returning the
+    /// Apply `ops` to `subs` as the transaction step does, returning the
     /// net edit distance they leave.
     fn net_distance(subs: &mut [Vec<Expr>], ops: &[(usize, RequestOp)]) -> usize {
         let mut net = HashMap::new();

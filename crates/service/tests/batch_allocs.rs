@@ -2,13 +2,13 @@
 //!
 //! A counting global allocator wraps `System`. One net-zero batch — a
 //! subscribe and an unsubscribe of the same filter inside one window —
-//! goes through `CamusService` (intake, the compile backlog, the
-//! compile stage and the deploy stage's noop report), once with 1 024
-//! and once with 16 384 subscriptions held. A batch carries its
-//! requests only, and the compile stage finds a noop from the net
-//! edits since its last compile, so both runs must allocate exactly as
-//! often. Copying the target state into every batch, or diffing whole
-//! states, allocates in proportion to the subscriptions held.
+//! goes through `CamusService` (intake, the compile backlog and the
+//! transaction step's noop report), once with 1 024 and once with
+//! 16 384 subscriptions held. A batch carries its requests only, and
+//! the transaction step finds a noop from the net edits since its last
+//! committed install, so both runs must allocate exactly as often.
+//! Copying the target state into every batch, or diffing whole states,
+//! allocates in proportion to the subscriptions held.
 //!
 //! This file holds exactly one `#[test]`: the allocator counter is
 //! global, so a second concurrently running test would pollute it.

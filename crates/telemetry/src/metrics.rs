@@ -109,7 +109,7 @@ impl Gauge {
     }
 }
 
-/// The bucket a value lands in: log-scaled with [`SUB`] linear
+/// The bucket a value lands in: log-scaled with `SUB` linear
 /// sub-buckets per octave. Monotone in `v`, total over `u64`.
 pub fn bucket_index(v: u64) -> usize {
     if v < SUB as u64 {
