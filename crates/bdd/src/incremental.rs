@@ -34,11 +34,11 @@
 //! back, keeping allocation within a constant factor of the reachable
 //! size.
 
-use crate::order::{operand_rank, pred_sort_key, FieldStats, VarOrder};
+use crate::order::{sorted_alphabet, FieldStats, VarOrder};
 use crate::store::{Bdd, NodeRef, PredId, RuleId, TermId};
-use camus_lang::ast::{Action, Predicate, Rel, Rule};
+use camus_lang::ast::{Action, Rel, Rule};
 use camus_lang::dnf::{to_dnf, Conjunction, Dnf};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
 
 const EMPTY: NodeRef = NodeRef::Term(TermId(0));
@@ -328,24 +328,11 @@ impl IncrementalBdd {
         }
         let order = &order.fit(&stats);
 
-        // The predicate alphabet: field group rank, then the canonical
-        // within-field order.
-        let mut appearance: HashMap<String, usize> = HashMap::new();
-        let mut seen: HashSet<&Predicate> = HashSet::new();
-        let mut preds: Vec<Predicate> = Vec::new();
-        for atom in dnfs.iter().flat_map(|d| &d.terms).flat_map(|c| &c.atoms) {
-            if seen.insert(atom) {
-                let next = appearance.len();
-                appearance.entry(atom.operand.key()).or_insert(next);
-                preds.push(atom.clone());
-            }
-        }
-        preds.sort_by(|a, b| {
-            operand_rank(order, &appearance, &a.operand)
-                .cmp(&operand_rank(order, &appearance, &b.operand))
-                .then_with(|| a.operand.key().cmp(&b.operand.key()))
-                .then_with(|| pred_sort_key(a).cmp(&pred_sort_key(b)))
-        });
+        // The predicate alphabet, and the level of every atom occurrence
+        // in rule, term, atom order.
+        let (preds, levels) =
+            sorted_alphabet(order, dnfs.iter().flat_map(|d| &d.terms).flat_map(|c| &c.atoms));
+        let mut levels = levels.into_iter();
 
         let mut inc = IncrementalBdd {
             bdd: Bdd::with_ordered_alphabet(preds, order.clone()),
@@ -362,25 +349,37 @@ impl IncrementalBdd {
             roots_buf: Vec::new(),
         };
 
-        // Accumulate members per band, then sort and chain each once.
-        // Bands are chained in group-id order (a `BTreeMap`), so node
-        // ids — and with them every later tie-break — repeat exactly
-        // from one build of a list to the next.
-        let mut acc: BTreeMap<u32, HashMap<PredId, Member>> = BTreeMap::new();
+        // Band members by predicate id. The alphabet was built sorted and
+        // nothing is spliced into it here, so an id is its level: each
+        // occurrence's id is the level `sorted_alphabet` read off its
+        // slot, and a band's members are the id run of its group's
+        // level range, already in level order.
+        let mut members: Vec<Option<Member>> =
+            std::iter::repeat_with(|| None).take(inc.bdd.preds().len()).collect();
         for (rule, dnf) in rules.iter().zip(&dnfs) {
             let label = inc.intern_label(&rule.action);
             let mut parts = Vec::with_capacity(dnf.terms.len());
             for conj in &dnf.terms {
-                let pids: Vec<PredId> = conj.atoms.iter().map(|a| inc.bdd.add_pred(a)).collect();
+                let pids: Vec<PredId> = conj
+                    .atoms
+                    .iter()
+                    .zip(levels.by_ref())
+                    .map(|(atom, level)| {
+                        let pid = PredId(level);
+                        debug_assert!(inc.bdd.level_of(pid) == level && inc.bdd.pred(pid) == atom);
+                        pid
+                    })
+                    .collect();
                 parts.push(match classify(&inc.bdd, conj, &pids) {
                     Class::Direct(pred) => {
-                        *band_member(&mut acc, &inc.bdd, pred).direct.entry(label).or_insert(0) +=
-                            1;
+                        let m = members[pred.0 as usize].get_or_insert_with(|| new_member(pred));
+                        *m.direct.entry(label).or_insert(0) += 1;
                         Part::EqDirect { pred }
                     }
                     Class::Tail(pred, tail) => {
                         let r = chain_ref(&mut inc.bdd, &tail, label);
-                        *band_member(&mut acc, &inc.bdd, pred).tails.entry(r).or_insert(0) += 1;
+                        let m = members[pred.0 as usize].get_or_insert_with(|| new_member(pred));
+                        *m.tails.entry(r).or_insert(0) += 1;
                         Part::EqTail { pred, tail }
                     }
                     Class::Misc => {
@@ -393,16 +392,25 @@ impl IncrementalBdd {
                 inc.instances.entry(rule_digest(rule)).or_default().push(Instance { label, parts });
             }
         }
-        for (g, members_map) in acc {
-            let mut members: Vec<Member> = members_map.into_values().collect();
-            members.sort_unstable_by_key(|m| inc.bdd.level_of(m.pred));
-            for m in members.iter_mut() {
+        // Chain each band once, in group-id order, so node ids — and
+        // with them every later tie-break — repeat exactly from one
+        // build of a list to the next.
+        for g in 0..inc.bdd.field_groups().len() {
+            let ids = inc.bdd.field_groups()[g].1.clone();
+            let mut band: Vec<Member> = members[ids.start as usize..ids.end as usize]
+                .iter_mut()
+                .filter_map(Option::take)
+                .collect();
+            if band.is_empty() {
+                continue;
+            }
+            for m in band.iter_mut() {
                 m.hi = member_hi(&mut inc.bdd, &m.direct, &m.tails);
             }
-            let mut group = EqGroup { suffix: vec![EMPTY; members.len() + 1], members };
+            let mut group = EqGroup { suffix: vec![EMPTY; band.len() + 1], members: band };
             let last = group.members.len() - 1;
             rebuild_from(&mut inc.bdd, &mut group, last);
-            inc.groups.insert(g, group);
+            inc.groups.insert(g as u32, group);
         }
         inc.merge_root(true);
         inc
@@ -667,15 +675,6 @@ impl IncrementalBdd {
 
 fn new_member(pred: PredId) -> Member {
     Member { pred, direct: HashMap::new(), tails: HashMap::new(), hi: EMPTY }
-}
-
-/// The bulk constructor's accumulator slot for a band member.
-fn band_member<'a>(
-    acc: &'a mut BTreeMap<u32, HashMap<PredId, Member>>,
-    bdd: &Bdd,
-    pred: PredId,
-) -> &'a mut Member {
-    acc.entry(bdd.group_of(pred)).or_default().entry(pred).or_insert_with(|| new_member(pred))
 }
 
 /// How a conjunction attaches: by its top (lowest-level) atom.

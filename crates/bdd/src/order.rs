@@ -79,6 +79,15 @@ impl VarOrder {
         self.rank.get(key).copied()
     }
 
+    /// Rank of an operand, if present. A plain field's key is its name,
+    /// so only an aggregate formats one.
+    pub(crate) fn rank_of(&self, op: &Operand) -> Option<usize> {
+        match op {
+            Operand::Field(name) => self.rank(name),
+            Operand::Aggregate { .. } => self.rank(&op.key()),
+        }
+    }
+
     /// The ordered keys.
     pub fn keys(&self) -> &[String] {
         &self.keys
@@ -194,7 +203,9 @@ impl FieldStats {
 /// Canonical within-field ordering of predicates: by relation class,
 /// then constant. Any fixed total order works for correctness; keeping
 /// equalities together helps the compiler emit dense exact-match tables.
-pub fn pred_sort_key(p: &Predicate) -> (u8, Option<i64>, Option<String>) {
+/// The key borrows the predicate's string constant, so comparing two
+/// keys allocates nothing.
+pub fn pred_sort_key(p: &Predicate) -> (u8, Option<i64>, Option<&str>) {
     let relk = match p.rel {
         Rel::Eq => 0u8,
         Rel::Ne => 1,
@@ -207,17 +218,54 @@ pub fn pred_sort_key(p: &Predicate) -> (u8, Option<i64>, Option<String>) {
     };
     match &p.constant {
         Value::Int(i) => (relk, Some(*i), None),
-        Value::Str(s) => (relk, None, Some(s.clone())),
+        Value::Str(s) => (relk, None, Some(s)),
     }
 }
 
-/// Compare two operand keys under an order, falling back to a stable
-/// appearance rank map for keys missing from the order.
-pub fn operand_rank(order: &VarOrder, fallback: &HashMap<String, usize>, op: &Operand) -> usize {
-    let key = op.key();
-    order
-        .rank(&key)
-        .unwrap_or_else(|| order.len() + fallback.get(&key).copied().unwrap_or(usize::MAX / 2))
+/// The bulk constructor's alphabet: the distinct atoms of `atoms` in
+/// variable order, and the level of each occurrence's atom in that
+/// order (one entry per item of `atoms`, in the same sequence).
+///
+/// The order is the operand's rank in `order` — operands missing from
+/// it rank after every listed one, in first-appearance order — then
+/// [`pred_sort_key`]. A rank is resolved once per distinct operand and
+/// each occurrence is hashed once; the sort compares borrowed keys.
+/// Ranks are distinct per operand key, so comparing the keys as well
+/// would decide nothing.
+pub(crate) fn sorted_alphabet<'a>(
+    order: &VarOrder,
+    atoms: impl IntoIterator<Item = &'a Predicate>,
+) -> (Vec<Predicate>, Vec<u32>) {
+    let mut slot_of: HashMap<&Predicate, u32> = HashMap::new();
+    let mut rank_of: HashMap<&Operand, usize> = HashMap::new();
+    let mut distinct: Vec<&Predicate> = Vec::new();
+    let mut keyed = Vec::new();
+    let mut levels: Vec<u32> = Vec::new();
+    for atom in atoms {
+        let slot = *slot_of.entry(atom).or_insert_with(|| {
+            let appeared = rank_of.len();
+            let rank = *rank_of
+                .entry(&atom.operand)
+                .or_insert_with(|| order.rank_of(&atom.operand).unwrap_or(order.len() + appeared));
+            let slot = distinct.len() as u32;
+            distinct.push(atom);
+            keyed.push((rank, pred_sort_key(atom), slot));
+            slot
+        });
+        levels.push(slot);
+    }
+    // Distinct atoms never tie on rank and key, so the trailing slot
+    // only names the atom: the unstable sort is the stable one.
+    keyed.sort_unstable();
+    let mut level_of_slot = vec![0u32; keyed.len()];
+    for (level, &(.., slot)) in keyed.iter().enumerate() {
+        level_of_slot[slot as usize] = level as u32;
+    }
+    for l in levels.iter_mut() {
+        *l = level_of_slot[*l as usize];
+    }
+    let preds = keyed.iter().map(|&(.., slot)| distinct[slot as usize].clone()).collect();
+    (preds, levels)
 }
 
 #[cfg(test)]

@@ -185,20 +185,13 @@ impl Alphabet {
                 let slot = if self.group_pure_eq[g] && p.rel == Rel::Eq {
                     range.start
                 } else {
-                    let key = crate::order::pred_sort_key(p);
                     // Binary search for the canonical slot in the band.
-                    let mut lo = range.start;
-                    let mut hi = range.end;
-                    while lo < hi {
-                        let mid = (lo + hi) / 2;
-                        let q = &self.preds[self.pred_by_level[mid as usize] as usize];
-                        if crate::order::pred_sort_key(q) < key {
-                            lo = mid + 1;
-                        } else {
-                            hi = mid;
-                        }
-                    }
-                    lo
+                    let key = crate::order::pred_sort_key(p);
+                    let band = &self.pred_by_level[range.start as usize..range.end as usize];
+                    range.start
+                        + band.partition_point(|&q| {
+                            crate::order::pred_sort_key(&self.preds[q as usize]) < key
+                        }) as u32
                 };
                 self.group_pure_eq[g] &= p.rel == Rel::Eq;
                 self.groups.push(g as u32);
@@ -216,12 +209,12 @@ impl Alphabet {
                 // callers holding group ids are unaffected; anyone who
                 // needs groups in variable order must sort by range.
                 let end = self.pred_by_level.len() as u32;
-                let slot = match self.order.rank(&p.operand.key()) {
+                let slot = match self.order.rank_of(&p.operand) {
                     None => end,
                     Some(rank) => self
                         .group_info
                         .iter()
-                        .filter(|(op, _)| self.order.rank(&op.key()).is_none_or(|r| r > rank))
+                        .filter(|(op, _)| self.order.rank_of(op).is_none_or(|r| r > rank))
                         .map(|(_, range)| range.start)
                         .min()
                         .unwrap_or(end),

@@ -4,10 +4,11 @@
 //! below the trivial bound.
 
 use camus_bdd::{Bdd, BddBuilder, IncrementalBdd, VarOrder};
-use camus_lang::ast::{Action, Expr, Operand, Predicate, Rel, Rule};
+use camus_lang::ast::{Action, AggFunc, Expr, Operand, Predicate, Rel, Rule};
+use camus_lang::dnf::{to_dnf, Dnf};
 use camus_lang::value::Value;
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 fn arb_pred() -> impl Strategy<Value = Predicate> {
     let int_field = prop_oneof![Just("p"), Just("q")];
@@ -116,6 +117,79 @@ fn arb_band_rules() -> impl Strategy<Value = Vec<Rule>> {
         rules.push(rules[0].clone());
         rules
     })
+}
+
+/// `arb_rules()` with single-atom rules spliced in over two operands it
+/// lacks: the field `r`, which no order of the alphabet test ranks, and
+/// the aggregate `avg(p)`.
+fn arb_rules_two_more_operands() -> impl Strategy<Value = Vec<Rule>> {
+    let rel = prop_oneof![Just(Rel::Eq), Just(Rel::Ne), Just(Rel::Lt), Just(Rel::Gt)];
+    let extra = (any::<bool>(), rel, -4i64..4, 0usize..16).prop_map(|(agg, rel, c, at)| {
+        let operand = if agg {
+            Operand::Aggregate { func: AggFunc::Avg, field: "p".into() }
+        } else {
+            Operand::Field("r".into())
+        };
+        (at, Predicate::new(operand, rel, c))
+    });
+    (arb_rules(), prop::collection::vec(extra, 0..6)).prop_map(|(mut rules, extras)| {
+        for (at, pred) in extras {
+            let at = at % (rules.len() + 1);
+            rules.insert(at, Rule { filter: Expr::Atom(pred), action: Action::Forward(vec![99]) });
+        }
+        rules
+    })
+}
+
+/// The within-field order as the bulk constructor first compared it,
+/// owning the string constant.
+fn owned_pred_sort_key(p: &Predicate) -> (u8, Option<i64>, Option<String>) {
+    let relk = match p.rel {
+        Rel::Eq => 0u8,
+        Rel::Ne => 1,
+        Rel::Lt => 2,
+        Rel::Le => 3,
+        Rel::Gt => 4,
+        Rel::Ge => 5,
+        Rel::Prefix => 6,
+        Rel::NotPrefix => 7,
+    };
+    match &p.constant {
+        Value::Int(i) => (relk, Some(*i), None),
+        Value::Str(s) => (relk, None, Some(s.clone())),
+    }
+}
+
+/// Reference alphabet: the distinct DNF atoms of `rules`, sorted by the
+/// comparator the bulk constructor once used on every comparison —
+/// operand rank in `order`, else order length plus the operand key's
+/// first-appearance index, then operand key, then the owned
+/// within-field key.
+fn reference_alphabet(rules: &[Rule], order: &VarOrder) -> Vec<Predicate> {
+    let dnfs: Vec<Dnf> = rules.iter().map(|r| to_dnf(&r.filter)).collect();
+    let mut appearance: HashMap<String, usize> = HashMap::new();
+    let mut seen: HashSet<&Predicate> = HashSet::new();
+    let mut preds: Vec<Predicate> = Vec::new();
+    for atom in dnfs.iter().flat_map(|d| &d.terms).flat_map(|c| &c.atoms) {
+        if seen.insert(atom) {
+            let next = appearance.len();
+            appearance.entry(atom.operand.key()).or_insert(next);
+            preds.push(atom.clone());
+        }
+    }
+    let operand_rank = |op: &Operand| {
+        let key = op.key();
+        order.rank(&key).unwrap_or_else(|| {
+            order.len() + appearance.get(&key).copied().unwrap_or(usize::MAX / 2)
+        })
+    };
+    preds.sort_by(|a, b| {
+        operand_rank(&a.operand)
+            .cmp(&operand_rank(&b.operand))
+            .then_with(|| a.operand.key().cmp(&b.operand.key()))
+            .then_with(|| owned_pred_sort_key(a).cmp(&owned_pred_sort_key(b)))
+    });
+    preds
 }
 
 /// Matched *actions* for a packet: incremental label ids drift from
@@ -354,6 +428,26 @@ proptest! {
         let b = BddBuilder::from_rules(&many).build();
         prop_assert_eq!(a.node_count(), b.node_count());
         prop_assert_eq!(a.terminal_count(), b.terminal_count());
+    }
+
+    /// The bulk alphabet is the reference order: with no field order,
+    /// with a pinned one and with a fitted tie-break order, levels list
+    /// the distinct atoms exactly as the per-comparison comparator
+    /// sorted them, ranked under the order the diagram records.
+    #[test]
+    fn bulk_alphabet_equals_reference_order(rules in arb_rules_two_more_operands()) {
+        for order in [
+            VarOrder::empty(),
+            VarOrder::from_keys(["s", "avg(p)", "q"]),
+            VarOrder::tie_break(["q", "s", "p", "avg(p)"]),
+        ] {
+            let bdd = BddBuilder::from_rules(&rules).with_order(order).build();
+            let levels: Vec<&Predicate> = (0..bdd.preds().len() as u32)
+                .map(|l| bdd.pred(bdd.pred_at_level(l)))
+                .collect();
+            let want = reference_alphabet(&rules, bdd.var_order());
+            prop_assert_eq!(levels, want.iter().collect::<Vec<_>>(), "rules: {:#?}", rules);
+        }
     }
 
     /// The bulk constructor against two independent references: the

@@ -11,6 +11,7 @@
 use crate::ast::{Expr, Predicate};
 use crate::sets::{conjunction_satisfiable, implication};
 use serde::{Deserialize, Serialize};
+use std::collections::HashSet;
 use std::fmt;
 
 /// A conjunction of atomic predicates. The empty conjunction is `true`.
@@ -140,9 +141,22 @@ pub fn to_dnf(expr: &Expr) -> Dnf {
         if c.atoms.is_empty() {
             return Dnf::all();
         }
-        if !terms.contains(&c) {
-            terms.push(c);
-        }
+        terms.push(c);
+    }
+    // Drop repeated terms (a single term has none), keeping first
+    // occurrences in order. Filters are external input, so the set
+    // keeps std's randomly keyed hasher.
+    if terms.len() > 1 {
+        let repeats: Vec<usize> = {
+            let mut seen = HashSet::with_capacity(terms.len());
+            (0..terms.len()).filter(|&i| !seen.insert(&terms[i])).collect()
+        };
+        let mut repeats = repeats.into_iter().peekable();
+        let mut i = 0;
+        terms.retain(|_| {
+            i += 1;
+            repeats.next_if_eq(&(i - 1)).is_none()
+        });
     }
     Dnf { terms }
 }
