@@ -67,12 +67,6 @@ pub enum NodeRef {
     Node(u32),
 }
 
-impl NodeRef {
-    pub fn is_terminal(&self) -> bool {
-        matches!(self, NodeRef::Term(_))
-    }
-}
-
 /// An internal decision node: `if var then hi else lo`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Node {

@@ -10,8 +10,8 @@
 //!   need *fewer* entries because they produce fewer BDD paths.
 
 use super::Scale;
+use crate::bigtable::big_table_entries;
 use crate::output::Table;
-use camus_core::bigtable::big_table_entries;
 use camus_core::compiler::Compiler;
 use camus_lang::ast::{Action, Rule};
 use camus_workloads::siena::{SienaConfig, SienaGenerator};

@@ -12,10 +12,10 @@
 
 use super::Scale;
 use crate::output::Table;
+use crate::spanning::{spanning_tree, tree_fib_for, tree_fib_sizes, Graph, TreeAlgo};
 use camus_core::compiler::Compiler;
 use camus_lang::ast::Expr;
 use camus_lang::parser::parse_expr;
-use camus_routing::spanning::{spanning_tree, tree_fib_for, tree_fib_sizes, Graph, TreeAlgo};
 use camus_workloads::graphs::EdgeList;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

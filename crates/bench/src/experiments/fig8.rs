@@ -18,9 +18,9 @@
 //! matching the paper's DPDK pacing.
 
 use super::Scale;
+use crate::baselines::queue::{simulate_fifo, Job, QueueResult};
 use crate::output::Table;
 use camus_apps::itch::ItchApp;
-use camus_baselines::queue::{simulate_fifo, Job, QueueResult};
 use camus_dataplane::SwitchConfig;
 use camus_workloads::itch::{ItchFeed, ItchFeedConfig, WATCHED};
 

@@ -3,7 +3,7 @@
 //!
 //! Series:
 //! * **c** and **dpdk** — the calibrated software cost models of
-//!   [`camus_baselines::cost`] (plain C is syscall-bound; DPDK is
+//!   [`crate::baselines::cost`] (plain C is syscall-bound; DPDK is
 //!   CPU-bound at ~16 Mpps and falls off the cache cliff past 10 K
 //!   filters),
 //! * **camus** — line rate, independent of filter count,
@@ -17,9 +17,9 @@
 //!   to bound BDD compile time; "-" beyond).
 
 use super::Scale;
+use crate::baselines::cost::CostModel;
+use crate::baselines::linear::LinearFilter;
 use crate::output::{fmt_mpps, Table};
-use camus_baselines::cost::CostModel;
-use camus_baselines::linear::LinearFilter;
 use camus_core::compiled::{ActionId, CompiledPipeline};
 use camus_core::compiler::Compiler;
 use camus_core::resources::{self, ResourceBudget};

@@ -20,7 +20,17 @@
 //! | [`experiments::churn`] | Subscription churn — incremental recompile |
 //! | [`experiments::scale`] | 10k→1M subscription compiler-scaling ladder |
 //! | [`experiments::faults`] | Fault injection — repair latency & blackout |
+//!
+//! Beside the experiments sit the systems the paper measures Camus
+//! against, which exist only to be measured:
+//!
+//! * [`baselines`] — software filtering and broker models (Figs. 8, 9);
+//! * [`bigtable`] — the naive one-big-table entry count (Fig. 12);
+//! * [`spanning`] — MST/MST++ trees for general topologies (Fig. 15).
 
+pub mod baselines;
+pub mod bigtable;
 pub mod experiments;
 pub mod mem;
 pub mod output;
+pub mod spanning;

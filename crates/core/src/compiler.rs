@@ -21,14 +21,11 @@ use std::time::{Duration, Instant};
 pub struct CompilerConfig {
     /// Hardware multicast-group budget (§VII-C).
     pub multicast_limit: usize,
-    /// Validate that every referenced field exists in the static spec
-    /// (only applies when a [`StaticPipeline`] is attached).
-    pub validate_fields: bool,
 }
 
 impl Default for CompilerConfig {
     fn default() -> Self {
-        CompilerConfig { multicast_limit: MulticastAllocator::DEFAULT_LIMIT, validate_fields: true }
+        CompilerConfig { multicast_limit: MulticastAllocator::DEFAULT_LIMIT }
     }
 }
 
@@ -152,7 +149,7 @@ impl Compiler {
     }
 
     fn validate(&self, rules: &[Rule]) -> Result<(), CompileError> {
-        if let (Some(statics), true) = (&self.statics, self.config.validate_fields) {
+        if let Some(statics) = &self.statics {
             for (i, rule) in rules.iter().enumerate() {
                 for op in rule.filter.operands() {
                     let field = op.field_name();
@@ -511,7 +508,7 @@ mod tests {
             "a > 0: fwd(1)\na > 0: fwd(2)\nb > 0: fwd(3)\nb > 0: fwd(4)\nc > 0: fwd(5)\nc > 0: fwd(6)\n",
         )
         .unwrap();
-        let cfg = CompilerConfig { multicast_limit: 1, validate_fields: true };
+        let cfg = CompilerConfig { multicast_limit: 1 };
         let err = Compiler::new().with_config(cfg).compile(&rules).unwrap_err();
         assert!(matches!(err, CompileError::Table(TableError::MulticastExhausted { .. })));
     }

@@ -19,9 +19,8 @@
 //!   BDD as a fixed-length pipeline (Algorithm 2, Fig. 6).
 //!
 //! Also here: the multicast-group allocator for overlapping filters
-//! (§VII-C, [`multicast`]), the switch resource model used for Table I
-//! ([`resources`]), and the naive one-big-table baseline the paper
-//! compares against in Fig. 12 ([`bigtable`]).
+//! (§VII-C, [`multicast`]) and the switch resource model used for
+//! Table I and admission ([`resources`]).
 //!
 //! ```
 //! use camus_core::compiler::Compiler;
@@ -41,7 +40,6 @@
 //! assert_eq!(action.ports(), Some(&[1u16, 2][..]));
 //! ```
 
-pub mod bigtable;
 pub mod compiled;
 pub mod compiler;
 pub mod multicast;

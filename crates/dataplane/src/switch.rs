@@ -314,25 +314,16 @@ pub struct Switch {
 
 impl Switch {
     /// Build from the static pipeline (application) and a dynamically
-    /// compiled rule pipeline.
+    /// compiled rule pipeline. Panics if the initial pipeline is over
+    /// `config.budget` — only possible once a finite budget is
+    /// configured.
     pub fn new(statics: &StaticPipeline, pipeline: Pipeline, config: SwitchConfig) -> Self {
         let mut state = StateStore::new(config.default_window_us);
         for reg in &statics.registers {
             state.allocate(&reg.name, reg.window_us);
         }
-        Switch::with_spec(statics.spec.clone(), pipeline, state, config)
-    }
-
-    /// Build from a bare spec (tests and simple applications).
-    pub fn from_spec(spec: Spec, pipeline: Pipeline, config: SwitchConfig) -> Self {
-        let state = StateStore::new(config.default_window_us);
-        Switch::with_spec(spec, pipeline, state, config)
-    }
-
-    /// Panics if the initial pipeline is over `config.budget` — only
-    /// possible once a finite budget is configured.
-    fn with_spec(spec: Spec, pipeline: Pipeline, state: StateStore, config: SwitchConfig) -> Self {
-        let parser = DeepParser::new(spec, config.max_msgs_per_pass, config.recirc_ports);
+        let parser =
+            DeepParser::new(statics.spec.clone(), config.max_msgs_per_pass, config.recirc_ports);
         let program = Arc::new(Program::build(parser.spec(), pipeline));
         config.budget.admit(&program.report).expect("install rejected by resource budget");
         let mut scratch = EvalScratch::default();

@@ -1,7 +1,6 @@
 //! Aggregation across a whole fault schedule.
 
 use crate::scenario::EventReport;
-use std::time::Duration;
 
 /// Everything a fault run produced, one entry per injected fault.
 #[derive(Debug, Clone, Default)]
@@ -10,65 +9,11 @@ pub struct FaultReport {
 }
 
 impl FaultReport {
-    pub fn max_blackout_ns(&self) -> u64 {
-        self.events.iter().map(|e| e.blackout_ns).max().unwrap_or(0)
-    }
-
-    pub fn total_dropped(&self) -> usize {
-        self.events.iter().map(|e| e.dropped).sum()
-    }
-
-    pub fn total_duplicated(&self) -> usize {
-        self.events.iter().map(|e| e.duplicated).sum()
-    }
-
     pub fn total_misdelivered(&self) -> usize {
         self.events.iter().map(|e| e.misdelivered).sum()
     }
 
     pub fn all_recovered(&self) -> bool {
         self.events.iter().all(|e| e.recovered)
-    }
-
-    /// Total controller time spent repairing (routing + compile +
-    /// install decisions), across all events.
-    pub fn total_repair_time(&self) -> Duration {
-        self.events.iter().map(|e| e.repair.elapsed).sum()
-    }
-
-    /// Blackhole anomalies summed over events that carried telemetry.
-    pub fn total_blackholes(&self) -> usize {
-        self.events.iter().filter_map(|e| e.telemetry.as_ref()).map(|t| t.blackholes).sum()
-    }
-
-    /// Loop anomalies summed over events that carried telemetry.
-    pub fn total_loops(&self) -> usize {
-        self.events.iter().filter_map(|e| e.telemetry.as_ref()).map(|t| t.loops).sum()
-    }
-
-    /// Widest telemetry-derived dark window across events.
-    pub fn max_telemetry_blackout_ns(&self) -> u64 {
-        self.events
-            .iter()
-            .filter_map(|e| e.telemetry.as_ref())
-            .map(|t| t.blackout_ns)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Do the telemetry-derived numbers agree with the probe-based ones
-    /// on every event that has them? Holds exactly at a 1/1 sampling
-    /// rate; lower rates trace a subset of probes and may differ.
-    pub fn telemetry_consistent(&self) -> bool {
-        self.events.iter().all(|e| match &e.telemetry {
-            None => true,
-            Some(t) => {
-                t.delivered == e.delivered
-                    && t.dropped == e.dropped
-                    && t.duplicated == e.duplicated
-                    && t.misdelivered == e.misdelivered
-                    && t.blackout_ns == e.blackout_ns
-            }
-        })
     }
 }

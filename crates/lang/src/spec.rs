@@ -152,11 +152,6 @@ impl Spec {
         found
     }
 
-    /// Resolve a counter name declared in any header.
-    pub fn resolve_counter(&self, name: &str) -> Option<&CounterSpec> {
-        self.headers.iter().flat_map(|h| h.counters.iter()).find(|c| c.name == name)
-    }
-
     /// All subscribable attribute paths, in declaration order, as
     /// `header.field` pairs. The compiler derives its default BDD
     /// variable order from this.

@@ -36,13 +36,11 @@ pub struct RoutingConfig {
     /// Discretisation unit for aggregated filters; `1` disables the
     /// approximation.
     pub alpha: i64,
-    /// Also widen equality constraints when approximating.
-    pub widen_eq: bool,
 }
 
 impl RoutingConfig {
     pub fn new(policy: Policy) -> Self {
-        RoutingConfig { policy, alpha: 1, widen_eq: false }
+        RoutingConfig { policy, alpha: 1 }
     }
 
     pub fn with_alpha(mut self, alpha: i64) -> Self {
@@ -51,11 +49,7 @@ impl RoutingConfig {
     }
 
     fn approx(&self) -> Option<ApproxConfig> {
-        (self.alpha > 1).then(|| {
-            let mut c = ApproxConfig::new(self.alpha);
-            c.widen_eq = self.widen_eq;
-            c
-        })
+        (self.alpha > 1).then(|| ApproxConfig::new(self.alpha))
     }
 }
 

@@ -92,17 +92,6 @@ impl NetworkCompile {
         self.switches.iter().filter(|s| !s.reused).map(|s| s.switch).collect()
     }
 
-    /// Ids of the switches reused from the previous run.
-    pub fn reused_switches(&self) -> Vec<usize> {
-        self.switches.iter().filter(|s| s.reused).map(|s| s.switch).collect()
-    }
-
-    /// Sum of per-switch compile times (CPU-ish time; `elapsed` is the
-    /// parallel wall clock).
-    pub fn total_switch_time(&self) -> Duration {
-        self.switches.iter().map(|s| s.elapsed).sum()
-    }
-
     /// Switch slots whose *installed* pipeline must change relative to
     /// `previous`: exactly the slots whose own fingerprint differs.
     /// `reused` is not the right gate for reinstallation — the compile
@@ -453,22 +442,10 @@ pub fn compile_network_incremental(
     Ok(election.assemble(fresh))
 }
 
-/// Compile a list of per-switch rule sets (general-topology FIBs) in
-/// parallel, returning only the entry counts — the Fig. 15 measurement.
-pub fn compile_fib_entries(
-    fibs: &[Vec<Rule>],
-    compiler: &Compiler,
-) -> Result<Vec<usize>, CompileError> {
-    run_parallel(fibs.len(), |i| compiler.compile(&fibs[i]).map(|c| c.pipeline.total_entries()))
-        .into_iter()
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::algorithm1::{route_hierarchical, Policy, RoutingConfig};
-    use crate::spanning::{spanning_tree, tree_fibs, Graph, TreeAlgo};
     use crate::topology::paper_fat_tree;
     use camus_lang::ast::Expr;
     use camus_lang::parser::parse_expr;
@@ -521,21 +498,6 @@ mod tests {
         let mr_agg = mr.entries_per_layer(&net)[&1];
         let tr_agg = tr.entries_per_layer(&net)[&1];
         assert!(mr_agg < tr_agg, "MR agg layer {mr_agg} < TR agg layer {tr_agg}");
-    }
-
-    #[test]
-    fn fib_compile_counts_for_trees() {
-        let mut g = Graph::new(6);
-        for (u, v) in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)] {
-            g.add_edge(u, v);
-        }
-        let tree = spanning_tree(&g, TreeAlgo::MstPlusPlus);
-        let node_subs: Vec<Vec<Expr>> =
-            (0..6).map(|i| vec![parse_expr(&format!("id == {i}")).unwrap()]).collect();
-        let fibs = tree_fibs(&tree, &node_subs);
-        let entries = compile_fib_entries(&fibs, &Compiler::new()).unwrap();
-        assert_eq!(entries.len(), 6);
-        assert!(entries.iter().all(|&e| e > 0));
     }
 
     #[test]

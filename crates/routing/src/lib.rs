@@ -14,22 +14,16 @@
 //!   (**TR**, `F_up` = exactly the subscriptions outside the subtree),
 //!   plus the α-discretisation approximation of §IV-D applied to
 //!   aggregated (non-access) filter sets.
-//! * [`spanning`] implements routing for general topologies (§IV-E):
-//!   spanning trees via Prim's algorithm with unit weights (**MST**) or
-//!   the degree-product heuristic `w(u,v) = deg(u)·deg(v)` (**MST++**),
-//!   and the per-edge partition of subscriptions into FIBs.
-//! * [`verify`] checks the §IV-C correctness conditions — completeness
-//!   (every port's filter set covers the subscriptions of the hosts it
-//!   reaches) and soundness (access ports match exactly) — by sampled
-//!   semantic evaluation.
+//! * [`verify`] finds the hosts a published packet must reach
+//!   ([`verify::matching_hosts`]), the oracle the service audit and the
+//!   fault experiments check deliveries against.
 //! * [`compile`] runs the Camus compiler for every switch (in parallel
-//!   with crossbeam) and aggregates per-layer entry counts and compile
-//!   times (Figs. 13 and 14).
+//!   on [`par::run_parallel`]) and aggregates per-layer entry counts and
+//!   compile times (Figs. 13 and 14).
 
 pub mod algorithm1;
 pub mod compile;
 pub mod par;
-pub mod spanning;
 pub mod topology;
 pub mod verify;
 

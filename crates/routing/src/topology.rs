@@ -38,13 +38,6 @@ pub struct HierSwitch {
     pub up: Vec<(SwitchId, Port)>,
 }
 
-impl HierSwitch {
-    /// Number of physical ports (down ports plus one per up link).
-    pub fn port_count(&self) -> usize {
-        self.down.len() + self.up.len()
-    }
-}
-
 /// Failed elements of a [`HierNet`], masked out of routing and
 /// forwarding.
 ///

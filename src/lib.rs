@@ -5,7 +5,6 @@
 //! inventory.
 
 pub use camus_apps as apps;
-pub use camus_baselines as baselines;
 pub use camus_bdd as bdd;
 pub use camus_core as core;
 pub use camus_dataplane as dataplane;
