@@ -548,15 +548,14 @@ impl IncrementalBdd {
         self.bdd.live_nodes()
     }
 
-    /// A compact standalone copy of the current diagram for deployment
-    /// (dead predicates and construction caches dropped); the
-    /// maintenance structure itself stays live for further churn.
+    /// A compact standalone copy of the current diagram for deployment:
+    /// one post-order copy of the reachable nodes, then the dead
+    /// predicates compacted away. The maintenance structure itself stays
+    /// live for further churn. No sweep runs, so the copy's
+    /// [`Bdd::gc_stats`] count none.
     pub fn snapshot(&self) -> Bdd {
-        let mut out = Bdd::with_shared_alphabet(self.bdd.alphabet_arc());
-        out.set_labels(self.bdd.labels().to_vec());
-        let root = out.absorb(&self.bdd, self.bdd.root());
-        out.set_root(root);
-        out.shrink();
+        let mut out = self.bdd.reachable_copy();
+        out.compact_preds();
         out
     }
 

@@ -462,7 +462,7 @@ impl Bdd {
         Bdd::with_shared_alphabet(Arc::new(alphabet))
     }
 
-    /// Create an empty BDD sharing an existing alphabet (snapshots).
+    /// Create an empty BDD over an alphabet.
     pub(crate) fn with_shared_alphabet(alphabet: Arc<Alphabet>) -> Bdd {
         let mut bdd = Bdd {
             alphabet,
@@ -494,10 +494,6 @@ impl Bdd {
 
     pub(crate) fn set_root(&mut self, root: NodeRef) {
         self.root = root;
-    }
-
-    pub(crate) fn alphabet_arc(&self) -> Arc<Alphabet> {
-        Arc::clone(&self.alphabet)
     }
 
     pub fn pred(&self, id: PredId) -> &Predicate {
@@ -536,10 +532,6 @@ impl Bdd {
     /// All interned labels.
     pub fn labels(&self) -> &[Action] {
         &self.labels
-    }
-
-    pub(crate) fn set_labels(&mut self, labels: Vec<Action>) {
-        self.labels = labels;
     }
 
     pub(crate) fn labels_mut(&mut self) -> &mut Vec<Action> {
@@ -649,15 +641,7 @@ impl Bdd {
         if let Some(&t) = self.term_index.get(&set) {
             return NodeRef::Term(t);
         }
-        self.term_arc(Arc::new(set))
-    }
-
-    /// Intern a terminal rule set already behind an `Arc` (shared with
-    /// another store during [`Bdd::absorb`]).
-    pub(crate) fn term_arc(&mut self, set: Arc<BTreeSet<RuleId>>) -> NodeRef {
-        if let Some(&t) = self.term_index.get(&*set) {
-            return NodeRef::Term(t);
-        }
+        let set = Arc::new(set);
         let t = TermId(self.terminals.len() as u32);
         self.term_index.insert(Arc::clone(&set), t);
         self.terminals.push(set);
@@ -764,8 +748,7 @@ impl Bdd {
     }
 
     /// Reduction (i): the stored node equal to `node`, else `node`
-    /// appended. `absorb`, whose source is already reduced over the same
-    /// alphabet, interns without the other reductions.
+    /// appended.
     fn intern(&mut self, node: Node) -> NodeRef {
         if let Some(id) = self.unique.get(&self.nodes, &node) {
             return NodeRef::Node(id);
@@ -897,68 +880,78 @@ impl Bdd {
         ])
     }
 
-    /// Import the diagram rooted at `r` in `other` into this store,
-    /// returning the translated root. Both stores must share (a clone
-    /// of) the same alphabet; only node and terminal ids are remapped,
-    /// via iterative post-order translation (spines can be
-    /// band-length, so no recursion).
-    pub(crate) fn absorb(&mut self, other: &Bdd, r: NodeRef) -> NodeRef {
-        debug_assert_eq!(self.alphabet.len(), other.alphabet.len(), "alphabets must match");
-        let mut node_map: HashMap<u32, NodeRef> = HashMap::new();
-        let mut term_map: HashMap<u32, NodeRef> = HashMap::new();
-        let mut translate_term = |slf: &mut Bdd, t: TermId| -> NodeRef {
-            if let Some(&m) = term_map.get(&t.0) {
-                return m;
+    /// A standalone copy of the diagram reachable from the root, over
+    /// the same alphabet and labels. One post-order walk, high branch
+    /// first, numbers nodes as they are finished and terminals as they
+    /// are first met (the empty terminal stays 0). The source is
+    /// reduced and hash-consed, so every copied node is distinct and
+    /// live: nothing is interned and nothing is swept. The copy keeps
+    /// no construction state (unique table, memos, terminal index), so
+    /// it is for evaluation and traversal; construction on it restarts
+    /// cold.
+    pub(crate) fn reachable_copy(&self) -> Bdd {
+        const UNSEEN: u32 = u32::MAX;
+        let mut node_map = vec![UNSEEN; self.nodes.len()];
+        let mut term_map = vec![UNSEEN; self.terminals.len()];
+        term_map[0] = 0;
+        let mut nodes: Vec<Node> = Vec::new();
+        let mut terminals = vec![Arc::clone(&self.terminals[0])];
+        let mut copy = |r: NodeRef, node_map: &[u32]| match r {
+            NodeRef::Node(c) => NodeRef::Node(node_map[c as usize]),
+            NodeRef::Term(t) => {
+                let slot = &mut term_map[t.0 as usize];
+                if *slot == UNSEEN {
+                    *slot = terminals.len() as u32;
+                    terminals.push(Arc::clone(&self.terminals[t.0 as usize]));
+                }
+                NodeRef::Term(TermId(*slot))
             }
-            let m = slf.term_arc(Arc::clone(&other.terminals[t.0 as usize]));
-            term_map.insert(t.0, m);
-            m
         };
-        let NodeRef::Node(root_id) = r else {
-            let NodeRef::Term(t) = r else { unreachable!() };
-            return translate_term(self, t);
-        };
-        // Two-phase explicit stack: visit children first, then build.
-        enum Task {
-            Visit(u32),
-            Build(u32),
+        // `(id, false)` visits a node, `(id, true)` copies it once both
+        // children are copied.
+        let mut stack: Vec<(u32, bool)> = Vec::new();
+        if let NodeRef::Node(id) = self.root {
+            stack.push((id, false));
         }
-        let mut stack = vec![Task::Visit(root_id)];
-        while let Some(task) = stack.pop() {
-            match task {
-                Task::Visit(id) => {
-                    if node_map.contains_key(&id) {
-                        continue;
-                    }
-                    stack.push(Task::Build(id));
-                    let n = other.nodes[id as usize];
-                    for child in [n.lo, n.hi] {
-                        if let NodeRef::Node(c) = child {
-                            if !node_map.contains_key(&c) {
-                                stack.push(Task::Visit(c));
-                            }
+        while let Some((id, children_done)) = stack.pop() {
+            if node_map[id as usize] != UNSEEN {
+                continue;
+            }
+            let n = self.nodes[id as usize];
+            if !children_done {
+                stack.push((id, true));
+                for child in [n.lo, n.hi] {
+                    if let NodeRef::Node(c) = child {
+                        if node_map[c as usize] == UNSEEN {
+                            stack.push((c, false));
                         }
                     }
                 }
-                Task::Build(id) => {
-                    if node_map.contains_key(&id) {
-                        continue;
-                    }
-                    let n = other.nodes[id as usize];
-                    let lo = match n.lo {
-                        NodeRef::Node(c) => node_map[&c],
-                        NodeRef::Term(t) => translate_term(self, t),
-                    };
-                    let hi = match n.hi {
-                        NodeRef::Node(c) => node_map[&c],
-                        NodeRef::Term(t) => translate_term(self, t),
-                    };
-                    debug_assert_ne!(lo, hi, "source diagrams are reduced");
-                    node_map.insert(id, self.intern(Node { var: n.var, lo, hi }));
-                }
+                continue;
             }
+            let lo = copy(n.lo, &node_map);
+            let hi = copy(n.hi, &node_map);
+            node_map[id as usize] = nodes.len() as u32;
+            nodes.push(Node { var: n.var, lo, hi });
         }
-        node_map[&root_id]
+        let root = copy(self.root, &node_map);
+        let live = nodes.len();
+        Bdd {
+            alphabet: Arc::clone(&self.alphabet),
+            nodes,
+            terminals,
+            term_index: HashMap::new(),
+            unique: UniqueTable::default(),
+            prune_memo: HashMap::new(),
+            union_memo: HashMap::new(),
+            spine_memo: HashMap::new(),
+            labels: self.labels.clone(),
+            root,
+            scratch: Scratch::default(),
+            work: Vec::new(),
+            results: Vec::new(),
+            stats: GcStats { peak_allocated: live, live_after_gc: live, ..GcStats::default() },
+        }
     }
 
     // -- evaluation ----------------------------------------------------------
@@ -1416,34 +1409,5 @@ mod tests {
         assert_eq!(bdd.field_groups().len(), 1);
         let m = bdd.eval(|op| (op.field_name() == "price").then_some(Value::Int(100)));
         assert_eq!(m, &BTreeSet::from([0]));
-    }
-
-    #[test]
-    fn absorb_translates_between_stores() {
-        let preds = alphabet();
-        let shared = Arc::new(Alphabet::from_sorted_preds(preds));
-        let mut a = Bdd::with_shared_alphabet(Arc::clone(&shared));
-        let mut b = Bdd::with_shared_alphabet(shared);
-        let e = b.term(BTreeSet::new());
-        let t = b.term(BTreeSet::from([3]));
-        let inner = b.mk(PredId(2), e, t);
-        let root = b.mk(PredId(0), inner, t);
-        // Pre-populate `a` with an unrelated terminal so ids diverge.
-        let _ = a.term(BTreeSet::from([7]));
-        let moved = a.absorb(&b, root);
-        a.set_root(moved);
-        let m = a.eval(|op| match op.field_name() {
-            "stock" => Some("GOOGL".into()),
-            _ => None,
-        });
-        assert_eq!(m, &BTreeSet::from([3]));
-        let m = a.eval(|op| match op.field_name() {
-            "price" => Some(60i64.into()),
-            _ => None,
-        });
-        assert_eq!(m, &BTreeSet::from([3]));
-        // Absorbing again is idempotent (hash-consed).
-        let again = a.absorb(&b, root);
-        assert_eq!(again, moved);
     }
 }

@@ -503,6 +503,19 @@ mod tests {
     }
 
     #[test]
+    fn mixed_rules_emit_a_pinned_pipeline() {
+        // An FNV-1a digest of the printed pipeline (stages in order,
+        // entries sorted, leaf by state with its multicast groups), taken
+        // from the clone-per-edge emission walk: the linear walk must
+        // reproduce it byte for byte.
+        let pipeline = Compiler::new().compile(&mixed_rules()).unwrap().pipeline;
+        let digest = pipeline.to_string().bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!(digest, 0x33c2_a476_6744_e8e6, "{} entries", pipeline.total_entries());
+    }
+
+    #[test]
     fn multicast_limit_from_config() {
         let rules = parse_rules(
             "a > 0: fwd(1)\na > 0: fwd(2)\nb > 0: fwd(3)\nb > 0: fwd(4)\nc > 0: fwd(5)\nc > 0: fwd(6)\n",
