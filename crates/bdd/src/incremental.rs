@@ -3,12 +3,10 @@
 //!
 //! Two layers are provided:
 //!
-//! * **Primitives on [`Bdd`]** — [`Bdd::insert_rule`] unions a rule's
-//!   chains into the existing DAG (an apply against the live store);
-//!   [`Bdd::remove_rule`] erases a label from every terminal, letting
-//!   same-child elimination collapse the paths that only that rule
-//!   kept alive. These are correct on any diagram but `remove_rule` is
-//!   a full O(n) sweep.
+//! * **The primitive on [`Bdd`]** — [`Bdd::insert_rule`] unions a
+//!   rule's chains into the existing DAG (an apply against the live
+//!   store). It is correct on any diagram and serves the tests as the
+//!   naive reference fold.
 //! * **[`IncrementalBdd`]** — the control-plane structure for
 //!   million-subscription churn. It decomposes the diagram into
 //!   per-field *exact-match chains* plus a small set of miscellaneous
@@ -22,7 +20,7 @@
 //!
 //! The store's level-table indirection is what makes this sound: a new
 //! predicate is spliced into the variable order without disturbing any
-//! existing node ([`crate::store::Alphabet::insert_pred`]), and a new
+//! existing node (`store::Alphabet::insert_pred`), and a new
 //! equality joining a pure-equality band lands at the band *top*, so
 //! the common churn op — subscribe to a fresh identifier — grows the
 //! band chain with O(1) new nodes.
@@ -30,7 +28,7 @@
 //! Garbage: every chain rebuild strands its old prefix. The store's
 //! capacity-triggered mark-and-sweep (`Bdd::gc`) runs at operation
 //! boundaries with the maintenance structures as external roots, and
-//! the returned [`NodeRemap`](crate::store::NodeRemap) is applied
+//! the returned `NodeRemap` is applied
 //! back, keeping allocation within a constant factor of the reachable
 //! size.
 
@@ -105,59 +103,6 @@ impl Bdd {
         let merged = self.union(root, add);
         self.set_root(merged);
         label
-    }
-
-    /// Remove every rule bound to `label` by erasing the label from
-    /// all terminals; paths that only existed to reach it collapse via
-    /// same-child elimination. A full memoised sweep of the reachable
-    /// diagram — [`IncrementalBdd`] exists to avoid paying this per
-    /// churn op.
-    pub fn remove_rule(&mut self, label: RuleId) {
-        enum Task {
-            Visit(NodeRef),
-            Build(u32),
-        }
-        let root = self.root();
-        let mut memo: HashMap<NodeRef, NodeRef> = HashMap::new();
-        let mut stack = vec![Task::Visit(root)];
-        while let Some(task) = stack.pop() {
-            match task {
-                Task::Visit(r) => {
-                    if memo.contains_key(&r) {
-                        continue;
-                    }
-                    match r {
-                        NodeRef::Term(t) => {
-                            let out = if self.terminal(t).contains(&label) {
-                                let mut set = self.terminal(t).clone();
-                                set.remove(&label);
-                                self.term(set)
-                            } else {
-                                r
-                            };
-                            memo.insert(r, out);
-                        }
-                        NodeRef::Node(id) => {
-                            stack.push(Task::Build(id));
-                            let n = *self.node(id);
-                            stack.push(Task::Visit(n.hi));
-                            stack.push(Task::Visit(n.lo));
-                        }
-                    }
-                }
-                Task::Build(id) => {
-                    let key = NodeRef::Node(id);
-                    if memo.contains_key(&key) {
-                        continue;
-                    }
-                    let n = *self.node(id);
-                    let (lo, hi) = (memo[&n.lo], memo[&n.hi]);
-                    let out = self.mk(n.var, lo, hi);
-                    memo.insert(key, out);
-                }
-            }
-        }
-        self.set_root(memo[&root]);
     }
 }
 
@@ -633,7 +578,7 @@ impl IncrementalBdd {
     }
 
     /// Run the store's mark-and-sweep if the capacity trigger fired.
-    pub fn maybe_gc(&mut self) {
+    pub(crate) fn maybe_gc(&mut self) {
         if self.bdd.gc_due() {
             self.force_gc();
         }
@@ -831,17 +776,6 @@ mod tests {
         // Old rules unaffected.
         let m = bdd.eval(lookup_for(vec![("id", Value::Int(1))]));
         assert_eq!(m, &BTreeSet::from([0]));
-    }
-
-    #[test]
-    fn bdd_remove_rule_erases_label_and_collapses() {
-        let rules = parse_rules("id == 1: fwd(1)\nid == 2: fwd(2)\n").unwrap();
-        let mut bdd = BddBuilder::from_rules(&rules).build();
-        let before = bdd.node_count();
-        bdd.remove_rule(1);
-        assert!(bdd.eval(lookup_for(vec![("id", Value::Int(2))])).is_empty());
-        assert_eq!(bdd.eval(lookup_for(vec![("id", Value::Int(1))])), &BTreeSet::from([0]));
-        assert!(bdd.node_count() < before, "dead path must collapse");
     }
 
     #[test]

@@ -58,4 +58,4 @@ pub mod store;
 pub use builder::{BddBuilder, DEEP_STACK};
 pub use incremental::{rule_digest, IncrementalBdd};
 pub use order::VarOrder;
-pub use store::{Bdd, GcStats, Node, NodeRef, PredId, RuleId, TermId};
+pub use store::{Bdd, GcStats, Node, NodeRef, PredId, TermId};

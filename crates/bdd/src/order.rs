@@ -67,7 +67,7 @@ impl VarOrder {
     }
 
     /// Append a key (no-op if already present).
-    pub fn push(&mut self, key: String) {
+    pub(crate) fn push(&mut self, key: String) {
         if !self.rank.contains_key(&key) {
             self.rank.insert(key.clone(), self.keys.len());
             self.keys.push(key);
@@ -86,11 +86,6 @@ impl VarOrder {
             Operand::Field(name) => self.rank(name),
             Operand::Aggregate { .. } => self.rank(&op.key()),
         }
-    }
-
-    /// The ordered keys.
-    pub fn keys(&self) -> &[String] {
-        &self.keys
     }
 
     pub fn len(&self) -> usize {
@@ -205,7 +200,7 @@ impl FieldStats {
 /// equalities together helps the compiler emit dense exact-match tables.
 /// The key borrows the predicate's string constant, so comparing two
 /// keys allocates nothing.
-pub fn pred_sort_key(p: &Predicate) -> (u8, Option<i64>, Option<&str>) {
+pub(crate) fn pred_sort_key(p: &Predicate) -> (u8, Option<i64>, Option<&str>) {
     let relk = match p.rel {
         Rel::Eq => 0u8,
         Rel::Ne => 1,
@@ -287,7 +282,7 @@ mod tests {
         for r in parse_rules(rules).unwrap() {
             stats.count(to_dnf(&r.filter).terms.iter().flat_map(|c| &c.atoms), true);
         }
-        order.fit(&stats).keys().to_vec()
+        order.fit(&stats).keys.to_vec()
     }
 
     /// The plain fields of an order, aggregates left out.
@@ -339,15 +334,15 @@ mod tests {
              attr0 == 2 and attr3 < 9: fwd(2)\n\
              attr0 == 1 and attr2 == SYM1: fwd(3)\n",
         );
-        assert_eq!(keys, order.keys());
+        assert_eq!(keys, order.keys);
     }
 
     #[test]
     fn no_universal_field_keeps_spec_order_exactly() {
         let order = itch_tie_break();
         let keys = fit(&order, "stock == A: fwd(1)\nprice > 3: fwd(2)\nside == 1: fwd(3)\n");
-        assert_eq!(keys, order.keys());
-        assert_eq!(fit(&order, ""), order.keys(), "an empty list fits to the tie-break");
+        assert_eq!(keys, order.keys);
+        assert_eq!(fit(&order, ""), order.keys, "an empty list fits to the tie-break");
     }
 
     #[test]
@@ -388,7 +383,7 @@ mod tests {
     fn pinned_and_empty_orders_are_used_verbatim() {
         let rules = "stock == A and price > 1: fwd(1)\n";
         let pinned = VarOrder::from_keys(["price", "stock"]);
-        assert_eq!(fit(&pinned, rules), pinned.keys());
+        assert_eq!(fit(&pinned, rules), pinned.keys);
         assert!(fit(&VarOrder::empty(), rules).is_empty());
     }
 

@@ -16,11 +16,11 @@
 //!
 //! Scaling machinery (million-subscription stores):
 //!
-//! * The predicate alphabet lives in an [`Alphabet`] behind an `Arc`,
+//! * The predicate alphabet lives in an `Alphabet` behind an `Arc`,
 //!   so a snapshot is copied out over its store's alphabet instead of
 //!   a clone of megabytes of predicates (it then compacts its own).
 //!   Variable *order* is mediated by a level table rather than by
-//!   predicate ids, which lets [`Alphabet::insert_pred`] splice a new
+//!   predicate ids, which lets `Alphabet::insert_pred` splice a new
 //!   predicate into its canonical position without rewriting any
 //!   existing node.
 //! * The unique table is open-addressing (a `Vec<u32>` of node ids),
@@ -47,11 +47,11 @@ use std::sync::Arc;
 /// these. Rules with identical actions share a label, which is what
 /// lets thousands of same-action filters collapse into a handful of
 /// terminals (and their subgraphs merge).
-pub type RuleId = u32;
+pub(crate) type RuleId = u32;
 
 /// A BDD variable: an interned atomic predicate. Ids are stable for
 /// the lifetime of an alphabet; the *variable order* is the level
-/// table ([`Bdd::level_of`]), not the id — new predicates keep old ids
+/// table (`Bdd::level_of`), not the id — new predicates keep old ids
 /// (and therefore old nodes) valid when spliced into the order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PredId(pub u32);
@@ -79,7 +79,7 @@ pub struct Node {
 /// levels, and the per-field grouping. Behind an `Arc` so a snapshot
 /// is copied out over its store's alphabet, not over a clone.
 #[derive(Debug, Clone, Default)]
-pub struct Alphabet {
+pub(crate) struct Alphabet {
     preds: Vec<Predicate>,
     pred_index: HashMap<Predicate, PredId>,
     /// Field-group id per predicate (same operand ⇒ same group).
@@ -110,7 +110,7 @@ impl Alphabet {
     /// Build from a predicate list already sorted into variable order
     /// (all predicates of one operand contiguous). The builder
     /// establishes this invariant; levels start as the identity.
-    pub fn from_sorted_preds(preds: Vec<Predicate>) -> Alphabet {
+    pub(crate) fn from_sorted_preds(preds: Vec<Predicate>) -> Alphabet {
         let mut a = Alphabet::default();
         for (i, p) in preds.iter().enumerate() {
             match a.group_info.last_mut() {
@@ -132,23 +132,15 @@ impl Alphabet {
         a
     }
 
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.preds.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.preds.is_empty()
-    }
-
-    pub fn lookup(&self, p: &Predicate) -> Option<PredId> {
-        self.pred_index.get(p).copied()
     }
 
     /// Record the field order future [`Alphabet::insert_pred`] calls
     /// place new operand groups by. Ranked operands splice before any
     /// group ranked after them; unranked operands append in first-use
     /// order (matching the builder's appearance-rank fallback).
-    pub fn set_order(&mut self, order: crate::order::VarOrder) {
+    pub(crate) fn set_order(&mut self, order: crate::order::VarOrder) {
         self.order = order;
     }
 
@@ -167,7 +159,7 @@ impl Alphabet {
     /// spine above a mid-band splice. Everything else takes its
     /// canonical [`crate::order::pred_sort_key`] position (the slot a
     /// from-scratch sorted build would choose).
-    pub fn insert_pred(&mut self, p: &Predicate) -> PredId {
+    pub(crate) fn insert_pred(&mut self, p: &Predicate) -> PredId {
         if let Some(&id) = self.pred_index.get(p) {
             return id;
         }
@@ -267,13 +259,13 @@ impl Alphabet {
 /// holding external `NodeRef`s (e.g. the incremental maintenance tree)
 /// must rewrite them through [`NodeRemap::apply`].
 #[derive(Debug)]
-pub struct NodeRemap {
+pub(crate) struct NodeRemap {
     nodes: Vec<u32>,
     terms: Vec<u32>,
 }
 
 impl NodeRemap {
-    pub fn apply(&self, r: NodeRef) -> NodeRef {
+    pub(crate) fn apply(&self, r: NodeRef) -> NodeRef {
         match r {
             NodeRef::Term(t) => NodeRef::Term(TermId(self.terms[t.0 as usize])),
             NodeRef::Node(n) => NodeRef::Node(self.nodes[n as usize]),
@@ -509,7 +501,7 @@ impl Bdd {
     /// The variable level of a predicate: the *order* every traversal
     /// compares by. Levels shift when predicates are spliced in; ids
     /// do not.
-    pub fn level_of(&self, id: PredId) -> u32 {
+    pub(crate) fn level_of(&self, id: PredId) -> u32 {
         self.alphabet.levels[id.0 as usize]
     }
 
@@ -530,7 +522,7 @@ impl Bdd {
     }
 
     /// All interned labels.
-    pub fn labels(&self) -> &[Action] {
+    pub(crate) fn labels(&self) -> &[Action] {
         &self.labels
     }
 
@@ -595,7 +587,7 @@ impl Bdd {
     /// allocation per call in steady state (unlike
     /// [`Bdd::reachable_nodes`], which keeps its allocating `&self`
     /// signature for read-only callers).
-    pub fn live_nodes(&mut self) -> usize {
+    pub(crate) fn live_nodes(&mut self) -> usize {
         let mut scratch = std::mem::take(&mut self.scratch);
         let n = {
             scratch.epoch = scratch.epoch.wrapping_add(1);
@@ -981,7 +973,7 @@ impl Bdd {
 
     /// Whether the capacity trigger would fire: allocation has drifted
     /// more than 2× past the live set of the last sweep.
-    pub fn gc_due(&self) -> bool {
+    pub(crate) fn gc_due(&self) -> bool {
         self.nodes.len() > 4096 && self.nodes.len() > 2 * self.stats.live_after_gc.max(1024)
     }
 
@@ -1114,22 +1106,6 @@ impl Bdd {
         let mut alphabet = Alphabet::from_sorted_preds(retained);
         alphabet.set_order(self.alphabet.order.clone());
         self.alphabet = Arc::new(alphabet);
-    }
-
-    /// Shrink for long-lived storage: sweep unreachable nodes and
-    /// terminals, compact the predicate table (churn epochs leave dead
-    /// predicates behind), and release construction caches. Evaluation
-    /// and traversal remain available; further construction restarts
-    /// cold.
-    pub fn shrink(&mut self) {
-        self.gc(&[]);
-        self.compact_preds();
-        self.unique = UniqueTable::default();
-        self.prune_memo = HashMap::new();
-        self.union_memo = HashMap::new();
-        self.spine_memo = HashMap::new();
-        self.term_index = HashMap::new();
-        self.scratch = Scratch::default();
     }
 }
 
@@ -1394,20 +1370,5 @@ mod tests {
         let again = bdd.mk(PredId(2), e, t);
         assert_eq!(again, n2);
         assert_eq!(bdd.allocated_nodes(), 1);
-    }
-
-    #[test]
-    fn shrink_keeps_graph_usable_and_compacts_preds() {
-        let mut bdd = Bdd::with_alphabet(alphabet());
-        let e = bdd.term(BTreeSet::new());
-        let t = bdd.term(BTreeSet::from([0]));
-        let root = bdd.mk(PredId(2), e, t);
-        bdd.set_root(root);
-        bdd.shrink();
-        // Only the used predicate survives.
-        assert_eq!(bdd.preds().len(), 1);
-        assert_eq!(bdd.field_groups().len(), 1);
-        let m = bdd.eval(|op| (op.field_name() == "price").then_some(Value::Int(100)));
-        assert_eq!(m, &BTreeSet::from([0]));
     }
 }

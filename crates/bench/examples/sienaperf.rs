@@ -5,8 +5,7 @@ fn main() {
     for n in [1_000usize, 10_000, 100_000] {
         let rules = siena_rules(n, 3, 0xF12A);
         let t0 = std::time::Instant::now();
-        let cfg = camus_core::compiler::CompilerConfig { multicast_limit: 1 << 20 };
-        let c = camus_core::compiler::Compiler::new().with_config(cfg).compile(&rules).unwrap();
+        let c = camus_core::compiler::Compiler::new().compile(&rules).unwrap();
         println!(
             "n={n}: compile {:?}, nodes={}, terminals={}, entries={}, mcast={}",
             t0.elapsed(),

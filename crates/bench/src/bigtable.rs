@@ -285,7 +285,7 @@ mod tests {
                 let members: Vec<_> = (0..rules.len()).filter(|i| mask & (1 << i) != 0).collect();
                 // Walk the product of the members' terms like an odometer.
                 let mut pick = vec![0usize; members.len()];
-                if members.iter().any(|&i| dnfs[i].is_false()) {
+                if members.iter().any(|&i| dnfs[i].terms.is_empty()) {
                     return false;
                 }
                 loop {

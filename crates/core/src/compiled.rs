@@ -74,14 +74,6 @@ pub struct EvalCounters {
     pub entries_scanned: u64,
 }
 
-impl EvalCounters {
-    pub fn merge(&mut self, other: &EvalCounters) {
-        self.stage_hits += other.stage_hits;
-        self.stage_misses += other.stage_misses;
-        self.entries_scanned += other.entries_scanned;
-    }
-}
-
 /// Occupancy sentinel for the open-addressing exact tables. Lowered
 /// state ids are `0..n` with `n` bounded by the entry count, so no real
 /// state is `u32::MAX`.

@@ -16,19 +16,6 @@ use camus_lang::ast::Rule;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-/// Compiler tunables.
-#[derive(Debug, Clone)]
-pub struct CompilerConfig {
-    /// Hardware multicast-group budget (§VII-C).
-    pub multicast_limit: usize,
-}
-
-impl Default for CompilerConfig {
-    fn default() -> Self {
-        CompilerConfig { multicast_limit: MulticastAllocator::DEFAULT_LIMIT }
-    }
-}
-
 /// Errors from dynamic compilation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CompileError {
@@ -102,16 +89,6 @@ impl CompileState {
     pub fn rule_count(&self) -> usize {
         self.inc.rule_count()
     }
-
-    /// Reachable node count of the live diagram.
-    pub fn live_nodes(&mut self) -> usize {
-        self.inc.live_nodes()
-    }
-
-    /// The maintained diagram (for inspection and statistics).
-    pub fn incremental(&self) -> &IncrementalBdd {
-        &self.inc
-    }
 }
 
 /// The dynamic compiler.
@@ -119,12 +96,11 @@ impl CompileState {
 pub struct Compiler {
     order: VarOrder,
     statics: Option<StaticPipeline>,
-    config: CompilerConfig,
 }
 
 impl Compiler {
     pub fn new() -> Self {
-        Compiler { order: VarOrder::empty(), statics: None, config: CompilerConfig::default() }
+        Compiler { order: VarOrder::empty(), statics: None }
     }
 
     /// Use an explicit BDD variable order.
@@ -140,11 +116,6 @@ impl Compiler {
     pub fn with_static(mut self, statics: StaticPipeline) -> Self {
         self.order = statics.var_order();
         self.statics = Some(statics);
-        self
-    }
-
-    pub fn with_config(mut self, config: CompilerConfig) -> Self {
-        self.config = config;
         self
     }
 
@@ -174,7 +145,7 @@ impl Compiler {
 
     /// Slice a diagram into a pipeline and report its resources.
     fn finish(&self, bdd: Bdd, start: Instant) -> Result<Compiled, CompileError> {
-        let mut multicast = MulticastAllocator::new(self.config.multicast_limit);
+        let mut multicast = MulticastAllocator::new(MulticastAllocator::DEFAULT_LIMIT);
         let pipeline = bdd_to_pipeline(&bdd, &mut multicast)?;
         let widths: HashMap<String, u32> =
             self.statics.as_ref().map(|s| s.widths()).unwrap_or_default();
@@ -413,7 +384,7 @@ mod tests {
         // Retracting it fits the symbol-first order again.
         let c = compiler.compile_incremental(&mut state, &seeded).unwrap();
         assert_eq!(c.pipeline, seed.pipeline);
-        assert!(state.incremental().fits(&compiler.order));
+        assert!(state.inc.fits(&compiler.order));
     }
 
     /// Identifier band with direct labels, residual tails and duplicate
@@ -513,16 +484,5 @@ mod tests {
             (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
         });
         assert_eq!(digest, 0x33c2_a476_6744_e8e6, "{} entries", pipeline.total_entries());
-    }
-
-    #[test]
-    fn multicast_limit_from_config() {
-        let rules = parse_rules(
-            "a > 0: fwd(1)\na > 0: fwd(2)\nb > 0: fwd(3)\nb > 0: fwd(4)\nc > 0: fwd(5)\nc > 0: fwd(6)\n",
-        )
-        .unwrap();
-        let cfg = CompilerConfig { multicast_limit: 1 };
-        let err = Compiler::new().with_config(cfg).compile(&rules).unwrap_err();
-        assert!(matches!(err, CompileError::Table(TableError::MulticastExhausted { .. })));
     }
 }

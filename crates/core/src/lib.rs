@@ -50,6 +50,6 @@ pub mod tables;
 
 pub use camus_bdd::VarOrder;
 pub use compiled::{ActionId, CompiledPipeline, EvalCounters};
-pub use compiler::{CompileState, Compiled, Compiler, CompilerConfig};
-pub use pipeline::{MatchKind, MatchSpec, Pipeline, StageTable, StateId, TableEntry};
+pub use compiler::{CompileState, Compiled, Compiler};
+pub use pipeline::{MatchKind, MatchSpec, Pipeline, StageTable, TableEntry};
 pub use resources::{AdmissionError, BudgetViolation, ResourceBudget, ResourceReport};

@@ -9,7 +9,7 @@ use camus_lang::ast::Port;
 use std::collections::HashMap;
 
 /// Interns port sets into multicast group ids, up to a hardware limit.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MulticastAllocator {
     groups: HashMap<Vec<Port>, u32>,
     by_id: Vec<Vec<Port>>,
@@ -28,7 +28,7 @@ impl MulticastAllocator {
     /// Allocate (or reuse) the group for a port set. Returns `None`
     /// when a *new* group would exceed the limit. Port order and
     /// duplicates are irrelevant.
-    pub fn alloc(&mut self, ports: &[Port]) -> Option<u32> {
+    pub(crate) fn alloc(&mut self, ports: &[Port]) -> Option<u32> {
         let mut key: Vec<Port> = ports.to_vec();
         key.sort_unstable();
         key.dedup();
@@ -44,22 +44,12 @@ impl MulticastAllocator {
         Some(g)
     }
 
-    /// The port set of a group.
-    pub fn ports(&self, group: u32) -> Option<&[Port]> {
-        self.by_id.get(group as usize).map(|v| v.as_slice())
-    }
-
     pub fn group_count(&self) -> usize {
         self.by_id.len()
     }
 
-    pub fn limit(&self) -> usize {
+    pub(crate) fn limit(&self) -> usize {
         self.limit
-    }
-
-    /// All groups, in allocation order.
-    pub fn groups(&self) -> impl Iterator<Item = (u32, &[Port])> {
-        self.by_id.iter().enumerate().map(|(i, p)| (i as u32, p.as_slice()))
     }
 }
 
@@ -82,7 +72,7 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a, c);
         assert_eq!(m.group_count(), 1);
-        assert_eq!(m.ports(a), Some(&[1u16, 2, 3][..]));
+        assert_eq!(m.by_id[a as usize], [1, 2, 3]);
     }
 
     #[test]
@@ -93,22 +83,5 @@ mod tests {
         assert!(m.alloc(&[5, 6]).is_none()); // third distinct set
         assert!(m.alloc(&[1, 2]).is_some()); // reuse still fine
         assert_eq!(m.group_count(), 2);
-    }
-
-    #[test]
-    fn groups_iterates_in_order() {
-        let mut m = MulticastAllocator::new(10);
-        m.alloc(&[1]).unwrap();
-        m.alloc(&[2, 3]).unwrap();
-        let all: Vec<_> = m.groups().collect();
-        assert_eq!(all.len(), 2);
-        assert_eq!(all[0].1, &[1]);
-        assert_eq!(all[1].1, &[2, 3]);
-    }
-
-    #[test]
-    fn unknown_group_is_none() {
-        let m = MulticastAllocator::new(10);
-        assert_eq!(m.ports(7), None);
     }
 }

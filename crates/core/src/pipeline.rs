@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 /// A pipeline state: an In-node of some BDD component, or a terminal.
-pub type StateId = u32;
+pub(crate) type StateId = u32;
 
 /// The initial state (the BDD root). Always 0 (§V-D: "the initial state
 /// is set to 0").
@@ -52,7 +52,7 @@ pub enum MatchSpec {
 
 impl MatchSpec {
     /// Does a concrete attribute value satisfy this spec?
-    pub fn matches(&self, v: &Value) -> bool {
+    pub(crate) fn matches(&self, v: &Value) -> bool {
         match (self, v) {
             (MatchSpec::Any, _) => true,
             (MatchSpec::IntRange(lo, hi), Value::Int(x)) => lo <= x && x <= hi,
@@ -67,7 +67,7 @@ impl MatchSpec {
     /// longer prefixes beat shorter ones. Entries produced from one In
     /// node partition the domain except for these specificity overlaps,
     /// so this ordering makes lookup deterministic and correct.
-    pub fn priority(&self) -> u32 {
+    pub(crate) fn priority(&self) -> u32 {
         match self {
             MatchSpec::IntExact(_) | MatchSpec::StrExact(_) => 3_000_000,
             MatchSpec::StrPrefix(p) => 1_000_000 + p.len() as u32,
@@ -134,7 +134,7 @@ impl StageTable {
     /// state's entries in index order, so an unsorted table would
     /// silently resolve specificity overlaps (exact vs. prefix vs.
     /// range vs. Any) in the wrong direction.
-    pub fn reindex(&mut self) {
+    pub(crate) fn reindex(&mut self) {
         self.entries
             .sort_by(|a, b| a.state.cmp(&b.state).then(b.spec.priority().cmp(&a.spec.priority())));
         self.index.clear();
@@ -145,7 +145,7 @@ impl StageTable {
 
     /// Look up the transition for `(state, value)`. `None` is a miss:
     /// the state passes through unchanged.
-    pub fn lookup(&self, state: StateId, value: Option<&Value>) -> Option<StateId> {
+    pub(crate) fn lookup(&self, state: StateId, value: Option<&Value>) -> Option<StateId> {
         let &(start, end) = self.index.get(&state)?;
         for e in &self.entries[start..end] {
             let hit = match value {
@@ -169,7 +169,7 @@ impl StageTable {
     }
 
     /// Distinct states this stage has entries for.
-    pub fn state_count(&self) -> usize {
+    pub(crate) fn state_count(&self) -> usize {
         self.index.len()
     }
 }
@@ -187,11 +187,11 @@ pub struct LeafTable {
 }
 
 impl LeafTable {
-    pub fn lookup(&self, state: StateId) -> &Action {
+    pub(crate) fn lookup(&self, state: StateId) -> &Action {
         self.actions.get(&state).map_or(&self.default, |(a, _)| a)
     }
 
-    pub fn entry_count(&self) -> usize {
+    pub(crate) fn entry_count(&self) -> usize {
         self.actions.len()
     }
 }
@@ -247,18 +247,6 @@ impl Pipeline {
     /// table — the metric of Fig. 12.
     pub fn total_entries(&self) -> usize {
         self.stages.iter().map(|s| s.entry_count()).sum::<usize>() + self.leaf.entry_count()
-    }
-
-    /// Number of match stages (pipeline depth, excluding the leaf).
-    pub fn depth(&self) -> usize {
-        self.stages.len()
-    }
-
-    /// Restore lookup indices after deserialisation.
-    pub fn reindex(&mut self) {
-        for s in &mut self.stages {
-            s.reindex();
-        }
     }
 }
 
@@ -384,7 +372,7 @@ mod tests {
         let act = p.evaluate(|o| (o.field_name() == "a").then_some(Value::Int(1)));
         assert_eq!(act, Action::Drop); // lands in state 2, leaf entry
         assert_eq!(p.total_entries(), 3 + 2);
-        assert_eq!(p.depth(), 2);
+        assert_eq!(p.stages.len(), 2);
     }
 
     #[test]
@@ -431,7 +419,9 @@ mod tests {
         };
         let json = serde_json::to_string(&p).unwrap();
         let mut back: Pipeline = serde_json::from_str(&json).unwrap();
-        back.reindex();
+        for s in &mut back.stages {
+            s.reindex();
+        }
         let act = back.evaluate(|_| Some(Value::Int(3)));
         assert_eq!(act, Action::Forward(vec![1]));
     }

@@ -111,7 +111,7 @@ impl ResourceBudget {
     }
 
     /// Every limit the report exceeds, in a stable order.
-    pub fn check(&self, r: &ResourceReport) -> Vec<BudgetViolation> {
+    pub(crate) fn check(&self, r: &ResourceReport) -> Vec<BudgetViolation> {
         let mut v = Vec::new();
         if r.tables > self.max_tables {
             v.push(BudgetViolation::Tables { used: r.tables, limit: self.max_tables });
@@ -239,7 +239,7 @@ impl std::error::Error for AdmissionError {}
 /// Number of prefix (mask) entries needed to cover the integer range
 /// `[lo, hi]` inside a `width`-bit space — the classic range-to-prefix
 /// expansion. Out-of-domain bounds are clamped.
-pub fn range_prefix_count(lo: i64, hi: i64, width: u32) -> u64 {
+pub(crate) fn range_prefix_count(lo: i64, hi: i64, width: u32) -> u64 {
     let max = if width >= 63 { i64::MAX } else { (1i64 << width) - 1 };
     let mut lo = lo.clamp(0, max) as u64;
     let hi = hi.clamp(0, max) as u64;

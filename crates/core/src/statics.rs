@@ -61,11 +61,6 @@ impl StaticPipeline {
     pub fn widths(&self) -> HashMap<String, u32> {
         self.spec.field_widths()
     }
-
-    /// Look up the register slot for a counter name.
-    pub fn register(&self, name: &str) -> Option<&RegisterSlot> {
-        self.registers.iter().find(|r| r.name == name)
-    }
 }
 
 /// Run static compilation on a parsed spec.
@@ -171,6 +166,5 @@ mod tests {
         let sp = compile_static(&int_spec()).unwrap();
         assert_eq!(sp.slots.len(), 4);
         assert!(sp.registers.is_empty());
-        assert!(sp.register("nope").is_none());
     }
 }

@@ -161,7 +161,7 @@ fn dnf_of_long_chains() {
         let mut rng = StdRng::seed_from_u64(6);
         for (atoms, any) in [(or, true), (and, false)] {
             let chain = if any {
-                Expr::disj(atoms.iter().cloned())
+                atoms.iter().cloned().reduce(Expr::or).unwrap()
             } else {
                 Expr::conj(atoms.iter().cloned())
             };

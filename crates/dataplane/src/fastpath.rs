@@ -10,7 +10,7 @@
 //! `HashMap`, and zero steady-state heap allocations (string slots
 //! reuse their buffers).
 //!
-//! Resolution mirrors [`ParseOutcome::lookup`](crate::parser::ParseOutcome::lookup)
+//! Resolution mirrors `ParseOutcome::lookup`
 //! exactly, source by source:
 //!
 //! 1. a field of the batched message header (bare name),
@@ -37,7 +37,7 @@ use camus_lang::value::{Type, Value};
 /// ahead, hiding the DRAM latency of cold packet buffers behind useful
 /// work. Advisory only — a no-op off x86_64 and on empty slices.
 #[inline]
-pub fn prefetch_read(bytes: &[u8]) {
+pub(crate) fn prefetch_read(bytes: &[u8]) {
     #[cfg(target_arch = "x86_64")]
     {
         if !bytes.is_empty() {
@@ -199,7 +199,7 @@ impl EvalPlan {
 
     /// Whether the packet carries any stack attributes (the parser's
     /// non-empty-stack condition for stack-only evaluation).
-    pub fn stack_has_fields(&self, pkt: &Packet) -> bool {
+    pub(crate) fn stack_has_fields(&self, pkt: &Packet) -> bool {
         self.stack_field_ends.iter().any(|&end| pkt.len() >= end)
     }
 
@@ -207,7 +207,7 @@ impl EvalPlan {
     /// truncated stack, or trailing bytes that do not form a whole
     /// batched message. Such bytes are never decoded — a graceful
     /// parse miss — but the switch counts the packet.
-    pub fn is_malformed(&self, pkt: &Packet) -> bool {
+    pub(crate) fn is_malformed(&self, pkt: &Packet) -> bool {
         if pkt.len() < self.msg_base {
             return true;
         }
@@ -282,7 +282,7 @@ fn plan_field(spec: &Spec, name: &str) -> FieldLookup {
 
 /// Big-endian unsigned decode of up to 8 bytes (≡ `Value::decode`).
 #[inline]
-pub fn decode_int(bytes: &[u8]) -> i64 {
+pub(crate) fn decode_int(bytes: &[u8]) -> i64 {
     let mut v: i64 = 0;
     for &b in bytes.iter().take(8) {
         v = (v << 8) | i64::from(b);
@@ -370,14 +370,14 @@ fn read_input_int(fl: &FieldLookup, pkt: &Packet, msg_off: Option<usize>) -> Opt
 /// Per-switch evaluation scratch reused across packets (allocation-free
 /// once warm).
 #[derive(Debug, Clone, Default)]
-pub struct EvalScratch {
+pub(crate) struct EvalScratch {
     /// Slot-indexed values for the message under evaluation.
     pub values: Vec<Option<Value>>,
 }
 
 impl EvalScratch {
     /// Resize for a freshly installed pipeline.
-    pub fn reset(&mut self, slot_count: usize) {
+    pub(crate) fn reset(&mut self, slot_count: usize) {
         self.values.clear();
         self.values.resize(slot_count, None);
     }

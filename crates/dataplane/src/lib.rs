@@ -38,9 +38,8 @@ pub mod state;
 pub mod switch;
 pub mod telemetry;
 
-pub use fastpath::{EvalPlan, EvalScratch};
+pub use fastpath::EvalPlan;
 pub use packet::{Packet, PacketBuilder};
-pub use parser::{DeepParser, ParseOutcome};
 pub use state::StateStore;
 pub use switch::{InstallError, Program, Switch, SwitchConfig, SwitchOutput, SwitchStats};
 pub use telemetry::SwitchTelemetry;

@@ -14,7 +14,7 @@ use std::fmt;
 
 /// Why a packet could not be encoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EncodeError {
+pub(crate) enum EncodeError {
     /// Messages were added but the spec declares no batched message
     /// header.
     NoMessageHeader,
@@ -95,7 +95,7 @@ impl Packet {
     /// A copy of this packet keeping only the selected messages (egress
     /// pruning, §VI-A). The fixed stack is preserved; `keep` indexes
     /// messages.
-    pub fn prune_messages(&self, spec: &Spec, keep: &[usize]) -> Packet {
+    pub(crate) fn prune_messages(&self, spec: &Spec, keep: &[usize]) -> Packet {
         let stack = spec.stack_width();
         let Some(msg) = &spec.messages else {
             return self.clone();
@@ -191,7 +191,7 @@ impl<'a> PacketBuilder<'a> {
     /// Encode to bytes, rejecting values that would be silently
     /// mangled: oversized integers/strings, type mismatches, and
     /// messages on a spec without a batched message header.
-    pub fn try_build(self) -> Result<Packet, EncodeError> {
+    pub(crate) fn try_build(self) -> Result<Packet, EncodeError> {
         let mut out = Vec::with_capacity(self.spec.stack_width() + self.messages.len() * 32);
         let empty = HashMap::new();
         for name in &self.spec.sequence {
@@ -218,7 +218,7 @@ impl<'a> PacketBuilder<'a> {
         Ok(Packet::new(Bytes::from(out)))
     }
 
-    /// Encode to bytes. Panics where [`PacketBuilder::try_build`]
+    /// Encode to bytes. Panics where `PacketBuilder::try_build`
     /// errors (a programming error in the caller).
     pub fn build(self) -> Packet {
         self.try_build().unwrap_or_else(|e| panic!("{e}"))

@@ -16,14 +16,14 @@ use std::collections::HashMap;
 
 /// One extracted message: its index in the packet and its attributes.
 #[derive(Debug, Clone)]
-pub struct ParsedMessage {
+pub(crate) struct ParsedMessage {
     pub index: usize,
     pub values: HashMap<String, Value>,
 }
 
 /// The result of fully parsing one packet (all passes).
 #[derive(Debug, Clone, Default)]
-pub struct ParseOutcome {
+pub(crate) struct ParseOutcome {
     /// Fixed-stack attribute values, keyed `header.field` *and* bare
     /// `field` where unambiguous.
     pub stack: HashMap<String, Value>,
@@ -37,7 +37,7 @@ pub struct ParseOutcome {
 
 /// The parser model: PHV budget and recirculation ports.
 #[derive(Debug, Clone)]
-pub struct DeepParser {
+pub(crate) struct DeepParser {
     spec: Spec,
     /// Messages extracted per pass (`B`): the PHV budget.
     pub max_msgs_per_pass: usize,
@@ -46,17 +46,17 @@ pub struct DeepParser {
 }
 
 impl DeepParser {
-    pub fn new(spec: Spec, max_msgs_per_pass: usize, recirc_ports: usize) -> Self {
+    pub(crate) fn new(spec: Spec, max_msgs_per_pass: usize, recirc_ports: usize) -> Self {
         assert!(max_msgs_per_pass > 0, "PHV must hold at least one message");
         DeepParser { spec, max_msgs_per_pass, recirc_ports }
     }
 
-    pub fn spec(&self) -> &Spec {
+    pub(crate) fn spec(&self) -> &Spec {
         &self.spec
     }
 
     /// Parse a packet, modelling the multi-pass scheme of Fig. 7.
-    pub fn parse(&self, pkt: &Packet) -> ParseOutcome {
+    pub(crate) fn parse(&self, pkt: &Packet) -> ParseOutcome {
         let mut out = ParseOutcome { passes: 1, ..Default::default() };
 
         // Fixed stack: parsed on every pass in hardware; extracted once
@@ -88,18 +88,12 @@ impl DeepParser {
         }
         out
     }
-
-    /// Worst-case messages a single packet can carry through this
-    /// parser configuration.
-    pub fn capacity(&self) -> usize {
-        (self.recirc_ports + 1) * self.max_msgs_per_pass
-    }
 }
 
 impl ParseOutcome {
     /// Attribute lookup for one message: message fields shadow stack
     /// fields; `header.field` paths reach both.
-    pub fn lookup<'a>(&'a self, msg: &'a ParsedMessage, key: &str) -> Option<&'a Value> {
+    pub(crate) fn lookup<'a>(&'a self, msg: &'a ParsedMessage, key: &str) -> Option<&'a Value> {
         msg.values.get(key).or_else(|| self.stack.get(key)).or_else(|| {
             // `header.field` for the message header.
             key.split_once('.').and_then(|(_, f)| msg.values.get(f))
@@ -148,8 +142,8 @@ mod tests {
 
     #[test]
     fn truncation_beyond_recirc_budget() {
-        let p = DeepParser::new(itch_spec(), 2, 1); // capacity 4
-        assert_eq!(p.capacity(), 4);
+        // Room for (1 + 1) passes of 2 messages.
+        let p = DeepParser::new(itch_spec(), 2, 1);
         let out = p.parse(&feed(7));
         assert_eq!(out.messages.len(), 4);
         assert_eq!(out.truncated, 3);

@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 
 /// One tumbling-window register.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct WindowRegister {
+pub(crate) struct WindowRegister {
     pub window_us: u64,
     window_start_us: u64,
     count: u64,
@@ -21,7 +21,7 @@ pub struct WindowRegister {
 }
 
 impl WindowRegister {
-    pub fn new(window_us: u64) -> Self {
+    pub(crate) fn new(window_us: u64) -> Self {
         assert!(window_us > 0, "window must be positive");
         WindowRegister { window_us, window_start_us: 0, count: 0, sum: 0 }
     }
@@ -36,7 +36,7 @@ impl WindowRegister {
     }
 
     /// Record one observation at time `now_us`.
-    pub fn update(&mut self, now_us: u64, value: i64) {
+    pub(crate) fn update(&mut self, now_us: u64, value: i64) {
         self.roll(now_us);
         self.count += 1;
         self.sum = self.sum.saturating_add(value);
@@ -44,7 +44,7 @@ impl WindowRegister {
 
     /// Read an aggregate at time `now_us` (rolls the window first, so a
     /// stale window reads as empty).
-    pub fn read(&mut self, now_us: u64, func: AggFunc) -> i64 {
+    pub(crate) fn read(&mut self, now_us: u64, func: AggFunc) -> i64 {
         self.roll(now_us);
         match func {
             AggFunc::Count => self.count as i64,
@@ -92,17 +92,13 @@ impl StateStore {
     }
 
     /// Record a field observation into the aggregate register `key`.
-    pub fn update(&mut self, key: &str, now_us: u64, value: i64) {
+    pub(crate) fn update(&mut self, key: &str, now_us: u64, value: i64) {
         self.reg(key).update(now_us, value);
     }
 
     /// Read aggregate `func` from register `key`.
-    pub fn read(&mut self, key: &str, now_us: u64, func: AggFunc) -> i64 {
+    pub(crate) fn read(&mut self, key: &str, now_us: u64, func: AggFunc) -> i64 {
         self.reg(key).read(now_us, func)
-    }
-
-    pub fn register_count(&self) -> usize {
-        self.regs.len()
     }
 }
 
@@ -163,7 +159,7 @@ mod tests {
         s.allocate("avg(price)", 500);
         s.update("avg(price)", 10, 8);
         s.update("count(x)", 10, 1); // implicit register, window 100
-        assert_eq!(s.register_count(), 2);
+        assert_eq!(s.regs.len(), 2);
         assert_eq!(s.read("avg(price)", 400, AggFunc::Avg), 8); // still in 500us window
         assert_eq!(s.read("count(x)", 10, AggFunc::Count), 1);
         assert_eq!(s.read("count(x)", 150, AggFunc::Count), 0); // tumbled

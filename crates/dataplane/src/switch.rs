@@ -33,6 +33,11 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
+/// One pipeline traversal, in nanoseconds (§VIII-F: < 1 μs).
+const BASE_LATENCY_NS: u64 = 600;
+/// Extra latency per recirculation pass.
+const RECIRC_LATENCY_NS: u64 = 400;
+
 /// Hardware-model parameters.
 #[derive(Debug, Clone)]
 pub struct SwitchConfig {
@@ -40,10 +45,6 @@ pub struct SwitchConfig {
     pub max_msgs_per_pass: usize,
     /// Dedicated recirculation ports.
     pub recirc_ports: usize,
-    /// One pipeline traversal, in nanoseconds (§VIII-F: < 1 μs).
-    pub base_latency_ns: u64,
-    /// Extra latency per recirculation pass.
-    pub recirc_latency_ns: u64,
     /// Window for aggregates without an explicit `@counter`.
     pub default_window_us: u64,
     /// Resource budget every installed pipeline must fit (Table I).
@@ -57,8 +58,6 @@ impl Default for SwitchConfig {
         SwitchConfig {
             max_msgs_per_pass: 4,
             recirc_ports: 3,
-            base_latency_ns: 600,
-            recirc_latency_ns: 400,
             default_window_us: 100,
             budget: ResourceBudget::unlimited(),
         }
@@ -150,19 +149,10 @@ impl Program {
         }
     }
 
-    pub fn pipeline(&self) -> &Pipeline {
-        &self.pipeline
-    }
-
     /// The program's port table: the distinct ports its forward actions
     /// name, ascending. Port masks are bit rows over it.
     pub fn ports(&self) -> &[Port] {
         self.masks.ports()
-    }
-
-    /// The fast-path lowering of the pipeline.
-    pub fn compiled(&self) -> &CompiledPipeline {
-        &self.compiled
     }
 
     /// The resource usage switches admit this program by.
@@ -356,7 +346,7 @@ impl Switch {
 
     /// Check `program` against this switch — its spec and its own
     /// resource budget — without touching any install state.
-    pub fn admit(&self, program: &Program) -> Result<(), InstallError> {
+    pub(crate) fn admit(&self, program: &Program) -> Result<(), InstallError> {
         if program.spec_id != self.spec_id {
             return Err(InstallError::SpecMismatch {
                 switch_spec: self.spec_id,
@@ -434,11 +424,6 @@ impl Switch {
         self.committed_epoch = None;
     }
 
-    /// Whether a shadow program is currently staged.
-    pub fn has_staged(&self) -> bool {
-        self.staged.is_some()
-    }
-
     /// Epoch of the staged-but-uncommitted program, if any — what a
     /// recovering controller interrogates to decide commit vs. abort.
     pub fn staged_epoch(&self) -> Option<u64> {
@@ -501,24 +486,12 @@ impl Switch {
         self.sync_down();
     }
 
-    pub fn port_is_down(&self, port: Port) -> bool {
-        self.port_down.contains(&port)
-    }
-
-    /// Attach sampled instruments to this switch. Until detached,
-    /// every processed packet pays one sampler tick; sampled packets
+    /// Attach sampled instruments to this switch, replacing any
+    /// attached before. From then on every processed packet pays one
+    /// sampler tick; sampled packets
     /// record into the instruments' shared registry.
     pub fn attach_telemetry(&mut self, telemetry: SwitchTelemetry) {
         self.telemetry = Some(Box::new(telemetry));
-    }
-
-    /// Remove the instruments, restoring the telemetry-free path.
-    pub fn detach_telemetry(&mut self) -> Option<SwitchTelemetry> {
-        self.telemetry.take().map(|t| *t)
-    }
-
-    pub fn telemetry(&self) -> Option<&SwitchTelemetry> {
-        self.telemetry.as_deref()
     }
 
     /// Evaluation counters of the most recent fast-path
@@ -570,7 +543,7 @@ impl Switch {
         out.ports.clear();
         out.actions.clear();
         out.passes = passes;
-        out.latency_ns = config.base_latency_ns + config.recirc_latency_ns * (passes as u64 - 1);
+        out.latency_ns = BASE_LATENCY_NS + RECIRC_LATENCY_NS * (passes as u64 - 1);
 
         let mut counters = EvalCounters::default();
         // A stack-only application (e.g. INT) evaluates the packet
@@ -677,8 +650,7 @@ impl Switch {
 
         let mut out = SwitchOutput {
             passes: outcome.passes,
-            latency_ns: self.config.base_latency_ns
-                + self.config.recirc_latency_ns * (outcome.passes as u64 - 1),
+            latency_ns: BASE_LATENCY_NS + RECIRC_LATENCY_NS * (outcome.passes as u64 - 1),
             ..Default::default()
         };
 
@@ -972,7 +944,7 @@ mod tests {
         let spec = itch_spec();
         let pkt = PacketBuilder::new(&spec).message(order("GOOGL", 10)).build();
         sw.set_port_down(1, true);
-        assert!(sw.port_is_down(1));
+        assert!(sw.port_down.contains(&1));
         let out = sw.process(&pkt, 0, 0);
         assert!(out.ports.is_empty());
         assert_eq!(sw.stats().dropped_messages, 1);
@@ -1213,7 +1185,7 @@ mod tests {
         // untouched, and forwarding is byte-identical.
         assert_eq!(sw.pipeline(), &before_pipeline);
         assert_eq!(sw.stats(), before_stats);
-        assert!(!sw.has_staged());
+        assert_eq!(sw.staged_epoch(), None);
         let out = sw.process(&pkt, 0, 1);
         assert_eq!(out.ports.len(), 1);
         assert_eq!(out.ports[0].0, 1);
@@ -1228,7 +1200,7 @@ mod tests {
         let msft = PacketBuilder::new(&spec).message(order("MSFT", 1)).build();
 
         sw.stage(compile_itch("stock == MSFT: fwd(2)\n")).unwrap();
-        assert!(sw.has_staged());
+        assert!(sw.staged_epoch().is_some());
         // Shadow program does not affect the data path.
         assert_eq!(sw.process(&googl, 0, 0).ports.len(), 1);
         assert!(sw.process(&msft, 0, 1).ports.is_empty());
@@ -1272,7 +1244,7 @@ mod tests {
             Arc::new(Program::build(&camus_lang::spec::int_spec(), sw.pipeline().clone()));
         let err = sw.stage_epoch(foreign, 7).unwrap_err();
         assert!(matches!(err, InstallError::SpecMismatch { .. }), "{err}");
-        assert!(!sw.has_staged());
+        assert_eq!(sw.staged_epoch(), None);
         assert_eq!(sw.pipeline(), &before);
         // A program built against an equal spec is welcome, whoever built it.
         let native =
@@ -1298,7 +1270,7 @@ mod tests {
             assert!(sw.commit_staged());
             sw.finalize_install();
         }
-        solo.install(program.pipeline().clone());
+        solo.install(program.pipeline.clone());
         assert!(Arc::ptr_eq(a.program(), b.program()));
         assert!(!Arc::ptr_eq(a.program(), solo.program()));
 

@@ -43,10 +43,6 @@ impl SwitchTelemetry {
         }
     }
 
-    pub fn rate(&self) -> SampleRate {
-        self.sampler.rate()
-    }
-
     /// Called by the switch once per processed packet. The unsampled
     /// path is the sampler tick and nothing else.
     #[inline]

@@ -230,7 +230,6 @@ fn steady_state_process_does_not_allocate() {
 
     // Telemetry at full rate: instruments are lock-free atomics, so
     // even the every-packet-sampled path allocates nothing.
-    sw.detach_telemetry();
     sw.attach_telemetry(SwitchTelemetry::new(&registry, SampleRate::always()));
     for _ in 0..32 {
         sw.process(&drop_pkt, 0, 5);

@@ -529,20 +529,21 @@ mod tests {
         assert_eq!(t.loops, 0);
 
         // Without telemetry attached the field stays empty and the
-        // legacy accounting is unaffected.
-        d.network.detach_telemetry().expect("collector was attached");
-        let up = run_fault(
+        // probe accounting is unaffected.
+        let (ctrl, mut d, subs, probe) = setup();
+        let untraced = run_fault(
             &ctrl,
             &mut d,
             &subs,
-            FaultKind::LinkUp { switch: agg, port },
+            FaultKind::LinkDown { switch: agg, port },
             &probe,
             &model,
             0,
         )
         .unwrap();
-        assert!(up.telemetry.is_none());
-        assert!(up.recovered);
+        assert!(untraced.telemetry.is_none());
+        assert_eq!((untraced.delivered, untraced.dropped), (r.delivered, r.dropped));
+        assert!(untraced.recovered);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   exact matches live in cheap SRAM anyway,
 //! * `x != c` and all string constraints are untouched.
 
-use crate::ast::{Expr, Predicate, Rel, Rule};
+use crate::ast::{Expr, Predicate, Rel};
 use crate::value::Value;
 
 /// Configuration for the approximation pass.
@@ -160,12 +160,6 @@ fn approx_rec(expr: &Expr, cfg: ApproxConfig, negated: bool, stats: &mut ApproxS
             }
         }
     }
-}
-
-/// Approximate a rule's filter, keeping its action.
-pub fn approximate_rule(rule: &Rule, cfg: ApproxConfig) -> (Rule, ApproxStats) {
-    let (filter, stats) = approximate_expr(&rule.filter, cfg);
-    (Rule { filter, action: rule.action.clone() }, stats)
 }
 
 #[cfg(test)]

@@ -44,17 +44,17 @@ impl Rel {
     }
 
     /// Whether the relation applies to integer operands.
-    pub fn applies_to_int(self) -> bool {
+    pub(crate) fn applies_to_int(self) -> bool {
         !matches!(self, Rel::Prefix | Rel::NotPrefix)
     }
 
     /// Whether the relation applies to string operands.
-    pub fn applies_to_str(self) -> bool {
+    pub(crate) fn applies_to_str(self) -> bool {
         matches!(self, Rel::Eq | Rel::Ne | Rel::Prefix | Rel::NotPrefix)
     }
 
     /// Evaluate the relation on two integers.
-    pub fn eval_int(self, lhs: i64, rhs: i64) -> bool {
+    pub(crate) fn eval_int(self, lhs: i64, rhs: i64) -> bool {
         match self {
             Rel::Eq => lhs == rhs,
             Rel::Ne => lhs != rhs,
@@ -67,7 +67,7 @@ impl Rel {
     }
 
     /// Evaluate the relation on two strings.
-    pub fn eval_str(self, lhs: &str, rhs: &str) -> bool {
+    pub(crate) fn eval_str(self, lhs: &str, rhs: &str) -> bool {
         match self {
             Rel::Eq => lhs == rhs,
             Rel::Ne => lhs != rhs,
@@ -136,7 +136,7 @@ impl Operand {
     }
 
     /// Whether evaluating this operand requires switch state.
-    pub fn is_stateful(&self) -> bool {
+    pub(crate) fn is_stateful(&self) -> bool {
         matches!(self, Operand::Aggregate { .. })
     }
 
@@ -175,7 +175,7 @@ impl Predicate {
     }
 
     /// The complement constraint (`negate` of the relation).
-    pub fn negated(&self) -> Predicate {
+    pub(crate) fn negated(&self) -> Predicate {
         Predicate {
             operand: self.operand.clone(),
             rel: self.rel.negate(),
@@ -216,10 +216,6 @@ pub enum Expr {
 }
 
 impl Expr {
-    pub fn atom(p: Predicate) -> Expr {
-        Expr::Atom(p)
-    }
-
     pub fn and(self, rhs: Expr) -> Expr {
         Expr::And(Box::new(self), Box::new(rhs))
     }
@@ -237,12 +233,6 @@ impl Expr {
     /// empty).
     pub fn conj<I: IntoIterator<Item = Expr>>(parts: I) -> Expr {
         parts.into_iter().reduce(Expr::and).unwrap_or(Expr::True)
-    }
-
-    /// Build the disjunction of an iterator of expressions (`False` when
-    /// empty).
-    pub fn disj<I: IntoIterator<Item = Expr>>(parts: I) -> Expr {
-        parts.into_iter().reduce(Expr::or).unwrap_or(Expr::False)
     }
 
     /// Evaluate against an attribute lookup function. `lookup` returns
@@ -280,16 +270,6 @@ impl Expr {
                 a.collect_operands(out);
                 b.collect_operands(out);
             }
-        }
-    }
-
-    /// Whether any constraint in the expression is stateful.
-    pub fn is_stateful(&self) -> bool {
-        match self {
-            Expr::True | Expr::False => false,
-            Expr::Atom(p) => p.operand.is_stateful(),
-            Expr::Not(e) => e.is_stateful(),
-            Expr::And(a, b) | Expr::Or(a, b) => a.is_stateful() || b.is_stateful(),
         }
     }
 }
@@ -394,10 +374,6 @@ pub struct Rule {
 }
 
 impl Rule {
-    pub fn new(filter: Expr, action: Action) -> Self {
-        Rule { filter, action }
-    }
-
     /// A rule forwarding matches of `filter` to a single port.
     pub fn fwd(filter: Expr, port: Port) -> Self {
         Rule { filter, action: Action::Forward(vec![port]) }
@@ -462,7 +438,7 @@ mod tests {
 
     #[test]
     fn expr_eval_boolean_structure() {
-        let e = Expr::atom(p("a", Rel::Gt, 1)).and(Expr::atom(p("b", Rel::Lt, 5)));
+        let e = Expr::Atom(p("a", Rel::Gt, 1)).and(Expr::Atom(p("b", Rel::Lt, 5)));
         let lookup = |op: &Operand| match op.field_name() {
             "a" => Some(Value::Int(2)),
             "b" => Some(Value::Int(3)),
@@ -477,7 +453,7 @@ mod tests {
 
     #[test]
     fn expr_missing_attribute_is_false() {
-        let e = Expr::atom(p("missing", Rel::Eq, 1));
+        let e = Expr::Atom(p("missing", Rel::Eq, 1));
         fn none(_: &Operand) -> Option<Value> {
             None
         }
@@ -488,17 +464,16 @@ mod tests {
 
     #[test]
     fn operand_collection_dedups_in_order() {
-        let e = Expr::atom(p("b", Rel::Gt, 1))
-            .and(Expr::atom(p("a", Rel::Lt, 2)))
-            .or(Expr::atom(p("b", Rel::Eq, 3)));
+        let e = Expr::Atom(p("b", Rel::Gt, 1))
+            .and(Expr::Atom(p("a", Rel::Lt, 2)))
+            .or(Expr::Atom(p("b", Rel::Eq, 3)));
         let ops: Vec<String> = e.operands().iter().map(|o| o.key()).collect();
         assert_eq!(ops, vec!["b", "a"]);
     }
 
     #[test]
-    fn conj_disj_of_empty() {
+    fn conj_of_empty() {
         assert_eq!(Expr::conj(std::iter::empty()), Expr::True);
-        assert_eq!(Expr::disj(std::iter::empty()), Expr::False);
     }
 
     #[test]
@@ -508,8 +483,8 @@ mod tests {
             Rel::Gt,
             60,
         );
-        assert!(Expr::atom(agg).is_stateful());
-        assert!(!Expr::atom(p("x", Rel::Eq, 1)).is_stateful());
+        assert!(agg.operand.is_stateful());
+        assert!(!p("x", Rel::Eq, 1).operand.is_stateful());
     }
 
     #[test]
@@ -524,7 +499,7 @@ mod tests {
     #[test]
     fn display_forms() {
         let r = Rule::fwd(
-            Expr::atom(Predicate::field("stock", Rel::Eq, "GOOGL")).and(Expr::atom(p(
+            Expr::Atom(Predicate::field("stock", Rel::Eq, "GOOGL")).and(Expr::Atom(p(
                 "price",
                 Rel::Gt,
                 50,

@@ -21,12 +21,12 @@ pub struct Conjunction {
 }
 
 impl Conjunction {
-    pub fn new(atoms: Vec<Predicate>) -> Self {
+    pub(crate) fn new(atoms: Vec<Predicate>) -> Self {
         Conjunction { atoms }
     }
 
     /// Evaluate against an attribute lookup.
-    pub fn eval_with<F: Fn(&crate::ast::Operand) -> Option<crate::value::Value>>(
+    pub(crate) fn eval_with<F: Fn(&crate::ast::Operand) -> Option<crate::value::Value>>(
         &self,
         lookup: F,
     ) -> bool {
@@ -75,22 +75,9 @@ pub struct Dnf {
 }
 
 impl Dnf {
-    /// The unsatisfiable DNF.
-    pub fn none() -> Self {
-        Dnf { terms: vec![] }
-    }
-
     /// The DNF matching every packet.
-    pub fn all() -> Self {
+    pub(crate) fn all() -> Self {
         Dnf { terms: vec![Conjunction::new(vec![])] }
-    }
-
-    pub fn is_false(&self) -> bool {
-        self.terms.is_empty()
-    }
-
-    pub fn is_true(&self) -> bool {
-        self.terms.iter().any(|c| c.atoms.is_empty())
     }
 
     /// Evaluate against an attribute lookup.
@@ -99,12 +86,6 @@ impl Dnf {
         lookup: F,
     ) -> bool {
         self.terms.iter().any(|c| c.eval_with(lookup))
-    }
-
-    /// Total number of atomic predicates across all terms — the "size"
-    /// used when reporting compilation workloads.
-    pub fn atom_count(&self) -> usize {
-        self.terms.iter().map(|c| c.atoms.len()).sum()
     }
 }
 
@@ -252,23 +233,33 @@ mod tests {
         assert_eq!(d.terms[0].atoms[0].rel, Rel::Eq);
     }
 
+    /// Matches no packet.
+    fn is_false(d: &Dnf) -> bool {
+        d.terms.is_empty()
+    }
+
+    /// Has an empty conjunction, so matches every packet.
+    fn is_true(d: &Dnf) -> bool {
+        d.terms.iter().any(|c| c.atoms.is_empty())
+    }
+
     #[test]
     fn constants() {
-        assert!(dnf("true").is_true());
-        assert!(dnf("false").is_false());
-        assert!(dnf("not true").is_false());
-        assert!(dnf("not false").is_true());
-        assert!(dnf("a == 1 or true").is_true());
+        assert!(is_true(&dnf("true")));
+        assert!(is_false(&dnf("false")));
+        assert!(is_false(&dnf("not true")));
+        assert!(is_true(&dnf("not false")));
+        assert!(is_true(&dnf("a == 1 or true")));
         assert_eq!(dnf("a == 1 and true").terms.len(), 1);
-        assert!(dnf("a == 1 and false").is_false());
+        assert!(is_false(&dnf("a == 1 and false")));
     }
 
     #[test]
     fn unsatisfiable_terms_pruned() {
-        assert!(dnf("a > 20 and a < 10").is_false());
+        assert!(is_false(&dnf("a > 20 and a < 10")));
         let d = dnf("(a > 20 and a < 10) or b == 1");
         assert_eq!(d.terms.len(), 1);
-        assert!(dnf("stock == GOOGL and stock == MSFT").is_false());
+        assert!(is_false(&dnf("stock == GOOGL and stock == MSFT")));
     }
 
     #[test]
@@ -325,18 +316,11 @@ mod tests {
     }
 
     #[test]
-    fn atom_count() {
-        assert_eq!(dnf("a == 1 and b == 2").atom_count(), 2);
-        assert_eq!(dnf("a == 1 or b == 2").atom_count(), 2);
-        assert_eq!(dnf("true").atom_count(), 0);
-    }
-
-    #[test]
     fn display_roundtrips_through_parser() {
         let d = dnf("(a == 1 and b > 2) or c =^ xyz");
         let reparsed = to_dnf(&parse_expr(&d.to_string()).unwrap());
         assert_eq!(d, reparsed);
-        assert_eq!(Dnf::none().to_string(), "false");
+        assert_eq!(Dnf { terms: vec![] }.to_string(), "false");
         assert_eq!(Dnf::all().to_string(), "(true)");
     }
 }

@@ -11,14 +11,14 @@ use crate::error::{LangError, Result};
 
 /// A lexical token with its byte offset in the source.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Token {
+pub(crate) struct Token {
     pub kind: TokenKind,
     pub pos: usize,
 }
 
 /// The kinds of token the subscription grammar uses.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TokenKind {
+pub(crate) enum TokenKind {
     /// Identifier or dotted path: `price`, `ip.dst`, `itch.stock`.
     Ident(String),
     /// Integer literal (decimal, hex with `0x`, or negative).
@@ -50,7 +50,7 @@ pub enum TokenKind {
 
 impl TokenKind {
     /// Human-readable name used in parse errors.
-    pub fn describe(&self) -> String {
+    pub(crate) fn describe(&self) -> String {
         match self {
             TokenKind::Ident(s) => format!("identifier `{s}`"),
             TokenKind::Int(i) => format!("integer `{i}`"),
@@ -79,7 +79,7 @@ impl TokenKind {
 }
 
 /// Tokenise `src` into a vector ending with [`TokenKind::Eof`].
-pub fn lex(src: &str) -> Result<Vec<Token>> {
+pub(crate) fn lex(src: &str) -> Result<Vec<Token>> {
     let bytes = src.as_bytes();
     let mut toks = Vec::new();
     let mut i = 0usize;

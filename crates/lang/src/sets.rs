@@ -28,7 +28,7 @@ pub struct IntSet {
 
 impl IntSet {
     /// The empty set.
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         IntSet { ivs: Vec::new() }
     }
 
@@ -38,12 +38,12 @@ impl IntSet {
     }
 
     /// The singleton `{v}`.
-    pub fn point(v: i64) -> Self {
+    pub(crate) fn point(v: i64) -> Self {
         IntSet { ivs: vec![(v, v)] }
     }
 
     /// The closed interval `[lo, hi]` (empty when `lo > hi`).
-    pub fn range(lo: i64, hi: i64) -> Self {
+    pub(crate) fn range(lo: i64, hi: i64) -> Self {
         if lo > hi {
             IntSet::empty()
         } else {
@@ -176,7 +176,7 @@ impl IntSet {
     }
 
     /// Is `self ∩ other = ∅`?
-    pub fn is_disjoint(&self, other: &IntSet) -> bool {
+    pub(crate) fn is_disjoint(&self, other: &IntSet) -> bool {
         self.intersect(other).is_empty()
     }
 
@@ -319,40 +319,6 @@ impl StrSet {
         // string universe (or a prefix subtree), so `Constrained` is
         // always non-empty.
         matches!(self, StrSet::Empty)
-    }
-
-    pub fn contains(&self, s: &str) -> bool {
-        match self {
-            StrSet::Empty => false,
-            StrSet::Constrained { eq, prefix, ne, not_prefixes } => {
-                eq.as_deref().is_none_or(|e| e == s)
-                    && prefix.as_deref().is_none_or(|p| s.starts_with(p))
-                    && !ne.contains(s)
-                    && !not_prefixes.iter().any(|p| s.starts_with(p))
-            }
-        }
-    }
-
-    pub fn intersect(&self, other: &StrSet) -> StrSet {
-        match (self, other) {
-            (StrSet::Empty, _) | (_, StrSet::Empty) => StrSet::Empty,
-            (a, StrSet::Constrained { eq, prefix, ne, not_prefixes }) => {
-                let mut out = a.clone();
-                if let Some(e) = eq {
-                    out.add(Rel::Eq, e);
-                }
-                if let Some(p) = prefix {
-                    out.add(Rel::Prefix, p);
-                }
-                for s in ne {
-                    out.add(Rel::Ne, s);
-                }
-                for p in not_prefixes {
-                    out.add(Rel::NotPrefix, p);
-                }
-                out
-            }
-        }
     }
 
     /// The pinned equality value, when the set is a singleton.
@@ -607,12 +573,48 @@ mod tests {
         assert_eq!(IntSet::full().len(), u64::MAX); // saturates
     }
 
+    /// Strings in `s`.
+    fn contains(s: &StrSet, x: &str) -> bool {
+        match s {
+            StrSet::Empty => false,
+            StrSet::Constrained { eq, prefix, ne, not_prefixes } => {
+                eq.as_deref().is_none_or(|e| e == x)
+                    && prefix.as_deref().is_none_or(|p| x.starts_with(p))
+                    && !ne.contains(x)
+                    && !not_prefixes.iter().any(|p| x.starts_with(p))
+            }
+        }
+    }
+
+    /// `a ∩ b`, by adding each of `b`'s constraints to `a`.
+    fn intersect(a: &StrSet, b: &StrSet) -> StrSet {
+        match (a, b) {
+            (StrSet::Empty, _) | (_, StrSet::Empty) => StrSet::Empty,
+            (a, StrSet::Constrained { eq, prefix, ne, not_prefixes }) => {
+                let mut out = a.clone();
+                if let Some(e) = eq {
+                    out.add(Rel::Eq, e);
+                }
+                if let Some(p) = prefix {
+                    out.add(Rel::Prefix, p);
+                }
+                for s in ne {
+                    out.add(Rel::Ne, s);
+                }
+                for p in not_prefixes {
+                    out.add(Rel::NotPrefix, p);
+                }
+                out
+            }
+        }
+    }
+
     #[test]
     fn strset_eq_pin() {
         let mut s = StrSet::full();
         s.add(Rel::Eq, "GOOGL");
-        assert!(s.contains("GOOGL"));
-        assert!(!s.contains("MSFT"));
+        assert!(contains(&s, "GOOGL"));
+        assert!(!contains(&s, "MSFT"));
         assert_eq!(s.exact(), Some("GOOGL"));
         s.add(Rel::Eq, "MSFT");
         assert!(s.is_empty());
@@ -630,32 +632,38 @@ mod tests {
 
     #[test]
     fn strset_eq_vs_prefix() {
-        let s = StrSet::from_rel(Rel::Eq, "GOOGL").intersect(&StrSet::from_rel(Rel::Prefix, "GOO"));
+        let s =
+            intersect(&StrSet::from_rel(Rel::Eq, "GOOGL"), &StrSet::from_rel(Rel::Prefix, "GOO"));
         assert!(!s.is_empty());
-        let s = StrSet::from_rel(Rel::Eq, "MSFT").intersect(&StrSet::from_rel(Rel::Prefix, "GOO"));
+        let s =
+            intersect(&StrSet::from_rel(Rel::Eq, "MSFT"), &StrSet::from_rel(Rel::Prefix, "GOO"));
         assert!(s.is_empty());
     }
 
     #[test]
     fn strset_not_prefix_empties_prefix() {
-        let s =
-            StrSet::from_rel(Rel::Prefix, "GOO").intersect(&StrSet::from_rel(Rel::NotPrefix, "G"));
+        let s = intersect(
+            &StrSet::from_rel(Rel::Prefix, "GOO"),
+            &StrSet::from_rel(Rel::NotPrefix, "G"),
+        );
         assert!(s.is_empty());
         // Not-prefix of a *finer* subtree does not empty it.
-        let s = StrSet::from_rel(Rel::Prefix, "GOO")
-            .intersect(&StrSet::from_rel(Rel::NotPrefix, "GOOG"));
+        let s = intersect(
+            &StrSet::from_rel(Rel::Prefix, "GOO"),
+            &StrSet::from_rel(Rel::NotPrefix, "GOOG"),
+        );
         assert!(!s.is_empty());
-        assert!(s.contains("GOOX"));
-        assert!(!s.contains("GOOGL"));
+        assert!(contains(&s, "GOOX"));
+        assert!(!contains(&s, "GOOGL"));
     }
 
     #[test]
     fn strset_ne_exclusion() {
-        let s = StrSet::from_rel(Rel::Ne, "A").intersect(&StrSet::from_rel(Rel::Ne, "B"));
-        assert!(!s.contains("A"));
-        assert!(!s.contains("B"));
-        assert!(s.contains("C"));
-        let s = s.intersect(&StrSet::from_rel(Rel::Eq, "A"));
+        let s = intersect(&StrSet::from_rel(Rel::Ne, "A"), &StrSet::from_rel(Rel::Ne, "B"));
+        assert!(!contains(&s, "A"));
+        assert!(!contains(&s, "B"));
+        assert!(contains(&s, "C"));
+        let s = intersect(&s, &StrSet::from_rel(Rel::Eq, "A"));
         assert!(s.is_empty());
     }
 

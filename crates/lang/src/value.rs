@@ -59,7 +59,7 @@ impl Value {
     /// way it would appear inside a packet. Strings are right-padded
     /// with spaces (the ITCH convention); integers are the low `width`
     /// bytes of the big-endian encoding.
-    pub fn encode(&self, width: usize) -> Vec<u8> {
+    pub(crate) fn encode(&self, width: usize) -> Vec<u8> {
         match self {
             Value::Int(i) => {
                 let be = i.to_be_bytes();
@@ -81,7 +81,7 @@ impl Value {
     /// Strings have trailing spaces/NULs stripped; integers are read as
     /// big-endian unsigned (headers never carry negative numbers) and
     /// therefore fit in `i64` for widths up to 8 bytes.
-    pub fn decode(ty: Type, bytes: &[u8]) -> Value {
+    pub(crate) fn decode(ty: Type, bytes: &[u8]) -> Value {
         match ty {
             Type::Int => {
                 let mut v: i64 = 0;

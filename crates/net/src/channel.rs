@@ -11,7 +11,7 @@
 //! The faults crate provides the lossy implementation; here lives the
 //! abstraction and the always-delivering [`PerfectChannel`] default.
 //!
-//! Time accounting is factored out of the controller: [`timed_op`]
+//! Time accounting is factored out of the controller: `timed_op`
 //! drives one operation through a channel with retries and charges
 //! every modelled cost (op, timeout, backoff) to an explicit
 //! [`Clock`], so the deployment transaction and the service
@@ -112,7 +112,7 @@ impl RetryPolicy {
     /// deterministic jitter in `[cap/2, cap]`, decorrelated across
     /// switches and retries so a fleet-wide partition does not retry
     /// in lockstep.
-    pub fn backoff_ns(&self, switch: usize, retry: u32) -> u64 {
+    pub(crate) fn backoff_ns(&self, switch: usize, retry: u32) -> u64 {
         let exp = self.base_backoff_ns.saturating_mul(1u64 << retry.min(20));
         let cap = exp.min(self.max_backoff_ns).max(1);
         let h = fnv64(self.seed ^ (switch as u64).rotate_left(17) ^ u64::from(retry) << 40);
@@ -124,7 +124,7 @@ impl RetryPolicy {
 /// attempt/retry counts the transaction ledger wants. All modelled
 /// time was charged to the caller's [`Clock`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OpOutcome {
+pub(crate) struct OpOutcome {
     pub landed: bool,
     pub attempts: u32,
     pub retries: u32,
@@ -141,7 +141,7 @@ pub struct OpOutcome {
 /// jittered backoff before each retry. The clock is the *only* time
 /// sink, so any two runs that feed the same attempt outcomes advance
 /// identically.
-pub fn timed_op(
+pub(crate) fn timed_op(
     channel: &mut dyn ControlChannel,
     retry: &RetryPolicy,
     clock: &mut Clock,

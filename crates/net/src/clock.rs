@@ -27,11 +27,6 @@ impl Clock {
         Clock { now_ns: 0 }
     }
 
-    /// A clock starting at an arbitrary origin.
-    pub fn at(now_ns: u64) -> Self {
-        Clock { now_ns }
-    }
-
     /// Current modelled time.
     pub fn now_ns(&self) -> u64 {
         self.now_ns
@@ -64,13 +59,5 @@ mod tests {
         assert_eq!(c.advance_to(50), 100, "advance_to must not rewind");
         assert_eq!(c.advance_to(250), 250);
         assert_eq!(c.advance(u64::MAX), u64::MAX, "saturates instead of wrapping");
-    }
-
-    #[test]
-    fn origin_constructor() {
-        let mut c = Clock::at(1_000);
-        assert_eq!(c.now_ns(), 1_000);
-        c.advance(1);
-        assert_eq!(c.now_ns(), 1_001);
     }
 }

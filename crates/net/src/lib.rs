@@ -29,12 +29,10 @@ pub mod clock;
 pub mod controller;
 pub mod sim;
 
-pub use channel::{
-    timed_op, ChannelOutcome, ControlChannel, ControlOp, OpOutcome, PerfectChannel, RetryPolicy,
-};
+pub use channel::{ChannelOutcome, ControlChannel, ControlOp, PerfectChannel, RetryPolicy};
 pub use clock::Clock;
 pub use controller::{
     AdmissionVerdict, Controller, DeployError, DeployReport, Deployment, ReconcileStats,
     RepairStats, SwitchDeploy,
 };
-pub use sim::{Delivered, NetTelemetry, Network, NetworkStats};
+pub use sim::{Delivered, Network, NetworkStats};

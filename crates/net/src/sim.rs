@@ -27,32 +27,8 @@ use camus_telemetry::postcard::{Collector, HopRecord, Postcard, PostcardEnd, Pos
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
-/// Why the simulator discarded a packet instead of forwarding it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DropCause {
-    /// The egress link is failed (the switch on the far side is alive).
-    LinkDown,
-    /// The destination (or processing) switch is crashed.
-    SwitchDown,
-    /// The pipeline asked to ascend but no up link survives the mask.
-    NoAscent,
-}
-
-/// A packet the simulator dropped because of an injected fault.
-///
-/// These are *simulator-level* drops (packets in flight towards dead
-/// elements); the dataplane's own per-cause counters live in
-/// [`camus_dataplane::SwitchStats`].
-#[derive(Debug, Clone)]
-pub struct DropRecord {
-    /// Simulation time of the drop (ns).
-    pub time_ns: u64,
-    /// The switch at (or towards) which the packet died.
-    pub switch: SwitchId,
-    pub cause: DropCause,
-    /// Messages lost (stack-only packets count as one).
-    pub messages: u64,
-}
+/// Link propagation latency per hop: 1 μs.
+const LINK_LATENCY_NS: u64 = 1_000;
 
 /// A message delivered to a host.
 #[derive(Debug, Clone)]
@@ -85,8 +61,7 @@ pub struct NetworkStats {
     pub deliveries: u64,
     /// Events processed.
     pub events: u64,
-    /// Messages the simulator discarded because of injected faults
-    /// (see [`DropRecord`] for the per-drop detail).
+    /// Messages the simulator discarded because of injected faults.
     pub fault_drops: u64,
 }
 
@@ -140,19 +115,15 @@ impl Ord for Event {
 /// Network-level telemetry state: the publish-time postcard sampler
 /// and the controller-side collector postcards finalize into.
 #[derive(Debug, Clone)]
-pub struct NetTelemetry {
+pub(crate) struct NetTelemetry {
     sampler: Sampler,
     next_id: PostcardId,
     pub collector: Collector,
 }
 
 impl NetTelemetry {
-    pub fn new(rate: SampleRate) -> Self {
+    pub(crate) fn new(rate: SampleRate) -> Self {
         NetTelemetry { sampler: Sampler::new(rate), next_id: 0, collector: Collector::new() }
-    }
-
-    pub fn rate(&self) -> SampleRate {
-        self.sampler.rate()
     }
 }
 
@@ -160,8 +131,6 @@ impl NetTelemetry {
 pub struct Network {
     pub topology: HierNet,
     pub switches: Vec<Switch>,
-    /// Link propagation latency in nanoseconds.
-    pub link_latency_ns: u64,
     queue: BinaryHeap<Reverse<Event>>,
     seq: u64,
     now_ns: u64,
@@ -169,26 +138,23 @@ pub struct Network {
     stats: NetworkStats,
     /// Currently injected faults; drives per-switch port-down state.
     mask: FaultMask,
-    drops: Vec<DropRecord>,
     /// Postcard sampling + collection; `None` = untraced (free).
     telemetry: Option<Box<NetTelemetry>>,
 }
 
 impl Network {
-    pub fn new(topology: HierNet, switches: Vec<Switch>, link_latency_ns: u64) -> Self {
+    pub fn new(topology: HierNet, switches: Vec<Switch>) -> Self {
         assert_eq!(topology.switch_count(), switches.len());
         let hosts = topology.host_count();
         Network {
             topology,
             switches,
-            link_latency_ns,
             queue: BinaryHeap::new(),
             seq: 0,
             now_ns: 0,
             deliveries: vec![Vec::new(); hosts],
             stats: NetworkStats::default(),
             mask: FaultMask::default(),
-            drops: Vec::new(),
             telemetry: None,
         }
     }
@@ -197,12 +163,6 @@ impl Network {
     /// Replaces any previous telemetry state.
     pub fn attach_telemetry(&mut self, rate: SampleRate) {
         self.telemetry = Some(Box::new(NetTelemetry::new(rate)));
-    }
-
-    /// Stop tracing, returning the collector and everything it
-    /// aggregated.
-    pub fn detach_telemetry(&mut self) -> Option<Collector> {
-        self.telemetry.take().map(|t| t.collector)
     }
 
     pub fn collector(&self) -> Option<&Collector> {
@@ -222,11 +182,6 @@ impl Network {
     /// The faults currently injected into this network.
     pub fn fault_mask(&self) -> &FaultMask {
         &self.mask
-    }
-
-    /// Packets the simulator discarded because of injected faults.
-    pub fn drops(&self) -> &[DropRecord] {
-        &self.drops
     }
 
     /// Fail the link behind `switch`'s down-port `port`. Packets already
@@ -260,7 +215,7 @@ impl Network {
     }
 
     /// Replace the whole fault mask at once (controller-driven restore).
-    pub fn apply_mask(&mut self, mask: &FaultMask) {
+    pub(crate) fn apply_mask(&mut self, mask: &FaultMask) {
         self.mask = mask.clone();
         self.refresh_port_state();
     }
@@ -280,11 +235,6 @@ impl Network {
                 self.switches[s].set_port_down(LOGICAL_UP, !up_ok);
             }
         }
-    }
-
-    fn record_drop(&mut self, time_ns: u64, switch: SwitchId, cause: DropCause, messages: u64) {
-        self.stats.fault_drops += messages;
-        self.drops.push(DropRecord { time_ns, switch, cause, messages });
     }
 
     fn message_units(&self, switch: SwitchId, packet: &Packet) -> u64 {
@@ -309,17 +259,14 @@ impl Network {
         if !self.topology.link_usable(s, p, &self.mask) {
             // The host's access link (or ToR) is dead: the publication
             // never makes it into the fabric.
-            let cause =
-                if self.mask.switch_alive(s) { DropCause::LinkDown } else { DropCause::SwitchDown };
-            let msgs = self.message_units(s, &packet);
-            self.record_drop(time_ns, s, cause, msgs);
+            self.stats.fault_drops += self.message_units(s, &packet);
             if let Some(c) = card {
                 self.ingest_card(*c, PostcardEnd::FaultDropped { switch: s, time_ns });
             }
             return id;
         }
         self.push(Event {
-            time_ns: time_ns + self.link_latency_ns,
+            time_ns: time_ns + LINK_LATENCY_NS,
             seq: 0,
             dest: Dest::Switch { id: s, ingress: p },
             packet,
@@ -354,8 +301,7 @@ impl Network {
                         self.forward(id, ingress, ev);
                     } else {
                         // The packet was in flight when the switch died.
-                        let msgs = self.message_units(id, &ev.packet);
-                        self.record_drop(ev.time_ns, id, DropCause::SwitchDown, msgs);
+                        self.stats.fault_drops += self.message_units(id, &ev.packet);
                         if let Some(c) = ev.card {
                             let end = PostcardEnd::FaultDropped { switch: id, time_ns: ev.time_ns };
                             self.ingest_card(*c, end);
@@ -473,7 +419,7 @@ impl Network {
                 // before the controller has even repaired the routing.
                 let Some((peer, peer_port)) = self.topology.designated_up_masked(id, &self.mask)
                 else {
-                    self.record_drop(depart, id, DropCause::NoAscent, msgs);
+                    self.stats.fault_drops += msgs;
                     if let Some(c) = copy_card {
                         self.ingest_card(
                             *c,
@@ -483,13 +429,8 @@ impl Network {
                     continue;
                 };
                 *self.stats.link_messages.entry((id, LOGICAL_UP)).or_insert(0) += msgs;
-                if let Some(t) = self.telemetry.as_mut() {
-                    if copy_card.is_some() {
-                        t.collector.record_link(id, LOGICAL_UP, msgs);
-                    }
-                }
                 self.push(Event {
-                    time_ns: depart + self.link_latency_ns,
+                    time_ns: depart + LINK_LATENCY_NS,
                     seq: 0,
                     dest: Dest::Switch { id: peer, ingress: peer_port },
                     packet: copy,
@@ -502,13 +443,7 @@ impl Network {
                     // Defense in depth: the dataplane's port-down state
                     // normally suppresses this before it reaches us
                     // (e.g. a fault injected between process and drain).
-                    let cause = match target {
-                        Some(DownTarget::Switch(c, _)) if !self.mask.switch_alive(c) => {
-                            DropCause::SwitchDown
-                        }
-                        _ => DropCause::LinkDown,
-                    };
-                    self.record_drop(depart, id, cause, msgs);
+                    self.stats.fault_drops += msgs;
                     if let Some(c) = copy_card {
                         self.ingest_card(
                             *c,
@@ -517,16 +452,11 @@ impl Network {
                     }
                     continue;
                 }
-                if let Some(t) = self.telemetry.as_mut() {
-                    if copy_card.is_some() && target.is_some() {
-                        t.collector.record_link(id, port, msgs);
-                    }
-                }
                 match target {
                     Some(DownTarget::Host(h)) => {
                         *self.stats.link_messages.entry((id, port)).or_insert(0) += msgs;
                         self.push(Event {
-                            time_ns: depart + self.link_latency_ns,
+                            time_ns: depart + LINK_LATENCY_NS,
                             seq: 0,
                             dest: Dest::Host(h),
                             packet: copy,
@@ -539,7 +469,7 @@ impl Network {
                         // Arrives at the child from above: ingress is
                         // the child's logical up port.
                         self.push(Event {
-                            time_ns: depart + self.link_latency_ns,
+                            time_ns: depart + LINK_LATENCY_NS,
                             seq: 0,
                             dest: Dest::Switch { id: c, ingress: LOGICAL_UP },
                             packet: copy,
@@ -565,21 +495,12 @@ impl Network {
         &self.deliveries[host]
     }
 
-    pub fn all_deliveries(&self) -> impl Iterator<Item = &Delivered> {
-        self.deliveries.iter().flatten()
-    }
-
     pub fn stats(&self) -> &NetworkStats {
         &self.stats
     }
 
     pub fn now_ns(&self) -> u64 {
         self.now_ns
-    }
-
-    /// Are any events still pending (only after a bounded `run`)?
-    pub fn pending(&self) -> usize {
-        self.queue.len()
     }
 }
 

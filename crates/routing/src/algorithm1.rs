@@ -108,11 +108,11 @@ pub struct FilterSet {
 }
 
 impl FilterSet {
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.ids.len()
     }
 
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.ids.is_empty()
     }
 }
@@ -126,13 +126,6 @@ pub struct RoutingResult {
 }
 
 impl RoutingResult {
-    /// The members of `F_p^s`, in insertion order (nothing when the port
-    /// holds no set).
-    pub fn port_filters(&self, s: SwitchId, port: Port) -> impl Iterator<Item = &Expr> {
-        let ids = self.filters[s].get(&port).map_or(&[][..], |set| set.ids.as_slice());
-        ids.iter().map(|&id| &self.pool.exprs[id as usize])
-    }
-
     /// The per-switch rule list handed to the Camus compiler: one
     /// `filter: fwd(port)` rule per filter (§IV-D's intermediate
     /// representation).
@@ -186,15 +179,6 @@ impl RoutingResult {
     /// Number of filters stored by switch `s` (all ports).
     pub fn switch_filter_count(&self, s: SwitchId) -> usize {
         self.filters[s].values().map(|f| f.len()).sum()
-    }
-
-    /// Total and per-layer filter counts (the Fig. 13 metric).
-    pub fn per_layer_counts(&self, net: &HierNet) -> HashMap<usize, usize> {
-        let mut out = HashMap::new();
-        for (s, _) in self.filters.iter().enumerate() {
-            *out.entry(net.switches[s].layer).or_insert(0) += self.switch_filter_count(s);
-        }
-        out
     }
 }
 
@@ -391,6 +375,13 @@ mod tests {
             .collect()
     }
 
+    /// The members of `F_p^s`, in insertion order (nothing when the
+    /// port holds no set).
+    fn port_filters(r: &RoutingResult, s: SwitchId, port: Port) -> Vec<&Expr> {
+        let ids = r.filters[s].get(&port).map_or(&[][..], |set| set.ids.as_slice());
+        ids.iter().map(|&id| &r.pool.exprs[id as usize]).collect()
+    }
+
     #[test]
     fn access_ports_are_exact() {
         let net = paper_fat_tree();
@@ -398,10 +389,7 @@ mod tests {
         for policy in [Policy::MemoryReduction, Policy::TrafficReduction] {
             let r = route_hierarchical(&net, &subs, RoutingConfig::new(policy).with_alpha(10));
             let (s, p) = net.access[0];
-            assert_eq!(
-                r.port_filters(s, p).collect::<Vec<_>>(),
-                [&parse_expr("stock == GOOGL").unwrap()]
-            );
+            assert_eq!(port_filters(&r, s, p), [&parse_expr("stock == GOOGL").unwrap()]);
         }
     }
 
@@ -414,7 +402,7 @@ mod tests {
             if sw.up.is_empty() {
                 assert!(!r.filters[s].contains_key(&LOGICAL_UP), "core has no up set");
             } else {
-                assert_eq!(r.port_filters(s, LOGICAL_UP).collect::<Vec<_>>(), [&Expr::True]);
+                assert_eq!(port_filters(&r, s, LOGICAL_UP), [&Expr::True]);
             }
         }
     }
@@ -425,10 +413,7 @@ mod tests {
         // Host 15 (last pod) subscribes; ToR 0's up set must cover it.
         let subs = subs_for(&net, |h| if h == 15 { vec!["stock == GOOGL"] } else { vec![] });
         let r = route_hierarchical(&net, &subs, RoutingConfig::new(Policy::TrafficReduction));
-        assert_eq!(
-            r.port_filters(0, LOGICAL_UP).collect::<Vec<_>>(),
-            [&parse_expr("stock == GOOGL").unwrap()]
-        );
+        assert_eq!(port_filters(&r, 0, LOGICAL_UP), [&parse_expr("stock == GOOGL").unwrap()]);
         // ...and must NOT appear on ToR 0's up set if only host 0 (own
         // subtree) subscribes.
         let subs = subs_for(&net, |h| if h == 0 { vec!["stock == GOOGL"] } else { vec![] });
@@ -484,7 +469,7 @@ mod tests {
         assert_eq!(approx.filters[8][&0].len(), 1);
         // Access ports stay exact.
         let (s, p) = net.access[0];
-        assert_eq!(approx.port_filters(s, p).next(), Some(&parse_expr("price > 51").unwrap()));
+        assert_eq!(port_filters(&approx, s, p).first(), Some(&&parse_expr("price > 51").unwrap()));
     }
 
     #[test]
@@ -498,17 +483,6 @@ mod tests {
         for rule in &rules {
             assert!(rule.action.ports().is_some());
         }
-    }
-
-    #[test]
-    fn per_layer_counts_cover_all_layers() {
-        let net = paper_fat_tree();
-        let subs = subs_for(&net, |_| vec!["x > 1"]);
-        let r = route_hierarchical(&net, &subs, RoutingConfig::new(Policy::TrafficReduction));
-        let counts = r.per_layer_counts(&net);
-        assert!(counts[&0] > 0);
-        assert!(counts[&1] > 0);
-        assert!(counts[&2] > 0);
     }
 
     #[test]

@@ -78,18 +78,8 @@ impl NetworkCompile {
         out
     }
 
-    /// Largest per-switch entry count (the Fig. 15 metric).
-    pub fn max_entries(&self) -> usize {
-        self.switches.iter().map(|s| s.entries).max().unwrap_or(0)
-    }
-
     pub fn total_entries(&self) -> usize {
         self.switches.iter().map(|s| s.entries).sum()
-    }
-
-    /// Ids of the switches recompiled in this run.
-    pub fn recompiled_switches(&self) -> Vec<usize> {
-        self.switches.iter().filter(|s| !s.reused).map(|s| s.switch).collect()
     }
 
     /// Switch slots whose *installed* pipeline must change relative to
@@ -474,7 +464,6 @@ mod tests {
         assert!(nc.total_entries() > 0);
         let per_layer = nc.entries_per_layer(&net);
         assert!(per_layer[&0] > 0 && per_layer[&1] > 0 && per_layer[&2] > 0);
-        assert!(nc.max_entries() <= nc.total_entries());
         assert!(nc.elapsed.as_nanos() > 0);
         // A full compile reuses nothing.
         assert_eq!(nc.reused, 0);

@@ -18,7 +18,7 @@
 //!   ([`verify::matching_hosts`]), the oracle the service audit and the
 //!   fault experiments check deliveries against.
 //! * [`compile`] runs the Camus compiler for every switch (in parallel
-//!   on [`par::run_parallel`]) and aggregates per-layer entry counts and
+//!   on `par::run_parallel`) and aggregates per-layer entry counts and
 //!   compile times (Figs. 13 and 14).
 
 pub mod algorithm1;
@@ -28,5 +28,4 @@ pub mod topology;
 pub mod verify;
 
 pub use algorithm1::{route_hierarchical, Policy, RoutingConfig, RoutingResult};
-pub use par::{run_parallel, UnitPanic};
 pub use topology::{HierNet, HostId, SwitchId, LOGICAL_UP};

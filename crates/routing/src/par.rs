@@ -1,9 +1,9 @@
 //! Work-stealing parallel execution over indexed units.
 //!
-//! [`run_parallel`] distributes `f(0..n)` to worker threads through an
+//! `run_parallel` distributes `f(0..n)` to worker threads through an
 //! atomic claim index rather than static chunks, so one slow unit
 //! delays only itself. Per-unit panics are caught and surfaced as
-//! [`UnitPanic`] values converted into the caller's error type, instead
+//! `UnitPanic` values converted into the caller's error type, instead
 //! of aborting the process.
 //!
 //! The controller uses this for network-wide compiles (Figs. 13/14).
@@ -18,7 +18,7 @@ use std::sync::Mutex;
 
 /// A worker panic while processing unit `unit`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnitPanic {
+pub(crate) struct UnitPanic {
     pub unit: usize,
     pub message: String,
 }
@@ -45,7 +45,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// claim index: each worker grabs the next unclaimed unit, so a slow
 /// unit delays only itself. Results come back in unit order. Per-unit
 /// panics become `E::from(UnitPanic)`.
-pub fn run_parallel<T, E, F>(n: usize, f: F) -> Vec<Result<T, E>>
+pub(crate) fn run_parallel<T, E, F>(n: usize, f: F) -> Vec<Result<T, E>>
 where
     T: Send,
     E: Send + From<UnitPanic>,

@@ -88,7 +88,7 @@ impl FaultMask {
 
     /// Is the link itself alive? Endpoint liveness is *not* considered
     /// here — see [`HierNet::link_usable`] for the full check.
-    pub fn link_alive(&self, upper: SwitchId, port: Port) -> bool {
+    pub(crate) fn link_alive(&self, upper: SwitchId, port: Port) -> bool {
         !self.dead_links.contains(&(upper, port))
     }
 
@@ -122,16 +122,9 @@ pub struct HierNet {
 
 impl HierNet {
     /// Switch ids sorted bottom-up (ToR first), as Algorithm 1 iterates.
-    pub fn bottom_up(&self) -> Vec<SwitchId> {
+    pub(crate) fn bottom_up(&self) -> Vec<SwitchId> {
         let mut ids: Vec<SwitchId> = (0..self.switches.len()).collect();
         ids.sort_by_key(|&s| self.switches[s].layer);
-        ids
-    }
-
-    /// Switch ids sorted top-down (core first).
-    pub fn top_down(&self) -> Vec<SwitchId> {
-        let mut ids = self.bottom_up();
-        ids.reverse();
         ids
     }
 
@@ -144,40 +137,8 @@ impl HierNet {
     }
 
     /// The highest layer number (core layer).
-    pub fn top_layer(&self) -> usize {
+    pub(crate) fn top_layer(&self) -> usize {
         self.switches.iter().map(|s| s.layer).max().unwrap_or(0)
-    }
-
-    /// Hosts attached under `switch` through `port` — the reachable set
-    /// used by the §IV-C correctness conditions. For an up port this is
-    /// every host *not* below the switch.
-    pub fn hosts_through(&self, switch: SwitchId, port: Port) -> Vec<HostId> {
-        if port == LOGICAL_UP {
-            let below = self.hosts_below(switch);
-            return (0..self.access.len()).filter(|h| !below.contains(h)).collect();
-        }
-        match self.switches[switch].down.get(port as usize) {
-            Some(DownTarget::Host(h)) => vec![*h],
-            Some(DownTarget::Switch(s, _)) => self.hosts_below(*s),
-            None => vec![],
-        }
-    }
-
-    /// All hosts in the subtree rooted at `switch`.
-    pub fn hosts_below(&self, switch: SwitchId) -> Vec<HostId> {
-        let mut out = Vec::new();
-        let mut stack = vec![switch];
-        while let Some(s) = stack.pop() {
-            for d in &self.switches[s].down {
-                match d {
-                    DownTarget::Host(h) => out.push(*h),
-                    DownTarget::Switch(c, _) => stack.push(*c),
-                }
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
     }
 
     /// Is the physical link behind down-port `(s, port)` usable under
@@ -201,19 +162,13 @@ impl HierNet {
     }
 
     /// The designated up link of a switch: its first up link (§IV-C's
-    /// pseudo-code also uses the first up link). Subscription
-    /// propagation and upward forwarding both follow designated links,
-    /// which makes the distribution structure a tree — the property
-    /// that keeps multicast forwarding duplicate-free in a multi-rooted
-    /// Fat Tree.
-    pub fn designated_up(&self, s: SwitchId) -> Option<(SwitchId, Port)> {
-        self.designated_up_masked(s, &FaultMask::default())
-    }
-
-    /// [`HierNet::designated_up`] over a degraded topology: the first
-    /// up link whose peer and wire survive `mask`. Failing over to the
-    /// next surviving up link is what lets the distribution tree
-    /// self-heal around a dead designated parent.
+    /// pseudo-code also uses the first up link) whose peer and wire
+    /// survive `mask`. Subscription propagation and upward forwarding
+    /// both follow designated links, which makes the distribution
+    /// structure a tree — the property that keeps multicast forwarding
+    /// duplicate-free in a multi-rooted Fat Tree. Failing over to the
+    /// next surviving up link is what lets the tree self-heal around a
+    /// dead designated parent.
     pub fn designated_up_masked(&self, s: SwitchId, mask: &FaultMask) -> Option<(SwitchId, Port)> {
         if !mask.switch_alive(s) {
             return None;
@@ -232,7 +187,7 @@ impl HierNet {
     /// climbs designated-masked parents as far as it can (a chain that
     /// peaks below the top layer means the host is partitioned from
     /// the core).
-    pub fn designated_chain_masked(&self, host: HostId, mask: &FaultMask) -> Vec<SwitchId> {
+    pub(crate) fn designated_chain_masked(&self, host: HostId, mask: &FaultMask) -> Vec<SwitchId> {
         if !self.host_attached(host, mask) {
             return vec![];
         }
@@ -247,8 +202,8 @@ impl HierNet {
     /// subscribers this switch serves on the distribution tree. For a
     /// top-layer switch this is every host (the second-to-top level
     /// replicates its subscriptions to *all* top switches, so any of
-    /// them can serve as the peak of a path). Always a subset of
-    /// [`HierNet::hosts_below`] for non-top switches.
+    /// them can serve as the peak of a path). Always a subset of the
+    /// hosts below a non-top switch.
     pub fn designated_below(&self, switch: SwitchId) -> Vec<HostId> {
         self.designated_below_masked(switch, &FaultMask::default())
     }
@@ -316,7 +271,7 @@ impl HierNet {
 
     /// Sanity-check link symmetry and layering. Used by tests and the
     /// builders.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         for (sid, sw) in self.switches.iter().enumerate() {
             for &(peer, peer_port) in &sw.up {
                 let p = self
@@ -461,35 +416,6 @@ mod tests {
         let mut sorted = layers.clone();
         sorted.sort_unstable();
         assert_eq!(layers, sorted);
-        let td = net.top_down();
-        assert_eq!(net.switches[td[0]].layer, 2);
-    }
-
-    #[test]
-    fn hosts_below_tor_and_agg() {
-        let net = paper_fat_tree();
-        assert_eq!(net.hosts_below(0), vec![0, 1]); // first ToR
-                                                    // First agg (id 8) covers pod 0: ToRs 0 and 1 -> hosts 0..4.
-        assert_eq!(net.hosts_below(8), vec![0, 1, 2, 3]);
-        // A core covers everything.
-        assert_eq!(net.hosts_below(16).len(), 16);
-    }
-
-    #[test]
-    fn hosts_through_ports() {
-        let net = paper_fat_tree();
-        // ToR 0, port 0 -> host 0.
-        assert_eq!(net.hosts_through(0, 0), vec![0]);
-        // ToR 0 up -> everything but hosts 0 and 1.
-        let up = net.hosts_through(0, LOGICAL_UP);
-        assert_eq!(up.len(), 14);
-        assert!(!up.contains(&0) && !up.contains(&1));
-        // Agg 8 down port 0 -> ToR 0's hosts.
-        assert_eq!(net.hosts_through(8, 0), vec![0, 1]);
-        // Core up -> nothing outside (it is the top).
-        assert!(net.hosts_through(16, LOGICAL_UP).is_empty());
-        // Out-of-range port -> nothing.
-        assert!(net.hosts_through(0, 99).is_empty());
     }
 
     #[test]
@@ -516,7 +442,6 @@ mod tests {
         let mask = FaultMask::default();
         assert!(mask.is_healthy());
         for s in 0..net.switch_count() {
-            assert_eq!(net.designated_up(s), net.designated_up_masked(s, &mask));
             assert_eq!(net.designated_below(s), net.designated_below_masked(s, &mask));
         }
         for h in 0..net.host_count() {
@@ -530,7 +455,7 @@ mod tests {
         let net = paper_fat_tree();
         let mut mask = FaultMask::new();
         // ToR 0's designated parent is its first agg.
-        let (agg, agg_port) = net.designated_up(0).unwrap();
+        let (agg, agg_port) = net.designated_up_masked(0, &mask).unwrap();
         assert!(mask.fail_link(agg, agg_port));
         let (next, _) = net.designated_up_masked(0, &mask).unwrap();
         assert_ne!(next, agg, "failover must pick the sibling agg");

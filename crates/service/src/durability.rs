@@ -3,7 +3,7 @@
 //! Everything the controller cannot recompute after a crash is written
 //! here *before* it is acted on:
 //!
-//! * every accepted intake operation ([`SubRequest`]) is appended
+//! * every accepted intake operation (`SubRequest`) is appended
 //!   before it mutates the target subscription state, so a crashed
 //!   controller can rebuild intake by replay;
 //! * every install transaction's **commit decision** is appended at
@@ -33,34 +33,36 @@ use crate::intake::{apply_request, RequestId, RequestOp, SubRequest};
 use camus_lang::ast::Expr;
 use camus_lang::parser::parse_expr;
 use std::collections::BTreeSet;
-use std::io::{BufRead, Write as _};
+use std::io::{self, BufRead, Write as _};
 use std::sync::{Arc, Mutex};
 
 /// Storage behind a [`Wal`]: an append-only sequence of text lines.
-pub trait WalBackend: Send {
+pub(crate) trait WalBackend: Send {
     /// Append one record (no trailing newline). Must be visible to
     /// [`read_all`](Self::read_all) immediately — there is no sync
-    /// barrier in the model.
-    fn append(&mut self, line: &str);
+    /// barrier in the model. An error means the record may not be in
+    /// the log; the service treats it as fatal.
+    fn append(&mut self, line: &str) -> io::Result<()>;
     /// Every record, in append order.
     fn read_all(&self) -> Vec<String>;
 }
 
 /// The hermetic in-memory backend tests and experiments use.
 #[derive(Debug, Default)]
-pub struct MemoryWal {
+pub(crate) struct MemoryWal {
     lines: Vec<String>,
 }
 
 impl MemoryWal {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         MemoryWal::default()
     }
 }
 
 impl WalBackend for MemoryWal {
-    fn append(&mut self, line: &str) {
+    fn append(&mut self, line: &str) -> io::Result<()> {
         self.lines.push(line.to_string());
+        Ok(())
     }
 
     fn read_all(&self) -> Vec<String> {
@@ -73,7 +75,7 @@ impl WalBackend for MemoryWal {
 /// the recovery model needs; battery-backed write caches are somebody
 /// else's paper).
 #[derive(Debug)]
-pub struct FileWal {
+pub(crate) struct FileWal {
     path: std::path::PathBuf,
     file: std::fs::File,
 }
@@ -81,7 +83,7 @@ pub struct FileWal {
 impl FileWal {
     /// Open (or create) the log at `path`, appending to any existing
     /// records — reopening after a crash *is* the recovery story.
-    pub fn open(path: impl Into<std::path::PathBuf>) -> std::io::Result<Self> {
+    pub(crate) fn open(path: impl Into<std::path::PathBuf>) -> io::Result<Self> {
         let path = path.into();
         let file = std::fs::OpenOptions::new().create(true).append(true).open(&path)?;
         Ok(FileWal { path, file })
@@ -89,15 +91,13 @@ impl FileWal {
 }
 
 impl WalBackend for FileWal {
-    fn append(&mut self, line: &str) {
-        // Infallible by contract: the modelled control plane has no
-        // I/O error arm, and a full disk should stop the world anyway.
-        writeln!(self.file, "{line}").expect("WAL append");
+    fn append(&mut self, line: &str) -> io::Result<()> {
+        writeln!(self.file, "{line}")
     }
 
     fn read_all(&self) -> Vec<String> {
         match std::fs::File::open(&self.path) {
-            Ok(f) => std::io::BufReader::new(f).lines().map_while(Result::ok).collect(),
+            Ok(f) => io::BufReader::new(f).lines().map_while(Result::ok).collect(),
             Err(_) => Vec::new(),
         }
     }
@@ -113,7 +113,7 @@ pub struct Wal {
 }
 
 impl Wal {
-    pub fn new(backend: Box<dyn WalBackend>) -> Self {
+    pub(crate) fn new(backend: Box<dyn WalBackend>) -> Self {
         Wal { inner: Arc::new(Mutex::new(backend)) }
     }
 
@@ -123,7 +123,7 @@ impl Wal {
     }
 
     /// File-backed log at `path`.
-    pub fn file(path: impl Into<std::path::PathBuf>) -> std::io::Result<Self> {
+    pub fn file(path: impl Into<std::path::PathBuf>) -> io::Result<Self> {
         Ok(Wal::new(Box::new(FileWal::open(path)?)))
     }
 
@@ -133,42 +133,42 @@ impl Wal {
 
     /// Log one accepted intake operation. Called *before* the request
     /// mutates the target state.
-    pub fn append_request(&self, req: &SubRequest) {
+    pub(crate) fn append_request(&self, req: &SubRequest) -> io::Result<()> {
         let (kind, filter) = match &req.op {
             RequestOp::Subscribe(f) => ("sub", f),
             RequestOp::Unsubscribe(f) => ("unsub", f),
         };
         self.lock()
-            .append(&format!("req {} {} {} {kind} {filter}", req.id, req.host, req.arrival_ns));
+            .append(&format!("req {} {} {} {kind} {filter}", req.id, req.host, req.arrival_ns))
     }
 
     /// Log an install transaction's commit decision (the two-phase
     /// commit point).
-    pub fn append_commit(&self, epoch: u64) {
-        self.lock().append(&format!("commit {epoch}"));
+    pub(crate) fn append_commit(&self, epoch: u64) -> io::Result<()> {
+        self.lock().append(&format!("commit {epoch}"))
     }
 
     /// Log a snapshot: the full committed subscription state, the
     /// epoch watermark, and the highest request id the state reflects.
     /// All records go out under one lock acquisition.
-    pub fn append_snapshot(
+    pub(crate) fn append_snapshot(
         &self,
         subs: &[Vec<Expr>],
         next_epoch: u64,
         last_request: Option<RequestId>,
-    ) {
+    ) -> io::Result<()> {
         let mut w = self.lock();
         let watermark = match last_request {
             Some(id) => id.to_string(),
             None => "-".to_string(),
         };
-        w.append(&format!("snap begin {next_epoch} {watermark} {}", subs.len()));
+        w.append(&format!("snap begin {next_epoch} {watermark} {}", subs.len()))?;
         for (h, fs) in subs.iter().enumerate() {
             for f in fs {
-                w.append(&format!("snap sub {h} {f}"));
+                w.append(&format!("snap sub {h} {f}"))?;
             }
         }
-        w.append("snap end");
+        w.append("snap end")
     }
 
     /// Total records in the log (experiments report recovery time
@@ -340,13 +340,18 @@ fn replay_lines(lines: &[String]) -> WalState {
 /// the two-phase install durable: the commit decision for each epoch
 /// is appended to the WAL at the commit point, *before* the first
 /// commit op reaches any switch.
-pub struct WalChannel {
+///
+/// `ControlChannel::commit_point` returns nothing, so a failed commit
+/// append panics here instead of surfacing as
+/// [`ServiceError::Wal`](crate::ServiceError::Wal); the transaction
+/// step's supervisor catches it.
+pub(crate) struct WalChannel {
     inner: Box<dyn camus_net::ControlChannel + Send>,
     wal: Wal,
 }
 
 impl WalChannel {
-    pub fn new(inner: Box<dyn camus_net::ControlChannel + Send>, wal: Wal) -> Self {
+    pub(crate) fn new(inner: Box<dyn camus_net::ControlChannel + Send>, wal: Wal) -> Self {
         WalChannel { inner, wal }
     }
 }
@@ -362,7 +367,7 @@ impl camus_net::ControlChannel for WalChannel {
     }
 
     fn commit_point(&mut self, epoch: u64) {
-        self.wal.append_commit(epoch);
+        self.wal.append_commit(epoch).expect("WAL commit append");
         self.inner.commit_point(epoch);
     }
 }
@@ -382,10 +387,10 @@ mod tests {
     #[test]
     fn requests_replay_into_the_subscription_state() {
         let wal = Wal::in_memory();
-        wal.append_snapshot(&vec![Vec::new(); 3], 1, None);
-        wal.append_request(&req(0, 0, RequestOp::Subscribe(f("price > 10")), 5));
-        wal.append_request(&req(1, 2, RequestOp::Subscribe(f("stock == GOOGL")), 9));
-        wal.append_request(&req(2, 0, RequestOp::Unsubscribe(f("price > 10")), 12));
+        wal.append_snapshot(&vec![Vec::new(); 3], 1, None).unwrap();
+        wal.append_request(&req(0, 0, RequestOp::Subscribe(f("price > 10")), 5)).unwrap();
+        wal.append_request(&req(1, 2, RequestOp::Subscribe(f("stock == GOOGL")), 9)).unwrap();
+        wal.append_request(&req(2, 0, RequestOp::Unsubscribe(f("price > 10")), 12)).unwrap();
         let st = wal.replay();
         assert_eq!(st.subs.len(), 3);
         assert!(st.subs[0].is_empty(), "sub+unsub cancel");
@@ -397,14 +402,14 @@ mod tests {
     #[test]
     fn snapshot_bounds_replay_and_double_replay_is_idempotent() {
         let wal = Wal::in_memory();
-        wal.append_snapshot(&vec![Vec::new(); 2], 1, None);
-        wal.append_request(&req(0, 0, RequestOp::Subscribe(f("price > 10")), 1));
-        wal.append_commit(7);
+        wal.append_snapshot(&vec![Vec::new(); 2], 1, None).unwrap();
+        wal.append_request(&req(0, 0, RequestOp::Subscribe(f("price > 10")), 1)).unwrap();
+        wal.append_commit(7).unwrap();
         let snap_subs = vec![vec![f("price > 10")], Vec::new()];
-        wal.append_snapshot(&snap_subs, 8, Some(0));
-        wal.append_request(&req(1, 1, RequestOp::Subscribe(f("price > 50")), 2));
+        wal.append_snapshot(&snap_subs, 8, Some(0)).unwrap();
+        wal.append_request(&req(1, 1, RequestOp::Subscribe(f("price > 50")), 2)).unwrap();
         // A record with id at the watermark replays as a no-op.
-        wal.append_request(&req(0, 0, RequestOp::Subscribe(f("price > 10")), 1));
+        wal.append_request(&req(0, 0, RequestOp::Subscribe(f("price > 10")), 1)).unwrap();
 
         let st = wal.replay();
         assert_eq!(st.subs, vec![vec![f("price > 10")], vec![f("price > 50")]]);
@@ -425,11 +430,11 @@ mod tests {
         // intake: requests newer than the watermark can already sit in
         // the log when the snapshot is appended. They must survive.
         let wal = Wal::in_memory();
-        wal.append_snapshot(&vec![Vec::new(); 2], 1, None);
-        wal.append_request(&req(0, 0, RequestOp::Subscribe(f("price > 10")), 1));
-        wal.append_request(&req(1, 1, RequestOp::Subscribe(f("price > 50")), 2));
+        wal.append_snapshot(&vec![Vec::new(); 2], 1, None).unwrap();
+        wal.append_request(&req(0, 0, RequestOp::Subscribe(f("price > 10")), 1)).unwrap();
+        wal.append_request(&req(1, 1, RequestOp::Subscribe(f("price > 50")), 2)).unwrap();
         // Snapshot reflects only request 0 — written after request 1.
-        wal.append_snapshot(&[vec![f("price > 10")], Vec::new()], 2, Some(0));
+        wal.append_snapshot(&[vec![f("price > 10")], Vec::new()], 2, Some(0)).unwrap();
         let st = wal.replay();
         assert_eq!(
             st.subs,
@@ -461,7 +466,7 @@ mod tests {
         ];
         let wal = Wal::in_memory();
         for line in old {
-            wal.inner.lock().unwrap().append(line);
+            wal.inner.lock().unwrap().append(line).unwrap();
         }
         let st = wal.replay();
         assert_eq!(st.subs, vec![Vec::new(), vec![f("stock == GOOGL")]]);
@@ -475,14 +480,14 @@ mod tests {
     #[test]
     fn incomplete_snapshot_is_ignored() {
         let wal = Wal::in_memory();
-        wal.append_snapshot(&[vec![f("price > 10")]], 3, Some(4));
+        wal.append_snapshot(&[vec![f("price > 10")]], 3, Some(4)).unwrap();
         // A snapshot whose writer died before `snap end`:
         {
             let mut w = wal.inner.lock().unwrap();
-            w.append("snap begin 9 10 1");
-            w.append("snap sub 0 (price > 99)");
+            w.append("snap begin 9 10 1").unwrap();
+            w.append("snap sub 0 (price > 99)").unwrap();
         }
-        wal.append_request(&req(5, 0, RequestOp::Subscribe(f("price > 50")), 1));
+        wal.append_request(&req(5, 0, RequestOp::Subscribe(f("price > 50")), 1)).unwrap();
         let st = wal.replay();
         assert_eq!(
             st.subs,
@@ -495,13 +500,13 @@ mod tests {
     #[test]
     fn corrupt_deep_records_are_skipped() {
         let wal = Wal::in_memory();
-        wal.append_snapshot(&vec![Vec::new(); 1], 1, None);
+        wal.append_snapshot(&vec![Vec::new(); 1], 1, None).unwrap();
         {
             let mut w = wal.inner.lock().unwrap();
-            w.append(&format!("req 0 0 1 sub {}price > 1", "(".repeat(100_000)));
-            w.append(&format!("req 1 0 2 sub {}price > 2", "not ".repeat(100_000)));
+            w.append(&format!("req 0 0 1 sub {}price > 1", "(".repeat(100_000))).unwrap();
+            w.append(&format!("req 1 0 2 sub {}price > 2", "not ".repeat(100_000))).unwrap();
         }
-        wal.append_request(&req(2, 0, RequestOp::Subscribe(f("price > 3")), 3));
+        wal.append_request(&req(2, 0, RequestOp::Subscribe(f("price > 3")), 3)).unwrap();
         let st = wal.replay();
         assert_eq!(st.subs, vec![vec![f("price > 3")]], "both deep records are skipped");
         assert_eq!(st.replayed_requests, 1);
@@ -510,20 +515,20 @@ mod tests {
     #[test]
     fn long_chains_and_deep_nots_replay() {
         let wal = Wal::in_memory();
-        wal.append_snapshot(&vec![Vec::new(); 1], 1, None);
-        let chain = Expr::disj((0..300).map(|v| f(&format!("price == {v}"))));
+        wal.append_snapshot(&vec![Vec::new(); 1], 1, None).unwrap();
+        let chain = (0..300).map(|v| f(&format!("price == {v}"))).reduce(Expr::or).unwrap();
         let nots = (0..200).fold(f("price > 1"), |e, _| e.not());
-        wal.append_request(&req(0, 0, RequestOp::Subscribe(chain.clone()), 1));
-        wal.append_request(&req(1, 0, RequestOp::Subscribe(nots.clone()), 2));
+        wal.append_request(&req(0, 0, RequestOp::Subscribe(chain.clone()), 1)).unwrap();
+        wal.append_request(&req(1, 0, RequestOp::Subscribe(nots.clone()), 2)).unwrap();
         assert_eq!(wal.replay().subs[0], vec![chain, nots]);
     }
 
     #[test]
     fn filters_round_trip_through_display() {
         let wal = Wal::in_memory();
-        wal.append_snapshot(&vec![Vec::new(); 1], 1, None);
+        wal.append_snapshot(&vec![Vec::new(); 1], 1, None).unwrap();
         let gnarly = f("(price > 10 and not (stock == GOOGL)) or shares >= 5");
-        wal.append_request(&req(0, 0, RequestOp::Subscribe(gnarly.clone()), 1));
+        wal.append_request(&req(0, 0, RequestOp::Subscribe(gnarly.clone()), 1)).unwrap();
         assert_eq!(wal.replay().subs[0], vec![gnarly]);
     }
 
@@ -535,9 +540,9 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let wal = Wal::file(&path).unwrap();
-            wal.append_snapshot(&vec![Vec::new(); 2], 1, None);
-            wal.append_request(&req(0, 1, RequestOp::Subscribe(f("price > 10")), 3));
-            wal.append_commit(2);
+            wal.append_snapshot(&vec![Vec::new(); 2], 1, None).unwrap();
+            wal.append_request(&req(0, 1, RequestOp::Subscribe(f("price > 10")), 3)).unwrap();
+            wal.append_commit(2).unwrap();
         } // drop = crash: no close protocol, no fsync
         let wal = Wal::file(&path).unwrap();
         let st = wal.replay();

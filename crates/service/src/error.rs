@@ -6,8 +6,8 @@
 //! host, an unsubscribe with no matching subscription) are
 //! [`IntakeError`]s: *recorded*, not fatal — the service keeps running
 //! and reports them at shutdown. Fatal errors — a compile failure, a
-//! crashed or audit-violating install, a stage out of restarts — stop
-//! the service and surface through [`ServiceError`], the roll-up the
+//! crashed or audit-violating install, a failed write-ahead-log append,
+//! a stage out of restarts — stop the service and surface through [`ServiceError`], the roll-up the
 //! service owner sees.
 //!
 //! The batch controller API has one error enum of its own,
@@ -15,7 +15,7 @@
 //! what the transaction step matches on.
 
 use camus_core::compiler::CompileError;
-use std::fmt;
+use std::{fmt, io};
 
 /// Soft per-request rejects: recorded, the service keeps running.
 #[derive(Debug)]
@@ -80,10 +80,12 @@ pub enum ServiceError {
     /// will fix.
     Compile(CompileError),
     Deploy(DeployStageError),
-    /// A stage panicked repeatedly enough to exhaust its restart
-    /// budget and was taken down.
+    /// A write-ahead-log append failed: the log may no longer hold
+    /// what recovery needs, so the service stops.
+    Wal(io::Error),
+    /// The transaction step panicked repeatedly enough to exhaust its
+    /// restart budget and was taken down.
     Panicked {
-        stage: &'static str,
         panics: u32,
     },
 }
@@ -93,8 +95,9 @@ impl fmt::Display for ServiceError {
         match self {
             ServiceError::Compile(e) => write!(f, "compile service: pipeline compile failed: {e}"),
             ServiceError::Deploy(e) => write!(f, "deploy service: {e}"),
-            ServiceError::Panicked { stage, panics } => {
-                write!(f, "{stage}: stage panicked {panics}x, restart budget exhausted")
+            ServiceError::Wal(e) => write!(f, "write-ahead log: append failed: {e}"),
+            ServiceError::Panicked { panics } => {
+                write!(f, "transaction step panicked {panics}x, restart budget exhausted")
             }
         }
     }
@@ -105,6 +108,7 @@ impl std::error::Error for ServiceError {
         match self {
             ServiceError::Compile(e) => Some(e),
             ServiceError::Deploy(e) => Some(e),
+            ServiceError::Wal(e) => Some(e),
             ServiceError::Panicked { .. } => None,
         }
     }
@@ -138,8 +142,12 @@ mod tests {
         assert!(e.to_string().starts_with("deploy service: audit violation"));
         assert!(e.source().is_some());
 
-        let e = ServiceError::Panicked { stage: "camus-deploy", panics: 3 };
-        assert_eq!(e.to_string(), "camus-deploy: stage panicked 3x, restart budget exhausted");
+        let e = ServiceError::Wal(io::Error::other("disk full"));
+        assert_eq!(e.to_string(), "write-ahead log: append failed: disk full");
+        assert!(e.source().is_some());
+
+        let e = ServiceError::Panicked { panics: 3 };
+        assert_eq!(e.to_string(), "transaction step panicked 3x, restart budget exhausted");
         assert!(e.source().is_none());
     }
 }

@@ -26,9 +26,10 @@
 use crate::durability::Wal;
 use crate::error::IntakeError;
 use camus_lang::ast::Expr;
+use std::io;
 
 /// Service-assigned request identifier.
-pub type RequestId = u64;
+pub(crate) type RequestId = u64;
 
 /// What a request asks for.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,7 +42,7 @@ pub enum RequestOp {
 
 /// One subscription request with its modelled arrival time.
 #[derive(Debug, Clone)]
-pub struct SubRequest {
+pub(crate) struct SubRequest {
     pub id: RequestId,
     pub host: usize,
     pub op: RequestOp,
@@ -64,20 +65,22 @@ pub struct BatchPolicy {
 impl BatchPolicy {
     /// The batched service default: absorb half-millisecond bursts,
     /// never hold a request hostage past 2 ms.
-    pub fn adaptive() -> Self {
+    pub(crate) fn adaptive() -> Self {
         BatchPolicy { min_window_ns: 500_000, max_window_ns: 2_000_000, max_ops: 256 }
     }
 
     /// The one-op-at-a-time baseline: every request is its own
     /// transaction.
-    pub fn naive() -> Self {
+    pub(crate) fn naive() -> Self {
         BatchPolicy { min_window_ns: 0, max_window_ns: 0, max_ops: 1 }
     }
 
     /// When a window opened at `opened_ns` whose latest arrival is
     /// `last_ns` closes, absent new arrivals.
-    pub fn deadline_ns(&self, opened_ns: u64, last_ns: u64) -> u64 {
-        (opened_ns + self.max_window_ns).min(last_ns + self.min_window_ns)
+    /// Saturates: a window stamped near `u64::MAX` closes at
+    /// `u64::MAX`, never before it opened.
+    pub(crate) fn deadline_ns(&self, opened_ns: u64, last_ns: u64) -> u64 {
+        opened_ns.saturating_add(self.max_window_ns).min(last_ns.saturating_add(self.min_window_ns))
     }
 }
 
@@ -89,7 +92,7 @@ impl Default for BatchPolicy {
 
 /// A closed batch window: the requests it absorbed.
 #[derive(Debug, Clone)]
-pub struct ChurnBatch {
+pub(crate) struct ChurnBatch {
     /// Transaction id (intake-assigned, monotonic).
     pub txn: u64,
     /// The accepted requests folded in, arrival order.
@@ -98,12 +101,6 @@ pub struct ChurnBatch {
     pub opened_ns: u64,
     /// When the window closed (deadline, cap, or drain).
     pub closed_ns: u64,
-}
-
-impl ChurnBatch {
-    pub fn ops(&self) -> usize {
-        self.requests.len()
-    }
 }
 
 /// The one subscription-edit rule, shared by intake, the transaction
@@ -138,7 +135,7 @@ struct OpenWindow {
 }
 
 /// The intake stage.
-pub struct IntakeService {
+pub(crate) struct IntakeService {
     policy: BatchPolicy,
     /// Authoritative target state (what the network *should* run).
     subs: Vec<Vec<Expr>>,
@@ -160,14 +157,14 @@ pub struct IntakeService {
 }
 
 impl IntakeService {
-    pub fn new(policy: BatchPolicy, subs: Vec<Vec<Expr>>) -> Self {
+    pub(crate) fn new(policy: BatchPolicy, subs: Vec<Vec<Expr>>, wal: Option<Wal>) -> Self {
         IntakeService {
             policy,
             subs,
             open: None,
             next_txn: 0,
             clock_ns: 0,
-            wal: None,
+            wal,
             accepted: 0,
             rejected: Vec::new(),
             out_of_order: 0,
@@ -175,25 +172,14 @@ impl IntakeService {
         }
     }
 
-    /// Arm the write-ahead log.
-    pub fn with_wal(mut self, wal: Wal) -> Self {
-        self.wal = Some(wal);
-        self
-    }
-
-    /// The target state intake has accepted so far.
-    pub fn subs(&self) -> &[Vec<Expr>] {
-        &self.subs
-    }
-
     /// Take the target state home (shutdown path).
-    pub fn into_subs(self) -> Vec<Vec<Expr>> {
+    pub(crate) fn into_subs(self) -> Vec<Vec<Expr>> {
         self.subs
     }
 
     /// Intake's clock: the latest arrival, clamped monotonic. Every
     /// window still open, or still to open, closes at or after it.
-    pub fn now_ns(&self) -> u64 {
+    pub(crate) fn now_ns(&self) -> u64 {
         self.clock_ns
     }
 
@@ -210,8 +196,9 @@ impl IntakeService {
     /// or the request's own when it reaches `max_ops`. Never both: a
     /// window left open holds fewer than `max_ops` requests, so then
     /// `max_ops` is at least 2 and the window this request opens holds
-    /// one.
-    pub fn handle(&mut self, mut req: SubRequest) -> Option<ChurnBatch> {
+    /// one. A failed WAL append returns the error before the request
+    /// touches the target state or the window.
+    pub(crate) fn handle(&mut self, mut req: SubRequest) -> io::Result<Option<ChurnBatch>> {
         if req.arrival_ns < self.clock_ns {
             self.out_of_order += 1;
             req.arrival_ns = self.clock_ns;
@@ -222,7 +209,7 @@ impl IntakeService {
         // target state (soft rejects are logged too — replay applies
         // the same `apply_request`, so they replay as the same no-ops).
         if let Some(w) = &self.wal {
-            w.append_request(&req);
+            w.append_request(&req)?;
         }
 
         let expired = self
@@ -235,7 +222,7 @@ impl IntakeService {
         if let Err(e) = apply_request(&mut self.subs, &req) {
             // Soft reject: record and move on, no state change.
             self.rejected.push(e);
-            return closed;
+            return Ok(closed);
         }
         self.accepted += 1;
 
@@ -254,14 +241,14 @@ impl IntakeService {
         if w.requests.len() >= self.policy.max_ops {
             debug_assert!(closed.is_none(), "one request closes at most one window");
             let last = w.last_ns;
-            return self.close(last);
+            return Ok(self.close(last));
         }
-        closed
+        Ok(closed)
     }
 
     /// Close the open window now (drain, shutdown): at its last
     /// arrival, not at a deadline that may never be reached.
-    pub fn flush(&mut self) -> Option<ChurnBatch> {
+    pub(crate) fn flush(&mut self) -> Option<ChurnBatch> {
         let last = self.open.as_ref()?.last_ns;
         self.close(last)
     }
@@ -277,7 +264,7 @@ mod tests {
     }
 
     fn svc(policy: BatchPolicy, hosts: usize) -> IntakeService {
-        IntakeService::new(policy, vec![Vec::new(); hosts])
+        IntakeService::new(policy, vec![Vec::new(); hosts], None)
     }
 
     fn req(id: u64, host: usize, op: RequestOp, at: u64) -> SubRequest {
@@ -293,7 +280,9 @@ mod tests {
         at: &[(u64, u64)],
     ) -> Vec<ChurnBatch> {
         at.iter()
-            .filter_map(|&(i, t)| s.handle(req(i, host, RequestOp::Subscribe(f(filter)), t)))
+            .filter_map(|&(i, t)| {
+                s.handle(req(i, host, RequestOp::Subscribe(f(filter)), t)).unwrap()
+            })
             .collect()
     }
 
@@ -302,10 +291,10 @@ mod tests {
         let mut s = svc(BatchPolicy::naive(), 4);
         let got = subscribe_all(&mut s, 0, "price > 1", &[(0, 10), (1, 11), (2, 500)]);
         assert_eq!(got.len(), 3);
-        assert!(got.iter().all(|b| b.ops() == 1));
+        assert!(got.iter().all(|b| b.requests.len() == 1));
         assert_eq!(got[2].closed_ns, 500);
         assert_eq!(got[2].requests[0].id, 2, "a batch carries its own requests only");
-        assert_eq!(s.subs()[0].len(), 3, "intake's target state is cumulative");
+        assert_eq!(s.subs[0].len(), 3, "intake's target state is cumulative");
     }
 
     #[test]
@@ -318,12 +307,12 @@ mod tests {
         assert!(burst.is_empty(), "window still open");
         let got = subscribe_all(&mut s, 1, "price > 2", &[(3, 5_000)]);
         assert_eq!(got.len(), 1);
-        assert_eq!(got[0].ops(), 3);
+        assert_eq!(got[0].requests.len(), 3);
         // Closed at the quiet-period deadline, not the late arrival.
         assert_eq!(got[0].closed_ns, 220);
         // The late request sits in a fresh window; flush emits it.
         let tail = s.flush().expect("the late request's window");
-        assert_eq!(tail.ops(), 1);
+        assert_eq!(tail.requests.len(), 1);
         assert_eq!(tail.closed_ns, 5_000, "drain closes at last arrival");
         assert!(s.flush().is_none(), "nothing left open");
     }
@@ -338,14 +327,25 @@ mod tests {
         let got = subscribe_all(&mut s, 0, "price > 1", &at);
         assert!(!got.is_empty());
         assert_eq!(got[0].closed_ns, 250, "hard deadline wins");
-        assert_eq!(got[0].ops(), 3, "t=0,90,180 made the window; t=270 did not");
+        assert_eq!(got[0].requests.len(), 3, "t=0,90,180 made the window; t=270 did not");
+    }
+
+    #[test]
+    fn deadline_saturates_at_the_end_of_the_clock() {
+        let near = u64::MAX - 1;
+        assert_eq!(BatchPolicy::adaptive().deadline_ns(near, near), u64::MAX);
+        let mut s = svc(BatchPolicy::adaptive(), 1);
+        let got = subscribe_all(&mut s, 0, "price > 1", &[(0, near), (1, near), (2, u64::MAX)]);
+        assert!(got.is_empty(), "no window closes before it opened");
+        let batch = s.flush().expect("one open window");
+        assert_eq!((batch.requests.len(), batch.opened_ns, batch.closed_ns), (3, near, u64::MAX));
     }
 
     #[test]
     fn rejects_are_soft_and_recorded() {
         let mut s = svc(BatchPolicy::naive(), 2);
-        assert!(s.handle(req(0, 9, RequestOp::Subscribe(f("price > 1")), 0)).is_none());
-        assert!(s.handle(req(1, 0, RequestOp::Unsubscribe(f("price > 1")), 1)).is_none());
+        assert!(s.handle(req(0, 9, RequestOp::Subscribe(f("price > 1")), 0)).unwrap().is_none());
+        assert!(s.handle(req(1, 0, RequestOp::Unsubscribe(f("price > 1")), 1)).unwrap().is_none());
         assert!(s.flush().is_none(), "rejected requests emit no batch");
         assert_eq!(s.rejected.len(), 2);
         assert!(matches!(s.rejected[0], IntakeError::UnknownHost { host: 9, .. }));
@@ -356,11 +356,11 @@ mod tests {
     #[test]
     fn unsubscribe_drops_newest_equal_filter() {
         let mut s = svc(BatchPolicy { max_ops: 100, ..BatchPolicy::adaptive() }, 1);
-        s.handle(req(0, 0, RequestOp::Subscribe(f("price > 1")), 0));
-        s.handle(req(1, 0, RequestOp::Subscribe(f("price > 2")), 1));
-        s.handle(req(2, 0, RequestOp::Subscribe(f("price > 1")), 2));
-        s.handle(req(3, 0, RequestOp::Unsubscribe(f("price > 1")), 3));
-        assert_eq!(s.subs()[0], vec![f("price > 1"), f("price > 2")]);
+        s.handle(req(0, 0, RequestOp::Subscribe(f("price > 1")), 0)).unwrap();
+        s.handle(req(1, 0, RequestOp::Subscribe(f("price > 2")), 1)).unwrap();
+        s.handle(req(2, 0, RequestOp::Subscribe(f("price > 1")), 2)).unwrap();
+        s.handle(req(3, 0, RequestOp::Unsubscribe(f("price > 1")), 3)).unwrap();
+        assert_eq!(s.subs[0], vec![f("price > 1"), f("price > 2")]);
     }
 
     #[test]

@@ -41,8 +41,8 @@ pub mod intake;
 pub mod service;
 pub mod stages;
 
-pub use crate::durability::{FileWal, MemoryWal, Wal, WalBackend, WalChannel, WalState};
+pub use crate::durability::{Wal, WalState};
 pub use crate::error::{DeployStageError, IntakeError, ServiceError};
-pub use crate::intake::{BatchPolicy, ChurnBatch, IntakeService, RequestId, RequestOp, SubRequest};
+pub use crate::intake::{BatchPolicy, RequestOp};
 pub use crate::service::{CamusService, ServiceConfig, ServiceOutcome, ServiceStats};
 pub use crate::stages::{AuditProbe, AuditReport, TxnReport};

@@ -37,12 +37,13 @@
 //! previous install to land: the one-op-at-a-time baseline the
 //! `service` experiment measures against.
 //!
-//! **Supervision.** Every intake step and every transaction step runs
-//! under `catch_unwind`. A panic drops the step's input, counts into
-//! `service.stage.restarts`, and the loop goes on with the next input;
-//! `MAX_PANICS` in a row from one stage stop the service. After a
-//! fatal error the service takes no more requests: their ids land in
-//! [`ServiceOutcome::lost_requests`].
+//! **Supervision.** Every transaction step runs under `catch_unwind`.
+//! A panic drops the step's batch, counts into
+//! `service.stage.restarts`, and the loop goes on with the next batch;
+//! `MAX_PANICS` in a row stop the service. Intake cannot panic; a
+//! failed log append is fatal ([`ServiceError::Wal`]). After a fatal
+//! error the service takes no more requests: their ids, and the one
+//! whose append failed, land in [`ServiceOutcome::lost_requests`].
 //!
 //! [`CamusService::shutdown`] closes intake's open window, runs the
 //! backlog, and hands every stage's state back in a [`ServiceOutcome`]
@@ -160,8 +161,8 @@ pub struct ServiceOutcome {
     pub reports: Vec<TxnReport>,
     /// Soft per-request rejects, in arrival order.
     pub rejected_requests: Vec<crate::error::IntakeError>,
-    /// Requests submitted after a fatal error stopped the service:
-    /// recorded here instead of being swallowed.
+    /// Requests submitted after a fatal error stopped the service (or
+    /// whose log append stopped it): recorded instead of swallowed.
     pub lost_requests: Vec<RequestId>,
     /// The fatal error that stopped the service (empty on a clean run).
     pub errors: Vec<ServiceError>,
@@ -183,23 +184,22 @@ pub struct RecoveryStats {
     pub control_ns: u64,
 }
 
-/// Consecutive panics of one stage that stop the service.
+/// Consecutive transaction-step panics that stop the service.
 pub(crate) const MAX_PANICS: u32 = 3;
 
-/// One stage's restart budget.
+/// The transaction step's restart budget.
 struct Supervisor {
-    stage: &'static str,
-    /// Panics since the stage last finished a step.
+    /// Panics since the step last finished.
     panics: u32,
     restarts: Arc<Counter>,
 }
 
 impl Supervisor {
-    fn new(stage: &'static str, restarts: &Arc<Counter>) -> Self {
-        Supervisor { stage, panics: 0, restarts: restarts.clone() }
+    fn new(restarts: Arc<Counter>) -> Self {
+        Supervisor { panics: 0, restarts }
     }
 
-    /// Run one step of the stage. A panic drops the step's input,
+    /// Run one step. A panic drops the step's input,
     /// counts a restart and yields `Ok(None)`; there is nothing to wait
     /// for, so the next input runs at once. The `MAX_PANICS`-th panic
     /// in a row is fatal.
@@ -218,7 +218,7 @@ impl Supervisor {
                 if self.panics < MAX_PANICS {
                     Ok(None)
                 } else {
-                    Err(ServiceError::Panicked { stage: self.stage, panics: self.panics })
+                    Err(ServiceError::Panicked { panics: self.panics })
                 }
             }
         }
@@ -229,7 +229,6 @@ impl Supervisor {
 pub struct CamusService {
     intake: IntakeService,
     txns: TxnStage,
-    intake_sup: Supervisor,
     txn_sup: Supervisor,
     /// Closed batches the compile executor has not picked up yet,
     /// merged into one, and how many batches that is.
@@ -280,11 +279,13 @@ impl CamusService {
         // and bounds any earlier incarnation's records), log every
         // commit decision through the channel wrapper, and every
         // accepted request through intake.
-        let mut intake = IntakeService::new(cfg.batch, subs.clone());
+        let intake = IntakeService::new(cfg.batch, subs.clone(), cfg.wal.clone());
+        let mut errors = Vec::new();
         let channel: Box<dyn ControlChannel + Send> = match &cfg.wal {
             Some(w) => {
-                w.append_snapshot(&subs, deployment.next_epoch, first_request.checked_sub(1));
-                intake = intake.with_wal(w.clone());
+                let anchor = first_request.checked_sub(1);
+                let snapshot = w.append_snapshot(&subs, deployment.next_epoch, anchor);
+                errors.extend(snapshot.err().map(ServiceError::Wal));
                 Box::new(WalChannel::new(channel, w.clone()))
             }
             None => channel,
@@ -293,12 +294,10 @@ impl CamusService {
         let ttt = registry.histogram("service.request.ttt_ns");
         let txns = TxnStage::new(ctrl, deployment, subs, channel, cfg, ttt);
 
-        let restarts = registry.counter("service.stage.restarts");
         CamusService {
             intake,
             txns,
-            intake_sup: Supervisor::new("camus-intake", &restarts),
-            txn_sup: Supervisor::new("camus-txn", &restarts),
+            txn_sup: Supervisor::new(registry.counter("service.stage.restarts")),
             backlog: None,
             merge_backlog,
             merged_batches: 0,
@@ -307,7 +306,7 @@ impl CamusService {
             reports: Vec::new(),
             drained: 0,
             lost_requests: Vec::new(),
-            errors: Vec::new(),
+            errors,
             registry,
         }
     }
@@ -350,14 +349,10 @@ impl CamusService {
         Ok((CamusService::start_at(ctrl, deployment, st.subs, channel, cfg, first_request), stats))
     }
 
-    pub fn registry(&self) -> &Arc<MetricsRegistry> {
-        &self.registry
-    }
-
     /// Submit a request with its modelled arrival time and run the
-    /// stages as far as it lets them. Once a fatal error has stopped
-    /// the service the request is *recorded* — its id lands in
-    /// [`ServiceOutcome::lost_requests`] — never silently swallowed.
+    /// stages as far as it lets them. A request whose log append fails
+    /// stops the service; it and every later request are *recorded* in
+    /// [`ServiceOutcome::lost_requests`], never silently swallowed.
     pub fn request(&mut self, host: usize, op: RequestOp, arrival_ns: u64) -> RequestId {
         let id = self.next_request;
         self.next_request += 1;
@@ -365,15 +360,14 @@ impl CamusService {
             self.lost_requests.push(id);
             return id;
         }
-        let intake = &mut self.intake;
-        let req = SubRequest { id, host, op, arrival_ns };
-        match self.intake_sup.run(|| Ok(intake.handle(req))) {
-            Ok(closed) => {
-                if let Some(batch) = closed.flatten() {
-                    self.enqueue(batch);
-                }
+        match self.intake.handle(SubRequest { id, host, op, arrival_ns }) {
+            Ok(Some(batch)) => self.enqueue(batch),
+            Ok(None) => {}
+            Err(e) => {
+                self.errors.push(ServiceError::Wal(e));
+                self.lost_requests.push(id);
+                return id;
             }
-            Err(e) => self.errors.push(e),
         }
         // Every batch still to come closes at or after intake's clock,
         // so a backlog the executor picked up before it is complete.
@@ -818,7 +812,7 @@ mod tests {
         let subs = vec![Vec::new(); hosts];
         let ctrl = controller();
         let d = ctrl.deploy(net, &subs).unwrap();
-        let channel = LosingChannel { lost: ctrl.retry.max_attempts };
+        let channel = LosingChannel { lost: camus_net::RetryPolicy::default().max_attempts };
         let cfg = ServiceConfig { probes: vec![probe(75)], ..ServiceConfig::default() };
         let mut svc = CamusService::start(ctrl, d, subs, Box::new(channel), cfg);
         svc.subscribe(15, f("stock == GOOGL"), 1_000);
@@ -1078,10 +1072,7 @@ mod tests {
         }
         let out = svc.shutdown();
         assert!(
-            matches!(
-                out.errors[..],
-                [ServiceError::Panicked { stage: "camus-txn", panics: MAX_PANICS }]
-            ),
+            matches!(out.errors[..], [ServiceError::Panicked { panics: MAX_PANICS }]),
             "{:?}",
             out.errors
         );
@@ -1093,7 +1084,7 @@ mod tests {
     #[test]
     fn supervisor_drops_a_panicked_step_and_counts_it() {
         let restarts = Arc::new(Counter::new());
-        let mut sup = Supervisor::new("test-stage", &restarts);
+        let mut sup = Supervisor::new(restarts.clone());
         let step = |x: u64| -> Result<u64, ServiceError> {
             if x == 13 {
                 panic!("injected stage panic");
@@ -1109,11 +1100,78 @@ mod tests {
         for _ in 1..MAX_PANICS {
             assert!(matches!(sup.run(|| step(13)), Ok(None)));
         }
-        assert!(matches!(
-            sup.run(|| step(13)),
-            Err(ServiceError::Panicked { stage: "test-stage", panics: MAX_PANICS })
-        ));
+        assert!(matches!(sup.run(|| step(13)), Err(ServiceError::Panicked { panics: MAX_PANICS })));
         assert_eq!(restarts.get(), u64::from(2 * MAX_PANICS), "each panic counted");
+    }
+
+    /// An in-memory log whose `fail_on`-th request record fails to
+    /// append.
+    struct FailingWal {
+        lines: Vec<String>,
+        requests: usize,
+        fail_on: usize,
+    }
+
+    impl crate::durability::WalBackend for FailingWal {
+        fn append(&mut self, line: &str) -> std::io::Result<()> {
+            if line.starts_with("req ") {
+                self.requests += 1;
+                if self.requests == self.fail_on {
+                    return Err(std::io::Error::other("disk full"));
+                }
+            }
+            self.lines.push(line.to_string());
+            Ok(())
+        }
+
+        fn read_all(&self) -> Vec<String> {
+            self.lines.clone()
+        }
+    }
+
+    #[test]
+    fn a_failed_log_append_stops_the_service_and_loses_only_its_request() {
+        let backend = FailingWal { lines: Vec::new(), requests: 0, fail_on: 3 };
+        let wal = Wal::new(Box::new(backend));
+        let (mut svc, _) =
+            start(ServiceConfig { wal: Some(wal.clone()), ..ServiceConfig::naive() });
+        let mut ids = Vec::new();
+        for (i, host) in [15, 7, 3, 9].into_iter().enumerate() {
+            ids.push(svc.subscribe(host, f("stock == GOOGL"), 1_000 * (i as u64 + 1)));
+            svc.drain();
+        }
+        let out = svc.shutdown();
+        assert!(
+            matches!(out.errors[..], [ServiceError::Wal(_)]),
+            "one fatal WAL error: {:?}",
+            out.errors
+        );
+        // The two requests logged before the failure committed; the
+        // third is named lost, and so is the one after the stop.
+        assert_eq!(out.stats.committed_txns, 2);
+        assert_eq!(out.reports.iter().map(|r| r.requests[0].request).collect::<Vec<_>>(), ids[..2]);
+        assert_eq!(out.lost_requests, ids[2..]);
+        assert_eq!(out.stats.accepted, 2);
+        assert_eq!(out.stats.unaccounted_ops, 0);
+        assert_eq!(out.stats.restarts, 0, "nothing panicked");
+        // The failed request never reached the target state or the log.
+        assert!(out.subs[3].is_empty());
+        assert_eq!(wal.replay().subs[15], vec![f("stock == GOOGL")]);
+        assert!(wal.replay().subs[3].is_empty());
+    }
+
+    #[test]
+    fn stamps_near_the_end_of_the_clock_still_batch() {
+        let (mut svc, _) = start(ServiceConfig::default());
+        svc.subscribe(15, f("stock == GOOGL"), u64::MAX - 1);
+        svc.subscribe(7, f("price > 50"), u64::MAX - 1);
+        let out = svc.shutdown();
+        assert!(out.errors.is_empty(), "{:?}", out.errors);
+        assert!(out.lost_requests.is_empty());
+        assert_eq!(out.stats.restarts, 0, "nothing panicked");
+        assert_eq!(out.stats.batches, 1, "one window took both requests");
+        assert_eq!(out.stats.accepted, 2);
+        assert_eq!(out.stats.unaccounted_ops, 0);
     }
 
     #[test]

@@ -126,7 +126,7 @@ impl TxnStage {
     /// `subs` must be the state `deployment` was deployed with. Takes
     /// the configuration's overlap, audit, durability and fault
     /// injection settings.
-    pub fn new(
+    pub(crate) fn new(
         ctrl: Controller,
         deployment: Deployment,
         subs: Vec<Vec<Expr>>,
@@ -163,7 +163,7 @@ impl TxnStage {
 
     /// Live delta-maintained BDD states, one per distinct rule-list
     /// fingerprint in the last compile.
-    pub fn delta_states(&self) -> usize {
+    pub(crate) fn delta_states(&self) -> usize {
         self.delta.len()
     }
 
@@ -171,14 +171,14 @@ impl TxnStage {
     /// once the batch has closed and the previous compile is done. The
     /// executor is serial, so every batch closed by then is queued
     /// behind it.
-    pub fn start_ns(&self, closed_ns: u64) -> u64 {
+    pub(crate) fn start_ns(&self, closed_ns: u64) -> u64 {
         self.compile_clock.now_ns().max(closed_ns)
     }
 
     /// Run one batch (or a merged backlog) as a transaction. A
     /// rolled-back install is reported, not an error; a compile failure
     /// or a crashed coordinator is.
-    pub fn handle(&mut self, batch: ChurnBatch) -> Result<TxnReport, ServiceError> {
+    pub(crate) fn handle(&mut self, batch: ChurnBatch) -> Result<TxnReport, ServiceError> {
         // The requests land before anything can fail, so a batch lost
         // below still moves the target state the next compile deploys.
         for req in &batch.requests {
@@ -280,7 +280,7 @@ impl TxnStage {
                 report.distinct_compiles = stats.distinct_compiles;
                 report.reinstalled = stats.reinstalled;
                 self.net_edits.clear();
-                self.snapshot_on_cadence();
+                self.snapshot_on_cadence()?;
                 report.audit = Some(self.audit());
                 self.deployment.report.total_control_ns()
             }
@@ -311,14 +311,16 @@ impl TxnStage {
 
     /// Cadence snapshot of the committed state and the epoch and
     /// request watermarks: bounds the tail a recovery must replay.
-    fn snapshot_on_cadence(&mut self) {
+    fn snapshot_on_cadence(&mut self) -> Result<(), ServiceError> {
         self.committed_since_snapshot += 1;
-        let Some(w) = &self.wal else { return };
+        let Some(w) = &self.wal else { return Ok(()) };
         if self.snapshot_every > 0 && self.committed_since_snapshot >= self.snapshot_every {
-            w.append_snapshot(&self.subs, self.deployment.next_epoch, self.last_request);
+            w.append_snapshot(&self.subs, self.deployment.next_epoch, self.last_request)
+                .map_err(ServiceError::Wal)?;
             self.committed_since_snapshot = 0;
             self.snapshots_written += 1;
         }
+        Ok(())
     }
 
     /// Republish every configured probe and check deliveries against
@@ -387,7 +389,7 @@ pub struct AuditReport {
 }
 
 impl AuditReport {
-    pub fn absorb(&mut self, other: &AuditReport) {
+    pub(crate) fn absorb(&mut self, other: &AuditReport) {
         self.probes += other.probes;
         self.expected += other.expected;
         self.delivered += other.delivered;

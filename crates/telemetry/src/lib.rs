@@ -3,13 +3,12 @@
 //! Three pillars, one crate:
 //!
 //! * [`metrics`] — a lock-free metrics core (sharded counters,
-//!   gauges, log-bucketed histograms) behind a [`MetricsRegistry`],
+//!   log-bucketed histograms) behind a [`MetricsRegistry`],
 //!   with power-of-two [`Sampler`] masks so the data-plane fast path
 //!   pays one mask test when telemetry is disabled;
 //! * [`postcard`] — INT-style packet postcards: sampled packets
 //!   accumulate a bounded per-hop record that a controller-side
-//!   [`Collector`] aggregates into link utilization, path-length
-//!   distributions, and blackhole/loop anomaly reports;
+//!   [`Collector`] turns into blackhole/loop anomaly reports;
 //! * [`trace`] — deterministic (modelled-time) span tracing around
 //!   the controller's deploy phases, rendering the transaction ledger
 //!   as a per-phase latency breakdown.
@@ -23,9 +22,9 @@ pub mod postcard;
 pub mod trace;
 
 pub use metrics::{
-    Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, SampleRate, Sampler, Snapshot,
+    Counter, Histogram, HistogramSnapshot, MetricsRegistry, SampleRate, Sampler, Snapshot,
 };
 pub use postcard::{
-    Anomaly, Collector, HopRecord, Postcard, PostcardEnd, PostcardGroup, PostcardId, MAX_HOPS,
+    Anomaly, Collector, HopRecord, Postcard, PostcardEnd, PostcardGroup, PostcardId,
 };
 pub use trace::{DeployPhase, DeployTrace, PhaseSpan, RequestSpan, SwitchSpan};

@@ -15,8 +15,7 @@
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Shards per [`Counter`]; must be a power of two.
@@ -26,7 +25,7 @@ const SHARDS: usize = 8;
 const SUB_BITS: u32 = 2;
 const SUB: usize = 1 << SUB_BITS;
 /// Total histogram buckets (enough for the full `u64` range).
-pub const BUCKETS: usize = 64 * SUB;
+pub(crate) const BUCKETS: usize = 64 * SUB;
 
 /// One cache line per shard so concurrent writers do not false-share.
 #[repr(align(64))]
@@ -75,37 +74,6 @@ impl Counter {
 
     pub fn get(&self) -> u64 {
         self.shards.iter().map(|s| s.0.load(Ordering::Relaxed)).sum()
-    }
-}
-
-/// A last-value instrument (signed, so it can model levels that go
-/// down as well as up).
-///
-/// Cache-line aligned: per-shard instruments allocated back-to-back
-/// must not share a line, or concurrent shards serialise on it.
-#[repr(align(64))]
-#[derive(Debug, Default)]
-pub struct Gauge {
-    value: AtomicI64,
-}
-
-impl Gauge {
-    pub fn new() -> Self {
-        Gauge::default()
-    }
-
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.value.store(v, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub fn add(&self, d: i64) {
-        self.value.fetch_add(d, Ordering::Relaxed);
-    }
-
-    pub fn get(&self) -> i64 {
-        self.value.load(Ordering::Relaxed)
     }
 }
 
@@ -190,22 +158,6 @@ impl Histogram {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Fold another live histogram into this one, bucket by bucket.
-    /// Equivalent to having recorded the concatenation of both sample
-    /// streams into `self`.
-    pub fn merge_from(&self, other: &Histogram) {
-        for (b, o) in self.buckets.iter().zip(other.buckets.iter()) {
-            let n = o.load(Ordering::Relaxed);
-            if n > 0 {
-                b.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.count.fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum.fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.min.fetch_min(other.min.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max.fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
     pub fn snapshot(&self) -> HistogramSnapshot {
         let buckets: Vec<u64> = self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect();
         let count = self.count.load(Ordering::Relaxed);
@@ -216,11 +168,6 @@ impl Histogram {
             min: if count == 0 { 0 } else { self.min.load(Ordering::Relaxed) },
             max: self.max.load(Ordering::Relaxed),
         }
-    }
-
-    /// Convenience percentile straight off the live buckets.
-    pub fn percentile(&self, q: f64) -> u64 {
-        self.snapshot().percentile(q)
     }
 }
 
@@ -253,30 +200,6 @@ impl HistogramSnapshot {
         self.max
     }
 
-    pub fn p50(&self) -> u64 {
-        self.percentile(0.50)
-    }
-
-    pub fn p90(&self) -> u64 {
-        self.percentile(0.90)
-    }
-
-    pub fn p99(&self) -> u64 {
-        self.percentile(0.99)
-    }
-
-    pub fn p999(&self) -> u64 {
-        self.percentile(0.999)
-    }
-
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
     /// Merge another snapshot in; equivalent to a snapshot of the
     /// concatenated sample streams.
     pub fn merge(&mut self, other: &HistogramSnapshot) {
@@ -293,23 +216,6 @@ impl HistogramSnapshot {
             self.max = self.max.max(other.max);
         }
         self.count += other.count;
-    }
-
-    /// Bucket-wise difference against an earlier snapshot (saturating,
-    /// so a reset instrument never underflows). `min`/`max` cannot be
-    /// differenced and keep their current values.
-    pub fn delta(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        let mut buckets = self.buckets.clone();
-        for (b, e) in buckets.iter_mut().zip(earlier.buckets.iter()) {
-            *b = b.saturating_sub(*e);
-        }
-        HistogramSnapshot {
-            buckets,
-            count: self.count.saturating_sub(earlier.count),
-            sum: self.sum.saturating_sub(earlier.sum),
-            min: self.min,
-            max: self.max,
-        }
     }
 }
 
@@ -342,15 +248,6 @@ impl SampleRate {
 
     pub fn is_disabled(&self) -> bool {
         self.mask == u64::MAX
-    }
-
-    /// Human-readable rate for table output: `off`, `1/1`, `1/256`, …
-    pub fn label(&self) -> String {
-        if self.is_disabled() {
-            "off".to_string()
-        } else {
-            format!("1/{}", self.mask + 1)
-        }
     }
 }
 
@@ -390,7 +287,6 @@ pub struct MetricsRegistry {
 #[derive(Debug, Default)]
 struct Inner {
     counters: BTreeMap<String, Arc<Counter>>,
-    gauges: BTreeMap<String, Arc<Gauge>>,
     histograms: BTreeMap<String, Arc<Histogram>>,
 }
 
@@ -404,11 +300,6 @@ impl MetricsRegistry {
         inner.counters.entry(name.to_string()).or_default().clone()
     }
 
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut inner = self.inner.lock().unwrap();
-        inner.gauges.entry(name.to_string()).or_default().clone()
-    }
-
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
         let mut inner = self.inner.lock().unwrap();
         inner.histograms.entry(name.to_string()).or_default().clone()
@@ -419,7 +310,6 @@ impl MetricsRegistry {
         let inner = self.inner.lock().unwrap();
         Snapshot {
             counters: inner.counters.iter().map(|(k, c)| (k.clone(), c.get())).collect(),
-            gauges: inner.gauges.iter().map(|(k, g)| (k.clone(), g.get())).collect(),
             histograms: inner.histograms.iter().map(|(k, h)| (k.clone(), h.snapshot())).collect(),
         }
     }
@@ -429,86 +319,7 @@ impl MetricsRegistry {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Snapshot {
     pub counters: BTreeMap<String, u64>,
-    pub gauges: BTreeMap<String, i64>,
     pub histograms: BTreeMap<String, HistogramSnapshot>,
-}
-
-impl Snapshot {
-    /// What happened since `earlier`: counters and histogram buckets
-    /// are differenced (saturating), gauges keep their current value.
-    pub fn delta(&self, earlier: &Snapshot) -> Snapshot {
-        let counters = self
-            .counters
-            .iter()
-            .map(|(k, v)| {
-                (k.clone(), v.saturating_sub(earlier.counters.get(k).copied().unwrap_or(0)))
-            })
-            .collect();
-        let histograms = self
-            .histograms
-            .iter()
-            .map(|(k, h)| match earlier.histograms.get(k) {
-                Some(e) => (k.clone(), h.delta(e)),
-                None => (k.clone(), h.clone()),
-            })
-            .collect();
-        Snapshot { counters, gauges: self.gauges.clone(), histograms }
-    }
-
-    /// CSV export: `kind,name,field,value` rows, one per scalar.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("kind,name,field,value\n");
-        for (k, v) in &self.counters {
-            let _ = writeln!(out, "counter,{k},value,{v}");
-        }
-        for (k, v) in &self.gauges {
-            let _ = writeln!(out, "gauge,{k},value,{v}");
-        }
-        for (k, h) in &self.histograms {
-            let _ = writeln!(out, "histogram,{k},count,{}", h.count);
-            let _ = writeln!(out, "histogram,{k},sum,{}", h.sum);
-            let _ = writeln!(out, "histogram,{k},min,{}", h.min);
-            let _ = writeln!(out, "histogram,{k},max,{}", h.max);
-            for (label, q) in [("p50", 0.50), ("p90", 0.90), ("p99", 0.99), ("p999", 0.999)] {
-                let _ = writeln!(out, "histogram,{k},{label},{}", h.percentile(q));
-            }
-        }
-        out
-    }
-
-    /// JSON export (hand-rolled: the vendored serde_json stub has no
-    /// serializer, matching the rest of the workspace).
-    pub fn to_json(&self) -> String {
-        fn join<T: std::fmt::Display>(items: impl Iterator<Item = (String, T)>) -> String {
-            items.map(|(k, v)| format!("    \"{k}\": {v}")).collect::<Vec<_>>().join(",\n")
-        }
-        let hists = self
-            .histograms
-            .iter()
-            .map(|(k, h)| {
-                format!(
-                    "    \"{k}\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \
-                     \"p50\": {}, \"p90\": {}, \"p99\": {}, \"p999\": {}}}",
-                    h.count,
-                    h.sum,
-                    h.min,
-                    h.max,
-                    h.p50(),
-                    h.p90(),
-                    h.p99(),
-                    h.p999()
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        format!(
-            "{{\n  \"counters\": {{\n{}\n  }},\n  \"gauges\": {{\n{}\n  }},\n  \
-             \"histograms\": {{\n{}\n  }}\n}}\n",
-            join(self.counters.iter().map(|(k, v)| (k.clone(), *v))),
-            join(self.gauges.iter().map(|(k, v)| (k.clone(), *v))),
-            hists
-        )
-    }
 }
 
 #[cfg(test)]
@@ -557,9 +368,9 @@ mod tests {
         assert_eq!(s.min, 1);
         assert_eq!(s.max, 1000);
         // The p50 bucket must contain 500; upper bound is within 25%.
-        let p50 = s.p50();
+        let p50 = s.percentile(0.50);
         assert!((500..=640).contains(&p50), "p50 {p50}");
-        let p999 = s.p999();
+        let p999 = s.percentile(0.999);
         assert!((999..=1000).contains(&p999), "p999 {p999}");
     }
 
@@ -572,45 +383,19 @@ mod tests {
         assert!((0..10).all(|_| always.tick()));
         let mut off = Sampler::new(SampleRate::DISABLED);
         assert!((0..10_000).filter(|_| off.tick()).count() == 0);
-        assert_eq!(SampleRate::every(256).label(), "1/256");
-        assert_eq!(SampleRate::DISABLED.label(), "off");
     }
 
     #[test]
-    fn registry_snapshot_and_delta() {
+    fn registry_snapshot_reads_every_instrument() {
         let r = MetricsRegistry::new();
         let c = r.counter("pkts");
-        let g = r.gauge("depth");
         let h = r.histogram("lat");
         c.add(5);
-        g.set(3);
         h.record(10);
-        let s1 = r.snapshot();
-        c.add(7);
-        h.record(20);
-        let s2 = r.snapshot();
-        let d = s2.delta(&s1);
-        assert_eq!(d.counters["pkts"], 7);
-        assert_eq!(d.gauges["depth"], 3);
-        assert_eq!(d.histograms["lat"].count, 1);
-        assert!(s2.to_csv().contains("counter,pkts,value,12"));
-        assert!(s2.to_json().contains("\"pkts\": 12"));
-    }
-
-    #[test]
-    fn histogram_merge_matches_concatenated_stream() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        let c = Histogram::new();
-        for v in [1u64, 5, 9, 100] {
-            a.record(v);
-            c.record(v);
-        }
-        for v in [2u64, 500, 1 << 30] {
-            b.record(v);
-            c.record(v);
-        }
-        a.merge_from(&b);
-        assert_eq!(a.snapshot(), c.snapshot());
+        // A second lookup returns the same instrument.
+        r.counter("pkts").add(7);
+        let s = r.snapshot();
+        assert_eq!(s.counters["pkts"], 12);
+        assert_eq!(s.histograms["lat"].count, 1);
     }
 }

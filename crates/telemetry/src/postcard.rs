@@ -8,9 +8,8 @@
 //! perturbs parsing or the PHV budget; the sampling decision is the
 //! only thing the data plane pays for.
 //!
-//! The controller-side [`Collector`] aggregates finished postcards
-//! into per-link utilization, path-length distributions, and two
-//! anomaly detectors:
+//! The controller-side [`Collector`] groups finished postcards by
+//! publication and runs two anomaly detectors over them:
 //!
 //! * **blackhole** — a postcard group with a known expected
 //!   subscriber that never produced a delivery (the card ended at a
@@ -27,7 +26,7 @@ pub type PostcardId = u64;
 
 /// Hard cap on recorded hops; deeper paths end in
 /// [`PostcardEnd::HopLimit`] (the packet itself keeps forwarding).
-pub const MAX_HOPS: usize = 16;
+pub(crate) const MAX_HOPS: usize = 16;
 
 /// What one switch appended to a postcard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -60,15 +59,6 @@ pub enum PostcardEnd {
 }
 
 impl PostcardEnd {
-    pub fn time_ns(&self) -> u64 {
-        match *self {
-            PostcardEnd::Delivered { time_ns, .. }
-            | PostcardEnd::Filtered { time_ns, .. }
-            | PostcardEnd::FaultDropped { time_ns, .. }
-            | PostcardEnd::HopLimit { time_ns, .. } => time_ns,
-        }
-    }
-
     pub fn delivered_host(&self) -> Option<usize> {
         match *self {
             PostcardEnd::Delivered { host, .. } => Some(host),
@@ -77,21 +67,12 @@ impl PostcardEnd {
     }
 
     /// The switch the card ended at, if it ended inside the fabric.
-    pub fn last_switch(&self) -> Option<usize> {
+    pub(crate) fn last_switch(&self) -> Option<usize> {
         match *self {
             PostcardEnd::Delivered { .. } => None,
             PostcardEnd::Filtered { switch, .. }
             | PostcardEnd::FaultDropped { switch, .. }
             | PostcardEnd::HopLimit { switch, .. } => Some(switch),
-        }
-    }
-
-    pub fn label(&self) -> &'static str {
-        match self {
-            PostcardEnd::Delivered { .. } => "delivered",
-            PostcardEnd::Filtered { .. } => "filtered",
-            PostcardEnd::FaultDropped { .. } => "fault-dropped",
-            PostcardEnd::HopLimit { .. } => "hop-limit",
         }
     }
 }
@@ -164,30 +145,10 @@ impl PostcardGroup {
         self.deliveries.iter().map(|&(h, _)| h).collect()
     }
 
-    /// Earliest delivery to `host`, if any.
-    pub fn delivery_ns(&self, host: usize) -> Option<u64> {
-        self.deliveries.iter().filter(|&&(h, _)| h == host).map(|&(_, t)| t).min()
-    }
-
     /// Expected hosts that never got a copy.
     pub fn missing_hosts(&self) -> Vec<usize> {
         let got = self.delivered_hosts();
         self.expected.iter().filter(|h| !got.contains(h)).copied().collect()
-    }
-
-    /// Deliveries beyond the first per host.
-    pub fn duplicates(&self) -> u64 {
-        let hosts = self.delivered_hosts();
-        self.deliveries.len() as u64 - hosts.len() as u64
-    }
-
-    /// Deliveries to hosts outside the expected set (only meaningful
-    /// once an expectation is registered).
-    pub fn misdeliveries(&self) -> u64 {
-        if self.expected.is_empty() {
-            return 0;
-        }
-        self.deliveries.iter().filter(|(h, _)| !self.expected.contains(h)).count() as u64
     }
 }
 
@@ -195,10 +156,6 @@ impl PostcardGroup {
 #[derive(Debug, Clone, Default)]
 pub struct Collector {
     groups: BTreeMap<PostcardId, PostcardGroup>,
-    /// Sampled messages crossing each directed egress `(switch, port)`.
-    link_util: BTreeMap<(usize, Port), u64>,
-    /// Delivered-path-length tally, indexed by hop count.
-    path_len: Vec<u64>,
 }
 
 impl Collector {
@@ -214,13 +171,6 @@ impl Collector {
         g.expected.extend(hosts.iter().copied());
     }
 
-    /// A traced copy crossed egress `(switch, port)` carrying `msgs`
-    /// messages. Called by the simulator at forward time so shared
-    /// path prefixes of multicast copies are counted exactly once.
-    pub fn record_link(&mut self, switch: usize, port: Port, msgs: u64) {
-        *self.link_util.entry((switch, port)).or_insert(0) += msgs;
-    }
-
     /// A copy finished its journey.
     pub fn ingest(&mut self, card: Postcard, end: PostcardEnd) {
         let g = self.groups.entry(card.id).or_default();
@@ -229,56 +179,12 @@ impl Collector {
         }
         if let PostcardEnd::Delivered { host, time_ns } = end {
             g.deliveries.push((host, time_ns));
-            let len = card.path_len();
-            if self.path_len.len() <= len {
-                self.path_len.resize(len + 1, 0);
-            }
-            self.path_len[len] += 1;
         }
         g.completed.push((card, end));
     }
 
     pub fn group(&self, id: PostcardId) -> Option<&PostcardGroup> {
         self.groups.get(&id)
-    }
-
-    pub fn groups(&self) -> impl Iterator<Item = (&PostcardId, &PostcardGroup)> {
-        self.groups.iter()
-    }
-
-    pub fn len(&self) -> usize {
-        self.groups.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.groups.is_empty()
-    }
-
-    /// Sampled messages per directed egress link.
-    pub fn link_utilization(&self) -> &BTreeMap<(usize, Port), u64> {
-        &self.link_util
-    }
-
-    /// Delivered-path-length tally, indexed by hop count.
-    pub fn path_lengths(&self) -> &[u64] {
-        &self.path_len
-    }
-
-    /// The `q`-quantile of delivered path lengths.
-    pub fn path_percentile(&self, q: f64) -> usize {
-        let total: u64 = self.path_len.iter().sum();
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
-        let mut seen = 0u64;
-        for (len, n) in self.path_len.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return len;
-            }
-        }
-        self.path_len.len() - 1
     }
 
     /// Run both detectors over everything collected so far. Groups
@@ -344,8 +250,7 @@ mod tests {
         card.record_hop(hop(3, Some(0)));
         c.ingest(card, PostcardEnd::Delivered { host: 7, time_ns: 4_100 });
         assert!(c.anomalies().is_empty());
-        assert_eq!(c.path_percentile(0.5), 2);
-        assert_eq!(c.group(1).unwrap().delivery_ns(7), Some(4_100));
+        assert_eq!(c.group(1).unwrap().deliveries, vec![(7, 4_100)]);
     }
 
     #[test]
@@ -389,7 +294,7 @@ mod tests {
     }
 
     #[test]
-    fn duplicates_and_misdeliveries() {
+    fn repeated_deliveries_keep_every_copy() {
         let mut c = Collector::new();
         c.expect(1, 0, &[4]);
         let card = Postcard::new(1, 0);
@@ -397,8 +302,8 @@ mod tests {
         c.ingest(card.clone(), PostcardEnd::Delivered { host: 4, time_ns: 12 });
         c.ingest(card, PostcardEnd::Delivered { host: 8, time_ns: 11 });
         let g = c.group(1).unwrap();
-        assert_eq!(g.duplicates(), 1);
-        assert_eq!(g.misdeliveries(), 1);
+        assert_eq!(g.deliveries.len(), 3);
+        assert_eq!(g.delivered_hosts(), BTreeSet::from([4, 8]));
         assert!(g.missing_hosts().is_empty());
     }
 }

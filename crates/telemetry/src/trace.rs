@@ -156,24 +156,13 @@ impl DeployTrace {
         DeployTrace { spans, switches, requests: Vec::new() }
     }
 
-    /// Attach the per-request spans of the service transaction this
-    /// trace belongs to.
-    pub fn with_requests(mut self, requests: Vec<RequestSpan>) -> Self {
-        self.requests = requests;
-        self
-    }
-
-    pub fn phase_ns(&self, phase: DeployPhase) -> u64 {
-        self.spans.iter().filter(|s| s.phase == phase).map(|s| s.duration_ns).sum()
-    }
-
     /// Total modelled control-plane time (stage + commit + finalize).
     pub fn modelled_control_ns(&self) -> u64 {
         self.spans.iter().filter(|s| s.modelled).map(|s| s.duration_ns).sum()
     }
 
     /// Switches that needed at least one retry.
-    pub fn retried_switches(&self) -> usize {
+    pub(crate) fn retried_switches(&self) -> usize {
         self.switches.iter().filter(|s| s.retries > 0).count()
     }
 
@@ -231,10 +220,11 @@ mod tests {
             },
         ];
         let t = DeployTrace::build(1_000, 2_000, switches);
-        assert_eq!(t.phase_ns(DeployPhase::Route), 1_000);
-        assert_eq!(t.phase_ns(DeployPhase::Compile), 2_000);
-        assert_eq!(t.phase_ns(DeployPhase::Stage), 190_000);
-        assert_eq!(t.phase_ns(DeployPhase::Commit), 40_000);
+        let phase_ns = |p| t.spans.iter().find(|s| s.phase == p).unwrap().duration_ns;
+        assert_eq!(phase_ns(DeployPhase::Route), 1_000);
+        assert_eq!(phase_ns(DeployPhase::Compile), 2_000);
+        assert_eq!(phase_ns(DeployPhase::Stage), 190_000);
+        assert_eq!(phase_ns(DeployPhase::Commit), 40_000);
         assert_eq!(t.modelled_control_ns(), 230_000);
         assert_eq!(t.retried_switches(), 1);
         let text = t.render();
@@ -254,7 +244,7 @@ mod tests {
             deployed_ns: 1_500,
         };
         assert_eq!(span.time_to_traffic_ns(), 1_400);
-        let t = DeployTrace::build(1, 2, Vec::new()).with_requests(vec![span]);
+        let t = DeployTrace { requests: vec![span], ..DeployTrace::build(1, 2, Vec::new()) };
         assert_eq!(t.requests.len(), 1);
         assert!(t.render().contains("worst time-to-traffic 1400 ns"));
         // A clock-skewed stamp must not panic the metric.

@@ -152,10 +152,12 @@ proptest! {
         packets in prop::collection::vec(arb_packet(), 1..8),
         alpha in 2i64..20,
     ) {
-        use camus_lang::approx::{approximate_rule, ApproxConfig};
+        use camus_lang::approx::{approximate_expr, ApproxConfig};
         let cfg = ApproxConfig::new(alpha);
-        let approx: Vec<Rule> =
-            rules.iter().map(|r| approximate_rule(r, cfg).0).collect();
+        let approx: Vec<Rule> = rules
+            .iter()
+            .map(|r| Rule { filter: approximate_expr(&r.filter, cfg).0, action: r.action.clone() })
+            .collect();
         let exact_c = Compiler::new().compile(&rules).unwrap();
         let approx_c = Compiler::new().compile(&approx).unwrap();
         for pkt in &packets {

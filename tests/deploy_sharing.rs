@@ -12,7 +12,7 @@
 use camus_core::compiler::Compiler;
 use camus_core::resources::ResourceBudget;
 use camus_core::statics::compile_static;
-use camus_dataplane::{PacketBuilder, Switch};
+use camus_dataplane::{PacketBuilder, Switch, SwitchConfig};
 use camus_lang::ast::Expr;
 use camus_lang::parser::parse_expr;
 use camus_lang::spec::itch_spec;
@@ -96,11 +96,9 @@ fn deploy_matches_per_switch_oracle(net: HierNet, policy: Policy) {
     let switches = oracle
         .switches
         .iter()
-        .map(|sc| {
-            Switch::new(&ctrl.statics, sc.compiled.pipeline.clone(), ctrl.switch_config.clone())
-        })
+        .map(|sc| Switch::new(&ctrl.statics, sc.compiled.pipeline.clone(), SwitchConfig::default()))
         .collect();
-    let mut oracle_net = Network::new(net.clone(), switches, ctrl.link_latency_ns);
+    let mut oracle_net = Network::new(net.clone(), switches);
 
     let n = net.switch_count();
     assert_eq!(oracle.distinct_compiles, n, "the baseline compiles every switch");
@@ -135,7 +133,10 @@ fn deploy_matches_per_switch_oracle(net: HierNet, policy: Policy) {
     publish_matrix(&mut d.network);
     publish_matrix(&mut oracle_net);
     assert_eq!(deliveries(&d.network), deliveries(&oracle_net), "{policy:?}");
-    assert!(d.network.all_deliveries().count() > 0, "the matrix must deliver something");
+    assert!(
+        deliveries(&d.network).iter().any(|h| !h.is_empty()),
+        "the matrix must deliver something"
+    );
     for s in 0..n {
         assert_eq!(
             d.network.switches[s].stats(),
@@ -178,7 +179,14 @@ fn admission_stays_per_switch_when_the_program_is_shared() {
 
     // That core alone runs the coarse pipeline...
     assert_eq!(d.degraded.iter().copied().collect::<Vec<_>>(), vec![tight]);
-    assert_eq!(d.report.degraded_switches(), vec![tight]);
+    let degraded: Vec<usize> = d
+        .report
+        .switches
+        .iter()
+        .filter(|s| s.verdict == AdmissionVerdict::Degraded)
+        .map(|s| s.switch)
+        .collect();
+    assert_eq!(degraded, vec![tight]);
     assert!(d.network.switches[tight].pipeline().stages.is_empty());
     // ...while its seven twins share the precise program.
     let precise = &d.compile.switches[tight].compiled.pipeline;

@@ -64,8 +64,13 @@ fn check_policy(
         if !sw.up.is_empty() {
             ports.push(LOGICAL_UP);
         }
+        let rules = result.switch_rules(sid);
         for port in ports {
-            let filters: Vec<&Expr> = result.port_filters(sid, port).collect();
+            let filters: Vec<&Expr> = rules
+                .iter()
+                .filter(|r| r.action.ports() == Some(&[port][..]))
+                .map(|r| &r.filter)
+                .collect();
             // Reachability on the distribution tree: a down port serves
             // the hosts designated through it; the up port serves the
             // hosts outside the designated subtree.
