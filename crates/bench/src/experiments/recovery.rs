@@ -236,9 +236,10 @@ pub fn run(scale: Scale) -> Vec<Table> {
         "WAL overhead: batched churn lane, volatile vs write-ahead logged",
         &["mode", "ops", "accepted", "wal_lines", "snapshots", "sustained_per_s", "wall_ms"],
     );
+    let wal_lines = logged_wal.replay().expect("an in-memory log reads back").lines;
     for (mode, out, per_s, wall_ms, lines) in [
         ("volatile", &volatile_out, volatile_per_s, volatile_wall, 0usize),
-        ("wal", &logged_out, logged_per_s, logged_wall, logged_wal.len()),
+        ("wal", &logged_out, logged_per_s, logged_wall, wal_lines),
     ] {
         o.row([
             mode.to_string(),
@@ -258,8 +259,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
              \"wal_subs_per_s\": {logged_per_s:.0}, \
              \"wal_overhead_pct\": {overhead_pct:.2}, \
              \"snapshots\": {}, \"wal_lines\": {}}}",
-            logged_out.stats.snapshots,
-            logged_wal.len(),
+            logged_out.stats.snapshots, wal_lines,
         ),
     ));
 

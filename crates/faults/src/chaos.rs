@@ -161,9 +161,9 @@ impl ControlChannel for DecisionLog<'_> {
         self.inner.attempt(switch, op, attempt)
     }
 
-    fn commit_point(&mut self, epoch: u64) {
+    fn commit_point(&mut self, epoch: u64) -> std::io::Result<()> {
         self.decisions.insert(epoch);
-        self.inner.commit_point(epoch);
+        self.inner.commit_point(epoch)
     }
 }
 
@@ -399,7 +399,8 @@ pub fn run_chaos(input: ChaosInput<'_>, cfg: &ChaosConfig) -> ChaosReport {
                 Err(e) => {
                     let r = match &e {
                         camus_net::DeployError::Admission { report, .. }
-                        | camus_net::DeployError::Channel { report, .. } => report.clone(),
+                        | camus_net::DeployError::Channel { report, .. }
+                        | camus_net::DeployError::CommitPoint { report, .. } => report.clone(),
                         camus_net::DeployError::Compile(c) => panic!("chaos compile failed: {c}"),
                         camus_net::DeployError::Crashed { .. } => unreachable!("matched above"),
                     };

@@ -19,6 +19,7 @@
 //! control-plane time.
 
 use crate::clock::Clock;
+use std::io;
 
 /// A control-plane operation sent to one switch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,10 +58,13 @@ pub trait ControlChannel {
     /// commit op is sent. Durable channels append the commit decision
     /// for `epoch` to a write-ahead log here, turning recovery into
     /// presumed-abort two-phase commit: a staged epoch with a logged
-    /// decision rolls forward, one without rolls back. The default is
-    /// a no-op (volatile controllers log nothing).
-    fn commit_point(&mut self, epoch: u64) {
+    /// decision rolls forward, one without rolls back. An error means
+    /// the decision may not be durable, so the transaction aborts
+    /// instead of committing. The default is a no-op (volatile
+    /// controllers log nothing).
+    fn commit_point(&mut self, epoch: u64) -> io::Result<()> {
         let _ = epoch;
+        Ok(())
     }
 }
 

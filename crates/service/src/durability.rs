@@ -3,15 +3,15 @@
 //! Everything the controller cannot recompute after a crash is written
 //! here *before* it is acted on:
 //!
-//! * every accepted intake operation (`SubRequest`) is appended
-//!   before it mutates the target subscription state, so a crashed
-//!   controller can rebuild intake by replay;
+//! * every intake request (`SubRequest`) is appended before it is
+//!   checked or batched, so a crashed controller rebuilds the target
+//!   subscription state, open window included, by replay;
 //! * every install transaction's **commit decision** is appended at
 //!   the two-phase commit point (see
 //!   [`ControlChannel::commit_point`](camus_net::ControlChannel::commit_point)),
 //!   before the first commit op goes on the wire — the presumed-abort
 //!   rule: a staged epoch with a logged decision rolls forward, one
-//!   without rolls back;
+//!   without rolls back — and a failed append aborts the transaction;
 //! * periodic **snapshots** of the committed subscription set, the
 //!   epoch watermark and the request watermark bound replay to the
 //!   tail since the last snapshot. They carry no pipeline
@@ -27,13 +27,15 @@
 //! lock; a crash between the records of a snapshot leaves a
 //! *incomplete* snapshot, which replay detects and ignores (the
 //! previous snapshot plus a longer tail still reconstructs the same
-//! state).
+//! state). A log that cannot be read is an error, never an empty
+//! state; a record that cannot be decoded (invalid UTF-8 included) is
+//! skipped like any other corrupt record.
 
 use crate::intake::{apply_request, RequestId, RequestOp, SubRequest};
 use camus_lang::ast::Expr;
 use camus_lang::parser::parse_expr;
 use std::collections::BTreeSet;
-use std::io::{self, BufRead, Write as _};
+use std::io::{self, BufRead as _, Write as _};
 use std::sync::{Arc, Mutex};
 
 /// Storage behind a [`Wal`]: an append-only sequence of text lines.
@@ -44,7 +46,7 @@ pub(crate) trait WalBackend: Send {
     /// the log; the service treats it as fatal.
     fn append(&mut self, line: &str) -> io::Result<()>;
     /// Every record, in append order.
-    fn read_all(&self) -> Vec<String>;
+    fn read_all(&self) -> io::Result<Vec<String>>;
 }
 
 /// The hermetic in-memory backend tests and experiments use.
@@ -53,20 +55,14 @@ pub(crate) struct MemoryWal {
     lines: Vec<String>,
 }
 
-impl MemoryWal {
-    pub(crate) fn new() -> Self {
-        MemoryWal::default()
-    }
-}
-
 impl WalBackend for MemoryWal {
     fn append(&mut self, line: &str) -> io::Result<()> {
         self.lines.push(line.to_string());
         Ok(())
     }
 
-    fn read_all(&self) -> Vec<String> {
-        self.lines.clone()
+    fn read_all(&self) -> io::Result<Vec<String>> {
+        Ok(self.lines.clone())
     }
 }
 
@@ -95,11 +91,11 @@ impl WalBackend for FileWal {
         writeln!(self.file, "{line}")
     }
 
-    fn read_all(&self) -> Vec<String> {
-        match std::fs::File::open(&self.path) {
-            Ok(f) => io::BufReader::new(f).lines().map_while(Result::ok).collect(),
-            Err(_) => Vec::new(),
-        }
+    /// Lines decode lossily: a line that is not UTF-8 stays a line
+    /// (replay skips it as corrupt) instead of ending the read.
+    fn read_all(&self) -> io::Result<Vec<String>> {
+        let file = io::BufReader::new(std::fs::File::open(&self.path)?);
+        file.split(b'\n').map(|l| Ok(String::from_utf8_lossy(&l?).into_owned())).collect()
     }
 }
 
@@ -119,7 +115,7 @@ impl Wal {
 
     /// The hermetic default.
     pub fn in_memory() -> Self {
-        Wal::new(Box::new(MemoryWal::new()))
+        Wal::new(Box::<MemoryWal>::default())
     }
 
     /// File-backed log at `path`.
@@ -131,8 +127,8 @@ impl Wal {
         self.inner.lock().expect("WAL lock poisoned")
     }
 
-    /// Log one accepted intake operation. Called *before* the request
-    /// mutates the target state.
+    /// Log one intake request. Called *before* intake checks or
+    /// batches it.
     pub(crate) fn append_request(&self, req: &SubRequest) -> io::Result<()> {
         let (kind, filter) = match &req.op {
             RequestOp::Subscribe(f) => ("sub", f),
@@ -171,25 +167,16 @@ impl Wal {
         w.append("snap end")
     }
 
-    /// Total records in the log (experiments report recovery time
-    /// against this).
-    pub fn len(&self) -> usize {
-        self.lock().read_all().len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Rebuild controller state from the log: the last *complete*
     /// snapshot, plus every request record above its watermark —
     /// regardless of file position, because intake logs requests on
     /// arrival while a snapshot holds only committed state, which lags
     /// the open window and the compile backlog. Replay is a pure
     /// function of the log's content — replaying the same log any
-    /// number of times yields the same state.
-    pub fn replay(&self) -> WalState {
-        replay_lines(&self.lock().read_all())
+    /// number of times yields the same state. A log that cannot be
+    /// read is an error.
+    pub fn replay(&self) -> io::Result<WalState> {
+        Ok(replay_lines(&self.lock().read_all()?))
     }
 }
 
@@ -307,7 +294,8 @@ fn replay_lines(lines: &[String]) -> WalState {
                 };
                 let op = match kind {
                     "sub" => RequestOp::Subscribe(filter),
-                    _ => RequestOp::Unsubscribe(filter),
+                    "unsub" => RequestOp::Unsubscribe(filter),
+                    _ => continue,
                 };
                 reqs.push(SubRequest { id, host, op, arrival_ns: arrival.unwrap_or(0) });
             }
@@ -339,12 +327,9 @@ fn replay_lines(lines: &[String]) -> WalState {
 /// A [`ControlChannel`](camus_net::ControlChannel) wrapper that makes
 /// the two-phase install durable: the commit decision for each epoch
 /// is appended to the WAL at the commit point, *before* the first
-/// commit op reaches any switch.
-///
-/// `ControlChannel::commit_point` returns nothing, so a failed commit
-/// append panics here instead of surfacing as
-/// [`ServiceError::Wal`](crate::ServiceError::Wal); the transaction
-/// step's supervisor catches it.
+/// commit op reaches any switch. A failed append is returned, so the
+/// install aborts every staged program and the transaction step stops
+/// the service with [`ServiceError::Wal`](crate::ServiceError::Wal).
 pub(crate) struct WalChannel {
     inner: Box<dyn camus_net::ControlChannel + Send>,
     wal: Wal,
@@ -366,9 +351,9 @@ impl camus_net::ControlChannel for WalChannel {
         self.inner.attempt(switch, op, attempt)
     }
 
-    fn commit_point(&mut self, epoch: u64) {
-        self.wal.append_commit(epoch).expect("WAL commit append");
-        self.inner.commit_point(epoch);
+    fn commit_point(&mut self, epoch: u64) -> io::Result<()> {
+        self.wal.append_commit(epoch)?;
+        self.inner.commit_point(epoch)
     }
 }
 
@@ -391,7 +376,7 @@ mod tests {
         wal.append_request(&req(0, 0, RequestOp::Subscribe(f("price > 10")), 5)).unwrap();
         wal.append_request(&req(1, 2, RequestOp::Subscribe(f("stock == GOOGL")), 9)).unwrap();
         wal.append_request(&req(2, 0, RequestOp::Unsubscribe(f("price > 10")), 12)).unwrap();
-        let st = wal.replay();
+        let st = wal.replay().unwrap();
         assert_eq!(st.subs.len(), 3);
         assert!(st.subs[0].is_empty(), "sub+unsub cancel");
         assert_eq!(st.subs[2], vec![f("stock == GOOGL")]);
@@ -411,14 +396,14 @@ mod tests {
         // A record with id at the watermark replays as a no-op.
         wal.append_request(&req(0, 0, RequestOp::Subscribe(f("price > 10")), 1)).unwrap();
 
-        let st = wal.replay();
+        let st = wal.replay().unwrap();
         assert_eq!(st.subs, vec![vec![f("price > 10")], vec![f("price > 50")]]);
         assert_eq!(st.replayed_requests, 1, "only the post-snapshot tail replays");
         assert!(st.committed_epochs.contains(&7));
         assert_eq!(st.next_epoch, 8);
 
         // Pure function of the log: replaying again changes nothing.
-        let again = wal.replay();
+        let again = wal.replay().unwrap();
         assert_eq!(again.subs, st.subs);
         assert_eq!(again.committed_epochs, st.committed_epochs);
         assert_eq!(again.replayed_requests, st.replayed_requests);
@@ -435,7 +420,7 @@ mod tests {
         wal.append_request(&req(1, 1, RequestOp::Subscribe(f("price > 50")), 2)).unwrap();
         // Snapshot reflects only request 0 — written after request 1.
         wal.append_snapshot(&[vec![f("price > 10")], Vec::new()], 2, Some(0)).unwrap();
-        let st = wal.replay();
+        let st = wal.replay().unwrap();
         assert_eq!(
             st.subs,
             vec![vec![f("price > 10")], vec![f("price > 50")]],
@@ -468,7 +453,7 @@ mod tests {
         for line in old {
             wal.inner.lock().unwrap().append(line).unwrap();
         }
-        let st = wal.replay();
+        let st = wal.replay().unwrap();
         assert_eq!(st.subs, vec![Vec::new(), vec![f("stock == GOOGL")]]);
         assert_eq!(st.last_request, Some(2));
         assert_eq!(st.replayed_requests, 2, "the second snapshot completes despite its fp lines");
@@ -488,7 +473,7 @@ mod tests {
             w.append("snap sub 0 (price > 99)").unwrap();
         }
         wal.append_request(&req(5, 0, RequestOp::Subscribe(f("price > 50")), 1)).unwrap();
-        let st = wal.replay();
+        let st = wal.replay().unwrap();
         assert_eq!(
             st.subs,
             vec![vec![f("price > 10"), f("price > 50")]],
@@ -507,9 +492,19 @@ mod tests {
             w.append(&format!("req 1 0 2 sub {}price > 2", "not ".repeat(100_000))).unwrap();
         }
         wal.append_request(&req(2, 0, RequestOp::Subscribe(f("price > 3")), 3)).unwrap();
-        let st = wal.replay();
+        let st = wal.replay().unwrap();
         assert_eq!(st.subs, vec![vec![f("price > 3")]], "both deep records are skipped");
         assert_eq!(st.replayed_requests, 1);
+    }
+
+    #[test]
+    fn an_unknown_request_kind_is_skipped() {
+        let wal = Wal::in_memory();
+        wal.append_snapshot(&[vec![f("price > 1")]], 1, None).unwrap();
+        wal.inner.lock().unwrap().append("req 0 0 1 bogus (price > 1)").unwrap();
+        let st = wal.replay().unwrap();
+        assert_eq!(st.subs, vec![vec![f("price > 1")]], "a corrupt kind is no unsubscribe");
+        assert_eq!((st.replayed_requests, st.last_request), (0, None));
     }
 
     #[test]
@@ -520,7 +515,7 @@ mod tests {
         let nots = (0..200).fold(f("price > 1"), |e, _| e.not());
         wal.append_request(&req(0, 0, RequestOp::Subscribe(chain.clone()), 1)).unwrap();
         wal.append_request(&req(1, 0, RequestOp::Subscribe(nots.clone()), 2)).unwrap();
-        assert_eq!(wal.replay().subs[0], vec![chain, nots]);
+        assert_eq!(wal.replay().unwrap().subs[0], vec![chain, nots]);
     }
 
     #[test]
@@ -529,7 +524,7 @@ mod tests {
         wal.append_snapshot(&vec![Vec::new(); 1], 1, None).unwrap();
         let gnarly = f("(price > 10 and not (stock == GOOGL)) or shares >= 5");
         wal.append_request(&req(0, 0, RequestOp::Subscribe(gnarly.clone()), 1)).unwrap();
-        assert_eq!(wal.replay().subs[0], vec![gnarly]);
+        assert_eq!(wal.replay().unwrap().subs[0], vec![gnarly]);
     }
 
     #[test]
@@ -545,9 +540,32 @@ mod tests {
             wal.append_commit(2).unwrap();
         } // drop = crash: no close protocol, no fsync
         let wal = Wal::file(&path).unwrap();
-        let st = wal.replay();
+        let st = wal.replay().unwrap();
         assert_eq!(st.subs[1], vec![f("price > 10")]);
         assert!(st.committed_epochs.contains(&2));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn records_after_an_invalid_utf8_line_still_replay() {
+        let dir = std::env::temp_dir().join(format!("camus-wal-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("utf8.wal");
+        let _ = std::fs::remove_file(&path);
+        let wal = Wal::file(&path).unwrap();
+        wal.append_snapshot(&vec![Vec::new(); 2], 1, None).unwrap();
+        wal.append_request(&req(0, 0, RequestOp::Subscribe(f("price > 10")), 1)).unwrap();
+        {
+            let mut raw = std::fs::OpenOptions::new().append(true).open(&path).unwrap();
+            raw.write_all(b"req 1 1 2 sub (price > \xff\xfe)\n").unwrap();
+        }
+        wal.append_request(&req(2, 1, RequestOp::Subscribe(f("price > 50")), 3)).unwrap();
+        wal.append_commit(4).unwrap();
+        let st = wal.replay().unwrap();
+        assert_eq!(st.subs, vec![vec![f("price > 10")], vec![f("price > 50")]]);
+        assert_eq!((st.replayed_requests, st.last_request), (2, Some(2)));
+        assert!(st.committed_epochs.contains(&4));
+        assert_eq!(st.lines, 6, "the corrupt line is read and skipped");
         std::fs::remove_file(&path).ok();
     }
 }

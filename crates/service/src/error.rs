@@ -6,15 +6,18 @@
 //! host, an unsubscribe with no matching subscription) are
 //! [`IntakeError`]s: *recorded*, not fatal — the service keeps running
 //! and reports them at shutdown. Fatal errors — a compile failure, a
-//! crashed or audit-violating install, a failed write-ahead-log append,
-//! a stage out of restarts — stop the service and surface through [`ServiceError`], the roll-up the
-//! service owner sees.
+//! crashed or audit-violating install, a write-ahead log that cannot be
+//! appended to or read — stop the service and surface through
+//! [`ServiceError`], the roll-up the service owner sees. This is the
+//! service's one failure path: it catches no panic, and a panic, which
+//! would be a bug, propagates to the caller.
 //!
 //! The batch controller API has one error enum of its own,
 //! [`camus_net::DeployError`]: what the install transaction returns is
 //! what the transaction step matches on.
 
 use camus_core::compiler::CompileError;
+use camus_net::DeployError;
 use std::{fmt, io};
 
 /// Soft per-request rejects: recorded, the service keeps running.
@@ -80,14 +83,11 @@ pub enum ServiceError {
     /// will fix.
     Compile(CompileError),
     Deploy(DeployStageError),
-    /// A write-ahead-log append failed: the log may no longer hold
-    /// what recovery needs, so the service stops.
+    /// A write-ahead-log append failed, so the log may no longer hold
+    /// what recovery needs, or the log could not be read back.
     Wal(io::Error),
-    /// The transaction step panicked repeatedly enough to exhaust its
-    /// restart budget and was taken down.
-    Panicked {
-        panics: u32,
-    },
+    /// Recovery's reconcile-and-reinstall transaction failed.
+    Recovery(DeployError),
 }
 
 impl fmt::Display for ServiceError {
@@ -95,10 +95,8 @@ impl fmt::Display for ServiceError {
         match self {
             ServiceError::Compile(e) => write!(f, "compile service: pipeline compile failed: {e}"),
             ServiceError::Deploy(e) => write!(f, "deploy service: {e}"),
-            ServiceError::Wal(e) => write!(f, "write-ahead log: append failed: {e}"),
-            ServiceError::Panicked { panics } => {
-                write!(f, "transaction step panicked {panics}x, restart budget exhausted")
-            }
+            ServiceError::Wal(e) => write!(f, "write-ahead log: {e}"),
+            ServiceError::Recovery(e) => write!(f, "recovery: {e}"),
         }
     }
 }
@@ -109,7 +107,7 @@ impl std::error::Error for ServiceError {
             ServiceError::Compile(e) => Some(e),
             ServiceError::Deploy(e) => Some(e),
             ServiceError::Wal(e) => Some(e),
-            ServiceError::Panicked { .. } => None,
+            ServiceError::Recovery(e) => Some(e),
         }
     }
 }
@@ -143,11 +141,7 @@ mod tests {
         assert!(e.source().is_some());
 
         let e = ServiceError::Wal(io::Error::other("disk full"));
-        assert_eq!(e.to_string(), "write-ahead log: append failed: disk full");
+        assert_eq!(e.to_string(), "write-ahead log: disk full");
         assert!(e.source().is_some());
-
-        let e = ServiceError::Panicked { panics: 3 };
-        assert_eq!(e.to_string(), "transaction step panicked 3x, restart budget exhausted");
-        assert!(e.source().is_none());
     }
 }

@@ -1,9 +1,11 @@
 //! Subscription intake: the live API surface and the churn batcher.
 //!
-//! Intake keeps the authoritative target subscription state. Every
-//! request mutates that state immediately through `apply_request`
-//! (or is rejected), and gets folded into the *open batch window*. The
-//! window is adaptive:
+//! Intake keeps only the *open batch window*. Every other accepted
+//! request is already in the transaction step's target state: the
+//! service applies a batch there as soon as the window closes. A
+//! request is accepted or soft-rejected against that state plus the
+//! window, and an accepted one is folded into the window. The window is
+//! adaptive:
 //!
 //! * it opens at the first request's arrival `t0`;
 //! * each further arrival within the window extends a short quiet
@@ -18,10 +20,10 @@
 //! always produces the same batches.
 //!
 //! A batch carries only the requests intake accepted, in arrival
-//! order. The transaction step applies them to its own copy of the
-//! target state with the same `apply_request`, so merging two queued
-//! batches is concatenating their requests, and a batch costs time in
-//! proportion to its ops, not to the subscriptions held.
+//! order, and the target state takes them through `apply_request`, so
+//! merging two queued batches is concatenating their requests, and a
+//! batch costs time in proportion to its ops, not to the subscriptions
+//! held.
 
 use crate::durability::Wal;
 use crate::error::IntakeError;
@@ -38,6 +40,16 @@ pub enum RequestOp {
     /// Drop one instance of an equal filter held by the host (the
     /// most recently added one).
     Unsubscribe(Expr),
+}
+
+impl RequestOp {
+    /// The filter, and the change to the host's count of it.
+    pub(crate) fn edit(&self) -> (&Expr, i64) {
+        match self {
+            RequestOp::Subscribe(f) => (f, 1),
+            RequestOp::Unsubscribe(f) => (f, -1),
+        }
+    }
 }
 
 /// One subscription request with its modelled arrival time.
@@ -103,11 +115,11 @@ pub(crate) struct ChurnBatch {
     pub closed_ns: u64,
 }
 
-/// The one subscription-edit rule, shared by intake, the transaction
-/// step and WAL replay: a subscribe pushes the filter; an unsubscribe
-/// removes the most recently added equal filter the host holds. An
-/// unknown host or a filter the host does not hold is a soft reject
-/// that leaves `subs` unchanged.
+/// The one subscription-edit rule, shared by the transaction step and
+/// WAL replay: a subscribe pushes the filter; an unsubscribe removes
+/// the most recently added equal filter the host holds. An unknown host
+/// or a filter the host does not hold is a soft reject that leaves
+/// `subs` unchanged; intake accepts exactly the requests this applies.
 pub(crate) fn apply_request(subs: &mut [Vec<Expr>], req: &SubRequest) -> Result<(), IntakeError> {
     let hosts = subs.len();
     let Some(held) = subs.get_mut(req.host) else {
@@ -137,14 +149,12 @@ struct OpenWindow {
 /// The intake stage.
 pub(crate) struct IntakeService {
     policy: BatchPolicy,
-    /// Authoritative target state (what the network *should* run).
-    subs: Vec<Vec<Expr>>,
     open: Option<OpenWindow>,
     next_txn: u64,
     /// Monotonic arrival clamp: arrivals never run backwards.
     clock_ns: u64,
-    /// Durability: every request is appended here *before* it mutates
-    /// the target state (`None` = volatile controller).
+    /// Durability: every request is appended here *before* it is
+    /// checked or batched (`None` = volatile controller).
     wal: Option<Wal>,
     /// Accepted request count.
     pub accepted: u64,
@@ -157,10 +167,9 @@ pub(crate) struct IntakeService {
 }
 
 impl IntakeService {
-    pub(crate) fn new(policy: BatchPolicy, subs: Vec<Vec<Expr>>, wal: Option<Wal>) -> Self {
+    pub(crate) fn new(policy: BatchPolicy, wal: Option<Wal>) -> Self {
         IntakeService {
             policy,
-            subs,
             open: None,
             next_txn: 0,
             clock_ns: 0,
@@ -170,11 +179,6 @@ impl IntakeService {
             out_of_order: 0,
             batches: 0,
         }
-    }
-
-    /// Take the target state home (shutdown path).
-    pub(crate) fn into_subs(self) -> Vec<Vec<Expr>> {
-        self.subs
     }
 
     /// Intake's clock: the latest arrival, clamped monotonic. Every
@@ -189,27 +193,23 @@ impl IntakeService {
         Some(ChurnBatch { txn: w.txn, requests: w.requests, opened_ns: w.opened_ns, closed_ns })
     }
 
-    /// Take one request: log it, apply it or soft-reject it, and fold
-    /// it into the open window. Returns the window the request closed,
-    /// if any: the previous one when this arrival falls past its
-    /// deadline (closed at the deadline, before this request existed),
-    /// or the request's own when it reaches `max_ops`. Never both: a
-    /// window left open holds fewer than `max_ops` requests, so then
-    /// `max_ops` is at least 2 and the window this request opens holds
-    /// one. A failed WAL append returns the error before the request
-    /// touches the target state or the window.
-    pub(crate) fn handle(&mut self, mut req: SubRequest) -> io::Result<Option<ChurnBatch>> {
+    /// A request arrives: clamp its stamp, log it, and close the open
+    /// window if the request falls past its deadline (closed at the
+    /// deadline, before this request existed). The caller queues that
+    /// window before it [`admit`](Self::admit)s the request. A failed
+    /// WAL append returns the error before anything else happens.
+    pub(crate) fn arrive(&mut self, req: &mut SubRequest) -> io::Result<Option<ChurnBatch>> {
         if req.arrival_ns < self.clock_ns {
             self.out_of_order += 1;
             req.arrival_ns = self.clock_ns;
         }
         self.clock_ns = req.arrival_ns;
 
-        // Write ahead: the request is durable before it mutates the
-        // target state (soft rejects are logged too — replay applies
-        // the same `apply_request`, so they replay as the same no-ops).
+        // Write ahead: the request is durable before it is checked
+        // (soft rejects are logged too — replay applies the same
+        // `apply_request`, so they replay as the same no-ops).
         if let Some(w) = &self.wal {
-            w.append_request(&req)?;
+            w.append_request(req)?;
         }
 
         let expired = self
@@ -217,12 +217,17 @@ impl IntakeService {
             .as_ref()
             .map(|w| self.policy.deadline_ns(w.opened_ns, w.last_ns))
             .filter(|&deadline| req.arrival_ns > deadline);
-        let closed = expired.and_then(|deadline| self.close(deadline));
+        Ok(expired.and_then(|deadline| self.close(deadline)))
+    }
 
-        if let Err(e) = apply_request(&mut self.subs, &req) {
-            // Soft reject: record and move on, no state change.
+    /// Accept or soft-reject an arrived request against `subs` (every
+    /// accepted request outside the open window) plus the window, and
+    /// fold an accepted one into the window. Returns the window when
+    /// the request fills it to `max_ops`.
+    pub(crate) fn admit(&mut self, req: SubRequest, subs: &[Vec<Expr>]) -> Option<ChurnBatch> {
+        if let Err(e) = self.check(&req, subs) {
             self.rejected.push(e);
-            return Ok(closed);
+            return None;
         }
         self.accepted += 1;
 
@@ -239,11 +244,27 @@ impl IntakeService {
         w.last_ns = req.arrival_ns;
         w.requests.push(req);
         if w.requests.len() >= self.policy.max_ops {
-            debug_assert!(closed.is_none(), "one request closes at most one window");
             let last = w.last_ns;
-            return Ok(self.close(last));
+            return self.close(last);
         }
-        Ok(closed)
+        None
+    }
+
+    /// Would `apply_request` take `req` after `subs` and the window? A
+    /// subscribe needs a known host; an unsubscribe needs an equal
+    /// filter left to remove: those the host holds, plus the window's
+    /// subscribes of it, minus its unsubscribes.
+    fn check(&self, req: &SubRequest, subs: &[Vec<Expr>]) -> Result<(), IntakeError> {
+        let (request, host, hosts) = (req.id, req.host, subs.len());
+        let held = subs.get(host).ok_or(IntakeError::UnknownHost { request, host, hosts })?;
+        let RequestOp::Unsubscribe(f) = &req.op else { return Ok(()) };
+        let window = self.open.iter().flat_map(|w| &w.requests).filter(|r| r.host == host);
+        let edits: i64 = window.map(|r| r.op.edit()).filter(|(x, _)| *x == f).map(|(_, n)| n).sum();
+        if held.iter().filter(|x| *x == f).count() as i64 + edits > 0 {
+            Ok(())
+        } else {
+            Err(IntakeError::NoSuchSubscription { request, host })
+        }
     }
 
     /// Close the open window now (drain, shutdown): at its last
@@ -263,8 +284,38 @@ mod tests {
         parse_expr(s).unwrap()
     }
 
-    fn svc(policy: BatchPolicy, hosts: usize) -> IntakeService {
-        IntakeService::new(policy, vec![Vec::new(); hosts], None)
+    /// Intake as the service drives it: a closed window lands in the
+    /// target state `subs` before the next request is checked.
+    struct Driven {
+        intake: IntakeService,
+        subs: Vec<Vec<Expr>>,
+    }
+
+    impl Driven {
+        fn handle(&mut self, mut r: SubRequest) -> Option<ChurnBatch> {
+            let expired = self.intake.arrive(&mut r).unwrap();
+            self.land(expired.as_ref());
+            let full = self.intake.admit(r, &self.subs);
+            self.land(full.as_ref());
+            assert!(expired.is_none() || full.is_none(), "one request closes at most one window");
+            expired.or(full)
+        }
+
+        fn flush(&mut self) -> Option<ChurnBatch> {
+            let batch = self.intake.flush();
+            self.land(batch.as_ref());
+            batch
+        }
+
+        fn land(&mut self, batch: Option<&ChurnBatch>) {
+            for r in batch.into_iter().flat_map(|b| &b.requests) {
+                apply_request(&mut self.subs, r).expect("intake accepts only what applies");
+            }
+        }
+    }
+
+    fn svc(policy: BatchPolicy, hosts: usize) -> Driven {
+        Driven { intake: IntakeService::new(policy, None), subs: vec![Vec::new(); hosts] }
     }
 
     fn req(id: u64, host: usize, op: RequestOp, at: u64) -> SubRequest {
@@ -274,15 +325,13 @@ mod tests {
     /// Subscribe `host` to `filter` once per `(id, arrival)`, collecting
     /// the batches the requests close.
     fn subscribe_all(
-        s: &mut IntakeService,
+        s: &mut Driven,
         host: usize,
         filter: &str,
         at: &[(u64, u64)],
     ) -> Vec<ChurnBatch> {
         at.iter()
-            .filter_map(|&(i, t)| {
-                s.handle(req(i, host, RequestOp::Subscribe(f(filter)), t)).unwrap()
-            })
+            .filter_map(|&(i, t)| s.handle(req(i, host, RequestOp::Subscribe(f(filter)), t)))
             .collect()
     }
 
@@ -294,7 +343,7 @@ mod tests {
         assert!(got.iter().all(|b| b.requests.len() == 1));
         assert_eq!(got[2].closed_ns, 500);
         assert_eq!(got[2].requests[0].id, 2, "a batch carries its own requests only");
-        assert_eq!(s.subs[0].len(), 3, "intake's target state is cumulative");
+        assert_eq!(s.subs[0].len(), 3, "every closed window lands in the target state");
     }
 
     #[test]
@@ -344,31 +393,66 @@ mod tests {
     #[test]
     fn rejects_are_soft_and_recorded() {
         let mut s = svc(BatchPolicy::naive(), 2);
-        assert!(s.handle(req(0, 9, RequestOp::Subscribe(f("price > 1")), 0)).unwrap().is_none());
-        assert!(s.handle(req(1, 0, RequestOp::Unsubscribe(f("price > 1")), 1)).unwrap().is_none());
+        assert!(s.handle(req(0, 9, RequestOp::Subscribe(f("price > 1")), 0)).is_none());
+        assert!(s.handle(req(1, 0, RequestOp::Unsubscribe(f("price > 1")), 1)).is_none());
         assert!(s.flush().is_none(), "rejected requests emit no batch");
-        assert_eq!(s.rejected.len(), 2);
-        assert!(matches!(s.rejected[0], IntakeError::UnknownHost { host: 9, .. }));
-        assert!(matches!(s.rejected[1], IntakeError::NoSuchSubscription { .. }));
-        assert_eq!(s.accepted, 0);
+        let rejected = &s.intake.rejected;
+        assert_eq!(rejected.len(), 2);
+        assert!(matches!(rejected[0], IntakeError::UnknownHost { host: 9, hosts: 2, .. }));
+        assert!(matches!(rejected[1], IntakeError::NoSuchSubscription { .. }));
+        assert_eq!(s.intake.accepted, 0);
     }
 
     #[test]
     fn unsubscribe_drops_newest_equal_filter() {
         let mut s = svc(BatchPolicy { max_ops: 100, ..BatchPolicy::adaptive() }, 1);
-        s.handle(req(0, 0, RequestOp::Subscribe(f("price > 1")), 0)).unwrap();
-        s.handle(req(1, 0, RequestOp::Subscribe(f("price > 2")), 1)).unwrap();
-        s.handle(req(2, 0, RequestOp::Subscribe(f("price > 1")), 2)).unwrap();
-        s.handle(req(3, 0, RequestOp::Unsubscribe(f("price > 1")), 3)).unwrap();
+        s.handle(req(0, 0, RequestOp::Subscribe(f("price > 1")), 0));
+        s.handle(req(1, 0, RequestOp::Subscribe(f("price > 2")), 1));
+        s.handle(req(2, 0, RequestOp::Subscribe(f("price > 1")), 2));
+        s.handle(req(3, 0, RequestOp::Unsubscribe(f("price > 1")), 3));
+        s.flush();
         assert_eq!(s.subs[0], vec![f("price > 1"), f("price > 2")]);
+    }
+
+    #[test]
+    fn an_unsubscribe_counts_the_open_window() {
+        // Host 0 holds one `price > 1` outside the window; each
+        // unsubscribe needs one left after the window's own edits.
+        let mut s = svc(BatchPolicy { max_ops: 100, ..BatchPolicy::adaptive() }, 1);
+        s.subs[0].push(f("price > 1"));
+        let ops = [
+            RequestOp::Unsubscribe(f("price > 1")),
+            RequestOp::Unsubscribe(f("price > 1")),
+            RequestOp::Subscribe(f("price > 1")),
+            RequestOp::Unsubscribe(f("price > 1")),
+            RequestOp::Unsubscribe(f("price > 2")),
+            RequestOp::Unsubscribe(f("price > 1")),
+        ];
+        for (i, op) in ops.into_iter().enumerate() {
+            assert!(s.handle(req(i as u64, 0, op, i as u64)).is_none(), "one window");
+        }
+        let ids = |s: &Driven| -> Vec<u64> {
+            s.intake
+                .rejected
+                .iter()
+                .map(|e| match e {
+                    IntakeError::NoSuchSubscription { request, .. } => *request,
+                    other => panic!("{other}"),
+                })
+                .collect()
+        };
+        assert_eq!(ids(&s), vec![1, 4, 5]);
+        let batch = s.flush().expect("the open window");
+        assert_eq!(batch.requests.iter().map(|r| r.id).collect::<Vec<_>>(), vec![0, 2, 3]);
+        assert!(s.subs[0].is_empty());
     }
 
     #[test]
     fn out_of_order_arrivals_are_clamped_monotonic() {
         let mut s = svc(BatchPolicy::naive(), 1);
         let got = subscribe_all(&mut s, 0, "price > 1", &[(0, 100), (1, 40)]);
-        assert_eq!(s.out_of_order, 1);
+        assert_eq!(s.intake.out_of_order, 1);
         assert_eq!(got[1].requests[0].arrival_ns, 100, "clamped to the intake clock");
-        assert_eq!(s.now_ns(), 100);
+        assert_eq!(s.intake.now_ns(), 100);
     }
 }

@@ -11,18 +11,20 @@
 //! * [`intake`] — the live subscribe/unsubscribe API, the one
 //!   subscription-edit rule, and the adaptive churn batcher
 //!   (quiet-period window with a hard deadline; a batch carries its
-//!   accepted requests);
-//! * [`stages`] — the transaction step: it owns the live target state,
+//!   accepted requests). Intake keeps only the open window, and checks
+//!   a request against the target state plus that window;
+//! * [`stages`] — the transaction step: it owns the one target state,
 //!   the deployment and the control channel, and turns a batch into a
 //!   reported transaction — route, delta compile against the installed
 //!   state, transactional install, per-commit zero-mis-delivery audit
 //!   and cadence snapshot — skipping net-zero batches, with the
 //!   compile executor and the control channel on two modelled clocks;
 //! * [`service`] — [`CamusService`]: the step loop that drives intake
-//!   and the transaction step on the caller's thread, merges the
-//!   compile backlog on the modelled clock, supervises panics, drains
-//!   and shuts down; and the [`ServiceOutcome`] with per-transaction
-//!   reports;
+//!   and the transaction step on the caller's thread, applies each
+//!   closed batch to the target state as it queues it, merges the
+//!   compile backlog on the modelled clock, stops at the first fatal
+//!   error, drains and shuts down; and the [`ServiceOutcome`] with
+//!   per-transaction reports;
 //! * [`durability`] — the write-ahead log, snapshots and replay;
 //! * [`error`] — the soft per-request rejects and the fatal
 //!   [`ServiceError`].

@@ -194,8 +194,8 @@ proptest! {
 
         // 5. The WAL is idempotent under double replay, and its
         // replayed state is exactly the final target state.
-        let once = wal.replay();
-        let twice = wal.replay();
+        let once = wal.replay().expect("the log reads back");
+        let twice = wal.replay().expect("the log reads back");
         prop_assert_eq!(&once.subs, &twice.subs);
         prop_assert_eq!(&once.subs, &out.subs);
         prop_assert_eq!(once.next_epoch, twice.next_epoch);

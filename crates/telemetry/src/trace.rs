@@ -99,14 +99,11 @@ impl RequestSpan {
 }
 
 /// A rendered deploy/repair transaction: phase spans plus the
-/// per-switch ledger, and — when the transaction came through the
-/// controller service — the per-request intake→deployed spans it
-/// carried.
+/// per-switch ledger.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DeployTrace {
     pub spans: Vec<PhaseSpan>,
     pub switches: Vec<SwitchSpan>,
-    pub requests: Vec<RequestSpan>,
 }
 
 impl DeployTrace {
@@ -153,7 +150,7 @@ impl DeployTrace {
                 modelled: true,
             },
         ];
-        DeployTrace { spans, switches, requests: Vec::new() }
+        DeployTrace { spans, switches }
     }
 
     /// Total modelled control-plane time (stage + commit + finalize).
@@ -180,15 +177,6 @@ impl DeployTrace {
             self.switches.iter().filter(|s| s.committed).count(),
             self.retried_switches()
         );
-        if !self.requests.is_empty() {
-            let worst = self.requests.iter().map(RequestSpan::time_to_traffic_ns).max().unwrap();
-            let _ = writeln!(
-                out,
-                "-- {} requests, worst time-to-traffic {} ns --",
-                self.requests.len(),
-                worst
-            );
-        }
         out
     }
 }
@@ -234,7 +222,7 @@ mod tests {
     }
 
     #[test]
-    fn request_spans_ride_the_trace() {
+    fn time_to_traffic_saturates() {
         let span = RequestSpan {
             request: 7,
             host: 3,
@@ -244,9 +232,6 @@ mod tests {
             deployed_ns: 1_500,
         };
         assert_eq!(span.time_to_traffic_ns(), 1_400);
-        let t = DeployTrace { requests: vec![span], ..DeployTrace::build(1, 2, Vec::new()) };
-        assert_eq!(t.requests.len(), 1);
-        assert!(t.render().contains("worst time-to-traffic 1400 ns"));
         // A clock-skewed stamp must not panic the metric.
         let skew = RequestSpan { deployed_ns: 50, ..span };
         assert_eq!(skew.time_to_traffic_ns(), 0);
