@@ -103,17 +103,20 @@ pub fn run(scale: Scale) -> Vec<Table> {
         ],
     );
     for s in &r.steps {
+        let a = &s.audit;
         // The harness already asserted these; restating them here makes
         // the experiment self-checking even if the harness relaxes.
-        assert_eq!(s.misdelivered, 0, "step {}: mis-delivery", s.step);
-        assert_eq!(s.duplicated, 0, "step {}: duplicate", s.step);
+        assert_eq!(a.misdelivered, 0, "step {}: mis-delivery", s.step);
+        assert_eq!(a.duplicated, 0, "step {}: duplicate", s.step);
         if s.outcome != "rolled-back" && s.outcome != "controller-down" {
-            assert_eq!(s.missed, 0, "step {}: committed repair must deliver", s.step);
+            assert_eq!(a.missed, 0, "step {}: committed repair must deliver", s.step);
         }
-        // Telemetry detection: every missed delivery surfaces as a
+        // Telemetry: the postcard audit of every traced witness equals
+        // the delivery-log audit, every missed delivery surfaces as a
         // blackhole anomaly, and nothing ever loops.
-        assert_eq!(s.traced, cfg.probes_per_step, "step {}: sampler missed probes", s.step);
-        assert_eq!(s.blackholes > 0, s.missed > 0, "step {}: blackhole detection", s.step);
+        assert_eq!(s.telemetry, Some(*a), "step {}: postcard audit", s.step);
+        assert_eq!(a.probes, cfg.probes_per_step, "step {}: probes audited", s.step);
+        assert_eq!(s.blackholes > 0, a.missed > 0, "step {}: blackhole detection", s.step);
         assert_eq!(s.loops, 0, "step {}: false loop report", s.step);
         t.row([
             s.step.to_string(),
@@ -123,11 +126,11 @@ pub fn run(scale: Scale) -> Vec<Table> {
             s.retries.to_string(),
             s.reinstalled.to_string(),
             s.degraded.to_string(),
-            s.expected.to_string(),
-            s.delivered.to_string(),
-            s.missed.to_string(),
-            s.misdelivered.to_string(),
-            s.duplicated.to_string(),
+            a.expected.to_string(),
+            a.delivered.to_string(),
+            a.missed.to_string(),
+            a.misdelivered.to_string(),
+            a.duplicated.to_string(),
             s.drop_pct.to_string(),
             s.fail_pct.to_string(),
             s.partitions.to_string(),

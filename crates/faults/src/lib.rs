@@ -32,7 +32,4 @@ pub use chaos::{run_chaos, ChaosConfig, ChaosInput, ChaosReport, ChaosStep};
 pub use event::{FaultEvent, FaultKind, FaultSchedule};
 pub use inject::FaultInjector;
 pub use report::FaultReport;
-pub use scenario::{
-    apply_fault, run_fault, run_schedule, EventReport, ProbeConfig, RepairModel,
-    TelemetryAccounting,
-};
+pub use scenario::{apply_fault, run_fault, run_schedule, EventReport, ProbeConfig, RepairModel};

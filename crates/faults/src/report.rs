@@ -10,7 +10,7 @@ pub struct FaultReport {
 
 impl FaultReport {
     pub fn total_misdelivered(&self) -> usize {
-        self.events.iter().map(|e| e.misdelivered).sum()
+        self.events.iter().map(|e| e.audit.misdelivered).sum()
     }
 
     pub fn all_recovered(&self) -> bool {

@@ -87,6 +87,10 @@ pub enum DeployError {
     /// left on the switches for recovery to reconcile (the ledger
     /// records how far the transaction got).
     Crashed { epoch: u64, report: DeployReport },
+    /// The subscriptions hold one list per host for `lists` hosts, but
+    /// the topology has `hosts`. Nothing was routed or staged, and no
+    /// epoch was consumed.
+    HostCount { hosts: usize, lists: usize },
 }
 
 impl From<CompileError> for DeployError {
@@ -114,6 +118,9 @@ impl fmt::Display for DeployError {
             }
             DeployError::Crashed { epoch, .. } => {
                 write!(f, "controller crashed mid-transaction (epoch {epoch}); switches hold unreconciled state")
+            }
+            DeployError::HostCount { hosts, lists } => {
+                write!(f, "subscription lists for {lists} hosts on a topology of {hosts} hosts")
             }
         }
     }
@@ -488,14 +495,20 @@ impl Controller {
     /// Stages one and two against a live deployment: route around its
     /// current fault mask, then compile with its installed compile as
     /// the content-addressed cache (no maintained diagrams — callers
-    /// that carry a [`DeltaCache`] drive the stages themselves).
+    /// that carry a [`DeltaCache`] drive the stages themselves). Fails
+    /// with [`DeployError::HostCount`] unless `subs` holds one list per
+    /// host.
     fn replan(
         &self,
         deployment: &Deployment,
         subs: &[Vec<Expr>],
-    ) -> Result<(RoutingResult, NetworkCompile, u64), CompileError> {
-        let start = Instant::now();
+    ) -> Result<(RoutingResult, NetworkCompile, u64), DeployError> {
         let network = &deployment.network;
+        let hosts = network.topology.host_count();
+        if subs.len() != hosts {
+            return Err(DeployError::HostCount { hosts, lists: subs.len() });
+        }
+        let start = Instant::now();
         let routing = self.plan_routing(&network.topology, subs, network.fault_mask());
         let route_ns = start.elapsed().as_nanos() as u64;
         let compile = compile_network_incremental(
@@ -512,6 +525,10 @@ impl Controller {
     /// [`install`](Self::install) so a caller that keeps its own delta
     /// cache and times each step (the service's transaction step) can
     /// run them one by one.
+    ///
+    /// # Panics
+    ///
+    /// If `subs` does not hold one list per host of `topology`.
     pub fn plan_routing(
         &self,
         topology: &HierNet,
@@ -823,6 +840,34 @@ mod tests {
                 assert!(d.network.deliveries(h).is_empty(), "{policy:?} host {h}");
             }
         }
+    }
+
+    #[test]
+    fn a_host_count_mismatch_is_a_typed_error() {
+        let net = paper_fat_tree();
+        let ctrl = controller(Policy::TrafficReduction);
+        let mut subs = subs(&net, |h| if h == 15 { vec!["stock == GOOGL"] } else { vec![] });
+        let mut d = ctrl.deploy(net.clone(), &subs).unwrap();
+        let fingerprints: Vec<_> = d.compile.switches.iter().map(|c| c.fingerprint).collect();
+        let pipelines: Vec<Pipeline> =
+            d.network.switches.iter().map(|s| s.pipeline().clone()).collect();
+        let next_epoch = d.next_epoch;
+
+        subs.pop();
+        match ctrl.repair(&mut d, &subs, &mut PerfectChannel) {
+            Err(DeployError::HostCount { hosts: 16, lists: 15 }) => {}
+            other => panic!("expected a host-count error, got {:?}", other.map(|_| ())),
+        }
+        assert_eq!(
+            d.compile.switches.iter().map(|c| c.fingerprint).collect::<Vec<_>>(),
+            fingerprints
+        );
+        assert!(d.network.switches.iter().map(|s| s.pipeline()).eq(pipelines.iter()));
+        assert_eq!(d.next_epoch, next_epoch);
+        assert!(matches!(
+            ctrl.deploy(net, &subs),
+            Err(DeployError::HostCount { hosts: 16, lists: 15 })
+        ));
     }
 
     #[test]
@@ -1470,12 +1515,11 @@ mod tests {
         d.network.collector_mut().unwrap().expect(id2, 1_000, &[15]);
         d.network.run(None);
         let c = d.network.collector().unwrap();
-        assert_eq!(c.blackholes(), 1);
-        assert_eq!(c.loops(), 0);
-        assert!(c
-            .anomalies()
-            .iter()
-            .any(|a| matches!(a, Anomaly::Blackhole { id, missing, .. } if *id == id2 && missing.contains(&15))));
+        assert!(
+            matches!(&c.anomalies()[..], [Anomaly::Blackhole { id, missing, .. }] if *id == id2 && missing[..] == [15]),
+            "{:?}",
+            c.anomalies()
+        );
     }
 
     /// Deterministic flaky channel: the outcome of every attempt is a

@@ -24,6 +24,7 @@ use camus_lang::value::Value;
 use camus_routing::topology::{DownTarget, FaultMask, HierNet, HostId, SwitchId, LOGICAL_UP};
 use camus_telemetry::metrics::{SampleRate, Sampler};
 use camus_telemetry::postcard::{Collector, HopRecord, Postcard, PostcardEnd, PostcardId};
+use camus_telemetry::Copies;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
@@ -493,6 +494,26 @@ impl Network {
 
     pub fn deliveries(&self, host: HostId) -> &[Delivered] {
         &self.deliveries[host]
+    }
+
+    /// Every host's delivery-log length: record before a probe burst
+    /// and hand to [`copies`](Self::copies) after it.
+    pub fn log_lengths(&self) -> Vec<usize> {
+        self.deliveries.iter().map(Vec::len).collect()
+    }
+
+    /// The copies view of the probes published at `stamps`, from the
+    /// delivery logs past `before`: one copy per delivered message.
+    pub fn copies(&self, before: &[usize], stamps: &[u64]) -> Copies {
+        let mut copies = Copies::new(stamps.iter().copied());
+        for (host, &seen) in before.iter().enumerate() {
+            for d in &self.deliveries[host][seen..] {
+                if let Some(probe) = stamps.iter().position(|&t| t == d.published_ns) {
+                    copies.probes[probe].land(host, d.time_ns);
+                }
+            }
+        }
+        copies
     }
 
     pub fn stats(&self) -> &NetworkStats {

@@ -47,4 +47,5 @@ pub use crate::durability::{Wal, WalState};
 pub use crate::error::{DeployStageError, IntakeError, ServiceError};
 pub use crate::intake::{BatchPolicy, RequestOp};
 pub use crate::service::{CamusService, ServiceConfig, ServiceOutcome, ServiceStats};
-pub use crate::stages::{AuditProbe, AuditReport, TxnReport};
+pub use crate::stages::{AuditProbe, TxnReport};
+pub use camus_telemetry::AuditReport;

@@ -57,11 +57,11 @@
 use crate::durability::{Wal, WalChannel};
 use crate::error::{DeployStageError, ServiceError};
 use crate::intake::{BatchPolicy, ChurnBatch, IntakeService, RequestId, RequestOp, SubRequest};
-use crate::stages::{AuditProbe, AuditReport, TxnReport, TxnStage};
+use crate::stages::{AuditProbe, TxnReport, TxnStage};
 use camus_lang::ast::Expr;
 use camus_net::controller::{Controller, Deployment};
 use camus_net::{ControlChannel, Network, ReconcileStats};
-use camus_telemetry::{Histogram, MetricsRegistry};
+use camus_telemetry::{AuditReport, Histogram, MetricsRegistry};
 use std::io;
 use std::sync::Arc;
 

@@ -32,8 +32,9 @@
 //! time. With overlap on, the next compile does not wait for the
 //! channel, so transaction N+1 compiles while N installs on the
 //! modelled timelines. After every commit the stage can replay
-//! configured audit probes through the network and count mis-, double
-//! and missed deliveries against the target state.
+//! configured audit probes through the network and audit their copies
+//! with the one probe fold ([`AuditReport`]): each probe must and may
+//! reach exactly the hosts whose target subscriptions it matches.
 
 use crate::durability::Wal;
 use crate::error::{DeployStageError, ServiceError};
@@ -46,8 +47,8 @@ use camus_net::controller::{Controller, DeployError, Deployment};
 use camus_net::{Clock, ControlChannel};
 use camus_routing::compile::DeltaCache;
 use camus_routing::verify::matching_hosts;
-use camus_telemetry::{Histogram, RequestSpan};
-use std::collections::HashMap;
+use camus_telemetry::{AuditReport, Histogram, RequestSpan};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -296,7 +297,8 @@ impl TxnStage {
                     | DeployError::Channel { report: ledger, .. } => ledger.total_control_ns(),
                     DeployError::Compile(_)
                     | DeployError::CommitPoint { .. }
-                    | DeployError::Crashed { .. } => 0,
+                    | DeployError::Crashed { .. }
+                    | DeployError::HostCount { .. } => 0,
                 };
                 report.committed = false;
                 report.error = Some(e);
@@ -321,17 +323,12 @@ impl TxnStage {
         Ok(())
     }
 
-    /// Republish every configured probe and check deliveries against
-    /// the target state: no mis-delivery, no duplicates, every
-    /// expected host reached.
+    /// Republish every configured probe and audit its copies against
+    /// the target state: each probe must and may reach exactly its
+    /// matching hosts.
     fn audit(&mut self) -> AuditReport {
-        let mut rep = AuditReport { probes: self.probes.len(), ..AuditReport::default() };
-        if self.probes.is_empty() {
-            return rep;
-        }
         let net = &mut self.deployment.network;
-        let hosts = net.topology.host_count();
-        let before: Vec<usize> = (0..hosts).map(|h| net.deliveries(h).len()).collect();
+        let before = net.log_lengths();
         // Distinct publish stamps attribute deliveries to probes.
         let base = net.now_ns() + 1;
         let times: Vec<u64> =
@@ -340,23 +337,12 @@ impl TxnStage {
             let _ = net.publish(p.publisher, p.packet.clone(), *t);
         }
         net.run(None);
-        for (p, t) in self.probes.iter().zip(&times) {
-            let expect = matching_hosts(&self.subs, &p.values, Some(p.publisher));
-            rep.expected += expect.len();
-            for (h, &seen) in before.iter().enumerate() {
-                let n = net.deliveries(h)[seen..].iter().filter(|d| d.published_ns == *t).count();
-                if expect.contains(&h) {
-                    if n == 0 {
-                        rep.missed += 1;
-                    } else {
-                        rep.delivered += 1;
-                        rep.duplicated += n - 1;
-                    }
-                } else {
-                    rep.misdelivered += n;
-                }
-            }
-        }
+        let owed: Vec<BTreeSet<usize>> = self
+            .probes
+            .iter()
+            .map(|p| matching_hosts(&self.subs, &p.values, Some(p.publisher)).into_iter().collect())
+            .collect();
+        let rep = net.copies(&before, &times).audit(owed.iter().map(|o| (o, o)));
         self.audit_totals.absorb(&rep);
         rep
     }
@@ -372,33 +358,6 @@ pub struct AuditProbe {
     /// The witness values `Expr::eval_with` sees (must agree with the
     /// packet's encoded attributes).
     pub values: Vec<(String, Value)>,
-}
-
-/// Audit counters for one transaction (or totals across a run).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AuditReport {
-    pub probes: usize,
-    /// Expected (host, probe) deliveries across probes.
-    pub expected: usize,
-    pub delivered: usize,
-    pub misdelivered: usize,
-    pub duplicated: usize,
-    pub missed: usize,
-}
-
-impl AuditReport {
-    pub(crate) fn absorb(&mut self, other: &AuditReport) {
-        self.probes += other.probes;
-        self.expected += other.expected;
-        self.delivered += other.delivered;
-        self.misdelivered += other.misdelivered;
-        self.duplicated += other.duplicated;
-        self.missed += other.missed;
-    }
-
-    pub fn clean(&self) -> bool {
-        self.misdelivered == 0 && self.duplicated == 0 && self.missed == 0
-    }
 }
 
 /// What one transaction did, end to end.

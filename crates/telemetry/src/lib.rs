@@ -1,6 +1,6 @@
 //! Observability for the Camus reproduction.
 //!
-//! Three pillars, one crate:
+//! Three pillars, one crate, and the probe audit that reads them:
 //!
 //! * [`metrics`] — a lock-free metrics core (sharded counters,
 //!   log-bucketed histograms) behind a [`MetricsRegistry`],
@@ -11,16 +11,22 @@
 //!   [`Collector`] turns into blackhole/loop anomaly reports;
 //! * [`trace`] — deterministic (modelled-time) span tracing around
 //!   the controller's deploy phases, rendering the transaction ledger
-//!   as a per-phase latency breakdown.
+//!   as a per-phase latency breakdown;
+//! * [`audit`] — the one probe audit: a burst's [`Copies`] view, read
+//!   from the host delivery logs or from the collector, folded into an
+//!   [`AuditReport`] against the hosts that must and may receive each
+//!   probe.
 //!
 //! The crate deliberately depends only on `camus-lang` (for the
 //! `Port` type), so every other layer — dataplane, simulator,
 //! controller, harnesses — can depend on it without cycles.
 
+pub mod audit;
 pub mod metrics;
 pub mod postcard;
 pub mod trace;
 
+pub use audit::{AuditReport, Copies};
 pub use metrics::{
     Counter, Histogram, HistogramSnapshot, MetricsRegistry, SampleRate, Sampler, Snapshot,
 };

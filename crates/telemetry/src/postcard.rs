@@ -9,7 +9,8 @@
 //! only thing the data plane pays for.
 //!
 //! The controller-side [`Collector`] groups finished postcards by
-//! publication and runs two anomaly detectors over them:
+//! publication and runs two anomaly detectors over them (for one probe
+//! burst, with its [`Copies`] view, in [`Collector::copies`]):
 //!
 //! * **blackhole** — a postcard group with a known expected
 //!   subscriber that never produced a delivery (the card ended at a
@@ -18,6 +19,7 @@
 //!   the never-re-ascend rule makes impossible in a healthy fabric,
 //!   so any report is a routing bug.
 
+use crate::audit::{Copies, ProbeCopies};
 use camus_lang::ast::Port;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -101,7 +103,7 @@ impl Postcard {
     }
 
     /// The first switch id visited twice, if any.
-    pub fn find_loop(&self) -> Option<usize> {
+    fn find_loop(&self) -> Option<usize> {
         let mut seen = BTreeSet::new();
         self.hops.iter().map(|h| h.switch).find(|s| !seen.insert(*s))
     }
@@ -146,7 +148,7 @@ impl PostcardGroup {
     }
 
     /// Expected hosts that never got a copy.
-    pub fn missing_hosts(&self) -> Vec<usize> {
+    fn missing_hosts(&self) -> Vec<usize> {
         let got = self.delivered_hosts();
         self.expected.iter().filter(|h| !got.contains(h)).copied().collect()
     }
@@ -193,44 +195,76 @@ impl Collector {
     pub fn anomalies(&self) -> Vec<Anomaly> {
         let mut out = Vec::new();
         for (&id, g) in &self.groups {
-            let missing = g.missing_hosts();
-            if !missing.is_empty() {
-                let last_switch = g
-                    .completed
-                    .iter()
-                    .filter(|(_, end)| end.delivered_host().is_none())
-                    .filter_map(|(card, end)| {
-                        end.last_switch().or_else(|| card.hops.last().map(|h| h.switch))
-                    })
-                    .next();
-                out.push(Anomaly::Blackhole {
-                    id,
-                    published_ns: g.published_ns,
-                    missing,
-                    last_switch,
-                });
-            }
-            let mut looped: BTreeSet<usize> = BTreeSet::new();
-            for (card, _) in &g.completed {
-                if let Some(s) = card.find_loop() {
-                    if looped.insert(s) {
-                        out.push(Anomaly::Loop { id, switch: s });
-                    }
-                }
-            }
+            g.anomalies(id, &mut out);
         }
         out
     }
 
-    /// Count of [`Anomaly::Blackhole`] reports.
-    pub fn blackholes(&self) -> usize {
-        self.anomalies().iter().filter(|a| matches!(a, Anomaly::Blackhole { .. })).count()
+    /// Register `owed` as the expected hosts of each traced probe
+    /// `(id, publish stamp)` — the blackhole detector reads them — and
+    /// read the burst into its copies view, one probe per id in order,
+    /// with the anomalies [`anomalies`](Self::anomalies) reports for it.
+    pub fn copies(&mut self, traced: &[(PostcardId, u64)], owed: &BTreeSet<usize>) -> TracedCopies {
+        let hosts: Vec<usize> = owed.iter().copied().collect();
+        let mut burst = TracedCopies::default();
+        let mut found = Vec::new();
+        for &(id, published_ns) in traced {
+            self.expect(id, published_ns, &hosts);
+            let g = &self.groups[&id];
+            let mut probe = ProbeCopies { published_ns, ..ProbeCopies::default() };
+            for &(host, time_ns) in &g.deliveries {
+                probe.land(host, time_ns);
+            }
+            g.anomalies(id, &mut found);
+            burst.copies.probes.push(probe);
+        }
+        burst.blackholes = found.iter().filter(|a| matches!(a, Anomaly::Blackhole { .. })).count();
+        burst.loops = found.len() - burst.blackholes;
+        burst
     }
+}
 
-    /// Count of [`Anomaly::Loop`] reports.
-    pub fn loops(&self) -> usize {
-        self.anomalies().iter().filter(|a| matches!(a, Anomaly::Loop { .. })).count()
+impl PostcardGroup {
+    /// Both detectors over this group, appended to `out`.
+    fn anomalies(&self, id: PostcardId, out: &mut Vec<Anomaly>) {
+        let missing = self.missing_hosts();
+        if !missing.is_empty() {
+            let last_switch = self
+                .completed
+                .iter()
+                .filter(|(_, end)| end.delivered_host().is_none())
+                .filter_map(|(card, end)| {
+                    end.last_switch().or_else(|| card.hops.last().map(|h| h.switch))
+                })
+                .next();
+            out.push(Anomaly::Blackhole {
+                id,
+                published_ns: self.published_ns,
+                missing,
+                last_switch,
+            });
+        }
+        let mut looped: BTreeSet<usize> = BTreeSet::new();
+        for (card, _) in &self.completed {
+            if let Some(s) = card.find_loop() {
+                if looped.insert(s) {
+                    out.push(Anomaly::Loop { id, switch: s });
+                }
+            }
+        }
     }
+}
+
+/// A probe burst as the [`Collector`] saw it: its copies view and the
+/// anomalies among its postcards.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct TracedCopies {
+    pub copies: Copies,
+    /// Postcard groups of the burst with an expected host missing.
+    pub blackholes: usize,
+    /// Switches some card of the burst visited twice, counted once per
+    /// postcard group.
+    pub loops: usize,
 }
 
 #[cfg(test)]
@@ -268,8 +302,6 @@ mod tests {
             }
             other => panic!("expected one blackhole, got {other:?}"),
         }
-        assert_eq!(c.blackholes(), 1);
-        assert_eq!(c.loops(), 0);
     }
 
     #[test]
@@ -281,6 +313,32 @@ mod tests {
         card.record_hop(hop(1, None));
         c.ingest(card, PostcardEnd::Filtered { switch: 1, time_ns: 10 });
         assert_eq!(c.anomalies(), vec![Anomaly::Loop { id: 4, switch: 1 }]);
+    }
+
+    #[test]
+    fn burst_copies_carry_the_detectors_counts() {
+        let mut c = Collector::new();
+        let mut looped = Postcard::new(2, 20);
+        looped.record_hop(hop(1, Some(9)));
+        looped.record_hop(hop(1, None));
+        c.ingest(Postcard::new(1, 10), PostcardEnd::Delivered { host: 4, time_ns: 15 });
+        c.ingest(Postcard::new(1, 10), PostcardEnd::Delivered { host: 4, time_ns: 14 });
+        c.ingest(looped, PostcardEnd::Filtered { switch: 1, time_ns: 25 });
+        // A group outside the burst reports nothing here.
+        c.ingest(Postcard::new(3, 30), PostcardEnd::Filtered { switch: 0, time_ns: 31 });
+        c.expect(3, 30, &[4]);
+
+        let burst = c.copies(&[(1, 10), (2, 20)], &BTreeSet::from([4]));
+        let p = &burst.copies.probes;
+        assert_eq!(
+            (p[0].published_ns, p[0].landed[&4].copies, p[0].landed[&4].first_ns),
+            (10, 2, 14)
+        );
+        assert_eq!((p[1].published_ns, p[1].landed.len()), (20, 0));
+        // Probe 2 missed host 4 and its card looped; probe 3 is not in
+        // the burst.
+        assert_eq!((burst.blackholes, burst.loops), (1, 1));
+        assert_eq!(c.anomalies().len(), 3);
     }
 
     #[test]
