@@ -431,11 +431,10 @@ mod tests {
     #[test]
     fn a_multi_message_probe_counts_each_pair_once() {
         // Two matching messages per probe. The delivery log keeps one
-        // entry per delivered message, so today the log view reads each
-        // landed probe as two copies of it; a count of copies would put
-        // those in `delivered`. However many copies a pair reads,
-        // `delivered + missed` counts every (host, probe) pair owed
-        // exactly once.
+        // entry per delivered message; the copies view reads the two
+        // entries a packet copy leaves as one copy, so no pair reads a
+        // duplicate, and `delivered + missed` counts every (host, probe)
+        // pair owed exactly once.
         let (ctrl, mut d, subs, mut probe) = setup();
         let googl = || vec![("stock", Value::from("GOOGL")), ("price", Value::Int(10))];
         probe.packet = PacketBuilder::new(&itch_spec()).message(googl()).message(googl()).build();
@@ -446,6 +445,7 @@ mod tests {
         assert!(r.audit.missed > 0, "the cut must cost something");
         assert!(r.audit.delivered > 0);
         assert_eq!(r.audit.delivered + r.audit.missed, r.audit.expected);
+        assert_eq!(r.audit.duplicated, 0, "one packet copy per landed pair");
     }
 
     #[test]

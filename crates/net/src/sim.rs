@@ -35,6 +35,9 @@ const LINK_LATENCY_NS: u64 = 1_000;
 #[derive(Debug, Clone)]
 pub struct Delivered {
     pub host: HostId,
+    /// Sequence number of the packet copy that carried the message:
+    /// the messages of one copy share it.
+    pub copy: u64,
     /// Simulation time of delivery (ns).
     pub time_ns: u64,
     /// Time the enclosing packet was published (ns).
@@ -335,6 +338,7 @@ impl Network {
             }
             self.deliveries[host].push(Delivered {
                 host,
+                copy: ev.seq,
                 time_ns: ev.time_ns,
                 published_ns: ev.published_ns,
                 values,
@@ -344,6 +348,7 @@ impl Network {
                 if let Some(values) = ev.packet.message(&spec, i) {
                     self.deliveries[host].push(Delivered {
                         host,
+                        copy: ev.seq,
                         time_ns: ev.time_ns,
                         published_ns: ev.published_ns,
                         values,
@@ -503,11 +508,16 @@ impl Network {
     }
 
     /// The copies view of the probes published at `stamps`, from the
-    /// delivery logs past `before`: one copy per delivered message.
+    /// delivery logs past `before`: one copy per packet copy delivered,
+    /// however many of its messages the log holds.
     pub fn copies(&self, before: &[usize], stamps: &[u64]) -> Copies {
         let mut copies = Copies::new(stamps.iter().copied());
         for (host, &seen) in before.iter().enumerate() {
+            let mut last_copy = None;
             for d in &self.deliveries[host][seen..] {
+                if last_copy.replace(d.copy) == Some(d.copy) {
+                    continue;
+                }
                 if let Some(probe) = stamps.iter().position(|&t| t == d.published_ns) {
                     copies.probes[probe].land(host, d.time_ns);
                 }
@@ -533,6 +543,7 @@ mod tests {
     fn latency_saturates_instead_of_underflowing() {
         let d = Delivered {
             host: 0,
+            copy: 0,
             time_ns: 100,
             published_ns: 250, // publish stamp after delivery (trace skew)
             values: HashMap::new(),

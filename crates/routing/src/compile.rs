@@ -10,15 +10,15 @@
 //! what the controller runs: every switch's routed rule list is
 //! [fingerprinted](fingerprint_rules), a fingerprint the previous run
 //! holds reuses that [`Compiled`] artefact, and each distinct new list
-//! is built once and shared — cold on the pool, or, for a caller that
-//! carries a [`DeltaCache`] through churn, by replaying its rule delta
-//! on the maintained diagram of its predecessor.
+//! is built once and shared — cold, or, for a caller that carries a
+//! [`DeltaCache`] through churn, by replaying its rule delta on the
+//! maintained diagram of its predecessor.
 //!
-//! Pool builds go to worker threads through an atomic claim index,
-//! longest rule list first, so one slow core-layer switch cannot
-//! serialise the rest behind it. Worker panics are caught per switch
-//! and surfaced as [`CompileError::Panicked`] instead of aborting the
-//! controller.
+//! Both compiles run their switches on one pool, the calling thread
+//! among its workers, through an atomic claim index, longest rule list
+//! first, so one slow core-layer switch cannot serialise the rest
+//! behind it. Worker panics are caught per switch and surfaced as
+//! [`CompileError::Panicked`] instead of aborting the controller.
 
 use crate::algorithm1::RoutingResult;
 use crate::par::{run_parallel, UnitPanic};
@@ -27,7 +27,7 @@ use camus_core::compiler::{CompileError, CompileState, Compiled, Compiler};
 use camus_lang::ast::Rule;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 impl From<UnitPanic> for CompileError {
@@ -335,6 +335,8 @@ impl<'p> Election<'p> {
 /// diagram follows each distinct rule list through churn and the cache
 /// never holds more states than there are distinct lists in the
 /// current epoch (stale fingerprints are pruned after every run).
+/// States are replayed and seeded on the compile pool, so they are
+/// built on whichever worker claimed their list, the caller included.
 #[derive(Debug, Default)]
 pub struct DeltaCache {
     states: HashMap<u64, CompileState>,
@@ -366,20 +368,20 @@ impl DeltaCache {
 ///   full-mesh Fat Tree the entire core layer has identical rule lists,
 ///   so N core switches cost one compile.
 ///
-/// How a distinct new list is compiled depends on `cache`. Without one
-/// every list is built cold ([`Compiler::compile`]) on the pool,
-/// longest first: that is a cold deploy or a recovery, and it is
-/// build-bound. With one, representatives compile inline: if the
-/// maintained diagram that compiled the slot's *previous* rule list is
-/// cached (keyed by the slot's old fingerprint), only the rule delta is
-/// replayed on it ([`Compiler::compile_incremental`]) and the state
-/// moves to the new fingerprint — `O(delta)` maintenance, which a
-/// fan-out would not speed up — and a list with no state to inherit is
-/// seeded in place. Seeding stays off the pool on purpose: the states
-/// outlive the run, and building them on several threads at once
-/// spreads them over that many allocator arenas (measured on the
-/// ledger's `churn-burst`: +8–11 % peak RSS for a service's first
-/// burst). The cache only affects cost, never the produced pipelines.
+/// Each distinct new list is compiled on the pool, longest first, the
+/// calling thread among the workers. How depends on `cache`. Without
+/// one every list is built cold ([`Compiler::compile`]): a cold deploy
+/// or a recovery. With one, a list whose slot's *previous* rule list
+/// left a maintained diagram in the cache (keyed by the slot's old
+/// fingerprint) replays only the rule delta on it
+/// ([`Compiler::compile_incremental`]) and the state moves to the new
+/// fingerprint; a list with no state to inherit is seeded. Each list's
+/// base is taken before the pool starts, in switch order, so the first
+/// of several twins that diverge from one old list takes its state and
+/// the rest are seeded whatever order the workers claim them in. The
+/// cache only affects cost, never the produced pipelines; a failed
+/// compile drops the states it took, which costs warmth, not
+/// correctness.
 ///
 /// With `previous = None` this is the cold deploy: every distinct rule
 /// list compiles exactly once. `previous` must come from the same
@@ -395,40 +397,48 @@ pub fn compile_network_incremental(
     result: &RoutingResult,
     compiler: &Compiler,
     previous: Option<&NetworkCompile>,
-    cache: Option<&mut DeltaCache>,
+    mut cache: Option<&mut DeltaCache>,
 ) -> Result<NetworkCompile, CompileError> {
     let election = Election::new(result, previous);
-    let Some(cache) = cache else {
-        let built = run_largest_first(result, &election.representatives, |s| {
-            let t0 = Instant::now();
-            let compiled = compiler.compile(&result.switch_rules(s))?;
-            Ok((Arc::new(compiled), t0.elapsed()))
-        })?;
-        return Ok(election.assemble(built));
-    };
-
-    let mut fresh = Vec::with_capacity(election.representatives.len());
-    for &s in &election.representatives {
+    let seeds = cache.is_some();
+    let bases: HashMap<usize, Mutex<Option<CompileState>>> = election
+        .representatives
+        .iter()
+        .map(|&s| {
+            let old_fp = election.previous.and_then(|p| p.switches.get(s)).map(|sc| sc.fingerprint);
+            let base = cache.as_deref_mut().zip(old_fp).and_then(|(c, fp)| c.states.remove(&fp));
+            (s, Mutex::new(base))
+        })
+        .collect();
+    let built = run_largest_first(result, &election.representatives, |s| {
         let t0 = Instant::now();
         let rules = result.switch_rules(s);
-        // The state that compiled this slot's previous rule list is the
-        // best delta base; it moves to the new fingerprint. Twins that
-        // diverge share one old fingerprint: the first takes the state,
-        // the rest are seeded.
-        let old_fp = election.previous.and_then(|p| p.switches.get(s)).map(|sc| sc.fingerprint);
-        let (compiled, state) = match old_fp.and_then(|fp| cache.states.remove(&fp)) {
-            Some(mut state) => (compiler.compile_incremental(&mut state, &rules)?, state),
-            None => compiler.compile_incremental_seed(&rules)?,
+        let base = bases[&s].lock().expect("a base is only ever taken").take();
+        let (compiled, state) = match base {
+            Some(mut state) => (compiler.compile_incremental(&mut state, &rules)?, Some(state)),
+            None if seeds => {
+                let (compiled, state) = compiler.compile_incremental_seed(&rules)?;
+                (compiled, Some(state))
+            }
+            None => (compiler.compile(&rules)?, None),
         };
-        cache.states.entry(election.fingerprints[s]).or_insert(state);
-        fresh.push((Arc::new(compiled), t0.elapsed()));
+        Ok((Arc::new(compiled), t0.elapsed(), state))
+    })?;
+
+    let mut fresh = Vec::with_capacity(built.len());
+    for (&s, (compiled, took, state)) in election.representatives.iter().zip(built) {
+        if let (Some(cache), Some(state)) = (cache.as_deref_mut(), state) {
+            cache.states.entry(election.fingerprints[s]).or_insert(state);
+        }
+        fresh.push((compiled, took));
     }
-
-    // Keep only states whose fingerprint is live in this epoch: churn
-    // must not accumulate diagrams for rule lists no one holds anymore.
-    let live: HashSet<u64> = election.fingerprints.iter().copied().collect();
-    cache.states.retain(|fp, _| live.contains(fp));
-
+    if let Some(cache) = cache {
+        // Keep only states whose fingerprint is live in this epoch:
+        // churn must not accumulate diagrams for rule lists no one
+        // holds anymore.
+        let live: HashSet<u64> = election.fingerprints.iter().copied().collect();
+        cache.states.retain(|fp, _| live.contains(fp));
+    }
     Ok(election.assemble(fresh))
 }
 
@@ -682,6 +692,51 @@ mod tests {
             Err(CompileError::Panicked { unit, .. }) => assert_eq!(unit, 16),
             other => panic!("expected Panicked, got {:?}", other.map(|nc| nc.recompiled)),
         }
+    }
+
+    #[test]
+    fn panic_in_a_delta_build_names_the_switch_and_costs_only_warmth() {
+        let net = paper_fat_tree();
+        let cfg = RoutingConfig::new(Policy::MemoryReduction);
+        let compiler = Compiler::new().with_order(camus_core::VarOrder::from_keys(["id", "price"]));
+        let hosts = subs(net.host_count());
+        let mut cache = DeltaCache::new();
+        let r0 = route_hierarchical(&net, &hosts, cfg);
+        let prev = compile_network_incremental(&r0, &compiler, None, Some(&mut cache)).unwrap();
+
+        // A churned host dirties every core; core 16, the first of the
+        // twins, takes their maintained state, and its filter set,
+        // spliced in from a run with a larger pool, panics when its
+        // rule list is materialised.
+        let mut churned = hosts.clone();
+        churned[3] = vec![parse_expr("price > 4000").unwrap()];
+        let mut wider = hosts.clone();
+        wider.iter_mut().enumerate().for_each(|(h, fs)| {
+            fs.push(parse_expr(&format!("volume > {h}")).unwrap());
+        });
+        let foreign = route_hierarchical(&net, &wider, cfg);
+        let mut r = route_hierarchical(&net, &churned, cfg);
+        assert_eq!(prev.switches[16].fingerprint, prev.switches[17].fingerprint);
+        r.filters[16] = foreign.filters[16].clone();
+        match compile_network_incremental(&r, &compiler, Some(&prev), Some(&mut cache)) {
+            Err(CompileError::Panicked { unit, .. }) => assert_eq!(unit, 16),
+            other => panic!("expected Panicked, got {:?}", other.map(|nc| nc.recompiled)),
+        }
+        let cores_fp = prev.switches[16].fingerprint;
+        assert!(!cache.states.contains_key(&cores_fp), "core 16 replayed on the cores' state");
+
+        // The next compile with the same cache replays what is left and
+        // seeds what the failure dropped: the pipelines are scratch's.
+        let r1 = route_hierarchical(&net, &churned, cfg);
+        let delta =
+            compile_network_incremental(&r1, &compiler, Some(&prev), Some(&mut cache)).unwrap();
+        let scratch = compile_network(&r1, &compiler).unwrap();
+        assert!(delta.reused > 0);
+        for (got, want) in delta.switches.iter().zip(&scratch.switches) {
+            assert_eq!(got.fingerprint, want.fingerprint, "switch {}", got.switch);
+            assert_eq!(got.compiled.pipeline, want.compiled.pipeline, "switch {}", got.switch);
+        }
+        assert!(cache.states.contains_key(&delta.switches[16].fingerprint));
     }
 
     #[test]

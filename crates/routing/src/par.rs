@@ -1,20 +1,22 @@
 //! Work-stealing parallel execution over indexed units.
 //!
-//! `run_parallel` distributes `f(0..n)` to worker threads through an
-//! atomic claim index rather than static chunks, so one slow unit
-//! delays only itself. Per-unit panics are caught and surfaced as
-//! `UnitPanic` values converted into the caller's error type, instead
-//! of aborting the process.
+//! `run_parallel` distributes `f(0..n)` to workers through an atomic
+//! claim index rather than static chunks, so one slow unit delays only
+//! itself. Per-unit panics are caught and surfaced as `UnitPanic`
+//! values converted into the caller's error type, instead of aborting
+//! the process.
 //!
-//! The controller uses this for network-wide compiles (Figs. 13/14).
-//! Workers are plain threads: the compiler runs in place on whichever
-//! thread calls it, so a unit claimed by a worker compiles on that
-//! worker, and each worker's allocator arena serves its units for the
-//! whole call.
+//! The controller uses this for every network compile (Figs. 13/14),
+//! cold or delta. The calling thread is one of the workers: a call
+//! spawns `workers − 1` scoped threads beside it, so a single unit runs
+//! on the caller with no thread made at all. The compiler runs in place
+//! on whichever thread claims a unit, so each worker's allocator arena
+//! serves its units for the whole call; what the caller builds, such as
+//! a delta cache's long-lived diagrams, stays in the arena it already
+//! uses. This is the only place the product crates make threads.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// A worker panic while processing unit `unit`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,44 +43,40 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Run `f(0..n)` across worker threads with an atomic work-stealing
-/// claim index: each worker grabs the next unclaimed unit, so a slow
-/// unit delays only itself. Results come back in unit order. Per-unit
-/// panics become `E::from(UnitPanic)`.
+/// Run `f(0..n)` across `available_parallelism` workers, the calling
+/// thread among them, with an atomic work-stealing claim index: each
+/// worker grabs the next unclaimed unit, so a slow unit delays only
+/// itself. Results come back in unit order. Per-unit panics become
+/// `E::from(UnitPanic)`.
 pub(crate) fn run_parallel<T, E, F>(n: usize, f: F) -> Vec<Result<T, E>>
 where
     T: Send,
     E: Send + From<UnitPanic>,
     F: Fn(usize) -> Result<T, E> + Sync,
 {
-    if n == 0 {
-        return Vec::new();
-    }
     let workers = std::thread::available_parallelism().map_or(4, |p| p.get()).min(n);
     let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<(usize, Result<T, E>)>> = Mutex::new(Vec::with_capacity(n));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut local = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let res = catch_unwind(AssertUnwindSafe(|| f(i))).unwrap_or_else(|payload| {
-                        Err(E::from(UnitPanic {
-                            unit: i,
-                            message: panic_message(payload.as_ref()),
-                        }))
-                    });
-                    local.push((i, res));
-                }
-                results.lock().unwrap().extend(local);
+    let work = || {
+        let mut local = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break local;
+            }
+            let res = catch_unwind(AssertUnwindSafe(|| f(i))).unwrap_or_else(|payload| {
+                Err(E::from(UnitPanic { unit: i, message: panic_message(payload.as_ref()) }))
             });
+            local.push((i, res));
         }
+    };
+    let mut collected = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let mut all = work();
+        for helper in helpers {
+            all.extend(helper.join().expect("workers catch their units' panics"));
+        }
+        all
     });
-    let mut collected = results.into_inner().unwrap();
     collected.sort_unstable_by_key(|(i, _)| *i);
     collected.into_iter().map(|(_, r)| r).collect()
 }
@@ -113,5 +111,45 @@ mod tests {
     fn zero_units_is_empty() {
         let out = run_parallel::<usize, UnitPanic, _>(0, |_| Ok(0));
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn one_unit_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let out = run_parallel::<_, UnitPanic, _>(1, |_| Ok(std::thread::current().id()));
+        assert_eq!(out, vec![Ok(caller)]);
+    }
+
+    #[test]
+    fn the_caller_is_one_of_at_most_available_parallelism_workers() {
+        use std::collections::HashSet;
+        use std::sync::{Condvar, Mutex};
+        use std::time::Duration;
+
+        let cores = std::thread::available_parallelism().map_or(4, |p| p.get());
+        for n in [2, 3, 16, 64] {
+            let workers = cores.min(n);
+            // The first `workers` units hold their worker until that
+            // many have arrived, so each lands on a different worker
+            // and every worker is seen; a pool with fewer workers times
+            // out instead of hanging.
+            let arrived = (Mutex::new(0), Condvar::new());
+            let out = run_parallel::<_, UnitPanic, _>(n, |i| {
+                if i < workers {
+                    let (count, cv) = &arrived;
+                    let mut count = count.lock().unwrap();
+                    *count += 1;
+                    cv.notify_all();
+                    let (count, _) = cv
+                        .wait_timeout_while(count, Duration::from_secs(10), |c| *c < workers)
+                        .unwrap();
+                    assert_eq!(*count, workers, "{n} units: only {} workers arrived", *count);
+                }
+                Ok(std::thread::current().id())
+            });
+            let ids: HashSet<_> = out.into_iter().map(Result::unwrap).collect();
+            assert!(ids.contains(&std::thread::current().id()), "{n} units: caller idle");
+            assert_eq!(ids.len(), workers, "{n} units on {cores} cores");
+        }
     }
 }

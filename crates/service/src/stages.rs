@@ -20,7 +20,9 @@
 //! installed compile (`deployment.compile`) as a content-addressed
 //! cache, with a [`DeltaCache`] of live per-switch BDDs for the
 //! switches that miss it; both caches change cost, never the produced
-//! pipelines. The install then diffs against the same installed state.
+//! pipelines. The dirty lists compile on the routing crate's pool, this
+//! thread among its workers. The install then diffs against the same
+//! installed state, serially.
 //!
 //! Two modelled [`Clock`]s keep the stamps. The compile executor's: a
 //! batch's compile starts no earlier than its window closed and no
