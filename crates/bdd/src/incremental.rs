@@ -11,7 +11,7 @@
 //!   million-subscription churn. It decomposes the diagram into
 //!   per-field *exact-match chains* plus a small set of miscellaneous
 //!   conjunction chains, remembers which chain slice each inserted
-//!   rule occupies (keyed by a stable FNV digest of the rule), and on
+//!   rule occupies (keyed by its stable [`rule_digest`]), and on
 //!   churn rebuilds only the affected chain prefix before re-merging
 //!   the top-level union — whose operands are almost all unchanged, so
 //!   the union memo answers them in O(1). Work per operation is
@@ -32,49 +32,14 @@
 //! back, keeping allocation within a constant factor of the reachable
 //! size.
 
+use crate::digest::rule_digest;
 use crate::order::{sorted_alphabet, FieldStats, VarOrder};
 use crate::store::{Bdd, NodeRef, PredId, RuleId, TermId};
 use camus_lang::ast::{Action, Rel, Rule};
 use camus_lang::dnf::{to_dnf, Conjunction, Dnf};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::hash::{Hash, Hasher};
 
 const EMPTY: NodeRef = NodeRef::Term(TermId(0));
-
-// -- rule digests ------------------------------------------------------------
-
-/// FNV-1a, kept dependency-free and stable across runs (unlike the std
-/// `DefaultHasher`, whose keys are randomised per process).
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    fn new() -> Fnv1a {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Hasher for Fnv1a {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-}
-
-/// Stable content digest of a rule (filter + action). The incremental
-/// store keys its per-rule bookkeeping by this, so a caller can remove
-/// a rule it no longer holds by digest alone, and fingerprint layers
-/// can combine per-rule digests instead of re-hashing whole lists.
-pub fn rule_digest(rule: &Rule) -> u64 {
-    let mut h = Fnv1a::new();
-    rule.hash(&mut h);
-    h.finish()
-}
 
 // -- Bdd-level primitives ----------------------------------------------------
 
@@ -1014,15 +979,5 @@ mod tests {
         inc.insert_rule(&parse_rule("id == 999999: fwd(1)").unwrap());
         let delta = inc.bdd().allocated_nodes() - before;
         assert!(delta <= 8, "band-top insert allocated {delta} nodes");
-    }
-
-    #[test]
-    fn digests_are_stable_and_distinguish_rules() {
-        let a = parse_rule("id == 1: fwd(1)").unwrap();
-        let b = parse_rule("id == 1: fwd(2)").unwrap();
-        let c = parse_rule("id == 2: fwd(1)").unwrap();
-        assert_eq!(rule_digest(&a), rule_digest(&a));
-        assert_ne!(rule_digest(&a), rule_digest(&b));
-        assert_ne!(rule_digest(&a), rule_digest(&c));
     }
 }

@@ -50,12 +50,14 @@
 //! ```
 
 pub mod builder;
+pub mod digest;
 pub mod dot;
 pub mod incremental;
 pub mod order;
 pub mod store;
 
 pub use builder::{BddBuilder, DEEP_STACK};
-pub use incremental::{rule_digest, IncrementalBdd};
+pub use digest::rule_digest;
+pub use incremental::IncrementalBdd;
 pub use order::VarOrder;
 pub use store::{Bdd, GcStats, Node, NodeRef, PredId, TermId};

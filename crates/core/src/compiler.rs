@@ -5,14 +5,23 @@
 //! (Algorithm 2), allocate multicast groups, and produce the resource
 //! report. Timing is recorded because recompilation latency is itself
 //! an evaluation target (Fig. 14).
+//!
+//! A unit that recompiles through churn keeps a [`CompileState`] and
+//! hands [`Compiler::compile_delta`] each epoch's list as a
+//! [`RuleView`]: the rules held by reference, each with its digest. The
+//! compiler diffs the view's digest multiset against the state and
+//! clones, validates and inserts only the rules the state lacks, so an
+//! epoch that changes `k` of `n` rules copies `k` rules, not `n`.
 
 use crate::multicast::MulticastAllocator;
 use crate::pipeline::Pipeline;
 use crate::resources::{report, ResourceReport};
 use crate::statics::StaticPipeline;
 use crate::tables::{bdd_to_pipeline, TableError};
-use camus_bdd::{rule_digest, Bdd, BddBuilder, IncrementalBdd, VarOrder};
-use camus_lang::ast::Rule;
+use camus_bdd::digest::{expr_digest, rule_digest_continued};
+use camus_bdd::{Bdd, BddBuilder, IncrementalBdd, VarOrder};
+use camus_lang::ast::{Action, Expr, Operand, Rule};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -72,13 +81,94 @@ pub struct Compiled {
     pub elapsed: Duration,
 }
 
+/// A rule list held by reference. Each rule is its
+/// [`rule_digest`](camus_bdd::rule_digest), its borrowed filter and its
+/// action. Rules are appended in runs that share one owned action — the
+/// shape of a routed list, one `fwd(port)` per port — so a view of `n`
+/// rules clones no filter and one action per run.
+#[derive(Debug, Default)]
+pub struct RuleView<'a> {
+    actions: Vec<Action>,
+    /// Digest, filter, and index into `actions`.
+    rules: Vec<(u64, &'a Expr, u32)>,
+}
+
+impl<'a> RuleView<'a> {
+    pub fn with_capacity(rules: usize) -> Self {
+        RuleView { actions: Vec::new(), rules: Vec::with_capacity(rules) }
+    }
+
+    /// Open a run: the rules pushed after this carry `action`.
+    pub fn start_run(&mut self, action: Action) {
+        self.actions.push(action);
+    }
+
+    /// Append `filter` to the open run. `filter_digest` is its
+    /// [`expr_digest`]; a caller that memoises it saves the rehash.
+    ///
+    /// # Panics
+    ///
+    /// If no run is open.
+    pub fn push(&mut self, filter_digest: u64, filter: &'a Expr) {
+        let run = self.actions.len().checked_sub(1).expect("a run is open");
+        let digest = rule_digest_continued(filter_digest, &self.actions[run]);
+        self.rules.push((digest, filter, u32::try_from(run).expect("fewer than 2^32 runs")));
+    }
+
+    pub fn len(&self) -> usize {
+        self.rules.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.rules.is_empty()
+    }
+
+    /// Rule `i` as `(digest, filter, action)`.
+    pub fn get(&self, i: usize) -> (u64, &'a Expr, &Action) {
+        let (digest, filter, run) = self.rules[i];
+        (digest, filter, &self.actions[run as usize])
+    }
+
+    /// Every rule as `(digest, filter, action)`, in list order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (u64, &'a Expr, &Action)> + '_ {
+        (0..self.len()).map(|i| self.get(i))
+    }
+
+    /// The list itself, every filter and action cloned.
+    pub fn to_rules(&self) -> Vec<Rule> {
+        self.iter()
+            .map(|(_, filter, action)| Rule { filter: filter.clone(), action: action.clone() })
+            .collect()
+    }
+}
+
+impl<'a> From<&'a [Rule]> for RuleView<'a> {
+    /// A view of an owned list: consecutive rules with equal actions
+    /// share one run.
+    fn from(rules: &'a [Rule]) -> Self {
+        let mut view = RuleView::with_capacity(rules.len());
+        for rule in rules {
+            if view.actions.last() != Some(&rule.action) {
+                view.start_run(rule.action.clone());
+            }
+            view.push(expr_digest(&rule.filter), &rule.filter);
+        }
+        view
+    }
+}
+
 /// Persistent state for incremental recompilation of one unit (one
 /// switch FIB): the live maintained diagram, which records the digest
-/// multiset of the rules it holds. Feed
-/// [`Compiler::compile_incremental`] each epoch's *full* rule list; the
-/// compiler diffs the list against that multiset and applies only the
-/// delta to the diagram, so a reconfigure that touches `k` of `n` rules
-/// costs `O(k)` maintenance work instead of an `O(n)` rebuild.
+/// multiset of the rules it holds. Hand [`Compiler::compile_delta`]
+/// each epoch's whole list as a [`RuleView`]; the compiler diffs it
+/// against that multiset and applies only the delta to the diagram, so
+/// a reconfigure that touches `k` of `n` rules costs `O(k)` maintenance
+/// work instead of an `O(n)` rebuild.
+///
+/// A held rule was validated by the compiler that inserted it and is
+/// never validated again, so a state serves one compiler: replaying it
+/// under a compiler with another spec may keep a rule that compiler
+/// would reject.
 #[derive(Debug)]
 pub struct CompileState {
     inc: IncrementalBdd,
@@ -119,18 +209,20 @@ impl Compiler {
         self
     }
 
-    fn validate(&self, rules: &[Rule]) -> Result<(), CompileError> {
-        if let Some(statics) = &self.statics {
-            for (i, rule) in rules.iter().enumerate() {
-                for op in rule.filter.operands() {
-                    let field = op.field_name();
-                    if statics.spec.resolve(field).is_none() {
-                        return Err(CompileError::UnknownField {
-                            rule: i,
-                            field: field.to_string(),
-                        });
-                    }
-                }
+    /// Check each `(index, filter)` in turn: the first filter naming a
+    /// field the spec does not declare fails, with that index.
+    fn validate<'e>(
+        &self,
+        filters: impl IntoIterator<Item = (usize, &'e Expr)>,
+    ) -> Result<(), CompileError> {
+        let Some(statics) = &self.statics else { return Ok(()) };
+        let unknown = |op: &Operand| statics.spec.resolve(op.field_name()).is_none();
+        for (rule, filter) in filters {
+            if let Some(op) = filter.find_operand(&unknown) {
+                return Err(CompileError::UnknownField {
+                    rule,
+                    field: op.field_name().to_string(),
+                });
             }
         }
         Ok(())
@@ -139,7 +231,7 @@ impl Compiler {
     /// Compile a rule set into a pipeline.
     pub fn compile(&self, rules: &[Rule]) -> Result<Compiled, CompileError> {
         let start = Instant::now();
-        self.validate(rules)?;
+        self.validate(rules.iter().map(|r| &r.filter).enumerate())?;
         self.finish(BddBuilder::from_rules(rules).with_order(self.order.clone()).build(), start)
     }
 
@@ -157,71 +249,95 @@ impl Compiler {
     /// [`Compiler::compile`] with the constructor's maintenance state
     /// kept. The bulk construction is the one `compile` runs, so both
     /// emit equal pipelines for one list. Subsequent epochs go through
-    /// [`Compiler::compile_incremental`], which applies only the digest
-    /// delta to the live diagram.
+    /// [`Compiler::compile_delta`], which applies only the digest delta
+    /// to the live diagram.
     pub fn compile_incremental_seed(
         &self,
         rules: &[Rule],
     ) -> Result<(Compiled, CompileState), CompileError> {
         let start = Instant::now();
-        self.validate(rules)?;
+        self.validate(rules.iter().map(|r| &r.filter).enumerate())?;
         let inc = IncrementalBdd::from_rules(rules, &self.order);
         Ok((self.finish(inc.snapshot(), start)?, CompileState { inc }))
     }
 
-    /// Recompile against persistent state: diff the new rule list's
-    /// digest multiset against the live one and replay only the delta
-    /// (removals first, then inserts) on the maintained diagram. Falls
-    /// back to re-seeding the state ([`IncrementalBdd::from_rules`])
-    /// when the delta exceeds half the rule set — past that point one
-    /// bulk construction wins over replaying ops one by one — and when
-    /// the delta changes the field order fitted to the list
-    /// ([`IncrementalBdd::fits`]), so the maintained diagram is always
-    /// ordered as a scratch build of the same list.
+    /// [`Compiler::compile_delta`] over an owned rule list.
     pub fn compile_incremental(
         &self,
         state: &mut CompileState,
         rules: &[Rule],
     ) -> Result<Compiled, CompileError> {
+        self.compile_delta(state, &RuleView::from(rules))
+    }
+
+    /// Recompile against persistent state: diff the view's digest
+    /// multiset against the live one and replay only the delta
+    /// (removals first, then inserts in list order) on the maintained
+    /// diagram. Only the inserted rules are cloned, and they are
+    /// validated before the state changes, so a rejected list leaves
+    /// the state as it was; the error names the same rule
+    /// [`Compiler::compile`] would over the materialised list. Falls
+    /// back to re-seeding the state from the materialised view
+    /// ([`IncrementalBdd::from_rules`]) when the delta exceeds half the
+    /// rule set — past that point one bulk construction wins over
+    /// replaying ops one by one — and when the delta changes the field
+    /// order fitted to the list ([`IncrementalBdd::fits`]), so the
+    /// maintained diagram is always ordered as a scratch build of the
+    /// same list.
+    pub fn compile_delta(
+        &self,
+        state: &mut CompileState,
+        view: &RuleView<'_>,
+    ) -> Result<Compiled, CompileError> {
         let start = Instant::now();
-        self.validate(rules)?;
-        let mut new_counts: HashMap<u64, usize> = HashMap::new();
-        let mut rep: HashMap<u64, &Rule> = HashMap::new();
-        for r in rules {
-            let d = rule_digest(r);
-            *new_counts.entry(d).or_insert(0) += 1;
-            rep.entry(d).or_insert(r);
+        // Per digest: occurrences in the view and the first one's index.
+        let mut wanted: HashMap<u64, (usize, usize)> = HashMap::with_capacity(view.len());
+        for (i, (digest, _, _)) in view.iter().enumerate() {
+            wanted.entry(digest).or_insert((0, i)).0 += 1;
         }
         // Subtract what the diagram already holds; what is left of
-        // `new_counts` is what it lacks.
+        // `wanted` is what it lacks.
         let mut removals: Vec<(u64, usize)> = Vec::new();
-        for (d, held) in state.inc.digest_counts() {
-            let wanted = new_counts.remove(&d).unwrap_or(0);
-            if held > wanted {
-                removals.push((d, held - wanted));
-            } else if wanted > held {
-                new_counts.insert(d, wanted - held);
+        for (digest, held) in state.inc.digest_counts() {
+            let want = match wanted.entry(digest) {
+                Entry::Occupied(mut e) if e.get().0 > held => {
+                    e.get_mut().0 -= held;
+                    continue;
+                }
+                Entry::Occupied(e) => e.remove().0,
+                Entry::Vacant(_) => 0,
+            };
+            if held > want {
+                removals.push((digest, held - want));
             }
         }
-        let inserts: Vec<(&Rule, usize)> = new_counts.iter().map(|(d, &n)| (rep[d], n)).collect();
+        removals.sort_unstable();
+        let mut inserts: Vec<(usize, usize)> = wanted.into_values().map(|(n, i)| (i, n)).collect();
+        inserts.sort_unstable();
+        // A held rule passed validation when it was inserted; only the
+        // inserts are new to this compiler.
+        self.validate(inserts.iter().map(|&(i, _)| (i, view.get(i).1)))?;
+
         let delta: usize = removals.iter().map(|&(_, n)| n).sum::<usize>()
             + inserts.iter().map(|&(_, n)| n).sum::<usize>();
-        let rebuild = 2 * delta > rules.len().max(state.inc.rule_count());
+        let rebuild = 2 * delta > view.len().max(state.inc.rule_count());
         let inc = &mut state.inc;
         if !rebuild {
-            for (d, n) in removals {
+            for (digest, n) in removals {
                 for _ in 0..n {
-                    inc.remove_by_digest(d);
+                    inc.remove_by_digest(digest);
                 }
             }
-            for (r, n) in inserts {
+            for (i, n) in inserts {
+                let (_, filter, action) = view.get(i);
+                let rule = Rule { filter: filter.clone(), action: action.clone() };
                 for _ in 0..n {
-                    inc.insert_rule(r);
+                    inc.insert_rule(&rule);
                 }
             }
         }
         if rebuild || !inc.fits(&self.order) {
-            *inc = IncrementalBdd::from_rules(rules, &self.order);
+            *inc = IncrementalBdd::from_rules(&view.to_rules(), &self.order);
         }
         self.finish(inc.snapshot(), start)
     }
@@ -385,6 +501,46 @@ mod tests {
         let c = compiler.compile_incremental(&mut state, &seeded).unwrap();
         assert_eq!(c.pipeline, seed.pipeline);
         assert!(state.inc.fits(&compiler.order));
+    }
+
+    #[test]
+    fn a_delta_naming_an_unknown_field_fails_before_touching_the_state() {
+        use camus_lang::parser::parse_rule;
+        let compiler =
+            Compiler::new().with_static(crate::statics::compile_static(&itch_spec()).unwrap());
+        let seeded: Vec<Rule> = (0..8)
+            .map(|i| parse_rule(&format!("stock == S{i} and price > {i}: fwd({})", i % 3 + 1)))
+            .collect::<Result<_, _>>()
+            .unwrap();
+        let (_, mut state) = compiler.compile_incremental_seed(&seeded).unwrap();
+        let held = |state: &CompileState| {
+            let mut counts: Vec<(u64, usize)> = state.inc.digest_counts().collect();
+            counts.sort_unstable();
+            counts
+        };
+        let before = held(&state);
+
+        // A valid insert ahead of the bad rule, the bad rule twice, and
+        // more unknown fields after it: the delta names the first bad
+        // rule, exactly as a scratch compile of the list does, whatever
+        // order its digest map holds them in.
+        let mut rules = seeded.clone();
+        rules.insert(2, parse_rule("price > 3: fwd(2)").unwrap());
+        rules.insert(5, parse_rule("stock == S1 and bogus == 1: fwd(1)").unwrap());
+        rules.push(parse_rule("stock == S1 and bogus == 1: fwd(1)").unwrap());
+        for k in 0..8 {
+            rules.push(parse_rule(&format!("other{k} == 2: fwd(3)")).unwrap());
+        }
+        let scratch = compiler.compile(&rules).unwrap_err();
+        assert_eq!(scratch, CompileError::UnknownField { rule: 5, field: "bogus".into() });
+        assert_eq!(compiler.compile_incremental(&mut state, &rules).unwrap_err(), scratch);
+        assert_eq!(held(&state), before, "a rejected delta leaves the state as it was");
+
+        // The state still serves: the next compile is a scratch compile.
+        rules.retain(|r| compiler.compile(std::slice::from_ref(r)).is_ok());
+        let c = compiler.compile_incremental(&mut state, &rules).unwrap();
+        assert_eq!(c.pipeline, compiler.compile(&rules).unwrap().pipeline);
+        assert_eq!(state.rule_count(), rules.len());
     }
 
     /// Identifier band with direct labels, residual tails and duplicate

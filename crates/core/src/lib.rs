@@ -48,8 +48,8 @@ pub mod resources;
 pub mod statics;
 pub mod tables;
 
-pub use camus_bdd::VarOrder;
+pub use camus_bdd::{digest, VarOrder};
 pub use compiled::{ActionId, CompiledPipeline, EvalCounters};
-pub use compiler::{CompileState, Compiled, Compiler};
+pub use compiler::{CompileState, Compiled, Compiler, RuleView};
 pub use pipeline::{MatchKind, MatchSpec, Pipeline, StageTable, TableEntry};
 pub use resources::{AdmissionError, BudgetViolation, ResourceBudget, ResourceReport};

@@ -288,15 +288,16 @@ pub fn report(
         let declared = widths.get(&key).copied().unwrap_or(32);
         // Low-resolution remap (§V-E): the stage only needs to
         // distinguish the boundary constants it actually uses.
-        let distinct: std::collections::BTreeSet<i64> = s
-            .entries
-            .iter()
-            .flat_map(|e| match &e.spec {
-                MatchSpec::IntRange(lo, hi) => vec![*lo, *hi],
-                MatchSpec::IntExact(v) => vec![*v],
-                _ => vec![],
-            })
-            .collect();
+        let mut distinct: Vec<i64> = Vec::with_capacity(2 * s.entries.len());
+        for e in &s.entries {
+            match e.spec {
+                MatchSpec::IntRange(lo, hi) => distinct.extend([lo, hi]),
+                MatchSpec::IntExact(v) => distinct.push(v),
+                _ => {}
+            }
+        }
+        distinct.sort_unstable();
+        distinct.dedup();
         let needed_bits = if distinct.is_empty() {
             declared
         } else {

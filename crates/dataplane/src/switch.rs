@@ -125,6 +125,16 @@ impl Program {
     /// Lower `pipeline` and resolve it against `spec`. The result runs
     /// only on switches built from the same spec.
     pub fn build(spec: &Spec, pipeline: Pipeline) -> Program {
+        let report =
+            resources::report(&pipeline, pipeline.multicast_group_count(), &spec.field_widths());
+        Program::with_report(spec, pipeline, report)
+    }
+
+    /// [`Program::build`] with the pipeline's resource report already
+    /// in hand — the one the compiler computed for it under `spec`'s
+    /// field widths ([`Compiled::report`](camus_core::compiler::Compiled::report))
+    /// — instead of recomputing it.
+    pub fn with_report(spec: &Spec, pipeline: Pipeline, report: ResourceReport) -> Program {
         let aggregates = pipeline
             .stages
             .iter()
@@ -136,8 +146,6 @@ impl Program {
         let compiled = CompiledPipeline::lower(&pipeline);
         let plan = EvalPlan::build(spec, &compiled, &pipeline);
         let masks = PortMasks::build(compiled.actions());
-        let report =
-            resources::report(&pipeline, pipeline.multicast_group_count(), &spec.field_widths());
         Program {
             pipeline,
             compiled,

@@ -257,6 +257,19 @@ impl Expr {
         out
     }
 
+    /// The first operand, in [`Expr::operands`] order, that satisfies
+    /// `pred`, found by reference: nothing is cloned or collected.
+    pub fn find_operand(&self, pred: &impl Fn(&Operand) -> bool) -> Option<&Operand> {
+        match self {
+            Expr::True | Expr::False => None,
+            Expr::Atom(p) => pred(&p.operand).then_some(&p.operand),
+            Expr::Not(e) => e.find_operand(pred),
+            Expr::And(a, b) | Expr::Or(a, b) => {
+                a.find_operand(pred).or_else(|| b.find_operand(pred))
+            }
+        }
+    }
+
     fn collect_operands(&self, out: &mut Vec<Operand>) {
         match self {
             Expr::True | Expr::False => {}

@@ -304,8 +304,11 @@ impl Controller {
     /// degraded pipeline.
     ///
     /// Targets with equal rule-list fingerprints stage one shared
-    /// immutable [`Program`], lowered on first use; admission,
-    /// degradation and rollback stay each switch's own.
+    /// immutable [`Program`], lowered on first use and admitted by the
+    /// resource report its compile already computed (the controller's
+    /// compiler reports under the spec's field widths, as
+    /// [`Program::build`] would); admission, degradation and rollback
+    /// stay each switch's own.
     fn apply_transaction(
         &self,
         network: &mut Network,
@@ -357,7 +360,11 @@ impl Controller {
             }
             let sc = &compile.switches[s];
             let program = Arc::clone(programs.entry(sc.fingerprint).or_insert_with(|| {
-                Arc::new(Program::build(&self.statics.spec, sc.compiled.pipeline.clone()))
+                Arc::new(Program::with_report(
+                    &self.statics.spec,
+                    sc.compiled.pipeline.clone(),
+                    sc.compiled.report.clone(),
+                ))
             }));
             match network.switches[s].stage_epoch(program, epoch) {
                 Ok(()) => {
@@ -567,7 +574,10 @@ impl Controller {
     /// can reuse another switch's previous pipeline while its own
     /// installed one is stale. Error semantics match
     /// [`repair`](Self::repair): any failure rolls back and the
-    /// deployment keeps forwarding byte-identically.
+    /// deployment keeps forwarding byte-identically. Switches admit each
+    /// pipeline by its compile's own resource report, so `compile` must
+    /// report under this controller's spec, as
+    /// [`compile_routing_delta`](Self::compile_routing_delta) does.
     pub fn install(
         &self,
         deployment: &mut Deployment,
@@ -1073,6 +1083,56 @@ mod tests {
         d.network.run(None);
         assert_eq!(d.network.deliveries(15).len(), 1);
         assert_eq!(delivered(&d.network), 1);
+    }
+
+    #[test]
+    fn installed_programs_carry_the_report_of_their_pipeline() {
+        // The install admits each program by its compile's report
+        // instead of recomputing it; that is sound only while the
+        // report is what `Program::build` would compute from the
+        // pipeline under the spec's field widths — after a deploy and
+        // after every delta-compiled round, multicast groups included.
+        let net = paper_fat_tree();
+        let ctrl = controller(Policy::TrafficReduction);
+        let widths = ctrl.statics.spec.field_widths();
+        let check = |d: &Deployment, round: usize| {
+            for (s, sw) in d.network.switches.iter().enumerate() {
+                let pipeline = sw.pipeline();
+                let recomputed = camus_core::resources::report(
+                    pipeline,
+                    pipeline.multicast_group_count(),
+                    &widths,
+                );
+                assert_eq!(sw.program().report(), &recomputed, "round {round} switch {s}");
+            }
+        };
+        let rounds: Vec<Vec<Vec<Expr>>> = vec![
+            subs(&net, |h| match h % 3 {
+                0 => vec!["stock == GOOGL", "price > 10"],
+                1 => vec!["stock == GOOGL and price < 100"],
+                _ => vec![],
+            }),
+            subs(&net, |h| match h % 3 {
+                0 => vec!["stock == GOOGL", "price > 20"],
+                1 => vec!["stock == MSFT or price > 50"],
+                _ => vec!["price > 10"],
+            }),
+            subs(&net, |h| if h < 4 { vec!["stock == GOOGL"] } else { vec![] }),
+        ];
+        let mut d = ctrl.deploy(net.clone(), &rounds[0]).unwrap();
+        assert!(
+            d.network.switches.iter().any(|sw| sw.pipeline().multicast_group_count() > 0),
+            "some switch must replicate for the group count to be checked"
+        );
+        check(&d, 0);
+        let mut cache = DeltaCache::new();
+        for (round, hosts) in rounds.iter().enumerate().skip(1) {
+            let routing = ctrl.plan_routing(&net, hosts, &FaultMask::default());
+            let compile =
+                ctrl.compile_routing_delta(&routing, Some(&d.compile), &mut cache).unwrap();
+            ctrl.install(&mut d, routing, compile, 0, &mut PerfectChannel).unwrap();
+            check(&d, round);
+        }
     }
 
     #[test]

@@ -18,6 +18,8 @@
 //! soundness condition of §IV-C.
 
 use crate::topology::{FaultMask, HierNet, SwitchId, LOGICAL_UP};
+use camus_core::digest::{expr_digest, Fnv1a};
+use camus_core::RuleView;
 use camus_lang::approx::{approximate_expr, ApproxConfig};
 use camus_lang::ast::{Action, Expr, Port, Rule};
 use std::collections::{HashMap, HashSet};
@@ -59,13 +61,14 @@ type FilterId = u32;
 /// The hash-consed filters of one routing run: every distinct `Expr`
 /// exists once, network-wide, next to its stable structural hash. A
 /// subscription is hashed and looked up once on entry; everything after
-/// that (set membership, union, replication, fingerprinting) works on
-/// ids and the memoised hash, and only [`RoutingResult::switch_rules`]
-/// turns ids back into expressions.
+/// that (set membership, union, replication, fingerprinting, rule
+/// digests) works on ids and the memoised hash; [`RoutingResult::switch_view`]
+/// lends the expressions out and only [`RoutingResult::switch_rules`]
+/// copies them.
 #[derive(Debug, Clone, Default)]
 struct FilterPool {
     exprs: Vec<Expr>,
-    /// `stable_expr_hash` of each member, by id.
+    /// `expr_digest` of each member, by id.
     hashes: Vec<u64>,
     /// Stable hash → id. Distinct filters whose 64-bit hashes collide
     /// probe linearly (`hash + 1`, …), so identity is always `Expr`
@@ -75,7 +78,7 @@ struct FilterPool {
 
 impl FilterPool {
     fn intern(&mut self, f: &Expr) -> FilterId {
-        let hash = crate::compile::stable_expr_hash(f);
+        let hash = expr_digest(f);
         let mut key = hash;
         loop {
             match self.index.get(&key) {
@@ -126,30 +129,42 @@ pub struct RoutingResult {
 }
 
 impl RoutingResult {
-    /// The per-switch rule list handed to the Camus compiler: one
+    /// Switch `s`'s rule list held by reference: one
     /// `filter: fwd(port)` rule per filter (§IV-D's intermediate
-    /// representation).
+    /// representation), each with its rule digest, continued from the
+    /// pool's memoised filter hash. This is what the delta compile
+    /// diffs; only the rules it inserts are ever cloned.
     ///
     /// The order is *canonical* — port-major, then a stable structural
     /// sort within each port — so that two routing runs producing the
-    /// same filter sets yield byte-identical rule lists. Incremental
+    /// same filter sets yield identical lists. Incremental
     /// recompilation fingerprints this list; without the within-port
     /// sort, removing a duplicate-held filter could merely shift where
     /// the surviving copy sits in the deduplicated set and spuriously
     /// invalidate an unchanged switch.
-    pub fn switch_rules(&self, s: SwitchId) -> Vec<Rule> {
-        let mut ports: Vec<&Port> = self.filters[s].keys().collect();
-        ports.sort_unstable();
-        let mut out = Vec::with_capacity(self.switch_filter_count(s));
-        for &port in ports {
-            let mut ids = self.filters[s][&port].ids.clone();
+    pub fn switch_view(&self, s: SwitchId) -> RuleView<'_> {
+        let mut ports: Vec<(Port, &FilterSet)> = (self.filters[s].iter())
+            .filter(|(_, set)| !set.is_empty())
+            .map(|(&port, set)| (port, set))
+            .collect();
+        ports.sort_unstable_by_key(|&(port, _)| port);
+        let mut view = RuleView::with_capacity(self.switch_filter_count(s));
+        let mut ids = Vec::new();
+        for (port, set) in ports {
+            view.start_run(Action::Forward(vec![port]));
+            ids.clone_from(&set.ids);
             ids.sort_unstable_by_key(|&id| self.pool.hashes[id as usize]);
-            out.extend(ids.iter().map(|&id| Rule {
-                filter: self.pool.exprs[id as usize].clone(),
-                action: Action::Forward(vec![port]),
-            }));
+            for &id in &ids {
+                view.push(self.pool.hashes[id as usize], &self.pool.exprs[id as usize]);
+            }
         }
-        out
+        view
+    }
+
+    /// Switch `s`'s canonical rule list ([`RoutingResult::switch_view`])
+    /// as owned rules: every filter cloned.
+    pub fn switch_rules(&self, s: SwitchId) -> Vec<Rule> {
+        self.switch_view(s).to_rules()
     }
 
     /// Stable fingerprint of the switch's canonical rule list, computed
@@ -158,7 +173,6 @@ impl RoutingResult {
     /// [`RoutingResult::switch_rules`] without materialising (or
     /// re-hashing) the list.
     pub fn switch_fingerprint(&self, s: SwitchId) -> u64 {
-        use crate::compile::Fnv1a;
         use std::hash::{Hash, Hasher};
         let mut ports: Vec<&Port> = self.filters[s].keys().collect();
         ports.sort_unstable();
@@ -482,6 +496,53 @@ mod tests {
         // Rules are port-sorted and well formed.
         for rule in &rules {
             assert!(rule.action.ports().is_some());
+        }
+    }
+
+    #[test]
+    fn view_digests_are_the_rule_digests_of_the_rule_list() {
+        // The delta compile diffs the view's digests, continued from the
+        // pool's memoised filter hashes, against digests `rule_digest`
+        // took of owned rules; they must agree rule by rule and in
+        // order. Host 0..4 hold one filter between them; the thresholds
+        // widen under α.
+        use camus_core::digest::rule_digest;
+        let net = paper_fat_tree();
+        let subs: Vec<Vec<Expr>> = (0..net.host_count())
+            .map(|h| {
+                let mut fs = vec![parse_expr(&format!("price > {}", 51 + 7 * h)).unwrap()];
+                if h < 4 {
+                    fs.push(parse_expr("stock == GOOGL").unwrap());
+                }
+                fs
+            })
+            .collect();
+        for policy in [Policy::MemoryReduction, Policy::TrafficReduction] {
+            for alpha in [1, 100] {
+                for dead in [None, Some(8)] {
+                    let mut mask = FaultMask::new();
+                    if let Some(s) = dead {
+                        mask.fail_switch(s);
+                    }
+                    let cfg = RoutingConfig::new(policy).with_alpha(alpha);
+                    let r = route_hierarchical_degraded(&net, &subs, cfg, &mask);
+                    for s in 0..net.switch_count() {
+                        let rules = r.switch_rules(s);
+                        let view = r.switch_view(s);
+                        assert_eq!(view.len(), rules.len());
+                        for (i, (rule, (digest, filter, action))) in
+                            rules.iter().zip(view.iter()).enumerate()
+                        {
+                            let at = format!("{policy:?} α={alpha} {dead:?} switch {s} rule {i}");
+                            assert_eq!(digest, rule_digest(rule), "{at}");
+                            assert_eq!((filter, action), (&rule.filter, &rule.action), "{at}");
+                        }
+                    }
+                    if let Some(s) = dead {
+                        assert!(r.switch_view(s).is_empty(), "a dead switch holds nothing");
+                    }
+                }
+            }
         }
     }
 

@@ -12,7 +12,11 @@
 //! holds reuses that [`Compiled`] artefact, and each distinct new list
 //! is built once and shared — cold, or, for a caller that carries a
 //! [`DeltaCache`] through churn, by replaying its rule delta on the
-//! maintained diagram of its predecessor.
+//! maintained diagram of its predecessor. The incremental compile reads
+//! each list by reference ([`RoutingResult::switch_view`]): a delta
+//! clones only the rules it inserts, and only seeds and cold builds
+//! materialise a list. [`RoutingResult::switch_rules`], the owned list,
+//! serves the oracle.
 //!
 //! Both compiles run their switches on one pool, the calling thread
 //! among its workers, through an atomic claim index, longest rule list
@@ -24,6 +28,7 @@ use crate::algorithm1::RoutingResult;
 use crate::par::{run_parallel, UnitPanic};
 use crate::topology::HierNet;
 use camus_core::compiler::{CompileError, CompileState, Compiled, Compiler};
+use camus_core::digest::{expr_digest, Fnv1a};
 use camus_lang::ast::Rule;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
@@ -99,29 +104,6 @@ impl NetworkCompile {
     }
 }
 
-/// FNV-1a, used as a *stable* hasher: the fingerprint of a rule list
-/// must be identical across runs and processes (the controller caches
-/// compiles across reconfigurations), which `DefaultHasher` does not
-/// guarantee.
-pub(crate) struct Fnv1a(pub(crate) u64);
-
-impl Fnv1a {
-    pub(crate) const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-}
-
-impl Hasher for Fnv1a {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-}
-
 /// splitmix64 finaliser: decorrelates the per-filter FNV hashes before
 /// they enter a commutative (wrapping-sum) combination, so sets whose
 /// raw hashes are related (e.g. filters differing in one trailing byte)
@@ -131,14 +113,6 @@ pub(crate) fn mix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^ (x >> 31)
-}
-
-/// Stable structural hash of one filter expression (FNV-1a — identical
-/// across runs and processes, unlike `DefaultHasher`).
-pub(crate) fn stable_expr_hash(f: &camus_lang::ast::Expr) -> u64 {
-    let mut h = Fnv1a(Fnv1a::OFFSET);
-    f.hash(&mut h);
-    h.finish()
 }
 
 /// Stable fingerprint of a switch's canonical rule list (the order
@@ -165,7 +139,7 @@ pub fn fingerprint_rules(rules: &[Rule]) -> u64 {
         let action = &rules[start].action;
         let mut acc = 0u64;
         while i < rules.len() && rules[i].action == *action {
-            acc = acc.wrapping_add(mix64(stable_expr_hash(&rules[i].filter)));
+            acc = acc.wrapping_add(mix64(expr_digest(&rules[i].filter)));
             i += 1;
         }
         action.hash(&mut h);
@@ -337,6 +311,10 @@ impl<'p> Election<'p> {
 /// current epoch (stale fingerprints are pruned after every run).
 /// States are replayed and seeded on the compile pool, so they are
 /// built on whichever worker claimed their list, the caller included.
+///
+/// A held rule was validated by the compiler that inserted it and a
+/// replay validates only what it inserts, so a cache serves one
+/// compiler: pass the same one (the same spec) on every call.
 #[derive(Debug, Default)]
 pub struct DeltaCache {
     states: HashMap<u64, CompileState>,
@@ -369,13 +347,15 @@ impl DeltaCache {
 ///   so N core switches cost one compile.
 ///
 /// Each distinct new list is compiled on the pool, longest first, the
-/// calling thread among the workers. How depends on `cache`. Without
-/// one every list is built cold ([`Compiler::compile`]): a cold deploy
-/// or a recovery. With one, a list whose slot's *previous* rule list
-/// left a maintained diagram in the cache (keyed by the slot's old
-/// fingerprint) replays only the rule delta on it
-/// ([`Compiler::compile_incremental`]) and the state moves to the new
-/// fingerprint; a list with no state to inherit is seeded. Each list's
+/// calling thread among the workers, from its
+/// [`RoutingResult::switch_view`], built once per list. How depends on
+/// `cache`. Without one every list is materialised and built cold
+/// ([`Compiler::compile`]): a cold deploy or a recovery. With one, a
+/// list whose slot's *previous* rule list left a maintained diagram in
+/// the cache (keyed by the slot's old fingerprint) replays only the
+/// rule delta on it ([`Compiler::compile_delta`], which clones only
+/// the rules it inserts) and the state moves to the new fingerprint; a
+/// list with no state to inherit is materialised and seeded. Each list's
 /// base is taken before the pool starts, in switch order, so the first
 /// of several twins that diverge from one old list takes its state and
 /// the rest are seeded whatever order the workers claim them in. The
@@ -412,15 +392,15 @@ pub fn compile_network_incremental(
         .collect();
     let built = run_largest_first(result, &election.representatives, |s| {
         let t0 = Instant::now();
-        let rules = result.switch_rules(s);
+        let view = result.switch_view(s);
         let base = bases[&s].lock().expect("a base is only ever taken").take();
         let (compiled, state) = match base {
-            Some(mut state) => (compiler.compile_incremental(&mut state, &rules)?, Some(state)),
+            Some(mut state) => (compiler.compile_delta(&mut state, &view)?, Some(state)),
             None if seeds => {
-                let (compiled, state) = compiler.compile_incremental_seed(&rules)?;
+                let (compiled, state) = compiler.compile_incremental_seed(&view.to_rules())?;
                 (compiled, Some(state))
             }
-            None => (compiler.compile(&rules)?, None),
+            None => (compiler.compile(&view.to_rules())?, None),
         };
         Ok((Arc::new(compiled), t0.elapsed(), state))
     })?;
@@ -692,6 +672,39 @@ mod tests {
             Err(CompileError::Panicked { unit, .. }) => assert_eq!(unit, 16),
             other => panic!("expected Panicked, got {:?}", other.map(|nc| nc.recompiled)),
         }
+    }
+
+    #[test]
+    fn a_delta_naming_an_unknown_field_reports_the_scratch_rule_index() {
+        // Host 3 adds a filter on a field the spec does not declare. Its
+        // ToR replays the delta from the view; the error must name the
+        // rule a scratch compile of the materialised list names, and
+        // the ToR's state must come out as it went in.
+        let net = paper_fat_tree();
+        let cfg = RoutingConfig::new(Policy::MemoryReduction);
+        let statics = camus_core::statics::compile_static(&camus_lang::spec::itch_spec()).unwrap();
+        let compiler = Compiler::new().with_static(statics);
+        let hosts: Vec<Vec<Expr>> = (0..net.host_count())
+            .map(|h| vec![parse_expr(&format!("stock == S{h} and price > {h}")).unwrap()])
+            .collect();
+        let mut cache = DeltaCache::new();
+        let r0 = route_hierarchical(&net, &hosts, cfg);
+        let prev = compile_network_incremental(&r0, &compiler, None, Some(&mut cache)).unwrap();
+
+        let mut churned = hosts.clone();
+        churned[3].push(parse_expr("bogus == 1").unwrap());
+        let r1 = route_hierarchical(&net, &churned, cfg);
+        let tor = net.access[3].0;
+        let scratch = compiler.compile(&r1.switch_rules(tor)).unwrap_err();
+        assert!(matches!(scratch, CompileError::UnknownField { .. }), "{scratch:?}");
+        let mut state = cache.states.remove(&prev.switches[tor].fingerprint).unwrap();
+        let held = state.rule_count();
+        let err = compiler.compile_delta(&mut state, &r1.switch_view(tor)).unwrap_err();
+        assert_eq!(err, scratch);
+        assert_eq!(state.rule_count(), held);
+        // The state still replays to what a scratch compile builds.
+        let c = compiler.compile_delta(&mut state, &r0.switch_view(tor)).unwrap();
+        assert_eq!(c.pipeline, compiler.compile(&r0.switch_rules(tor)).unwrap().pipeline);
     }
 
     #[test]
