@@ -23,10 +23,12 @@ impl Fnv1a {
 }
 
 impl Hasher for Fnv1a {
+    #[inline]
     fn finish(&self) -> u64 {
         self.0
     }
 
+    #[inline]
     fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= u64::from(b);

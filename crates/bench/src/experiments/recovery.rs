@@ -14,7 +14,7 @@
 //! fingerprints are checked against a fresh deploy of the same
 //! subscription state.
 //!
-//! **WAL overhead** (`"recovery"` in `BENCH_throughput.json`): the
+//! **WAL overhead** (`results/recovery_overhead.csv`): the
 //! same churn stream is fed to the batched service lane (PR-7's
 //! configuration) in `PAIRS` alternated volatile / write-ahead logged
 //! pairs, and the median pair's logged sustained accepted-ops/second
@@ -251,17 +251,6 @@ pub fn run(scale: Scale) -> Vec<Table> {
             format!("{wall_ms:.0}"),
         ]);
     }
-
-    o.bench_json.push((
-        "recovery".to_string(),
-        format!(
-            "{{\"volatile_subs_per_s\": {volatile_per_s:.0}, \
-             \"wal_subs_per_s\": {logged_per_s:.0}, \
-             \"wal_overhead_pct\": {overhead_pct:.2}, \
-             \"snapshots\": {}, \"wal_lines\": {}}}",
-            logged_out.stats.snapshots, wal_lines,
-        ),
-    ));
 
     vec![t, o]
 }

@@ -25,8 +25,7 @@
 //!   heap high-water (counting allocator, when the running binary
 //!   installs the hook) and kernel `VmHWM`.
 //!
-//! Results land in `results/scale.csv` and under the `"scale_ladder"`
-//! key of `BENCH_throughput.json`.
+//! Results land in `results/scale.csv`.
 
 use super::churn::churn_net;
 use super::Scale;
@@ -187,7 +186,6 @@ pub fn run(scale: Scale) -> Vec<Table> {
             "peak_rss_mb",
         ],
     );
-    let mut json = Vec::new();
     for &n in ladder {
         let p = measure(&net, n, ops);
         if scale == Scale::Quick {
@@ -223,28 +221,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             format!("{:.1}", p.peak_heap_mb),
             format!("{:.1}", p.peak_rss_mb),
         ]);
-        json.push(format!(
-            "{{\"subs\": {}, \"cold_ms\": {:.1}, \"entries\": {}, \"inc_op_us\": {:.2}, \
-             \"full_op_ms\": {:.2}, \"speedup\": {:.0}, \"live_nodes\": {}, \
-             \"peak_alloc_nodes\": {}, \"gc_runs\": {}, \"peak_heap_mb\": {:.1}, \
-             \"peak_rss_mb\": {:.1}}}",
-            p.subs,
-            p.cold_ms,
-            p.entries,
-            p.inc_op_us,
-            p.full_op_ms,
-            p.speedup(),
-            p.live_nodes,
-            p.peak_alloc_nodes,
-            p.gc_runs,
-            p.peak_heap_mb,
-            p.peak_rss_mb,
-        ));
     }
-    // Not under a plain `"scale"` key: the throughput lane already
-    // writes `"scale": "quick|full"` (run-mode metadata) at top level.
-    t.bench_json
-        .push(("scale_ladder".to_string(), format!("{{\"points\": [{}]}}", json.join(", "))));
     vec![t]
 }
 

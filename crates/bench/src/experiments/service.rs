@@ -229,22 +229,6 @@ pub fn run(scale: Scale) -> Vec<Table> {
     }
 
     let speedup = batched.sustained_per_s / naive.sustained_per_s.max(1e-9);
-    t.bench_json.push((
-        "service".to_string(),
-        format!(
-            "{{\"naive_subs_per_s\": {:.0}, \"batched_subs_per_s\": {:.0}, \
-             \"speedup\": {:.2}, \"coalescing_ratio\": {:.2}, \
-             \"batched_p99_ttt_ms\": {:.3}, \"audit_probes\": {}, \"misdelivered\": {}}}",
-            naive.sustained_per_s,
-            batched.sustained_per_s,
-            speedup,
-            batched.out.stats.coalescing_ratio(),
-            batched.p99_ttt_ns as f64 / 1e6,
-            batched.out.stats.audit.probes + naive.out.stats.audit.probes,
-            batched.out.stats.audit.misdelivered + naive.out.stats.audit.misdelivered,
-        ),
-    ));
-
     // The CI smoke rides these (quick scale included): the audit must
     // stay clean in both modes, coalescing must actually coalesce, and
     // batching must beat the naive baseline by the ISSUE's 2× floor.

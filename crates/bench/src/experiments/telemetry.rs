@@ -7,8 +7,6 @@
 //!   at sampling rates off, 1/256, 1/16 and 1/1, against the bare
 //!   (unattached) switch. Disabled sampling must sit within noise of
 //!   bare: the fast path pays one counter increment and a mask test.
-//!   The measured overhead also lands under a `"telemetry"` key in
-//!   `BENCH_throughput.json` (merged, not clobbered).
 //! * **Anomaly** (`results/telemetry_anomaly.csv`) — the faults
 //!   experiment's failure schedule on the 72-switch churn fat tree with
 //!   every probe postcard-traced: per event, the collector-derived
@@ -279,19 +277,6 @@ pub fn run(scale: Scale) -> Vec<Table> {
         disabled_overhead <= bound,
         "disabled telemetry costs {disabled_overhead:.2}% (> {bound}%)"
     );
-    overhead.bench_json.push((
-        "telemetry".to_string(),
-        format!(
-            "{{\"disabled_overhead_pct\": {:.2}, \"ns_per_pkt\": {{{}}}}}",
-            disabled_overhead,
-            lanes
-                .iter()
-                .map(|l| format!("\"{}\": {:.1}", l.label, l.ns_per_pkt))
-                .collect::<Vec<_>>()
-                .join(", ")
-        ),
-    ));
-
     vec![overhead, anomaly_table(scale), trace_table(scale)]
 }
 
@@ -317,9 +302,6 @@ mod tests {
         // Trace: all six phases in order.
         let phases: Vec<&str> = tables[2].rows.iter().map(|r| r[0].as_str()).collect();
         assert_eq!(phases, vec!["route", "compile", "admit", "stage", "commit", "finalize"]);
-        let (key, json) = &tables[0].bench_json[0];
-        assert_eq!(key, "telemetry");
-        assert!(json.contains("\"disabled_overhead_pct\""));
     }
 
     #[test]

@@ -33,16 +33,12 @@
 //! aggregate is `total packets / slowest shard's busy time` — the
 //! throughput of the shard array with one core per shard. When the
 //! host actually has a core per shard the shards run concurrently
-//! (`parallel_mode: "concurrent"`, per-shard wall time); on smaller
-//! hosts they run back-to-back in isolation (`parallel_mode:
-//! "isolated"`), which measures the same quantity without cores
-//! fighting over time slices. The driver asserts the per-shard
-//! counters sum exactly to the single-core lane's, so the sharded run
-//! provably did the same forwarding work.
-//!
-//! A machine-readable summary lands in `BENCH_throughput.json` at the
-//! repo root: eval-ns, Mpps, and the shard ladder keyed by filter
-//! count.
+//! (mode `concurrent` in the CSVs, per-shard wall time); on smaller
+//! hosts they run back-to-back in isolation (mode `isolated`), which
+//! measures the same quantity without cores fighting over time slices.
+//! The driver asserts the per-shard counters sum exactly to the
+//! single-core lane's, so the sharded run provably did the same
+//! forwarding work.
 
 use super::Scale;
 use crate::output::{fmt_mpps, fmt_ns, Table};
@@ -311,54 +307,6 @@ fn measure_depth_ns(depth: usize, probes: usize) -> f64 {
     best
 }
 
-/// The lane's `BENCH_throughput.json` entries, hand-formatted (the
-/// vendored `serde_json` stub has no serializer): eval-ns, Mpps, and
-/// the shard ladder keyed by filter count.
-fn bench_json(scale: Scale, lanes: &[Lane], depths: &[(usize, f64)]) -> Vec<(String, String)> {
-    let series = lanes
-        .iter()
-        .map(|l| {
-            let ladder = l
-                .scaling
-                .iter()
-                .map(|r| format!("\"{}\": {:.4}", r.shards, r.mpps / 1e6))
-                .collect::<Vec<_>>()
-                .join(", ");
-            format!(
-                "    \"{}\": {{\"interp_eval_ns\": {:.1}, \"compiled_eval_ns\": {:.1}, \
-                 \"batch_mpps\": {:.4}, \"parallel_mpps\": {:.4}, \
-                 \"parallel_scaling\": {{{}}}}}",
-                l.filters,
-                l.interp_ns,
-                l.compiled_ns,
-                l.batch_mpps / 1e6,
-                l.parallel_mpps / 1e6,
-                ladder,
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let depth_ns = depths
-        .iter()
-        .map(|(d, ns)| format!("    \"{d}\": {ns:.1}"))
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let mode = lanes.last().map_or("isolated", |l| l.parallel_mode);
-    let filters = lanes.iter().map(|l| l.filters.to_string()).collect::<Vec<_>>().join(", ");
-    [
-        ("experiment", "\"throughput\"".to_string()),
-        ("scale", format!("\"{}\"", scale.pick("quick", "full"))),
-        ("shards", SHARD_LADDER.last().unwrap().to_string()),
-        ("parallel_mode", format!("\"{mode}\"")),
-        ("filters", format!("[{filters}]")),
-        ("by_filter_count", format!("{{\n{series}\n  }}")),
-        ("eval_ns_by_depth", format!("{{\n{depth_ns}\n  }}")),
-    ]
-    .into_iter()
-    .map(|(key, value)| (key.to_string(), value))
-    .collect()
-}
-
 pub fn run(scale: Scale) -> Vec<Table> {
     let counts: &[usize] = match scale {
         Scale::Quick => &[10, 100, 1_000],
@@ -492,7 +440,6 @@ pub fn run(scale: Scale) -> Vec<Table> {
         }
     }
 
-    a.bench_json = bench_json(scale, &lanes, &depths);
     vec![a, b, c, d, e]
 }
 
@@ -555,18 +502,12 @@ mod tests {
     }
 
     #[test]
-    fn quick_run_emits_tables_and_json() {
+    fn quick_run_emits_tables() {
         let tables = run(Scale::Quick);
         assert_eq!(tables.len(), 5);
         assert_eq!(tables[0].rows.len(), 3);
         // Ladder table: one row per (filter count, shard count).
         assert_eq!(tables[4].rows.len(), 3 * SHARD_LADDER.len());
-        let json: String =
-            tables[0].bench_json.iter().map(|(k, v)| format!("\"{k}\": {v}\n")).collect();
-        assert!(json.contains("\"by_filter_count\""));
-        assert!(json.contains("\"eval_ns_by_depth\""));
-        assert!(json.contains("\"parallel_scaling\""));
-        assert!(json.contains("\"parallel_mode\""));
     }
 
     #[test]

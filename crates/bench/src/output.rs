@@ -16,9 +16,6 @@ pub struct Table {
     pub rows: Vec<Vec<String>>,
     /// File stem the table persists under: `results/<name>.csv`.
     pub name: String,
-    /// Top-level `"key": value` entries the table's experiment
-    /// contributes to `BENCH_throughput.json`; each value is valid JSON.
-    pub bench_json: Vec<(String, String)>,
 }
 
 impl Table {
@@ -72,9 +69,8 @@ impl Table {
         Ok(())
     }
 
-    /// Print and persist: the CSV, and the table's entries merged into
-    /// `BENCH_throughput.json`. A raw-data table too long to read on a
-    /// console is only persisted.
+    /// Print and persist the CSV. A raw-data table too long to read on
+    /// a console is only persisted.
     pub fn emit(&self) {
         if self.rows.len() <= 100 {
             println!("{}", self.render());
@@ -89,60 +85,6 @@ impl Table {
         if let Err(e) = self.write_csv() {
             eprintln!("warning: could not write results/{}.csv: {e}", self.name);
         }
-        for (key, value) in &self.bench_json {
-            merge_bench_json(key, value);
-        }
-    }
-}
-
-/// Merge one top-level `"key": value` entry into `BENCH_throughput.json`
-/// without clobbering the other experiments' entries (the vendored
-/// `serde_json` has no serializer, so this splices text). `value` must
-/// already be valid JSON.
-fn merge_bench_json(key: &str, value: &str) {
-    let path = "BENCH_throughput.json";
-    let current = fs::read_to_string(path).unwrap_or_default();
-    if let Err(e) = fs::write(path, splice_json_key(&current, key, value)) {
-        eprintln!("warning: could not write {path}: {e}");
-    }
-}
-
-/// Replace or append a top-level key in a JSON object document.
-fn splice_json_key(doc: &str, key: &str, value: &str) -> String {
-    let trimmed = doc.trim();
-    if !trimmed.starts_with('{') || !trimmed.ends_with('}') {
-        return format!("{{\n  \"{key}\": {value}\n}}\n");
-    }
-    let mut body = trimmed[1..trimmed.len() - 1].trim_end().to_string();
-    let needle = format!("\"{key}\":");
-    if let Some(start) = body.find(&needle) {
-        // Scan the entry's value, balancing nesting, to the top-level
-        // comma that ends it (or the end of the body).
-        let bytes = body.as_bytes();
-        let mut depth = 0i32;
-        let mut in_str = false;
-        let mut end = body.len();
-        for i in start + needle.len()..bytes.len() {
-            match bytes[i] {
-                b'"' if i == 0 || bytes[i - 1] != b'\\' => in_str = !in_str,
-                b'{' | b'[' if !in_str => depth += 1,
-                b'}' | b']' if !in_str => depth -= 1,
-                b',' if !in_str && depth == 0 => {
-                    end = i + 1;
-                    break;
-                }
-                _ => {}
-            }
-        }
-        // A last entry leaves no trailing comma; eat the one before it.
-        let from = if end == body.len() { body[..start].rfind(',').unwrap_or(0) } else { start };
-        body.replace_range(from..end, "");
-    }
-    let body = body.trim_end().trim_end_matches(',').to_string();
-    if body.trim().is_empty() {
-        format!("{{\n  \"{key}\": {value}\n}}\n")
-    } else {
-        format!("{{{body},\n  \"{key}\": {value}\n}}\n")
     }
 }
 
@@ -182,26 +124,6 @@ mod tests {
     fn arity_checked() {
         let mut t = Table::new("x", "x", &["a", "b"]);
         t.row(["only-one".into()]);
-    }
-
-    #[test]
-    fn splice_appends_replaces_and_creates() {
-        let fresh = splice_json_key("", "telemetry", "{\"x\": 1}");
-        assert_eq!(fresh, "{\n  \"telemetry\": {\"x\": 1}\n}\n");
-        // Appending keeps existing entries (including nested commas).
-        let doc = "{\n  \"a\": {\"x\": 1, \"y\": [2, 3]},\n  \"b\": 4\n}\n";
-        let appended = splice_json_key(doc, "telemetry", "5");
-        assert!(appended.contains("\"a\": {\"x\": 1, \"y\": [2, 3]}"));
-        assert!(appended.contains("\"b\": 4"));
-        assert!(appended.ends_with("\"telemetry\": 5\n}\n"));
-        // Re-merging replaces the old value, middle or last position.
-        let replaced = splice_json_key(&appended, "telemetry", "6");
-        assert!(!replaced.contains("\"telemetry\": 5"));
-        assert!(replaced.ends_with("\"telemetry\": 6\n}\n"));
-        let mid = splice_json_key(&replaced, "a", "0");
-        assert!(mid.contains("\"b\": 4") && mid.contains("\"telemetry\": 6"));
-        assert!(!mid.contains("\"y\""));
-        assert!(mid.ends_with("\"a\": 0\n}\n"));
     }
 
     #[test]

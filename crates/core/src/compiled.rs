@@ -46,9 +46,11 @@
 //! `tests/compiled_equivalence.rs` pins `eval ≡ Pipeline::evaluate` on
 //! randomized pipelines and inputs.
 
+use crate::digest::Fnv1a;
 use crate::pipeline::{MatchSpec, Pipeline, StageTable, StateId};
 use camus_lang::ast::{Action, Operand};
 use camus_lang::value::Value;
+use std::hash::Hasher;
 
 /// Index into the [`CompiledPipeline`] action arena. Id 0 is always the
 /// leaf default action.
@@ -102,12 +104,9 @@ impl ExactKey for String {
     /// FNV-1a over the key bytes.
     #[inline]
     fn hash(&self) -> u64 {
-        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-        for &b in self.as_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x1_0000_01B3);
-        }
-        h
+        let mut h = Fnv1a(Fnv1a::OFFSET);
+        h.write(self.as_bytes());
+        h.finish()
     }
 }
 

@@ -6,7 +6,7 @@
 //! `Expr::eval_with` on sampled packets.
 
 use camus_bdd::{Bdd, BddBuilder, IncrementalBdd, VarOrder};
-use camus_core::compiler::Compiler;
+use camus_core::compiler::{Compiler, RuleView};
 use camus_core::multicast::MulticastAllocator;
 use camus_core::pipeline::Pipeline;
 use camus_core::tables::bdd_to_pipeline;
@@ -145,7 +145,7 @@ fn incremental_compile() {
         rules.push(rule("price > 40: fwd(3)"));
         rules.push(rule("id == 7 and price < 3: fwd(2)"));
         rules.swap_remove(11);
-        let compiled = compiler.compile_incremental(&mut state, &rules).unwrap();
+        let compiled = compiler.compile_delta(&mut state, &RuleView::from(&rules[..])).unwrap();
         check_pipeline(&compiled.pipeline, &rules, 5);
     });
 }

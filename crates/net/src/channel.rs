@@ -4,9 +4,9 @@
 //! (gRPC to the switch agent): messages are dropped, time out, or are
 //! rejected by a busy agent. The simulator models this with a
 //! [`ControlChannel`] trait the deployment transaction drives every
-//! stage/commit operation through, plus a deterministic seeded
-//! [`RetryPolicy`] (capped exponential backoff with hash jitter — no
-//! wall-clock, so every run is reproducible).
+//! stage/commit operation through, retried a fixed [`MAX_ATTEMPTS`]
+//! times with capped exponential backoff and deterministic hash jitter
+//! (no wall-clock, so every run is reproducible).
 //!
 //! The faults crate provides the lossy implementation; here lives the
 //! abstraction and the always-delivering [`PerfectChannel`] default.
@@ -14,11 +14,12 @@
 //! Time accounting is factored out of the controller: `timed_op`
 //! drives one operation through a channel with retries and charges
 //! every modelled cost (op, timeout, backoff) to an explicit
-//! [`Clock`], so the deployment transaction and the service
-//! scheduler's overlapped timelines share one reproducible notion of
-//! control-plane time.
+//! [`Clock`]. The costs and the jitter seed are constants: one
+//! controller, one retry schedule.
 
 use crate::clock::Clock;
+use camus_core::digest::Fnv1a;
+use std::hash::Hasher;
 use std::io;
 
 /// A control-plane operation sent to one switch.
@@ -78,50 +79,31 @@ impl ControlChannel for PerfectChannel {
     }
 }
 
-/// Deterministic retry/backoff parameters for control-channel
-/// operations. All time is modelled (summed into the deploy report),
-/// never slept.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Attempts per operation before the transaction gives up.
-    pub max_attempts: u32,
-    /// Backoff after the first failed attempt.
-    pub base_backoff_ns: u64,
-    /// Backoff growth cap.
-    pub max_backoff_ns: u64,
-    /// Modelled cost of one delivered (or nacked) operation.
-    pub op_ns: u64,
-    /// Modelled cost of waiting out a dropped operation.
-    pub timeout_ns: u64,
-    /// Seed for the deterministic backoff jitter.
-    pub seed: u64,
-}
+/// Attempts per operation before the transaction gives up.
+pub const MAX_ATTEMPTS: u32 = 6;
+/// Backoff after the first failed attempt.
+const BASE_BACKOFF_NS: u64 = 50_000;
+/// Backoff growth cap.
+const MAX_BACKOFF_NS: u64 = 800_000;
+/// Modelled cost of one delivered (or nacked) operation.
+const OP_NS: u64 = 20_000;
+/// Modelled cost of waiting out a dropped operation.
+const TIMEOUT_NS: u64 = 100_000;
+/// Seed for the deterministic backoff jitter.
+const JITTER_SEED: u64 = 0xC0DE;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 6,
-            base_backoff_ns: 50_000,
-            max_backoff_ns: 800_000,
-            op_ns: 20_000,
-            timeout_ns: 100_000,
-            seed: 0xC0DE,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Backoff before retry number `retry` (0 = after the first
-    /// failure) of an operation to `switch`: capped exponential with
-    /// deterministic jitter in `[cap/2, cap]`, decorrelated across
-    /// switches and retries so a fleet-wide partition does not retry
-    /// in lockstep.
-    pub(crate) fn backoff_ns(&self, switch: usize, retry: u32) -> u64 {
-        let exp = self.base_backoff_ns.saturating_mul(1u64 << retry.min(20));
-        let cap = exp.min(self.max_backoff_ns).max(1);
-        let h = fnv64(self.seed ^ (switch as u64).rotate_left(17) ^ u64::from(retry) << 40);
-        cap / 2 + h % (cap - cap / 2 + 1)
-    }
+/// Backoff before retry number `retry` (0 = after the first failure)
+/// of an operation to `switch`: capped exponential with deterministic
+/// jitter in `[cap/2, cap]`, decorrelated across switches and retries
+/// so a fleet-wide partition does not retry in lockstep.
+fn backoff_ns(switch: usize, retry: u32) -> u64 {
+    let exp = BASE_BACKOFF_NS.saturating_mul(1u64 << retry.min(20));
+    let cap = exp.min(MAX_BACKOFF_NS);
+    let mut h = Fnv1a(Fnv1a::OFFSET);
+    h.write(
+        &(JITTER_SEED ^ (switch as u64).rotate_left(17) ^ u64::from(retry) << 40).to_le_bytes(),
+    );
+    cap / 2 + h.finish() % (cap - cap / 2 + 1)
 }
 
 /// What one [`timed_op`] call did: whether the op ever landed, and the
@@ -138,38 +120,37 @@ pub(crate) struct OpOutcome {
     pub crashed: bool,
 }
 
-/// Drive one per-switch control operation through `channel` with the
-/// policy's retry + capped exponential backoff, advancing `clock` by
-/// the modelled cost of every attempt: `op_ns` for a delivered or
-/// nacked op, `timeout_ns` for a dropped one, and the deterministic
+/// Drive one per-switch control operation through `channel` with
+/// retry + capped exponential backoff, advancing `clock` by the
+/// modelled cost of every attempt: `OP_NS` for a delivered or nacked
+/// op, `TIMEOUT_NS` for a dropped one, and the deterministic
 /// jittered backoff before each retry. The clock is the *only* time
 /// sink, so any two runs that feed the same attempt outcomes advance
 /// identically.
 pub(crate) fn timed_op(
     channel: &mut dyn ControlChannel,
-    retry: &RetryPolicy,
     clock: &mut Clock,
     switch: usize,
     op: ControlOp,
 ) -> OpOutcome {
     let mut out = OpOutcome { landed: false, attempts: 0, retries: 0, crashed: false };
-    for attempt in 1..=retry.max_attempts {
+    for attempt in 1..=MAX_ATTEMPTS {
         out.attempts += 1;
         if attempt > 1 {
             out.retries += 1;
-            clock.advance(retry.backoff_ns(switch, attempt - 2));
+            clock.advance(backoff_ns(switch, attempt - 2));
         }
         match channel.attempt(switch, op, attempt) {
             ChannelOutcome::Delivered => {
-                clock.advance(retry.op_ns);
+                clock.advance(OP_NS);
                 out.landed = true;
                 break;
             }
             ChannelOutcome::Dropped => {
-                clock.advance(retry.timeout_ns);
+                clock.advance(TIMEOUT_NS);
             }
             ChannelOutcome::Nacked => {
-                clock.advance(retry.op_ns);
+                clock.advance(OP_NS);
             }
             ChannelOutcome::ControllerCrashed => {
                 out.crashed = true;
@@ -178,17 +159,6 @@ pub(crate) fn timed_op(
         }
     }
     out
-}
-
-/// FNV-1a over the 8 bytes of `x` — the same cheap deterministic hash
-/// the fingerprint machinery uses.
-fn fnv64(x: u64) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in x.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]
@@ -206,15 +176,33 @@ mod tests {
 
     #[test]
     fn backoff_grows_and_caps() {
-        let p = RetryPolicy::default();
         for retry in 0..12 {
-            let b = p.backoff_ns(0, retry);
-            let exp = p.base_backoff_ns.saturating_mul(1 << retry.min(20));
-            let cap = exp.min(p.max_backoff_ns);
+            let b = backoff_ns(0, retry);
+            let exp = BASE_BACKOFF_NS.saturating_mul(1 << retry.min(20));
+            let cap = exp.min(MAX_BACKOFF_NS);
             assert!(b >= cap / 2 && b <= cap, "retry {retry}: {b} not in [{}, {cap}]", cap / 2);
         }
         // Late retries saturate at the cap window.
-        assert!(p.backoff_ns(0, 30) <= p.max_backoff_ns);
+        assert!(backoff_ns(0, 30) <= MAX_BACKOFF_NS);
+    }
+
+    #[test]
+    fn backoff_is_pinned() {
+        // Every modelled control time in the ledgers and the CSVs is
+        // built from this schedule, so any change to it shows here.
+        for (switch, retry, want) in [
+            (0, 0, 26_358),
+            (7, 0, 48_738),
+            (7, 1, 81_050),
+            (3, 2, 101_121),
+            (5, 3, 360_084),
+            (11, 4, 581_941),
+            (0, 5, 433_706),
+            (71, 9, 550_506),
+            (2, 30, 477_957),
+        ] {
+            assert_eq!(backoff_ns(switch, retry), want, "switch {switch} retry {retry}");
+        }
     }
 
     /// Fails `fail` times, then delivers.
@@ -235,48 +223,41 @@ mod tests {
 
     #[test]
     fn timed_op_charges_every_attempt_to_the_clock() {
-        let p = RetryPolicy::default();
         let mut clock = Clock::new();
         let mut ch = FlakyN { fail: 2, with: ChannelOutcome::Dropped };
-        let out = timed_op(&mut ch, &p, &mut clock, 7, ControlOp::Stage);
+        let out = timed_op(&mut ch, &mut clock, 7, ControlOp::Stage);
         assert!(out.landed);
         assert_eq!(out.attempts, 3);
         assert_eq!(out.retries, 2);
         // Two timeouts, two backoffs, one delivered op — exactly.
-        let want = 2 * p.timeout_ns + p.backoff_ns(7, 0) + p.backoff_ns(7, 1) + p.op_ns;
+        let want = 2 * TIMEOUT_NS + backoff_ns(7, 0) + backoff_ns(7, 1) + OP_NS;
         assert_eq!(clock.now_ns(), want);
 
         // A nack costs an op, not a timeout.
         let mut clock2 = Clock::new();
         let mut ch2 = FlakyN { fail: 1, with: ChannelOutcome::Nacked };
-        timed_op(&mut ch2, &p, &mut clock2, 7, ControlOp::Commit);
-        assert_eq!(clock2.now_ns(), 2 * p.op_ns + p.backoff_ns(7, 0));
+        timed_op(&mut ch2, &mut clock2, 7, ControlOp::Commit);
+        assert_eq!(clock2.now_ns(), 2 * OP_NS + backoff_ns(7, 0));
     }
 
     #[test]
     fn timed_op_exhaustion_burns_all_attempts() {
-        let p = RetryPolicy::default();
         let mut clock = Clock::new();
         let mut ch = FlakyN { fail: u32::MAX, with: ChannelOutcome::Dropped };
-        let out = timed_op(&mut ch, &p, &mut clock, 0, ControlOp::Stage);
+        let out = timed_op(&mut ch, &mut clock, 0, ControlOp::Stage);
         assert!(!out.landed);
-        assert_eq!(out.attempts, p.max_attempts);
-        assert_eq!(out.retries, p.max_attempts - 1);
-        let want: u64 = u64::from(p.max_attempts) * p.timeout_ns
-            + (0..p.max_attempts - 1).map(|r| p.backoff_ns(0, r)).sum::<u64>();
+        assert_eq!(out.attempts, MAX_ATTEMPTS);
+        assert_eq!(out.retries, MAX_ATTEMPTS - 1);
+        let want: u64 = u64::from(MAX_ATTEMPTS) * TIMEOUT_NS
+            + (0..MAX_ATTEMPTS - 1).map(|r| backoff_ns(0, r)).sum::<u64>();
         assert_eq!(clock.now_ns(), want);
     }
 
     #[test]
     fn backoff_is_deterministic_and_decorrelated() {
-        let p = RetryPolicy::default();
-        assert_eq!(p.backoff_ns(5, 2), p.backoff_ns(5, 2));
+        assert_eq!(backoff_ns(5, 2), backoff_ns(5, 2));
         // Different switches (almost surely) jitter differently.
-        let distinct: std::collections::HashSet<u64> =
-            (0..16).map(|s| p.backoff_ns(s, 3)).collect();
+        let distinct: std::collections::HashSet<u64> = (0..16).map(|s| backoff_ns(s, 3)).collect();
         assert!(distinct.len() > 1, "jitter must decorrelate switches");
-        // A different seed reshuffles the jitter.
-        let q = RetryPolicy { seed: 99, ..p };
-        assert!((0..16).any(|s| p.backoff_ns(s, 3) != q.backoff_ns(s, 3)));
     }
 }

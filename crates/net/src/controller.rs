@@ -8,7 +8,7 @@
 //! change it recomputes and reinstalls only the pipelines, preserving
 //! switch state.
 
-use crate::channel::{timed_op, ControlChannel, ControlOp, PerfectChannel, RetryPolicy};
+use crate::channel::{timed_op, ControlChannel, ControlOp, PerfectChannel};
 use crate::clock::Clock;
 use crate::sim::Network;
 use camus_core::compiler::{CompileError, Compiler};
@@ -277,7 +277,7 @@ impl Controller {
     ) -> crate::channel::OpOutcome {
         // Each op runs on a fresh clock slice; the ledger accumulates.
         let mut clock = Clock::new();
-        let out = timed_op(channel, &RetryPolicy::default(), &mut clock, entry.switch, op);
+        let out = timed_op(channel, &mut clock, entry.switch, op);
         entry.attempts += out.attempts;
         entry.retries += out.retries;
         let spent = clock.now_ns();
@@ -442,33 +442,18 @@ impl Controller {
         Ok((report, degraded))
     }
 
-    /// Compute routing, compile every switch, and build the network.
-    pub fn deploy(&self, topology: HierNet, subs: &[Vec<Expr>]) -> Result<Deployment, DeployError> {
-        self.deploy_degraded(topology, subs, &FaultMask::default())
-    }
-
-    /// Deploy onto a topology with faults already present: routing
-    /// avoids masked elements and the network starts with the mask
-    /// injected. A cold deploy is "converge from empty": the switches
-    /// boot with the empty pipeline and nothing compiled, so the first
+    /// Compute routing, compile every switch, and build the network. A
+    /// cold deploy is "converge from empty": the switches boot with the
+    /// empty pipeline and nothing compiled, so the first
     /// [`repair`](Self::repair) compiles each distinct rule list once
     /// and installs every switch through the admission-checked
-    /// transaction. A fresh `deploy_degraded` is the oracle that later
-    /// repairs must converge to. On error no [`Deployment`] is produced
-    /// at all, so the caller's previous deployment (if any) is
-    /// untouched.
-    pub fn deploy_degraded(
-        &self,
-        topology: HierNet,
-        subs: &[Vec<Expr>],
-        mask: &FaultMask,
-    ) -> Result<Deployment, DeployError> {
+    /// transaction. On error no [`Deployment`] is produced at all, so
+    /// the caller's previous deployment (if any) is untouched.
+    pub fn deploy(&self, topology: HierNet, subs: &[Vec<Expr>]) -> Result<Deployment, DeployError> {
         let switches = (0..topology.switch_count())
             .map(|s| Switch::new(&self.statics, Pipeline::empty(), self.config_for(s)))
             .collect();
-        let mut network = Network::new(topology, switches);
-        network.apply_mask(mask);
-        let mut deployment = Deployment::adopt(network, 1);
+        let mut deployment = Deployment::adopt(Network::new(topology, switches), 1);
         self.repair(&mut deployment, subs, &mut PerfectChannel)?;
         Ok(deployment)
     }
@@ -548,14 +533,19 @@ impl Controller {
     /// Stage two: compile a routing result, reusing `previous` as a
     /// content-addressed cache and maintaining, through `cache`, the
     /// per-switch BDDs of the switches that miss it — in time
-    /// proportional to the rule-list delta instead of a rebuild.
-    /// Neither cache affects the produced pipelines, only cost (the
-    /// controller's compiler pins the spec's variable order, so
-    /// delta-maintained and scratch-built diagrams reduce to the same
-    /// tables), so any earlier compile may serve as `previous`; the
-    /// installed one (`deployment.compile`) is the natural choice.
-    /// Callers own the cache and carry it across reconfigurations; a
-    /// fresh cache degenerates to seeding every representative.
+    /// proportional to the rule-list delta instead of a rebuild. Any
+    /// earlier compile may serve as `previous`; the installed one
+    /// (`deployment.compile`) is the natural choice. Callers own the
+    /// cache and carry it across reconfigurations; a fresh cache
+    /// degenerates to seeding every representative.
+    ///
+    /// A delta-maintained table is not the table a cold compile of the
+    /// same list builds: through churn it can hold more entries or
+    /// fewer, or the same entries in another order. What holds is the
+    /// fingerprints, and the forwarding of every packet that carries
+    /// every field the list tests. A packet that lacks a tested field
+    /// can be forwarded differently (see the absent-attribute item in
+    /// ROADMAP.md).
     pub fn compile_routing_delta(
         &self,
         routing: &RoutingResult,
@@ -695,10 +685,13 @@ impl Controller {
     ///    the recompiled intent are reinstalled through the normal
     ///    install step under `next_epoch`.
     ///
-    /// The result is byte-identical to a fresh
-    /// [`deploy_degraded`](Self::deploy_degraded) of the same
-    /// subscriptions onto the same mask, but without disturbing
-    /// switches that already forward correctly.
+    /// Every switch ends with the pipeline a cold compile of its list
+    /// gives (or its coarse fallback, when that is over budget),
+    /// whatever it ran before, and switches that already
+    /// forward correctly are not disturbed. Recovering a network of
+    /// freshly booted empty switches that carries a fault mask is
+    /// therefore a cold deploy onto that mask: the oracle repairs are
+    /// checked against.
     pub fn recover_deployment(
         &self,
         network: Network,
@@ -800,7 +793,8 @@ fn build_trace(route_ns: u64, compile: &NetworkCompile, report: &DeployReport) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::ChannelOutcome;
+    use crate::channel::{ChannelOutcome, MAX_ATTEMPTS};
+    use camus_core::digest::Fnv1a;
     use camus_core::statics::compile_static;
     use camus_dataplane::PacketBuilder;
     use camus_lang::parser::parse_expr;
@@ -808,6 +802,7 @@ mod tests {
     use camus_lang::value::Value;
     use camus_routing::algorithm1::Policy;
     use camus_routing::topology::{paper_fat_tree, DownTarget};
+    use std::hash::Hasher;
 
     fn controller(policy: Policy) -> Controller {
         let statics = compile_static(&itch_spec()).unwrap();
@@ -1034,10 +1029,10 @@ mod tests {
         // Drive a deployment through a sequence of subscription changes
         // with the delta-maintained compile path (plan, delta-compile,
         // install — the stages `camus-service` runs) and check after
-        // every round that the installed pipelines are exactly what a fresh
-        // deploy of the same subscriptions installs — same fingerprints
-        // and same table sizes (the controller pins the spec's variable
-        // order, so delta-maintained diagrams reduce identically).
+        // every round that the installed pipelines have the fingerprints
+        // a fresh deploy of the same subscriptions installs. Delta and
+        // scratch tables can differ in size in general; on these rounds
+        // they happen not to, and the entry counts pin that.
         let net = paper_fat_tree();
         let ctrl = controller(Policy::MemoryReduction);
         let rounds: Vec<Vec<Vec<Expr>>> = vec![
@@ -1070,7 +1065,7 @@ mod tests {
                 assert_eq!(got.fingerprint, want.fingerprint, "switch {}", got.switch);
                 assert_eq!(
                     got.compiled.report.total_entries, want.compiled.report.total_entries,
-                    "switch {}: delta-maintained tables must match scratch",
+                    "switch {}: entry count moved on this fixed churn",
                     got.switch
                 );
             }
@@ -1195,9 +1190,17 @@ mod tests {
         assert_eq!(d.network.deliveries(15).len(), 2, "repaired path delivers");
         assert_eq!(delivered(&d.network), 2, "nobody else hears it");
 
-        // Repair converged to exactly what a fresh deploy onto the
-        // degraded topology would have installed.
-        let oracle = ctrl.deploy_degraded(net.clone(), &subs, d.network.fault_mask()).unwrap();
+        // Repair converged to exactly what a cold deploy onto the
+        // degraded topology installs: empty switches carrying the mask,
+        // recovered with no logged epoch, compile every list cold.
+        let switches = (0..net.switch_count())
+            .map(|_| Switch::new(&ctrl.statics, Pipeline::empty(), SwitchConfig::default()))
+            .collect();
+        let mut cold = Network::new(net.clone(), switches);
+        assert!(cold.fail_link(agg, port));
+        assert_eq!(cold.fault_mask(), d.network.fault_mask());
+        let (oracle, _) =
+            ctrl.recover_deployment(cold, &subs, &BTreeSet::new(), 1, &mut PerfectChannel).unwrap();
         for (got, want) in d.compile.switches.iter().zip(oracle.compile.switches.iter()) {
             assert_eq!(got.fingerprint, want.fingerprint, "switch {}", got.switch);
         }
@@ -1431,8 +1434,8 @@ mod tests {
             Err(DeployError::Channel { failed, report }) => {
                 assert_eq!(failed, vec![tor]);
                 let entry = report.switches.iter().find(|e| e.switch == tor).unwrap();
-                assert_eq!(entry.attempts, RetryPolicy::default().max_attempts);
-                assert_eq!(entry.retries, RetryPolicy::default().max_attempts - 1);
+                assert_eq!(entry.attempts, MAX_ATTEMPTS);
+                assert_eq!(entry.retries, MAX_ATTEMPTS - 1);
                 assert!(!entry.staged && !entry.committed);
                 assert_eq!(entry.verdict, AdmissionVerdict::Unreachable);
                 assert!(entry.control_ns > 0, "timeouts and backoff must cost time");
@@ -1591,17 +1594,11 @@ mod tests {
 
     impl ControlChannel for HashFlaky {
         fn attempt(&mut self, switch: usize, op: ControlOp, attempt: u32) -> ChannelOutcome {
-            let mut h = 0xcbf2_9ce4_8422_2325u64 ^ self.seed;
-            for b in (switch as u64)
-                .to_le_bytes()
-                .into_iter()
-                .chain([matches!(op, ControlOp::Commit) as u8])
-                .chain(attempt.to_le_bytes())
-            {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            match h % 5 {
+            let mut h = Fnv1a(Fnv1a::OFFSET ^ self.seed);
+            h.write(&(switch as u64).to_le_bytes());
+            h.write(&[matches!(op, ControlOp::Commit) as u8]);
+            h.write(&attempt.to_le_bytes());
+            match h.finish() % 5 {
                 0 => ChannelOutcome::Dropped,
                 1 => ChannelOutcome::Nacked,
                 _ => ChannelOutcome::Delivered,

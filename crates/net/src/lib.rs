@@ -29,7 +29,7 @@ pub mod clock;
 pub mod controller;
 pub mod sim;
 
-pub use channel::{ChannelOutcome, ControlChannel, ControlOp, PerfectChannel, RetryPolicy};
+pub use channel::{ChannelOutcome, ControlChannel, ControlOp, PerfectChannel};
 pub use clock::Clock;
 pub use controller::{
     AdmissionVerdict, Controller, DeployError, DeployReport, Deployment, ReconcileStats,

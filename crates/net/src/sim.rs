@@ -218,12 +218,6 @@ impl Network {
         changed
     }
 
-    /// Replace the whole fault mask at once (controller-driven restore).
-    pub(crate) fn apply_mask(&mut self, mask: &FaultMask) {
-        self.mask = mask.clone();
-        self.refresh_port_state();
-    }
-
     /// Recompute every switch's port-down state from the mask, so the
     /// dataplane suppresses (and counts) forwards onto dead links even
     /// before the controller repairs the routing.

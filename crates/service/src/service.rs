@@ -785,7 +785,7 @@ mod tests {
         let subs = vec![Vec::new(); hosts];
         let ctrl = controller();
         let d = ctrl.deploy(net, &subs).unwrap();
-        let channel = LosingChannel { lost: camus_net::RetryPolicy::default().max_attempts };
+        let channel = LosingChannel { lost: camus_net::channel::MAX_ATTEMPTS };
         let cfg = ServiceConfig { probes: vec![probe(75)], ..ServiceConfig::default() };
         let mut svc = CamusService::start(ctrl, d, subs, Box::new(channel), cfg);
         svc.subscribe(15, f("stock == GOOGL"), 1_000);

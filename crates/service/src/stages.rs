@@ -19,10 +19,11 @@
 //! Routing plus an incremental network compile run against the
 //! installed compile (`deployment.compile`) as a content-addressed
 //! cache, with a [`DeltaCache`] of live per-switch BDDs for the
-//! switches that miss it; both caches change cost, never the produced
-//! pipelines. The dirty lists compile on the routing crate's pool, this
-//! thread among its workers. The install then diffs against the same
-//! installed state, serially.
+//! switches that miss it. The delta cache can change a table's entries
+//! but not its fingerprint, nor the forwarding of a packet that carries
+//! every tested field. The dirty lists compile on the routing crate's
+//! pool, this thread among its workers. The install then diffs against
+//! the same installed state, serially.
 //!
 //! Two modelled [`Clock`]s keep the stamps. The compile executor's: a
 //! batch's compile starts no earlier than its window closed and no
@@ -77,7 +78,9 @@ pub(crate) struct TxnStage {
     /// Live per-switch BDD states keyed by rule-list fingerprint:
     /// switches that miss the fingerprint cache are delta-maintained
     /// from their previous diagram instead of recompiled from scratch.
-    /// Pure cost cache — produced pipelines are identical either way.
+    /// A maintained table can differ from the scratch one in its
+    /// entries; fingerprints and the forwarding of packets that carry
+    /// every tested field are the same either way.
     delta: DeltaCache,
     /// The compile executor's modelled timeline.
     compile_clock: Clock,

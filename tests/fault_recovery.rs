@@ -1,27 +1,30 @@
 //! Property: `Controller::repair` after a sequence of failures and
-//! restores is indistinguishable from a fresh `deploy_degraded` onto
-//! the same fault mask.
+//! restores is indistinguishable from a cold deploy onto the same fault
+//! mask.
 //!
 //! Random fault sequences (link cuts, switch crashes, and their
 //! restores) are injected into a live network and healed step by step
 //! through the incremental repair path, which reuses
 //! fingerprint-matched pipelines from the previous compile. After every
 //! step the repaired network must carry exactly the per-switch
-//! pipelines a from-scratch degraded deployment would, and deliver
-//! publications identically.
+//! pipelines a from-scratch deployment onto the degraded topology
+//! would, and deliver publications identically.
 
+use camus_core::pipeline::Pipeline;
 use camus_core::statics::compile_static;
-use camus_dataplane::PacketBuilder;
+use camus_dataplane::{PacketBuilder, Switch, SwitchConfig};
 use camus_faults::FaultInjector;
 use camus_lang::ast::Expr;
 use camus_lang::parser::parse_expr;
 use camus_lang::spec::itch_spec;
 use camus_lang::value::Value;
 use camus_net::channel::PerfectChannel;
-use camus_net::controller::Controller;
+use camus_net::controller::{Controller, Deployment};
+use camus_net::Network;
 use camus_routing::algorithm1::{Policy, RoutingConfig};
-use camus_routing::topology::paper_fat_tree;
+use camus_routing::topology::{paper_fat_tree, FaultMask, HierNet};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// A pool of well-typed ITCH filters for the subscription state.
 fn filter_pool() -> Vec<Expr> {
@@ -65,6 +68,32 @@ fn controller(policy: Policy) -> Controller {
     Controller::new(compile_static(&itch_spec()).unwrap(), RoutingConfig::new(policy))
 }
 
+/// The cold "converge from empty" oracle: freshly booted empty switches
+/// carrying `mask`, recovered with no logged epoch, so every rule list
+/// compiles cold and every switch ends running its cold pipeline.
+fn cold_deploy_onto(
+    ctrl: &Controller,
+    net: &HierNet,
+    subs: &[Vec<Expr>],
+    mask: &FaultMask,
+) -> Deployment {
+    let switches = (0..net.switch_count())
+        .map(|_| Switch::new(&ctrl.statics, Pipeline::empty(), SwitchConfig::default()))
+        .collect();
+    let mut network = Network::new(net.clone(), switches);
+    for (s, p) in mask.dead_links() {
+        network.fail_link(s, p);
+    }
+    for s in mask.dead_switches() {
+        network.crash_switch(s);
+    }
+    assert_eq!(network.fault_mask(), mask);
+    let (deployment, _) = ctrl
+        .recover_deployment(network, subs, &BTreeSet::new(), 1, &mut PerfectChannel)
+        .expect("cold deploy onto the mask");
+    deployment
+}
+
 /// Publications that exercise the pool filters from several hosts.
 fn publications() -> Vec<(usize, Vec<(&'static str, Value)>)> {
     vec![
@@ -78,7 +107,7 @@ fn publications() -> Vec<(usize, Vec<(&'static str, Value)>)> {
 type Deliveries = Vec<Vec<(u64, Vec<(String, String)>)>>;
 
 /// Publish the scenario into a deployment and collect its deliveries.
-fn run_and_collect(d: &mut camus_net::controller::Deployment) -> Deliveries {
+fn run_and_collect(d: &mut Deployment) -> Deliveries {
     let spec = itch_spec();
     for (i, (host, fields)) in publications().into_iter().enumerate() {
         let pkt = PacketBuilder::new(&spec).message(fields).build();
@@ -150,9 +179,7 @@ proptest! {
                 }
             }
             ctrl.repair(&mut live, &subs, &mut PerfectChannel).expect("repair");
-            let mut fresh = ctrl
-                .deploy_degraded(net.clone(), &subs, live.network.fault_mask())
-                .expect("fresh degraded deploy");
+            let mut fresh = cold_deploy_onto(&ctrl, &net, &subs, live.network.fault_mask());
 
             // Same compile outcome: per-switch fingerprints, entry
             // counts, and the installed pipelines themselves.

@@ -17,9 +17,9 @@
 //! asserted: the service compiles through delta maintenance on a live
 //! BDD, and implication pruning resolves infeasible-path don't-cares
 //! differently depending on construction history — the maintained
-//! diagram is often strictly smaller than the scratch build for the
-//! same rule list. Equivalence is behavioural, and that is what the
-//! publication matrix proves.
+//! table can hold fewer entries than the scratch build of the same rule
+//! list, or more, or the same entries in another order. Equivalence is
+//! behavioural, and that is what the publication matrix proves.
 //!
 //! One run of a schedule, though, is a function of the schedule: the
 //! service steps on the caller's thread and merges its backlog on the
