@@ -26,8 +26,8 @@
 //! * rule-granular incremental maintenance — insert/remove against the
 //!   live store in time proportional to the delta, with capacity-
 //!   triggered mark-and-sweep GC ([`incremental`], [`store`]),
-//! * exact evaluation against a packet, graph statistics, and Graphviz
-//!   export ([`store`], [`dot`]).
+//! * exact evaluation against a packet and graph statistics
+//!   ([`store`]).
 //!
 //! ```
 //! use camus_bdd::builder::BddBuilder;
@@ -51,7 +51,6 @@
 
 pub mod builder;
 pub mod digest;
-pub mod dot;
 pub mod incremental;
 pub mod order;
 pub mod store;

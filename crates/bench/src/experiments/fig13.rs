@@ -125,7 +125,7 @@ fn core_traffic(n_filters: usize, packets: usize, alpha: i64) -> u64 {
     use camus_lang::approx::{approximate_expr, ApproxConfig};
     let all_filters: Vec<_> = subs.iter().flatten().cloned().collect();
     let widened: Vec<_> =
-        all_filters.iter().map(|f| approximate_expr(f, ApproxConfig::new(100)).0).collect();
+        all_filters.iter().map(|f| approximate_expr(f, ApproxConfig::new(100))).collect();
     for i in 0..packets {
         let vals = if i % 4 == 0 || all_filters.is_empty() {
             generator.packet()

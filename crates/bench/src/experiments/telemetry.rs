@@ -12,10 +12,15 @@
 //!   every probe postcard-traced: per event, the collector-derived
 //!   missing-delivery count must equal the delivery-log count (100%
 //!   blackhole detection) with zero loop reports.
-//! * **Trace** (`results/telemetry_trace.csv`) — the controller's
-//!   [`DeployTrace`](camus_telemetry::DeployTrace) for the initial
-//!   deploy: per-phase latency split into wall-clock (route, compile)
-//!   and modelled control time (stage, commit).
+//! * **Trace** (`results/telemetry_trace.csv`) — the initial deploy's
+//!   latency per phase, read off the controller's own records:
+//!   wall-clock route (Algorithm 1 timed again on the deploy's inputs)
+//!   and compile ([`NetworkCompile::elapsed`]), and the modelled stage
+//!   and commit time summed over the transaction ledger
+//!   ([`DeployReport`]).
+//!
+//! [`NetworkCompile::elapsed`]: camus_routing::compile::NetworkCompile::elapsed
+//! [`DeployReport`]: camus_net::controller::DeployReport
 
 use super::churn::{churn_net, spread_subscriptions};
 use super::faults::{chain_link, generator};
@@ -29,6 +34,7 @@ use camus_faults::{run_fault, FaultKind, ProbeConfig, RepairModel};
 use camus_lang::ast::Port;
 use camus_net::controller::Controller;
 use camus_routing::algorithm1::{Policy, RoutingConfig};
+use camus_routing::topology::FaultMask;
 use camus_routing::verify::matching_hosts;
 use camus_telemetry::{MetricsRegistry, SampleRate};
 use std::time::Instant;
@@ -50,8 +56,13 @@ fn one_pass_ns(sw: &mut Switch, packets: &[(Packet, Port)]) -> f64 {
 struct OverheadLane {
     label: &'static str,
     ns_per_pkt: f64,
-    overhead_pct: f64,
     sampled: u64,
+}
+
+/// How far a telemetry lane may measure *faster* than bare, in percent
+/// of bare: timing noise, not an effect. Quick (CI) timings jitter more.
+fn noise_pct(scale: Scale) -> f64 {
+    scale.pick(15.0, 3.0)
 }
 
 /// Measure bare vs telemetry-attached throughput at each sampling rate.
@@ -61,43 +72,43 @@ struct OverheadLane {
 /// timed the bare lane first, start to finish: it absorbed the
 /// process-wide warmup alone and the experiment reported *negative*
 /// telemetry overhead. Interleaving spreads drift evenly, so the bare
-/// lane is a fair baseline; residual negative differences are asserted
-/// to sit within a small epsilon and clamped to zero in the report.
-fn overhead_lanes(scale: Scale) -> (Vec<OverheadLane>, f64) {
+/// lane is a fair baseline; [`check_overhead`] holds residual negative
+/// differences within [`noise_pct`], and the report clamps them to zero.
+///
+/// Every lane processes the same packets, so each sampler's count is
+/// exact: one in `n` of them. That is checked here; the timings are not.
+fn overhead_lanes(scale: Scale) -> Vec<OverheadLane> {
     let n_filters = 1_000;
     let n_packets = scale.pick(4_000, 50_000);
     let reps = scale.pick(5, 9);
     let packets: Vec<(Packet, Port)> = int_packets(n_packets).into_iter().map(|p| (p, 0)).collect();
     let base = build_switch(n_filters);
 
-    let rates = [
-        ("off", SampleRate::DISABLED),
-        ("1/256", SampleRate::every(256)),
-        ("1/16", SampleRate::every(16)),
-        ("1/1", SampleRate::always()),
-    ];
+    // Each rate as the one-in-`n` it samples (`None`: never).
+    let rates = [("off", None), ("1/256", Some(256)), ("1/16", Some(16)), ("1/1", Some(1))];
     // Build every lane before any clock starts.
     let mut built: Vec<(&'static str, Switch, Option<MetricsRegistry>)> =
         vec![("bare", base.clone(), None)];
-    for (label, rate) in rates {
+    for (label, every) in rates {
         let registry = MetricsRegistry::new();
         let mut sw = base.clone();
+        let rate = every.map_or(SampleRate::DISABLED, SampleRate::every);
         sw.attach_telemetry(SwitchTelemetry::new(&registry, rate));
         built.push((label, sw, Some(registry)));
     }
     // Warm caches and the branch predictor of every lane off the clock.
+    let warmup = &packets[..packets.len().min(4 * 64)];
     for (_, sw, _) in built.iter_mut() {
-        for chunk in packets.chunks(64).take(4) {
+        for chunk in warmup.chunks(64) {
             std::hint::black_box(sw.process_batch(chunk, 0));
         }
     }
     // Interleaved best-of-N: one pass per lane per round. A lane
-    // measuring *faster* than bare beyond eps means the bare minimum
-    // has not hit a quiet window yet (e.g. the test harness runs
-    // other suites concurrently), so keep adding rounds — best-of is
-    // monotone, extra rounds only tighten both sides — and only treat
-    // a persistent violation as a broken harness.
-    let eps = scale.pick(15.0, 3.0);
+    // measuring *faster* than bare beyond the noise means the bare
+    // minimum has not hit a quiet window yet (e.g. the test harness
+    // runs other suites concurrently), so keep adding rounds — best-of
+    // is monotone, extra rounds only tighten both sides.
+    let eps = noise_pct(scale);
     let mut best = vec![f64::INFINITY; built.len()];
     let mut rounds = 0;
     loop {
@@ -111,33 +122,52 @@ fn overhead_lanes(scale: Scale) -> (Vec<OverheadLane>, f64) {
         }
     }
 
-    let bare_ns = best[0];
-    // Negative overhead beyond measurement noise means the harness is
-    // broken again (quick CI timings jitter more than the effect).
-    let mut lanes =
-        vec![OverheadLane { label: "bare", ns_per_pkt: bare_ns, overhead_pct: 0.0, sampled: 0 }];
-    let mut disabled_overhead = 0.0;
-    for (i, (label, _, registry)) in built.iter().enumerate().skip(1) {
-        let ns = best[i];
-        let raw = (ns - bare_ns) / bare_ns * 100.0;
-        assert!(
-            raw >= -eps,
-            "{label}: telemetry measured {raw:.2}% *faster* than bare (eps {eps}%) — \
-             the baseline absorbed warmup or drift"
-        );
-        let overhead = raw.max(0.0);
+    let processed = (warmup.len() + rounds * packets.len()) as u64;
+    let mut lanes = vec![OverheadLane { label: "bare", ns_per_pkt: best[0], sampled: 0 }];
+    for ((label, _, registry), (ns, (_, every))) in
+        built.iter().skip(1).zip(best[1..].iter().zip(rates))
+    {
         let sampled = registry.as_ref().expect("instrumented lane").snapshot().counters
             ["switch.sampled_packets"];
-        if *label == "off" {
-            disabled_overhead = overhead;
-            assert_eq!(sampled, 0, "disabled sampler must select nothing");
-        }
-        if *label == "1/1" {
-            assert!(sampled as usize >= packets.len(), "1/1 sampler must select every packet");
-        }
-        lanes.push(OverheadLane { label, ns_per_pkt: ns, overhead_pct: overhead, sampled });
+        assert_eq!(sampled, every.map_or(0, |n| processed / n), "{label}: sampled packets");
+        lanes.push(OverheadLane { label, ns_per_pkt: *ns, sampled });
     }
-    (lanes, disabled_overhead)
+    lanes
+}
+
+/// Telemetry's cost over bare, in percent of bare (negative: faster).
+fn overhead_pct(lane: &OverheadLane, bare: &OverheadLane) -> f64 {
+    (lane.ns_per_pkt - bare.ns_per_pkt) / bare.ns_per_pkt * 100.0
+}
+
+/// The overhead ladder's wall-clock orderings. They hold on a quiet
+/// host, so the experiments binary checks them (the CI telemetry smoke
+/// runs it alone); the unit tests, which share the host with other
+/// suites, check only the exact counts.
+///
+/// * No telemetry lane measures faster than bare beyond the noise:
+///   that would mean the baseline absorbed warmup or drift.
+/// * Disabled telemetry costs within the acceptance bound: 3 % of the
+///   bare PR-3 lane, looser for quick runs, whose short timings jitter
+///   more than the effect being measured.
+fn check_overhead(scale: Scale, lanes: &[OverheadLane]) {
+    let (bare, eps) = (&lanes[0], noise_pct(scale));
+    for lane in &lanes[1..] {
+        let raw = overhead_pct(lane, bare);
+        assert!(
+            raw >= -eps,
+            "{}: telemetry measured {raw:.2}% *faster* than bare (eps {eps}%) — \
+             the baseline absorbed warmup or drift",
+            lane.label
+        );
+    }
+    let off = lanes.iter().find(|l| l.label == "off").expect("a disabled lane");
+    let disabled_overhead = overhead_pct(off, bare).max(0.0);
+    let bound = scale.pick(25.0, 3.0);
+    assert!(
+        disabled_overhead <= bound,
+        "disabled telemetry costs {disabled_overhead:.2}% (> {bound}%)"
+    );
 }
 
 /// The faults schedule with every probe traced: log-derived and
@@ -233,50 +263,53 @@ fn trace_table(scale: Scale) -> Table {
     let subs = spread_subscriptions(&mut g, &net, n_subs);
     let statics = compile_static(&g.spec()).expect("siena statics compile");
     let ctrl = Controller::new(statics, RoutingConfig::new(Policy::MemoryReduction));
+    let t0 = Instant::now();
+    std::hint::black_box(ctrl.plan_routing(&net, &subs, &FaultMask::default()));
+    let route_ns = t0.elapsed().as_nanos() as u64;
     let d = ctrl.deploy(net, &subs).expect("deploy compiles");
 
-    let ledger: u64 = d.report.switches.iter().map(|e| e.control_ns).sum();
-    assert_eq!(d.trace.modelled_control_ns(), ledger, "trace must tile the ledger");
+    let stage_ns: u64 = d.report.switches.iter().map(|e| e.stage_ns).sum();
+    let commit_ns: u64 = d.report.switches.iter().map(|e| e.commit_ns).sum();
+    assert_eq!(stage_ns + commit_ns, d.report.total_control_ns(), "the phases tile the ledger");
 
     let mut t = Table::new(
         "telemetry_trace",
         "Telemetry: deploy span trace (wall vs modelled control time)",
         &["phase", "clock", "duration_ns"],
     );
-    for s in &d.trace.spans {
-        t.row([
-            s.phase.label().to_string(),
-            if s.modelled { "modelled".to_string() } else { "wall".to_string() },
-            s.duration_ns.to_string(),
-        ]);
+    for (phase, clock, ns) in [
+        ("route", "wall", route_ns),
+        ("compile", "wall", d.compile.elapsed.as_nanos() as u64),
+        ("stage", "modelled", stage_ns),
+        ("commit", "modelled", commit_ns),
+    ] {
+        t.row([phase.to_string(), clock.to_string(), ns.to_string()]);
     }
     t
 }
 
 pub fn run(scale: Scale) -> Vec<Table> {
-    let (lanes, disabled_overhead) = overhead_lanes(scale);
+    let lanes = overhead_lanes(scale);
+    check_overhead(scale, &lanes);
+    tables(scale, &lanes)
+}
+
+/// The three tables, from measured overhead lanes.
+fn tables(scale: Scale, lanes: &[OverheadLane]) -> Vec<Table> {
     let mut overhead = Table::new(
         "telemetry_overhead",
         "Telemetry: fast-path overhead by sampling rate (1k filters, batched)",
         &["rate", "ns_per_pkt", "mpps", "overhead_pct", "sampled_packets"],
     );
-    for l in &lanes {
+    for l in lanes {
         overhead.row([
             l.label.to_string(),
             format!("{:.1}", l.ns_per_pkt),
             fmt_mpps(1e9 / l.ns_per_pkt),
-            format!("{:+.2}", l.overhead_pct),
+            format!("{:+.2}", overhead_pct(l, &lanes[0]).max(0.0)),
             l.sampled.to_string(),
         ]);
     }
-    // The acceptance bound: disabled telemetry within 3% of the bare
-    // PR-3 lane. Quick (CI) runs keep a looser bound — short timings on
-    // shared runners jitter more than the effect being measured.
-    let bound = scale.pick(25.0, 3.0);
-    assert!(
-        disabled_overhead <= bound,
-        "disabled telemetry costs {disabled_overhead:.2}% (> {bound}%)"
-    );
     vec![overhead, anomaly_table(scale), trace_table(scale)]
 }
 
@@ -286,7 +319,9 @@ mod tests {
 
     #[test]
     fn quick_run_emits_overhead_anomaly_and_trace() {
-        let tables = run(Scale::Quick);
+        // `run` less `check_overhead`: the wall-clock orderings are the
+        // CI smoke's, and `overhead_lanes` checks every sampler count.
+        let tables = tables(Scale::Quick, &overhead_lanes(Scale::Quick));
         assert_eq!(tables.len(), 3);
         // Overhead: bare + four rates.
         assert_eq!(tables[0].rows.len(), 5);
@@ -299,9 +334,9 @@ mod tests {
         }
         // The cut must actually have injected something to detect.
         assert_ne!(tables[1].rows[0][3], "0", "link-down dropped nothing");
-        // Trace: all six phases in order.
+        // Trace: the four phases in order.
         let phases: Vec<&str> = tables[2].rows.iter().map(|r| r[0].as_str()).collect();
-        assert_eq!(phases, vec!["route", "compile", "admit", "stage", "commit", "finalize"]);
+        assert_eq!(phases, vec!["route", "compile", "stage", "commit"]);
     }
 
     #[test]

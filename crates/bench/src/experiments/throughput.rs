@@ -307,21 +307,26 @@ fn measure_depth_ns(depth: usize, probes: usize) -> f64 {
     best
 }
 
-pub fn run(scale: Scale) -> Vec<Table> {
+/// One measured lane per filter count. Each lane checks its exact
+/// counts: every shard count's merged per-shard counters equal the
+/// single-core batch lane's.
+fn lanes(scale: Scale) -> Vec<Lane> {
     let counts: &[usize] = match scale {
         Scale::Quick => &[10, 100, 1_000],
         Scale::Full => &[10, 100, 1_000, 10_000],
     };
-    let n_packets = scale.pick(4_000, 100_000);
-    let packets = int_packets(n_packets);
+    let packets = int_packets(scale.pick(4_000, 100_000));
+    counts.iter().map(|&n| measure_lane(n, &packets, &SHARD_LADDER)).collect()
+}
 
-    let lanes: Vec<Lane> =
-        counts.iter().map(|&n| measure_lane(n, &packets, &SHARD_LADDER)).collect();
-
-    // Scaling-regression guard (runs in the CI `--quick` smoke too):
-    // at the top of the ladder the sharded lane must clearly beat the
-    // single-core batch lane. The threshold is generous — the expected
-    // ratio approaches the shard count — to tolerate CI jitter.
+/// Scaling-regression guard: at the top of the ladder the sharded lane
+/// must clearly beat the single-core batch lane. The threshold is
+/// generous — the expected ratio approaches the shard count — to
+/// tolerate CI jitter. It orders two wall-clock timings, so the
+/// experiments binary checks it (the CI throughput smoke runs it
+/// alone) and the unit tests, which share the host with other suites,
+/// do not.
+fn check_scaling(lanes: &[Lane]) {
     if let Some(l) = lanes.iter().find(|l| l.filters == 1_000) {
         assert!(
             l.parallel_mpps >= 2.0 * l.batch_mpps,
@@ -332,13 +337,22 @@ pub fn run(scale: Scale) -> Vec<Table> {
             l.batch_mpps / 1e6,
         );
     }
+}
 
+pub fn run(scale: Scale) -> Vec<Table> {
+    let lanes = lanes(scale);
+    check_scaling(&lanes);
+    tables(scale, &lanes)
+}
+
+/// The five tables, from measured lanes.
+fn tables(scale: Scale, lanes: &[Lane]) -> Vec<Table> {
     let mut a = Table::new(
         "throughput",
         "Throughput: compiled fast path vs interpreted reference (INT workload)",
         &["filters", "interp-eval", "compiled-eval", "speedup", "batch", "parallel", "par-mode"],
     );
-    for l in &lanes {
+    for l in lanes {
         a.row([
             l.filters.to_string(),
             fmt_ns(l.interp_ns as u64),
@@ -376,7 +390,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             "deep_copies",
         ],
     );
-    for l in &lanes {
+    for l in lanes {
         let s = &l.stats;
         c.row([
             l.filters.to_string(),
@@ -406,7 +420,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         ],
     );
     let budget = ResourceBudget::default();
-    for &n in counts {
+    for n in lanes.iter().map(|l| l.filters) {
         let (r, fits) = resource_lane(n);
         let max_util = budget.utilization(&r).into_iter().map(|(_, f)| f).fold(0.0f64, f64::max);
         d.row([
@@ -427,7 +441,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         "Throughput scaling ladder: aggregate Mpps by shard count",
         &["filters", "shards", "mode", "mpps", "speedup-vs-1"],
     );
-    for l in &lanes {
+    for l in lanes {
         let one = l.scaling.first().map_or(1.0, |r| r.mpps);
         for r in &l.scaling {
             e.row([
@@ -503,7 +517,9 @@ mod tests {
 
     #[test]
     fn quick_run_emits_tables() {
-        let tables = run(Scale::Quick);
+        // `run` less `check_scaling`: the wall-clock ordering is the CI
+        // smoke's, and every lane checks its per-shard counter sums.
+        let tables = tables(Scale::Quick, &lanes(Scale::Quick));
         assert_eq!(tables.len(), 5);
         assert_eq!(tables[0].rows.len(), 3);
         // Ladder table: one row per (filter count, shard count).

@@ -69,7 +69,7 @@ impl From<TableError> for CompileError {
 /// The output of dynamic compilation.
 #[derive(Debug, Clone)]
 pub struct Compiled {
-    /// The reduced multi-terminal BDD (kept for inspection/export).
+    /// The reduced multi-terminal BDD (kept for inspection).
     pub bdd: Bdd,
     /// The control-plane entries, organised as pipeline stages.
     pub pipeline: Pipeline,
@@ -165,6 +165,10 @@ impl<'a> From<&'a [Rule]> for RuleView<'a> {
 /// a reconfigure that touches `k` of `n` rules costs `O(k)` maintenance
 /// work instead of an `O(n)` rebuild.
 ///
+/// A unit's first compile replays its list on the empty
+/// [`CompileState::default`]: the delta is then the whole list, so it
+/// takes the same bulk construction as [`Compiler::compile`].
+///
 /// A held rule was validated by the compiler that inserted it and is
 /// never validated again, so a state serves one compiler: replaying it
 /// under a compiler with another spec may keep a rule that compiler
@@ -172,6 +176,13 @@ impl<'a> From<&'a [Rule]> for RuleView<'a> {
 #[derive(Debug)]
 pub struct CompileState {
     inc: IncrementalBdd,
+}
+
+impl Default for CompileState {
+    /// The state that holds no rule.
+    fn default() -> Self {
+        CompileState { inc: IncrementalBdd::from_rules(&[], &VarOrder::empty()) }
+    }
 }
 
 impl CompileState {
@@ -245,22 +256,6 @@ impl Compiler {
         Ok(Compiled { bdd, pipeline, multicast, report, elapsed: start.elapsed() })
     }
 
-    /// Seed persistent incremental-compile state from a full rule set:
-    /// [`Compiler::compile`] with the constructor's maintenance state
-    /// kept. The bulk construction is the one `compile` runs, so both
-    /// emit equal pipelines for one list. Subsequent epochs go through
-    /// [`Compiler::compile_delta`], which applies only the digest delta
-    /// to the live diagram.
-    pub fn compile_incremental_seed(
-        &self,
-        rules: &[Rule],
-    ) -> Result<(Compiled, CompileState), CompileError> {
-        let start = Instant::now();
-        self.validate(rules.iter().map(|r| &r.filter).enumerate())?;
-        let inc = IncrementalBdd::from_rules(rules, &self.order);
-        Ok((self.finish(inc.snapshot(), start)?, CompileState { inc }))
-    }
-
     /// Recompile against persistent state: diff the view's digest
     /// multiset against the live one and replay only the delta
     /// (removals first, then inserts in list order) on the maintained
@@ -274,7 +269,9 @@ impl Compiler {
     /// replaying ops one by one — and when the delta changes the field
     /// order fitted to the list ([`IncrementalBdd::fits`]), so the
     /// maintained diagram is always ordered as a scratch build of the
-    /// same list.
+    /// same list. On the empty [`CompileState::default`] the delta is
+    /// the whole list, so the state is seeded by the bulk construction
+    /// [`Compiler::compile`] runs, and both emit equal pipelines.
     pub fn compile_delta(
         &self,
         state: &mut CompileState,
@@ -420,7 +417,8 @@ mod tests {
         let mut rules: Vec<_> = (0..24)
             .map(|i| parse_rule(&format!("id == {i}: fwd({})", i % 4 + 1)).unwrap())
             .collect();
-        let (_, mut state) = compiler.compile_incremental_seed(&rules).unwrap();
+        let mut state = CompileState::default();
+        compiler.compile_delta(&mut state, &RuleView::from(&rules[..])).unwrap();
 
         let check = |compiled: &Compiled, rules: &[camus_lang::ast::Rule]| {
             let full = compiler.compile(rules).unwrap();
@@ -479,7 +477,8 @@ mod tests {
             .map(|i| parse_rule(&format!("stock == S{i} and price > {i}: fwd({})", i % 3 + 1)))
             .collect::<Result<_, _>>()
             .unwrap();
-        let (seed, mut state) = compiler.compile_incremental_seed(&seeded).unwrap();
+        let mut state = CompileState::default();
+        let seed = compiler.compile_delta(&mut state, &RuleView::from(&seeded[..])).unwrap();
         assert_eq!(seed.pipeline.stages[0].operand.key(), "stock");
         // One rule without a symbol: `price` is now the only field every
         // rule tests, so a scratch build puts it on top. The one-rule
@@ -505,7 +504,8 @@ mod tests {
             .map(|i| parse_rule(&format!("stock == S{i} and price > {i}: fwd({})", i % 3 + 1)))
             .collect::<Result<_, _>>()
             .unwrap();
-        let (_, mut state) = compiler.compile_incremental_seed(&seeded).unwrap();
+        let mut state = CompileState::default();
+        compiler.compile_delta(&mut state, &RuleView::from(&seeded[..])).unwrap();
         let held = |state: &CompileState| {
             let mut counts: Vec<(u64, usize)> = state.inc.digest_counts().collect();
             counts.sort_unstable();
@@ -557,7 +557,8 @@ mod tests {
             Compiler::new().with_static(crate::statics::compile_static(&itch_spec()).unwrap());
         let seeded =
             parse_rules("stock == GOOGL and price > 20: fwd(1)\nshares >= 5: fwd(3)\n").unwrap();
-        let (_, mut state) = compiler.compile_incremental_seed(&seeded).unwrap();
+        let mut state = CompileState::default();
+        compiler.compile_delta(&mut state, &RuleView::from(&seeded[..])).unwrap();
         // The grown list in the port-major order a routed list has.
         let rules = parse_rules(
             "stock == GOOGL and price > 20: fwd(1)\nprice > 100: fwd(2)\n\
@@ -620,13 +621,17 @@ mod tests {
         // must emit the exact-match stage the surviving test needs.
         let rules = parse_rules("price == 3: fwd(2)\nprice > 5: fwd(1)\ntrue: fwd(1)\n").unwrap();
         let scratch = Compiler::new().compile(&rules).unwrap();
-        let (seed, _) = Compiler::new().compile_incremental_seed(&rules).unwrap();
+        let seed = Compiler::new()
+            .compile_delta(&mut CompileState::default(), &RuleView::from(&rules[..]))
+            .unwrap();
         assert_eq!(scratch.pipeline.stages[0].kind, crate::pipeline::MatchKind::Exact);
         assert_eq!(scratch.pipeline, seed.pipeline);
     }
 
     #[test]
     fn scratch_compile_and_seed_emit_the_same_pipeline() {
+        // A seed is the delta from the empty state: the whole list, so
+        // the same bulk construction a scratch compile runs.
         let rules = mixed_rules();
         for compiler in [
             Compiler::new(),
@@ -634,11 +639,31 @@ mod tests {
             Compiler::new().with_order(VarOrder::from_keys(["price", "id"])),
         ] {
             let scratch = compiler.compile(&rules).unwrap();
-            let (seed, state) = compiler.compile_incremental_seed(&rules).unwrap();
+            let mut state = CompileState::default();
+            let seed = compiler.compile_delta(&mut state, &RuleView::from(&rules[..])).unwrap();
             assert_eq!(scratch.pipeline, seed.pipeline);
             assert_eq!(scratch.bdd.node_count(), seed.bdd.node_count());
             assert_eq!(state.rule_count(), rules.len());
         }
+
+        // Validation too: the empty state inserts every rule, in list
+        // order, so it names the unknown field at the index a scratch
+        // compile does, past a duplicated rule.
+        let compiler =
+            Compiler::new().with_static(crate::statics::compile_static(&itch_spec()).unwrap());
+        let rules = parse_rules(
+            "price > 3: fwd(2)\nprice > 3: fwd(2)\nstock == S1: fwd(1)\n\
+             bogus == 1: fwd(1)\nprice > 3: fwd(2)\n",
+        )
+        .unwrap();
+        let scratch = compiler.compile(&rules).unwrap_err();
+        assert_eq!(scratch, CompileError::UnknownField { rule: 3, field: "bogus".into() });
+        let mut state = CompileState::default();
+        assert_eq!(
+            compiler.compile_delta(&mut state, &RuleView::from(&rules[..])).unwrap_err(),
+            scratch
+        );
+        assert_eq!(state.rule_count(), 0, "a rejected seed leaves the state empty");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! `Expr::eval_with` on sampled packets.
 
 use camus_bdd::{Bdd, BddBuilder, IncrementalBdd, VarOrder};
-use camus_core::compiler::{Compiler, RuleView};
+use camus_core::compiler::{CompileState, Compiler, RuleView};
 use camus_core::multicast::MulticastAllocator;
 use camus_core::pipeline::Pipeline;
 use camus_core::tables::bdd_to_pipeline;
@@ -141,7 +141,8 @@ fn incremental_compile() {
     on_small_stack(|| {
         let compiler = Compiler::new();
         let mut rules = id_band(20_000);
-        let (_, mut state) = compiler.compile_incremental_seed(&rules).unwrap();
+        let mut state = CompileState::default();
+        compiler.compile_delta(&mut state, &RuleView::from(&rules[..])).unwrap();
         rules.push(rule("price > 40: fwd(3)"));
         rules.push(rule("id == 7 and price < 3: fwd(2)"));
         rules.swap_remove(11);

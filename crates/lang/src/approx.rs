@@ -9,10 +9,9 @@
 //! * `x > c` and `x ≥ c` round `c` **down** to a multiple of α
 //!   (`price > 53` → `price > 50` for α = 10),
 //! * `x < c` and `x ≤ c` round `c` **up** (`price < 57` → `price < 60`),
-//! * `x == c` optionally widens to the containing bucket
-//!   `αk ≤ x < α(k+1)`; by default equalities are kept exact, since
-//!   exact matches live in cheap SRAM anyway,
-//! * `x != c` and all string constraints are untouched.
+//! * `x == c` and `x != c` are kept exact (exact matches live in cheap
+//!   SRAM anyway, and widening `!=` would match everything), and all
+//!   string constraints are untouched.
 
 use crate::ast::{Expr, Predicate, Rel};
 use crate::value::Value;
@@ -22,25 +21,13 @@ use crate::value::Value;
 pub struct ApproxConfig {
     /// The discretisation unit α. `1` disables rewriting (identity).
     pub alpha: i64,
-    /// Whether to widen equality constraints to their α-bucket.
-    pub widen_eq: bool,
 }
 
 impl ApproxConfig {
     pub fn new(alpha: i64) -> Self {
         assert!(alpha >= 1, "alpha must be positive");
-        ApproxConfig { alpha, widen_eq: false }
+        ApproxConfig { alpha }
     }
-}
-
-/// Statistics from an approximation pass, used by the evaluation to
-/// correlate α with rule aggregation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ApproxStats {
-    /// Constants rewritten to a different value.
-    pub rewritten: usize,
-    /// Constraints visited.
-    pub visited: usize,
 }
 
 /// Largest multiple of α that is ≤ c (floor division toward -∞).
@@ -60,42 +47,17 @@ fn ceil_alpha(c: i64, alpha: i64) -> i64 {
 
 /// Approximate a single predicate. Returns the (possibly widened)
 /// replacement expression.
-fn approx_pred(p: &Predicate, cfg: ApproxConfig, stats: &mut ApproxStats) -> Expr {
-    stats.visited += 1;
+fn approx_pred(p: &Predicate, cfg: ApproxConfig) -> Expr {
     let Value::Int(c) = p.constant else {
         return Expr::Atom(p.clone()); // strings untouched
     };
-    if cfg.alpha == 1 {
-        return Expr::Atom(p.clone());
-    }
-    let rewrite = |rel: Rel, nc: i64, stats: &mut ApproxStats| {
-        if nc != c {
-            stats.rewritten += 1;
-        }
-        Expr::Atom(Predicate { operand: p.operand.clone(), rel, constant: Value::Int(nc) })
+    let constant = match p.rel {
+        Rel::Gt | Rel::Ge => floor_alpha(c, cfg.alpha),
+        Rel::Lt | Rel::Le => ceil_alpha(c, cfg.alpha),
+        // Equalities, inequalities and prefix tests are left exact.
+        _ => c,
     };
-    match p.rel {
-        Rel::Gt | Rel::Ge => rewrite(p.rel, floor_alpha(c, cfg.alpha), stats),
-        Rel::Lt | Rel::Le => rewrite(p.rel, ceil_alpha(c, cfg.alpha), stats),
-        Rel::Eq if cfg.widen_eq => {
-            let lo = floor_alpha(c, cfg.alpha);
-            let hi = lo.saturating_add(cfg.alpha);
-            stats.rewritten += 1;
-            Expr::Atom(Predicate {
-                operand: p.operand.clone(),
-                rel: Rel::Ge,
-                constant: Value::Int(lo),
-            })
-            .and(Expr::Atom(Predicate {
-                operand: p.operand.clone(),
-                rel: Rel::Lt,
-                constant: Value::Int(hi),
-            }))
-        }
-        // Equalities (by default), inequalities and everything else are
-        // left exact: widening `!=` is impossible without matching all.
-        _ => Expr::Atom(p.clone()),
-    }
+    Expr::Atom(Predicate { operand: p.operand.clone(), rel: p.rel, constant: Value::Int(constant) })
 }
 
 /// Approximate every numeric comparison constant in `expr`.
@@ -105,13 +67,11 @@ fn approx_pred(p: &Predicate, cfg: ApproxConfig, stats: &mut ApproxStats) -> Exp
 /// so atoms under negation are rewritten in the *narrowing* direction,
 /// which after the `not` widens again. This is handled by tracking
 /// polarity.
-pub fn approximate_expr(expr: &Expr, cfg: ApproxConfig) -> (Expr, ApproxStats) {
-    let mut stats = ApproxStats::default();
-    let e = approx_rec(expr, cfg, false, &mut stats);
-    (e, stats)
+pub fn approximate_expr(expr: &Expr, cfg: ApproxConfig) -> Expr {
+    approx_rec(expr, cfg, false)
 }
 
-fn approx_rec(expr: &Expr, cfg: ApproxConfig, negated: bool, stats: &mut ApproxStats) -> Expr {
+fn approx_rec(expr: &Expr, cfg: ApproxConfig, negated: bool) -> Expr {
     match expr {
         Expr::True => {
             if negated {
@@ -132,19 +92,19 @@ fn approx_rec(expr: &Expr, cfg: ApproxConfig, negated: bool, stats: &mut ApproxS
                 // The enclosing `not` has been absorbed (the Expr::Not
                 // arm returns our result directly), so produce the
                 // widened form of the complement predicate.
-                approx_pred(&p.negated(), cfg, stats)
+                approx_pred(&p.negated(), cfg)
             } else {
-                approx_pred(p, cfg, stats)
+                approx_pred(p, cfg)
             }
         }
         Expr::Not(e) => {
-            let inner = approx_rec(e, cfg, !negated, stats);
+            let inner = approx_rec(e, cfg, !negated);
             // The polarity flip already produced the widened *negated*
             // meaning of `e`, so no standalone `not` remains.
             inner
         }
         Expr::And(a, b) => {
-            let (fa, fb) = (approx_rec(a, cfg, negated, stats), approx_rec(b, cfg, negated, stats));
+            let (fa, fb) = (approx_rec(a, cfg, negated), approx_rec(b, cfg, negated));
             if negated {
                 fa.or(fb) // De Morgan: ¬(a ∧ b) = ¬a ∨ ¬b
             } else {
@@ -152,7 +112,7 @@ fn approx_rec(expr: &Expr, cfg: ApproxConfig, negated: bool, stats: &mut ApproxS
             }
         }
         Expr::Or(a, b) => {
-            let (fa, fb) = (approx_rec(a, cfg, negated, stats), approx_rec(b, cfg, negated, stats));
+            let (fa, fb) = (approx_rec(a, cfg, negated), approx_rec(b, cfg, negated));
             if negated {
                 fa.and(fb)
             } else {
@@ -173,15 +133,14 @@ mod tests {
     fn paper_examples() {
         // §IV-D: α=10 rewrites price > 53 and price > 57 to price > 50.
         let cfg = ApproxConfig::new(10);
-        let (e, st) = approximate_expr(&parse_expr("price > 53").unwrap(), cfg);
+        let e = approximate_expr(&parse_expr("price > 53").unwrap(), cfg);
         assert_eq!(e, parse_expr("price > 50").unwrap());
-        assert_eq!(st.rewritten, 1);
-        let (e, _) = approximate_expr(&parse_expr("price > 57").unwrap(), cfg);
+        let e = approximate_expr(&parse_expr("price > 57").unwrap(), cfg);
         assert_eq!(e, parse_expr("price > 50").unwrap());
         // ...and price < 53 / price < 57 to price < 60.
-        let (e, _) = approximate_expr(&parse_expr("price < 53").unwrap(), cfg);
+        let e = approximate_expr(&parse_expr("price < 53").unwrap(), cfg);
         assert_eq!(e, parse_expr("price < 60").unwrap());
-        let (e, _) = approximate_expr(&parse_expr("price < 57").unwrap(), cfg);
+        let e = approximate_expr(&parse_expr("price < 57").unwrap(), cfg);
         assert_eq!(e, parse_expr("price < 60").unwrap());
     }
 
@@ -189,45 +148,29 @@ mod tests {
     fn alpha_one_is_identity() {
         let src = "price > 53 and x < 7 and stock == GOOGL";
         let e = parse_expr(src).unwrap();
-        let (out, st) = approximate_expr(&e, ApproxConfig::new(1));
-        assert_eq!(out, e);
-        assert_eq!(st.rewritten, 0);
-        assert_eq!(st.visited, 3);
+        assert_eq!(approximate_expr(&e, ApproxConfig::new(1)), e);
     }
 
     #[test]
     fn multiples_unchanged() {
-        let (e, st) = approximate_expr(&parse_expr("price > 50").unwrap(), ApproxConfig::new(10));
-        assert_eq!(e, parse_expr("price > 50").unwrap());
-        assert_eq!(st.rewritten, 0);
+        let e = parse_expr("price > 50").unwrap();
+        assert_eq!(approximate_expr(&e, ApproxConfig::new(10)), e);
     }
 
     #[test]
     fn negative_constants_floor_toward_minus_infinity() {
         let cfg = ApproxConfig::new(10);
-        let (e, _) = approximate_expr(&parse_expr("t > -7").unwrap(), cfg);
+        let e = approximate_expr(&parse_expr("t > -7").unwrap(), cfg);
         assert_eq!(e, parse_expr("t > -10").unwrap());
-        let (e, _) = approximate_expr(&parse_expr("t < -7").unwrap(), cfg);
+        let e = approximate_expr(&parse_expr("t < -7").unwrap(), cfg);
         assert_eq!(e, parse_expr("t < 0").unwrap());
-    }
-
-    #[test]
-    fn eq_widening_optional() {
-        let mut cfg = ApproxConfig::new(10);
-        let (e, _) = approximate_expr(&parse_expr("price == 53").unwrap(), cfg);
-        assert_eq!(e, parse_expr("price == 53").unwrap());
-        cfg.widen_eq = true;
-        let (e, _) = approximate_expr(&parse_expr("price == 53").unwrap(), cfg);
-        assert_eq!(e, parse_expr("price >= 50 and price < 60").unwrap());
     }
 
     #[test]
     fn strings_untouched() {
         let cfg = ApproxConfig::new(10);
-        let src = "stock == GOOGL and name =^ ab";
-        let (e, st) = approximate_expr(&parse_expr(src).unwrap(), cfg);
-        assert_eq!(e, parse_expr(src).unwrap());
-        assert_eq!(st.rewritten, 0);
+        let e = parse_expr("stock == GOOGL and name =^ ab").unwrap();
+        assert_eq!(approximate_expr(&e, cfg), e);
     }
 
     /// The key soundness property (completeness, §IV-C): for any packet,
@@ -245,29 +188,26 @@ mod tests {
             "a == 53 or b > 99",
         ];
         for alpha in [2i64, 5, 10, 50] {
-            let mut cfg = ApproxConfig::new(alpha);
-            for widen_eq in [false, true] {
-                cfg.widen_eq = widen_eq;
-                for src in exprs {
-                    let exact = parse_expr(src).unwrap();
-                    let (approx, _) = approximate_expr(&exact, cfg);
-                    for _ in 0..500 {
-                        let a = rng.gen_range(-120i64..120);
-                        let b = rng.gen_range(-120i64..120);
-                        let lookup = |op: &Operand| {
-                            Some(Value::Int(match op.field_name() {
-                                "a" => a,
-                                "b" => b,
-                                _ => return None,
-                            }))
-                        };
-                        if exact.eval_with(lookup) {
-                            assert!(
-                                approx.eval_with(lookup),
-                                "approximation shrank the match set: {src} α={alpha} \
-                                 widen_eq={widen_eq} a={a} b={b}; approx = {approx}"
-                            );
-                        }
+            let cfg = ApproxConfig::new(alpha);
+            for src in exprs {
+                let exact = parse_expr(src).unwrap();
+                let approx = approximate_expr(&exact, cfg);
+                for _ in 0..500 {
+                    let a = rng.gen_range(-120i64..120);
+                    let b = rng.gen_range(-120i64..120);
+                    let lookup = |op: &Operand| {
+                        Some(Value::Int(match op.field_name() {
+                            "a" => a,
+                            "b" => b,
+                            _ => return None,
+                        }))
+                    };
+                    if exact.eval_with(lookup) {
+                        assert!(
+                            approx.eval_with(lookup),
+                            "approximation shrank the match set: {src} α={alpha} a={a} b={b}; \
+                             approx = {approx}"
+                        );
                     }
                 }
             }
@@ -280,7 +220,7 @@ mod tests {
         let cfg = ApproxConfig::new(10);
         let mut consts = std::collections::HashSet::new();
         for c in 51..60 {
-            let (e, _) = approximate_expr(&parse_expr(&format!("price > {c}")).unwrap(), cfg);
+            let e = approximate_expr(&parse_expr(&format!("price > {c}")).unwrap(), cfg);
             if let Expr::Atom(p) = e {
                 consts.insert(p.constant.clone());
             }

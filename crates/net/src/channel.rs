@@ -86,9 +86,9 @@ const BASE_BACKOFF_NS: u64 = 50_000;
 /// Backoff growth cap.
 const MAX_BACKOFF_NS: u64 = 800_000;
 /// Modelled cost of one delivered (or nacked) operation.
-const OP_NS: u64 = 20_000;
+pub(crate) const OP_NS: u64 = 20_000;
 /// Modelled cost of waiting out a dropped operation.
-const TIMEOUT_NS: u64 = 100_000;
+pub(crate) const TIMEOUT_NS: u64 = 100_000;
 /// Seed for the deterministic backoff jitter.
 const JITTER_SEED: u64 = 0xC0DE;
 
@@ -96,7 +96,7 @@ const JITTER_SEED: u64 = 0xC0DE;
 /// of an operation to `switch`: capped exponential with deterministic
 /// jitter in `[cap/2, cap]`, decorrelated across switches and retries
 /// so a fleet-wide partition does not retry in lockstep.
-fn backoff_ns(switch: usize, retry: u32) -> u64 {
+pub(crate) fn backoff_ns(switch: usize, retry: u32) -> u64 {
     let exp = BASE_BACKOFF_NS.saturating_mul(1u64 << retry.min(20));
     let cap = exp.min(MAX_BACKOFF_NS);
     let mut h = Fnv1a(Fnv1a::OFFSET);

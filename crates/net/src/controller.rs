@@ -20,7 +20,6 @@ use camus_lang::ast::{Action, Expr, Port};
 use camus_routing::algorithm1::{route_hierarchical_degraded, RoutingConfig, RoutingResult};
 use camus_routing::compile::{compile_network_incremental, DeltaCache, NetworkCompile};
 use camus_routing::topology::{FaultMask, HierNet};
-use camus_telemetry::{DeployTrace, SwitchSpan};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
@@ -52,9 +51,6 @@ pub struct Deployment {
     /// Switches currently running the coarse degraded pipeline because
     /// their precise one was over budget.
     pub degraded: BTreeSet<usize>,
-    /// Per-phase span trace of the last successful deploy/repair
-    /// transaction (route/compile wall-clock, stage/commit modelled).
-    pub trace: DeployTrace,
     /// Epoch the *next* install transaction will stage under. Epochs
     /// tag shadow programs on switches (see [`Switch::stage_epoch`])
     /// so a recovering controller can tell which transaction left
@@ -157,12 +153,10 @@ pub struct SwitchDeploy {
     /// Staged or committed state undone because the transaction
     /// failed elsewhere.
     pub rolled_back: bool,
-    /// Modelled control-plane time spent on this switch (ops, timeouts
-    /// and backoff). Always `stage_ns + commit_ns`.
-    pub control_ns: u64,
-    /// The stage-op share of `control_ns` (span tracing).
+    /// Modelled control-plane time spent staging on this switch (ops,
+    /// timeouts and backoff).
     pub stage_ns: u64,
-    /// The commit-op share of `control_ns` (span tracing).
+    /// Modelled control-plane time spent committing on this switch.
     pub commit_ns: u64,
 }
 
@@ -176,10 +170,15 @@ impl SwitchDeploy {
             staged: false,
             committed: false,
             rolled_back: false,
-            control_ns: 0,
             stage_ns: 0,
             commit_ns: 0,
         }
+    }
+
+    /// Modelled control-plane time spent on this switch across both
+    /// phases.
+    fn control_ns(&self) -> u64 {
+        self.stage_ns + self.commit_ns
     }
 }
 
@@ -203,7 +202,7 @@ impl DeployReport {
     }
 
     pub fn total_control_ns(&self) -> u64 {
-        self.switches.iter().map(|s| s.control_ns).sum()
+        self.switches.iter().map(SwitchDeploy::control_ns).sum()
     }
 }
 
@@ -281,9 +280,6 @@ impl Controller {
         entry.attempts += out.attempts;
         entry.retries += out.retries;
         let spent = clock.now_ns();
-        entry.control_ns += spent;
-        // Attribute the op's modelled time to its phase for span
-        // tracing; `control_ns` stays the cross-phase total.
         match op {
             ControlOp::Stage => entry.stage_ns += spent,
             ControlOp::Commit => entry.commit_ns += spent,
@@ -620,7 +616,6 @@ impl Controller {
             deployment.degraded.remove(s);
         }
         deployment.degraded.extend(degraded);
-        deployment.trace = build_trace(route_ns, &compile, &report);
         deployment.routing = routing;
         deployment.compile = compile;
         deployment.report = report;
@@ -731,7 +726,6 @@ impl Deployment {
             compile: NetworkCompile::default(),
             report: DeployReport::default(),
             degraded: BTreeSet::new(),
-            trace: DeployTrace::default(),
             next_epoch,
         }
     }
@@ -770,24 +764,6 @@ fn roll_back(network: &mut Network, report: &mut DeployReport) {
         e.staged = false;
         e.rolled_back = true;
     }
-}
-
-/// Render a transaction ledger as a per-phase span trace.
-fn build_trace(route_ns: u64, compile: &NetworkCompile, report: &DeployReport) -> DeployTrace {
-    let switches = report
-        .switches
-        .iter()
-        .map(|e| SwitchSpan {
-            switch: e.switch,
-            stage_ns: e.stage_ns,
-            commit_ns: e.commit_ns,
-            attempts: e.attempts,
-            retries: e.retries,
-            committed: e.committed,
-            rolled_back: e.rolled_back,
-        })
-        .collect();
-    DeployTrace::build(route_ns, compile.elapsed.as_nanos() as u64, switches)
 }
 
 #[cfg(test)]
@@ -1438,7 +1414,7 @@ mod tests {
                 assert_eq!(entry.retries, MAX_ATTEMPTS - 1);
                 assert!(!entry.staged && !entry.committed);
                 assert_eq!(entry.verdict, AdmissionVerdict::Unreachable);
-                assert!(entry.control_ns > 0, "timeouts and backoff must cost time");
+                assert!(entry.control_ns() > 0, "timeouts and backoff must cost time");
                 assert_eq!(report.committed(), 0);
                 // The ledger shows the final state: nothing is left
                 // staged or committed, every switch staged before the
@@ -1654,22 +1630,49 @@ mod tests {
         assert_eq!(d.report.switches.len(), net.switch_count());
     }
 
+    /// Drops the first attempt of the first `Commit` op to one switch;
+    /// every other attempt is delivered.
+    struct FirstCommitLost {
+        switch: usize,
+        lost: bool,
+    }
+
+    impl ControlChannel for FirstCommitLost {
+        fn attempt(&mut self, switch: usize, op: ControlOp, _attempt: u32) -> ChannelOutcome {
+            if switch == self.switch && op == ControlOp::Commit && !self.lost {
+                self.lost = true;
+                ChannelOutcome::Dropped
+            } else {
+                ChannelOutcome::Delivered
+            }
+        }
+    }
+
     #[test]
-    fn deploy_trace_accounts_for_ledger_control_time() {
-        use camus_telemetry::DeployPhase;
+    fn a_commit_retry_is_paid_for_by_the_commit_phase() {
+        use crate::channel::{backoff_ns, OP_NS, TIMEOUT_NS};
         let net = paper_fat_tree();
+        let tor = net.designated_chain(15)[0];
         let ctrl = controller(Policy::TrafficReduction);
         let subs = subs(&net, |h| if h == 15 { vec!["stock == GOOGL"] } else { vec![] });
-        let d = ctrl.deploy(net.clone(), &subs).unwrap();
-        let total: u64 = d.report.switches.iter().map(|e| e.control_ns).sum();
-        let split: u64 = d.report.switches.iter().map(|e| e.stage_ns + e.commit_ns).sum();
-        assert_eq!(total, split, "per-phase split must tile control_ns");
-        let phase_ns = |p| d.trace.spans.iter().find(|s| s.phase == p).unwrap().duration_ns;
-        assert_eq!(phase_ns(DeployPhase::Stage) + phase_ns(DeployPhase::Commit), total);
-        assert_eq!(d.trace.modelled_control_ns(), total);
-        assert_eq!(d.trace.switches.len(), d.report.switches.len());
-        assert!(phase_ns(DeployPhase::Compile) > 0, "compile wall time recorded");
-        let rendered = d.trace.render();
-        assert!(rendered.contains("stage") && rendered.contains("commit"), "{rendered}");
+        let mut d = ctrl.deploy(net.clone(), &subs).unwrap();
+        // Reinstall every switch over the lossy channel.
+        let targets: Vec<usize> = (0..net.switch_count()).collect();
+        let (routing, compile) = (d.routing.clone(), d.compile.clone());
+        let mut channel = FirstCommitLost { switch: tor, lost: false };
+        ctrl.install_on(&mut d, routing, compile, 0, &targets, &mut channel).unwrap();
+
+        let report = &d.report;
+        let entry = |s: usize| report.switches.iter().find(|e| e.switch == s).unwrap();
+        let (lossy, clean) = (entry(tor), entry(net.designated_chain(0)[0]));
+        assert_eq!((clean.stage_ns, clean.commit_ns, clean.retries), (OP_NS, OP_NS, 0));
+        // The lost commit costs its timeout and one backoff, and both
+        // land in the commit phase: staging was clean.
+        assert_eq!(lossy.retries, 1);
+        assert_eq!(lossy.stage_ns, clean.stage_ns);
+        assert_eq!(lossy.commit_ns, TIMEOUT_NS + backoff_ns(tor, 0) + OP_NS);
+        assert!(lossy.committed);
+        let phases: u64 = report.switches.iter().map(|e| e.stage_ns + e.commit_ns).sum();
+        assert_eq!(report.total_control_ns(), phases);
     }
 }

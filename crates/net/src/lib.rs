@@ -21,8 +21,11 @@
 //!   (the Fig. 8 metric),
 //! * optional INT-style postcard tracing ([`camus_telemetry`]): sampled
 //!   publications accumulate per-hop records that finalize into a
-//!   controller-side collector, and deploy/repair transactions carry a
-//!   per-phase [`DeployTrace`](camus_telemetry::DeployTrace).
+//!   controller-side collector.
+//!
+//! Each deploy or repair transaction records what it did once, in its
+//! per-switch ledger ([`DeployReport`]): attempts, retries, verdicts
+//! and the modelled stage and commit time of every touched switch.
 
 pub mod channel;
 pub mod clock;

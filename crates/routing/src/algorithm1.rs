@@ -220,7 +220,7 @@ impl Router {
         if let Some(wide) = self.widened[id as usize] {
             return wide;
         }
-        let wide = approximate_expr(&self.pool.exprs[id as usize], cfg).0;
+        let wide = approximate_expr(&self.pool.exprs[id as usize], cfg);
         let wide = self.pool.intern(&wide);
         self.widened[id as usize] = Some(wide);
         wide

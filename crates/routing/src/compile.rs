@@ -14,9 +14,9 @@
 //! [`DeltaCache`] through churn, by replaying its rule delta on the
 //! maintained diagram of its predecessor. The incremental compile reads
 //! each list by reference ([`RoutingResult::switch_view`]): a delta
-//! clones only the rules it inserts, and only seeds and cold builds
-//! materialise a list. [`RoutingResult::switch_rules`], the owned list,
-//! serves the oracle.
+//! clones only the rules it inserts, and only rebuilds (a seed is one)
+//! and cold builds materialise a list. [`RoutingResult::switch_rules`],
+//! the owned list, serves the oracle.
 //!
 //! Both compiles run their switches on one pool, the calling thread
 //! among its workers, through an atomic claim index, longest rule list
@@ -355,10 +355,11 @@ impl DeltaCache {
 /// the cache (keyed by the slot's old fingerprint) replays only the
 /// rule delta on it ([`Compiler::compile_delta`], which clones only
 /// the rules it inserts) and the state moves to the new fingerprint; a
-/// list with no state to inherit is materialised and seeded. Each list's
-/// base is taken before the pool starts, in switch order, so the first
-/// of several twins that diverge from one old list takes its state and
-/// the rest are seeded whatever order the workers claim them in. A
+/// list with no state to inherit replays on an empty state, which
+/// seeds it with one bulk construction. Each list's base is taken
+/// before the pool starts, in switch order, so the first of several
+/// twins that diverge from one old list takes its state and the rest
+/// are seeded whatever order the workers claim them in. A
 /// failed compile drops the states it took, which costs warmth, not
 /// correctness.
 ///
@@ -384,7 +385,7 @@ pub fn compile_network_incremental(
     mut cache: Option<&mut DeltaCache>,
 ) -> Result<NetworkCompile, CompileError> {
     let election = Election::new(result, previous);
-    let seeds = cache.is_some();
+    let maintain = cache.is_some();
     let bases: HashMap<usize, Mutex<Option<CompileState>>> = election
         .representatives
         .iter()
@@ -398,13 +399,11 @@ pub fn compile_network_incremental(
         let t0 = Instant::now();
         let view = result.switch_view(s);
         let base = bases[&s].lock().expect("a base is only ever taken").take();
-        let (compiled, state) = match base {
-            Some(mut state) => (compiler.compile_delta(&mut state, &view)?, Some(state)),
-            None if seeds => {
-                let (compiled, state) = compiler.compile_incremental_seed(&view.to_rules())?;
-                (compiled, Some(state))
-            }
-            None => (compiler.compile(&view.to_rules())?, None),
+        let (compiled, state) = if maintain {
+            let mut state = base.unwrap_or_default();
+            (compiler.compile_delta(&mut state, &view)?, Some(state))
+        } else {
+            (compiler.compile(&view.to_rules())?, None)
         };
         Ok((Arc::new(compiled), t0.elapsed(), state))
     })?;

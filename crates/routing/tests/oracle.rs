@@ -50,7 +50,7 @@ fn widened(f: &Expr, alpha: i64, levels: usize) -> Expr {
     let mut f = f.clone();
     if alpha > 1 {
         for _ in 0..levels {
-            f = approximate_expr(&f, ApproxConfig::new(alpha)).0;
+            f = approximate_expr(&f, ApproxConfig::new(alpha));
         }
     }
     f

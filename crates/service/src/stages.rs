@@ -50,7 +50,7 @@ use camus_net::controller::{Controller, DeployError, Deployment};
 use camus_net::{Clock, ControlChannel};
 use camus_routing::compile::DeltaCache;
 use camus_routing::verify::matching_hosts;
-use camus_telemetry::{AuditReport, Histogram, RequestSpan};
+use camus_telemetry::{AuditReport, Histogram};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
@@ -392,6 +392,35 @@ pub struct TxnReport {
     pub audit: Option<AuditReport>,
 }
 
+/// The life of one subscription request through the controller
+/// service: accepted into a batch window, compiled, and finally
+/// deployed (traffic-affecting). All stamps are on the service's
+/// modelled clock, so spans are reproducible under a seed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RequestSpan {
+    /// Service-assigned request id.
+    pub request: u64,
+    /// The subscribing (or unsubscribing) host.
+    pub host: usize,
+    /// When the request entered intake.
+    pub arrival_ns: u64,
+    /// When its batch window closed.
+    pub batched_ns: u64,
+    /// When its transaction's compile finished.
+    pub compiled_ns: u64,
+    /// When its transaction's install committed — the moment the
+    /// request affects traffic.
+    pub deployed_ns: u64,
+}
+
+impl RequestSpan {
+    /// Request → first packet deliverable: the service experiment's
+    /// p99 metric.
+    pub fn time_to_traffic_ns(&self) -> u64 {
+        self.deployed_ns.saturating_sub(self.arrival_ns)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -441,5 +470,21 @@ mod tests {
         // edit at all.
         let unheld = [(1, RequestOp::Unsubscribe(f("price > 1")))];
         assert_eq!(net_distance(&mut a.clone(), &unheld), 0);
+    }
+
+    #[test]
+    fn time_to_traffic_saturates() {
+        let span = RequestSpan {
+            request: 7,
+            host: 3,
+            arrival_ns: 100,
+            batched_ns: 300,
+            compiled_ns: 900,
+            deployed_ns: 1_500,
+        };
+        assert_eq!(span.time_to_traffic_ns(), 1_400);
+        // A clock-skewed stamp must not panic the metric.
+        let skew = RequestSpan { deployed_ns: 50, ..span };
+        assert_eq!(skew.time_to_traffic_ns(), 0);
     }
 }

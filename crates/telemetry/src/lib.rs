@@ -1,6 +1,6 @@
 //! Observability for the Camus reproduction.
 //!
-//! Three pillars, one crate, and the probe audit that reads them:
+//! Two pillars, one crate, and the probe audit that reads them:
 //!
 //! * [`metrics`] — a lock-free metrics core (sharded counters,
 //!   log-bucketed histograms) behind a [`MetricsRegistry`],
@@ -9,9 +9,6 @@
 //! * [`postcard`] — INT-style packet postcards: sampled packets
 //!   accumulate a bounded per-hop record that a controller-side
 //!   [`Collector`] turns into blackhole/loop anomaly reports;
-//! * [`trace`] — deterministic (modelled-time) span tracing around
-//!   the controller's deploy phases, rendering the transaction ledger
-//!   as a per-phase latency breakdown;
 //! * [`audit`] — the one probe audit: a burst's [`Copies`] view, read
 //!   from the host delivery logs or from the collector, folded into an
 //!   [`AuditReport`] against the hosts that must and may receive each
@@ -24,7 +21,6 @@
 pub mod audit;
 pub mod metrics;
 pub mod postcard;
-pub mod trace;
 
 pub use audit::{AuditReport, Copies};
 pub use metrics::{
@@ -33,4 +29,3 @@ pub use metrics::{
 pub use postcard::{
     Anomaly, Collector, HopRecord, Postcard, PostcardEnd, PostcardGroup, PostcardId,
 };
-pub use trace::{DeployPhase, DeployTrace, PhaseSpan, RequestSpan, SwitchSpan};

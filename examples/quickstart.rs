@@ -7,7 +7,6 @@
 
 use camus::core::compiler::Compiler;
 use camus::lang::parser::parse_rules;
-use camus_bdd::dot::to_dot;
 use camus_lang::ast::Operand;
 use camus_lang::value::Value;
 
@@ -54,7 +53,4 @@ fn main() {
         });
         println!("  stock={stock:<6} price={price:<4} shares={shares:<4} -> {action}");
     }
-
-    // 4. Export the BDD for inspection (Fig. 5 of the paper).
-    println!("\nGraphviz BDD (pipe into `dot -Tpng`):\n{}", to_dot(&compiled.bdd));
 }

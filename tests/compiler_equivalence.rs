@@ -156,7 +156,7 @@ proptest! {
         let cfg = ApproxConfig::new(alpha);
         let approx: Vec<Rule> = rules
             .iter()
-            .map(|r| Rule { filter: approximate_expr(&r.filter, cfg).0, action: r.action.clone() })
+            .map(|r| Rule { filter: approximate_expr(&r.filter, cfg), action: r.action.clone() })
             .collect();
         let exact_c = Compiler::new().compile(&rules).unwrap();
         let approx_c = Compiler::new().compile(&approx).unwrap();
