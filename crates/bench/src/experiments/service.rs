@@ -17,9 +17,11 @@
 //! zero-mis-delivery invariant while transactions overlap. Measured
 //! per mode: sustained accepted-ops/second on the modelled timeline,
 //! p50/p99 time-to-traffic per request, batches/compiles/coalescing
-//! ratio, and peak compile-queue depth (the most batches one compile
-//! absorbed from the backlog). Per-request spans of the
-//! batched run land in `results/service_trace.csv`.
+//! ratio, and peak compile-queue depth (the largest
+//! `TxnReport::batches`: the most windows one transaction absorbed
+//! from the backlog). Per-request spans of the batched run, stamped
+//! from their transaction's report, land in
+//! `results/service_trace.csv`.
 //!
 //! The in-run assertions double as the CI smoke: audits clean in both
 //! modes, coalescing ratio > 1, and batched sustained throughput at
@@ -81,7 +83,7 @@ struct ModeRun {
     sustained_per_s: f64,
     p50_ttt_ns: u64,
     p99_ttt_ns: u64,
-    peak_compile_queue: u64,
+    peak_compile_queue: usize,
     wall_ms: f64,
 }
 
@@ -125,13 +127,12 @@ fn run_mode(naive: bool, scale: Scale, ops: usize) -> ModeRun {
     let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
     assert!(out.errors.is_empty(), "service run failed: {:?}", out.errors);
 
-    // Exact percentiles from the spans themselves (the registry
-    // histogram is log-bucketed; the CSV wants exact numbers).
+    // Exact percentiles from the reports' spans.
     let mut ttts: Vec<u64> = out
         .reports
         .iter()
         .filter(|r| r.committed)
-        .flat_map(|r| r.requests.iter().map(|s| s.time_to_traffic_ns()))
+        .flat_map(|r| r.requests.iter().map(|s| r.time_to_traffic_ns(s)))
         .collect();
     ttts.sort_unstable();
     let pct = |q: f64| -> u64 {
@@ -144,7 +145,7 @@ fn run_mode(naive: bool, scale: Scale, ops: usize) -> ModeRun {
         out.reports.iter().map(|r| r.deployed_ns).max().unwrap_or(first_arrival + 1);
     let span_ns = last_deployed.saturating_sub(first_arrival).max(1);
     let sustained_per_s = out.stats.accepted as f64 / span_ns as f64 * 1e9;
-    let peak_compile_queue = out.registry.histogram("service.backlog.depth").snapshot().max;
+    let peak_compile_queue = out.reports.iter().map(|r| r.batches).max().unwrap_or(0);
 
     ModeRun {
         sustained_per_s,
@@ -220,10 +221,10 @@ pub fn run(scale: Scale) -> Vec<Table> {
                 s.request.to_string(),
                 s.host.to_string(),
                 s.arrival_ns.to_string(),
-                s.batched_ns.to_string(),
-                s.compiled_ns.to_string(),
-                s.deployed_ns.to_string(),
-                s.time_to_traffic_ns().to_string(),
+                r.closed_ns.to_string(),
+                r.compiled_ns.to_string(),
+                r.deployed_ns.to_string(),
+                r.time_to_traffic_ns(s).to_string(),
             ]);
         }
     }

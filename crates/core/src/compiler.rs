@@ -166,29 +166,24 @@ impl<'a> From<&'a [Rule]> for RuleView<'a> {
 /// work instead of an `O(n)` rebuild.
 ///
 /// A unit's first compile replays its list on the empty
-/// [`CompileState::default`]: the delta is then the whole list, so it
-/// takes the same bulk construction as [`Compiler::compile`].
+/// [`CompileState::default`], which holds no diagram: the delta is then
+/// the whole list, so it takes the same bulk construction as
+/// [`Compiler::compile`].
 ///
 /// A held rule was validated by the compiler that inserted it and is
 /// never validated again, so a state serves one compiler: replaying it
 /// under a compiler with another spec may keep a rule that compiler
 /// would reject.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct CompileState {
-    inc: IncrementalBdd,
-}
-
-impl Default for CompileState {
-    /// The state that holds no rule.
-    fn default() -> Self {
-        CompileState { inc: IncrementalBdd::from_rules(&[], &VarOrder::empty()) }
-    }
+    /// The live diagram; `None` until the first compile seeds it.
+    inc: Option<IncrementalBdd>,
 }
 
 impl CompileState {
     /// Rules currently held in the live diagram.
     pub fn rule_count(&self) -> usize {
-        self.inc.rule_count()
+        self.inc.as_ref().map_or(0, IncrementalBdd::rule_count)
     }
 }
 
@@ -270,14 +265,20 @@ impl Compiler {
     /// order fitted to the list ([`IncrementalBdd::fits`]), so the
     /// maintained diagram is always ordered as a scratch build of the
     /// same list. On the empty [`CompileState::default`] the delta is
-    /// the whole list, so the state is seeded by the bulk construction
-    /// [`Compiler::compile`] runs, and both emit equal pipelines.
+    /// the whole list: it is validated in list order, with no digest
+    /// diff, and seeded by the bulk construction [`Compiler::compile`]
+    /// runs, so both emit equal pipelines.
     pub fn compile_delta(
         &self,
         state: &mut CompileState,
         view: &RuleView<'_>,
     ) -> Result<Compiled, CompileError> {
         let start = Instant::now();
+        let Some(inc) = &mut state.inc else {
+            self.validate(view.iter().map(|(_, filter, _)| filter).enumerate())?;
+            let inc = state.inc.insert(IncrementalBdd::from_rules(&view.to_rules(), &self.order));
+            return self.finish(inc.snapshot(), start);
+        };
         // Per digest: occurrences in the view and the first one's index.
         let mut wanted: HashMap<u64, (usize, usize)> = HashMap::with_capacity(view.len());
         for (i, (digest, _, _)) in view.iter().enumerate() {
@@ -286,7 +287,7 @@ impl Compiler {
         // Subtract what the diagram already holds; what is left of
         // `wanted` is what it lacks.
         let mut removals: Vec<(u64, usize)> = Vec::new();
-        for (digest, held) in state.inc.digest_counts() {
+        for (digest, held) in inc.digest_counts() {
             let want = match wanted.entry(digest) {
                 Entry::Occupied(mut e) if e.get().0 > held => {
                     e.get_mut().0 -= held;
@@ -308,8 +309,7 @@ impl Compiler {
 
         let delta: usize = removals.iter().map(|&(_, n)| n).sum::<usize>()
             + inserts.iter().map(|&(_, n)| n).sum::<usize>();
-        let rebuild = 2 * delta > view.len().max(state.inc.rule_count());
-        let inc = &mut state.inc;
+        let rebuild = 2 * delta > view.len().max(inc.rule_count());
         if !rebuild {
             for (digest, n) in removals {
                 for _ in 0..n {
@@ -492,7 +492,7 @@ mod tests {
         // Retracting it fits the symbol-first order again.
         let c = compiler.compile_delta(&mut state, &RuleView::from(&seeded[..])).unwrap();
         assert_eq!(c.pipeline, seed.pipeline);
-        assert!(state.inc.fits(&compiler.order));
+        assert!(state.inc.as_ref().unwrap().fits(&compiler.order));
     }
 
     #[test]
@@ -507,7 +507,8 @@ mod tests {
         let mut state = CompileState::default();
         compiler.compile_delta(&mut state, &RuleView::from(&seeded[..])).unwrap();
         let held = |state: &CompileState| {
-            let mut counts: Vec<(u64, usize)> = state.inc.digest_counts().collect();
+            let mut counts: Vec<(u64, usize)> =
+                state.inc.iter().flat_map(|i| i.digest_counts()).collect();
             counts.sort_unstable();
             counts
         };

@@ -64,7 +64,7 @@ pub(crate) struct SubRequest {
 
 /// The adaptive batching window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchPolicy {
+pub(crate) struct BatchPolicy {
     /// Quiet period: the window stays open this long past the most
     /// recent arrival.
     pub min_window_ns: u64,
@@ -77,15 +77,13 @@ pub struct BatchPolicy {
 impl BatchPolicy {
     /// The batched service default: absorb half-millisecond bursts,
     /// never hold a request hostage past 2 ms.
-    pub(crate) fn adaptive() -> Self {
-        BatchPolicy { min_window_ns: 500_000, max_window_ns: 2_000_000, max_ops: 256 }
-    }
+    pub(crate) const ADAPTIVE: BatchPolicy =
+        BatchPolicy { min_window_ns: 500_000, max_window_ns: 2_000_000, max_ops: 256 };
 
     /// The one-op-at-a-time baseline: every request is its own
     /// transaction.
-    pub(crate) fn naive() -> Self {
-        BatchPolicy { min_window_ns: 0, max_window_ns: 0, max_ops: 1 }
-    }
+    pub(crate) const NAIVE: BatchPolicy =
+        BatchPolicy { min_window_ns: 0, max_window_ns: 0, max_ops: 1 };
 
     /// When a window opened at `opened_ns` whose latest arrival is
     /// `last_ns` closes, absent new arrivals.
@@ -93,12 +91,6 @@ impl BatchPolicy {
     /// `u64::MAX`, never before it opened.
     pub(crate) fn deadline_ns(&self, opened_ns: u64, last_ns: u64) -> u64 {
         opened_ns.saturating_add(self.max_window_ns).min(last_ns.saturating_add(self.min_window_ns))
-    }
-}
-
-impl Default for BatchPolicy {
-    fn default() -> Self {
-        BatchPolicy::adaptive()
     }
 }
 
@@ -111,8 +103,12 @@ pub(crate) struct ChurnBatch {
     pub requests: Vec<SubRequest>,
     /// First arrival in the window.
     pub opened_ns: u64,
-    /// When the window closed (deadline, cap, or drain).
+    /// When the window closed (deadline, cap, or drain); for a merged
+    /// backlog, when its last window closed.
     pub closed_ns: u64,
+    /// Closed windows this batch holds: 1, plus one per window merged
+    /// into it while it waited in the backlog.
+    pub batches: usize,
 }
 
 /// The one subscription-edit rule, shared by the transaction step and
@@ -160,8 +156,6 @@ pub(crate) struct IntakeService {
     pub accepted: u64,
     /// Soft per-request rejects, in arrival order.
     pub rejected: Vec<IntakeError>,
-    /// Requests whose stamps arrived out of order (clamped forward).
-    pub out_of_order: u64,
     /// Batches emitted.
     pub batches: u64,
 }
@@ -176,7 +170,6 @@ impl IntakeService {
             wal,
             accepted: 0,
             rejected: Vec::new(),
-            out_of_order: 0,
             batches: 0,
         }
     }
@@ -190,7 +183,13 @@ impl IntakeService {
     fn close(&mut self, closed_ns: u64) -> Option<ChurnBatch> {
         let w = self.open.take()?;
         self.batches += 1;
-        Some(ChurnBatch { txn: w.txn, requests: w.requests, opened_ns: w.opened_ns, closed_ns })
+        Some(ChurnBatch {
+            txn: w.txn,
+            requests: w.requests,
+            opened_ns: w.opened_ns,
+            closed_ns,
+            batches: 1,
+        })
     }
 
     /// A request arrives: clamp its stamp, log it, and close the open
@@ -199,10 +198,7 @@ impl IntakeService {
     /// window before it [`admit`](Self::admit)s the request. A failed
     /// WAL append returns the error before anything else happens.
     pub(crate) fn arrive(&mut self, req: &mut SubRequest) -> io::Result<Option<ChurnBatch>> {
-        if req.arrival_ns < self.clock_ns {
-            self.out_of_order += 1;
-            req.arrival_ns = self.clock_ns;
-        }
+        req.arrival_ns = req.arrival_ns.max(self.clock_ns);
         self.clock_ns = req.arrival_ns;
 
         // Write ahead: the request is durable before it is checked
@@ -337,7 +333,7 @@ mod tests {
 
     #[test]
     fn naive_policy_emits_one_batch_per_request() {
-        let mut s = svc(BatchPolicy::naive(), 4);
+        let mut s = svc(BatchPolicy::NAIVE, 4);
         let got = subscribe_all(&mut s, 0, "price > 1", &[(0, 10), (1, 11), (2, 500)]);
         assert_eq!(got.len(), 3);
         assert!(got.iter().all(|b| b.requests.len() == 1));
@@ -382,8 +378,8 @@ mod tests {
     #[test]
     fn deadline_saturates_at_the_end_of_the_clock() {
         let near = u64::MAX - 1;
-        assert_eq!(BatchPolicy::adaptive().deadline_ns(near, near), u64::MAX);
-        let mut s = svc(BatchPolicy::adaptive(), 1);
+        assert_eq!(BatchPolicy::ADAPTIVE.deadline_ns(near, near), u64::MAX);
+        let mut s = svc(BatchPolicy::ADAPTIVE, 1);
         let got = subscribe_all(&mut s, 0, "price > 1", &[(0, near), (1, near), (2, u64::MAX)]);
         assert!(got.is_empty(), "no window closes before it opened");
         let batch = s.flush().expect("one open window");
@@ -392,7 +388,7 @@ mod tests {
 
     #[test]
     fn rejects_are_soft_and_recorded() {
-        let mut s = svc(BatchPolicy::naive(), 2);
+        let mut s = svc(BatchPolicy::NAIVE, 2);
         assert!(s.handle(req(0, 9, RequestOp::Subscribe(f("price > 1")), 0)).is_none());
         assert!(s.handle(req(1, 0, RequestOp::Unsubscribe(f("price > 1")), 1)).is_none());
         assert!(s.flush().is_none(), "rejected requests emit no batch");
@@ -405,7 +401,7 @@ mod tests {
 
     #[test]
     fn unsubscribe_drops_newest_equal_filter() {
-        let mut s = svc(BatchPolicy { max_ops: 100, ..BatchPolicy::adaptive() }, 1);
+        let mut s = svc(BatchPolicy { max_ops: 100, ..BatchPolicy::ADAPTIVE }, 1);
         s.handle(req(0, 0, RequestOp::Subscribe(f("price > 1")), 0));
         s.handle(req(1, 0, RequestOp::Subscribe(f("price > 2")), 1));
         s.handle(req(2, 0, RequestOp::Subscribe(f("price > 1")), 2));
@@ -418,7 +414,7 @@ mod tests {
     fn an_unsubscribe_counts_the_open_window() {
         // Host 0 holds one `price > 1` outside the window; each
         // unsubscribe needs one left after the window's own edits.
-        let mut s = svc(BatchPolicy { max_ops: 100, ..BatchPolicy::adaptive() }, 1);
+        let mut s = svc(BatchPolicy { max_ops: 100, ..BatchPolicy::ADAPTIVE }, 1);
         s.subs[0].push(f("price > 1"));
         let ops = [
             RequestOp::Unsubscribe(f("price > 1")),
@@ -449,10 +445,15 @@ mod tests {
 
     #[test]
     fn out_of_order_arrivals_are_clamped_monotonic() {
-        let mut s = svc(BatchPolicy::naive(), 1);
-        let got = subscribe_all(&mut s, 0, "price > 1", &[(0, 100), (1, 40)]);
-        assert_eq!(s.intake.out_of_order, 1);
-        assert_eq!(got[1].requests[0].arrival_ns, 100, "clamped to the intake clock");
-        assert_eq!(s.intake.now_ns(), 100);
+        let mut s = svc(BatchPolicy::NAIVE, 1);
+        let got = subscribe_all(&mut s, 0, "price > 1", &[(0, 100), (1, 40), (2, 70), (3, 130)]);
+        let stamps: Vec<(u64, u64, u64)> =
+            got.iter().map(|b| (b.requests[0].arrival_ns, b.opened_ns, b.closed_ns)).collect();
+        // The late stamps 40 and 70 are clamped to the intake clock.
+        assert_eq!(
+            stamps,
+            vec![(100, 100, 100), (100, 100, 100), (100, 100, 100), (130, 130, 130)]
+        );
+        assert_eq!(s.intake.now_ns(), 130);
     }
 }

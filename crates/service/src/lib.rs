@@ -23,19 +23,23 @@
 //!   and the transaction step on the caller's thread, applies each
 //!   closed batch to the target state as it queues it, merges the
 //!   compile backlog on the modelled clock, stops at the first fatal
-//!   error, drains and shuts down; and the [`ServiceOutcome`] with
-//!   per-transaction reports;
+//!   error, drains and shuts down; and the [`ServiceOutcome`] with the
+//!   per-transaction reports, each transaction's one record, and the
+//!   run totals folded from them;
 //! * [`durability`] — the write-ahead log, snapshots and replay;
 //! * [`error`] — the soft per-request rejects and the fatal
 //!   [`ServiceError`].
 //!
-//! Transactions overlap by default — transaction N+1 compiles while
+//! The service has one mode switch, [`ServiceConfig::naive`]. By
+//! default transactions overlap — transaction N+1 compiles while
 //! transaction N installs, on the two modelled clocks — which the
 //! content-addressed compile cache makes safe: the cache changes
 //! compile *cost*, never compile *output*, and every install diffs
-//! against the state actually installed. The `service` experiment in
-//! camus-bench measures what that buys over the one-op-per-transaction
-//! baseline.
+//! against the state actually installed. Naive mode is the
+//! one-op-per-transaction baseline: singleton batches, serialized
+//! compiles, no backlog merging. The `service` experiment in
+//! camus-bench measures what batching, merging and overlap buy over
+//! it.
 
 pub mod durability;
 pub mod error;
@@ -45,7 +49,7 @@ pub mod stages;
 
 pub use crate::durability::{Wal, WalState};
 pub use crate::error::{DeployStageError, IntakeError, ServiceError};
-pub use crate::intake::{BatchPolicy, RequestOp};
+pub use crate::intake::RequestOp;
 pub use crate::service::{CamusService, ServiceConfig, ServiceOutcome, ServiceStats};
 pub use crate::stages::{AuditProbe, TxnReport};
 pub use camus_telemetry::AuditReport;

@@ -23,21 +23,25 @@
 //! **Backlog.** A closed batch waits until the compile executor picks
 //! it up, at `TxnStage::start_ns`: once the batch has closed and the
 //! previous compile has finished on the modelled clock. A batch that
-//! closes by then is already queued behind it and, with
-//! [`ServiceConfig::merge_backlog`], merges into it (its requests are
-//! appended), so repeated dirtying of one switch compiles once. The
-//! loop runs the backlog once intake's clock passes that start (every
-//! later batch closes after it), when a batch arrives that cannot
-//! join it, and on drain. Which batches merge is therefore a function
-//! of the arrival stamps and the modelled compile times alone.
+//! closes by then is already queued behind it and, by default, merges
+//! into it (its requests are appended), so repeated dirtying of one
+//! switch compiles once. The transaction's [`TxnReport::batches`]
+//! counts the windows it absorbed: the queue's depth. The loop runs the
+//! backlog once intake's clock passes that start (every later batch
+//! closes after it), when a batch arrives that cannot join it, and on
+//! drain. Which batches merge is therefore a function of the arrival
+//! stamps and the modelled compile times alone.
 //!
 //! **Overlap.** By default transaction N+1 starts compiling when its
 //! batch closes, while transaction N may still be installing on the
 //! control channel's clock — the compile cache affects only cost,
 //! never output, and the install diffs against the *installed* state.
-//! With [`ServiceConfig::overlap`] off, each compile waits for the
-//! previous install to land: the one-op-at-a-time baseline the
-//! `service` experiment measures against.
+//!
+//! **One switch.** [`ServiceConfig::naive`] is the one-op-at-a-time
+//! baseline the `service` experiment measures against: singleton
+//! batches, each compile waiting for the previous install to land, and
+//! no backlog merging. The default is adaptive windows, overlap and
+//! merging.
 //!
 //! **Fail-stop.** The service fails only by a typed [`ServiceError`]: a
 //! compile failure, a crashed or audit-violating install, or a log
@@ -61,19 +65,19 @@ use crate::stages::{AuditProbe, TxnReport, TxnStage};
 use camus_lang::ast::Expr;
 use camus_net::controller::{Controller, Deployment};
 use camus_net::{ControlChannel, Network, ReconcileStats};
-use camus_telemetry::{AuditReport, Histogram, MetricsRegistry};
+use camus_telemetry::AuditReport;
 use std::io;
-use std::sync::Arc;
 
-/// How the service batches, overlaps, audits and persists.
+/// How the service batches, audits and persists.
+#[derive(Default)]
 pub struct ServiceConfig {
-    pub batch: BatchPolicy,
-    /// Compile transaction N+1 while transaction N installs. Off =
-    /// the serialized naive baseline.
-    pub overlap: bool,
-    /// Merge batches that close while the compile executor is busy
+    /// The one-op-at-a-time baseline: singleton batches, each compile
+    /// waits for the previous install, no backlog merging. Off (the
+    /// default): adaptive batch windows (500 µs quiet period, 2 ms
+    /// deadline, 256 ops), transaction N+1 compiles while N installs,
+    /// and batches that close while the compile executor is busy merge
     /// into one transaction.
-    pub merge_backlog: bool,
+    pub naive: bool,
     /// Probes the transaction step republishes after every commit for
     /// the zero-mis-delivery audit (empty = audit off).
     pub probes: Vec<AuditProbe>,
@@ -87,38 +91,32 @@ pub struct ServiceConfig {
     pub snapshot_every: u64,
 }
 
-impl Default for ServiceConfig {
-    fn default() -> Self {
-        ServiceConfig {
-            batch: BatchPolicy::adaptive(),
-            overlap: true,
-            merge_backlog: true,
-            probes: Vec::new(),
-            wal: None,
-            snapshot_every: 0,
-        }
-    }
-}
-
 impl ServiceConfig {
-    /// The one-op-at-a-time baseline: singleton batches, no overlap,
-    /// no backlog merging.
+    /// The one-op-at-a-time baseline: `naive` on.
     pub fn naive() -> Self {
-        ServiceConfig {
-            batch: BatchPolicy::naive(),
-            overlap: false,
-            merge_backlog: false,
-            ..ServiceConfig::default()
-        }
+        ServiceConfig { naive: true, ..ServiceConfig::default() }
     }
 }
 
-/// Run totals, gathered from the stages at shutdown.
+/// Run totals at shutdown.
+///
+/// The transaction totals — `merged_batches`, `compiles`, `noops`,
+/// `cancelled_ops`, `committed_txns`, `rejected_txns` and `audit` — are
+/// a fold over [`ServiceOutcome::reports`]. A transaction that died
+/// with a fatal error has no report, so they do not count it; the
+/// error is in [`ServiceOutcome::errors`], and its accepted ops in
+/// `unaccounted_ops`. The rest are intake's and the transaction
+/// step's own facts.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ServiceStats {
+    /// Requests intake accepted.
     pub accepted: u64,
+    /// Batch windows intake closed.
     pub batches: u64,
+    /// Windows merged into a backlog: the sum of each report's
+    /// `batches - 1`.
     pub merged_batches: u64,
+    /// Reports that compiled (every report that is not a noop).
     pub compiles: u64,
     pub noops: u64,
     pub cancelled_ops: u64,
@@ -127,7 +125,6 @@ pub struct ServiceStats {
     pub delta_states: usize,
     pub committed_txns: u64,
     pub rejected_txns: u64,
-    pub out_of_order: u64,
     /// Cadence snapshots the transaction step wrote to the WAL.
     pub snapshots: u64,
     /// Accepted requests that never surfaced in any transaction
@@ -164,7 +161,6 @@ pub struct ServiceOutcome {
     /// The fatal error that stopped the service (empty on a clean run).
     pub errors: Vec<ServiceError>,
     pub stats: ServiceStats,
-    pub registry: Arc<MetricsRegistry>,
 }
 
 /// What [`CamusService::recover`] did to bring a wrecked network back.
@@ -186,12 +182,8 @@ pub struct CamusService {
     intake: IntakeService,
     txns: TxnStage,
     /// Closed batches the compile executor has not picked up yet,
-    /// merged into one, and how many batches that is.
-    backlog: Option<(ChurnBatch, u64)>,
-    merge_backlog: bool,
-    merged_batches: u64,
-    /// Batches per picked-up backlog: the compile queue's depth.
-    backlog_depth: Arc<Histogram>,
+    /// merged into one.
+    backlog: Option<ChurnBatch>,
     next_request: RequestId,
     reports: Vec<TxnReport>,
     /// Reports already handed out by [`CamusService::drain`].
@@ -199,7 +191,6 @@ pub struct CamusService {
     lost_requests: Vec<RequestId>,
     /// The fatal error, once one stops the service.
     errors: Vec<ServiceError>,
-    registry: Arc<MetricsRegistry>,
 }
 
 impl CamusService {
@@ -227,14 +218,13 @@ impl CamusService {
         cfg: ServiceConfig,
         first_request: RequestId,
     ) -> CamusService {
-        let registry = Arc::new(MetricsRegistry::new());
-
         // Durability: anchor the log with a snapshot of the state the
         // service starts from (it carries the host count replay needs
         // and bounds any earlier incarnation's records), log every
         // commit decision through the channel wrapper, and every
         // accepted request through intake.
-        let intake = IntakeService::new(cfg.batch, cfg.wal.clone());
+        let policy = if cfg.naive { BatchPolicy::NAIVE } else { BatchPolicy::ADAPTIVE };
+        let intake = IntakeService::new(policy, cfg.wal.clone());
         let mut errors = Vec::new();
         let channel: Box<dyn ControlChannel + Send> = match &cfg.wal {
             Some(w) => {
@@ -245,23 +235,17 @@ impl CamusService {
             }
             None => channel,
         };
-        let merge_backlog = cfg.merge_backlog;
-        let ttt = registry.histogram("service.request.ttt_ns");
-        let txns = TxnStage::new(ctrl, deployment, subs, channel, cfg, ttt);
+        let txns = TxnStage::new(ctrl, deployment, subs, channel, cfg);
 
         CamusService {
             intake,
             txns,
             backlog: None,
-            merge_backlog,
-            merged_batches: 0,
-            backlog_depth: registry.histogram("service.backlog.depth"),
             next_request: first_request,
             reports: Vec::new(),
             drained: 0,
             lost_requests: Vec::new(),
             errors,
-            registry,
         }
     }
 
@@ -346,7 +330,7 @@ impl CamusService {
         // Every batch still to come closes at or after intake's clock,
         // so a backlog the executor picked up before it is complete.
         let now = self.intake.now_ns();
-        if self.backlog.as_ref().is_some_and(|(b, _)| self.txns.start_ns(b.closed_ns) < now) {
+        if self.backlog.as_ref().is_some_and(|b| self.txns.start_ns(b.closed_ns) < now) {
             self.run_backlog();
         }
         id
@@ -360,24 +344,23 @@ impl CamusService {
         self.request(host, RequestOp::Unsubscribe(filter), arrival_ns)
     }
 
-    /// Queue a closed batch and apply it to the target state. It merges
-    /// into the backlog if it closed by the time the executor picks the
-    /// backlog up; otherwise the backlog runs first and the batch takes
-    /// its place.
+    /// Queue a closed batch and apply it to the target state. Outside
+    /// naive mode it merges into the backlog if it closed by the time
+    /// the executor picks the backlog up; otherwise the backlog runs
+    /// first and the batch takes its place.
     fn enqueue(&mut self, batch: ChurnBatch) {
-        if let Some((queued, depth)) = &mut self.backlog {
-            if self.merge_backlog && batch.closed_ns <= self.txns.start_ns(queued.closed_ns) {
+        if let Some(queued) = &mut self.backlog {
+            if !self.txns.naive && batch.closed_ns <= self.txns.start_ns(queued.closed_ns) {
                 self.txns.apply(&batch);
                 queued.requests.extend(batch.requests);
                 queued.closed_ns = batch.closed_ns;
-                *depth += 1;
-                self.merged_batches += 1;
+                queued.batches += batch.batches;
                 return;
             }
             self.run_backlog();
         }
         self.txns.apply(&batch);
-        self.backlog = Some((batch, 1));
+        self.backlog = Some(batch);
     }
 
     /// The executor picks the backlog up: one transaction step.
@@ -385,8 +368,7 @@ impl CamusService {
         if !self.errors.is_empty() {
             return;
         }
-        let Some((batch, depth)) = self.backlog.take() else { return };
-        self.backlog_depth.record(depth);
+        let Some(batch) = self.backlog.take() else { return };
         match self.txns.handle(batch) {
             Ok(report) => {
                 if let Some(a) = report.audit.filter(|a| !a.clean()) {
@@ -441,32 +423,27 @@ impl CamusService {
     }
 
     fn collect(self) -> ServiceOutcome {
-        let CamusService {
-            mut intake,
-            txns,
-            merged_batches,
-            reports,
-            lost_requests,
-            errors,
-            registry,
-            ..
-        } = self;
+        let CamusService { mut intake, txns, reports, lost_requests, errors, .. } = self;
         let reported_ops: u64 = reports.iter().map(|r| r.ops as u64).sum();
-        let stats = ServiceStats {
+        let mut stats = ServiceStats {
             accepted: intake.accepted,
             batches: intake.batches,
-            merged_batches,
-            compiles: txns.compiles,
-            noops: txns.noops,
-            cancelled_ops: txns.cancelled_ops,
             delta_states: txns.delta_states(),
-            committed_txns: txns.committed_txns,
-            rejected_txns: txns.rejected_txns,
-            out_of_order: intake.out_of_order,
             snapshots: txns.snapshots_written,
             unaccounted_ops: intake.accepted.saturating_sub(reported_ops),
-            audit: txns.audit_totals,
+            ..ServiceStats::default()
         };
+        for r in &reports {
+            stats.merged_batches += r.batches as u64 - 1;
+            stats.compiles += u64::from(!r.noop);
+            stats.noops += u64::from(r.noop);
+            stats.cancelled_ops += r.cancelled as u64;
+            stats.committed_txns += u64::from(r.committed);
+            stats.rejected_txns += u64::from(!r.committed);
+            if let Some(a) = &r.audit {
+                stats.audit.absorb(a);
+            }
+        }
         let rejected_requests = std::mem::take(&mut intake.rejected);
         ServiceOutcome {
             deployment: txns.deployment,
@@ -476,7 +453,6 @@ impl CamusService {
             lost_requests,
             errors,
             stats,
-            registry,
         }
     }
 }
@@ -492,7 +468,7 @@ mod tests {
     use camus_net::{DeployError, PerfectChannel};
     use camus_routing::algorithm1::{Policy, RoutingConfig};
     use camus_routing::topology::paper_fat_tree;
-    use std::sync::Mutex;
+    use std::sync::{Arc, Mutex};
 
     fn controller() -> Controller {
         let statics = compile_static(&itch_spec()).unwrap();
@@ -645,16 +621,13 @@ mod tests {
 
     #[test]
     fn audit_rides_every_commit_and_stays_clean() {
-        // merge_backlog off: batches must not merge, so each commit's
-        // audit round is individually checkable.
-        let cfg = ServiceConfig {
-            probes: vec![probe(75), probe(5)],
-            merge_backlog: false,
-            ..ServiceConfig::default()
-        };
+        // Ten seconds apart, far longer than any compile and install:
+        // the batches cannot merge, so each commit's audit round is
+        // individually checkable.
+        let cfg = ServiceConfig { probes: vec![probe(75), probe(5)], ..ServiceConfig::default() };
         let (mut svc, _) = start(cfg);
         svc.subscribe(9, f("price > 50"), 1_000);
-        svc.subscribe(2, f("stock == GOOGL"), 5_000_000);
+        svc.subscribe(2, f("stock == GOOGL"), 10_000_001_000);
         let out = svc.shutdown();
         assert!(out.errors.is_empty(), "{:?}", out.errors);
         assert_eq!(out.stats.committed_txns, 2);
@@ -677,6 +650,7 @@ mod tests {
         assert_eq!(out.stats.batches, 5);
         assert_eq!(out.stats.compiles, 5);
         assert_eq!(out.stats.merged_batches, 0, "naive mode must not coalesce");
+        assert!(out.reports.iter().all(|r| r.batches == 1), "the compile queue stays at depth 1");
         assert!((out.stats.coalescing_ratio() - 1.0).abs() < 1e-9);
         // Serialized: each compile starts after the previous install's
         // modelled completion.
@@ -687,44 +661,33 @@ mod tests {
 
     #[test]
     fn backlog_merging_follows_the_modelled_clock() {
-        // Singleton batches. Three close at t = 1 µs, when the idle
-        // executor picks them up together; two more close at 2 and
-        // 3 µs, while that compile (well over a microsecond of
-        // measured route + compile time) is still running, and queue
-        // up behind it. The merges follow from the stamps and the
-        // modelled clock alone.
-        for merge_backlog in [true, false] {
-            let cfg = ServiceConfig {
-                batch: BatchPolicy::naive(),
-                merge_backlog,
-                ..ServiceConfig::default()
-            };
-            let (mut svc, _) = start(cfg);
-            for (host, at) in [(1, 1_000), (2, 1_000), (3, 1_000), (4, 2_000), (5, 3_000)] {
-                svc.subscribe(host, f("price > 10"), at);
-            }
-            let out = svc.shutdown();
-            assert!(out.errors.is_empty(), "{:?}", out.errors);
-            assert_eq!(out.stats.batches, 5);
-            let ops: Vec<usize> = out.reports.iter().map(|r| r.ops).collect();
-            let depth = out.registry.histogram("service.backlog.depth").snapshot();
-            if merge_backlog {
-                assert_eq!(ops, vec![3, 2]);
-                assert_eq!((out.stats.compiles, out.stats.merged_batches), (2, 3));
-                assert_eq!(depth.max, 3);
-                let (first, second) = (&out.reports[0], &out.reports[1]);
-                assert_eq!(first.compile_start_ns, 1_000);
-                assert_eq!(second.closed_ns, 3_000);
-                assert_eq!(
-                    second.compile_start_ns, first.compiled_ns,
-                    "the merged backlog starts when the executor frees up"
-                );
-            } else {
-                assert_eq!(ops, vec![1; 5]);
-                assert_eq!((out.stats.compiles, out.stats.merged_batches), (5, 0));
-                assert_eq!(depth.max, 1);
+        // Three windows fill to the 256-op cap at t = 1, 2 and 3 µs,
+        // each closing the moment it fills. The idle executor picks the
+        // first up at 1 µs, alone. The second and third close while
+        // that compile (well over two microseconds of measured route +
+        // compile time for 256 subscriptions) is still running, so they
+        // queue up behind it and merge. The merges follow from the
+        // stamps and the modelled clock alone.
+        let (mut svc, hosts) = start(ServiceConfig::default());
+        let cap = BatchPolicy::ADAPTIVE.max_ops;
+        for at in [1_000, 2_000, 3_000] {
+            for i in 0..cap {
+                svc.subscribe(i % hosts, f("price > 10"), at);
             }
         }
+        let out = svc.shutdown();
+        assert!(out.errors.is_empty(), "{:?}", out.errors);
+        assert_eq!(out.stats.batches, 3);
+        let shape: Vec<(usize, usize)> = out.reports.iter().map(|r| (r.ops, r.batches)).collect();
+        assert_eq!(shape, vec![(cap, 1), (2 * cap, 2)]);
+        assert_eq!((out.stats.compiles, out.stats.merged_batches), (2, 1));
+        let (first, second) = (&out.reports[0], &out.reports[1]);
+        assert_eq!(first.compile_start_ns, 1_000);
+        assert_eq!(second.closed_ns, 3_000);
+        assert_eq!(
+            second.compile_start_ns, first.compiled_ns,
+            "the merged backlog starts when the executor frees up"
+        );
     }
 
     /// A control channel whose controller process "dies" after a fixed
@@ -1054,20 +1017,21 @@ mod tests {
     }
 
     #[test]
-    fn request_spans_land_in_reports_and_histogram() {
+    fn request_spans_land_in_reports() {
         let (mut svc, _) = start(ServiceConfig::default());
         svc.subscribe(1, f("price > 10"), 2_000);
-        let out = svc.shutdown();
+        let mut out = svc.shutdown();
         assert!(out.errors.is_empty(), "{:?}", out.errors);
-        let [report] = &out.reports[..] else { panic!("one transaction") };
-        let spans = &report.requests;
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].arrival_ns, 2_000);
-        assert!(spans[0].deployed_ns >= spans[0].compiled_ns);
-        assert!(spans[0].time_to_traffic_ns() > 0);
-        let h = out.registry.histogram("service.request.ttt_ns");
-        assert_eq!(h.count(), 1);
-        assert_eq!(out.registry.histogram("service.backlog.depth").count(), 1);
+        let [report] = &mut out.reports[..] else { panic!("one transaction") };
+        assert_eq!(report.batches, 1);
+        let [span] = report.requests[..] else { panic!("one request") };
+        assert_eq!((span.request, span.host, span.arrival_ns), (0, 1, 2_000));
+        assert!(report.deployed_ns >= report.compiled_ns);
+        assert_eq!(report.time_to_traffic_ns(&span), report.deployed_ns - 2_000);
+        assert!(report.time_to_traffic_ns(&span) > 0);
+        // A clock-skewed stamp must not panic the metric.
+        report.deployed_ns = 50;
+        assert_eq!(report.time_to_traffic_ns(&span), 0);
     }
 
     /// The hosts a GOOGL quote at price 75, published by host 0, reaches.

@@ -32,12 +32,18 @@
 //! channel's: an install starts no earlier than its compile finished
 //! and no earlier than the previous install finished (the channel is
 //! serial), and advances by the transaction ledger's modelled control
-//! time. With overlap on, the next compile does not wait for the
-//! channel, so transaction N+1 compiles while N installs on the
-//! modelled timelines. After every commit the stage can replay
-//! configured audit probes through the network and audit their copies
-//! with the one probe fold ([`AuditReport`]): each probe must and may
-//! reach exactly the hosts whose target subscriptions it matches.
+//! time. By default the next compile does not wait for the channel,
+//! so transaction N+1 compiles while N installs on the modelled
+//! timelines; in naive mode it waits. After every commit the stage can
+//! replay configured audit probes through the network and audit their
+//! copies with the one probe fold ([`AuditReport`]): each probe must
+//! and may reach exactly the hosts whose target subscriptions it
+//! matches.
+//!
+//! The [`TxnReport`] is the transaction's one record: its stamps, its
+//! ops, the windows it absorbed, its install's outcome and its audit.
+//! The stage keeps no running totals beside it; the service folds the
+//! reports into its run totals at shutdown.
 
 use crate::durability::Wal;
 use crate::error::{DeployStageError, ServiceError};
@@ -50,9 +56,8 @@ use camus_net::controller::{Controller, DeployError, Deployment};
 use camus_net::{Clock, ControlChannel};
 use camus_routing::compile::DeltaCache;
 use camus_routing::verify::matching_hosts;
-use camus_telemetry::{AuditReport, Histogram};
+use camus_telemetry::AuditReport;
 use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Publish-stamp spacing between the probes of one audit round.
@@ -86,10 +91,11 @@ pub(crate) struct TxnStage {
     compile_clock: Clock,
     /// The control channel's modelled timeline.
     channel_clock: Clock,
-    /// Compile transaction N+1 without waiting for N's install.
-    overlap: bool,
+    /// The one-op-at-a-time baseline ([`ServiceConfig::naive`]): each
+    /// compile waits for the previous install, and the service merges
+    /// no backlog.
+    pub naive: bool,
     probes: Vec<AuditProbe>,
-    ttt: Arc<Histogram>,
     /// Durability: where cadence snapshots go (`None` = volatile).
     wal: Option<Wal>,
     /// Snapshot after this many committed transactions (0 = never).
@@ -98,13 +104,7 @@ pub(crate) struct TxnStage {
     /// Highest request id applied to `subs`: after a committed install,
     /// exactly the watermark the deployed state reflects.
     last_request: Option<RequestId>,
-    pub compiles: u64,
-    pub noops: u64,
-    pub cancelled_ops: u64,
-    pub committed_txns: u64,
-    pub rejected_txns: u64,
     pub snapshots_written: u64,
-    pub audit_totals: AuditReport,
 }
 
 /// Apply one request to `subs` and count it in `net_edits` (+1 for a
@@ -125,14 +125,13 @@ fn apply_counted(
 
 impl TxnStage {
     /// `subs` must be the state `deployment` was deployed with. Takes
-    /// the configuration's overlap, audit and durability settings.
+    /// the configuration's mode, audit and durability settings.
     pub(crate) fn new(
         ctrl: Controller,
         deployment: Deployment,
         subs: Vec<Vec<Expr>>,
         channel: Box<dyn ControlChannel + Send>,
         cfg: ServiceConfig,
-        ttt: Arc<Histogram>,
     ) -> Self {
         TxnStage {
             ctrl,
@@ -143,20 +142,13 @@ impl TxnStage {
             delta: DeltaCache::new(),
             compile_clock: Clock::new(),
             channel_clock: Clock::new(),
-            overlap: cfg.overlap,
+            naive: cfg.naive,
             probes: cfg.probes,
-            ttt,
             wal: cfg.wal,
             snapshot_every: cfg.snapshot_every,
             committed_since_snapshot: 0,
             last_request: None,
-            compiles: 0,
-            noops: 0,
-            cancelled_ops: 0,
-            committed_txns: 0,
-            rejected_txns: 0,
             snapshots_written: 0,
-            audit_totals: AuditReport::default(),
         }
     }
 
@@ -195,11 +187,11 @@ impl TxnStage {
         let ops = batch.requests.len();
         let distance: usize = self.net_edits.values().map(|c| c.unsigned_abs() as usize).sum();
         let cancelled = ops.saturating_sub(distance);
-        self.cancelled_ops += cancelled as u64;
 
         let compile_start_ns = self.compile_clock.advance_to(batch.closed_ns);
         let mut report = TxnReport {
             txn: batch.txn,
+            batches: batch.batches,
             ops,
             cancelled,
             noop: distance == 0,
@@ -220,18 +212,12 @@ impl TxnStage {
             // Net-zero batch: the installed state is already the
             // target, so the batch is traffic-visible at once. Zero
             // compiles, zero installs — the whole point.
-            self.noops += 1;
             report.install_start_ns = self.channel_clock.advance_to(compile_start_ns);
             report.deployed_ns = report.install_start_ns;
         } else {
             self.install(&mut report)?;
         }
-        if report.committed {
-            self.committed_txns += 1;
-        } else {
-            self.rejected_txns += 1;
-        }
-        if !self.overlap {
+        if self.naive {
             // The serialized baseline: the next compile waits for this
             // install to land.
             self.compile_clock.advance_to(self.channel_clock.now_ns());
@@ -240,18 +226,8 @@ impl TxnStage {
         report.requests = batch
             .requests
             .iter()
-            .map(|r| RequestSpan {
-                request: r.id,
-                host: r.host,
-                arrival_ns: r.arrival_ns,
-                batched_ns: report.closed_ns,
-                compiled_ns: report.compiled_ns,
-                deployed_ns: report.deployed_ns,
-            })
+            .map(|r| RequestSpan { request: r.id, host: r.host, arrival_ns: r.arrival_ns })
             .collect();
-        for s in &report.requests {
-            self.ttt.record(s.time_to_traffic_ns());
-        }
         Ok(report)
     }
 
@@ -265,7 +241,6 @@ impl TxnStage {
         let compile = self.ctrl.compile_routing_delta(&routing, installed, &mut self.delta)?;
         // Fold the measured wall time into the modelled timeline.
         report.compiled_ns = self.compile_clock.advance(wall.elapsed().as_nanos() as u64);
-        self.compiles += 1;
 
         // The control channel is serial: this install starts when its
         // compile is done and the channel is free.
@@ -347,9 +322,7 @@ impl TxnStage {
             .iter()
             .map(|p| matching_hosts(&self.subs, &p.values, Some(p.publisher)).into_iter().collect())
             .collect();
-        let rep = net.copies(&before, &times).audit(owed.iter().map(|o| (o, o)));
-        self.audit_totals.absorb(&rep);
-        rep
+        net.copies(&before, &times).audit(owed.iter().map(|o| (o, o)))
     }
 }
 
@@ -365,10 +338,16 @@ pub struct AuditProbe {
     pub values: Vec<(String, Value)>,
 }
 
-/// What one transaction did, end to end.
+/// What one transaction did, end to end: the service's one record of
+/// it, which the run totals ([`ServiceStats`](crate::ServiceStats))
+/// fold.
 #[derive(Debug)]
 pub struct TxnReport {
     pub txn: u64,
+    /// Closed batch windows the transaction absorbed: 1, plus one per
+    /// window merged into its backlog while the compile executor was
+    /// busy — the compile queue's depth when it was picked up.
+    pub batches: usize,
     pub ops: usize,
     pub cancelled: usize,
     /// Net-zero batch: no compile, no install.
@@ -378,12 +357,16 @@ pub struct TxnReport {
     pub committed: bool,
     /// The rolled-back install's error, when not committed.
     pub error: Option<DeployError>,
+    /// First arrival in the transaction's first window.
     pub opened_ns: u64,
+    /// When its (last) window closed: its requests' batched stamp.
     pub closed_ns: u64,
     pub compile_start_ns: u64,
+    /// When its compile finished.
     pub compiled_ns: u64,
     pub install_start_ns: u64,
-    /// When the transaction's effect was traffic-visible (modelled).
+    /// When the transaction's effect was traffic-visible (modelled):
+    /// its requests' deployed stamp.
     pub deployed_ns: u64,
     pub distinct_compiles: usize,
     pub reinstalled: usize,
@@ -392,33 +375,27 @@ pub struct TxnReport {
     pub audit: Option<AuditReport>,
 }
 
-/// The life of one subscription request through the controller
-/// service: accepted into a batch window, compiled, and finally
-/// deployed (traffic-affecting). All stamps are on the service's
-/// modelled clock, so spans are reproducible under a seed.
+impl TxnReport {
+    /// Request → first packet deliverable, for one of this
+    /// transaction's `requests`: the service experiment's p99 metric.
+    /// Saturates, so a clock-skewed stamp reads 0.
+    pub fn time_to_traffic_ns(&self, span: &RequestSpan) -> u64 {
+        self.deployed_ns.saturating_sub(span.arrival_ns)
+    }
+}
+
+/// One subscription request in a transaction. Its batched, compiled
+/// and deployed stamps are its report's `closed_ns`, `compiled_ns` and
+/// `deployed_ns`; all stamps are on the service's modelled clock, so
+/// spans are reproducible under a seed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RequestSpan {
     /// Service-assigned request id.
     pub request: u64,
     /// The subscribing (or unsubscribing) host.
     pub host: usize,
-    /// When the request entered intake.
+    /// When the request entered intake (clamped monotonic).
     pub arrival_ns: u64,
-    /// When its batch window closed.
-    pub batched_ns: u64,
-    /// When its transaction's compile finished.
-    pub compiled_ns: u64,
-    /// When its transaction's install committed — the moment the
-    /// request affects traffic.
-    pub deployed_ns: u64,
-}
-
-impl RequestSpan {
-    /// Request → first packet deliverable: the service experiment's
-    /// p99 metric.
-    pub fn time_to_traffic_ns(&self) -> u64 {
-        self.deployed_ns.saturating_sub(self.arrival_ns)
-    }
 }
 
 #[cfg(test)]
@@ -470,21 +447,5 @@ mod tests {
         // edit at all.
         let unheld = [(1, RequestOp::Unsubscribe(f("price > 1")))];
         assert_eq!(net_distance(&mut a.clone(), &unheld), 0);
-    }
-
-    #[test]
-    fn time_to_traffic_saturates() {
-        let span = RequestSpan {
-            request: 7,
-            host: 3,
-            arrival_ns: 100,
-            batched_ns: 300,
-            compiled_ns: 900,
-            deployed_ns: 1_500,
-        };
-        assert_eq!(span.time_to_traffic_ns(), 1_400);
-        // A clock-skewed stamp must not panic the metric.
-        let skew = RequestSpan { deployed_ns: 50, ..span };
-        assert_eq!(skew.time_to_traffic_ns(), 0);
     }
 }

@@ -3,8 +3,8 @@
 //!
 //! Random subscribe/unsubscribe streams — including pairs that cancel
 //! inside one batching window, which the service elides without
-//! compiling — are fed to a [`CamusService`] with small adaptive
-//! windows, overlap, and backlog merging all enabled, with audit
+//! compiling — are fed to a [`CamusService`] in its default mode
+//! (adaptive windows, overlap and backlog merging), with audit
 //! probes riding every commit. The final state must be
 //! indistinguishable from (a) the same stream run through the naive
 //! one-op-per-transaction service and (b) a from-scratch deploy of
@@ -36,7 +36,7 @@ use camus_net::controller::Controller;
 use camus_net::PerfectChannel;
 use camus_routing::algorithm1::{Policy, RoutingConfig};
 use camus_routing::topology::paper_fat_tree;
-use camus_service::{AuditProbe, BatchPolicy, CamusService, RequestOp, ServiceConfig};
+use camus_service::{AuditProbe, CamusService, RequestOp, ServiceConfig};
 use proptest::prelude::*;
 
 fn filter_pool() -> Vec<Expr> {
@@ -58,8 +58,8 @@ fn filter_pool() -> Vec<Expr> {
 
 /// One churn event: which host, which pool filter, subscribe or
 /// unsubscribe, and how long after the previous event it arrives
-/// (gap bucket 0 lands inside the quiet window — that is what makes
-/// sub/unsub pairs cancel before they cost a compile).
+/// (gap bucket 0 lands inside the default 500 µs quiet window — that
+/// is what makes sub/unsub pairs cancel before they cost a compile).
 #[derive(Debug, Clone)]
 struct Ev {
     host: usize,
@@ -78,12 +78,13 @@ fn arb_ev(hosts: usize, pool: usize) -> impl Strategy<Value = Ev> {
 }
 
 fn gap_ns(bucket: u8) -> u64 {
-    // Inside the quiet period / past it but within max_window / a gap
-    // that closes the window.
+    // Scaled to the default windows (500 µs quiet period, 2 ms
+    // deadline): inside the quiet period / past it but shorter than
+    // the deadline / ten deadlines.
     match bucket {
-        0 => 10_000,
-        1 => 120_000,
-        _ => 2_000_000,
+        0 => 100_000,
+        1 => 1_200_000,
+        _ => 20_000_000,
     }
 }
 
@@ -232,16 +233,14 @@ proptest! {
             events.push((ev.clone(), at));
         }
 
-        // Small windows so several ops share a batch and cancelling
+        // Bucket-0 gaps put several ops in one window, so cancelling
         // pairs meet inside one.
-        let batched_cfg = ServiceConfig {
-            batch: BatchPolicy { min_window_ns: 50_000, max_window_ns: 500_000, max_ops: 8 },
-            overlap: true,
-            merge_backlog: true,
-            probes: probes(),
-            ..ServiceConfig::default()
-        };
-        let batched = run_service(batched_cfg, &initial, &events, &pool);
+        let batched = run_service(
+            ServiceConfig { probes: probes(), ..ServiceConfig::default() },
+            &initial,
+            &events,
+            &pool,
+        );
         let naive = run_service(
             ServiceConfig { probes: probes(), ..ServiceConfig::naive() },
             &initial,
@@ -300,8 +299,9 @@ proptest! {
         filter in 0usize..9,
         n_pairs in 1usize..4,
     ) {
-        // Pure sub/unsub pairs inside one window: the service must
-        // commit nothing but noops and end exactly where it started.
+        // Pure sub/unsub pairs inside one window (5 µs apart, well
+        // inside the 500 µs quiet period): the service must commit
+        // nothing but noops and end exactly where it started.
         let pool = filter_pool();
         let initial: Vec<Vec<Expr>> = vec![Vec::new(); 16];
         let mut events = Vec::new();
@@ -312,11 +312,7 @@ proptest! {
             events.push((Ev { host, filter, unsub: true, gap: 0 }, at));
             at += 5_000;
         }
-        let cfg = ServiceConfig {
-            batch: BatchPolicy { min_window_ns: 200_000, max_window_ns: 2_000_000, max_ops: 64 },
-            probes: probes(),
-            ..ServiceConfig::default()
-        };
+        let cfg = ServiceConfig { probes: probes(), ..ServiceConfig::default() };
         let out = run_service(cfg, &initial, &events, &pool);
         prop_assert!(out.errors.is_empty(), "{:?}", out.errors);
         prop_assert_eq!(out.stats.compiles, 0, "cancelled churn must not compile");
@@ -329,12 +325,12 @@ proptest! {
     fn one_schedule_runs_one_way(
         groups in proptest::collection::vec(proptest::collection::vec(arb_ev(16, 9), 1..5), 1..6),
     ) {
-        // Every request is its own batch, and the requests of a group
-        // arrive at one instant, so the executor picks each group up
-        // whole; groups are ten seconds apart, far longer than any
-        // compile. Which batches merge then follows from the stamps
-        // alone: two runs of the schedule must agree transaction for
-        // transaction and install entry-for-entry identical tables.
+        // The requests of a group arrive at one instant, so each group
+        // is one batch window; groups are ten seconds apart, far longer
+        // than any window, compile or install. The batches then follow
+        // from the stamps alone: two runs of the schedule must agree
+        // transaction for transaction and install entry-for-entry
+        // identical tables.
         let pool = filter_pool();
         let initial: Vec<Vec<Expr>> = vec![Vec::new(); paper_fat_tree().host_count()];
         let mut events = Vec::new();
@@ -350,13 +346,9 @@ proptest! {
                 per_group.push(accepted);
             }
         }
-        let cfg = || ServiceConfig {
-            batch: BatchPolicy { min_window_ns: 0, max_window_ns: 0, max_ops: 1 },
-            ..ServiceConfig::default()
-        };
         let runs = [
-            run_service(cfg(), &initial, &events, &pool),
-            run_service(cfg(), &initial, &events, &pool),
+            run_service(ServiceConfig::default(), &initial, &events, &pool),
+            run_service(ServiceConfig::default(), &initial, &events, &pool),
         ];
         for out in &runs {
             prop_assert!(out.errors.is_empty(), "{:?}", out.errors);
