@@ -10,7 +10,7 @@
 use crate::incremental::IncrementalBdd;
 use crate::order::VarOrder;
 use crate::store::Bdd;
-use camus_lang::ast::Rule;
+use camus_lang::ast::{Action, Expr, Rule};
 
 /// A 1 GiB stack size, kept for callers outside the workspace that name
 /// it. No workspace code uses it: construction keeps its work on the
@@ -19,17 +19,23 @@ pub const DEEP_STACK: usize = 1 << 30;
 
 /// Configures and runs BDD construction.
 pub struct BddBuilder<'a> {
-    rules: &'a [Rule],
+    rules: Vec<(&'a Expr, &'a Action)>,
     order: VarOrder,
 }
 
 impl<'a> BddBuilder<'a> {
-    /// Start from complete rules. Filters are DNF-normalised and
-    /// actions interned at build time, so identical actions share a
-    /// terminal label — the collapse that keeps e.g. 100 K
-    /// same-collector telemetry filters compact.
+    /// Start from complete rules: [`BddBuilder::from_refs`] over the
+    /// list.
     pub fn from_rules(rules: &'a [Rule]) -> Self {
-        BddBuilder { rules, order: VarOrder::empty() }
+        BddBuilder::from_refs(rules.iter().map(|r| (&r.filter, &r.action)))
+    }
+
+    /// Start from rules read by reference, each as its filter and
+    /// action. Filters are DNF-normalised and actions interned at build
+    /// time, so identical actions share a terminal label — the collapse
+    /// that keeps e.g. 100 K same-collector telemetry filters compact.
+    pub fn from_refs(rules: impl IntoIterator<Item = (&'a Expr, &'a Action)>) -> Self {
+        BddBuilder { rules: rules.into_iter().collect(), order: VarOrder::empty() }
     }
 
     /// Use a field order: a [`VarOrder::tie_break`] (what a header spec
@@ -41,7 +47,8 @@ impl<'a> BddBuilder<'a> {
 
     /// Construct the BDD.
     pub fn build(self) -> Bdd {
-        IncrementalBdd::bulk(self.rules, &self.order, false).into_bdd()
+        IncrementalBdd::bulk(self.rules.iter().copied(), None::<std::iter::Empty<u64>>, &self.order)
+            .into_bdd()
     }
 }
 

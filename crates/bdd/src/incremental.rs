@@ -18,6 +18,14 @@
 //!   proportional to the delta's position in its band, not to the
 //!   table size.
 //!
+//! Both layers read rules by reference. The one bulk constructor (seed:
+//! [`IncrementalBdd::from_refs`]; one-shot: [`crate::BddBuilder`]) and
+//! [`IncrementalBdd::insert_ref`] take each rule's filter and action
+//! borrowed, with its digest when churn will need it, and copy only the
+//! distinct predicates and actions the diagram keeps;
+//! [`IncrementalBdd::from_rules`] and [`IncrementalBdd::insert_rule`]
+//! are their forms over owned rules.
+//!
 //! The store's level-table indirection is what makes this sound: a new
 //! predicate is spliced into the variable order without disturbing any
 //! existing node (`store::Alphabet::insert_pred`), and a new
@@ -35,8 +43,9 @@
 use crate::digest::rule_digest;
 use crate::order::{sorted_alphabet, FieldStats, VarOrder};
 use crate::store::{Bdd, NodeRef, PredId, RuleId, TermId};
-use camus_lang::ast::{Action, Rel, Rule};
-use camus_lang::dnf::{to_dnf, Conjunction, Dnf};
+use camus_lang::ast::{Action, Expr, Predicate, Rel, Rule};
+use camus_lang::dnf::DnfBuf;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 const EMPTY: NodeRef = NodeRef::Term(TermId(0));
@@ -57,10 +66,11 @@ impl Bdd {
                 self.labels().len() as RuleId - 1
             }
         };
-        let dnf = to_dnf(&rule.filter);
-        let mut chains = Vec::with_capacity(dnf.terms.len());
-        for conj in &dnf.terms {
-            let pids: Vec<PredId> = conj.atoms.iter().map(|a| self.add_pred(a)).collect();
+        let mut dnf = DnfBuf::default();
+        dnf.push(&rule.filter);
+        let mut chains = Vec::with_capacity(dnf.terms(0).len());
+        for conj in dnf.terms(0) {
+            let pids: Vec<PredId> = conj.iter().map(|a| self.add_pred(a)).collect();
             chains.push(chain_ref(self, &pids, label));
         }
         let add = union_all(self, chains);
@@ -198,17 +208,41 @@ pub struct IncrementalBdd {
 }
 
 impl IncrementalBdd {
-    /// Seed from a full rule list: the bulk constructor with per-rule
-    /// bookkeeping, then one sweep so the capacity trigger measures
-    /// churn garbage against the seeded live set.
+    /// Seed from a full rule list: [`IncrementalBdd::from_refs`] over
+    /// the list, each rule digested.
     pub fn from_rules(rules: &[Rule], order: &VarOrder) -> IncrementalBdd {
-        let mut inc = IncrementalBdd::bulk(rules, order, true);
+        IncrementalBdd::from_refs(
+            rules.iter().map(|r| (rule_digest(r), &r.filter, &r.action)),
+            order,
+        )
+    }
+
+    /// Seed from a rule list read by reference, each rule as its
+    /// [`rule_digest`], filter and action: the bulk constructor with
+    /// per-rule bookkeeping, then one sweep so the capacity trigger
+    /// measures churn garbage against the seeded live set.
+    pub fn from_refs<'r, I>(rules: I, order: &VarOrder) -> IncrementalBdd
+    where
+        I: IntoIterator<Item = (u64, &'r Expr, &'r Action)>,
+        I::IntoIter: Clone,
+    {
+        let rules = rules.into_iter();
+        let digests = rules.clone().map(|(digest, ..)| digest);
+        let mut inc = IncrementalBdd::bulk(
+            rules.map(|(_, filter, action)| (filter, action)),
+            Some(digests),
+            order,
+        );
         inc.force_gc();
         inc
     }
 
     /// The one bulk constructor of the crate (behind both
-    /// [`IncrementalBdd::from_rules`] and [`crate::BddBuilder::build`]).
+    /// [`IncrementalBdd::from_refs`] and [`crate::BddBuilder::build`]).
+    /// It reads each rule's filter and action by reference: the filters
+    /// are normalised into one [`DnfBuf`] whose atoms borrow from them,
+    /// and only the alphabet's distinct predicates and the interned
+    /// actions are cloned.
     ///
     /// Each conjunction attaches by its top atom ([`classify`]). An
     /// equality head joins its field's *exact-match band*: same-field
@@ -227,21 +261,24 @@ impl IncrementalBdd {
     /// fitted order is the one the alphabet records, so churn splices
     /// keep it.
     ///
-    /// `track` records what churn needs to retract a rule later (its
-    /// digest and the chain slices it occupies). Without it the result
-    /// is only good for its diagram.
-    pub(crate) fn bulk(rules: &[Rule], order: &VarOrder, track: bool) -> IncrementalBdd {
-        let dnfs: Vec<Dnf> = rules.iter().map(|r| to_dnf(&r.filter)).collect();
-        let mut stats = FieldStats::default();
-        for dnf in &dnfs {
-            stats.count(dnf.terms.iter().flat_map(|c| &c.atoms), true);
+    /// `digests`, one per rule in list order, records what churn needs
+    /// to retract a rule later (its digest and the chain slices it
+    /// occupies). Without them the result is only good for its diagram.
+    pub(crate) fn bulk<'r>(
+        rules: impl Iterator<Item = (&'r Expr, &'r Action)> + Clone,
+        mut digests: Option<impl Iterator<Item = u64>>,
+        order: &VarOrder,
+    ) -> IncrementalBdd {
+        let (mut dnfs, mut stats) = (DnfBuf::default(), FieldStats::default());
+        for (i, (filter, _)) in rules.clone().enumerate() {
+            dnfs.push(filter);
+            stats.count(dnfs.terms(i).flatten().map(|a| &**a), true);
         }
         let order = &order.fit(&stats);
 
         // The predicate alphabet, and the level of every atom occurrence
         // in rule, term, atom order.
-        let (preds, levels) =
-            sorted_alphabet(order, dnfs.iter().flat_map(|d| &d.terms).flat_map(|c| &c.atoms));
+        let (preds, levels) = sorted_alphabet(order, dnfs.atoms());
         let mut levels = levels.into_iter();
 
         let mut inc = IncrementalBdd {
@@ -254,7 +291,7 @@ impl IncrementalBdd {
             label_index: HashMap::new(),
             label_refs: Vec::new(),
             free_labels: Vec::new(),
-            rule_count: rules.len(),
+            rule_count: 0,
             stats,
             roots_buf: Vec::new(),
         };
@@ -266,17 +303,19 @@ impl IncrementalBdd {
         // level range, already in level order.
         let mut members: Vec<Option<Member>> =
             std::iter::repeat_with(|| None).take(inc.bdd.preds().len()).collect();
-        for (rule, dnf) in rules.iter().zip(&dnfs) {
-            let label = inc.intern_label(&rule.action);
-            let mut parts = Vec::with_capacity(dnf.terms.len());
-            for conj in &dnf.terms {
+        for (i, (_, action)) in rules.enumerate() {
+            inc.rule_count += 1;
+            let label = inc.intern_label(action);
+            let mut parts = Vec::with_capacity(dnfs.terms(i).len());
+            for conj in dnfs.terms(i) {
                 let pids: Vec<PredId> = conj
-                    .atoms
                     .iter()
                     .zip(levels.by_ref())
                     .map(|(atom, level)| {
                         let pid = PredId(level);
-                        debug_assert!(inc.bdd.level_of(pid) == level && inc.bdd.pred(pid) == atom);
+                        debug_assert!(
+                            inc.bdd.level_of(pid) == level && inc.bdd.pred(pid) == &**atom
+                        );
                         pid
                     })
                     .collect();
@@ -298,8 +337,8 @@ impl IncrementalBdd {
                     }
                 });
             }
-            if track {
-                inc.instances.entry(rule_digest(rule)).or_default().push(Instance { label, parts });
+            if let Some(digest) = digests.as_mut().and_then(Iterator::next) {
+                inc.instances.entry(digest).or_default().push(Instance { label, parts });
             }
         }
         // Chain each band once, in group-id order, so node ids — and
@@ -336,14 +375,20 @@ impl IncrementalBdd {
     /// Insert one rule; returns its content digest (the handle
     /// [`IncrementalBdd::remove_by_digest`] takes). Duplicates stack.
     pub fn insert_rule(&mut self, rule: &Rule) -> u64 {
-        let digest = rule_digest(rule);
-        let label = self.intern_label(&rule.action);
-        let dnf = to_dnf(&rule.filter);
-        self.stats.count(dnf.terms.iter().flat_map(|c| &c.atoms), true);
-        let mut parts = Vec::with_capacity(dnf.terms.len());
+        self.insert_ref(rule_digest(rule), &rule.filter, &rule.action)
+    }
+
+    /// Insert one rule read by reference, given its [`rule_digest`];
+    /// returns the digest. Duplicates stack.
+    pub fn insert_ref(&mut self, digest: u64, filter: &Expr, action: &Action) -> u64 {
+        let label = self.intern_label(action);
+        let mut dnf = DnfBuf::default();
+        dnf.push(filter);
+        self.stats.count(dnf.atoms(), true);
+        let mut parts = Vec::with_capacity(dnf.terms(0).len());
         let mut misc_dirty = false;
-        for conj in &dnf.terms {
-            let pids: Vec<PredId> = conj.atoms.iter().map(|a| self.bdd.add_pred(a)).collect();
+        for conj in dnf.terms(0) {
+            let pids: Vec<PredId> = conj.iter().map(|a| self.bdd.add_pred(a)).collect();
             match classify(&self.bdd, conj, &pids) {
                 Class::Direct(pred) => {
                     let g = self.bdd.group_of(pred);
@@ -593,13 +638,13 @@ enum Class {
     Misc,
 }
 
-fn classify(bdd: &Bdd, conj: &Conjunction, pids: &[PredId]) -> Class {
+fn classify(bdd: &Bdd, conj: &[Cow<'_, Predicate>], pids: &[PredId]) -> Class {
     if pids.is_empty() {
         return Class::Misc; // `true` filter: a bare terminal chain
     }
     let (head_i, head) =
         pids.iter().copied().enumerate().min_by_key(|&(_, p)| bdd.level_of(p)).expect("non-empty");
-    if conj.atoms[head_i].rel != Rel::Eq {
+    if conj[head_i].rel != Rel::Eq {
         return Class::Misc;
     }
     if pids.len() == 1 {

@@ -81,6 +81,10 @@ pub struct Node {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Alphabet {
     preds: Vec<Predicate>,
+    /// Every predicate's id, for [`Alphabet::insert_pred`]: built by its
+    /// first call, so an alphabet nothing is spliced into (a one-shot
+    /// build, a snapshot) clones and hashes no predicate for it. Either
+    /// empty or complete.
     pred_index: HashMap<Predicate, PredId>,
     /// Field-group id per predicate (same operand ⇒ same group).
     groups: Vec<u32>,
@@ -126,7 +130,6 @@ impl Alphabet {
             a.groups.push(g);
             a.levels.push(i as u32);
             a.pred_by_level.push(i as u32);
-            a.pred_index.insert(p.clone(), PredId(i as u32));
         }
         a.preds = preds;
         a
@@ -160,6 +163,9 @@ impl Alphabet {
     /// canonical [`crate::order::pred_sort_key`] position (the slot a
     /// from-scratch sorted build would choose).
     pub(crate) fn insert_pred(&mut self, p: &Predicate) -> PredId {
+        if self.pred_index.len() < self.preds.len() {
+            self.pred_index = (self.preds.iter().cloned()).zip((0..).map(PredId)).collect();
+        }
         if let Some(&id) = self.pred_index.get(p) {
             return id;
         }

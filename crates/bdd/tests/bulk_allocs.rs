@@ -2,14 +2,18 @@
 //!
 //! A counting global allocator wraps `System`; `BddBuilder::build` of
 //! an identifier list (`id == K`, every seventh `and price > t`, 32
-//! ports) must stay within 24 heap allocations per rule at 1 k and at
-//! 16 k rules. The predicate alphabet is keyed once per distinct
-//! operand and sorted on borrowed keys, each atom is hashed once, and
+//! ports) must stay within 12 heap allocations per rule at 1 k and at
+//! 16 k rules (8.4–8.7). The filters are normalised into one buffer of
+//! borrowed atoms, the predicate alphabet is keyed once per distinct
+//! operand and sorted on borrowed keys, each atom is hashed once, no
+//! predicate index is built for a diagram nothing splices into, and
 //! band members are collected by predicate id, so the count is a small
-//! constant per rule whatever the list's length; a sort comparator that
-//! formats operand keys allocates per comparison, O(log n) per rule
-//! (50–70 at these sizes). The count is exact and repeatable, so this
-//! guards the cost model independently of how noisy the host is.
+//! constant per rule whatever the list's length. Normalising each
+//! filter into vectors of cloned atoms took 21.3–21.7, and a sort
+//! comparator that formats operand keys allocates per comparison,
+//! O(log n) per rule (50–70 at these sizes). The count is exact and
+//! repeatable, so this guards the cost model independently of how
+//! noisy the host is.
 //!
 //! This file holds exactly one `#[test]`: the allocator counter is
 //! global, so a second concurrently running test would pollute it.
@@ -64,7 +68,7 @@ fn identifier_list(n: i64) -> Vec<Rule> {
 
 #[test]
 fn bulk_build_stays_within_its_allocation_budget() {
-    const BUDGET_PER_RULE: u64 = 24;
+    const BUDGET_PER_RULE: u64 = 12;
 
     for n in [1_000, 16_000] {
         let rules = identifier_list(n);

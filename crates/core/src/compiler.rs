@@ -6,12 +6,18 @@
 //! report. Timing is recorded because recompilation latency is itself
 //! an evaluation target (Fig. 14).
 //!
+//! The compiler reads its rules by reference. [`Compiler::compile_refs`]
+//! builds from borrowed `(filter, action)` pairs, a [`RuleView`]'s say,
+//! and [`Compiler::compile`] is that over an owned list: no rule is
+//! copied, only the distinct atoms and actions the diagram keeps.
+//!
 //! A unit that recompiles through churn keeps a [`CompileState`] and
 //! hands [`Compiler::compile_delta`] each epoch's list as a
 //! [`RuleView`]: the rules held by reference, each with its digest. The
 //! compiler diffs the view's digest multiset against the state and
-//! clones, validates and inserts only the rules the state lacks, so an
-//! epoch that changes `k` of `n` rules copies `k` rules, not `n`.
+//! validates and inserts, by reference too, only the rules the state
+//! lacks, so an epoch that changes `k` of `n` rules works on `k` rules,
+//! not `n`; a seed or rebuild reads the whole view in place.
 
 use crate::multicast::MulticastAllocator;
 use crate::pipeline::Pipeline;
@@ -130,7 +136,7 @@ impl<'a> RuleView<'a> {
     }
 
     /// Every rule as `(digest, filter, action)`, in list order.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = (u64, &'a Expr, &Action)> + '_ {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (u64, &'a Expr, &Action)> + Clone + '_ {
         (0..self.len()).map(|i| self.get(i))
     }
 
@@ -234,11 +240,25 @@ impl Compiler {
         Ok(())
     }
 
-    /// Compile a rule set into a pipeline.
+    /// Compile a rule set into a pipeline: [`Compiler::compile_refs`]
+    /// over the list.
     pub fn compile(&self, rules: &[Rule]) -> Result<Compiled, CompileError> {
+        self.compile_refs(rules.iter().map(|r| (&r.filter, &r.action)))
+    }
+
+    /// Compile a rule list read by reference, each rule as its filter
+    /// and action (a [`RuleView`]'s, say), into a pipeline. Nothing of
+    /// the list is copied but the distinct atoms and actions the
+    /// diagram keeps.
+    pub fn compile_refs<'r, I>(&self, rules: I) -> Result<Compiled, CompileError>
+    where
+        I: IntoIterator<Item = (&'r Expr, &'r Action)>,
+        I::IntoIter: Clone,
+    {
         let start = Instant::now();
-        self.validate(rules.iter().map(|r| &r.filter).enumerate())?;
-        self.finish(BddBuilder::from_rules(rules).with_order(self.order.clone()).build(), start)
+        let rules = rules.into_iter();
+        self.validate(rules.clone().map(|(filter, _)| filter).enumerate())?;
+        self.finish(BddBuilder::from_refs(rules).with_order(self.order.clone()).build(), start)
     }
 
     /// Slice a diagram into a pipeline and report its resources.
@@ -254,19 +274,19 @@ impl Compiler {
     /// Recompile against persistent state: diff the view's digest
     /// multiset against the live one and replay only the delta
     /// (removals first, then inserts in list order) on the maintained
-    /// diagram. Only the inserted rules are cloned, and they are
-    /// validated before the state changes, so a rejected list leaves
-    /// the state as it was; the error names the same rule
-    /// [`Compiler::compile`] would over the materialised list. Falls
-    /// back to re-seeding the state from the materialised view
-    /// ([`IncrementalBdd::from_rules`]) when the delta exceeds half the
+    /// diagram. The rules the state lacks are inserted by reference
+    /// ([`IncrementalBdd::insert_ref`]), and they are validated before
+    /// the state changes, so a rejected list leaves the state as it was;
+    /// the error names the same rule [`Compiler::compile`] would over
+    /// the owned list. Falls back to re-seeding the state from the view
+    /// ([`IncrementalBdd::from_refs`]) when the delta exceeds half the
     /// rule set — past that point one bulk construction wins over
     /// replaying ops one by one — and when the delta changes the field
     /// order fitted to the list ([`IncrementalBdd::fits`]), so the
     /// maintained diagram is always ordered as a scratch build of the
     /// same list. On the empty [`CompileState::default`] the delta is
     /// the whole list: it is validated in list order, with no digest
-    /// diff, and seeded by the bulk construction [`Compiler::compile`]
+    /// diff, and seeded by the bulk construction [`Compiler::compile_refs`]
     /// runs, so both emit equal pipelines.
     pub fn compile_delta(
         &self,
@@ -276,7 +296,7 @@ impl Compiler {
         let start = Instant::now();
         let Some(inc) = &mut state.inc else {
             self.validate(view.iter().map(|(_, filter, _)| filter).enumerate())?;
-            let inc = state.inc.insert(IncrementalBdd::from_rules(&view.to_rules(), &self.order));
+            let inc = state.inc.insert(IncrementalBdd::from_refs(view.iter(), &self.order));
             return self.finish(inc.snapshot(), start);
         };
         // Per digest: occurrences in the view and the first one's index.
@@ -317,15 +337,14 @@ impl Compiler {
                 }
             }
             for (i, n) in inserts {
-                let (_, filter, action) = view.get(i);
-                let rule = Rule { filter: filter.clone(), action: action.clone() };
+                let (digest, filter, action) = view.get(i);
                 for _ in 0..n {
-                    inc.insert_rule(&rule);
+                    inc.insert_ref(digest, filter, action);
                 }
             }
         }
         if rebuild || !inc.fits(&self.order) {
-            *inc = IncrementalBdd::from_rules(&view.to_rules(), &self.order);
+            *inc = IncrementalBdd::from_refs(view.iter(), &self.order);
         }
         self.finish(inc.snapshot(), start)
     }
@@ -612,6 +631,54 @@ mod tests {
         }
         src.push_str("true: fwd(9)\nid == 4: fwd(1)\nid == 4: fwd(1)\n");
         parse_rules(&src).unwrap()
+    }
+
+    #[test]
+    fn a_view_and_its_owned_list_compile_to_one_diagram_node_for_node() {
+        // The view's actions are its own clones, one per run, and its
+        // filters are the list's: nothing the build keeps may depend on
+        // which copy it read.
+        let diagram = |bdd: &Bdd| {
+            let nodes: Vec<_> = (0..bdd.allocated_nodes() as u32).map(|i| *bdd.node(i)).collect();
+            let terminals: Vec<_> = (0..bdd.terminal_count() as u32)
+                .map(|t| bdd.terminal(camus_bdd::TermId(t)).clone())
+                .collect();
+            let labels: Vec<_> =
+                terminals.iter().flatten().map(|&l| bdd.label(l).clone()).collect();
+            (bdd.root(), nodes, terminals, labels, bdd.preds().to_vec())
+        };
+        let rules = mixed_rules();
+        let view = RuleView::from(&rules[..]);
+        for compiler in [
+            Compiler::new(),
+            Compiler::new().with_order(VarOrder::from_keys(["id", "price", "stock"])),
+            Compiler::new().with_order(VarOrder::tie_break(["price", "stock", "id"])),
+        ] {
+            let owned = compiler.compile(&rules).unwrap();
+            let viewed = compiler
+                .compile_refs(view.iter().map(|(_, filter, action)| (filter, action)))
+                .unwrap();
+            assert_eq!(diagram(&viewed.bdd), diagram(&owned.bdd));
+            assert_eq!(viewed.pipeline, owned.pipeline);
+        }
+
+        // Validation reads the same list in the same order.
+        let compiler =
+            Compiler::new().with_static(crate::statics::compile_static(&itch_spec()).unwrap());
+        let rules = parse_rules(
+            "price > 3: fwd(2)\nstock == S1: fwd(1)\nprice > 3: fwd(2)\n\
+             bogus == 1: fwd(1)\nother == 2: fwd(3)\n",
+        )
+        .unwrap();
+        let view = RuleView::from(&rules[..]);
+        let want = CompileError::UnknownField { rule: 3, field: "bogus".into() };
+        assert_eq!(compiler.compile(&rules).unwrap_err(), want);
+        assert_eq!(
+            compiler
+                .compile_refs(view.iter().map(|(_, filter, action)| (filter, action)))
+                .unwrap_err(),
+            want
+        );
     }
 
     #[test]

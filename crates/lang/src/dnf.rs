@@ -7,12 +7,19 @@
 //! unsatisfiable conjunctions are pruned using the predicate algebra of
 //! [`crate::sets`], and redundant atoms within a conjunction are
 //! dropped.
+//!
+//! There is one normaliser, [`DnfBuf`]. It keeps the conjunctions of a
+//! whole rule list in one buffer of atoms borrowed from the filters, so
+//! the compiler normalises a list without copying it. [`to_dnf`] is the
+//! owned form of one filter.
 
 use crate::ast::{Expr, Predicate};
 use crate::sets::{conjunction_satisfiable, implication};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::HashSet;
 use std::fmt;
+use std::ops::Range;
 
 /// A conjunction of atomic predicates. The empty conjunction is `true`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -31,23 +38,6 @@ impl Conjunction {
         lookup: F,
     ) -> bool {
         self.atoms.iter().all(|p| lookup(&p.operand).is_some_and(|v| p.eval(&v)))
-    }
-
-    /// Remove duplicate atoms and atoms implied by another atom on the
-    /// same operand (e.g. `x > 40` is dropped when `x > 50` is present).
-    fn simplify(&mut self) {
-        let mut kept: Vec<Predicate> = Vec::with_capacity(self.atoms.len());
-        'outer: for a in self.atoms.drain(..) {
-            for k in &kept {
-                if k.operand == a.operand && implication(k, true, &a) == Some(true) {
-                    continue 'outer; // `a` is implied by `k`
-                }
-            }
-            // Remove previously kept atoms that `a` implies.
-            kept.retain(|k| !(k.operand == a.operand && implication(&a, true, k) == Some(true)));
-            kept.push(a);
-        }
-        self.atoms = kept;
     }
 }
 
@@ -75,11 +65,6 @@ pub struct Dnf {
 }
 
 impl Dnf {
-    /// The DNF matching every packet.
-    pub(crate) fn all() -> Self {
-        Dnf { terms: vec![Conjunction::new(vec![])] }
-    }
-
     /// Evaluate against an attribute lookup.
     pub fn eval_with<F: Fn(&crate::ast::Operand) -> Option<crate::value::Value> + Copy>(
         &self,
@@ -104,88 +89,180 @@ impl fmt::Display for Dnf {
     }
 }
 
-/// Convert an arbitrary filter expression to DNF.
-///
-/// Negation is pushed to the leaves with De Morgan's laws and eliminated
-/// at atoms by flipping the relation ([`crate::ast::Rel::negate`]).
-/// Unsatisfiable conjunctions are pruned; each surviving conjunction is
-/// simplified by removing implied atoms.
+/// Convert an arbitrary filter expression to DNF: [`DnfBuf::push`]'s
+/// conjunctions, each atom cloned.
 pub fn to_dnf(expr: &Expr) -> Dnf {
-    let terms_raw = dnf_rec(expr, false);
-    let mut terms = Vec::with_capacity(terms_raw.len());
-    for mut c in terms_raw {
-        if !conjunction_satisfiable(&c.atoms) {
-            continue;
-        }
-        c.simplify();
-        // An empty conjunction subsumes everything.
-        if c.atoms.is_empty() {
-            return Dnf::all();
-        }
-        terms.push(c);
-    }
-    // Drop repeated terms (a single term has none), keeping first
-    // occurrences in order. Filters are external input, so the set
-    // keeps std's randomly keyed hasher.
-    if terms.len() > 1 {
-        let repeats: Vec<usize> = {
-            let mut seen = HashSet::with_capacity(terms.len());
-            (0..terms.len()).filter(|&i| !seen.insert(&terms[i])).collect()
-        };
-        let mut repeats = repeats.into_iter().peekable();
-        let mut i = 0;
-        terms.retain(|_| {
-            i += 1;
-            repeats.next_if_eq(&(i - 1)).is_none()
-        });
-    }
-    Dnf { terms }
+    let mut buf = DnfBuf::default();
+    buf.push(expr);
+    let own = |atoms: &[Cow<'_, Predicate>]| atoms.iter().map(|a| a.clone().into_owned()).collect();
+    Dnf { terms: buf.terms(0).map(|atoms| Conjunction::new(own(atoms))).collect() }
 }
 
-/// DNF with negation context (`neg` = an odd number of `not`s above
-/// us). A run of `not`s and a maximal chain of one operator are each
-/// walked by a loop, so recursion follows how often the operators
-/// alternate, not how long a chain is.
-fn dnf_rec(mut expr: &Expr, mut neg: bool) -> Vec<Conjunction> {
-    while let Expr::Not(e) = expr {
-        expr = e;
-        neg = !neg;
+/// The DNF of a list of filters, in one buffer of atoms borrowed from
+/// the filters; only an atom under an odd number of `not`s is owned.
+///
+/// [`DnfBuf::push`] pushes negation to the leaves with De Morgan's laws
+/// and flips it into the atom's relation ([`crate::ast::Rel::negate`]).
+/// It prunes unsatisfiable conjunctions and drops the atoms another
+/// atom on the same operand implies (`x > 40` beside `x > 50`); a
+/// conjunction left empty makes the filter `true`, and a repeated one
+/// keeps its first occurrence. Operands are compared by reference, and
+/// a conjunction over distinct operands is decided without allocating.
+#[derive(Debug, Default)]
+pub struct DnfBuf<'a> {
+    atoms: Vec<Cow<'a, Predicate>>,
+    /// Each conjunction's atoms in `atoms`, pairwise disjoint; atoms no
+    /// range covers were dropped.
+    terms: Vec<Range<usize>>,
+    /// End of each filter's conjunctions in `terms`.
+    filters: Vec<usize>,
+    /// The operator chains being walked, shared by every level.
+    chain: Vec<&'a Expr>,
+}
+
+impl<'a> DnfBuf<'a> {
+    /// Filter `i`'s conjunctions, each as its atoms.
+    pub fn terms(&self, i: usize) -> impl ExactSizeIterator<Item = &[Cow<'a, Predicate>]> + '_ {
+        let first = if i == 0 { 0 } else { self.filters[i - 1] };
+        self.terms[first..self.filters[i]].iter().map(|t| &self.atoms[t.clone()])
     }
-    // ¬(a ∧ b) = ¬a ∨ ¬b and ¬(a ∨ b) = ¬a ∧ ¬b.
-    let (conjunctive, mut out) = match (expr, neg) {
-        (Expr::True, false) | (Expr::False, true) => return vec![Conjunction::new(vec![])],
-        (Expr::True, true) | (Expr::False, false) => return vec![],
-        (Expr::Atom(p), false) => return vec![Conjunction::new(vec![p.clone()])],
-        (Expr::Atom(p), true) => return vec![Conjunction::new(vec![p.negated()])],
-        (Expr::And(..), false) | (Expr::Or(..), true) => (true, vec![Conjunction::new(vec![])]),
-        _ => (false, vec![]),
-    };
-    // The chain's operands left to right. Products and unions are
-    // associative, term order included, so folding them in sequence
-    // lists the terms in the order the nested definition does.
-    let mut chain = vec![expr];
-    while let Some(e) = chain.pop() {
-        let operand = match (e, expr) {
-            (Expr::And(a, b), Expr::And(..)) | (Expr::Or(a, b), Expr::Or(..)) => {
-                chain.extend([&**b, &**a]);
+
+    /// Every atom, in filter, conjunction, atom order.
+    pub fn atoms(&self) -> impl Iterator<Item = &Predicate> + '_ {
+        self.terms.iter().flat_map(|t| &self.atoms[t.clone()]).map(|a| &**a)
+    }
+
+    /// Normalise `filter` and append its conjunctions.
+    pub fn push(&mut self, filter: &'a Expr) {
+        let first = self.terms.len();
+        self.raw(filter, false);
+        let mut kept = first;
+        for t in first..self.terms.len() {
+            let term = self.terms[t].clone();
+            if !conjunction_satisfiable(&self.atoms[term.clone()]) {
                 continue;
             }
-            _ => dnf_rec(e, neg),
+            let term = term.start..term.start + simplify(&mut self.atoms[term]);
+            self.terms[kept] = term.clone();
+            kept += 1;
+            // An empty conjunction subsumes everything.
+            if term.is_empty() {
+                self.terms.swap(first, kept - 1);
+                kept = first + 1;
+                break;
+            }
+        }
+        self.terms.truncate(kept);
+        // Filters are external input, so the set keeps std's randomly
+        // keyed hasher.
+        if kept - first > 1 {
+            let (atoms, mut seen, mut t) = (&self.atoms, HashSet::new(), 0);
+            self.terms.retain(|term| {
+                t += 1;
+                t <= first || seen.insert(&atoms[term.clone()])
+            });
+        }
+        self.filters.push(self.terms.len());
+    }
+
+    /// Append the conjunctions of `expr` under an odd (`neg`) or even
+    /// number of `not`s, unpruned. A run of `not`s and a maximal chain
+    /// of one operator are each walked by a loop, so recursion follows
+    /// how often the operators alternate, not how long a chain is.
+    fn raw(&mut self, mut expr: &'a Expr, mut neg: bool) {
+        while let Expr::Not(e) = expr {
+            expr = e;
+            neg = !neg;
+        }
+        let at = self.atoms.len();
+        // ¬(a ∧ b) = ¬a ∨ ¬b and ¬(a ∨ b) = ¬a ∧ ¬b.
+        let conjunctive = match (expr, neg) {
+            (Expr::True, false) | (Expr::False, true) => return self.terms.push(at..at),
+            (Expr::True, true) | (Expr::False, false) => return,
+            (Expr::Atom(p), neg) => {
+                self.atoms.push(if neg { Cow::Owned(p.negated()) } else { Cow::Borrowed(p) });
+                return self.terms.push(at..at + 1);
+            }
+            (Expr::And(..), false) | (Expr::Or(..), true) => true,
+            _ => false,
         };
-        match (conjunctive, operand.as_slice()) {
-            (false, _) => out.extend(operand),
-            // A one-term operand extends every term in place.
-            (true, [r]) => out.iter_mut().for_each(|l| l.atoms.extend_from_slice(&r.atoms)),
-            (true, _) => {
-                out = out
-                    .iter()
-                    .flat_map(|l| operand.iter().map(|r| [&l.atoms[..], &r.atoms[..]].concat()))
-                    .map(Conjunction::new)
-                    .collect()
+        // The running result: the product's unit, one empty
+        // conjunction, or the union's, none. Products and unions are
+        // associative, term order included, so folding the chain's
+        // operands left to right lists the terms in the order the
+        // nested definition does.
+        let first = self.terms.len();
+        if conjunctive {
+            self.terms.push(at..at);
+        }
+        let base = self.chain.len();
+        self.chain.push(expr);
+        while self.chain.len() > base {
+            let e = self.chain.pop().expect("the chain is above its base");
+            match (e, expr) {
+                (Expr::And(a, b), Expr::And(..)) | (Expr::Or(a, b), Expr::Or(..)) => {
+                    self.chain.extend([&**b, &**a]);
+                }
+                // The operand's conjunctions land after the running
+                // result's, which makes their union.
+                _ => {
+                    let operand = self.terms.len();
+                    self.raw(e, neg);
+                    if conjunctive {
+                        self.product(first, operand);
+                    }
+                }
             }
         }
     }
-    out
+
+    /// Replace the conjunctions `first..operand` and `operand..` with
+    /// their product: each of the first extended by each of the second,
+    /// the first major.
+    fn product(&mut self, first: usize, operand: usize) {
+        let end = self.terms.len();
+        for l in first..operand {
+            for r in operand..end {
+                let (l, r) = (self.terms[l].clone(), self.terms[r].clone());
+                // One by one, adjacent: the atoms are in place already.
+                let term = if end - first == 2 && l.end == r.start {
+                    l.start..r.end
+                } else {
+                    let at = self.atoms.len();
+                    self.atoms.extend_from_within(l);
+                    self.atoms.extend_from_within(r);
+                    at..self.atoms.len()
+                };
+                self.terms.push(term);
+            }
+        }
+        self.terms.drain(first..end);
+    }
+}
+
+/// Simplify a conjunction in place and return how many atoms it keeps,
+/// at its front: an atom implied by one kept before it is dropped, and
+/// an atom drops the kept ones it implies.
+fn simplify(atoms: &mut [Cow<'_, Predicate>]) -> usize {
+    let implies = |k: &Predicate, q: &Predicate| {
+        k.operand == q.operand && implication(k, true, q) == Some(true)
+    };
+    let mut kept = 0;
+    for i in 0..atoms.len() {
+        if atoms[..kept].iter().any(|k| implies(k, &atoms[i])) {
+            continue;
+        }
+        let mut keep = 0;
+        for k in 0..kept {
+            if !implies(&atoms[i], &atoms[k]) {
+                atoms.swap(keep, k);
+                keep += 1;
+            }
+        }
+        atoms.swap(keep, i);
+        kept = keep + 1;
+    }
+    kept
 }
 
 #[cfg(test)]
@@ -321,6 +398,6 @@ mod tests {
         let reparsed = to_dnf(&parse_expr(&d.to_string()).unwrap());
         assert_eq!(d, reparsed);
         assert_eq!(Dnf { terms: vec![] }.to_string(), "false");
-        assert_eq!(Dnf::all().to_string(), "(true)");
+        assert_eq!(to_dnf(&Expr::True).to_string(), "(true)");
     }
 }

@@ -10,6 +10,7 @@
 
 use crate::ast::{Predicate, Rel};
 use crate::value::Value;
+use std::borrow::Borrow;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -457,37 +458,40 @@ fn str_implication(grel: Rel, gs: &str, gval: bool, qrel: Rel, qs: &str) -> Opti
 /// i.e. some packet matches all of them. Predicates over distinct
 /// operands are independent; per operand we intersect the denoted sets.
 /// A mix of integer and string constraints on the same operand is
-/// unsatisfiable (an attribute has a single type).
-pub fn conjunction_satisfiable(atoms: &[Predicate]) -> bool {
-    use std::collections::HashMap;
-    let mut ints: HashMap<String, IntSet> = HashMap::new();
-    let mut strs: HashMap<String, StrSet> = HashMap::new();
-    for a in atoms {
-        let key = a.operand.key();
-        match &a.constant {
-            Value::Int(c) => {
-                if strs.contains_key(&key) {
-                    return false;
-                }
-                let e = ints.entry(key).or_insert_with(IntSet::full);
-                *e = e.intersect(&IntSet::from_rel(a.rel, *c));
-                if e.is_empty() {
-                    return false;
-                }
+/// unsatisfiable (an attribute has a single type). Operands are compared
+/// by reference, and an operand only one atom tests needs no set, so a
+/// conjunction over distinct operands allocates nothing.
+pub fn conjunction_satisfiable<P: Borrow<Predicate>>(atoms: &[P]) -> bool {
+    atoms.iter().map(Borrow::borrow).enumerate().all(|(i, a)| {
+        let same = |b: &P| Borrow::<Predicate>::borrow(b).operand == a.operand;
+        let mut rest = atoms[i + 1..].iter().filter(|b| same(b)).map(Borrow::borrow).peekable();
+        // The operand's first atom decides it.
+        match (&a.constant, rest.peek()) {
+            _ if atoms[..i].iter().any(same) => true,
+            (Value::Int(c), None) => {
+                !matches!((a.rel, *c), (Rel::Lt, i64::MIN) | (Rel::Gt, i64::MAX))
+                    && !matches!(a.rel, Rel::Prefix | Rel::NotPrefix)
             }
-            Value::Str(s) => {
-                if ints.contains_key(&key) {
-                    return false;
-                }
-                let e = strs.entry(key).or_insert_with(StrSet::full);
-                e.add(a.rel, s);
-                if e.is_empty() {
-                    return false;
-                }
+            (Value::Str(_), None) => {
+                matches!(a.rel, Rel::Eq | Rel::Ne | Rel::Prefix | Rel::NotPrefix)
             }
+            (Value::Int(c), Some(_)) => rest
+                .try_fold(IntSet::from_rel(a.rel, *c), |set, b| match b.constant {
+                    Value::Int(d) => Some(set.intersect(&IntSet::from_rel(b.rel, d))),
+                    Value::Str(_) => None,
+                })
+                .is_some_and(|set| !set.is_empty()),
+            (Value::Str(s), Some(_)) => rest
+                .try_fold(StrSet::from_rel(a.rel, s), |mut set, b| match &b.constant {
+                    Value::Str(t) => {
+                        set.add(b.rel, t);
+                        Some(set)
+                    }
+                    Value::Int(_) => None,
+                })
+                .is_some_and(|set| !set.is_empty()),
         }
-    }
-    true
+    })
 }
 
 #[cfg(test)]

@@ -4,11 +4,124 @@
 
 use camus_lang::approx::{approximate_expr, ApproxConfig};
 use camus_lang::ast::{Expr, Operand, Predicate, Rel};
-use camus_lang::dnf::to_dnf;
+use camus_lang::dnf::{to_dnf, Conjunction, Dnf};
 use camus_lang::parser::{parse_expr, parse_rule};
-use camus_lang::sets::IntSet;
+use camus_lang::sets::{implication, IntSet, StrSet};
 use camus_lang::value::Value;
 use proptest::prelude::*;
+use std::collections::{HashMap, HashSet};
+
+/// The reference normaliser `to_dnf` is checked against: DNF over owned
+/// atoms, one vector per conjunction, the algorithm `to_dnf` ran before
+/// it borrowed its atoms. Satisfiability keys each operand by its
+/// printed form, as it did then.
+fn reference_dnf(expr: &Expr) -> Dnf {
+    let mut terms: Vec<Conjunction> = Vec::new();
+    for atoms in reference_rec(expr, false) {
+        if !reference_satisfiable(&atoms) {
+            continue;
+        }
+        let atoms = reference_simplify(atoms);
+        if atoms.is_empty() {
+            return Dnf { terms: vec![Conjunction { atoms }] };
+        }
+        terms.push(Conjunction { atoms });
+    }
+    let mut seen = HashSet::new();
+    let keep: Vec<bool> = terms.iter().map(|c| seen.insert(c.clone())).collect();
+    let mut keep = keep.into_iter();
+    terms.retain(|_| keep.next().unwrap());
+    Dnf { terms }
+}
+
+fn reference_rec(expr: &Expr, neg: bool) -> Vec<Vec<Predicate>> {
+    match (expr, neg) {
+        (Expr::Not(e), _) => reference_rec(e, !neg),
+        (Expr::True, false) | (Expr::False, true) => vec![vec![]],
+        (Expr::True, true) | (Expr::False, false) => vec![],
+        (Expr::Atom(p), false) => vec![vec![p.clone()]],
+        (Expr::Atom(p), true) => vec![vec![Predicate {
+            operand: p.operand.clone(),
+            rel: p.rel.negate(),
+            constant: p.constant.clone(),
+        }]],
+        (Expr::And(a, b), false) | (Expr::Or(a, b), true) => {
+            let (l, r) = (reference_rec(a, neg), reference_rec(b, neg));
+            l.iter().flat_map(|l| r.iter().map(move |r| [&l[..], &r[..]].concat())).collect()
+        }
+        (Expr::Or(a, b), false) | (Expr::And(a, b), true) => {
+            let mut out = reference_rec(a, neg);
+            out.extend(reference_rec(b, neg));
+            out
+        }
+    }
+}
+
+fn reference_satisfiable(atoms: &[Predicate]) -> bool {
+    let mut ints: HashMap<String, IntSet> = HashMap::new();
+    let mut strs: HashMap<String, StrSet> = HashMap::new();
+    for a in atoms {
+        let key = a.operand.key();
+        match &a.constant {
+            Value::Int(c) => {
+                if strs.contains_key(&key) {
+                    return false;
+                }
+                let e = ints.entry(key).or_insert_with(IntSet::full);
+                *e = e.intersect(&IntSet::from_rel(a.rel, *c));
+                if e.is_empty() {
+                    return false;
+                }
+            }
+            Value::Str(s) => {
+                if ints.contains_key(&key) {
+                    return false;
+                }
+                let e = strs.entry(key).or_insert_with(StrSet::full);
+                e.add(a.rel, s);
+                if e.is_empty() {
+                    return false;
+                }
+            }
+        }
+    }
+    true
+}
+
+fn reference_simplify(atoms: Vec<Predicate>) -> Vec<Predicate> {
+    let implies = |k: &Predicate, q: &Predicate| {
+        k.operand == q.operand && implication(k, true, q) == Some(true)
+    };
+    let mut kept: Vec<Predicate> = Vec::with_capacity(atoms.len());
+    for a in atoms {
+        if kept.iter().any(|k| implies(k, &a)) {
+            continue;
+        }
+        kept.retain(|k| !implies(&a, k));
+        kept.push(a);
+    }
+    kept
+}
+
+#[test]
+fn to_dnf_equals_the_reference_on_each_construct() {
+    for src in [
+        "not (a > 3 and (b < 5 or not c == 2))",
+        "(a == 1 or b == 2) and (c == 3 or not (a == 1))",
+        "not (s =^ xy or t == q) and s =^ x",
+        "a == 1 and true",
+        "a == 1 and false or not false",
+        "not true or b > 2",
+        "a > 20 and a < 10 or s == x and s == q or s == x and a > 3",
+        "a > 50 and a > 40 and b < 3 and a >= 51",
+        "s =^ xyz and s =^ x and s == xyz",
+        "(a == 1 or a == 1) and (b == 2 or b == 2)",
+        "a > 1 and (a > 2 or b == 1) and (a > 1 or c == 0)",
+    ] {
+        let e = parse_expr(src).unwrap();
+        assert_eq!(to_dnf(&e), reference_dnf(&e), "{src}");
+    }
+}
 
 fn arb_rel_int() -> impl Strategy<Value = Rel> {
     prop_oneof![
@@ -95,6 +208,13 @@ proptest! {
             };
             prop_assert_eq!(e.eval_with(lookup), d.eval_with(lookup), "expr {} dnf {}", e, d);
         }
+    }
+
+    /// The normaliser yields the reference's terms, atoms and order
+    /// exactly.
+    #[test]
+    fn dnf_equals_the_reference(e in arb_expr()) {
+        prop_assert_eq!(to_dnf(&e), reference_dnf(&e), "expr {}", e);
     }
 
     /// α-approximation only widens the match set.

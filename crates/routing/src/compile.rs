@@ -13,10 +13,10 @@
 //! is built once and shared — cold, or, for a caller that carries a
 //! [`DeltaCache`] through churn, by replaying its rule delta on the
 //! maintained diagram of its predecessor. The incremental compile reads
-//! each list by reference ([`RoutingResult::switch_view`]): a delta
-//! clones only the rules it inserts, and only rebuilds (a seed is one)
-//! and cold builds materialise a list. [`RoutingResult::switch_rules`],
-//! the owned list, serves the oracle.
+//! each list by reference ([`RoutingResult::switch_view`]) and copies no
+//! rule of it: a cold build, a seed and a rebuild hand the view to the
+//! bulk constructor, and a delta inserts its rules by reference.
+//! [`RoutingResult::switch_rules`], the owned list, serves the oracle.
 //!
 //! Both compiles run their switches on one pool, the calling thread
 //! among its workers, through an atomic claim index, longest rule list
@@ -349,15 +349,15 @@ impl DeltaCache {
 /// Each distinct new list is compiled on the pool, longest first, the
 /// calling thread among the workers, from its
 /// [`RoutingResult::switch_view`], built once per list. How depends on
-/// `cache`. Without one every list is materialised and built cold
-/// ([`Compiler::compile`]): a cold deploy or a recovery. With one, a
-/// list whose slot's *previous* rule list left a maintained diagram in
-/// the cache (keyed by the slot's old fingerprint) replays only the
-/// rule delta on it ([`Compiler::compile_delta`], which clones only
-/// the rules it inserts) and the state moves to the new fingerprint; a
-/// list with no state to inherit replays on an empty state, which
-/// seeds it with one bulk construction. Each list's base is taken
-/// before the pool starts, in switch order, so the first of several
+/// `cache`. Without one every list is built cold from its view
+/// ([`Compiler::compile_refs`]): a cold deploy or a recovery. With one,
+/// a list whose slot's *previous* rule list left a maintained diagram
+/// in the cache (keyed by the slot's old fingerprint) replays only the
+/// rule delta on it ([`Compiler::compile_delta`], which inserts only
+/// the rules the diagram lacks) and the state moves to the new
+/// fingerprint; a list with no state to inherit replays on an empty
+/// state, which seeds it with one bulk construction. Each list's base
+/// is taken before the pool starts, in switch order, so the first of several
 /// twins that diverge from one old list takes its state and the rest
 /// are seeded whatever order the workers claim them in. A
 /// failed compile drops the states it took, which costs warmth, not
@@ -403,7 +403,7 @@ pub fn compile_network_incremental(
             let mut state = base.unwrap_or_default();
             (compiler.compile_delta(&mut state, &view)?, Some(state))
         } else {
-            (compiler.compile(&view.to_rules())?, None)
+            (compiler.compile_refs(view.iter().map(|(_, filter, action)| (filter, action)))?, None)
         };
         Ok((Arc::new(compiled), t0.elapsed(), state))
     })?;
@@ -664,7 +664,7 @@ mod tests {
     #[test]
     fn panic_in_a_pool_build_surfaces_as_compile_error_naming_the_switch() {
         // Filter sets spliced in from another routing run point past
-        // this run's pool, so materialising core 16's rule list panics
+        // this run's pool, so building core 16's rule view panics
         // inside its worker; the fingerprint fold never resolves ids
         // and the election does not notice.
         let net = paper_fat_tree();
@@ -682,7 +682,7 @@ mod tests {
     fn a_delta_naming_an_unknown_field_reports_the_scratch_rule_index() {
         // Host 3 adds a filter on a field the spec does not declare. Its
         // ToR replays the delta from the view; the error must name the
-        // rule a scratch compile of the materialised list names, and
+        // rule a scratch compile of the owned list names, and
         // the ToR's state must come out as it went in.
         let net = paper_fat_tree();
         let cfg = RoutingConfig::new(Policy::MemoryReduction);
@@ -724,7 +724,7 @@ mod tests {
         // A churned host dirties every core; core 16, the first of the
         // twins, takes their maintained state, and its filter set,
         // spliced in from a run with a larger pool, panics when its
-        // rule list is materialised.
+        // rule view is built.
         let mut churned = hosts.clone();
         churned[3] = vec![parse_expr("price > 4000").unwrap()];
         let mut wider = hosts.clone();

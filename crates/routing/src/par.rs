@@ -56,8 +56,11 @@ where
 {
     let workers = std::thread::available_parallelism().map_or(4, |p| p.get()).min(n);
     let next = AtomicUsize::new(0);
+    // Every worker's results, and so the caller's, which gathers them
+    // all, fit in `n` slots: sized up front, the buffers allocate the
+    // same however the units split among the workers.
     let work = || {
-        let mut local = Vec::new();
+        let mut local = Vec::with_capacity(n);
         loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
             if i >= n {
