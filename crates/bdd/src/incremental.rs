@@ -427,11 +427,6 @@ impl IncrementalBdd {
         digest
     }
 
-    /// Remove one occurrence of `rule`. Returns false if absent.
-    pub fn remove_rule(&mut self, rule: &Rule) -> bool {
-        self.remove_by_digest(rule_digest(rule))
-    }
-
     /// Remove one occurrence of the rule with this content digest —
     /// no rule value needed, the stored bookkeeping suffices.
     pub fn remove_by_digest(&mut self, digest: u64) -> bool {
@@ -961,7 +956,7 @@ mod tests {
             } else {
                 let i = rng.gen_range(0..live.len());
                 let r = live.swap_remove(i);
-                assert!(inc.remove_rule(&r), "rule must be removable");
+                assert!(inc.remove_by_digest(rule_digest(&r)), "rule must be removable");
             }
         }
         assert_eq!(inc.rule_count(), live.len());

@@ -27,9 +27,9 @@ use camus_dataplane::PacketBuilder;
 use camus_faults::{run_fault, FaultKind, ProbeConfig, RepairModel};
 use camus_lang::ast::Port;
 use camus_net::controller::Controller;
+use camus_oracle::expected_hosts;
 use camus_routing::algorithm1::{Policy, RoutingConfig};
 use camus_routing::topology::{DownTarget, HierNet, SwitchId};
-use camus_routing::verify::matching_hosts;
 use camus_telemetry::SampleRate;
 use camus_workloads::siena::{SienaConfig, SienaGenerator};
 
@@ -101,7 +101,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         // every host's filters against the witness values.
         let target = (0..net.host_count()).find(|&h| !subs[h].is_empty()).expect("a subscriber");
         let witness = g.matching_packet(&subs[target][0]);
-        let expected = matching_hosts(&subs, &witness, None);
+        let expected = expected_hosts(&subs, &witness, None);
         // Publish from a non-matching host on a different ToR, so the
         // probe always crosses the fabric and the publisher is never an
         // expected receiver.

@@ -33,9 +33,9 @@ use camus_dataplane::{Switch, SwitchTelemetry};
 use camus_faults::{run_fault, FaultKind, ProbeConfig, RepairModel};
 use camus_lang::ast::Port;
 use camus_net::controller::Controller;
+use camus_oracle::expected_hosts;
 use camus_routing::algorithm1::{Policy, RoutingConfig};
 use camus_routing::topology::FaultMask;
-use camus_routing::verify::matching_hosts;
 use camus_telemetry::{MetricsRegistry, SampleRate};
 use std::time::Instant;
 
@@ -187,7 +187,7 @@ fn anomaly_table(scale: Scale) -> Table {
 
     let target = (0..net.host_count()).find(|&h| !subs[h].is_empty()).expect("a subscriber");
     let witness = g.matching_packet(&subs[target][0]);
-    let expected = matching_hosts(&subs, &witness, None);
+    let expected = expected_hosts(&subs, &witness, None);
     let publisher = (0..net.host_count())
         .find(|&h| net.access[h].0 != net.access[target].0 && !expected.contains(&h))
         .expect("a non-matching publisher on another ToR");

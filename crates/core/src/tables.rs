@@ -801,7 +801,7 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use camus_bdd::BddBuilder;
+    use camus_bdd::{rule_digest, BddBuilder};
     use camus_lang::parser::parse_rules;
 
     fn compile(src: &str) -> (Pipeline, Vec<Rule>) {
@@ -1095,7 +1095,7 @@ mod tests {
                     live.push(extra);
                 } else {
                     let gone = live.swap_remove(rng.gen_range(0..live.len()));
-                    assert!(inc.remove_rule(&gone));
+                    assert!(inc.remove_by_digest(rule_digest(&gone)));
                 }
                 if op % 10 == 9 {
                     let what = format!("trial {trial} op {op}");
@@ -1153,7 +1153,7 @@ mod tests {
                 live.push(extra);
             } else {
                 let gone = live.swap_remove(rng.gen_range(0..live.len()));
-                assert!(inc.remove_rule(&gone));
+                assert!(inc.remove_by_digest(rule_digest(&gone)));
             }
         }
         let snap = inc.snapshot();

@@ -4,7 +4,9 @@
 //! identifier-routing core switch. Building its group is a sort and a
 //! hash-table fill, so four times the keys must cost about 4.3× the
 //! time (n log n); a per-key scan of the keys already seen — what
-//! lowering once did to drop duplicates — costs 16×.
+//! lowering once did to drop duplicates — costs 16×. Each size keeps
+//! the fastest of seven lowerings: a busy host only ever slows a run
+//! down, so the minimum is the run it disturbed least.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -29,8 +31,8 @@ fn one_state_exact_stage(keys: u32) -> Pipeline {
     }
 }
 
-fn median_lower_time(pipeline: &Pipeline) -> Duration {
-    let mut times: Vec<Duration> = (0..5)
+fn fastest_lower_time(pipeline: &Pipeline) -> Duration {
+    (0..7)
         .map(|_| {
             let t0 = Instant::now();
             let lowered = CompiledPipeline::lower(std::hint::black_box(pipeline));
@@ -38,15 +40,14 @@ fn median_lower_time(pipeline: &Pipeline) -> Duration {
             assert_eq!(lowered.total_entries(), pipeline.stages[0].entry_count());
             elapsed
         })
-        .collect();
-    times.sort();
-    times[times.len() / 2]
+        .min()
+        .unwrap()
 }
 
 #[test]
 fn lowering_an_exact_group_scales_with_its_size() {
-    let small = median_lower_time(&one_state_exact_stage(50_000));
-    let large = median_lower_time(&one_state_exact_stage(200_000));
+    let small = fastest_lower_time(&one_state_exact_stage(50_000));
+    let large = fastest_lower_time(&one_state_exact_stage(200_000));
     assert!(
         large < small * 8,
         "lowering 200k keys took {large:?}, 50k took {small:?}: more than 8x for 4x the keys"

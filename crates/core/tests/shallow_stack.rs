@@ -5,7 +5,7 @@
 //! one-rule list does. Every result is checked against
 //! `Expr::eval_with` on sampled packets.
 
-use camus_bdd::{Bdd, BddBuilder, IncrementalBdd, VarOrder};
+use camus_bdd::{rule_digest, Bdd, BddBuilder, IncrementalBdd, VarOrder};
 use camus_core::compiler::{CompileState, Compiler, RuleView};
 use camus_core::multicast::MulticastAllocator;
 use camus_core::pipeline::Pipeline;
@@ -122,10 +122,10 @@ fn maintenance_snapshot_and_emission() {
             rules.push(fresh);
             if k % 2 == 1 {
                 let gone = rules.remove(rules.len() - 2);
-                assert!(inc.remove_rule(&gone));
+                assert!(inc.remove_by_digest(rule_digest(&gone)));
             } else {
                 let gone = rules.remove(k);
-                assert!(inc.remove_rule(&gone));
+                assert!(inc.remove_by_digest(rule_digest(&gone)));
             }
         }
         assert_eq!(inc.rule_count(), rules.len());

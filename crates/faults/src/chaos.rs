@@ -21,7 +21,8 @@
 //!   streak is bounded by the longest such outage streak;
 //! * **eventual convergence** — once faults are restored and the
 //!   channel heals, one repair converges the network to exactly what a
-//!   fresh deploy would install (per-switch fingerprints and installed
+//!   fresh deploy would install (`camus_oracle::same_tables`:
+//!   per-switch fingerprints, entry counts, compiled and installed
 //!   pipelines).
 //!
 //! The schedule can also **kill the controller** mid-transaction
@@ -56,8 +57,8 @@ use camus_lang::ast::Port;
 use camus_lang::value::Value;
 use camus_net::controller::{Controller, Deployment};
 use camus_net::{ChannelOutcome, ControlChannel, ControlOp, Network, ReconcileStats};
+use camus_oracle::{expected_hosts, same_tables};
 use camus_routing::topology::{HierNet, HostId, SwitchId};
-use camus_routing::verify::matching_hosts;
 use camus_telemetry::{AuditReport, PostcardId, SampleRate};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -156,7 +157,8 @@ pub struct ChaosReport {
     pub max_dark_streak: usize,
     /// Delivered (host, probe) pairs of the post-heal final burst.
     pub final_delivered: usize,
-    /// The healed network matched a fresh deploy switch-for-switch.
+    /// The healed network held a fresh deploy's tables, switch for
+    /// switch (`camus_oracle::same_tables`).
     pub converged: bool,
 }
 
@@ -469,7 +471,7 @@ pub fn run_chaos(input: ChaosInput<'_>, cfg: &ChaosConfig) -> ChaosReport {
 
         // --- 3. probe burst + audit ---
         let (log, traced) = witness_burst(&mut d.network);
-        let deployed = matching_hosts(&deployed_subs, &witness_values, Some(publisher));
+        let deployed = expected_hosts(&deployed_subs, &witness_values, Some(publisher));
         let must: BTreeSet<HostId> = deployed
             .iter()
             .copied()
@@ -481,7 +483,7 @@ pub fn run_chaos(input: ChaosInput<'_>, cfg: &ChaosConfig) -> ChaosReport {
         // union is still a leak.
         let mut may: BTreeSet<HostId> = deployed.into_iter().collect();
         if let Some(target) = &in_doubt {
-            may.extend(matching_hosts(target, &witness_values, Some(publisher)));
+            may.extend(expected_hosts(target, &witness_values, Some(publisher)));
         }
         let audit = log.audit(repeat((&must, &may)));
         // Invariants: never leak, never duplicate; a committed repair
@@ -566,18 +568,12 @@ pub fn run_chaos(input: ChaosInput<'_>, cfg: &ChaosConfig) -> ChaosReport {
     assert!(d.network.fault_mask().is_healthy());
 
     let fresh = ctrl.deploy(net.clone(), &subs).expect("fresh oracle deploy");
-    let mut converged = true;
-    for (got, want) in d.compile.switches.iter().zip(fresh.compile.switches.iter()) {
-        converged &= got.fingerprint == want.fingerprint;
-    }
-    for s in 0..net.switch_count() {
-        converged &= d.network.switches[s].pipeline() == fresh.network.switches[s].pipeline();
-    }
-    assert!(converged, "healed network must equal a fresh deploy");
+    let converged = same_tables(&d, &fresh);
+    assert_eq!(converged, Ok(()), "healed network must equal a fresh deploy");
 
     let (healed, _) = witness_burst(&mut d.network);
     let matching: BTreeSet<HostId> =
-        matching_hosts(&subs, &witness_values, Some(publisher)).into_iter().collect();
+        expected_hosts(&subs, &witness_values, Some(publisher)).into_iter().collect();
     let healed = healed.audit(repeat((&matching, &matching)));
     assert!(healed.clean(), "healed network must deliver exactly once: {healed:?}");
 
@@ -592,27 +588,22 @@ pub fn run_chaos(input: ChaosInput<'_>, cfg: &ChaosConfig) -> ChaosReport {
         max_outage_streak,
         max_dark_streak,
         final_delivered: healed.delivered,
-        converged,
+        converged: converged.is_ok(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use camus_core::statics::compile_static;
     use camus_dataplane::PacketBuilder;
     use camus_lang::parser::parse_expr;
     use camus_lang::spec::itch_spec;
-    use camus_net::controller::Controller;
-    use camus_routing::algorithm1::{Policy, RoutingConfig};
+    use camus_oracle::itch_controller;
+    use camus_routing::algorithm1::Policy;
     use camus_routing::topology::paper_fat_tree;
 
-    fn setup() -> (Controller, HierNet, ChaosInput<'static>) {
-        let net = paper_fat_tree();
-        let statics = compile_static(&itch_spec()).unwrap();
-        let ctrl = Controller::new(statics, RoutingConfig::new(Policy::TrafficReduction));
-        let ctrl = Box::leak(Box::new(ctrl));
-        let netref = Box::leak(Box::new(net.clone()));
+    fn setup() -> ChaosInput<'static> {
+        let net: &'static HierNet = Box::leak(Box::new(paper_fat_tree()));
         let subs: Vec<Vec<Expr>> = (0..net.host_count())
             .map(|h| match h {
                 5 | 11 => vec![parse_expr("stock == GOOGL").unwrap()],
@@ -629,9 +620,9 @@ mod tests {
         let witness = PacketBuilder::new(&itch_spec())
             .message(vec![("stock", Value::from("GOOGL")), ("price", Value::Int(10))])
             .build();
-        let input = ChaosInput {
-            ctrl,
-            net: netref,
+        ChaosInput {
+            ctrl: Box::leak(Box::new(itch_controller(Policy::TrafficReduction))),
+            net,
             subs,
             pool,
             witness,
@@ -640,20 +631,12 @@ mod tests {
                 ("price".to_string(), Value::Int(10)),
             ],
             publisher: 0,
-        };
-        (
-            Controller::new(
-                compile_static(&itch_spec()).unwrap(),
-                RoutingConfig::new(Policy::TrafficReduction),
-            ),
-            net,
-            input,
-        )
+        }
     }
 
     #[test]
     fn soak_holds_invariants_and_converges() {
-        let (_, _, input) = setup();
+        let input = setup();
         let cfg = ChaosConfig { seed: 0xD06, steps: 16, probes_per_step: 2, ..Default::default() };
         let r = run_chaos(input, &cfg);
         assert_eq!(r.steps.len(), 16);
@@ -675,7 +658,7 @@ mod tests {
         // (the inline asserts in run_chaos are the real teeth here).
         let (mut total_crashes, mut total_recoveries, mut total_down) = (0usize, 0usize, 0usize);
         for seed in [0xC4A5u64, 0xD1E, 0xFEED] {
-            let (_, _, input) = setup();
+            let input = setup();
             let cfg = ChaosConfig { seed, steps: 40, probes_per_step: 2, ..Default::default() };
             let r = run_chaos(input, &cfg);
             assert!(r.converged);
@@ -693,8 +676,8 @@ mod tests {
 
     #[test]
     fn same_seed_same_soak() {
-        let (_, _, a) = setup();
-        let (_, _, b) = setup();
+        let a = setup();
+        let b = setup();
         let cfg = ChaosConfig { seed: 0xBEEF, steps: 12, ..Default::default() };
         let ra = run_chaos(a, &cfg);
         let rb = run_chaos(b, &cfg);
@@ -712,7 +695,7 @@ mod tests {
 
     #[test]
     fn traced_soak_matches_log_audit_and_sees_every_outage() {
-        let (_, _, input) = setup();
+        let input = setup();
         let cfg = ChaosConfig {
             seed: 0xD06,
             steps: 16,
@@ -735,7 +718,7 @@ mod tests {
 
         // The traced soak is behaviourally identical to the untraced
         // one: same outcomes, same delivery accounting, same streaks.
-        let (_, _, untraced) = setup();
+        let untraced = setup();
         let base = run_chaos(untraced, &ChaosConfig { sample: SampleRate::DISABLED, ..cfg });
         let key = |r: &ChaosReport| {
             r.steps.iter().map(|s| (s.label.clone(), s.outcome, s.audit)).collect::<Vec<_>>()
@@ -751,7 +734,7 @@ mod tests {
         // least once; otherwise the soak is not exercising retry paths.
         let mut rolled = 0usize;
         for seed in [1u64, 2, 3] {
-            let (_, _, input) = setup();
+            let input = setup();
             let cfg = ChaosConfig { seed, steps: 14, ..Default::default() };
             rolled += run_chaos(input, &cfg).rolled_back_steps;
         }

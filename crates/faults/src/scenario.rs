@@ -258,19 +258,18 @@ pub fn run_schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use camus_core::statics::compile_static;
     use camus_dataplane::PacketBuilder;
     use camus_lang::parser::parse_expr;
     use camus_lang::spec::itch_spec;
     use camus_lang::value::Value;
     use camus_net::controller::Controller;
-    use camus_routing::algorithm1::{Policy, RoutingConfig};
+    use camus_oracle::itch_controller;
+    use camus_routing::algorithm1::Policy;
     use camus_routing::topology::{paper_fat_tree, DownTarget};
 
     fn setup() -> (Controller, Deployment, Vec<Vec<Expr>>, ProbeConfig) {
         let net = paper_fat_tree();
-        let statics = compile_static(&itch_spec()).unwrap();
-        let ctrl = Controller::new(statics, RoutingConfig::new(Policy::TrafficReduction));
+        let ctrl = itch_controller(Policy::TrafficReduction);
         let subs: Vec<Vec<Expr>> = (0..net.host_count())
             .map(|h| if h == 15 { vec![parse_expr("stock == GOOGL").unwrap()] } else { vec![] })
             .collect();

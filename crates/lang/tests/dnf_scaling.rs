@@ -4,7 +4,9 @@
 //! terms. Repeated terms are dropped through a hash set, so four times
 //! the disjuncts must cost about 4× the time; a scan of the terms kept
 //! so far for each new one — what normalisation once did — costs about
-//! 14× (quadratic, softened by the linear parts).
+//! 14× (quadratic, softened by the linear parts). Each size keeps the
+//! fastest of seven normalisations: a busy host only ever slows a run
+//! down, so the minimum is the run it disturbed least.
 
 use std::time::{Duration, Instant};
 
@@ -21,8 +23,8 @@ fn disjunction(lo: i64, hi: i64) -> Expr {
     disjunction(lo, mid).or(disjunction(mid, hi))
 }
 
-fn median_dnf_time(expr: &Expr, terms: usize) -> Duration {
-    let mut times: Vec<Duration> = (0..5)
+fn fastest_dnf_time(expr: &Expr, terms: usize) -> Duration {
+    (0..7)
         .map(|_| {
             let t0 = Instant::now();
             let dnf = to_dnf(std::hint::black_box(expr));
@@ -30,15 +32,14 @@ fn median_dnf_time(expr: &Expr, terms: usize) -> Duration {
             assert_eq!(dnf.terms.len(), terms);
             elapsed
         })
-        .collect();
-    times.sort();
-    times[times.len() / 2]
+        .min()
+        .unwrap()
 }
 
 #[test]
 fn dnf_of_a_disjunction_scales_with_its_terms() {
-    let small = median_dnf_time(&disjunction(0, 4_000), 4_000);
-    let large = median_dnf_time(&disjunction(0, 16_000), 16_000);
+    let small = fastest_dnf_time(&disjunction(0, 4_000), 4_000);
+    let large = fastest_dnf_time(&disjunction(0, 16_000), 16_000);
     assert!(
         large < small * 8,
         "16k disjuncts took {large:?}, 4k took {small:?}: more than 8x for 4x the terms"

@@ -11,7 +11,7 @@
 use crate::channel::{timed_op, ControlChannel, ControlOp, PerfectChannel};
 use crate::clock::Clock;
 use crate::sim::Network;
-use camus_core::compiler::{CompileError, Compiler};
+use camus_core::compiler::{CompileError, Compiler, RuleView};
 use camus_core::pipeline::{LeafTable, Pipeline, STATE_INIT};
 use camus_core::resources::ResourceBudget;
 use camus_core::statics::StaticPipeline;
@@ -211,10 +211,10 @@ impl DeployReport {
 /// switch's rules forwards to. Over-delivers (downstream switches and
 /// hosts still filter), never under-delivers; deterministic in the
 /// rule list so repair and fresh deploy converge to the same program.
-fn coarse_pipeline(rules: &[camus_lang::ast::Rule]) -> Pipeline {
+fn coarse_pipeline(rules: &RuleView<'_>) -> Pipeline {
     let mut ports: BTreeSet<Port> = BTreeSet::new();
-    for r in rules {
-        if let Action::Forward(ps) = &r.action {
+    for (_, _, action) in rules.iter() {
+        if let Action::Forward(ps) = action {
             ports.extend(ps.iter().copied());
         }
     }
@@ -372,7 +372,7 @@ impl Controller {
                     // the fallback is still the switch's call.
                     let coarse = Program::build(
                         &self.statics.spec,
-                        coarse_pipeline(&routing.switch_rules(s)),
+                        coarse_pipeline(&routing.switch_view(s)),
                     );
                     match network.switches[s].stage_epoch(Arc::new(coarse), epoch) {
                         Ok(()) => {

@@ -15,8 +15,8 @@
 //!   plus the α-discretisation approximation of §IV-D applied to
 //!   aggregated (non-access) filter sets.
 //! * [`verify`] finds the hosts a published packet must reach
-//!   ([`verify::matching_hosts`]), the oracle the service audit and the
-//!   fault experiments check deliveries against.
+//!   ([`verify::matching_hosts`]), the definition the service audit
+//!   checks each commit's deliveries against.
 //! * [`compile`] runs the Camus compiler for every switch (in parallel
 //!   on `par::run_parallel`) and aggregates per-layer entry counts and
 //!   compile times (Figs. 13 and 14).

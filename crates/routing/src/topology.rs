@@ -198,19 +198,12 @@ impl HierNet {
         chain
     }
 
-    /// Hosts whose designated chain passes through `switch` — the
-    /// subscribers this switch serves on the distribution tree. For a
-    /// top-layer switch this is every host (the second-to-top level
-    /// replicates its subscriptions to *all* top switches, so any of
-    /// them can serve as the peak of a path). Always a subset of the
-    /// hosts below a non-top switch.
-    pub fn designated_below(&self, switch: SwitchId) -> Vec<HostId> {
-        self.designated_below_masked(switch, &FaultMask::default())
-    }
-
-    /// [`HierNet::designated_below`] over a degraded topology. A dead
-    /// switch serves nobody; a top-layer switch serves every host whose
-    /// masked chain still peaks in the top layer.
+    /// Hosts whose designated chain under `mask` passes through
+    /// `switch` — the subscribers this switch serves on the
+    /// distribution tree. A top-layer switch serves every host whose
+    /// chain peaks in the top layer (the second-to-top level replicates
+    /// its subscriptions to *all* top switches, so any of them can
+    /// serve as the peak of a path). A dead switch serves nobody.
     pub fn designated_below_masked(&self, switch: SwitchId, mask: &FaultMask) -> Vec<HostId> {
         if !mask.switch_alive(switch) {
             return vec![];
@@ -230,17 +223,12 @@ impl HierNet {
     }
 
     /// Hosts served by the down port `(switch, port)` on the
-    /// distribution tree: the host itself for an access port, or the
-    /// hosts whose designated chain uses the edge `child → switch`.
-    /// When `switch` is a top-layer switch, the edge from `child`
-    /// serves every host whose chain ascends from `child` into the top
-    /// layer (the child replicates to all top switches).
-    pub fn designated_through(&self, switch: SwitchId, port: Port) -> Vec<HostId> {
-        self.designated_through_masked(switch, port, &FaultMask::default())
-    }
-
-    /// [`HierNet::designated_through`] over a degraded topology. A port
-    /// whose link is unusable serves nobody.
+    /// distribution tree under `mask`: the host itself for an access
+    /// port, or the hosts whose designated chain uses the edge
+    /// `child → switch`. When `switch` is a top-layer switch, the edge
+    /// from `child` serves every host whose chain ascends from `child`
+    /// into the top layer (the child replicates to all top switches). A
+    /// port whose link is unusable serves nobody.
     pub fn designated_through_masked(
         &self,
         switch: SwitchId,
@@ -441,9 +429,6 @@ mod tests {
         let net = paper_fat_tree();
         let mask = FaultMask::default();
         assert!(mask.is_healthy());
-        for s in 0..net.switch_count() {
-            assert_eq!(net.designated_below(s), net.designated_below_masked(s, &mask));
-        }
         for h in 0..net.host_count() {
             assert!(net.host_attached(h, &mask));
             assert_eq!(net.designated_chain(h), net.designated_chain_masked(h, &mask));

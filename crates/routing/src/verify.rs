@@ -3,8 +3,8 @@
 //! The paper's invariant is that a packet reaches exactly the hosts
 //! whose subscriptions it satisfies. [`matching_hosts`] evaluates the
 //! subscriptions themselves against the packet's attribute values, so
-//! the service audit and the fault experiments can check deliveries
-//! against the definition rather than against another compiled form.
+//! the service audit checks deliveries against the definition, not
+//! another compiled form. Tests and experiments use `camus-oracle`'s.
 
 use camus_lang::ast::{Expr, Operand};
 use camus_lang::value::Value;

@@ -460,19 +460,18 @@ impl CamusService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use camus_core::statics::compile_static;
     use camus_dataplane::PacketBuilder;
     use camus_lang::parser::parse_expr;
     use camus_lang::spec::itch_spec;
     use camus_lang::value::Value;
     use camus_net::{DeployError, PerfectChannel};
-    use camus_routing::algorithm1::{Policy, RoutingConfig};
+    use camus_oracle::itch_controller;
+    use camus_routing::algorithm1::Policy;
     use camus_routing::topology::paper_fat_tree;
     use std::sync::{Arc, Mutex};
 
     fn controller() -> Controller {
-        let statics = compile_static(&itch_spec()).unwrap();
-        Controller::new(statics, RoutingConfig::new(Policy::TrafficReduction))
+        itch_controller(Policy::TrafficReduction)
     }
 
     fn f(s: &str) -> Expr {

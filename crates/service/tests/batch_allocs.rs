@@ -16,13 +16,11 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use camus_core::statics::compile_static;
 use camus_lang::ast::Expr;
 use camus_lang::parser::parse_expr;
-use camus_lang::spec::itch_spec;
-use camus_net::controller::Controller;
 use camus_net::PerfectChannel;
-use camus_routing::algorithm1::{Policy, RoutingConfig};
+use camus_oracle::itch_controller;
+use camus_routing::algorithm1::Policy;
 use camus_routing::topology::paper_fat_tree;
 use camus_service::{CamusService, RequestOp, ServiceConfig};
 
@@ -61,10 +59,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 fn net_zero_batch_allocs(held: usize) -> u64 {
     let net = paper_fat_tree();
     let hosts = net.host_count();
-    let ctrl = Controller::new(
-        compile_static(&itch_spec()).unwrap(),
-        RoutingConfig::new(Policy::TrafficReduction),
-    );
+    let ctrl = itch_controller(Policy::TrafficReduction);
     // A noop batch never routes or compiles, so the deployed compile
     // may stay empty while the stages hold `held` subscriptions.
     let deployment = ctrl.deploy(net, &vec![Vec::new(); hosts]).unwrap();

@@ -13,23 +13,15 @@
 //! never recovered *state*; and the WAL itself must be idempotent
 //! under double replay.
 
-use camus_core::statics::compile_static;
-use camus_dataplane::PacketBuilder;
 use camus_lang::ast::Expr;
 use camus_lang::parser::parse_expr;
-use camus_lang::spec::itch_spec;
 use camus_lang::value::Value;
-use camus_net::controller::Controller;
-use camus_net::{Network, PerfectChannel};
-use camus_routing::algorithm1::{Policy, RoutingConfig};
+use camus_net::PerfectChannel;
+use camus_oracle::{itch_controller, same_behaviour, Publication};
+use camus_routing::algorithm1::Policy;
 use camus_routing::topology::paper_fat_tree;
 use camus_service::{CamusService, ServiceConfig, Wal};
 use proptest::prelude::*;
-
-fn controller() -> Controller {
-    let statics = compile_static(&itch_spec()).unwrap();
-    Controller::new(statics, RoutingConfig::new(Policy::TrafficReduction))
-}
 
 fn filters() -> Vec<Expr> {
     ["price > 10", "price > 50", "stock == GOOGL", "stock == MSFT", "shares >= 5"]
@@ -50,7 +42,7 @@ fn arb_schedule(hosts: usize) -> impl Strategy<Value = Vec<Step>> {
 fn start_service(cfg: ServiceConfig) -> CamusService {
     let net = paper_fat_tree();
     let subs = vec![Vec::new(); net.host_count()];
-    let ctrl = controller();
+    let ctrl = itch_controller(Policy::TrafficReduction);
     let d = ctrl.deploy(net, &subs).unwrap();
     CamusService::start(ctrl, d, subs, Box::new(PerfectChannel), cfg)
 }
@@ -69,51 +61,26 @@ fn feed(svc: &mut CamusService, steps: &[Step], pool: &[Expr], t: &mut u64) {
     }
 }
 
-/// What each host receives (latency, sorted values) over a publication
-/// matrix sweeping the pool's predicate space: every stock in the pool
-/// plus one absent from it, prices on both sides of each threshold,
-/// shares on both sides of the `>= 5` cut, from three publishers.
-/// Deliveries are taken from each host's current count, and latency
-/// rather than absolute time is compared: the two runs publish from
-/// different network clocks.
-type Deliveries = Vec<Vec<(u64, Vec<(String, String)>)>>;
-
-fn matrix_deliveries(network: &mut Network) -> Deliveries {
-    let spec = itch_spec();
-    let hosts = network.topology.host_count();
-    let before: Vec<usize> = (0..hosts).map(|h| network.deliveries(h).len()).collect();
-    let base = network.now_ns() + 1;
+/// A matrix sweeping the pool's predicate space: every stock in the
+/// pool plus one absent from it, prices on both sides of each
+/// threshold, shares on both sides of the `>= 5` cut, from three
+/// publishers.
+fn matrix() -> Vec<Publication> {
     let publishers = [0usize, 6, 11];
-    let mut k = 0u64;
+    let mut pubs = Vec::new();
     for stock in ["GOOGL", "MSFT", "AAPL"] {
         for price in [5i64, 20, 75] {
             for shares in [1i64, 10] {
-                let pkt = PacketBuilder::new(&spec)
-                    .message(vec![
-                        ("stock", Value::from(stock)),
-                        ("price", Value::Int(price)),
-                        ("shares", Value::Int(shares)),
-                    ])
-                    .build();
-                network.publish(publishers[k as usize % publishers.len()], pkt, base + k * 10_000);
-                k += 1;
+                let fields = vec![
+                    ("stock", Value::from(stock)),
+                    ("price", Value::Int(price)),
+                    ("shares", Value::Int(shares)),
+                ];
+                pubs.push((publishers[pubs.len() % publishers.len()], fields));
             }
         }
     }
-    network.run(None);
-    (0..hosts)
-        .map(|h| {
-            network.deliveries(h)[before[h]..]
-                .iter()
-                .map(|del| {
-                    let mut vals: Vec<(String, String)> =
-                        del.values.iter().map(|(k, v)| (k.clone(), format!("{v:?}"))).collect();
-                    vals.sort();
-                    (del.time_ns - del.published_ns, vals)
-                })
-                .collect()
-        })
-        .collect()
+    pubs
 }
 
 proptest! {
@@ -151,7 +118,7 @@ proptest! {
         prop_assert!(wreck.errors.is_empty(), "{:?}", wreck.errors);
 
         let (mut svc, _stats) = CamusService::recover(
-            controller(),
+            itch_controller(Policy::TrafficReduction),
             wreck.deployment.network,
             wal.clone(),
             Box::new(PerfectChannel),
@@ -165,34 +132,16 @@ proptest! {
         // 1. Same target subscription state.
         prop_assert_eq!(&out.subs, &oracle_out.subs);
 
-        // 2. Same compiled fingerprints, switch for switch.
-        let fps = |o: &camus_service::ServiceOutcome| -> Vec<(usize, u64)> {
-            o.deployment.compile.switches.iter().map(|s| (s.switch, s.fingerprint)).collect()
-        };
-        prop_assert_eq!(fps(&out), fps(&oracle_out));
+        // 2. The same behaviour: the same compiled fingerprints, switch
+        // for switch; each side runs exactly what it compiled, with no
+        // staged wreckage left; and every host receives the same over
+        // the matrix. Table structure is not compared: both sides
+        // compile through delta maintenance on live diagrams, whose
+        // shape depends on how the worker batched the schedule.
+        let (mut d, mut od) = (out.deployment, oracle_out.deployment);
+        prop_assert_eq!(same_behaviour(&mut d, &mut od, &matrix()), Ok(()));
 
-        // 3. Each side installed exactly what it compiled, and no
-        // staged wreckage is left. Table *structure* is not compared
-        // across the two sides: both compile through delta maintenance
-        // on live BDDs, whose shape depends on how the worker happened
-        // to batch the schedule — timing, not state.
-        let mut d = out.deployment;
-        let mut od = oracle_out.deployment;
-        for live in [&d, &od] {
-            for (sw, sc) in live.network.switches.iter().zip(&live.compile.switches) {
-                prop_assert_eq!(sw.pipeline(), &sc.compiled.pipeline, "switch {}", sc.switch);
-                prop_assert!(sw.staged_epoch().is_none() && sw.unfinalized_epoch().is_none());
-            }
-        }
-
-        // 4. Same delivery behaviour over the publication matrix.
-        let got = matrix_deliveries(&mut d.network);
-        let want = matrix_deliveries(&mut od.network);
-        for (h, (g, w)) in got.iter().zip(&want).enumerate() {
-            prop_assert_eq!(g, w, "deliveries diverge at host {}", h);
-        }
-
-        // 5. The WAL is idempotent under double replay, and its
+        // 3. The WAL is idempotent under double replay, and its
         // replayed state is exactly the final target state.
         let once = wal.replay().expect("the log reads back");
         let twice = wal.replay().expect("the log reads back");

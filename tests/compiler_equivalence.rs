@@ -7,6 +7,7 @@ use camus_core::compiler::Compiler;
 use camus_core::VarOrder;
 use camus_lang::ast::{Action, Expr, Operand, Predicate, Rel, Rule};
 use camus_lang::value::Value;
+use camus_oracle::expected_ports;
 use proptest::prelude::*;
 
 /// Strategy: an atomic predicate over a small typed universe.
@@ -104,16 +105,11 @@ proptest! {
             let lookup = |op: &Operand| {
                 pkt.iter().find(|(n, _)| *n == op.key()).map(|(_, v)| v.clone())
             };
-            let mut want: Vec<u16> = rules
-                .iter()
-                .filter(|r| r.filter.eval_with(lookup))
-                .flat_map(|r| r.action.ports().unwrap().to_vec())
-                .collect();
-            want.sort_unstable();
-            want.dedup();
             let got = compiled.pipeline.evaluate(lookup);
             let got_ports = got.ports().map(<[u16]>::to_vec).unwrap_or_default();
-            prop_assert_eq!(got_ports, want, "packet {:?} order {:?}", pkt, order);
+            prop_assert_eq!(
+                got_ports, expected_ports(&rules, pkt), "packet {:?} order {:?}", pkt, order
+            );
         }
     }
 

@@ -13,15 +13,13 @@
 
 use camus_core::pipeline::Pipeline;
 use camus_core::resources::ResourceBudget;
-use camus_core::statics::compile_static;
-use camus_dataplane::PacketBuilder;
 use camus_lang::ast::Expr;
 use camus_lang::parser::parse_expr;
-use camus_lang::spec::itch_spec;
 use camus_lang::value::Value;
 use camus_net::channel::{ChannelOutcome, ControlChannel, ControlOp, PerfectChannel};
-use camus_net::controller::{Controller, DeployError, Deployment};
-use camus_routing::algorithm1::{Policy, RoutingConfig};
+use camus_net::controller::{DeployError, Deployment};
+use camus_oracle::{deliveries, itch_controller, same_deliveries, Publication};
+use camus_routing::algorithm1::Policy;
 use camus_routing::topology::paper_fat_tree;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -35,44 +33,14 @@ fn equality_pool() -> Vec<Expr> {
         .collect()
 }
 
-fn controller(policy: Policy) -> Controller {
-    Controller::new(compile_static(&itch_spec()).unwrap(), RoutingConfig::new(policy))
-}
-
 /// Fixed publication scenario exercising the pool filters and the
 /// range filter the tests churn in.
-fn publications() -> Vec<(usize, Vec<(&'static str, Value)>)> {
+fn publications() -> Vec<Publication> {
     vec![
         (0, vec![("stock", Value::from("GOOGL")), ("price", Value::Int(30))]),
         (6, vec![("stock", Value::from("MSFT")), ("price", Value::Int(700))]),
         (11, vec![("stock", Value::from("AAPL")), ("price", Value::Int(90))]),
     ]
-}
-
-/// Per host, the delivered (time, sorted field values) pairs.
-type Deliveries = Vec<Vec<(u64, Vec<(String, String)>)>>;
-
-fn run_and_collect(d: &mut Deployment) -> Deliveries {
-    let spec = itch_spec();
-    for (i, (host, fields)) in publications().into_iter().enumerate() {
-        let pkt = PacketBuilder::new(&spec).message(fields).build();
-        d.network.publish(host, pkt, (i as u64) * 10_000);
-    }
-    d.network.run(None);
-    (0..d.network.topology.host_count())
-        .map(|h| {
-            d.network
-                .deliveries(h)
-                .iter()
-                .map(|del| {
-                    let mut vals: Vec<(String, String)> =
-                        del.values.iter().map(|(k, v)| (k.clone(), format!("{v:?}"))).collect();
-                    vals.sort();
-                    (del.time_ns, vals)
-                })
-                .collect()
-        })
-        .collect()
 }
 
 /// A channel that never delivers one op kind to one switch.
@@ -114,7 +82,7 @@ proptest! {
         // The target's ToR has no TCAM and no coarse fallback: any
         // range filter for the target must be refused there.
         let tor = net.designated_chain(target)[0];
-        let mut ctrl = controller(policy);
+        let mut ctrl = itch_controller(policy);
         ctrl.budget_overrides
             .insert(tor, ResourceBudget { max_tcam_entries: 0, ..ResourceBudget::unlimited() });
         ctrl.degrade_over_budget = false;
@@ -140,14 +108,11 @@ proptest! {
 
         // Byte-identical deliveries vs a fresh deploy of the old subs.
         let mut fresh = ctrl.deploy(net.clone(), &subs).expect("fresh old-subs deploy");
-        let before: Vec<usize> =
-            (0..net.host_count()).map(|h| live.network.deliveries(h).len()).collect();
-        let live_all = run_and_collect(&mut live);
-        let fresh_del = run_and_collect(&mut fresh);
-        for h in 0..net.host_count() {
-            let delta: Vec<_> = live_all[h][before[h]..].to_vec();
-            prop_assert_eq!(&delta, &fresh_del[h], "host {} diverged after rejection", h);
-        }
+        prop_assert_eq!(
+            same_deliveries(&mut live.network, &mut fresh.network, &publications()),
+            Ok(()),
+            "after rejection"
+        );
     }
 
     /// Degradation enabled instead: the deploy succeeds, and the
@@ -172,16 +137,16 @@ proptest! {
         }
         subs[target].push(parse_expr(&format!("price > {threshold}")).unwrap());
 
-        let mut ctrl = controller(policy);
+        let mut ctrl = itch_controller(policy);
         ctrl.budget_overrides
             .insert(tor, ResourceBudget { max_tcam_entries: 0, ..ResourceBudget::unlimited() });
         let mut coarse = ctrl.deploy(net.clone(), &subs).expect("degraded deploy succeeds");
         prop_assert!(coarse.degraded.contains(&tor), "ToR {} must degrade", tor);
 
         let mut precise =
-            controller(policy).deploy(net.clone(), &subs).expect("precise deploy");
-        let coarse_del = run_and_collect(&mut coarse);
-        let precise_del = run_and_collect(&mut precise);
+            itch_controller(policy).deploy(net.clone(), &subs).expect("precise deploy");
+        let coarse_del = deliveries(&mut coarse.network, &publications());
+        let precise_del = deliveries(&mut precise.network, &publications());
         for h in 0..net.host_count() {
             for delivery in &precise_del[h] {
                 prop_assert!(
@@ -206,7 +171,7 @@ proptest! {
         let policy =
             if policy_tr { Policy::TrafficReduction } else { Policy::MemoryReduction };
         let tor = net.designated_chain(target)[0];
-        let ctrl = controller(policy);
+        let ctrl = itch_controller(policy);
 
         let mut subs: Vec<Vec<Expr>> = vec![Vec::new(); net.host_count()];
         for (host, f) in &seed_adds {
@@ -231,14 +196,11 @@ proptest! {
         prop_assert_eq!(&fp_before, &fingerprints(&live), "compile state must be untouched");
 
         let mut fresh = ctrl.deploy(net.clone(), &subs).expect("fresh old-subs deploy");
-        let before: Vec<usize> =
-            (0..net.host_count()).map(|h| live.network.deliveries(h).len()).collect();
-        let live_all = run_and_collect(&mut live);
-        let fresh_del = run_and_collect(&mut fresh);
-        for h in 0..net.host_count() {
-            let delta: Vec<_> = live_all[h][before[h]..].to_vec();
-            prop_assert_eq!(&delta, &fresh_del[h], "host {} diverged after rollback", h);
-        }
+        prop_assert_eq!(
+            same_deliveries(&mut live.network, &mut fresh.network, &publications()),
+            Ok(()),
+            "after rollback"
+        );
     }
 }
 
@@ -248,7 +210,7 @@ proptest! {
 #[test]
 fn undoing_an_install_on_one_twin_leaves_the_other_alone() {
     let net = paper_fat_tree();
-    let ctrl = controller(Policy::MemoryReduction);
+    let ctrl = itch_controller(Policy::MemoryReduction);
     let pool = equality_pool();
     let subs: Vec<Vec<Expr>> =
         (0..net.host_count()).map(|h| vec![pool[h % pool.len()].clone()]).collect();
@@ -273,7 +235,7 @@ fn undoing_an_install_on_one_twin_leaves_the_other_alone() {
     assert!(live.network.switches[a].revert_committed());
     assert!(Arc::ptr_eq(&shared, live.network.switches[a].program()));
 
-    assert_eq!(run_and_collect(&mut live), run_and_collect(&mut fresh));
+    assert_eq!(same_deliveries(&mut live.network, &mut fresh.network, &publications()), Ok(()));
     for s in 0..net.switch_count() {
         assert_eq!(
             live.network.switches[s].stats(),

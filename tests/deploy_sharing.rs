@@ -11,25 +11,20 @@
 
 use camus_core::compiler::Compiler;
 use camus_core::resources::ResourceBudget;
-use camus_core::statics::compile_static;
-use camus_dataplane::{PacketBuilder, Switch, SwitchConfig};
+use camus_dataplane::{Switch, SwitchConfig};
 use camus_lang::ast::Expr;
 use camus_lang::parser::parse_expr;
-use camus_lang::spec::itch_spec;
 use camus_lang::value::Value;
-use camus_net::controller::{AdmissionVerdict, Controller, DeployError};
+use camus_net::controller::{AdmissionVerdict, DeployError};
 use camus_net::Network;
-use camus_routing::algorithm1::{Policy, RoutingConfig};
+use camus_oracle::{deliveries, itch_controller, Publication};
+use camus_routing::algorithm1::Policy;
 use camus_routing::compile::compile_network;
 use camus_routing::topology::{paper_fat_tree, three_layer, FaultMask, HierNet};
 use std::collections::HashSet;
 use std::sync::Arc;
 
 const STOCKS: [&str; 5] = ["GOOGL", "MSFT", "AAPL", "FB", "AMZN"];
-
-fn controller(policy: Policy) -> Controller {
-    Controller::new(compile_static(&itch_spec()).unwrap(), RoutingConfig::new(policy))
-}
 
 /// Two filters per host: an equality and a range, so ToRs differ, and
 /// the full-mesh cores end up with identical lists.
@@ -46,46 +41,23 @@ fn subs(net: &HierNet) -> Vec<Vec<Expr>> {
 
 /// Publishers spread over the tree, packets sweeping the predicate
 /// space of [`subs`].
-fn publish_matrix(network: &mut Network) {
-    let spec = itch_spec();
-    let hosts = network.topology.host_count();
-    let mut t = 0;
+fn matrix(hosts: usize) -> Vec<Publication> {
+    let mut pubs = Vec::new();
     for publisher in [0, hosts / 2, hosts - 1] {
         for stock in STOCKS.iter().chain(&["NONE"]) {
             for price in [50, 125, 400] {
-                let pkt = PacketBuilder::new(&spec)
-                    .message(vec![("stock", Value::from(*stock)), ("price", Value::Int(price))])
-                    .build();
-                network.publish(publisher, pkt, t);
-                t += 10_000;
+                pubs.push((
+                    publisher,
+                    vec![("stock", Value::from(*stock)), ("price", Value::Int(price))],
+                ));
             }
         }
     }
-    network.run(None);
-}
-
-/// Per host, the delivered (time, sorted field values) pairs.
-type Deliveries = Vec<Vec<(u64, Vec<(String, String)>)>>;
-
-fn deliveries(network: &Network) -> Deliveries {
-    (0..network.topology.host_count())
-        .map(|h| {
-            network
-                .deliveries(h)
-                .iter()
-                .map(|d| {
-                    let mut vals: Vec<(String, String)> =
-                        d.values.iter().map(|(k, v)| (k.clone(), format!("{v:?}"))).collect();
-                    vals.sort();
-                    (d.time_ns, vals)
-                })
-                .collect()
-        })
-        .collect()
+    pubs
 }
 
 fn deploy_matches_per_switch_oracle(net: HierNet, policy: Policy) {
-    let ctrl = controller(policy);
+    let ctrl = itch_controller(policy);
     let subs = subs(&net);
     let mut d = ctrl.deploy(net.clone(), &subs).expect("deploy");
 
@@ -130,13 +102,9 @@ fn deploy_matches_per_switch_oracle(net: HierNet, policy: Policy) {
 
     // Sharing is invisible to traffic: same deliveries, and the same
     // counters on every switch.
-    publish_matrix(&mut d.network);
-    publish_matrix(&mut oracle_net);
-    assert_eq!(deliveries(&d.network), deliveries(&oracle_net), "{policy:?}");
-    assert!(
-        deliveries(&d.network).iter().any(|h| !h.is_empty()),
-        "the matrix must deliver something"
-    );
+    let got = deliveries(&mut d.network, &matrix(net.host_count()));
+    assert_eq!(got, deliveries(&mut oracle_net, &matrix(net.host_count())), "{policy:?}");
+    assert!(got.iter().any(|h| !h.is_empty()), "the matrix must deliver something");
     for s in 0..n {
         assert_eq!(
             d.network.switches[s].stats(),
@@ -170,7 +138,7 @@ fn admission_stays_per_switch_when_the_program_is_shared() {
     let tight = cores[3];
 
     // One core has no TCAM; the range filters every core carries need it.
-    let mut ctrl = controller(Policy::MemoryReduction);
+    let mut ctrl = itch_controller(Policy::MemoryReduction);
     ctrl.budget_overrides
         .insert(tight, ResourceBudget { max_tcam_entries: 0, ..ResourceBudget::unlimited() });
     let d = ctrl.deploy(net.clone(), &subs).expect("degraded deploy succeeds");

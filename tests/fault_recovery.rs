@@ -11,38 +11,18 @@
 //! would, and deliver publications identically.
 
 use camus_core::pipeline::Pipeline;
-use camus_core::statics::compile_static;
-use camus_dataplane::{PacketBuilder, Switch, SwitchConfig};
+use camus_dataplane::{Switch, SwitchConfig};
 use camus_faults::FaultInjector;
 use camus_lang::ast::Expr;
-use camus_lang::parser::parse_expr;
-use camus_lang::spec::itch_spec;
 use camus_lang::value::Value;
 use camus_net::channel::PerfectChannel;
 use camus_net::controller::{Controller, Deployment};
 use camus_net::Network;
-use camus_routing::algorithm1::{Policy, RoutingConfig};
+use camus_oracle::{itch_controller, itch_pool, same_deliveries, same_tables, Publication};
+use camus_routing::algorithm1::Policy;
 use camus_routing::topology::{paper_fat_tree, FaultMask, HierNet};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-
-/// A pool of well-typed ITCH filters for the subscription state.
-fn filter_pool() -> Vec<Expr> {
-    [
-        "stock == GOOGL",
-        "stock == MSFT",
-        "stock == AAPL",
-        "price > 10",
-        "price > 100",
-        "price < 50",
-        "shares >= 5",
-        "stock == GOOGL and price > 20",
-        "stock == MSFT or price > 500",
-    ]
-    .iter()
-    .map(|s| parse_expr(s).expect("pool filter parses"))
-    .collect()
-}
 
 /// One step of the environment: break something or fix something. The
 /// indices are resolved against whatever is breakable (or broken) when
@@ -62,10 +42,6 @@ fn arb_op() -> impl Strategy<Value = FaultOp> {
         2 => (0usize..64).prop_map(FaultOp::CrashSwitch),
         2 => (0usize..64).prop_map(FaultOp::RestoreSwitch),
     ]
-}
-
-fn controller(policy: Policy) -> Controller {
-    Controller::new(compile_static(&itch_spec()).unwrap(), RoutingConfig::new(policy))
 }
 
 /// The cold "converge from empty" oracle: freshly booted empty switches
@@ -95,39 +71,12 @@ fn cold_deploy_onto(
 }
 
 /// Publications that exercise the pool filters from several hosts.
-fn publications() -> Vec<(usize, Vec<(&'static str, Value)>)> {
+fn publications() -> Vec<Publication> {
     vec![
         (0, vec![("stock", Value::from("GOOGL")), ("price", Value::Int(30))]),
         (6, vec![("stock", Value::from("MSFT")), ("price", Value::Int(700))]),
         (11, vec![("stock", Value::from("FB")), ("price", Value::Int(1))]),
     ]
-}
-
-/// Per host, the delivered (time, sorted field values) pairs.
-type Deliveries = Vec<Vec<(u64, Vec<(String, String)>)>>;
-
-/// Publish the scenario into a deployment and collect its deliveries.
-fn run_and_collect(d: &mut Deployment) -> Deliveries {
-    let spec = itch_spec();
-    for (i, (host, fields)) in publications().into_iter().enumerate() {
-        let pkt = PacketBuilder::new(&spec).message(fields).build();
-        d.network.publish(host, pkt, (i as u64) * 10_000);
-    }
-    d.network.run(None);
-    (0..d.network.topology.host_count())
-        .map(|h| {
-            d.network
-                .deliveries(h)
-                .iter()
-                .map(|del| {
-                    let mut vals: Vec<(String, String)> =
-                        del.values.iter().map(|(k, v)| (k.clone(), format!("{v:?}"))).collect();
-                    vals.sort();
-                    (del.time_ns, vals)
-                })
-                .collect()
-        })
-        .collect()
 }
 
 proptest! {
@@ -139,12 +88,12 @@ proptest! {
         ops in proptest::collection::vec(arb_op(), 1..8),
         policy_tr in any::<bool>(),
     ) {
-        let pool = filter_pool();
+        let pool = itch_pool();
         let net = paper_fat_tree();
         let links = FaultInjector::links(&net);
         let policy =
             if policy_tr { Policy::TrafficReduction } else { Policy::MemoryReduction };
-        let ctrl = controller(policy);
+        let ctrl = itch_controller(policy);
 
         let mut subs: Vec<Vec<Expr>> = vec![Vec::new(); net.host_count()];
         for (host, f) in &seed_adds {
@@ -181,39 +130,11 @@ proptest! {
             ctrl.repair(&mut live, &subs, &mut PerfectChannel).expect("repair");
             let mut fresh = cold_deploy_onto(&ctrl, &net, &subs, live.network.fault_mask());
 
-            // Same compile outcome: per-switch fingerprints, entry
-            // counts, and the installed pipelines themselves.
-            prop_assert_eq!(live.compile.switches.len(), fresh.compile.switches.len());
-            for (a, b) in live.compile.switches.iter().zip(&fresh.compile.switches) {
-                prop_assert_eq!(a.fingerprint, b.fingerprint, "switch {}", a.switch);
-                prop_assert_eq!(a.entries, b.entries, "switch {}", a.switch);
-                prop_assert_eq!(
-                    &a.compiled.pipeline, &b.compiled.pipeline,
-                    "switch {} pipeline", a.switch
-                );
-            }
-            for s in 0..net.switch_count() {
-                prop_assert_eq!(
-                    live.network.switches[s].pipeline(),
-                    fresh.network.switches[s].pipeline(),
-                    "installed pipeline on switch {}", s
-                );
-            }
-
-            // Same delivery behaviour for a fixed publication scenario.
-            // (The live deployment accumulates deliveries across steps,
-            // so compare the per-step delta against the fresh run.)
-            let before: Vec<usize> =
-                (0..net.host_count()).map(|h| live.network.deliveries(h).len()).collect();
-            let live_all = run_and_collect(&mut live);
-            let fresh_del = run_and_collect(&mut fresh);
-            for h in 0..net.host_count() {
-                let delta: Vec<_> = live_all[h][before[h]..].to_vec();
-                prop_assert_eq!(
-                    &delta, &fresh_del[h],
-                    "deliveries for host {} diverge", h
-                );
-            }
+            prop_assert_eq!(same_tables(&live, &fresh), Ok(()));
+            prop_assert_eq!(
+                same_deliveries(&mut live.network, &mut fresh.network, &publications()),
+                Ok(())
+            );
         }
     }
 }

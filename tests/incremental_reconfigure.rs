@@ -1,42 +1,21 @@
-//! Property: incremental `reconfigure` is indistinguishable from a
-//! fresh `deploy` of the final subscription state.
+//! Property: an incremental reconfiguration is indistinguishable from
+//! a fresh `deploy` of the final subscription state.
 //!
 //! Random churn sequences (hosts adding and dropping random filters)
-//! are applied step by step through `Controller::reconfigure`, which
-//! reuses fingerprint-matched pipelines from the previous compile and
-//! only reinstalls the changed ones. After every step the reconfigured
-//! network must carry exactly the per-switch pipelines a from-scratch
-//! deployment would, and deliver publications identically.
+//! are applied step by step through `Controller::repair`, which reuses
+//! fingerprint-matched pipelines from the previous compile and only
+//! reinstalls the changed ones. After every step the reconfigured
+//! network must hold a fresh deploy's tables (`same_tables`: switch for
+//! switch, fingerprints, entry counts, compiled and installed
+//! pipelines) and deliver publications identically.
 
-use camus_core::statics::compile_static;
-use camus_dataplane::PacketBuilder;
 use camus_lang::ast::Expr;
-use camus_lang::parser::parse_expr;
-use camus_lang::spec::itch_spec;
 use camus_lang::value::Value;
 use camus_net::channel::PerfectChannel;
-use camus_net::controller::Controller;
-use camus_routing::algorithm1::{Policy, RoutingConfig};
+use camus_oracle::{itch_controller, itch_pool, same_deliveries, same_tables, Publication};
+use camus_routing::algorithm1::Policy;
 use camus_routing::topology::paper_fat_tree;
 use proptest::prelude::*;
-
-/// A pool of well-typed ITCH filters the churn draws from.
-fn filter_pool() -> Vec<Expr> {
-    [
-        "stock == GOOGL",
-        "stock == MSFT",
-        "stock == AAPL",
-        "price > 10",
-        "price > 100",
-        "price < 50",
-        "shares >= 5",
-        "stock == GOOGL and price > 20",
-        "stock == MSFT or price > 500",
-    ]
-    .iter()
-    .map(|s| parse_expr(s).expect("pool filter parses"))
-    .collect()
-}
 
 /// One churn event: a host either adds a pool filter or drops its
 /// newest subscription.
@@ -53,44 +32,13 @@ fn arb_churn(hosts: usize, pool: usize) -> impl Strategy<Value = Churn> {
     ]
 }
 
-fn controller(policy: Policy) -> Controller {
-    Controller::new(compile_static(&itch_spec()).unwrap(), RoutingConfig::new(policy))
-}
-
 /// Publications that exercise the pool filters from several hosts.
-fn publications() -> Vec<(usize, Vec<(&'static str, Value)>)> {
+fn publications() -> Vec<Publication> {
     vec![
         (0, vec![("stock", Value::from("GOOGL")), ("price", Value::Int(30))]),
         (6, vec![("stock", Value::from("MSFT")), ("price", Value::Int(700))]),
         (11, vec![("stock", Value::from("FB")), ("price", Value::Int(1))]),
     ]
-}
-
-/// Per host, the delivered (time, sorted field values) pairs.
-type Deliveries = Vec<Vec<(u64, Vec<(String, String)>)>>;
-
-/// Publish the scenario into a deployment and collect its deliveries.
-fn run_and_collect(d: &mut camus_net::controller::Deployment) -> Deliveries {
-    let spec = itch_spec();
-    for (i, (host, fields)) in publications().into_iter().enumerate() {
-        let pkt = PacketBuilder::new(&spec).message(fields).build();
-        d.network.publish(host, pkt, (i as u64) * 10_000);
-    }
-    d.network.run(None);
-    (0..d.network.topology.host_count())
-        .map(|h| {
-            d.network
-                .deliveries(h)
-                .iter()
-                .map(|del| {
-                    let mut vals: Vec<(String, String)> =
-                        del.values.iter().map(|(k, v)| (k.clone(), format!("{v:?}"))).collect();
-                    vals.sort();
-                    (del.time_ns, vals)
-                })
-                .collect()
-        })
-        .collect()
 }
 
 proptest! {
@@ -102,11 +50,11 @@ proptest! {
         churn in proptest::collection::vec(arb_churn(16, 9), 1..8),
         policy_tr in any::<bool>(),
     ) {
-        let pool = filter_pool();
+        let pool = itch_pool();
         let net = paper_fat_tree();
         let policy =
             if policy_tr { Policy::TrafficReduction } else { Policy::MemoryReduction };
-        let ctrl = controller(policy);
+        let ctrl = itch_controller(policy);
 
         // Initial subscription state.
         let mut subs: Vec<Vec<Expr>> = vec![Vec::new(); net.host_count()];
@@ -125,40 +73,11 @@ proptest! {
             ctrl.repair(&mut live, &subs, &mut PerfectChannel).expect("reconfigure");
             let mut fresh = ctrl.deploy(net.clone(), &subs).expect("fresh deploy");
 
-            // Same compile outcome: per-switch fingerprints, entry
-            // counts, and the installed pipelines themselves.
-            prop_assert_eq!(live.compile.switches.len(), fresh.compile.switches.len());
-            for (a, b) in live.compile.switches.iter().zip(&fresh.compile.switches) {
-                prop_assert_eq!(a.fingerprint, b.fingerprint, "switch {}", a.switch);
-                prop_assert_eq!(a.entries, b.entries, "switch {}", a.switch);
-                prop_assert_eq!(
-                    &a.compiled.pipeline, &b.compiled.pipeline,
-                    "switch {} pipeline", a.switch
-                );
-            }
-            prop_assert_eq!(live.compile.total_entries(), fresh.compile.total_entries());
-            for s in 0..net.switch_count() {
-                prop_assert_eq!(
-                    live.network.switches[s].pipeline(),
-                    fresh.network.switches[s].pipeline(),
-                    "installed pipeline on switch {}", s
-                );
-            }
-
-            // Same delivery behaviour for a fixed publication scenario.
-            // (The live deployment accumulates deliveries across steps,
-            // so compare the per-step delta against the fresh run.)
-            let before: Vec<usize> =
-                (0..net.host_count()).map(|h| live.network.deliveries(h).len()).collect();
-            let live_all = run_and_collect(&mut live);
-            let fresh_del = run_and_collect(&mut fresh);
-            for h in 0..net.host_count() {
-                let delta: Vec<_> = live_all[h][before[h]..].to_vec();
-                prop_assert_eq!(
-                    &delta, &fresh_del[h],
-                    "deliveries for host {} diverge", h
-                );
-            }
+            prop_assert_eq!(same_tables(&live, &fresh), Ok(()));
+            prop_assert_eq!(
+                same_deliveries(&mut live.network, &mut fresh.network, &publications()),
+                Ok(())
+            );
         }
     }
 }

@@ -20,24 +20,22 @@
 
 use camus_core::statics::compile_static;
 use camus_dataplane::PacketBuilder;
-use camus_lang::ast::{Expr, Operand, Predicate, Rel};
+use camus_lang::ast::{Expr, Predicate, Rel};
 use camus_lang::parser::parse_expr;
 use camus_lang::spec::Spec;
 use camus_lang::value::Value;
 use camus_net::controller::Controller;
+use camus_oracle::{expected_hosts, expected_ports};
 use camus_routing::algorithm1::{route_hierarchical, Policy, RoutingConfig, RoutingResult};
-use camus_routing::topology::{paper_fat_tree, three_layer, DownTarget, HierNet, LOGICAL_UP};
+use camus_routing::topology::{
+    paper_fat_tree, three_layer, DownTarget, FaultMask, HierNet, LOGICAL_UP,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
-/// A sample packet: attribute assignments.
-type SamplePacket = HashMap<String, Value>;
-
-fn matches_any<'a>(filters: impl IntoIterator<Item = &'a Expr>, pkt: &SamplePacket) -> bool {
-    let lookup = |op: &Operand| pkt.get(&op.key()).cloned();
-    filters.into_iter().any(|f| f.eval_with(lookup))
-}
+/// A sample packet: attribute assignments, one per field.
+type SamplePacket = Vec<(String, Value)>;
 
 /// A violated condition, as a counterexample.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,34 +56,31 @@ fn check_policy(
     sample: &[SamplePacket],
 ) -> Vec<Violation> {
     let mut violations = Vec::new();
+    let healthy = FaultMask::default();
     for (sid, sw) in net.switches.iter().enumerate() {
-        // Ports to check: every down port plus the logical up port.
-        let mut ports: Vec<u16> = (0..sw.down.len() as u16).collect();
+        // Ports to check: every down port plus the logical up port,
+        // each with the hosts it reaches on the distribution tree. A
+        // down port serves the hosts designated through it; the up port
+        // serves the hosts outside the designated subtree.
+        let mut ports: Vec<(u16, Vec<usize>)> = (0..sw.down.len() as u16)
+            .map(|p| (p, net.designated_through_masked(sid, p, &healthy)))
+            .collect();
         if !sw.up.is_empty() {
-            ports.push(LOGICAL_UP);
+            let below = net.designated_below_masked(sid, &healthy);
+            ports
+                .push((LOGICAL_UP, (0..net.host_count()).filter(|h| !below.contains(h)).collect()));
         }
         let rules = result.switch_rules(sid);
-        for port in ports {
-            let filters: Vec<&Expr> = rules
-                .iter()
-                .filter(|r| r.action.ports() == Some(&[port][..]))
-                .map(|r| &r.filter)
-                .collect();
-            // Reachability on the distribution tree: a down port serves
-            // the hosts designated through it; the up port serves the
-            // hosts outside the designated subtree.
-            let reachable: Vec<usize> = if port == LOGICAL_UP {
-                let below: HashSet<usize> = net.designated_below(sid).into_iter().collect();
-                (0..net.host_count()).filter(|h| !below.contains(h)).collect()
-            } else {
-                net.designated_through(sid, port)
-            };
-            for pkt in sample {
-                let port_match = matches_any(filters.iter().copied(), pkt);
+        for pkt in sample {
+            let interested = expected_hosts(subs, pkt, None);
+            let forwarded = expected_ports(&rules, pkt);
+            for (port, reachable) in &ports {
+                let port = *port;
+                let port_match = forwarded.contains(&port);
                 // Completeness: any reachable host's subscription match
                 // must be covered.
-                for &h in &reachable {
-                    if matches_any(&subs[h], pkt) && !port_match {
+                for &h in reachable {
+                    if interested.contains(&h) && !port_match {
                         violations.push(Violation::Incomplete {
                             switch: sid,
                             port,
@@ -96,7 +91,7 @@ fn check_policy(
                 }
                 // Soundness: only at host-facing (access) ports.
                 if let Some(DownTarget::Host(h)) = sw.down.get(port as usize) {
-                    if port_match && !matches_any(&subs[*h], pkt) {
+                    if port_match && !interested.contains(h) {
                         violations.push(Violation::Unsound {
                             switch: sid,
                             port,
@@ -159,13 +154,13 @@ fn boundary_sample(subs: &[Vec<Expr>], cap: usize) -> Vec<SamplePacket> {
         }
     }
     // Cross product, capped.
-    let mut sample: Vec<SamplePacket> = vec![HashMap::new()];
+    let mut sample: Vec<SamplePacket> = vec![Vec::new()];
     let extend_with = |sample: Vec<SamplePacket>, key: &str, vals: Vec<Value>, cap: usize| {
         let mut next = Vec::new();
         for pkt in &sample {
             for v in &vals {
                 let mut p = pkt.clone();
-                p.insert(key.to_string(), v.clone());
+                p.push((key.to_string(), v.clone()));
                 next.push(p);
                 if next.len() >= cap {
                     return next;
@@ -259,13 +254,7 @@ fn simulation_delivers_exactly_to_interested_hosts() {
             for p in 0..6 {
                 let vals = random_packet(&mut rng);
                 let publisher = rng.gen_range(0..net.host_count());
-                let lookup = |op: &Operand| {
-                    vals.iter().find(|(n, _)| *n == op.key()).map(|(_, v)| v.clone())
-                };
-                let interested: Vec<usize> = (0..net.host_count())
-                    .filter(|&h| h != publisher && subs[h].iter().any(|f| f.eval_with(lookup)))
-                    .collect();
-                expected.push(interested);
+                expected.push(expected_hosts(&subs, &vals, Some(publisher)));
                 let mut b = PacketBuilder::new(&spec);
                 for (f, v) in &vals {
                     b = b.stack_field("msg", f, v.clone());
@@ -331,11 +320,7 @@ fn approximated_routing_still_delivers_everything() {
         for p in 0..10 {
             let vals = random_packet(&mut rng);
             let publisher = p % net.host_count();
-            let lookup =
-                |op: &Operand| vals.iter().find(|(n, _)| *n == op.key()).map(|(_, v)| v.clone());
-            expected += (0..net.host_count())
-                .filter(|&h| h != publisher && subs[h].iter().any(|f| f.eval_with(lookup)))
-                .count();
+            expected += expected_hosts(&subs, &vals, Some(publisher)).len();
             let mut b = PacketBuilder::new(&spec);
             for (f, v) in &vals {
                 b = b.stack_field("msg", f, v.clone());
@@ -394,8 +379,12 @@ fn heterogeneous_subs(n: usize) -> Vec<Vec<Expr>> {
 fn boundary_sample_contains_boundaries() {
     let subs = vec![vec![parse_expr("price > 50").unwrap()]];
     let sample = boundary_sample(&subs, 100);
-    let prices: Vec<i64> =
-        sample.iter().filter_map(|p| p.get("price").and_then(|v| v.as_int())).collect();
+    let prices: Vec<i64> = sample
+        .iter()
+        .flatten()
+        .filter(|(k, _)| k == "price")
+        .filter_map(|(_, v)| v.as_int())
+        .collect();
     assert!(prices.contains(&49) && prices.contains(&50) && prices.contains(&51));
 }
 
@@ -409,8 +398,12 @@ fn boundary_sample_survives_extreme_constants() {
     ]];
     let sample = boundary_sample(&subs, 100);
     let values = |key: &str| -> Vec<i64> {
-        let mut v: Vec<i64> =
-            sample.iter().filter_map(|p| p.get(key).and_then(|v| v.as_int())).collect();
+        let mut v: Vec<i64> = sample
+            .iter()
+            .flatten()
+            .filter(|(k, _)| k == key)
+            .filter_map(|(_, v)| v.as_int())
+            .collect();
         v.sort_unstable();
         v.dedup();
         v

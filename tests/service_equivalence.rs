@@ -11,50 +11,25 @@
 //! the final subscription table: same per-switch rule-list
 //! fingerprints, self-consistent installed pipelines, and identical
 //! deliveries over a publication matrix that sweeps the filter pool's
-//! predicate space.
-//!
-//! Structural (entry-for-entry) table equality is deliberately *not*
-//! asserted: the service compiles through delta maintenance on a live
-//! BDD, and implication pruning resolves infeasible-path don't-cares
-//! differently depending on construction history — the maintained
-//! table can hold fewer entries than the scratch build of the same rule
-//! list, or more, or the same entries in another order. Equivalence is
-//! behavioural, and that is what the publication matrix proves.
+//! predicate space: `camus_oracle::same_behaviour`, not the strict
+//! `same_tables`, because the service compiles through delta
+//! maintenance on live diagrams (the reason is documented there).
 //!
 //! One run of a schedule, though, is a function of the schedule: the
 //! service steps on the caller's thread and merges its backlog on the
 //! modelled clock, so two runs of one schedule must agree transaction
 //! for transaction and table entry for table entry.
 
-use camus_core::statics::compile_static;
 use camus_dataplane::PacketBuilder;
 use camus_lang::ast::Expr;
-use camus_lang::parser::parse_expr;
 use camus_lang::spec::itch_spec;
 use camus_lang::value::Value;
-use camus_net::controller::Controller;
 use camus_net::PerfectChannel;
-use camus_routing::algorithm1::{Policy, RoutingConfig};
+use camus_oracle::{itch_controller, itch_pool, same_behaviour, Publication};
+use camus_routing::algorithm1::Policy;
 use camus_routing::topology::paper_fat_tree;
 use camus_service::{AuditProbe, CamusService, RequestOp, ServiceConfig};
 use proptest::prelude::*;
-
-fn filter_pool() -> Vec<Expr> {
-    [
-        "stock == GOOGL",
-        "stock == MSFT",
-        "stock == AAPL",
-        "price > 10",
-        "price > 100",
-        "price < 50",
-        "shares >= 5",
-        "stock == GOOGL and price > 20",
-        "stock == MSFT or price > 500",
-    ]
-    .iter()
-    .map(|s| parse_expr(s).expect("pool filter parses"))
-    .collect()
-}
 
 /// One churn event: which host, which pool filter, subscribe or
 /// unsubscribe, and how long after the previous event it arrives
@@ -86,13 +61,6 @@ fn gap_ns(bucket: u8) -> u64 {
         1 => 1_200_000,
         _ => 20_000_000,
     }
-}
-
-fn controller() -> Controller {
-    Controller::new(
-        compile_static(&itch_spec()).unwrap(),
-        RoutingConfig::new(Policy::TrafficReduction),
-    )
 }
 
 /// Audit probes: publications whose correct delivery set the service
@@ -136,7 +104,7 @@ fn run_service(
     pool: &[Expr],
 ) -> camus_service::ServiceOutcome {
     let net = paper_fat_tree();
-    let ctrl = controller();
+    let ctrl = itch_controller(Policy::TrafficReduction);
     let d = ctrl.deploy(net, initial).expect("initial deploy");
     let mut svc = CamusService::start(ctrl, d, initial.to_vec(), Box::new(PerfectChannel), cfg);
     for (ev, at) in events {
@@ -150,20 +118,10 @@ fn run_service(
     svc.shutdown()
 }
 
-type Deliveries = Vec<Vec<(u64, Vec<(String, String)>)>>;
-
-/// Publish a matrix sweeping the filter pool's predicate space —
-/// every stock in the pool (plus one absent from it) crossed with
-/// prices on both sides of each threshold and shares on both sides of
-/// the `>= 5` cut — and collect per-host delivery deltas (latency,
-/// sorted values), starting from each host's current count so
-/// audit-probe deliveries accumulated mid-run do not pollute the
-/// comparison.
-fn publish_and_delta(d: &mut camus_net::controller::Deployment) -> Deliveries {
-    let spec = itch_spec();
-    let hosts = d.network.topology.host_count();
-    let before: Vec<usize> = (0..hosts).map(|h| d.network.deliveries(h).len()).collect();
-    let base = d.network.now_ns() + 1;
+/// A matrix sweeping the filter pool's predicate space: every stock in
+/// the pool (plus one absent from it) crossed with prices on both
+/// sides of each threshold and shares on both sides of the `>= 5` cut.
+fn matrix() -> Vec<Publication> {
     let publishers = [0usize, 6, 11];
     let stocks = ["GOOGL", "MSFT", "AAPL", "FB"];
     let prices = [1i64, 15, 30, 75, 120, 501];
@@ -181,26 +139,7 @@ fn publish_and_delta(d: &mut camus_net::controller::Deployment) -> Deliveries {
             ));
         }
     }
-    for (i, (host, fields)) in pubs.into_iter().enumerate() {
-        let pkt = PacketBuilder::new(&spec).message(fields).build();
-        d.network.publish(host, pkt, base + (i as u64) * 10_000);
-    }
-    d.network.run(None);
-    (0..hosts)
-        .map(|h| {
-            d.network.deliveries(h)[before[h]..]
-                .iter()
-                .map(|del| {
-                    let mut vals: Vec<(String, String)> =
-                        del.values.iter().map(|(k, v)| (k.clone(), format!("{v:?}"))).collect();
-                    vals.sort();
-                    // Compare delivery latency, not absolute time: the
-                    // two runs publish from different network clocks.
-                    (del.time_ns - del.published_ns, vals)
-                })
-                .collect()
-        })
-        .collect()
+    pubs
 }
 
 proptest! {
@@ -211,7 +150,7 @@ proptest! {
         seed_adds in proptest::collection::vec((0usize..16, 0usize..9), 0..10),
         churn in proptest::collection::vec(arb_ev(16, 9), 1..16),
     ) {
-        let pool = filter_pool();
+        let pool = itch_pool();
         let net = paper_fat_tree();
         let hosts = net.host_count();
 
@@ -260,36 +199,17 @@ proptest! {
         prop_assert!(batched.stats.batches <= naive.stats.batches);
 
         // Both runs and a from-scratch deploy of the final state must
-        // route the same rule lists (fingerprints), and each live
-        // deployment must have installed exactly what it compiled.
-        // Table *structure* may legitimately differ from the scratch
-        // build (see the module comment), so equality of behaviour is
-        // proven by the publication matrix below instead.
-        let mut fresh = controller().deploy(net.clone(), &expected).expect("fresh deploy");
-        let mut batched_d = batched.deployment;
-        let mut naive_d = naive.deployment;
-        for (label, live) in [("batched", &batched_d), ("naive", &naive_d)] {
-            prop_assert_eq!(live.compile.switches.len(), fresh.compile.switches.len());
-            for (a, b) in live.compile.switches.iter().zip(&fresh.compile.switches) {
-                prop_assert_eq!(a.fingerprint, b.fingerprint, "{}: switch {}", label, a.switch);
-                prop_assert!(a.entries > 0, "{}: switch {} compiled empty", label, a.switch);
+        // route the same rule lists, each live deployment must run
+        // exactly what it compiled, and all three must deliver the
+        // matrix identically.
+        let mut fresh = itch_controller(Policy::TrafficReduction)
+            .deploy(net.clone(), &expected)
+            .expect("fresh deploy");
+        for (label, mut live) in [("batched", batched.deployment), ("naive", naive.deployment)] {
+            for sc in &live.compile.switches {
+                prop_assert!(sc.entries > 0, "{}: switch {} compiled empty", label, sc.switch);
             }
-            for s in 0..net.switch_count() {
-                prop_assert_eq!(
-                    live.network.switches[s].pipeline(),
-                    &live.compile.switches[s].compiled.pipeline,
-                    "{}: installed pipeline diverges from compile on switch {}", label, s
-                );
-            }
-        }
-
-        // And they deliver identically.
-        let want = publish_and_delta(&mut fresh);
-        let got_b = publish_and_delta(&mut batched_d);
-        let got_n = publish_and_delta(&mut naive_d);
-        for h in 0..hosts {
-            prop_assert_eq!(&got_b[h], &want[h], "batched deliveries diverge at host {}", h);
-            prop_assert_eq!(&got_n[h], &want[h], "naive deliveries diverge at host {}", h);
+            prop_assert_eq!(same_behaviour(&mut live, &mut fresh, &matrix()), Ok(()), "{}", label);
         }
     }
 
@@ -302,7 +222,7 @@ proptest! {
         // Pure sub/unsub pairs inside one window (5 µs apart, well
         // inside the 500 µs quiet period): the service must commit
         // nothing but noops and end exactly where it started.
-        let pool = filter_pool();
+        let pool = itch_pool();
         let initial: Vec<Vec<Expr>> = vec![Vec::new(); 16];
         let mut events = Vec::new();
         let mut at = 1_000u64;
@@ -331,7 +251,7 @@ proptest! {
         // from the stamps alone: two runs of the schedule must agree
         // transaction for transaction and install entry-for-entry
         // identical tables.
-        let pool = filter_pool();
+        let pool = itch_pool();
         let initial: Vec<Vec<Expr>> = vec![Vec::new(); paper_fat_tree().host_count()];
         let mut events = Vec::new();
         // Accepted requests per group: each group that has any is one
