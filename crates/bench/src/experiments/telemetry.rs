@@ -99,9 +99,7 @@ fn overhead_lanes(scale: Scale) -> Vec<OverheadLane> {
     // Warm caches and the branch predictor of every lane off the clock.
     let warmup = &packets[..packets.len().min(4 * 64)];
     for (_, sw, _) in built.iter_mut() {
-        for chunk in warmup.chunks(64) {
-            std::hint::black_box(sw.process_batch(chunk, 0));
-        }
+        one_pass_ns(sw, warmup);
     }
     // Interleaved best-of-N: one pass per lane per round. A lane
     // measuring *faster* than bare beyond the noise means the bare

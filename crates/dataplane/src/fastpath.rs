@@ -4,24 +4,12 @@
 //! [`CompiledPipeline`] interns operands
 //! to dense slot ids; [`EvalPlan::build`] resolves each slot against
 //! the application [`Spec`] **once**, at install time, into byte
-//! offsets. Per message, [`EvalPlan::eval`] decodes fields straight
-//! from the packet buffer into a reusable slot-indexed scratch array
-//! and runs the compiled pipeline — no string hashing, no per-message
-//! `HashMap`, and zero steady-state heap allocations (string slots
-//! reuse their buffers).
-//!
-//! Resolution mirrors `ParseOutcome::lookup`
-//! exactly, source by source:
-//!
-//! 1. a field of the batched message header (bare name),
-//! 2. the fixed stack — bare names when unambiguous across all
-//!    headers, `header.field` paths for sequence headers; either is
-//!    present only when the whole enclosing header is on the wire,
-//! 3. the dotted fallback: `anything.field` reaches the message header
-//!    field `field` (the interpreter ignores the prefix).
-//!
-//! Stack-only applications (no batched messages) consult source 2
-//! alone, matching the interpreter's bare-stack evaluation.
+//! offsets ([`Spec::locate`]). Per unit ([`Framing::units`]: a whole
+//! message, or the whole stack of a spec without messages),
+//! [`EvalPlan::eval`] decodes fields straight from the packet buffer
+//! into a reusable slot-indexed scratch array and runs the compiled
+//! pipeline — no string hashing, no per-message `HashMap`, and zero
+//! steady-state heap allocations (string slots reuse their buffers).
 
 use crate::packet::Packet;
 use crate::state::StateStore;
@@ -29,7 +17,7 @@ use bytes::Bytes;
 use camus_core::compiled::{ActionId, CompiledPipeline, EvalCounters};
 use camus_core::pipeline::Pipeline;
 use camus_lang::ast::{AggFunc, Operand};
-use camus_lang::spec::Spec;
+use camus_lang::spec::{FieldSource, Framing, Spec};
 use camus_lang::value::{Type, Value};
 
 /// Hint the cache hierarchy to pull `bytes`' first line(s) while the
@@ -58,36 +46,35 @@ pub(crate) fn prefetch_read(bytes: &[u8]) {
     }
 }
 
-/// A field of the batched message header: offset within one message.
+/// Where one operand's bytes lie in an evaluation unit, resolved once
+/// by [`Spec::locate`].
 #[derive(Debug, Clone, Copy)]
-pub struct MsgRef {
-    pub off: usize,
-    pub len: usize,
-    pub ty: Type,
+enum FieldLookup {
+    /// The spec names no such field: the slot reads absent.
+    Absent,
+    /// `len` bytes at `off` within each batched message.
+    Message { off: usize, len: usize, ty: Type },
+    /// `len` bytes at absolute offset `off`, in the fixed stack.
+    Stack { off: usize, len: usize, ty: Type },
 }
 
-/// A field of the fixed stack: absolute packet offset, valid only when
-/// the whole enclosing header is on the wire (`pkt.len() >= header_end`
-/// — a truncated header contributes no attributes, like the parser).
-#[derive(Debug, Clone, Copy)]
-pub struct StackRef {
-    pub off: usize,
-    pub len: usize,
-    pub ty: Type,
-    pub header_end: usize,
-}
-
-/// Where one operand's value comes from, in lookup-precedence order.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FieldLookup {
-    pub msg: Option<MsgRef>,
-    pub stack: Option<StackRef>,
-    pub msg_fallback: Option<MsgRef>,
+impl FieldLookup {
+    /// The field's bytes in the unit at `msg_off` (`None`: the stack
+    /// unit), or `None` when the unit has no such field.
+    #[inline]
+    fn bytes<'p>(&self, pkt: &'p Packet, msg_off: Option<usize>) -> Option<(&'p [u8], Type)> {
+        let (off, len, ty) = match *self {
+            FieldLookup::Message { off, len, ty } => (msg_off? + off, len, ty),
+            FieldLookup::Stack { off, len, ty } => (off, len, ty),
+            FieldLookup::Absent => return None,
+        };
+        Some((pkt.bytes.get(off..off + len)?, ty))
+    }
 }
 
 /// Per-slot fill strategy.
 #[derive(Debug, Clone)]
-pub enum SlotPlan {
+enum SlotPlan {
     /// Decoded from packet bytes.
     Field(FieldLookup),
     /// Filled from the register file by the aggregate pass.
@@ -99,28 +86,23 @@ pub enum SlotPlan {
 /// stage order — including duplicates — so register update counts match
 /// the interpreter exactly.
 #[derive(Debug, Clone)]
-pub struct AggPlan {
+struct AggPlan {
     /// Register key (the operand key, e.g. `avg(price)`).
-    pub key: String,
-    pub func: AggFunc,
-    /// Lookup for the aggregated field (same precedence as any field).
-    pub input: FieldLookup,
+    key: String,
+    func: AggFunc,
+    /// Where the aggregated field lies.
+    input: FieldLookup,
     /// Slot that receives the windowed value.
-    pub slot: usize,
+    slot: usize,
 }
 
 /// The install-time product: slot fill plans plus packet geometry.
 #[derive(Debug, Clone, Default)]
 pub struct EvalPlan {
-    pub slots: Vec<SlotPlan>,
-    pub aggs: Vec<AggPlan>,
-    /// Byte offset where batched messages start (the stack width).
-    pub msg_base: usize,
-    /// Width of one batched message; 0 when the spec has none.
-    pub msg_width: usize,
-    /// End offsets of sequence headers carrying at least one field:
-    /// the packet has stack attributes iff any of these fits.
-    pub stack_field_ends: Vec<usize>,
+    slots: Vec<SlotPlan>,
+    aggs: Vec<AggPlan>,
+    /// The spec's packet geometry, cached: it decides the units.
+    pub framing: Framing,
 }
 
 impl EvalPlan {
@@ -152,27 +134,17 @@ impl EvalPlan {
                 Operand::Field(_) => None,
             })
             .collect();
-        let msg_width =
-            spec.messages.as_ref().and_then(|m| spec.header(m)).map_or(0, |h| h.width_bytes());
-        let mut stack_field_ends = Vec::new();
-        for name in &spec.sequence {
-            if let (Some(off), Some(h)) = (spec.stack_offset(name), spec.header(name)) {
-                if !h.fields.is_empty() {
-                    stack_field_ends.push(off + h.width_bytes());
-                }
-            }
-        }
-        EvalPlan { slots, aggs, msg_base: spec.stack_width(), msg_width, stack_field_ends }
+        EvalPlan { slots, aggs, framing: spec.framing() }
     }
 
     /// Whole batched messages in the packet (≡ `Packet::message_count`).
     pub fn message_count(&self, pkt: &Packet) -> usize {
-        pkt.len().saturating_sub(self.msg_base).checked_div(self.msg_width).unwrap_or(0)
+        self.framing.messages(pkt.len())
     }
 
     /// Byte offset of message `index`.
     pub fn msg_offset(&self, index: usize) -> usize {
-        self.msg_base + index * self.msg_width
+        self.framing.stack + index * self.framing.message.unwrap_or(0)
     }
 
     /// Egress pruning (≡ [`Packet::prune_messages`]) from the cached
@@ -186,37 +158,23 @@ impl EvalPlan {
         buf: &mut Vec<u8>,
     ) -> Packet {
         let bytes = pkt.bytes.as_slice();
+        let width = self.framing.message.unwrap_or(0);
         buf.clear();
-        buf.extend_from_slice(&bytes[..self.msg_base.min(bytes.len())]);
+        buf.extend_from_slice(&bytes[..self.framing.stack.min(bytes.len())]);
         for i in keep {
             let off = self.msg_offset(i);
-            if let Some(msg) = bytes.get(off..off + self.msg_width) {
+            if let Some(msg) = bytes.get(off..off + width) {
                 buf.extend_from_slice(msg);
             }
         }
         Packet::new(Bytes::copy_from_slice(buf))
     }
 
-    /// Whether the packet carries any stack attributes (the parser's
-    /// non-empty-stack condition for stack-only evaluation).
-    pub(crate) fn stack_has_fields(&self, pkt: &Packet) -> bool {
-        self.stack_field_ends.iter().any(|&end| pkt.len() >= end)
-    }
-
-    /// Whether the packet's geometry is malformed for this spec: a
-    /// truncated stack, or trailing bytes that do not form a whole
-    /// batched message. Such bytes are never decoded — a graceful
-    /// parse miss — but the switch counts the packet.
-    pub(crate) fn is_malformed(&self, pkt: &Packet) -> bool {
-        if pkt.len() < self.msg_base {
-            return true;
-        }
-        self.msg_width != 0 && !(pkt.len() - self.msg_base).is_multiple_of(self.msg_width)
-    }
-
-    /// Evaluate one message (`msg_off = Some(byte offset)`) or the bare
-    /// stack (`None`) against the compiled pipeline. `values` is the
-    /// reusable slot scratch (`len == compiled.slots().len()`).
+    /// Evaluate one unit — message (`msg_off = Some(byte offset)`) or
+    /// the stack (`None`) — against the compiled pipeline. `values` is
+    /// the reusable slot scratch (`len == compiled.slots().len()`). A
+    /// field whose bytes the packet lacks reads absent; on a unit of
+    /// [`Framing::units`] that never happens.
     #[allow(clippy::too_many_arguments)]
     pub fn eval(
         &self,
@@ -249,35 +207,17 @@ impl EvalPlan {
     }
 }
 
-/// Resolve one field operand's sources against the spec.
+/// Resolve one field operand against the spec.
 fn plan_field(spec: &Spec, name: &str) -> FieldLookup {
-    let mut fl = FieldLookup::default();
-    if let Some(h) = spec.messages.as_ref().and_then(|m| spec.header(m)) {
-        if let Some(f) = h.field(name) {
-            fl.msg = Some(MsgRef { off: f.offset_bytes(), len: f.width_bytes(), ty: f.ty });
+    match spec.locate(name) {
+        Some(FieldSource::Message(f)) => {
+            FieldLookup::Message { off: f.offset_bytes(), len: f.width_bytes(), ty: f.ty }
         }
-        // The interpreter's dotted fallback strips *any* prefix.
-        if let Some((_, suffix)) = name.split_once('.') {
-            if let Some(f) = h.field(suffix) {
-                fl.msg_fallback =
-                    Some(MsgRef { off: f.offset_bytes(), len: f.width_bytes(), ty: f.ty });
-            }
+        Some(FieldSource::Stack { base, field: f, .. }) => {
+            FieldLookup::Stack { off: base + f.offset_bytes(), len: f.width_bytes(), ty: f.ty }
         }
+        None => FieldLookup::Absent,
     }
-    // Stack entries exist for `header.field` paths of sequence headers
-    // and for bare names that resolve unambiguously; `Spec::resolve`
-    // implements both, and `stack_offset` filters to the sequence.
-    if let Some((h, f)) = spec.resolve(name) {
-        if let Some(base) = spec.stack_offset(&h.name) {
-            fl.stack = Some(StackRef {
-                off: base + f.offset_bytes(),
-                len: f.width_bytes(),
-                ty: f.ty,
-                header_end: base + h.width_bytes(),
-            });
-        }
-    }
-    fl
 }
 
 /// Big-endian unsigned decode of up to 8 bytes (≡ `Value::decode`).
@@ -326,45 +266,21 @@ fn decode_into(slot: &mut Option<Value>, ty: Type, bytes: &[u8]) {
     }
 }
 
-/// Fill one slot from the first present source, or clear it.
+/// Fill one slot from the unit's bytes, or clear it.
 #[inline]
 fn fill_field(fl: &FieldLookup, pkt: &Packet, msg_off: Option<usize>, slot: &mut Option<Value>) {
-    if let (Some(m), Some(base)) = (&fl.msg, msg_off) {
-        decode_into(slot, m.ty, &pkt.bytes[base + m.off..base + m.off + m.len]);
-        return;
+    match fl.bytes(pkt, msg_off) {
+        Some((bytes, ty)) => decode_into(slot, ty, bytes),
+        None => *slot = None,
     }
-    if let Some(s) = &fl.stack {
-        if pkt.len() >= s.header_end {
-            decode_into(slot, s.ty, &pkt.bytes[s.off..s.off + s.len]);
-            return;
-        }
-    }
-    if let (Some(m), Some(base)) = (&fl.msg_fallback, msg_off) {
-        decode_into(slot, m.ty, &pkt.bytes[base + m.off..base + m.off + m.len]);
-        return;
-    }
-    *slot = None;
 }
 
-/// Read an aggregate's input as an integer: the first present source
-/// decides — a string-typed hit yields no update, like the
-/// interpreter's `if let Some(Value::Int(v))` gate.
+/// Read an aggregate's input as an integer: a string-typed field yields
+/// no update, like the interpreter's `if let Some(Value::Int(v))` gate.
 #[inline]
 fn read_input_int(fl: &FieldLookup, pkt: &Packet, msg_off: Option<usize>) -> Option<i64> {
-    if let (Some(m), Some(base)) = (&fl.msg, msg_off) {
-        return (m.ty == Type::Int)
-            .then(|| decode_int(&pkt.bytes[base + m.off..base + m.off + m.len]));
-    }
-    if let Some(s) = &fl.stack {
-        if pkt.len() >= s.header_end {
-            return (s.ty == Type::Int).then(|| decode_int(&pkt.bytes[s.off..s.off + s.len]));
-        }
-    }
-    if let (Some(m), Some(base)) = (&fl.msg_fallback, msg_off) {
-        return (m.ty == Type::Int)
-            .then(|| decode_int(&pkt.bytes[base + m.off..base + m.off + m.len]));
-    }
-    None
+    let (bytes, ty) = fl.bytes(pkt, msg_off)?;
+    (ty == Type::Int).then(|| decode_int(bytes))
 }
 
 /// Per-switch evaluation scratch reused across packets (allocation-free

@@ -8,17 +8,15 @@
 //! * [`packet`] — wire-format packets: the fixed header stack of the
 //!   application spec followed by batched fixed-width messages
 //!   (MoldUDP-style framing, §VIII-C.1).
-//! * [`parser`] — the deep-parsing scheme of Fig. 7: a first pass
-//!   multicasts copies onto recirculation ports; pass *k* skips `k·B`
-//!   messages by counter-matched shifts and extracts the next `B` into
-//!   the PHV. The PHV budget and recirculation-port count bound how
-//!   many messages one packet may carry.
 //! * [`state`] — the register file for stateful predicates: tumbling
 //!   windows computing `count`/`sum`/`avg` (§II), pre-allocated by the
 //!   static compiler and linked to subscription actions dynamically.
-//! * [`switch`] — the full per-packet path: parse → per-message
-//!   pipeline evaluation in ingress → port-mask computation → crossbar
-//!   replication (one copy per output port) → egress pruning of the
+//! * [`switch`] — the full per-packet path: the deep-parsing budget
+//!   of Fig. 7 (a first pass multicasts copies onto recirculation
+//!   ports; pass *k* skips `k·B` messages and extracts the next `B`
+//!   into the PHV) → per-unit pipeline evaluation in ingress →
+//!   port-mask computation → crossbar replication (one copy per
+//!   output port) → egress pruning of the
 //!   messages each subscriber did not ask for (§VI-A) → custom actions
 //!   (e.g. `answerDNS`). Port masks are bit rows over each program's
 //!   own port table (`replicate`, crate-private).
@@ -30,9 +28,8 @@
 //! plus a per-recirculation penalty, calibrated to the paper's "less
 //! than 1 μs" pipeline latency (§VIII-F).
 
-pub mod fastpath;
+mod fastpath;
 pub mod packet;
-pub mod parser;
 mod replicate;
 pub mod state;
 pub mod switch;

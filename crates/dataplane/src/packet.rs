@@ -68,13 +68,7 @@ impl Packet {
     /// Number of whole batched messages this packet carries under a
     /// given spec (fixed-width messages after the fixed stack).
     pub fn message_count(&self, spec: &Spec) -> usize {
-        let Some(msg) = &spec.messages else { return 0 };
-        let Some(h) = spec.header(msg) else { return 0 };
-        let w = h.width_bytes();
-        if w == 0 {
-            return 0;
-        }
-        self.bytes.len().saturating_sub(spec.stack_width()) / w
+        spec.framing().messages(self.len())
     }
 
     /// Decode the fixed stack header `name` (must be in the sequence).

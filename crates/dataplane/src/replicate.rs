@@ -182,14 +182,14 @@ impl Egress {
         out: &mut Vec<(Port, Packet)>,
     ) {
         let mw = self.msg_words;
-        let exact = pkt.len() == plan.msg_base + total * plan.msg_width;
+        let exact = pkt.len() == plan.msg_offset(total);
         out.reserve(self.union.iter().map(|w| w.count_ones() as usize).sum());
         self.pruned.clear();
         for b in bits(&self.union) {
             let kept = &self.kept[b * mw..][..mw];
             let whole = || kept.iter().map(|w| w.count_ones() as usize).sum::<usize>() == total;
             let twin = || self.pruned.iter().find(|&&(c, _)| self.kept[c * mw..][..mw] == *kept);
-            let copy = if plan.msg_width == 0 || (exact && whole()) {
+            let copy = if plan.framing.message.is_none() || (exact && whole()) {
                 stats.shared_copies += 1;
                 pkt.clone()
             } else if let Some(&(_, at)) = twin() {

@@ -1,8 +1,11 @@
 //! The full per-packet switch path (§VI).
 //!
-//! Ingress parses the packet (deep parsing with recirculation) and
-//! evaluates the compiled pipeline once per batched message, producing
-//! a port mask per message. The crossbar then replicates the packet —
+//! Ingress extracts the packet's units — its whole batched messages, or
+//! the whole stack of a spec without messages
+//! ([`Framing::units`](camus_lang::spec::Framing::units)) — within the
+//! parser's PHV and recirculation budget (Fig. 7, [`SwitchConfig`]),
+//! and evaluates the compiled pipeline once per unit, producing a port
+//! mask per unit. The crossbar then replicates the packet —
 //! one copy per output port — and egress prunes from each copy the
 //! messages that port's subscribers did not ask for (§VI-A; on
 //! hardware the mask rides in an unused header field, here it is
@@ -16,7 +19,6 @@
 
 use crate::fastpath::{EvalPlan, EvalScratch};
 use crate::packet::Packet;
-use crate::parser::{DeepParser, ParseOutcome};
 use crate::replicate::{Egress, PortMasks};
 use crate::state::StateStore;
 use crate::telemetry::SwitchTelemetry;
@@ -25,7 +27,7 @@ use camus_core::pipeline::Pipeline;
 use camus_core::resources::{self, AdmissionError, ResourceBudget, ResourceReport};
 use camus_core::statics::StaticPipeline;
 use camus_lang::ast::{Action, AggFunc, Operand, Port};
-use camus_lang::spec::Spec;
+use camus_lang::spec::{FieldSource, Spec};
 use camus_lang::value::Value;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
@@ -41,7 +43,8 @@ const RECIRC_LATENCY_NS: u64 = 400;
 /// Hardware-model parameters.
 #[derive(Debug, Clone)]
 pub struct SwitchConfig {
-    /// Messages extracted per parser pass (PHV budget).
+    /// Messages extracted per parser pass (PHV budget). Must be
+    /// positive.
     pub max_msgs_per_pass: usize,
     /// Dedicated recirculation ports.
     pub recirc_ports: usize,
@@ -51,6 +54,49 @@ pub struct SwitchConfig {
     /// Defaults to unlimited so unbudgeted simulations never reject;
     /// the controller overrides it per switch for admission control.
     pub budget: ResourceBudget,
+}
+
+impl SwitchConfig {
+    /// The deep-parsing budget of Fig. 7 applied to a packet of `units`
+    /// units. The PHV holds `B = max_msgs_per_pass` messages, so the
+    /// first pass extracts `B` and multicasts copies onto the `R`
+    /// recirculation ports; the copy returning on port `k` skips `k·B`
+    /// messages and extracts the next `B`. At most `(R + 1)·B` units
+    /// are extracted; the rest are truncated.
+    #[inline]
+    pub(crate) fn extraction(&self, units: usize) -> Extraction {
+        let extracted = units.min((self.recirc_ports + 1) * self.max_msgs_per_pass);
+        Extraction {
+            extracted,
+            truncated: units - extracted,
+            passes: extracted.div_ceil(self.max_msgs_per_pass).max(1),
+        }
+    }
+}
+
+/// What one packet's parse extracts ([`SwitchConfig::extraction`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Extraction {
+    /// Units evaluated: the first `extracted` of the packet.
+    pub extracted: usize,
+    /// Units past the recirculation budget, never evaluated.
+    pub truncated: usize,
+    /// Pipeline passes used (1 = no recirculation).
+    pub passes: usize,
+}
+
+impl Extraction {
+    /// Modelled latency: one traversal plus a penalty per recirculation.
+    fn latency_ns(&self) -> u64 {
+        BASE_LATENCY_NS + RECIRC_LATENCY_NS * (self.passes as u64 - 1)
+    }
+
+    /// Fold the parse into the counters.
+    fn count(&self, stats: &mut SwitchStats) {
+        stats.truncated_messages += self.truncated as u64;
+        stats.dropped_resource += self.truncated as u64;
+        stats.recirculation_passes += (self.passes - 1) as u64;
+    }
 }
 
 impl Default for SwitchConfig {
@@ -180,9 +226,11 @@ impl Program {
 pub struct SwitchStats {
     pub packets: u64,
     pub messages: u64,
-    /// Packets whose geometry does not fit the spec (truncated stack
-    /// or a partial trailing message). The decodable prefix is still
-    /// processed; the malformed tail is a graceful parse miss.
+    /// Packets whose geometry does not fit the spec
+    /// ([`Framing::is_malformed`](camus_lang::spec::Framing::is_malformed)):
+    /// a cut stack, which carries no unit and is evaluated nowhere, or
+    /// a partial trailing message, which is skipped while the whole
+    /// messages before it are evaluated.
     pub malformed: u64,
     pub truncated_messages: u64,
     pub recirculation_passes: u64,
@@ -210,10 +258,10 @@ pub struct SwitchStats {
     /// Compiled-path match probes performed (binary-search steps plus
     /// linear entries touched) — attributes where evaluation time goes.
     pub entries_scanned: u64,
-    /// `process_batch` invocations.
+    /// `process_batch_indexed` invocations.
     pub batches: u64,
-    /// Packets processed through `process_batch` (with `batches`, the
-    /// mean batch size).
+    /// Packets processed through `process_batch_indexed` (with
+    /// `batches`, the mean batch size).
     pub batched_packets: u64,
     /// Output copies that share an existing buffer: the input's (no
     /// message pruned) or an identical pruned copy's (another port keeps
@@ -273,8 +321,9 @@ pub struct SwitchOutput {
 /// A switch loaded with an application and a compiled pipeline.
 #[derive(Debug, Clone)]
 pub struct Switch {
-    parser: DeepParser,
-    /// [`spec_identity`] of the parser's spec.
+    /// The application spec this switch parses.
+    spec: Spec,
+    /// [`spec_identity`] of `spec`.
     spec_id: u64,
     /// The live forwarding program, possibly shared with twins.
     program: Arc<Program>,
@@ -316,19 +365,19 @@ impl Switch {
     /// `config.budget` — only possible once a finite budget is
     /// configured.
     pub fn new(statics: &StaticPipeline, pipeline: Pipeline, config: SwitchConfig) -> Self {
+        assert!(config.max_msgs_per_pass > 0, "PHV must hold at least one message");
         let mut state = StateStore::new(config.default_window_us);
         for reg in &statics.registers {
             state.allocate(&reg.name, reg.window_us);
         }
-        let parser =
-            DeepParser::new(statics.spec.clone(), config.max_msgs_per_pass, config.recirc_ports);
-        let program = Arc::new(Program::build(parser.spec(), pipeline));
+        let spec = statics.spec.clone();
+        let program = Arc::new(Program::build(&spec, pipeline));
         config.budget.admit(&program.report).expect("install rejected by resource budget");
         let mut scratch = EvalScratch::default();
         scratch.reset(program.compiled.slots().len());
         let mut sw = Switch {
             spec_id: program.spec_id,
-            parser,
+            spec,
             program,
             staged: None,
             committed_epoch: None,
@@ -370,7 +419,7 @@ impl Switch {
     /// nothing is staged and the previous staged program (if any) is
     /// kept.
     pub fn stage(&mut self, pipeline: Pipeline) -> Result<ResourceReport, InstallError> {
-        let program = Arc::new(Program::build(self.parser.spec(), pipeline));
+        let program = Arc::new(Program::build(&self.spec, pipeline));
         let report = program.report.clone();
         self.stage_epoch(program, 0)?;
         Ok(report)
@@ -458,7 +507,7 @@ impl Switch {
     }
 
     pub fn spec(&self) -> &Spec {
-        self.parser.spec()
+        &self.spec
     }
 
     pub fn stats(&self) -> SwitchStats {
@@ -535,39 +584,31 @@ impl Switch {
         let program: &Program = program;
         let (plan, compiled, masks) = (&program.plan, &program.compiled, &program.masks);
         stats.packets += 1;
-        if plan.is_malformed(pkt) {
+        if plan.framing.is_malformed(pkt.len()) {
             stats.malformed += 1;
         }
-        // Parser budget model (≡ DeepParser::parse without the maps).
-        let total = plan.message_count(pkt);
-        let budget = (config.recirc_ports + 1) * config.max_msgs_per_pass;
-        let extract = total.min(budget);
-        let truncated = total - extract;
-        let passes = if total == 0 { 1 } else { extract.div_ceil(config.max_msgs_per_pass).max(1) };
-        stats.truncated_messages += truncated as u64;
-        stats.dropped_resource += truncated as u64;
-        stats.recirculation_passes += (passes - 1) as u64;
+        let units = plan.framing.units(pkt.len());
+        let parse = config.extraction(units);
+        parse.count(stats);
 
         out.ports.clear();
         out.actions.clear();
-        out.passes = passes;
-        out.latency_ns = BASE_LATENCY_NS + RECIRC_LATENCY_NS * (passes as u64 - 1);
+        out.passes = parse.passes;
+        out.latency_ns = parse.latency_ns();
 
         let mut counters = EvalCounters::default();
-        // A stack-only application (e.g. INT) evaluates the packet
-        // itself as its one message.
-        let evals = if total == 0 { usize::from(plan.stack_has_fields(pkt)) } else { extract };
+        let messages = plan.framing.message.is_some();
         let mut forwarded = false;
-        for index in 0..evals {
+        for index in 0..parse.extracted {
             stats.messages += 1;
-            let off = (total > 0).then(|| plan.msg_offset(index));
+            let off = messages.then(|| plan.msg_offset(index));
             let id =
                 plan.eval(compiled, state, &mut scratch.values, pkt, off, now_us, &mut counters);
             // Drops and custom actions touch no mask state.
             match compiled.action(id) {
                 Action::Forward(_) => {
                     if !forwarded {
-                        egress.begin(masks, ingress, evals);
+                        egress.begin(masks, ingress, parse.extracted);
                         forwarded = true;
                     }
                     egress.forward(masks, id, index, stats);
@@ -584,50 +625,30 @@ impl Switch {
         stats.entries_scanned += counters.entries_scanned;
         *last_eval = counters;
         if let Some(t) = telemetry.as_deref_mut() {
-            t.observe(&counters, out.latency_ns, passes);
+            t.observe(&counters, out.latency_ns, parse.passes);
         }
         if forwarded {
-            egress.replicate(masks, plan, pkt, total, stats, &mut out.ports);
+            egress.replicate(masks, plan, pkt, units, stats, &mut out.ports);
         }
     }
 
-    /// Process a batch of `(packet, ingress)` pairs arriving together.
-    /// Amortises per-call overhead and feeds the batch-size counters.
-    pub fn process_batch(&mut self, pkts: &[(Packet, Port)], now_us: u64) -> Vec<SwitchOutput> {
-        let mut out = Vec::new();
-        self.batch_into(pkts, now_us, 0, &mut out);
-        out
-    }
-
-    /// [`process_batch`](Self::process_batch) with per-packet
-    /// timestamps and caller-owned output: packet `j` of the batch is
-    /// processed at time `first_index + j`, so a driver that splits one
-    /// packet stream across shards can hand each shard its *global*
-    /// packet indices and every shard agrees with the sequential lanes
-    /// on timestamp-keyed aggregate/window semantics. `out` ends with
+    /// Process a batch of `(packet, ingress)` pairs arriving together,
+    /// amortising per-call overhead and feeding the batch-size
+    /// counters. Packet `j` of the batch is processed at time
+    /// `first_index + j`, so a driver that splits one packet stream
+    /// across shards can hand each shard its *global* packet indices
+    /// and every shard agrees with the sequential lanes on
+    /// timestamp-keyed aggregate/window semantics. `out` ends with
     /// exactly one slot per packet, and the slots a previous batch left
     /// are overwritten in place — their `ports`/`actions` vectors
     /// cleared but keeping their capacity — so a hot loop that reuses
     /// one `out` allocates, once warm, only one buffer per distinct
-    /// pruned copy of each packet.
+    /// pruned copy of each packet. The next packet's header bytes are
+    /// prefetched while the current one evaluates.
     pub fn process_batch_indexed(
         &mut self,
         pkts: &[(Packet, Port)],
         first_index: u64,
-        out: &mut Vec<SwitchOutput>,
-    ) {
-        self.batch_into(pkts, first_index, 1, out);
-    }
-
-    /// Shared batch loop: packet `j` runs at `base_us + j * step_us`
-    /// into slot `j` of `out` (resized to the batch), with the next
-    /// packet's header bytes prefetched while the current one
-    /// evaluates.
-    fn batch_into(
-        &mut self,
-        pkts: &[(Packet, Port)],
-        base_us: u64,
-        step_us: u64,
         out: &mut Vec<SwitchOutput>,
     ) {
         self.stats.batches += 1;
@@ -637,28 +658,30 @@ impl Switch {
             if let Some((next, _)) = pkts.get(j + 1) {
                 crate::fastpath::prefetch_read(next.bytes.as_slice());
             }
-            self.process_into(pkt, *ingress, base_us + j as u64 * step_us, slot);
+            self.process_into(pkt, *ingress, first_index + j as u64, slot);
         }
     }
 
-    /// The interpreted reference path: `DeepParser::parse` into string-
-    /// keyed maps, `Pipeline::evaluate` per message. Semantically
-    /// identical to [`process`](Self::process) (the differential tests
-    /// pin this); kept for equivalence testing and as the measured
-    /// baseline in the `throughput` experiment.
+    /// The interpreted reference path: the same units and budget as
+    /// [`process`](Self::process), each decoded into string-keyed maps
+    /// (`Packet::message`, `Packet::stack_header`) whose fields
+    /// [`Spec::locate`] names, then `Pipeline::evaluate` per unit and
+    /// replication by linear scan. Semantically identical to
+    /// [`process`](Self::process) (the differential tests pin this);
+    /// kept for equivalence testing and as the measured baseline in the
+    /// `throughput` experiment.
     pub fn process_reference(&mut self, pkt: &Packet, ingress: Port, now_us: u64) -> SwitchOutput {
-        let outcome = self.parser.parse(pkt);
-        self.stats.packets += 1;
-        if self.program.plan.is_malformed(pkt) {
-            self.stats.malformed += 1;
+        let Switch { spec, program, state, config, stats, port_down, .. } = self;
+        let framing = spec.framing();
+        let parse = config.extraction(framing.units(pkt.len()));
+        stats.packets += 1;
+        if framing.is_malformed(pkt.len()) {
+            stats.malformed += 1;
         }
-        self.stats.truncated_messages += outcome.truncated as u64;
-        self.stats.dropped_resource += outcome.truncated as u64;
-        self.stats.recirculation_passes += (outcome.passes - 1) as u64;
-
+        parse.count(stats);
         let mut out = SwitchOutput {
-            passes: outcome.passes,
-            latency_ns: BASE_LATENCY_NS + RECIRC_LATENCY_NS * (outcome.passes as u64 - 1),
+            passes: parse.passes,
+            latency_ns: parse.latency_ns(),
             ..Default::default()
         };
 
@@ -666,78 +689,60 @@ impl Switch {
         // scan: the oracle's own representation, independent of the
         // fast path's bit rows.
         let mut keep: Vec<(Port, Vec<usize>)> = Vec::new();
-
-        if outcome.messages.is_empty() {
-            // Stack-only application (e.g. INT): the packet itself is
-            // the message.
-            if pkt.message_count(self.parser.spec()) == 0 && !outcome.stack.is_empty() {
-                self.stats.messages += 1;
-                let action = self.eval_message(&outcome, None, now_us);
-                apply_action(
-                    &action,
-                    0,
-                    ingress,
-                    &self.port_down,
-                    &mut keep,
-                    &mut self.stats,
-                    &mut out,
-                );
-            }
-        } else {
-            for mi in 0..outcome.messages.len() {
-                self.stats.messages += 1;
-                let action = self.eval_message(&outcome, Some(mi), now_us);
-                let index = outcome.messages[mi].index;
-                apply_action(
-                    &action,
-                    index,
-                    ingress,
-                    &self.port_down,
-                    &mut keep,
-                    &mut self.stats,
-                    &mut out,
-                );
-            }
+        let stack: HashMap<&str, HashMap<String, Value>> = spec
+            .sequence
+            .iter()
+            .filter_map(|name| Some((name.as_str(), pkt.stack_header(spec, name)?)))
+            .collect();
+        for index in 0..parse.extracted {
+            stats.messages += 1;
+            // `None` for the stack unit of a spec without messages.
+            let message = pkt.message(spec, index);
+            let field = |name: &str| match spec.locate(name)? {
+                FieldSource::Message(f) => message.as_ref()?.get(&f.name).cloned(),
+                FieldSource::Stack { header, field, .. } => {
+                    stack.get(header.name.as_str())?.get(&field.name).cloned()
+                }
+            };
+            let action = eval_unit(program, state, field, now_us);
+            apply_action(&action, index, ingress, port_down, &mut keep, stats, &mut out);
         }
 
         // Crossbar replication + egress pruning: one copy per port.
         keep.sort_unstable_by_key(|&(port, _)| port);
         for (port, indices) in keep {
-            let copy = if self.parser.spec().messages.is_some() {
-                pkt.prune_messages(self.parser.spec(), &indices)
+            let copy = if spec.messages.is_some() {
+                pkt.prune_messages(spec, &indices)
             } else {
                 pkt.clone()
             };
-            self.stats.copies += 1;
+            stats.copies += 1;
             out.ports.push((port, copy));
         }
         out
     }
+}
 
-    /// Evaluate the interpreted pipeline for one message (or the bare
-    /// stack), updating aggregate registers first so the aggregate
-    /// includes the current observation.
-    fn eval_message(&mut self, outcome: &ParseOutcome, msg: Option<usize>, now_us: u64) -> Action {
-        // 1. Update every aggregate register with its field value.
-        let field_value = |key: &str| -> Option<Value> {
-            match msg {
-                Some(mi) => outcome.lookup(&outcome.messages[mi], key).cloned(),
-                None => outcome.stack.get(key).cloned(),
-            }
-        };
-        let mut agg_values: HashMap<String, Value> = HashMap::new();
-        for (key, func, field) in &self.program.aggregates {
-            if let Some(Value::Int(v)) = field_value(field) {
-                self.state.update(key, now_us, v);
-            }
-            agg_values.insert(key.clone(), Value::Int(self.state.read(key, now_us, *func)));
+/// Evaluate the interpreted pipeline on one unit, whose fields `field`
+/// reads, updating aggregate registers first so each aggregate includes
+/// the current observation.
+fn eval_unit(
+    program: &Program,
+    state: &mut StateStore,
+    field: impl Fn(&str) -> Option<Value>,
+    now_us: u64,
+) -> Action {
+    let mut agg_values: HashMap<String, Value> = HashMap::new();
+    for (key, func, name) in &program.aggregates {
+        if let Some(Value::Int(v)) = field(name) {
+            state.update(key, now_us, v);
         }
-        // 2. Evaluate the pipeline with message + stack + aggregates.
-        self.program.pipeline.evaluate(|op: &Operand| match op {
-            Operand::Field(_) => field_value(&op.key()),
-            Operand::Aggregate { .. } => agg_values.get(&op.key()).cloned(),
-        })
+        agg_values.insert(key.clone(), Value::Int(state.read(key, now_us, *func)));
     }
+    program.pipeline.evaluate(|op: &Operand| match op {
+        Operand::Field(_) => field(&op.key()),
+        Operand::Aggregate { .. } => agg_values.get(&op.key()).cloned(),
+    })
 }
 
 /// Route one message's action into the reference path's keep lists and
@@ -1097,7 +1102,8 @@ mod tests {
         let pkts: Vec<(Packet, Port)> = (0..5)
             .map(|i| (PacketBuilder::new(&spec).message(order("GOOGL", i)).build(), 0))
             .collect();
-        let outs = sw.process_batch(&pkts, 0);
+        let mut outs = Vec::new();
+        sw.process_batch_indexed(&pkts, 0, &mut outs);
         assert_eq!(outs.len(), 5);
         assert!(outs.iter().all(|o| o.ports.len() == 1));
         assert_eq!(sw.stats().batches, 1);
@@ -1334,5 +1340,104 @@ mod tests {
         assert_eq!(fast.stats().malformed, 1);
         assert_eq!(reference.stats().malformed, 1);
         assert_eq!(fast.stats().malformed, reference.stats().malformed);
+    }
+
+    /// Run `pkt` through a copy of `sw` on each path: the outputs and
+    /// the forwarding counters must agree. Returns the fast path's.
+    fn both_paths(sw: &Switch, pkt: &Packet) -> (SwitchOutput, SwitchStats) {
+        let (mut fast, mut reference) = (sw.clone(), sw.clone());
+        let (a, r) = (fast.process(pkt, 0, 0), reference.process_reference(pkt, 0, 0));
+        assert_eq!(a.ports, r.ports);
+        assert_eq!(a.actions, r.actions);
+        assert_eq!((a.passes, a.latency_ns), (r.passes, r.latency_ns));
+        let (f, r) = (fast.stats(), reference.stats());
+        let forwarding = |s: &SwitchStats| {
+            (s.packets, s.messages, s.malformed, s.dropped_messages, s.dropped_no_route, s.copies)
+        };
+        assert_eq!(forwarding(&f), forwarding(&r));
+        (a, f)
+    }
+
+    #[test]
+    fn extraction_budget() {
+        let cfg = SwitchConfig::default();
+        let got = |cfg: &SwitchConfig, units| {
+            let e = cfg.extraction(units);
+            (e.extracted, e.truncated, e.passes)
+        };
+        assert_eq!(got(&cfg, 0), (0, 0, 1));
+        assert_eq!(got(&cfg, 3), (3, 0, 1));
+        // 10 messages, 4 per pass: 3 passes.
+        assert_eq!(got(&cfg, 10), (10, 0, 3));
+        // Room for (1 + 1) passes of 2 messages.
+        let small = SwitchConfig { max_msgs_per_pass: 2, recirc_ports: 1, ..Default::default() };
+        assert_eq!(got(&small, 7), (4, 3, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "PHV must hold at least one message")]
+    fn zero_budget_panics() {
+        let statics = compile_static(&itch_spec()).unwrap();
+        let cfg = SwitchConfig { max_msgs_per_pass: 0, ..Default::default() };
+        Switch::new(&statics, compile_itch("stock == GOOGL: fwd(1)\n"), cfg);
+    }
+
+    #[test]
+    fn heartbeat_is_evaluated_nowhere() {
+        // A MoldUDP heartbeat: the 18-byte header and no message. Read
+        // with every message field absent, it would reach port 2.
+        let sw = itch_switch("price < 5: fwd(1)\nprice > 2: fwd(2)\n");
+        let spec = itch_spec();
+        let heartbeat = PacketBuilder::new(&spec).stack_field("moldudp", "seq", 9i64).build();
+        assert_eq!(heartbeat.len(), 18);
+        let (out, stats) = both_paths(&sw, &heartbeat);
+        assert!(out.ports.is_empty());
+        assert_eq!((stats.packets, stats.messages, stats.malformed), (1, 0, 0));
+    }
+
+    #[test]
+    fn stack_cut_inside_a_later_header_is_evaluated_nowhere() {
+        let spec = Spec::parse(
+            "header a { @field bit<8> x; }\nheader b { @field bit<16> y; }\nsequence a b",
+        )
+        .unwrap();
+        let statics = compile_static(&spec).unwrap();
+        let rules = parse_rules("x == 1: fwd(1)\n").unwrap();
+        let compiled = Compiler::new().with_static(statics.clone()).compile(&rules).unwrap();
+        let sw = Switch::new(&statics, compiled.pipeline, SwitchConfig::default());
+        let whole = PacketBuilder::new(&spec).stack_field("a", "x", 1i64).build();
+        let (out, stats) = both_paths(&sw, &whole);
+        assert_eq!(out.ports, vec![(1, whole.clone())]);
+        assert_eq!((stats.messages, stats.malformed), (1, 0));
+        // `a` is whole, `b` is cut: the stack is no unit.
+        let cut = Packet::new(whole.bytes[..2].into());
+        let (out, stats) = both_paths(&sw, &cut);
+        assert!(out.ports.is_empty());
+        assert_eq!((stats.messages, stats.malformed), (0, 1));
+    }
+
+    #[test]
+    fn field_names_resolve_alike_on_both_paths() {
+        // Only a compiler without the spec emits `moldudp.price`. The
+        // spec names no such field, so it reads absent and its rule
+        // never fires, though the message carries a `price`.
+        let statics = compile_static(&itch_spec()).unwrap();
+        let rules = parse_rules(
+            "itch_order.price > 5: fwd(1)\n\
+             price > 5: fwd(2)\n\
+             moldudp.seq == 7: fwd(3)\n\
+             seq == 7: fwd(4)\n\
+             moldudp.price > 5: fwd(5)\n",
+        )
+        .unwrap();
+        let pipeline = Compiler::new().compile(&rules).unwrap().pipeline;
+        let sw = Switch::new(&statics, pipeline, SwitchConfig::default());
+        let spec = itch_spec();
+        let pkt = PacketBuilder::new(&spec)
+            .stack_field("moldudp", "seq", 7i64)
+            .message(order("GOOGL", 10))
+            .build();
+        let (out, _) = both_paths(&sw, &pkt);
+        assert_eq!(out.ports.iter().map(|(p, _)| *p).collect::<Vec<_>>(), vec![1, 2, 3, 4]);
     }
 }

@@ -221,8 +221,7 @@ fn window_spanning_batches_agree_with_sequential() {
     // packet of each window, and the window tumbles at ts = 100,
     // resetting the count so packets 100..103 are *not* forwarded.
     // Any driver that restarts timestamps at a batch boundary (or
-    // pins them, like the legacy single-timestamp API) tumbles at the
-    // wrong packets.
+    // pins them to one time per batch) tumbles at the wrong packets.
     let pkts: Vec<(Packet, Port)> = (0..150).map(|_| (packet(&[("MSFT", 10)]), 0)).collect();
     let base = stateful_switch();
 
@@ -239,14 +238,6 @@ fn window_spanning_batches_agree_with_sequential() {
             drive_batched(&mut batched, &pkts, chunk).iter().map(ports_of).collect();
         assert_eq!(got, seq_ports, "chunk size {chunk} diverged");
     }
-
-    // The legacy single-timestamp batch API is *not* equivalent on
-    // stateful streams (every packet lands in one window) — pin that
-    // the indexed API is the one with global-time semantics.
-    let mut legacy = base.clone();
-    let legacy_ports: Vec<Vec<Port>> =
-        legacy.process_batch(&pkts, 0).iter().map(ports_of).collect();
-    assert_ne!(legacy_ports, seq_ports, "stateful stream must distinguish the two batch APIs");
 }
 
 /// One output `Vec` driven through batches of 64, 7, 64, 1 and 0

@@ -4,7 +4,9 @@
 //! formats. In the paper this is P4 source extended with annotations;
 //! here it is a small standalone language with the same information
 //! content, consumed by the static compiler (pipeline generation) and
-//! by the dataplane parser:
+//! by the data plane, which reads every packet through it: which units
+//! it carries ([`Spec::framing`]) and where a field name's bytes lie
+//! ([`Spec::locate`]):
 //!
 //! ```text
 //! header ethernet {
@@ -238,6 +240,85 @@ impl Spec {
         }
         Some(out)
     }
+
+    /// The packet geometry every reader of a packet under this spec
+    /// shares: where the batched messages start and how wide each is.
+    pub fn framing(&self) -> Framing {
+        Framing {
+            stack: self.stack_width(),
+            message: self.messages.as_ref().and_then(|m| self.header(m)).map(|h| h.width_bytes()),
+        }
+    }
+
+    /// Where a field name's bytes lie in an evaluation unit. A name is
+    /// first a field of the `messages` header, bare or qualified by
+    /// that header; failing that, the field of the `sequence` header
+    /// that [`resolve`](Self::resolve) names; failing that, nothing.
+    pub fn locate(&self, name: &str) -> Option<FieldSource<'_>> {
+        if let Some(h) = self.messages.as_ref().and_then(|m| self.header(m)) {
+            let bare = match name.split_once('.') {
+                Some((header, field)) => (header == h.name).then_some(field),
+                None => Some(name),
+            };
+            if let Some(f) = bare.and_then(|b| h.field(b)) {
+                return Some(FieldSource::Message(f));
+            }
+        }
+        let (header, field) = self.resolve(name)?;
+        let base = self.stack_offset(&header.name)?;
+        Some(FieldSource::Stack { header, base, field })
+    }
+}
+
+/// A spec's packet geometry ([`Spec::framing`]): the fixed stack, then
+/// whole batched messages. It decides which units a switch evaluates.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Framing {
+    /// Width of the fixed stack in bytes: where messages start.
+    pub stack: usize,
+    /// Width of one batched message; `None` when the spec has no
+    /// `messages` header.
+    pub message: Option<usize>,
+}
+
+impl Framing {
+    /// Whole batched messages in a packet of `len` bytes; 0 under a
+    /// spec without a `messages` header.
+    #[inline]
+    pub fn messages(&self, len: usize) -> usize {
+        self.message.and_then(|w| len.saturating_sub(self.stack).checked_div(w)).unwrap_or(0)
+    }
+
+    /// The units a packet of `len` bytes carries (§VI): its whole
+    /// messages when the spec has a `messages` header; otherwise the
+    /// stack, once, and only when the whole stack is on the wire (an
+    /// empty stack carries no unit). Every unit carries every field
+    /// the spec declares for it.
+    #[inline]
+    pub fn units(&self, len: usize) -> usize {
+        match self.message {
+            Some(_) => self.messages(len),
+            None => usize::from(self.stack > 0 && len >= self.stack),
+        }
+    }
+
+    /// Whether `len` bytes do not fit the geometry: a cut stack, or
+    /// trailing bytes that do not form a whole message.
+    #[inline]
+    pub fn is_malformed(&self, len: usize) -> bool {
+        len < self.stack
+            || self.message.is_some_and(|w| w != 0 && !(len - self.stack).is_multiple_of(w))
+    }
+}
+
+/// Where a field's bytes lie ([`Spec::locate`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FieldSource<'a> {
+    /// A field of the `messages` header, read from each message.
+    Message(&'a FieldSpec),
+    /// A field of `header`, a `sequence` header that starts `base`
+    /// bytes into the packet.
+    Stack { header: &'a HeaderSpec, base: usize, field: &'a FieldSpec },
 }
 
 // ---------------------------------------------------------------------------
@@ -601,6 +682,39 @@ mod tests {
         assert!(spec.resolve("x").is_none());
         assert!(spec.resolve("a.x").is_some());
         assert!(spec.resolve("b.x").is_some());
+    }
+
+    #[test]
+    fn locate_prefers_the_message_header_then_the_stack() {
+        let spec = itch_spec();
+        let price = spec.header("itch_order").unwrap().field("price").unwrap();
+        assert_eq!(spec.locate("price"), Some(FieldSource::Message(price)));
+        assert_eq!(spec.locate("itch_order.price"), Some(FieldSource::Message(price)));
+        for name in ["seq", "moldudp.seq"] {
+            let Some(FieldSource::Stack { header, base, field }) = spec.locate(name) else {
+                panic!("{name} is a stack field")
+            };
+            assert_eq!((header.name.as_str(), base, field.name.as_str()), ("moldudp", 0, "seq"));
+        }
+        // No prefix but the message header's own reaches a message field.
+        assert_eq!(spec.locate("moldudp.price"), None);
+        assert_eq!(spec.locate("nope.price"), None);
+        assert_eq!(spec.locate("nope"), None);
+    }
+
+    #[test]
+    fn units_are_whole_messages_or_the_whole_stack() {
+        let itch = itch_spec().framing();
+        assert_eq!(itch, Framing { stack: 18, message: Some(20) });
+        assert_eq!([0, 17, 18, 37, 38, 58].map(|len| itch.units(len)), [0, 0, 0, 0, 1, 2]);
+        assert_eq!([17, 18, 38, 39].map(|len| itch.is_malformed(len)), [true, false, false, true]);
+        let int = int_spec().framing();
+        assert_eq!(int, Framing { stack: 20, message: None });
+        assert_eq!([0, 19, 20, 21].map(|len| int.units(len)), [0, 0, 1, 1]);
+        assert_eq!(int.messages(40), 0);
+        assert!(int.is_malformed(19) && !int.is_malformed(21));
+        let empty = Spec::parse("header a { bit<8> x; }").unwrap().framing();
+        assert_eq!(empty.units(4), 0, "an empty stack carries no unit");
     }
 
     #[test]

@@ -824,6 +824,32 @@ mod tests {
     }
 
     #[test]
+    fn a_heartbeat_reaches_no_host() {
+        // A MoldUDP heartbeat carries no message, so no switch evaluates
+        // it and no host logs a delivery; a one-message packet that both
+        // filters match reaches both subscribers.
+        let net = paper_fat_tree();
+        let subs = subs(&net, |h| match h {
+            14 => vec!["price < 5"],
+            15 => vec!["price > 2"],
+            _ => vec![],
+        });
+        let spec = itch_spec();
+        let heartbeat = PacketBuilder::new(&spec).stack_field("moldudp", "seq", 1i64).build();
+        for policy in [Policy::MemoryReduction, Policy::TrafficReduction] {
+            let mut d = controller(policy).deploy(net.clone(), &subs).unwrap();
+            d.network.publish(0, heartbeat.clone(), 0);
+            d.network.run(None);
+            assert_eq!(delivered(&d.network), 0, "{policy:?}");
+            d.network.publish(0, googl_packet(3), 10_000);
+            d.network.run(None);
+            assert_eq!(d.network.deliveries(14).len(), 1, "{policy:?}");
+            assert_eq!(d.network.deliveries(15).len(), 1, "{policy:?}");
+            assert_eq!(delivered(&d.network), 2, "{policy:?}");
+        }
+    }
+
+    #[test]
     fn a_host_count_mismatch_is_a_typed_error() {
         let net = paper_fat_tree();
         let ctrl = controller(Policy::TrafficReduction);

@@ -235,9 +235,10 @@ impl Network {
         }
     }
 
+    /// The units `packet` carries under `switch`'s spec: its whole
+    /// messages, or its whole stack under a spec without messages.
     fn message_units(&self, switch: SwitchId, packet: &Packet) -> u64 {
-        // Stack-only packets count as one message.
-        (packet.message_count(self.switches[switch].spec()) as u64).max(1)
+        self.switches[switch].spec().framing().units(packet.len()) as u64
     }
 
     /// Publish a packet from a host at an absolute time. When
@@ -315,40 +316,27 @@ impl Network {
         if let Some(c) = ev.card.take() {
             self.ingest_card(*c, PostcardEnd::Delivered { host, time_ns: ev.time_ns });
         }
-        let spec = {
-            // All switches share the application spec; take it from the
-            // host's access switch.
-            let (s, _) = self.topology.access[host];
-            self.switches[s].spec().clone()
+        // All switches share the application spec; read it from the
+        // host's access switch.
+        let spec = self.switches[self.topology.access[host].0].spec();
+        let units = spec.framing().units(ev.packet.len());
+        let delivered = |values| Delivered {
+            host,
+            copy: ev.seq,
+            time_ns: ev.time_ns,
+            published_ns: ev.published_ns,
+            values,
         };
-        let n = ev.packet.message_count(&spec);
-        if n == 0 {
-            // Stack-only application: record the stack attributes.
+        let log = &mut self.deliveries[host];
+        if spec.messages.is_some() {
+            log.extend((0..units).filter_map(|i| ev.packet.message(spec, i)).map(delivered));
+        } else if units == 1 {
+            // The stack unit: record the stack attributes.
             let mut values = HashMap::new();
             for name in &spec.sequence {
-                if let Some(vals) = ev.packet.stack_header(&spec, name) {
-                    values.extend(vals);
-                }
+                values.extend(ev.packet.stack_header(spec, name).unwrap_or_default());
             }
-            self.deliveries[host].push(Delivered {
-                host,
-                copy: ev.seq,
-                time_ns: ev.time_ns,
-                published_ns: ev.published_ns,
-                values,
-            });
-        } else {
-            for i in 0..n {
-                if let Some(values) = ev.packet.message(&spec, i) {
-                    self.deliveries[host].push(Delivered {
-                        host,
-                        copy: ev.seq,
-                        time_ns: ev.time_ns,
-                        published_ns: ev.published_ns,
-                        values,
-                    });
-                }
-            }
+            log.push(delivered(values));
         }
     }
 
@@ -376,8 +364,7 @@ impl Network {
             .ports
             .into_iter()
             .map(|(port, copy)| {
-                // Stack-only packets count as one message.
-                let n = (copy.message_count(self.switches[id].spec()) as u64).max(1);
+                let n = self.message_units(id, &copy);
                 (port, copy, n)
             })
             .collect();
