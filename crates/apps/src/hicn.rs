@@ -13,8 +13,8 @@
 //! meter-driven Camus subscriptions (`content_id == HOT: fwd(FWD)` with
 //! a `true: fwd(UP)` default) recompiled when the hot set changes.
 
+use camus_core::compiled::CompiledPipeline;
 use camus_core::compiler::Compiler;
-use camus_core::pipeline::Pipeline;
 use camus_core::statics::{compile_static, StaticPipeline};
 use camus_lang::ast::{Action, Operand, Rule};
 use camus_lang::parser::parse_rule;
@@ -152,7 +152,8 @@ pub struct HicnSim {
     meter: HashMap<u64, u32>,
     meter_seen: usize,
     hot: Vec<u64>,
-    pipeline: Option<Pipeline>,
+    /// The lowered subscription pipeline every request is routed by.
+    pipeline: Option<CompiledPipeline>,
     /// Count of pipeline recompilations (hot-set changes).
     pub recompiles: usize,
 }
@@ -204,7 +205,7 @@ impl HicnSim {
             .with_static(self.statics.clone())
             .compile(&self.rules())
             .expect("hICN rules compile");
-        self.pipeline = Some(compiled.pipeline);
+        self.pipeline = Some(CompiledPipeline::lower(&compiled.pipeline));
         self.recompiles += 1;
     }
 
@@ -232,12 +233,16 @@ impl HicnSim {
     /// Route one request through the compiled pipeline (Camus mode).
     fn camus_route(&self, id: u64) -> u16 {
         let pipeline = self.pipeline.as_ref().expect("pipeline compiled");
-        let action = pipeline.evaluate(|op: &Operand| match op.key().as_str() {
-            "content_id" => Some(Value::Int(id as i64)),
-            "is_request" => Some(Value::Int(1)),
-            _ => None,
-        });
-        match action {
+        let values: Vec<Option<Value>> = pipeline
+            .slots()
+            .iter()
+            .map(|op: &Operand| match op.key().as_str() {
+                "content_id" => Some(Value::Int(id as i64)),
+                "is_request" => Some(Value::Int(1)),
+                _ => None,
+            })
+            .collect();
+        match pipeline.action(pipeline.eval(&values)) {
             Action::Forward(ports) => ports[0],
             _ => PORT_UPSTREAM,
         }

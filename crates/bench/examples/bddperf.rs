@@ -21,8 +21,7 @@ fn main() {
     // generated off the clock; medians of 5 runs of the whole cold step
     // (build → `bdd_to_pipeline` → `CompiledPipeline::lower`, then the
     // maintained store's seed + snapshot); allocated vs reachable nodes
-    // and emitted vs lowered entries are exact counts, printed before
-    // the timings.
+    // and emitted entries are exact counts, printed before the timings.
     for n in [25_000usize, 100_000, 300_000] {
         let rules: Vec<_> = (0..n)
             .map(|i| {
@@ -41,7 +40,7 @@ fn main() {
         let mut seed_ms = Vec::new();
         let mut snapshot_ms = Vec::new();
         let mut counts = (0, 0);
-        let mut entries = (0, 0);
+        let mut entries = 0;
         for _ in 0..5 {
             let t0 = std::time::Instant::now();
             let bdd = BddBuilder::from_rules(&rules).with_order(order.clone()).build();
@@ -53,9 +52,7 @@ fn main() {
             let t0 = std::time::Instant::now();
             let lowered = CompiledPipeline::lower(&pipeline);
             lower_ms.push(t0.elapsed().as_secs_f64() * 1e3);
-            // The pipeline's count includes its leaf table; the lowered
-            // form counts match entries only.
-            entries = (pipeline.total_entries(), lowered.total_entries());
+            entries = pipeline.total_entries();
             drop((bdd, pipeline, lowered));
             let t0 = std::time::Instant::now();
             let inc = IncrementalBdd::from_rules(&rules, &order);
@@ -70,12 +67,11 @@ fn main() {
             v[v.len() / 2]
         };
         println!(
-            "cold n={n}: reachable={} allocated={} entries={} lowered={} | build {:.1} ms | \
+            "cold n={n}: reachable={} allocated={} entries={} | build {:.1} ms | \
              bdd_to_pipeline {:.1} ms | lower {:.1} ms | seed {:.1} ms + snapshot {:.1} ms",
             counts.0,
             counts.1,
-            entries.0,
-            entries.1,
+            entries,
             median(&mut build_ms),
             median(&mut emit_ms),
             median(&mut lower_ms),

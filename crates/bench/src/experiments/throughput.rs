@@ -254,8 +254,9 @@ fn resource_lane(n_filters: usize) -> (ResourceReport, bool) {
 }
 
 /// A depth-`d` state chain over one operand: stage `i` advances state
-/// `i → i+1` when the value is in range, and the leaf forwards from
-/// state `d`. Isolates per-stage dispatch cost.
+/// `i → i+1` when the value is in range, and drops it otherwise (state
+/// `d + 1`, a terminal); the leaf forwards from state `d`. Isolates
+/// per-stage dispatch cost.
 fn chain_pipeline(depth: usize) -> Pipeline {
     let stages = (0..depth)
         .map(|i| {
@@ -268,7 +269,7 @@ fn chain_pipeline(depth: usize) -> Pipeline {
                         spec: MatchSpec::IntRange(0, 1 << 20),
                         next: i as u32 + 1,
                     },
-                    TableEntry { state: i as u32, spec: MatchSpec::Any, next: 0 },
+                    TableEntry { state: i as u32, spec: MatchSpec::Any, next: depth as u32 + 1 },
                 ],
             )
         })

@@ -4,30 +4,36 @@
 //! operands, per-state entry lists scanned linearly in priority order,
 //! and a cloned [`Action`] per evaluation. That shape mirrors the
 //! paper's table layout but is the slowest possible software encoding.
-//! [`CompiledPipeline::lower`] converts an installed pipeline once, at
-//! install time, into one flat data-plane form:
+//! [`CompiledPipeline::try_lower`] converts an installed pipeline once,
+//! at install time, into one flat data-plane form.
+//!
+//! It lowers only the **compiler's table shape**, which is also all an
+//! RMT pipeline can run (a stage passes metadata only to later stages):
+//!
+//! * every state id is below the pipeline's entry count plus one (the
+//!   compiler numbers its states `0..n`);
+//! * a state's entries sit in one stage, adjacent and in descending
+//!   priority order, as [`StageTable::new`](crate::pipeline::StageTable::new) leaves them (Algorithm 2
+//!   makes every state the In-node of one component);
+//! * every transition goes to a state a later stage holds, or to one no
+//!   stage holds (a terminal);
+//! * a state's int ranges are non-empty and pairwise disjoint, and it
+//!   holds each exact key, and `Any`, at most once.
+//!
+//! Anything else is a [`ShapeError`]; [`Pipeline::evaluate`] stays the
+//! general reference the lowering is checked against. The lowered form:
 //!
 //! * **Slot interning** — every distinct operand gets a dense slot id;
 //!   the parser resolves each slot against the `Spec` once and emits a
 //!   slot-indexed `[Option<Value>]` array per message, so evaluation
 //!   never hashes a field-name string.
-//! * **Dense state ids** — the ids the pipeline mentions (entry states
-//!   and targets, leaf keys, the initial state) are renumbered onto
-//!   `0..n` in id order. The compiler already emits `0..n`, so for its
-//!   output this is the identity; a hand-written pipeline may use any
-//!   `u32` and still lowers to tables no larger than its entry count.
-//! * **Jump rows** — all entries one stage holds for one state become
-//!   one `Row`: the stage, the value slot it reads, and the state's
-//!   match `Group` — typed probes (exact via open-addressing hash
-//!   tables for large groups, binary search for small ones, prefixes
-//!   via a length-ordered linear scan, ranges via binary search when
-//!   provably disjoint), not a priority scan. `rows[state]` is the
-//!   state's first row, so a transition is one indexed load and one
-//!   probe. Algorithm 2 makes every state the In-node of exactly one
-//!   component, so compiler output has exactly one row per state; a
-//!   hand-built state with entries in several stages chains its later
-//!   rows behind the first, read only after a probe miss. Each group is
-//!   built once and held once, by the row that owns it.
+//! * **Jump rows** — `rows[state]` is the state's one `Row`: its stage,
+//!   the value slot it reads, and its match `Group` — typed probes
+//!   (exact via open-addressing hash tables for large groups, binary
+//!   search for small ones, prefixes via a length-ordered linear scan,
+//!   ranges via binary search), not a priority scan. A terminal's row
+//!   sits at the pipeline depth. A transition is one indexed load and
+//!   one probe.
 //! * **Flattened dispatch** — evaluation jumps from transition to
 //!   transition instead of visiting every stage. Skipped stages hold no
 //!   entry for the current state — §V-D pass-throughs by construction —
@@ -42,14 +48,16 @@
 //! Lowering preserves the interpreter's semantics entry-for-entry,
 //! including §V-D pass-through (a lookup miss leaves the state
 //! unchanged) and the missing-field rule (a `None` value can only take
-//! `Any` entries). The differential property test in
-//! `tests/compiled_equivalence.rs` pins `eval ≡ Pipeline::evaluate` on
-//! randomized pipelines and inputs.
+//! `Any` entries). The differential property tests in
+//! `tests/compiled_equivalence.rs` pin `eval ≡ Pipeline::evaluate` on
+//! every table that lowers, and pin that the compiler emits only
+//! tables that do.
 
 use crate::digest::Fnv1a;
-use crate::pipeline::{MatchSpec, Pipeline, StageTable, StateId};
+use crate::pipeline::{MatchSpec, Pipeline, StateId, TableEntry};
 use camus_lang::ast::{Action, Operand};
 use camus_lang::value::Value;
+use std::fmt;
 use std::hash::Hasher;
 
 /// Index into the [`CompiledPipeline`] action arena. Id 0 is always the
@@ -76,9 +84,39 @@ pub struct EvalCounters {
     pub entries_scanned: u64,
 }
 
-/// Occupancy sentinel for the open-addressing exact tables. Lowered
-/// state ids are `0..n` with `n` bounded by the entry count, so no real
-/// state is `u32::MAX`.
+/// Where a pipeline leaves the compiler's table shape (module docs):
+/// why [`CompiledPipeline::try_lower`] refused it. Stages count from 0.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ShapeError {
+    /// A state id at or above `bound`, the pipeline's entry count
+    /// plus one.
+    SparseState { state: StateId, bound: usize },
+    /// `state`'s entries in `stage` are not adjacent, or not in
+    /// descending priority order.
+    Unsorted { stage: usize, state: StateId },
+    /// `state` holds entries in two stages.
+    SplitState { state: StateId, stages: [usize; 2] },
+    /// An entry of `state` in `stage` goes to `next`, which that stage
+    /// or an earlier one holds.
+    BackwardJump { stage: usize, state: StateId, next: StateId },
+    /// An int range of `state` in `stage` has `lo > hi`.
+    EmptyRange { stage: usize, state: StateId },
+    /// Two int ranges of `state` in `stage` overlap.
+    OverlappingRanges { stage: usize, state: StateId },
+    /// `state` holds one exact key, or `Any`, twice in `stage`.
+    DuplicateKey { stage: usize, state: StateId },
+}
+
+impl fmt::Display for ShapeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "not in the compiler's table shape: {self:?}")
+    }
+}
+
+impl std::error::Error for ShapeError {}
+
+/// Occupancy sentinel for the open-addressing exact tables. State ids
+/// are below the entry count plus one, so no real state is `u32::MAX`.
 const EMPTY_STATE: StateId = StateId::MAX;
 
 /// Groups at or above this many exact keys get an open-addressing
@@ -121,15 +159,14 @@ enum ExactIndex<K> {
 }
 
 impl<K: ExactKey> ExactIndex<K> {
-    /// Index `keys`, given in scan order. Of duplicate keys the first
-    /// in scan order wins (the interpreter never reaches the later
-    /// ones): a stable sort keeps it in front and `dedup` drops the
-    /// rest.
-    fn build(mut keys: Vec<(K, StateId)>) -> Self {
-        keys.sort_by(|a, b| a.0.cmp(&b.0));
-        keys.dedup_by(|later, first| later.0 == first.0);
+    /// Index `keys`; `None` if a key repeats.
+    fn build(mut keys: Vec<(K, StateId)>) -> Option<Self> {
+        keys.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        if keys.windows(2).any(|w| w[0].0 == w[1].0) {
+            return None;
+        }
         if keys.len() < HASH_MIN_KEYS {
-            return ExactIndex::Sorted(keys);
+            return Some(ExactIndex::Sorted(keys));
         }
         let cap = (keys.len() * 2).next_power_of_two();
         let mut table = vec![(K::default(), EMPTY_STATE); cap];
@@ -140,14 +177,7 @@ impl<K: ExactKey> ExactIndex<K> {
             }
             table[i] = (k, s);
         }
-        ExactIndex::Hashed(table)
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            ExactIndex::Sorted(v) => v.len(),
-            ExactIndex::Hashed(t) => t.iter().filter(|(_, s)| *s != EMPTY_STATE).count(),
-        }
+        Some(ExactIndex::Hashed(table))
     }
 
     #[inline]
@@ -176,7 +206,7 @@ impl<K: ExactKey> ExactIndex<K> {
     }
 }
 
-/// Range dispatch strategy for one `(stage, state)` group.
+/// Range dispatch strategy for one state's group.
 #[derive(Debug, Clone)]
 enum RangeIndex {
     /// Exactly one range: a pair of compares, no search. Deep state
@@ -184,81 +214,80 @@ enum RangeIndex {
     /// hottest shape in the depth ladder.
     Single(i64, i64, StateId),
     /// Pairwise-disjoint ranges sorted by `lo`: one binary search finds
-    /// the only candidate. This is the common case — Algorithm 2 emits
-    /// a partition of the value domain per In-node.
+    /// the only candidate. Algorithm 2 emits a partition of the value
+    /// domain per In-node.
     Disjoint(Vec<(i64, i64, StateId)>),
-    /// Overlapping ranges (possible in hand-built or randomized
-    /// pipelines): fall back to the interpreter's first-match priority
-    /// scan order.
-    Ordered(Vec<(i64, i64, StateId)>),
 }
 
-impl RangeIndex {
-    fn len(&self) -> usize {
-        match self {
-            RangeIndex::Single(..) => 1,
-            RangeIndex::Disjoint(v) | RangeIndex::Ordered(v) => v.len(),
-        }
-    }
-}
-
-/// All entries of one stage for one state, split by match type. The
-/// interpreter scans the state's entries in priority order (exact >
-/// prefix > range > any); typed values can only hit their own class,
-/// so probing exact → prefix/range → any preserves first-match-wins.
+/// All entries of one state, split by match type. The interpreter
+/// scans the state's entries in priority order
+/// (exact > prefix > range > any); typed values can only hit their own
+/// class, so probing exact → prefix/range → any preserves
+/// first-match-wins.
 #[derive(Debug, Clone)]
 struct Group {
-    /// Exact int keys, first-in-scan-order on duplicates.
     int_exact: ExactIndex<i64>,
-    /// Exact string keys, first-in-scan-order on duplicates.
     str_exact: ExactIndex<String>,
     /// Prefix entries in interpreter scan order (length-descending,
     /// stable): a linear first-match scan is exact-equivalent.
     str_prefix: Vec<(String, StateId)>,
     ranges: RangeIndex,
-    /// First `Any` entry in scan order, if present.
     any: Option<StateId>,
 }
 
 impl Group {
-    /// Build one state's match group from its entries in scan order.
-    fn lower<'a>(entries: impl Iterator<Item = (&'a MatchSpec, StateId)>) -> Group {
-        let mut int_exact: Vec<(i64, StateId)> = Vec::new();
-        let mut str_exact: Vec<(String, StateId)> = Vec::new();
-        let mut str_prefix: Vec<(String, StateId)> = Vec::new();
-        let mut ranges: Vec<(i64, i64, StateId)> = Vec::new();
-        let mut any: Option<StateId> = None;
-        for (spec, next) in entries {
-            match spec {
-                MatchSpec::IntExact(v) => int_exact.push((*v, next)),
-                MatchSpec::StrExact(s) => str_exact.push((s.clone(), next)),
-                // Scan order is length-descending (priority = 1M + len),
-                // stable within a length — keep it for first-match scans.
-                MatchSpec::StrPrefix(p) => str_prefix.push((p.clone(), next)),
-                MatchSpec::IntRange(lo, hi) => {
-                    // Empty ranges can never match.
-                    if lo <= hi {
-                        ranges.push((*lo, *hi, next));
-                    }
-                }
-                MatchSpec::Any => any = any.or(Some(next)),
-            }
-        }
+    /// The group no entry fills: every probe misses.
+    fn empty() -> Group {
         Group {
-            int_exact: ExactIndex::build(int_exact),
-            str_exact: ExactIndex::build(str_exact),
-            str_prefix,
-            ranges: index_ranges(ranges),
-            any,
+            int_exact: ExactIndex::Sorted(Vec::new()),
+            str_exact: ExactIndex::Sorted(Vec::new()),
+            str_prefix: Vec::new(),
+            ranges: RangeIndex::Disjoint(Vec::new()),
+            any: None,
         }
     }
 
-    fn len(&self) -> usize {
-        self.int_exact.len()
-            + self.str_exact.len()
-            + self.str_prefix.len()
-            + self.ranges.len()
-            + usize::from(self.any.is_some())
+    /// Build the match group of `run`, one state's entries in `stage`,
+    /// in scan order.
+    fn lower(stage: usize, run: &[TableEntry]) -> Result<Group, ShapeError> {
+        let state = run[0].state;
+        let duplicate = ShapeError::DuplicateKey { stage, state };
+        let mut int_exact: Vec<(i64, StateId)> = Vec::new();
+        let mut str_exact: Vec<(String, StateId)> = Vec::new();
+        let mut str_prefix: Vec<(String, StateId)> = Vec::new();
+        // Sized up front: the group keeps this vector.
+        let mut ranges: Vec<(i64, i64, StateId)> = Vec::with_capacity(
+            run.iter().filter(|e| matches!(e.spec, MatchSpec::IntRange(..))).count(),
+        );
+        let mut any: Option<StateId> = None;
+        for e in run {
+            let next = e.next;
+            match &e.spec {
+                MatchSpec::IntExact(v) => int_exact.push((*v, next)),
+                MatchSpec::StrExact(s) => str_exact.push((s.clone(), next)),
+                MatchSpec::StrPrefix(p) => str_prefix.push((p.clone(), next)),
+                MatchSpec::IntRange(lo, hi) if lo > hi => {
+                    return Err(ShapeError::EmptyRange { stage, state })
+                }
+                MatchSpec::IntRange(lo, hi) => ranges.push((*lo, *hi, next)),
+                MatchSpec::Any if any.is_some() => return Err(duplicate),
+                MatchSpec::Any => any = Some(next),
+            }
+        }
+        ranges.sort_unstable_by_key(|&(lo, _, _)| lo);
+        if ranges.windows(2).any(|w| w[0].1 >= w[1].0) {
+            return Err(ShapeError::OverlappingRanges { stage, state });
+        }
+        Ok(Group {
+            int_exact: ExactIndex::build(int_exact).ok_or(duplicate)?,
+            str_exact: ExactIndex::build(str_exact).ok_or(duplicate)?,
+            str_prefix,
+            ranges: match ranges[..] {
+                [(lo, hi, next)] => RangeIndex::Single(lo, hi, next),
+                _ => RangeIndex::Disjoint(ranges),
+            },
+            any,
+        })
     }
 
     #[inline]
@@ -296,15 +325,6 @@ impl Group {
                             }
                         }
                     }
-                    RangeIndex::Ordered(rs) => {
-                        for (k, &(lo, hi, next)) in rs.iter().enumerate() {
-                            if lo <= *x && *x <= hi {
-                                *scanned += k as u64 + 1;
-                                return Some(next);
-                            }
-                        }
-                        *scanned += rs.len() as u64;
-                    }
                 }
                 *scanned += 1;
                 self.any
@@ -332,25 +352,6 @@ fn bsearch_cost(n: usize) -> u64 {
     u64::from(usize::BITS - n.leading_zeros())
 }
 
-/// Choose the range dispatch strategy: binary search when the ranges
-/// are pairwise disjoint, priority-scan order otherwise.
-fn index_ranges(ranges: Vec<(i64, i64, StateId)>) -> RangeIndex {
-    if let [(lo, hi, next)] = ranges[..] {
-        return RangeIndex::Single(lo, hi, next);
-    }
-    let mut sorted = ranges.clone();
-    sorted.sort_by_key(|&(lo, _, _)| lo);
-    let disjoint = sorted.windows(2).all(|w| w[0].1 < w[1].0);
-    if disjoint {
-        RangeIndex::Disjoint(sorted)
-    } else {
-        RangeIndex::Ordered(ranges)
-    }
-}
-
-/// "No later row" in [`Row::link`].
-const NO_ROW: u32 = u32::MAX;
-
 /// One jump row: stage `stage` can transition the row's state, reading
 /// value slot `slot`, probing the match group the row owns. Fusing the
 /// header and group into one arena element makes a transition two
@@ -358,12 +359,9 @@ const NO_ROW: u32 = u32::MAX;
 /// group).
 #[derive(Debug, Clone)]
 struct Row {
+    /// The pipeline depth for a terminal, which no stage holds.
     stage: u32,
     slot: u32,
-    /// Index of the same state's row at its next later stage, or
-    /// [`NO_ROW`] — always `NO_ROW` in compiler output, where a state
-    /// belongs to one stage.
-    link: u32,
     /// Precomputed single-compare probe for the dominant group shape;
     /// `FastProbe::No` falls back to the full [`Group::lookup`].
     fast: FastProbe,
@@ -402,18 +400,6 @@ impl FastProbe {
 }
 
 impl Row {
-    /// The row of a state no stage holds entries for (a terminal):
-    /// every probe misses.
-    fn empty() -> Row {
-        Row {
-            stage: 0,
-            slot: 0,
-            link: NO_ROW,
-            fast: FastProbe::No,
-            group: Group::lower(std::iter::empty()),
-        }
-    }
-
     /// Probe the row: the precomputed fast path when it applies,
     /// [`Group::lookup`] otherwise. Counter-exact either way.
     #[inline(always)]
@@ -435,7 +421,7 @@ impl Row {
 }
 
 /// A pipeline lowered for the data-plane hot path. Build once per
-/// install with [`CompiledPipeline::lower`]; evaluate with a
+/// install with [`CompiledPipeline::try_lower`]; evaluate with a
 /// slot-indexed value array. Evaluation performs zero heap allocations.
 #[derive(Debug, Clone)]
 pub struct CompiledPipeline {
@@ -443,92 +429,95 @@ pub struct CompiledPipeline {
     slots: Vec<Operand>,
     /// Number of match stages.
     depth: u32,
-    /// `rows[s]` for `s < leaf.len()` is state `s`'s first row; later
-    /// rows of multi-stage states follow, reached through `Row::link`.
+    /// `rows[s]` is state `s`'s row.
     rows: Vec<Row>,
     /// `leaf[s]` is state `s`'s action; `ActionId::DEFAULT` when the
     /// leaf table has no entry for it.
     leaf: Vec<ActionId>,
     /// Action arena; index 0 is the leaf default.
     actions: Vec<Action>,
-    /// The initial state, as a lowered (dense) id.
+    /// The initial state.
     pub initial: StateId,
 }
 
 impl CompiledPipeline {
-    /// Lower an installed pipeline. Entries are taken in canonical
-    /// order — stable-sorted by `(state, priority desc)` exactly like
-    /// [`StageTable::new`] — so lowering is correct even if the public
-    /// `entries` field was mutated without a `reindex`.
-    pub fn lower(pipeline: &Pipeline) -> CompiledPipeline {
-        let mut ids: Vec<StateId> = pipeline
+    /// Lower an installed pipeline in the compiler's table shape (module
+    /// docs), or name the first place it leaves that shape.
+    pub fn try_lower(pipeline: &Pipeline) -> Result<CompiledPipeline, ShapeError> {
+        let depth = pipeline.stages.len();
+        let bound = pipeline.total_entries() + 1;
+        let top = pipeline
             .stages
             .iter()
             .flat_map(|st| &st.entries)
             .flat_map(|e| [e.state, e.next])
             .chain(pipeline.leaf.actions.keys().copied())
-            .chain([pipeline.initial])
-            .collect();
-        ids.sort_unstable();
-        ids.dedup();
-        let dense = |s: StateId| {
-            ids.binary_search(&s).expect("every mentioned id was collected") as StateId
-        };
+            .fold(pipeline.initial, StateId::max);
+        if top as usize >= bound {
+            return Err(ShapeError::SparseState { state: top, bound });
+        }
+        let terminal =
+            || Row { stage: depth as u32, slot: 0, fast: FastProbe::No, group: Group::empty() };
+        let mut rows: Vec<Row> = (0..=top).map(|_| terminal()).collect();
+        // Claim each state's stage first, so that every transition can
+        // be checked against its target's.
+        for (si, stage) in pipeline.stages.iter().enumerate() {
+            for run in stage.entries.chunk_by(|a, b| a.state == b.state) {
+                let state = run[0].state;
+                let held = rows[state as usize].stage as usize;
+                let unsorted = run.windows(2).any(|w| w[0].spec.priority() < w[1].spec.priority());
+                if held == si || unsorted {
+                    return Err(ShapeError::Unsorted { stage: si, state });
+                } else if held != depth {
+                    return Err(ShapeError::SplitState { state, stages: [held, si] });
+                }
+                rows[state as usize].stage = si as u32;
+            }
+        }
 
         let mut slots: Vec<Operand> = Vec::new();
-        let mut rows: Vec<Row> = ids.iter().map(|_| Row::empty()).collect();
-        // Last row of each state's chain so far; `NO_ROW` while the
-        // state's own `rows[s]` is still the empty placeholder.
-        let mut tail = vec![NO_ROW; ids.len()];
         for (si, stage) in pipeline.stages.iter().enumerate() {
             let slot = slots.iter().position(|o| o == &stage.operand).unwrap_or_else(|| {
                 slots.push(stage.operand.clone());
                 slots.len() - 1
             });
-            let order = scan_order(stage);
-            for run in order.chunk_by(|&a, &b| stage.entries[a].state == stage.entries[b].state) {
-                let s = dense(stage.entries[run[0]].state) as usize;
-                let group = Group::lower(run.iter().map(|&k| {
-                    let e = &stage.entries[k];
-                    (&e.spec, dense(e.next))
-                }));
-                let row = Row {
-                    stage: si as u32,
-                    slot: slot as u32,
-                    link: NO_ROW,
-                    fast: FastProbe::of(&group),
-                    group,
-                };
-                // Stages are visited in order, so each chain is
-                // stage-ascending.
-                if tail[s] == NO_ROW {
-                    rows[s] = row;
-                    tail[s] = s as u32;
-                } else {
-                    let at = rows.len() as u32;
-                    rows[tail[s] as usize].link = at;
-                    tail[s] = at;
-                    rows.push(row);
+            for run in stage.entries.chunk_by(|a, b| a.state == b.state) {
+                let state = run[0].state;
+                if let Some(e) = run.iter().find(|e| rows[e.next as usize].stage as usize <= si) {
+                    return Err(ShapeError::BackwardJump { stage: si, state, next: e.next });
                 }
+                let group = Group::lower(si, run)?;
+                rows[state as usize] =
+                    Row { stage: si as u32, slot: slot as u32, fast: FastProbe::of(&group), group };
             }
         }
 
         let mut actions = vec![pipeline.leaf.default.clone()];
-        let mut leaf = vec![ActionId::DEFAULT; ids.len()];
+        let mut leaf = vec![ActionId::DEFAULT; rows.len()];
         let mut leaf_states: Vec<StateId> = pipeline.leaf.actions.keys().copied().collect();
         leaf_states.sort_unstable();
         for s in leaf_states {
-            leaf[dense(s) as usize] = ActionId(actions.len() as u32);
+            leaf[s as usize] = ActionId(actions.len() as u32);
             actions.push(pipeline.leaf.actions[&s].0.clone());
         }
-        CompiledPipeline {
+        Ok(CompiledPipeline {
             slots,
-            depth: pipeline.stages.len() as u32,
+            depth: depth as u32,
             rows,
             leaf,
             actions,
-            initial: dense(pipeline.initial),
-        }
+            initial: pipeline.initial,
+        })
+    }
+
+    /// [`try_lower`](Self::try_lower) for a pipeline known to be in the
+    /// compiler's shape, as everything the compiler emits is.
+    ///
+    /// # Panics
+    ///
+    /// If `pipeline` leaves that shape.
+    pub fn lower(pipeline: &Pipeline) -> CompiledPipeline {
+        Self::try_lower(pipeline).unwrap_or_else(|e| panic!("pipeline {e}"))
     }
 
     /// The interned operands, in slot order. The parser resolves each
@@ -562,73 +551,44 @@ impl CompiledPipeline {
 
     /// [`eval`](Self::eval), accumulating hit/miss/scan counters.
     ///
-    /// Flattened dispatch: follow the current state's rows instead of
-    /// probing every stage. Stages skipped between transitions have no
-    /// entry for the state — guaranteed §V-D pass-throughs — so they
-    /// are bulk-counted as misses (`hits + misses == depth` per
-    /// message) and `entries_scanned` counts only the probes made.
+    /// Flattened dispatch: follow the current state's row instead of
+    /// probing every stage. A state has entries in its row's stage
+    /// only, and every transition goes to a later stage, so the stages
+    /// skipped between transitions are §V-D pass-throughs: they are
+    /// bulk-counted as misses (`hits + misses == depth` per message),
+    /// and `entries_scanned` counts only the probes made.
     #[inline]
     pub fn eval_counted(&self, values: &[Option<Value>], counters: &mut EvalCounters) -> ActionId {
-        let rows = &self.rows[..];
-        let depth = self.depth;
         let mut state = self.initial;
-        let mut pos: u32 = 0;
         // Accumulate in registers; one write-back on exit.
-        let mut hits: u64 = 0;
-        let mut misses: u64 = 0;
+        let mut hits: u32 = 0;
         let mut scanned = counters.entries_scanned;
-        'transition: while pos < depth {
-            let mut row = &rows[state as usize];
-            loop {
-                // A row behind the cursor belongs to a stage already
-                // evaluated under this state's predecessors.
-                if row.stage >= pos {
-                    misses += u64::from(row.stage - pos);
-                    pos = row.stage + 1;
-                    let value = values[row.slot as usize].as_ref();
-                    if let Some(next) = row.probe(value, &mut scanned) {
-                        hits += 1;
-                        state = next;
-                        continue 'transition;
-                    }
-                    misses += 1;
+        loop {
+            let row = &self.rows[state as usize];
+            // A terminal's row sits at the depth; a miss leaves the
+            // state to pass through the rest of the pipeline.
+            if row.stage == self.depth {
+                break;
+            }
+            match row.probe(values[row.slot as usize].as_ref(), &mut scanned) {
+                Some(next) => {
+                    hits += 1;
+                    state = next;
                 }
-                // Only a later stage's row can still transition the
-                // state; without one the rest of the pipeline passes it
-                // through.
-                match rows.get(row.link as usize) {
-                    Some(later) => row = later,
-                    None => break 'transition,
-                }
+                None => break,
             }
         }
-        counters.stage_hits += hits;
-        counters.stage_misses += misses + u64::from(depth - pos);
+        counters.stage_hits += u64::from(hits);
+        counters.stage_misses += u64::from(self.depth - hits);
         counters.entries_scanned = scanned;
         self.leaf[state as usize]
     }
-
-    /// Total entries across all lowered stages (diagnostics).
-    pub fn total_entries(&self) -> usize {
-        self.rows.iter().map(|row| row.group.len()).sum()
-    }
-}
-
-/// A stage's entry indices in canonical scan order, independent of the
-/// order of the pub `entries` field.
-fn scan_order(stage: &StageTable) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..stage.entries.len()).collect();
-    order.sort_by(|&a, &b| {
-        let (ea, eb) = (&stage.entries[a], &stage.entries[b]);
-        ea.state.cmp(&eb.state).then(eb.spec.priority().cmp(&ea.spec.priority()))
-    });
-    order
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{LeafTable, MatchKind, TableEntry};
+    use crate::pipeline::{LeafTable, MatchKind, StageTable};
     use std::collections::HashMap;
 
     fn op(name: &str) -> Operand {
@@ -710,69 +670,72 @@ mod tests {
     }
 
     #[test]
-    fn overlapping_ranges_fall_back_to_scan_order() {
+    fn overlapping_ranges_are_rejected() {
         let p = Pipeline {
             stages: vec![StageTable::new(
                 op("x"),
                 MatchKind::Range,
                 vec![
                     TableEntry { state: 0, spec: MatchSpec::IntRange(0, 100), next: 1 },
-                    TableEntry { state: 0, spec: MatchSpec::IntRange(50, 150), next: 2 },
+                    TableEntry { state: 0, spec: MatchSpec::IntRange(100, 150), next: 2 },
                 ],
             )],
             leaf: leaf(&[(1, Action::Forward(vec![1])), (2, Action::Forward(vec![2]))]),
             initial: 0,
         };
-        let probes: Vec<HashMap<String, Value>> = [-1i64, 0, 49, 50, 100, 101, 150, 151]
-            .iter()
-            .map(|v| HashMap::from([("x".to_string(), Value::Int(*v))]))
-            .collect();
-        assert_equivalent(&p, &probes);
+        let err = CompiledPipeline::try_lower(&p).unwrap_err();
+        assert_eq!(err, ShapeError::OverlappingRanges { stage: 0, state: 0 });
     }
 
     #[test]
-    fn duplicate_exact_keys_keep_first_in_scan_order() {
-        // Every key appears twice with different targets;
-        // StageTable::new's stable sort keeps input order, so the
-        // interpreter hits the first. One key per group exercises the
-        // sorted index, 2 × HASH_MIN_KEYS the open-addressed one; state
-        // 0 owns both stages, so the string row hangs off the int row.
+    fn duplicate_exact_keys_are_rejected() {
+        // One key per group exercises the sorted index, 2 × HASH_MIN_KEYS
+        // the open-addressed one: distinct keys lower and agree with the
+        // interpreter, and any key given twice is refused.
         for keys in [1, 2 * HASH_MIN_KEYS as i64] {
-            let twice = |spec: fn(i64) -> MatchSpec, first: StateId| -> Vec<TableEntry> {
-                (0..keys)
-                    .flat_map(|k| [(k, first), (k, first + 1)])
-                    .map(|(k, next)| TableEntry { state: 0, spec: spec(k), next })
-                    .collect()
-            };
-            let p = Pipeline {
-                stages: vec![
-                    StageTable::new(op("x"), MatchKind::Exact, twice(MatchSpec::IntExact, 1)),
+            let stages = |twice: bool| {
+                let entries = |spec: fn(i64) -> MatchSpec, state: StateId| -> Vec<TableEntry> {
+                    (0..keys)
+                        .flat_map(|k| if twice { vec![k, k] } else { vec![k] })
+                        .map(|k| TableEntry { state, spec: spec(k), next: state + 1 })
+                        .collect()
+                };
+                vec![
+                    StageTable::new(op("x"), MatchKind::Exact, entries(MatchSpec::IntExact, 0)),
                     StageTable::new(
                         op("s"),
                         MatchKind::Exact,
-                        twice(|k| MatchSpec::StrExact(format!("K{k}")), 3),
+                        entries(|k| MatchSpec::StrExact(format!("K{k}")), 1),
                     ),
-                ],
-                leaf: leaf(
-                    &(1..=4).map(|s| (s, Action::Forward(vec![s as u16]))).collect::<Vec<_>>(),
-                ),
+                ]
+            };
+            let p = Pipeline {
+                stages: stages(false),
+                leaf: leaf(&[(2, Action::Forward(vec![2]))]),
                 initial: 0,
             };
             let c = CompiledPipeline::lower(&p);
             let hashed = keys as usize >= HASH_MIN_KEYS;
-            let str_row = &c.rows[c.rows[0].link as usize];
             assert_eq!(matches!(c.rows[0].group.int_exact, ExactIndex::Hashed(_)), hashed);
-            assert_eq!(matches!(str_row.group.str_exact, ExactIndex::Hashed(_)), hashed);
-            assert_eq!(c.total_entries(), 2 * keys as usize);
+            assert_eq!(matches!(c.rows[1].group.str_exact, ExactIndex::Hashed(_)), hashed);
             for k in 0..keys {
                 let (x, s) = (Value::Int(k), Value::Str(format!("K{k}")));
-                assert_eq!(c.action(c.eval(&[Some(x.clone()), None])), &Action::Forward(vec![1]));
-                assert_eq!(c.action(c.eval(&[None, Some(s.clone())])), &Action::Forward(vec![3]));
+                assert_eq!(
+                    c.action(c.eval(&[Some(x.clone()), Some(s.clone())])),
+                    &Action::Forward(vec![2])
+                );
                 assert_equivalent(
                     &p,
-                    &[HashMap::from([("x".to_string(), x)]), HashMap::from([("s".to_string(), s)])],
+                    &[HashMap::from([("x".to_string(), x), ("s".to_string(), s)])],
                 );
             }
+            let twice = Pipeline { stages: stages(true), ..p.clone() };
+            let err = CompiledPipeline::try_lower(&twice).unwrap_err();
+            assert_eq!(err, ShapeError::DuplicateKey { stage: 0, state: 0 });
+            let str_twice =
+                Pipeline { stages: vec![p.stages[0].clone(), stages(true)[1].clone()], ..p };
+            let err = CompiledPipeline::try_lower(&str_twice).unwrap_err();
+            assert_eq!(err, ShapeError::DuplicateKey { stage: 1, state: 1 });
         }
     }
 
@@ -889,7 +852,8 @@ mod tests {
     }
 
     #[test]
-    fn sparse_leaf_beyond_dense_limit() {
+    fn sparse_state_ids_are_rejected() {
+        // Two entries (one match, one leaf) bound the state ids below 3.
         let far = (1 << 22) + 5;
         let p = Pipeline {
             stages: vec![StageTable::new(
@@ -900,9 +864,8 @@ mod tests {
             leaf: leaf(&[(far, Action::Forward(vec![9]))]),
             initial: 0,
         };
-        let c = CompiledPipeline::lower(&p);
-        assert_eq!(c.action(c.eval(&[Some(Value::Int(1))])), &Action::Forward(vec![9]));
-        assert_eq!(c.action(c.eval(&[Some(Value::Int(2))])), &Action::Drop);
+        let err = CompiledPipeline::try_lower(&p).unwrap_err();
+        assert_eq!(err, ShapeError::SparseState { state: far, bound: 3 });
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub mod statics;
 pub mod tables;
 
 pub use camus_bdd::{digest, VarOrder};
-pub use compiled::{ActionId, CompiledPipeline, EvalCounters};
+pub use compiled::{ActionId, CompiledPipeline, EvalCounters, ShapeError};
 pub use compiler::{CompileState, Compiled, Compiler, RuleView};
 pub use pipeline::{MatchKind, MatchSpec, Pipeline, StageTable, TableEntry};
 pub use resources::{AdmissionError, BudgetViolation, ResourceBudget, ResourceReport};

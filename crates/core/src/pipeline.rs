@@ -164,7 +164,7 @@ impl StageTable {
         None
     }
 
-    pub fn entry_count(&self) -> usize {
+    pub(crate) fn entry_count(&self) -> usize {
         self.entries.len()
     }
 

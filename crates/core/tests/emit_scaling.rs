@@ -28,7 +28,7 @@ fn fastest_emit_time(bdd: &Bdd, members: usize) -> Duration {
             let pipeline = bdd_to_pipeline(std::hint::black_box(bdd), &mut multicast).unwrap();
             let elapsed = t0.elapsed();
             // One exact entry per member plus the band's wildcard exit.
-            assert_eq!(pipeline.stages[0].entry_count(), members + 1);
+            assert_eq!(pipeline.stages[0].entries.len(), members + 1);
             elapsed
         })
         .min()

@@ -22,7 +22,7 @@ use crate::packet::Packet;
 use crate::replicate::{Egress, PortMasks};
 use crate::state::StateStore;
 use crate::telemetry::SwitchTelemetry;
-use camus_core::compiled::{CompiledPipeline, EvalCounters};
+use camus_core::compiled::{CompiledPipeline, EvalCounters, ShapeError};
 use camus_core::pipeline::Pipeline;
 use camus_core::resources::{self, AdmissionError, ResourceBudget, ResourceReport};
 use camus_core::statics::StaticPipeline;
@@ -115,6 +115,9 @@ impl Default for SwitchConfig {
 pub enum InstallError {
     /// The compiled pipeline exceeds this switch's resource budget.
     OverBudget(AdmissionError),
+    /// The pipeline leaves the compiler's table shape, so it has no
+    /// lowering.
+    Malformed(ShapeError),
     /// The program's slot offsets were resolved against another spec
     /// than this switch parses; running it would mis-read packets.
     SpecMismatch { switch_spec: u64, program_spec: u64 },
@@ -124,6 +127,7 @@ impl fmt::Display for InstallError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             InstallError::OverBudget(e) => write!(f, "{e}"),
+            InstallError::Malformed(e) => write!(f, "pipeline {e}"),
             InstallError::SpecMismatch { switch_spec, program_spec } => write!(
                 f,
                 "program built for spec {program_spec:016x}, switch parses spec {switch_spec:016x}"
@@ -169,8 +173,9 @@ pub struct Program {
 
 impl Program {
     /// Lower `pipeline` and resolve it against `spec`. The result runs
-    /// only on switches built from the same spec.
-    pub fn build(spec: &Spec, pipeline: Pipeline) -> Program {
+    /// only on switches built from the same spec. A pipeline outside
+    /// the compiler's table shape is [`InstallError::Malformed`].
+    pub fn build(spec: &Spec, pipeline: Pipeline) -> Result<Program, InstallError> {
         let report =
             resources::report(&pipeline, pipeline.multicast_group_count(), &spec.field_widths());
         Program::with_report(spec, pipeline, report)
@@ -180,7 +185,11 @@ impl Program {
     /// in hand — the one the compiler computed for it under `spec`'s
     /// field widths ([`Compiled::report`](camus_core::compiler::Compiled::report))
     /// — instead of recomputing it.
-    pub fn with_report(spec: &Spec, pipeline: Pipeline, report: ResourceReport) -> Program {
+    pub fn with_report(
+        spec: &Spec,
+        pipeline: Pipeline,
+        report: ResourceReport,
+    ) -> Result<Program, InstallError> {
         let aggregates = pipeline
             .stages
             .iter()
@@ -189,10 +198,10 @@ impl Program {
                 Operand::Field(_) => None,
             })
             .collect();
-        let compiled = CompiledPipeline::lower(&pipeline);
+        let compiled = CompiledPipeline::try_lower(&pipeline).map_err(InstallError::Malformed)?;
         let plan = EvalPlan::build(spec, &compiled, &pipeline);
         let masks = PortMasks::build(compiled.actions());
-        Program {
+        Ok(Program {
             pipeline,
             compiled,
             plan,
@@ -200,7 +209,7 @@ impl Program {
             aggregates,
             report,
             spec_id: spec_identity(spec),
-        }
+        })
     }
 
     /// The program's port table: the distinct ports its forward actions
@@ -363,7 +372,7 @@ impl Switch {
     /// Build from the static pipeline (application) and a dynamically
     /// compiled rule pipeline. Panics if the initial pipeline is over
     /// `config.budget` — only possible once a finite budget is
-    /// configured.
+    /// configured — or leaves the compiler's table shape.
     pub fn new(statics: &StaticPipeline, pipeline: Pipeline, config: SwitchConfig) -> Self {
         assert!(config.max_msgs_per_pass > 0, "PHV must hold at least one message");
         let mut state = StateStore::new(config.default_window_us);
@@ -371,7 +380,7 @@ impl Switch {
             state.allocate(&reg.name, reg.window_us);
         }
         let spec = statics.spec.clone();
-        let program = Arc::new(Program::build(&spec, pipeline));
+        let program = Arc::new(Program::build(&spec, pipeline).expect("install rejected"));
         config.budget.admit(&program.report).expect("install rejected by resource budget");
         let mut scratch = EvalScratch::default();
         scratch.reset(program.compiled.slots().len());
@@ -415,11 +424,11 @@ impl Switch {
 
     /// Phase one of an install: lower `pipeline` into a private
     /// program and stage it under transaction epoch 0 (library callers
-    /// that never recover). Forwarding is untouched; on rejection
-    /// nothing is staged and the previous staged program (if any) is
-    /// kept.
+    /// that never recover). Forwarding is untouched; on rejection — a
+    /// malformed pipeline, or one this switch does not admit — nothing
+    /// is staged and the previous staged program (if any) is kept.
     pub fn stage(&mut self, pipeline: Pipeline) -> Result<ResourceReport, InstallError> {
-        let program = Arc::new(Program::build(&self.spec, pipeline));
+        let program = Arc::new(Program::build(&self.spec, pipeline)?);
         let report = program.report.clone();
         self.stage_epoch(program, 0)?;
         Ok(report)
@@ -498,10 +507,11 @@ impl Switch {
     /// simulations; dynamic reconfiguration, §VIII-G.3): stage, commit,
     /// finalize. State registers persist across reconfigurations.
     /// Panics if the pipeline is rejected — only possible once a finite
-    /// budget is configured; a caller that must survive rejection uses
+    /// budget is configured, or for a pipeline outside the compiler's
+    /// table shape; a caller that must survive rejection uses
     /// [`stage`](Self::stage) and keeps forwarding on the old program.
     pub fn install(&mut self, pipeline: Pipeline) {
-        self.stage(pipeline).expect("install rejected by resource budget");
+        self.stage(pipeline).expect("install rejected");
         self.commit_staged();
         self.finalize_install();
     }
@@ -1206,6 +1216,92 @@ mod tests {
         assert_eq!(out.ports[0].1, pkt);
     }
 
+    /// One hand-built pipeline per [`ShapeError`] variant, each leaving
+    /// the compiler's table shape in that one way.
+    fn malformed_pipelines() -> Vec<(Pipeline, ShapeError)> {
+        use camus_core::pipeline::{LeafTable, MatchKind, MatchSpec, StageTable, TableEntry};
+        let entry = |state, spec, next| TableEntry { state, spec, next };
+        let stage = |field: &str, entries| {
+            StageTable::new(Operand::Field(field.into()), MatchKind::Ternary, entries)
+        };
+        let pipeline = |stages, leaf: &[u32]| Pipeline {
+            stages,
+            leaf: LeafTable {
+                actions: leaf.iter().map(|&s| (s, (Action::Forward(vec![2]), None))).collect(),
+                default: Action::Drop,
+            },
+            initial: 0,
+        };
+        let range = |lo, hi| MatchSpec::IntRange(lo, hi);
+        let mut unsorted =
+            stage("price", vec![entry(0, range(0, 9), 1), entry(0, MatchSpec::Any, 2)]);
+        unsorted.entries.swap(0, 1);
+        let msft = || MatchSpec::StrExact("MSFT".into());
+        vec![
+            (
+                pipeline(vec![stage("price", vec![entry(0, range(0, 9), 100)])], &[100]),
+                ShapeError::SparseState { state: 100, bound: 3 },
+            ),
+            (pipeline(vec![unsorted], &[1, 2]), ShapeError::Unsorted { stage: 0, state: 0 }),
+            (
+                pipeline(
+                    vec![
+                        stage("price", vec![entry(0, range(0, 9), 1)]),
+                        stage("stock", vec![entry(0, msft(), 1)]),
+                    ],
+                    &[1],
+                ),
+                ShapeError::SplitState { state: 0, stages: [0, 1] },
+            ),
+            (
+                pipeline(
+                    vec![
+                        stage("price", vec![entry(0, range(0, 9), 1)]),
+                        stage("stock", vec![entry(1, msft(), 0)]),
+                    ],
+                    &[1],
+                ),
+                ShapeError::BackwardJump { stage: 1, state: 1, next: 0 },
+            ),
+            (
+                pipeline(vec![stage("price", vec![entry(0, range(9, 0), 1)])], &[1]),
+                ShapeError::EmptyRange { stage: 0, state: 0 },
+            ),
+            (
+                pipeline(
+                    vec![stage("price", vec![entry(0, range(0, 9), 1), entry(0, range(5, 20), 2)])],
+                    &[1, 2],
+                ),
+                ShapeError::OverlappingRanges { stage: 0, state: 0 },
+            ),
+            (
+                pipeline(
+                    vec![stage("stock", vec![entry(0, msft(), 1), entry(0, msft(), 2)])],
+                    &[1, 2],
+                ),
+                ShapeError::DuplicateKey { stage: 0, state: 0 },
+            ),
+        ]
+    }
+
+    #[test]
+    fn malformed_pipeline_is_refused_and_old_program_forwards() {
+        let mut sw = itch_switch("stock == GOOGL: fwd(1)\n");
+        let spec = itch_spec();
+        let pkt = PacketBuilder::new(&spec).message(order("GOOGL", 1)).build();
+        let before_pipeline = sw.pipeline().clone();
+        for (i, (pipeline, shape)) in malformed_pipelines().into_iter().enumerate() {
+            let err = sw.stage(pipeline).unwrap_err();
+            assert_eq!(err, InstallError::Malformed(shape));
+            assert_eq!(sw.staged_epoch(), None);
+            assert!(!sw.commit_staged(), "nothing staged");
+            assert_eq!(sw.pipeline(), &before_pipeline);
+            let out = sw.process(&pkt, 0, i as u64);
+            assert_eq!(out.ports.len(), 1);
+            assert_eq!((out.ports[0].0, &out.ports[0].1), (1, &pkt));
+        }
+    }
+
     #[test]
     fn staged_program_only_forwards_after_commit() {
         let mut sw = itch_switch("stock == GOOGL: fwd(1)\n");
@@ -1255,14 +1351,15 @@ mod tests {
         // Same pipeline, resolved against the INT spec: every slot
         // offset would point into the wrong header.
         let foreign =
-            Arc::new(Program::build(&camus_lang::spec::int_spec(), sw.pipeline().clone()));
+            Arc::new(Program::build(&camus_lang::spec::int_spec(), sw.pipeline().clone()).unwrap());
         let err = sw.stage_epoch(foreign, 7).unwrap_err();
         assert!(matches!(err, InstallError::SpecMismatch { .. }), "{err}");
         assert_eq!(sw.staged_epoch(), None);
         assert_eq!(sw.pipeline(), &before);
         // A program built against an equal spec is welcome, whoever built it.
-        let native =
-            Arc::new(Program::build(&itch_spec(), compile_itch("stock == MSFT: fwd(2)\n")));
+        let native = Arc::new(
+            Program::build(&itch_spec(), compile_itch("stock == MSFT: fwd(2)\n")).unwrap(),
+        );
         sw.stage_epoch(native, 7).unwrap();
         assert_eq!(sw.staged_epoch(), Some(7));
     }
@@ -1272,10 +1369,13 @@ mod tests {
         // One immutable program, two switches: everything a packet
         // mutates (stats, aggregate registers, scratch, port state)
         // must stay per switch.
-        let program = Arc::new(Program::build(
-            &itch_spec(),
-            compile_itch("stock == GOOGL and avg(price) > 60: fwd(1)\nstock == MSFT: fwd(2)\n"),
-        ));
+        let program = Arc::new(
+            Program::build(
+                &itch_spec(),
+                compile_itch("stock == GOOGL and avg(price) > 60: fwd(1)\nstock == MSFT: fwd(2)\n"),
+            )
+            .unwrap(),
+        );
         let mut a = itch_switch("stock == FB: fwd(3)\n");
         let mut b = a.clone();
         let mut solo = a.clone();

@@ -326,7 +326,7 @@ impl Controller {
         // Keyed by fingerprint, the content address the compile cache
         // already trusts, so twins share even when the caller handed
         // each its own `Arc<Compiled>`.
-        let mut programs: HashMap<u64, Arc<Program>> = HashMap::new();
+        let mut programs: HashMap<u64, Result<Arc<Program>, InstallError>> = HashMap::new();
 
         // Phase one: stage every target shadow-side.
         for (ti, &s) in targets.iter().enumerate() {
@@ -355,14 +355,16 @@ impl Controller {
                 return Err(DeployError::Channel { failed: vec![s], report });
             }
             let sc = &compile.switches[s];
-            let program = Arc::clone(programs.entry(sc.fingerprint).or_insert_with(|| {
-                Arc::new(Program::with_report(
+            // A malformed program is rejected like an over-budget one.
+            let program = programs.entry(sc.fingerprint).or_insert_with(|| {
+                Program::with_report(
                     &self.statics.spec,
                     sc.compiled.pipeline.clone(),
                     sc.compiled.report.clone(),
-                ))
-            }));
-            match network.switches[s].stage_epoch(program, epoch) {
+                )
+                .map(Arc::new)
+            });
+            match program.clone().and_then(|p| network.switches[s].stage_epoch(p, epoch)) {
                 Ok(()) => {
                     entry.verdict = AdmissionVerdict::Admitted;
                     entry.staged = true;
@@ -374,7 +376,7 @@ impl Controller {
                         &self.statics.spec,
                         coarse_pipeline(&routing.switch_view(s)),
                     );
-                    match network.switches[s].stage_epoch(Arc::new(coarse), epoch) {
+                    match coarse.and_then(|c| network.switches[s].stage_epoch(Arc::new(c), epoch)) {
                         Ok(()) => {
                             entry.verdict = AdmissionVerdict::Degraded;
                             entry.staged = true;
@@ -772,6 +774,7 @@ mod tests {
     use crate::channel::{ChannelOutcome, MAX_ATTEMPTS};
     use camus_core::digest::Fnv1a;
     use camus_core::statics::compile_static;
+    use camus_core::ShapeError;
     use camus_dataplane::PacketBuilder;
     use camus_lang::parser::parse_expr;
     use camus_lang::spec::itch_spec;
@@ -1321,6 +1324,41 @@ mod tests {
         // must not (price > 5 would also match the MSFT packet).
         assert_eq!(d.network.deliveries(15).len(), 1);
         assert_eq!(d.network.deliveries(15)[0].values["stock"], Value::from("GOOGL"));
+    }
+
+    #[test]
+    fn malformed_program_is_a_rejected_admission() {
+        let net = paper_fat_tree();
+        let tor = net.designated_chain(15)[0];
+        let ctrl = controller(Policy::TrafficReduction);
+        let old = subs(&net, |h| if h == 15 { vec!["stock == GOOGL"] } else { vec![] });
+        let mut d = ctrl.deploy(net.clone(), &old).unwrap();
+
+        // The compiler never emits a pipeline outside its own table
+        // shape; forge one on the ToR's recompiled list.
+        let new = subs(&net, |h| if h == 15 { vec!["stock == MSFT"] } else { vec![] });
+        let routing = ctrl.plan_routing(&net, &new, &FaultMask::default());
+        let mut compile =
+            ctrl.compile_routing_delta(&routing, None, &mut DeltaCache::new()).unwrap();
+        let sc = &mut compile.switches[tor];
+        let mut forged = (*sc.compiled).clone();
+        forged.pipeline.initial = u32::MAX;
+        sc.compiled = Arc::new(forged);
+        match ctrl.install(&mut d, routing, compile, 0, &mut PerfectChannel) {
+            Err(DeployError::Admission { rejected, report }) => {
+                // Twins of the ToR's list share its program, so they
+                // are rejected with it.
+                assert!(rejected.iter().any(|(s, _)| *s == tor), "must name the ToR");
+                for (_, e) in &rejected {
+                    assert!(matches!(e, InstallError::Malformed(ShapeError::SparseState { .. })));
+                }
+                assert_eq!(report.committed(), 0, "nothing may commit");
+            }
+            other => panic!("expected admission rejection, got {other:?}"),
+        }
+        d.network.publish(0, googl_packet(10), 0);
+        d.network.run(None);
+        assert_eq!(d.network.deliveries(15).len(), 1, "the old programs forward");
     }
 
     #[test]
