@@ -8,10 +8,12 @@
 //! an identifier-heavy workload (`id == K`, ~15% carrying an extra
 //! `price > t` conjunct — the shape of §VIII-C's big-table runs):
 //!
-//! * **cold compile**: Algorithm 1 routing plus a full network
-//!   compile. Content-addressing collapses the symmetric agg/core
-//!   slots, so the distinct units are the 32 ToR lists (~N/32 rules),
-//!   one agg list per pod (~N/8) and one shared core list (all N).
+//! * **cold compile**: the compile the controller runs on fresh state,
+//!   `compile_network_incremental` with no previous compile and no
+//!   cache (routing excluded). Content-addressing collapses the
+//!   symmetric agg/core slots, so the distinct units are the 32 ToR
+//!   lists (~N/32 rules), one agg list per pod (~N/8) and one shared
+//!   core list (all N), compiled once for the 8 core twins.
 //! * **per-op reconfigure**: on the hottest switch's live
 //!   [`IncrementalBdd`] (the core: all N rules), one op = insert a
 //!   fresh rule + remove it again. The full-recompile baseline is one
@@ -36,7 +38,7 @@ use camus_core::compiler::Compiler;
 use camus_lang::ast::{Expr, Rule};
 use camus_lang::parser::{parse_expr, parse_rule};
 use camus_routing::algorithm1::{route_hierarchical, Policy, RoutingConfig, RoutingResult};
-use camus_routing::compile::compile_network;
+use camus_routing::compile::compile_network_incremental;
 use camus_routing::topology::HierNet;
 
 /// One subscription of the identifier-heavy workload: a unique `id`
@@ -73,7 +75,8 @@ fn hottest_rules(routing: &RoutingResult) -> Vec<Rule> {
 #[derive(Debug, Clone)]
 pub struct ScalePoint {
     pub subs: usize,
-    /// Full-network cold compile (routing excluded), wall-clock ms.
+    /// Content-addressed cold network compile (routing excluded),
+    /// wall-clock ms.
     pub cold_ms: f64,
     /// Total table entries across the network after the cold compile.
     pub entries: usize,
@@ -117,7 +120,7 @@ pub fn measure(net: &HierNet, n: usize, ops: usize) -> ScalePoint {
 
     let compiler = Compiler::new();
     let t0 = std::time::Instant::now();
-    let cold = compile_network(&routing, &compiler).expect("cold compile");
+    let cold = compile_network_incremental(&routing, &compiler, None, None).expect("cold compile");
     let cold_ms = t0.elapsed().as_secs_f64() * 1e3;
     let entries = cold.total_entries();
     drop(cold);

@@ -20,9 +20,14 @@
 //!   messages each subscriber did not ask for (§VI-A) → custom actions
 //!   (e.g. `answerDNS`). Port masks are bit rows over each program's
 //!   own port table (`replicate`, crate-private).
-//! * [`telemetry`] — optional sampled instruments on the switch path
-//!   ([`camus_telemetry`] handles); one mask test per packet when
-//!   attached, nothing at all when not.
+//! * [`telemetry`] — optional sampling on the switch path: one mask
+//!   test per packet when attached, nothing at all when not, and a
+//!   [`camus_telemetry`] counter of the packets it sampled.
+//!
+//! Each fact is counted once: exact totals in [`SwitchStats`], bumped
+//! on every packet; per-packet detail in postcards, from
+//! [`Switch::last_eval`]; and the sampled-packet count in
+//! [`SwitchTelemetry`].
 //!
 //! Latency is modelled, not measured: a base pipeline traversal cost
 //! plus a per-recirculation penalty, calibrated to the paper's "less

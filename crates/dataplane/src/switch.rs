@@ -94,7 +94,6 @@ impl Extraction {
     /// Fold the parse into the counters.
     fn count(&self, stats: &mut SwitchStats) {
         stats.truncated_messages += self.truncated as u64;
-        stats.dropped_resource += self.truncated as u64;
         stats.recirculation_passes += (self.passes - 1) as u64;
     }
 }
@@ -224,7 +223,8 @@ impl Program {
     }
 }
 
-/// Running counters exposed for the evaluation.
+/// Running counters exposed for the evaluation: the switch's exact
+/// totals, bumped on every packet, and the one count of each fact.
 ///
 /// Cache-line aligned so per-shard switches laid out contiguously (the
 /// sharded throughput driver owns one `Switch` per shard) never share a
@@ -241,6 +241,8 @@ pub struct SwitchStats {
     /// a partial trailing message, which is skipped while the whole
     /// messages before it are evaluated.
     pub malformed: u64,
+    /// Messages lost to resource exhaustion: past the parser's PHV and
+    /// recirculation budget, never evaluated.
     pub truncated_messages: u64,
     pub recirculation_passes: u64,
     /// Messages forwarded nowhere (every target port pruned), whatever
@@ -256,10 +258,6 @@ pub struct SwitchStats {
     /// exceed `dropped_messages` when a multicast message loses some
     /// ports but still leaves through others.
     pub dropped_port_down: u64,
-    /// Messages lost to resource exhaustion (parser PHV/recirculation
-    /// budget) — mirrors `truncated_messages`, kept separate so the
-    /// drop-cause counters add up on their own.
-    pub dropped_resource: u64,
     /// Compiled-path stage lookups that found a transition.
     pub stage_hits: u64,
     /// Compiled-path stage lookups that missed (§V-D pass-through).
@@ -294,7 +292,6 @@ impl SwitchStats {
         self.copies += other.copies;
         self.dropped_no_route += other.dropped_no_route;
         self.dropped_port_down += other.dropped_port_down;
-        self.dropped_resource += other.dropped_resource;
         self.stage_hits += other.stage_hits;
         self.stage_misses += other.stage_misses;
         self.entries_scanned += other.entries_scanned;
@@ -359,7 +356,7 @@ pub struct Switch {
     /// Egress ports currently marked down (fault model): forwarding
     /// decisions towards them are suppressed and counted.
     port_down: HashSet<Port>,
-    /// Optional sampled instruments; `None` keeps the fast path free
+    /// Optional sampling; `None` keeps the fast path free
     /// of even the sampler tick. Boxed so the common case stays one
     /// pointer in the hot struct.
     telemetry: Option<Box<SwitchTelemetry>>,
@@ -553,10 +550,9 @@ impl Switch {
         self.sync_down();
     }
 
-    /// Attach sampled instruments to this switch, replacing any
-    /// attached before. From then on every processed packet pays one
-    /// sampler tick; sampled packets
-    /// record into the instruments' shared registry.
+    /// Attach sampling to this switch, replacing any attached before.
+    /// From then on every processed packet pays one sampler tick, and
+    /// sampled packets bump the registry's `switch.sampled_packets`.
     pub fn attach_telemetry(&mut self, telemetry: SwitchTelemetry) {
         self.telemetry = Some(Box::new(telemetry));
     }
@@ -635,7 +631,7 @@ impl Switch {
         stats.entries_scanned += counters.entries_scanned;
         *last_eval = counters;
         if let Some(t) = telemetry.as_deref_mut() {
-            t.observe(&counters, out.latency_ns, parse.passes);
+            t.observe();
         }
         if forwarded {
             egress.replicate(masks, plan, pkt, units, stats, &mut out.ports);
@@ -1017,8 +1013,7 @@ mod tests {
             b = b.message(order("GOOGL", 1));
         }
         sw.process(&b.build(), 0, 0);
-        assert_eq!(sw.stats().dropped_resource, sw.stats().truncated_messages);
-        assert_eq!(sw.stats().dropped_resource, 3);
+        assert_eq!(sw.stats().truncated_messages, 3);
     }
 
     #[test]

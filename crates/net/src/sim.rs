@@ -87,6 +87,16 @@ enum Dest {
     Host(HostId),
 }
 
+/// Where a copy leaving a switch port goes next.
+enum NextHop {
+    /// Over a live link into `Dest`.
+    Link(Dest),
+    /// The link, or every ascent, is down: the copy is a fault drop.
+    Faulted,
+    /// No link is behind the port: the copy goes nowhere.
+    Dangling,
+}
+
 struct Event {
     time_ns: u64,
     seq: u64, // tie-breaker for determinism
@@ -183,6 +193,21 @@ impl Network {
         }
     }
 
+    /// Count a copy of `units` messages lost to a fault at `switch`,
+    /// and end its postcard there.
+    fn fault_drop(
+        &mut self,
+        switch: SwitchId,
+        units: u64,
+        card: Option<Box<Postcard>>,
+        time_ns: u64,
+    ) {
+        self.stats.fault_drops += units;
+        if let Some(c) = card {
+            self.ingest_card(*c, PostcardEnd::FaultDropped { switch, time_ns });
+        }
+    }
+
     /// The faults currently injected into this network.
     pub fn fault_mask(&self) -> &FaultMask {
         &self.mask
@@ -258,10 +283,7 @@ impl Network {
         if !self.topology.link_usable(s, p, &self.mask) {
             // The host's access link (or ToR) is dead: the publication
             // never makes it into the fabric.
-            self.stats.fault_drops += self.message_units(s, &packet);
-            if let Some(c) = card {
-                self.ingest_card(*c, PostcardEnd::FaultDropped { switch: s, time_ns });
-            }
+            self.fault_drop(s, self.message_units(s, &packet), card, time_ns);
             return id;
         }
         self.push(Event {
@@ -300,11 +322,8 @@ impl Network {
                         self.forward(id, ingress, ev);
                     } else {
                         // The packet was in flight when the switch died.
-                        self.stats.fault_drops += self.message_units(id, &ev.packet);
-                        if let Some(c) = ev.card {
-                            let end = PostcardEnd::FaultDropped { switch: id, time_ns: ev.time_ns };
-                            self.ingest_card(*c, end);
-                        }
+                        let units = self.message_units(id, &ev.packet);
+                        self.fault_drop(id, units, ev.card, ev.time_ns);
                     }
                 }
             }
@@ -396,86 +415,58 @@ impl Network {
                 }
                 _ => None,
             };
-            if port == LOGICAL_UP {
-                // Ascend via the designated up link. (The paper allows
-                // random/round-robin here; deterministic designated
-                // ascent is what pairs with single-parent subscription
-                // propagation to keep multicast duplicate-free, see
-                // DESIGN.md.) Under faults the masked designation skips
-                // dead parents, so the data plane self-heals its ascent
-                // before the controller has even repaired the routing.
-                let Some((peer, peer_port)) = self.topology.designated_up_masked(id, &self.mask)
-                else {
-                    self.stats.fault_drops += msgs;
-                    if let Some(c) = copy_card {
-                        self.ingest_card(
-                            *c,
-                            PostcardEnd::FaultDropped { switch: id, time_ns: depart },
-                        );
-                    }
-                    continue;
-                };
-                *self.stats.link_messages.entry((id, LOGICAL_UP)).or_insert(0) += msgs;
-                self.push(Event {
-                    time_ns: depart + LINK_LATENCY_NS,
-                    seq: 0,
-                    dest: Dest::Switch { id: peer, ingress: peer_port },
-                    packet: copy,
-                    published_ns: ev.published_ns,
-                    card: copy_card,
-                });
-            } else {
-                let target = self.topology.switches[id].down.get(port as usize).copied();
-                if target.is_some() && !self.topology.link_usable(id, port, &self.mask) {
-                    // Defense in depth: the dataplane's port-down state
-                    // normally suppresses this before it reaches us
-                    // (e.g. a fault injected between process and drain).
-                    self.stats.fault_drops += msgs;
-                    if let Some(c) = copy_card {
-                        self.ingest_card(
-                            *c,
-                            PostcardEnd::FaultDropped { switch: id, time_ns: depart },
-                        );
-                    }
-                    continue;
+            match self.next_hop(id, port) {
+                NextHop::Link(dest) => {
+                    *self.stats.link_messages.entry((id, port)).or_insert(0) += msgs;
+                    self.push(Event {
+                        time_ns: depart + LINK_LATENCY_NS,
+                        seq: 0,
+                        dest,
+                        packet: copy,
+                        published_ns: ev.published_ns,
+                        card: copy_card,
+                    });
                 }
-                match target {
-                    Some(DownTarget::Host(h)) => {
-                        *self.stats.link_messages.entry((id, port)).or_insert(0) += msgs;
-                        self.push(Event {
-                            time_ns: depart + LINK_LATENCY_NS,
-                            seq: 0,
-                            dest: Dest::Host(h),
-                            packet: copy,
-                            published_ns: ev.published_ns,
-                            card: copy_card,
-                        });
-                    }
-                    Some(DownTarget::Switch(c, _)) => {
-                        *self.stats.link_messages.entry((id, port)).or_insert(0) += msgs;
-                        // Arrives at the child from above: ingress is
-                        // the child's logical up port.
-                        self.push(Event {
-                            time_ns: depart + LINK_LATENCY_NS,
-                            seq: 0,
-                            dest: Dest::Switch { id: c, ingress: LOGICAL_UP },
-                            packet: copy,
-                            published_ns: ev.published_ns,
-                            card: copy_card,
-                        });
-                    }
-                    None => {
-                        // Dangling port: the copy goes nowhere.
-                        if let Some(c) = copy_card {
-                            self.ingest_card(
-                                *c,
-                                PostcardEnd::Filtered { switch: id, time_ns: depart },
-                            );
-                        }
+                NextHop::Faulted => self.fault_drop(id, msgs, copy_card, depart),
+                NextHop::Dangling => {
+                    if let Some(c) = copy_card {
+                        self.ingest_card(*c, PostcardEnd::Filtered { switch: id, time_ns: depart });
                     }
                 }
             }
         }
+    }
+
+    /// Where a copy leaving `switch` through `port` goes.
+    fn next_hop(&self, switch: SwitchId, port: Port) -> NextHop {
+        if port == LOGICAL_UP {
+            // Ascend via the designated up link. (The paper allows
+            // random/round-robin here; deterministic designated ascent
+            // is what pairs with single-parent subscription propagation
+            // to keep multicast duplicate-free, see DESIGN.md.) Under
+            // faults the masked designation skips dead parents, so the
+            // data plane self-heals its ascent before the controller
+            // has even repaired the routing.
+            return match self.topology.designated_up_masked(switch, &self.mask) {
+                Some((peer, ingress)) => NextHop::Link(Dest::Switch { id: peer, ingress }),
+                None => NextHop::Faulted,
+            };
+        }
+        let Some(&target) = self.topology.switches[switch].down.get(port as usize) else {
+            return NextHop::Dangling;
+        };
+        if !self.topology.link_usable(switch, port, &self.mask) {
+            // Defense in depth: the dataplane's port-down state
+            // normally suppresses this before it reaches us (e.g. a
+            // fault injected between process and drain).
+            return NextHop::Faulted;
+        }
+        NextHop::Link(match target {
+            DownTarget::Host(h) => Dest::Host(h),
+            // Arrives at the child from above: ingress is the child's
+            // logical up port.
+            DownTarget::Switch(c, _) => Dest::Switch { id: c, ingress: LOGICAL_UP },
+        })
     }
 
     pub fn deliveries(&self, host: HostId) -> &[Delivered] {

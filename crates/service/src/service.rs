@@ -30,7 +30,10 @@
 //! backlog once intake's clock passes that start (every later batch
 //! closes after it), when a batch arrives that cannot join it, and on
 //! drain. Which batches merge is therefore a function of the arrival
-//! stamps and the modelled compile times alone.
+//! stamps and the compile times, and a compile's time is measured: the
+//! compile clock advances by the wall time of each route and compile
+//! (`TxnReport::compiled_ns`), so two runs of one seed can merge
+//! differently.
 //!
 //! **Overlap.** By default transaction N+1 starts compiling when its
 //! batch closes, while transaction N may still be installing on the

@@ -386,8 +386,10 @@ impl TxnReport {
 
 /// One subscription request in a transaction. Its batched, compiled
 /// and deployed stamps are its report's `closed_ns`, `compiled_ns` and
-/// `deployed_ns`; all stamps are on the service's modelled clock, so
-/// spans are reproducible under a seed.
+/// `deployed_ns`, all on the service's clock. That clock is not purely
+/// modelled: `compiled_ns` folds in the measured wall time of the route
+/// and compile, so it and every stamp after it can differ between runs
+/// of one seed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RequestSpan {
     /// Service-assigned request id.
