@@ -1,4 +1,5 @@
-//! Stable content digests of filters and rules.
+//! Stable content digests of filters and rules, and the hasher of maps
+//! keyed by ids.
 //!
 //! FNV-1a over the derived `Hash` impls: identical across runs and
 //! processes (unlike the std `DefaultHasher`, whose keys are randomised
@@ -9,9 +10,14 @@
 //! `rule_digest(r) == rule_digest_continued(expr_digest(&r.filter), &r.action)`
 //! by construction: a caller that memoises each filter's digest pays
 //! only for the action.
+//!
+//! [`WordHasher`] is for in-memory maps whose keys are ids the diagram
+//! or the compiler assigns itself (nodes, terminals, labels, states).
 
 use camus_lang::ast::{Action, Expr, Rule};
-use std::hash::{Hash, Hasher};
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, Hash, Hasher};
+use std::sync::OnceLock;
 
 /// The FNV-1a hasher, 64-bit. Start from [`Fnv1a::OFFSET`] or from a
 /// digest to continue.
@@ -34,6 +40,46 @@ impl Hasher for Fnv1a {
             self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
         }
+    }
+}
+
+/// The hasher of maps keyed by ids: one multiply-rotate per word, then
+/// a final mix that spreads the high bits into the low ones a table
+/// indexes by. SipHash spent most of the bulk build's time in its memos
+/// and most of an exact walk's on a band's lo-spine. It starts from a
+/// seed drawn once per process from std's random keys, so the one set
+/// of filter constants on it (an exact walk's exclusions) is randomly
+/// keyed too; any other map keyed by filter content keeps std's hasher
+/// or gives way to a sort.
+pub struct WordHasher(u64);
+
+impl Default for WordHasher {
+    fn default() -> Self {
+        static SEED: OnceLock<u64> = OnceLock::new();
+        WordHasher(*SEED.get_or_init(|| RandomState::new().hash_one(0u8)))
+    }
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        let mut x = self.0;
+        x ^= x >> 33;
+        x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        x ^= x >> 33;
+        x = x.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        x ^ (x >> 33)
     }
 }
 

@@ -43,10 +43,9 @@
 use crate::digest::rule_digest;
 use crate::order::{sorted_alphabet, FieldStats, VarOrder};
 use crate::store::{Bdd, NodeRef, PredId, RuleId, TermId};
-use camus_lang::ast::{Action, Expr, Predicate, Rel, Rule};
+use camus_lang::ast::{Action, Expr, Rel, Rule};
 use camus_lang::dnf::DnfBuf;
-use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 
 const EMPTY: NodeRef = NodeRef::Term(TermId(0));
 
@@ -70,7 +69,8 @@ impl Bdd {
         dnf.push(&rule.filter);
         let mut chains = Vec::with_capacity(dnf.terms(0).len());
         for conj in dnf.terms(0) {
-            let pids: Vec<PredId> = conj.iter().map(|a| self.add_pred(a)).collect();
+            let mut pids: Vec<PredId> = conj.iter().map(|a| self.add_pred(a)).collect();
+            pids.sort_unstable_by_key(|&p| self.level_of(p));
             chains.push(chain_ref(self, &pids, label));
         }
         let add = union_all(self, chains);
@@ -81,14 +81,12 @@ impl Bdd {
     }
 }
 
-/// One conjunction as a chain over already-interned predicates, in
-/// descending level order (deterministic: rebuilt at removal time it
+/// One conjunction as a chain over already-interned predicates sorted
+/// by level, built bottom-up (deterministic: rebuilt at removal time it
 /// reproduces the same hash-consed refs).
 fn chain_ref(bdd: &mut Bdd, pids: &[PredId], label: RuleId) -> NodeRef {
-    let mut vars = pids.to_vec();
-    vars.sort_unstable_by_key(|v| bdd.level_of(*v));
-    let mut cur = bdd.term(BTreeSet::from([label]));
-    for &v in vars.iter().rev() {
+    let mut cur = bdd.leaf(label);
+    for &v in pids.iter().rev() {
         cur = bdd.mk(v, EMPTY, cur);
     }
     cur
@@ -113,29 +111,14 @@ fn union_all(bdd: &mut Bdd, mut items: Vec<NodeRef>) -> NodeRef {
 
 // -- incremental maintenance structure --------------------------------------
 
-/// How one conjunction of an inserted rule is attached to the diagram.
+/// One conjunction of an inserted rule: its predicates sorted by level,
+/// and its miscellaneous chain slot, if it is not attached by its top
+/// atom to a band member ([`join`] tells which, and rebuilds the same
+/// tail at removal: levels shift under splices, but never reorder).
 #[derive(Debug, Clone)]
-enum Part {
-    /// A slot in the miscellaneous chain list, and the chain's atoms.
-    Misc { slot: usize, atoms: Vec<PredId> },
-    /// A single equality: a direct label on its band member.
-    EqDirect { pred: PredId },
-    /// An equality head with a residual chain hanging off the member's
-    /// hi branch. `tail` keeps predicate ids (stable across splices),
-    /// so removal can deterministically rebuild the same tail ref.
-    EqTail { pred: PredId, tail: Vec<PredId> },
-}
-
-impl Part {
-    /// Every atom of the conjunction this part attached.
-    fn preds(&self) -> impl Iterator<Item = PredId> + '_ {
-        let (head, rest): (Option<PredId>, &[PredId]) = match self {
-            Part::Misc { atoms, .. } => (None, atoms),
-            Part::EqDirect { pred } => (Some(*pred), &[]),
-            Part::EqTail { pred, tail } => (Some(*pred), tail),
-        };
-        head.into_iter().chain(rest.iter().copied())
-    }
+struct Part {
+    pids: Vec<PredId>,
+    misc: Option<usize>,
 }
 
 /// One inserted occurrence of a rule (duplicates each get their own).
@@ -150,11 +133,11 @@ struct Instance {
 #[derive(Debug)]
 struct Member {
     pred: PredId,
-    /// Labels of single-equality rules on this member, with counts.
-    direct: HashMap<RuleId, u32>,
-    /// Residual-chain diagrams hanging off this member, with counts.
-    tails: HashMap<NodeRef, u32>,
-    /// Cached union of `direct` ∪ `tails`.
+    /// Direct labels of single-equality rules, then residual-chain
+    /// diagrams, each with its count, sorted. A sweep's remap keeps
+    /// the order: it renumbers terminals and nodes in ascending order.
+    counts: Vec<(Delta, u32)>,
+    /// Cached union of the contributions.
     hi: NodeRef,
 }
 
@@ -175,7 +158,9 @@ impl Default for EqGroup {
     }
 }
 
-/// What an operation contributes to (or retracts from) a member.
+/// What a conjunction contributes to (or retracts from) a member: a
+/// direct label, or a residual chain.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Delta {
     Direct(RuleId),
     Tail(NodeRef),
@@ -244,7 +229,7 @@ impl IncrementalBdd {
     /// and only the alphabet's distinct predicates and the interned
     /// actions are cloned.
     ///
-    /// Each conjunction attaches by its top atom ([`classify`]). An
+    /// Each conjunction attaches by its top atom ([`join`]). An
     /// equality head joins its field's *exact-match band*: same-field
     /// equalities are mutually exclusive, so the level-sorted chain
     /// `if p₁ then T₁ else if p₂ then T₂ … else ∅` is already the
@@ -256,22 +241,33 @@ impl IncrementalBdd {
     /// by balanced union and the bands folded over the result bottom-up
     /// in level order.
     ///
+    /// Hashing and allocation are a small constant per rule. The
+    /// alphabet is sorted, not hashed ([`sorted_alphabet`]), and the
+    /// alphabet is built sorted, so an atom's id is its level: no atom
+    /// is interned again. Each conjunction's ids go through one reused
+    /// buffer. What it brings to a band member is recorded as one
+    /// `(member, label or tail)` pair, and one sort of those pairs
+    /// lists each member's contributions in a run, duplicates adjacent:
+    /// one pass counts them, whatever a member's size, and each band is
+    /// chained once. A terminal `{label}` is built once per label.
+    ///
     /// `order` is first fitted to the list ([`VarOrder::fit`]: a
     /// tie-break order puts the fields every rule tests on top), and the
     /// fitted order is the one the alphabet records, so churn splices
     /// keep it.
     ///
     /// `digests`, one per rule in list order, records what churn needs
-    /// to retract a rule later (its digest and the chain slices it
-    /// occupies). Without them the result is only good for its diagram.
+    /// to retract a rule later (its digest, the conjunctions it attached
+    /// and the members' counts). Without them nothing of that is built,
+    /// and the result is only good for its diagram.
     pub(crate) fn bulk<'r>(
         rules: impl Iterator<Item = (&'r Expr, &'r Action)> + Clone,
         mut digests: Option<impl Iterator<Item = u64>>,
         order: &VarOrder,
     ) -> IncrementalBdd {
-        let (mut dnfs, mut stats) = (DnfBuf::default(), FieldStats::default());
-        for (i, (filter, _)) in rules.clone().enumerate() {
-            dnfs.push(filter);
+        let dnfs: DnfBuf = rules.clone().map(|(filter, _)| filter).collect();
+        let mut stats = FieldStats::default();
+        for i in 0..rules.clone().count() {
             stats.count(dnfs.terms(i).flatten().map(|a| &**a), true);
         }
         let order = &order.fit(&stats);
@@ -279,10 +275,8 @@ impl IncrementalBdd {
         // The predicate alphabet, and the level of every atom occurrence
         // in rule, term, atom order.
         let (preds, levels) = sorted_alphabet(order, dnfs.atoms());
-        let mut levels = levels.into_iter();
-
         let mut inc = IncrementalBdd {
-            bdd: Bdd::with_ordered_alphabet(preds, order.clone()),
+            bdd: Bdd::with_ordered_alphabet(preds, order.clone(), levels.len()),
             groups: BTreeMap::new(),
             misc: Vec::new(),
             free_misc: Vec::new(),
@@ -296,67 +290,52 @@ impl IncrementalBdd {
             roots_buf: Vec::new(),
         };
 
-        // Band members by predicate id. The alphabet was built sorted and
-        // nothing is spliced into it here, so an id is its level: each
-        // occurrence's id is the level `sorted_alphabet` read off its
-        // slot, and a band's members are the id run of its group's
-        // level range, already in level order.
-        let mut members: Vec<Option<Member>> =
-            std::iter::repeat_with(|| None).take(inc.bdd.preds().len()).collect();
+        let mut levels = levels.into_iter();
+        let mut joins: Vec<(PredId, Delta)> = Vec::with_capacity(rules.size_hint().0);
+        let mut pids = Vec::new();
         for (i, (_, action)) in rules.enumerate() {
             inc.rule_count += 1;
             let label = inc.intern_label(action);
-            let mut parts = Vec::with_capacity(dnfs.terms(i).len());
+            let digest = digests.as_mut().and_then(Iterator::next);
+            let mut parts = Vec::new();
             for conj in dnfs.terms(i) {
-                let pids: Vec<PredId> = conj
-                    .iter()
-                    .zip(levels.by_ref())
-                    .map(|(atom, level)| {
-                        let pid = PredId(level);
-                        debug_assert!(
-                            inc.bdd.level_of(pid) == level && inc.bdd.pred(pid) == &**atom
-                        );
-                        pid
-                    })
-                    .collect();
-                parts.push(match classify(&inc.bdd, conj, &pids) {
-                    Class::Direct(pred) => {
-                        let m = members[pred.0 as usize].get_or_insert_with(|| new_member(pred));
-                        *m.direct.entry(label).or_insert(0) += 1;
-                        Part::EqDirect { pred }
-                    }
-                    Class::Tail(pred, tail) => {
-                        let r = chain_ref(&mut inc.bdd, &tail, label);
-                        let m = members[pred.0 as usize].get_or_insert_with(|| new_member(pred));
-                        *m.tails.entry(r).or_insert(0) += 1;
-                        Part::EqTail { pred, tail }
-                    }
-                    Class::Misc => {
-                        let chain = chain_ref(&mut inc.bdd, &pids, label);
-                        Part::Misc { slot: inc.alloc_misc(chain), atoms: pids }
-                    }
-                });
+                pids.clear();
+                pids.extend(levels.by_ref().take(conj.len()).map(PredId));
+                debug_assert!(pids.iter().zip(conj).all(|(&p, a)| inc.bdd.pred(p) == &**a));
+                pids.sort_unstable();
+                let joined = join(&mut inc.bdd, &pids, label);
+                joins.extend(joined);
+                let misc = joined.is_none().then(|| inc.alloc_misc(&pids, label));
+                if digest.is_some() {
+                    parts.push(Part { pids: pids.clone(), misc });
+                }
             }
-            if let Some(digest) = digests.as_mut().and_then(Iterator::next) {
+            if let Some(digest) = digest {
                 inc.instances.entry(digest).or_default().push(Instance { label, parts });
             }
         }
         // Chain each band once, in group-id order, so node ids — and
         // with them every later tie-break — repeat exactly from one
-        // build of a list to the next.
+        // build of a list to the next. A band's members are the id run
+        // of its group's level range, already in level order.
+        joins.sort_unstable();
+        let mut rest = &joins[..];
         for g in 0..inc.bdd.field_groups().len() {
-            let ids = inc.bdd.field_groups()[g].1.clone();
-            let mut band: Vec<Member> = members[ids.start as usize..ids.end as usize]
-                .iter_mut()
-                .filter_map(Option::take)
-                .collect();
+            let end = inc.bdd.field_groups()[g].1.end;
+            let (band, more) = rest.split_at(rest.partition_point(|&(pred, _)| pred.0 < end));
+            rest = more;
             if band.is_empty() {
                 continue;
             }
-            for m in band.iter_mut() {
-                m.hi = member_hi(&mut inc.bdd, &m.direct, &m.tails);
-            }
-            let mut group = EqGroup { suffix: vec![EMPTY; band.len() + 1], members: band };
+            let member = |a: &(PredId, Delta), b: &(PredId, Delta)| a.0 == b.0;
+            let mut members = Vec::with_capacity(band.chunk_by(member).count());
+            members.extend(band.chunk_by(member).map(|joined| {
+                let counted = joined.chunk_by(|a, b| a == b).map(|c| (c[0].1, c.len() as u32));
+                let hi = member_hi(&mut inc.bdd, counted.clone().map(|(delta, _)| delta));
+                let counts = if digests.is_some() { counted.collect() } else { Vec::new() };
+                Member { pred: joined[0].0, counts, hi }
+            }));
+            let mut group = EqGroup { suffix: vec![EMPTY; members.len() + 1], members };
             let last = group.members.len() - 1;
             rebuild_from(&mut inc.bdd, &mut group, last);
             inc.groups.insert(g as u32, group);
@@ -388,38 +367,16 @@ impl IncrementalBdd {
         let mut parts = Vec::with_capacity(dnf.terms(0).len());
         let mut misc_dirty = false;
         for conj in dnf.terms(0) {
-            let pids: Vec<PredId> = conj.iter().map(|a| self.bdd.add_pred(a)).collect();
-            match classify(&self.bdd, conj, &pids) {
-                Class::Direct(pred) => {
-                    let g = self.bdd.group_of(pred);
-                    eq_apply(
-                        &mut self.bdd,
-                        self.groups.entry(g).or_default(),
-                        pred,
-                        Delta::Direct(label),
-                        true,
-                    );
-                    parts.push(Part::EqDirect { pred });
-                }
-                Class::Tail(pred, tail) => {
-                    let r = chain_ref(&mut self.bdd, &tail, label);
-                    let g = self.bdd.group_of(pred);
-                    eq_apply(
-                        &mut self.bdd,
-                        self.groups.entry(g).or_default(),
-                        pred,
-                        Delta::Tail(r),
-                        true,
-                    );
-                    parts.push(Part::EqTail { pred, tail });
-                }
-                Class::Misc => {
-                    let chain = chain_ref(&mut self.bdd, &pids, label);
-                    let slot = self.alloc_misc(chain);
-                    misc_dirty = true;
-                    parts.push(Part::Misc { slot, atoms: pids });
-                }
+            let mut pids: Vec<PredId> = conj.iter().map(|a| self.bdd.add_pred(a)).collect();
+            pids.sort_unstable_by_key(|&p| self.bdd.level_of(p));
+            let joined = join(&mut self.bdd, &pids, label);
+            if let Some((pred, delta)) = joined {
+                let g = self.bdd.group_of(pred);
+                eq_apply(&mut self.bdd, self.groups.entry(g).or_default(), pred, delta, true);
             }
+            let misc = joined.is_none().then(|| self.alloc_misc(&pids, label));
+            misc_dirty |= misc.is_some();
+            parts.push(Part { pids, misc });
         }
         self.instances.entry(digest).or_default().push(Instance { label, parts });
         self.rule_count += 1;
@@ -438,29 +395,21 @@ impl IncrementalBdd {
             self.instances.remove(&digest);
         }
         let bdd = &self.bdd;
-        self.stats.count(inst.parts.iter().flat_map(Part::preds).map(|p| bdd.pred(p)), false);
+        self.stats.count(inst.parts.iter().flat_map(|p| &p.pids).map(|&p| bdd.pred(p)), false);
         let mut misc_dirty = false;
         for part in &inst.parts {
-            match part {
-                Part::Misc { slot, .. } => {
-                    self.misc[*slot] = EMPTY;
-                    self.free_misc.push(*slot);
-                    misc_dirty = true;
-                }
-                Part::EqDirect { pred } => {
-                    let g = self.bdd.group_of(*pred);
-                    let group = self.groups.get_mut(&g).expect("group exists for live part");
-                    eq_apply(&mut self.bdd, group, *pred, Delta::Direct(inst.label), false);
-                }
-                Part::EqTail { pred, tail } => {
-                    // The tail diagram is rooted via the tails map, so
-                    // this rebuild resolves to the identical refs.
-                    let r = chain_ref(&mut self.bdd, tail, inst.label);
-                    let g = self.bdd.group_of(*pred);
-                    let group = self.groups.get_mut(&g).expect("group exists for live part");
-                    eq_apply(&mut self.bdd, group, *pred, Delta::Tail(r), false);
-                }
+            if let Some(slot) = part.misc {
+                self.misc[slot] = EMPTY;
+                self.free_misc.push(slot);
+                misc_dirty = true;
+                continue;
             }
+            // A tail diagram is rooted via its member's counts, so the
+            // rebuild in `join` resolves to the identical refs.
+            let (pred, delta) = join(&mut self.bdd, &part.pids, inst.label).expect("a band part");
+            let g = self.bdd.group_of(pred);
+            let group = self.groups.get_mut(&g).expect("group exists for live part");
+            eq_apply(&mut self.bdd, group, pred, delta, false);
         }
         self.release_label(inst.label);
         self.rule_count -= 1;
@@ -541,7 +490,9 @@ impl IncrementalBdd {
         }
     }
 
-    fn alloc_misc(&mut self, leaf: NodeRef) -> usize {
+    /// Chain a miscellaneous conjunction into a free slot.
+    fn alloc_misc(&mut self, pids: &[PredId], label: RuleId) -> usize {
+        let leaf = chain_ref(&mut self.bdd, pids, label);
         match self.free_misc.pop() {
             Some(i) => {
                 self.misc[i] = leaf;
@@ -600,7 +551,10 @@ impl IncrementalBdd {
             roots.extend_from_slice(&g.suffix);
             for m in &g.members {
                 roots.push(m.hi);
-                roots.extend(m.tails.keys().copied());
+                roots.extend(m.deltas().filter_map(|delta| match delta {
+                    Delta::Tail(t) => Some(t),
+                    Delta::Direct(_) => None,
+                }));
             }
         }
         let remap = self.bdd.gc(&roots);
@@ -614,7 +568,11 @@ impl IncrementalBdd {
             }
             for m in g.members.iter_mut() {
                 m.hi = remap.apply(m.hi);
-                m.tails = m.tails.drain().map(|(k, v)| (remap.apply(k), v)).collect();
+                for (delta, _) in m.counts.iter_mut() {
+                    if let Delta::Tail(t) = delta {
+                        *t = remap.apply(*t);
+                    }
+                }
             }
         }
         roots.clear();
@@ -622,54 +580,44 @@ impl IncrementalBdd {
     }
 }
 
-fn new_member(pred: PredId) -> Member {
-    Member { pred, direct: HashMap::new(), tails: HashMap::new(), hi: EMPTY }
+impl Member {
+    fn deltas(&self) -> impl Iterator<Item = Delta> + Clone + '_ {
+        self.counts.iter().map(|&(delta, _)| delta)
+    }
 }
 
-/// How a conjunction attaches: by its top (lowest-level) atom.
-enum Class {
-    Direct(PredId),
-    Tail(PredId, Vec<PredId>),
-    Misc,
-}
-
-fn classify(bdd: &Bdd, conj: &[Cow<'_, Predicate>], pids: &[PredId]) -> Class {
-    if pids.is_empty() {
-        return Class::Misc; // `true` filter: a bare terminal chain
+/// The band member a conjunction joins, its predicates sorted by level,
+/// when its top atom is an equality, and what it brings there: its
+/// label directly, or the chain of the rest. `None` when it is a
+/// miscellaneous chain (the `true` filter's empty conjunction too).
+fn join(bdd: &mut Bdd, pids: &[PredId], label: RuleId) -> Option<(PredId, Delta)> {
+    let (&head, tail) = pids.split_first()?;
+    if bdd.pred(head).rel != Rel::Eq {
+        return None;
     }
-    let (head_i, head) =
-        pids.iter().copied().enumerate().min_by_key(|&(_, p)| bdd.level_of(p)).expect("non-empty");
-    if conj[head_i].rel != Rel::Eq {
-        return Class::Misc;
-    }
-    if pids.len() == 1 {
-        return Class::Direct(head);
-    }
-    let tail: Vec<PredId> =
-        pids.iter().copied().enumerate().filter(|&(i, _)| i != head_i).map(|(_, p)| p).collect();
-    Class::Tail(head, tail)
-}
-
-/// Union of a member's direct labels and residual tails, folded in a
-/// deterministic order.
-fn member_hi(
-    bdd: &mut Bdd,
-    direct: &HashMap<RuleId, u32>,
-    tails: &HashMap<NodeRef, u32>,
-) -> NodeRef {
-    let mut hi = if direct.is_empty() {
-        EMPTY
-    } else {
-        let set: BTreeSet<RuleId> = direct.keys().copied().collect();
-        bdd.term(set)
+    let delta = match tail {
+        [] => Delta::Direct(label),
+        tail => Delta::Tail(chain_ref(bdd, tail, label)),
     };
-    let mut ts: Vec<NodeRef> = tails.keys().copied().collect();
-    ts.sort_unstable_by_key(|r| match *r {
-        NodeRef::Term(t) => (0u8, t.0),
-        NodeRef::Node(n) => (1u8, n),
+    Some((head, delta))
+}
+
+/// Union of a member's distinct contributions, sorted: the terminal of
+/// its direct labels, then each residual tail in turn.
+fn member_hi(bdd: &mut Bdd, deltas: impl Iterator<Item = Delta> + Clone) -> NodeRef {
+    let mut labels = deltas.clone().map_while(|delta| match delta {
+        Delta::Direct(label) => Some(label),
+        Delta::Tail(_) => None,
     });
-    for t in ts {
-        hi = bdd.union(hi, t);
+    let mut hi = match (labels.next(), labels.next()) {
+        (None, _) => EMPTY,
+        (Some(label), None) => bdd.leaf(label),
+        (Some(a), Some(b)) => bdd.term([a, b].into_iter().chain(labels).collect()),
+    };
+    for delta in deltas {
+        if let Delta::Tail(t) = delta {
+            hi = bdd.union(hi, t);
+        }
     }
     hi
 }
@@ -696,15 +644,15 @@ fn eq_apply(bdd: &mut Bdd, g: &mut EqGroup, pred: PredId, delta: Delta, add: boo
     let exists = idx < g.members.len() && g.members[idx].pred == pred;
     if add {
         if !exists {
-            g.members.insert(idx, new_member(pred));
+            g.members.insert(idx, Member { pred, counts: Vec::new(), hi: EMPTY });
             g.suffix.insert(idx, EMPTY);
         }
-        let m = &mut g.members[idx];
-        match delta {
-            Delta::Direct(label) => *m.direct.entry(label).or_insert(0) += 1,
-            Delta::Tail(r) => *m.tails.entry(r).or_insert(0) += 1,
+        let counts = &mut g.members[idx].counts;
+        match counts.binary_search_by_key(&delta, |&(d, _)| d) {
+            Ok(i) => counts[i].1 += 1,
+            Err(i) => counts.insert(i, (delta, 1)),
         }
-        let hi = member_hi(bdd, &g.members[idx].direct, &g.members[idx].tails);
+        let hi = member_hi(bdd, g.members[idx].deltas());
         if exists && hi == g.members[idx].hi {
             return; // duplicate occurrence: diagram unchanged
         }
@@ -712,24 +660,13 @@ fn eq_apply(bdd: &mut Bdd, g: &mut EqGroup, pred: PredId, delta: Delta, add: boo
         rebuild_from(bdd, g, idx);
     } else {
         assert!(exists, "retracting a delta from a member that is not present");
-        let m = &mut g.members[idx];
-        match delta {
-            Delta::Direct(label) => {
-                let c = m.direct.get_mut(&label).expect("direct label present");
-                *c -= 1;
-                if *c == 0 {
-                    m.direct.remove(&label);
-                }
-            }
-            Delta::Tail(r) => {
-                let c = m.tails.get_mut(&r).expect("tail diagram present");
-                *c -= 1;
-                if *c == 0 {
-                    m.tails.remove(&r);
-                }
-            }
+        let counts = &mut g.members[idx].counts;
+        let i = counts.binary_search_by_key(&delta, |&(d, _)| d).expect("the delta is counted");
+        counts[i].1 -= 1;
+        if counts[i].1 == 0 {
+            counts.remove(i);
         }
-        if m.direct.is_empty() && m.tails.is_empty() {
+        if counts.is_empty() {
             g.members.remove(idx);
             g.suffix.remove(idx);
             if idx > 0 {
@@ -738,7 +675,7 @@ fn eq_apply(bdd: &mut Bdd, g: &mut EqGroup, pred: PredId, delta: Delta, add: boo
                 g.suffix[0] = EMPTY;
             }
         } else {
-            let hi = member_hi(bdd, &g.members[idx].direct, &g.members[idx].tails);
+            let hi = member_hi(bdd, g.members[idx].deltas());
             if hi != g.members[idx].hi {
                 g.members[idx].hi = hi;
                 rebuild_from(bdd, g, idx);
@@ -755,6 +692,7 @@ mod tests {
     use camus_lang::parser::{parse_rule, parse_rules};
     use camus_lang::value::Value;
     use rand::{rngs::StdRng, Rng, SeedableRng};
+    use std::collections::BTreeSet;
 
     /// Matched actions (not labels: label ids differ once freed ids
     /// are reused) for a packet, as debug strings.

@@ -149,48 +149,48 @@ impl VarOrder {
 pub(crate) struct FieldStats {
     rules: usize,
     uses: HashMap<Operand, FieldUse>,
+    /// Calls to [`FieldStats::count`] so far: what a use is stamped with.
+    calls: u64,
 }
 
 #[derive(Debug, Clone, Copy, Default)]
 struct FieldUse {
     rules: usize,
     ranged: usize,
+    /// The last call that counted this operand, and whether it counted
+    /// it ranged: a rule counts each operand once, without a list of
+    /// the operands it has counted.
+    seen: (u64, bool),
 }
 
 impl FieldStats {
     /// Count (`add`) or uncount one rule, given all its DNF atoms.
     pub(crate) fn count<'a>(&mut self, atoms: impl IntoIterator<Item = &'a Predicate>, add: bool) {
-        let mut fields: Vec<(&Operand, bool)> = Vec::new();
+        let step = |n: &mut usize| if add { *n += 1 } else { *n -= 1 };
+        self.calls += 1;
+        let mut any = false;
         for a in atoms {
-            let ranged = a.rel != Rel::Eq;
-            match fields.iter_mut().find(|(op, _)| *op == &a.operand) {
-                Some(f) => f.1 |= ranged,
-                None => fields.push((&a.operand, ranged)),
+            any = true;
+            let u = match self.uses.get_mut(&a.operand) {
+                Some(u) => u,
+                // An earlier atom of the rule uncounted its operand's last rule.
+                None if !add => continue,
+                None => self.uses.entry(a.operand.clone()).or_default(),
+            };
+            if u.seen.0 != self.calls {
+                u.seen = (self.calls, false);
+                step(&mut u.rules);
+            }
+            if a.rel != Rel::Eq && !u.seen.1 {
+                u.seen.1 = true;
+                step(&mut u.ranged);
+            }
+            if u.rules == 0 {
+                self.uses.remove(&a.operand);
             }
         }
-        if fields.is_empty() {
-            return;
-        }
-        if add {
-            self.rules += 1;
-            for (op, ranged) in fields {
-                let u = match self.uses.get_mut(op) {
-                    Some(u) => u,
-                    None => self.uses.entry(op.clone()).or_default(),
-                };
-                u.rules += 1;
-                u.ranged += usize::from(ranged);
-            }
-        } else {
-            self.rules -= 1;
-            for (op, ranged) in fields {
-                let u = self.uses.get_mut(op).expect("a counted rule's operands are counted");
-                u.rules -= 1;
-                u.ranged -= usize::from(ranged);
-                if u.rules == 0 {
-                    self.uses.remove(op);
-                }
-            }
+        if any {
+            step(&mut self.rules);
         }
     }
 }
@@ -217,49 +217,64 @@ pub(crate) fn pred_sort_key(p: &Predicate) -> (u8, Option<i64>, Option<&str>) {
     }
 }
 
+/// An atom occurrence as [`sorted_alphabet`] sorts it: rank, key, index.
+type Keyed<'a> = (usize, (u8, Option<i64>, Option<&'a str>), u32, &'a Predicate);
+
+fn same_key(a: &Keyed, b: &Keyed) -> bool {
+    (a.0, &a.1) == (b.0, &b.1)
+}
+
 /// The bulk constructor's alphabet: the distinct atoms of `atoms` in
 /// variable order, and the level of each occurrence's atom in that
 /// order (one entry per item of `atoms`, in the same sequence).
 ///
 /// The order is the operand's rank in `order` — operands missing from
 /// it rank after every listed one, in first-appearance order — then
-/// [`pred_sort_key`]. A rank is resolved once per distinct operand and
-/// each occurrence is hashed once; the sort compares borrowed keys.
-/// Ranks are distinct per operand key, so comparing the keys as well
-/// would decide nothing.
+/// [`pred_sort_key`]. A rank is resolved once per run of occurrences
+/// with one operand. Nothing is hashed but a changed operand: one sort
+/// of the occurrences by `(rank, pred_sort_key, index)`, on borrowed
+/// keys, puts the occurrences of each atom in one run, and one pass
+/// over the runs lists each atom once and reads off every occurrence's
+/// level. Ranks are distinct per operand key, so a run holds one atom
+/// unless two operands share a key; those are told apart by operand,
+/// in first-appearance order.
 pub(crate) fn sorted_alphabet<'a>(
     order: &VarOrder,
-    atoms: impl IntoIterator<Item = &'a Predicate>,
+    atoms: impl Iterator<Item = &'a Predicate> + Clone,
 ) -> (Vec<Predicate>, Vec<u32>) {
-    let mut slot_of: HashMap<&Predicate, u32> = HashMap::new();
-    let mut rank_of: HashMap<&Operand, usize> = HashMap::new();
-    let mut distinct: Vec<&Predicate> = Vec::new();
-    let mut keyed = Vec::new();
-    let mut levels: Vec<u32> = Vec::new();
-    for atom in atoms {
-        let slot = *slot_of.entry(atom).or_insert_with(|| {
-            let appeared = rank_of.len();
-            let rank = *rank_of
-                .entry(&atom.operand)
-                .or_insert_with(|| order.rank_of(&atom.operand).unwrap_or(order.len() + appeared));
-            let slot = distinct.len() as u32;
-            distinct.push(atom);
-            keyed.push((rank, pred_sort_key(atom), slot));
-            slot
-        });
-        levels.push(slot);
+    let mut ranks: HashMap<&Operand, usize> = HashMap::new();
+    let mut last: Option<(&Operand, usize)> = None;
+    let mut keyed = Vec::with_capacity(atoms.clone().count());
+    for (i, atom) in atoms.enumerate() {
+        let rank = match last {
+            Some((op, rank)) if *op == atom.operand => rank,
+            _ => {
+                let appeared = ranks.len();
+                let rank = *ranks.entry(&atom.operand).or_insert_with(|| {
+                    order.rank_of(&atom.operand).unwrap_or(order.len() + appeared)
+                });
+                last = Some((&atom.operand, rank));
+                rank
+            }
+        };
+        keyed.push((rank, pred_sort_key(atom), i as u32, atom));
     }
-    // Distinct atoms never tie on rank and key, so the trailing slot
-    // only names the atom: the unstable sort is the stable one.
-    keyed.sort_unstable();
-    let mut level_of_slot = vec![0u32; keyed.len()];
-    for (level, &(.., slot)) in keyed.iter().enumerate() {
-        level_of_slot[slot as usize] = level as u32;
+    keyed.sort_unstable_by(|a, b| (a.0, &a.1, a.2).cmp(&(b.0, &b.1, b.2)));
+    let mut preds: Vec<Predicate> = Vec::with_capacity(keyed.chunk_by(same_key).count());
+    let mut levels = vec![0u32; keyed.len()];
+    for run in keyed.chunk_by(same_key) {
+        let first = preds.len();
+        for &(.., i, atom) in run {
+            let level = match preds[first..].iter().position(|p| p.operand == atom.operand) {
+                Some(k) => first + k,
+                None => {
+                    preds.push(atom.clone());
+                    preds.len() - 1
+                }
+            };
+            levels[i as usize] = level as u32;
+        }
     }
-    for l in levels.iter_mut() {
-        *l = level_of_slot[*l as usize];
-    }
-    let preds = keyed.iter().map(|&(.., slot)| distinct[slot as usize].clone()).collect();
     (preds, levels)
 }
 

@@ -36,12 +36,18 @@
 //!   other walk keeps an explicit stack too, so construction runs on
 //!   any thread with a bounded native stack.
 
+use crate::digest::WordHasher;
 use camus_lang::ast::{Action, Operand, Predicate, Rel};
 use camus_lang::sets::implication;
 use camus_lang::value::Value;
 use std::collections::{BTreeSet, HashMap};
+use std::hash::BuildHasherDefault;
 use std::ops::Range;
 use std::sync::Arc;
+
+/// A map keyed by ids the store assigns itself (nodes, terminals,
+/// labels): on the word hasher, not SipHash.
+type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
 
 /// Index of an interned rule *label* (action): terminals carry sets of
 /// these. Rules with identical actions share a label, which is what
@@ -57,11 +63,12 @@ pub(crate) type RuleId = u32;
 pub struct PredId(pub u32);
 
 /// An interned terminal: a set of matching rules.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TermId(pub u32);
 
-/// A reference to either an internal node or a terminal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// A reference to either an internal node or a terminal. Ordered
+/// terminals first, then nodes, each by id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum NodeRef {
     Term(TermId),
     Node(u32),
@@ -115,7 +122,13 @@ impl Alphabet {
     /// (all predicates of one operand contiguous). The builder
     /// establishes this invariant; levels start as the identity.
     pub(crate) fn from_sorted_preds(preds: Vec<Predicate>) -> Alphabet {
-        let mut a = Alphabet::default();
+        let n = preds.len() as u32;
+        let mut a = Alphabet {
+            groups: Vec::with_capacity(n as usize),
+            levels: (0..n).collect(),
+            pred_by_level: (0..n).collect(),
+            ..Alphabet::default()
+        };
         for (i, p) in preds.iter().enumerate() {
             match a.group_info.last_mut() {
                 Some((op, range)) if *op == p.operand => range.end = i as u32 + 1,
@@ -128,8 +141,6 @@ impl Alphabet {
             let g = a.group_info.len() as u32 - 1;
             a.group_pure_eq[g as usize] &= p.rel == Rel::Eq;
             a.groups.push(g);
-            a.levels.push(i as u32);
-            a.pred_by_level.push(i as u32);
         }
         a.preds = preds;
         a
@@ -389,30 +400,24 @@ impl UniqueTable {
     /// Insert a node known to be absent. Grows at ~70% load.
     fn insert(&mut self, nodes: &[Node], id: u32) {
         if self.slots.is_empty() || (self.len + 1) * 10 >= self.slots.len() * 7 {
-            self.grow(nodes);
+            let cap = (self.slots.len() * 2).max(1024);
+            for old in std::mem::replace(&mut self.slots, vec![EMPTY_SLOT; cap]) {
+                if old != EMPTY_SLOT {
+                    self.place(nodes, old);
+                }
+            }
         }
+        self.place(nodes, id);
+        self.len += 1;
+    }
+
+    fn place(&mut self, nodes: &[Node], id: u32) {
         let mask = self.slots.len() - 1;
         let mut i = (node_hash(&nodes[id as usize]) as usize) & mask;
         while self.slots[i] != EMPTY_SLOT {
             i = (i + 1) & mask;
         }
         self.slots[i] = id;
-        self.len += 1;
-    }
-
-    fn grow(&mut self, nodes: &[Node]) {
-        let cap = (self.slots.len() * 2).max(1024);
-        let old = std::mem::replace(&mut self.slots, vec![EMPTY_SLOT; cap]);
-        let mask = cap - 1;
-        for id in old {
-            if id != EMPTY_SLOT {
-                let mut i = (node_hash(&nodes[id as usize]) as usize) & mask;
-                while self.slots[i] != EMPTY_SLOT {
-                    i = (i + 1) & mask;
-                }
-                self.slots[i] = id;
-            }
-        }
     }
 }
 
@@ -422,12 +427,15 @@ pub struct Bdd {
     alphabet: Arc<Alphabet>,
     nodes: Vec<Node>,
     terminals: Vec<Arc<BTreeSet<RuleId>>>,
-    term_index: HashMap<Arc<BTreeSet<RuleId>>, TermId>,
+    term_index: IdMap<Arc<BTreeSet<RuleId>>, TermId>,
+    /// The terminal `{label}` of each label that has one: a chain's
+    /// leaf, found without building its set.
+    leaves: Vec<Option<NodeRef>>,
     unique: UniqueTable,
-    prune_memo: HashMap<(u32, PredId, bool), NodeRef>,
-    union_memo: HashMap<(NodeRef, NodeRef), NodeRef>,
+    prune_memo: IdMap<(u32, PredId, bool), NodeRef>,
+    union_memo: IdMap<(NodeRef, NodeRef), NodeRef>,
     /// Memo: node → exit of its all-false lo-spine within its group.
-    spine_memo: HashMap<u32, NodeRef>,
+    spine_memo: IdMap<u32, NodeRef>,
     /// Interned rule labels (actions), indexed by [`RuleId`].
     labels: Vec<Action>,
     root: NodeRef,
@@ -439,25 +447,23 @@ pub struct Bdd {
 }
 
 impl Bdd {
-    /// Create an empty BDD over an ordered predicate alphabet with no
-    /// recorded field order (tests only — production paths pin one).
-    #[cfg(test)]
-    pub(crate) fn with_alphabet(preds: Vec<Predicate>) -> Bdd {
-        Bdd::with_shared_alphabet(Arc::new(Alphabet::from_sorted_preds(preds)))
-    }
-
-    /// Create an empty BDD over an ordered predicate alphabet. `preds`
-    /// must be sorted: all predicates of one operand contiguous (the
-    /// builder establishes this invariant). The field order is recorded
-    /// so operands *not yet in the alphabet* splice into their ordered
-    /// position when later interned by incremental maintenance.
+    /// Create an empty BDD over an ordered predicate alphabet, with room
+    /// for `nodes` nodes. `preds` must be sorted: all predicates of one
+    /// operand contiguous (the builder establishes this invariant). The
+    /// field order is recorded so operands *not yet in the alphabet*
+    /// splice into their ordered position when later interned by
+    /// incremental maintenance.
     pub(crate) fn with_ordered_alphabet(
         preds: Vec<Predicate>,
         order: crate::order::VarOrder,
+        nodes: usize,
     ) -> Bdd {
         let mut alphabet = Alphabet::from_sorted_preds(preds);
         alphabet.set_order(order);
-        Bdd::with_shared_alphabet(Arc::new(alphabet))
+        let mut bdd = Bdd::with_shared_alphabet(Arc::new(alphabet));
+        bdd.nodes.reserve_exact(nodes);
+        bdd.unique = UniqueTable::with_capacity(nodes);
+        bdd
     }
 
     /// Create an empty BDD over an alphabet.
@@ -466,11 +472,12 @@ impl Bdd {
             alphabet,
             nodes: Vec::new(),
             terminals: Vec::new(),
-            term_index: HashMap::new(),
+            term_index: IdMap::default(),
+            leaves: Vec::new(),
             unique: UniqueTable::default(),
-            prune_memo: HashMap::new(),
-            union_memo: HashMap::new(),
-            spine_memo: HashMap::new(),
+            prune_memo: IdMap::default(),
+            union_memo: IdMap::default(),
+            spine_memo: IdMap::default(),
             labels: Vec::new(),
             root: NodeRef::Term(TermId(0)),
             scratch: Scratch::default(),
@@ -646,6 +653,15 @@ impl Bdd {
         NodeRef::Term(t)
     }
 
+    /// The terminal `{label}`, its set built once per label.
+    pub(crate) fn leaf(&mut self, label: RuleId) -> NodeRef {
+        let l = label as usize;
+        self.leaves.resize(self.leaves.len().max(l + 1), None);
+        let leaf = self.leaves[l].unwrap_or_else(|| self.term(BTreeSet::from([label])));
+        self.leaves[l] = Some(leaf);
+        leaf
+    }
+
     /// Make (or reuse) the node `if var then hi else lo`, applying all
     /// four reductions.
     pub(crate) fn mk(&mut self, var: PredId, lo: NodeRef, hi: NodeRef) -> NodeRef {
@@ -809,26 +825,27 @@ impl Bdd {
     /// false. Memoised per node (the result does not depend on which
     /// equality was assumed true).
     fn lo_spine_exit(&mut self, id: u32, group: u32) -> NodeRef {
-        // Iterative: spines can be as long as the band (10⁵+ for large
-        // exact-match alphabets).
-        let mut path = Vec::new();
+        // Iterative, and twice along the spine's unmemoised stretch (to
+        // find the exit, then to record it): spines can be as long as
+        // the band (10⁵+ for large exact-match alphabets).
+        let lo = |bdd: &Bdd, cur: u32| match bdd.nodes[cur as usize].lo {
+            NodeRef::Node(l) if bdd.group_of(bdd.nodes[l as usize].var) == group => Ok(l),
+            other => Err(other),
+        };
         let mut cur = id;
         let out = loop {
-            if let Some(&cached) = self.spine_memo.get(&cur) {
-                break cached;
-            }
-            path.push(cur);
-            match self.nodes[cur as usize].lo {
-                NodeRef::Node(l)
-                    if self.alphabet.groups[self.nodes[l as usize].var.0 as usize] == group =>
-                {
-                    cur = l;
-                }
-                other => break other,
+            match (self.spine_memo.get(&cur), lo(self, cur)) {
+                (Some(&cached), _) => break cached,
+                (None, Ok(l)) => cur = l,
+                (None, Err(exit)) => break exit,
             }
         };
-        for n in path {
-            self.spine_memo.insert(n, out);
+        let mut cur = Ok(id);
+        while let Ok(n) = cur {
+            if self.spine_memo.insert(n, out).is_some() {
+                break;
+            }
+            cur = lo(self, n);
         }
         out
     }
@@ -938,11 +955,12 @@ impl Bdd {
             alphabet: Arc::clone(&self.alphabet),
             nodes,
             terminals,
-            term_index: HashMap::new(),
+            term_index: IdMap::default(),
+            leaves: Vec::new(),
             unique: UniqueTable::default(),
-            prune_memo: HashMap::new(),
-            union_memo: HashMap::new(),
-            spine_memo: HashMap::new(),
+            prune_memo: IdMap::default(),
+            union_memo: IdMap::default(),
+            spine_memo: IdMap::default(),
             labels: self.labels.clone(),
             root,
             scratch: Scratch::default(),
@@ -1072,8 +1090,9 @@ impl Bdd {
             unique.insert(&self.nodes, id);
         }
         self.unique = unique;
-        self.prune_memo = HashMap::new();
-        self.union_memo = HashMap::new();
+        self.leaves.clear();
+        self.prune_memo = IdMap::default();
+        self.union_memo = IdMap::default();
         let spine = std::mem::take(&mut self.spine_memo);
         self.spine_memo = spine
             .into_iter()
@@ -1154,6 +1173,14 @@ fn cofactor(bdd: &Bdd, r: NodeRef, v: PredId) -> (NodeRef, NodeRef) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Bdd {
+        /// An empty BDD over an ordered predicate alphabet with no
+        /// recorded field order (production paths pin one).
+        fn with_alphabet(preds: Vec<Predicate>) -> Bdd {
+            Bdd::with_shared_alphabet(Arc::new(Alphabet::from_sorted_preds(preds)))
+        }
+    }
 
     fn alphabet() -> Vec<Predicate> {
         vec![

@@ -11,11 +11,13 @@
 //! `(state, field value)` and transitions; a lookup miss leaves the
 //! state unchanged (the state belongs to a later component, §V-D).
 
+use camus_bdd::digest::WordHasher;
 use camus_lang::ast::{Action, Operand};
 use camus_lang::value::Value;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::BuildHasherDefault;
 
 /// A pipeline state: an In-node of some BDD component, or a terminal.
 pub(crate) type StateId = u32;
@@ -118,12 +120,12 @@ pub struct StageTable {
     /// Lookup index: state → the range of `entries` it owns (sorting
     /// makes a state's entries adjacent, in priority order).
     #[serde(skip)]
-    index: HashMap<StateId, (usize, usize)>,
+    index: HashMap<StateId, (usize, usize), BuildHasherDefault<WordHasher>>,
 }
 
 impl StageTable {
     pub fn new(operand: Operand, kind: MatchKind, entries: Vec<TableEntry>) -> Self {
-        let mut table = StageTable { operand, kind, entries, index: HashMap::new() };
+        let mut table = StageTable { operand, kind, entries, index: HashMap::default() };
         table.reindex();
         table
     }

@@ -40,6 +40,7 @@ use crate::multicast::MulticastAllocator;
 use crate::pipeline::{
     LeafTable, MatchKind, MatchSpec, Pipeline, StageTable, StateId, TableEntry, STATE_INIT,
 };
+use camus_bdd::digest::WordHasher;
 use camus_bdd::{Bdd, NodeRef, TermId};
 #[cfg(test)]
 use camus_lang::ast::Rule;
@@ -47,7 +48,7 @@ use camus_lang::ast::{Action, Predicate, Rel};
 use camus_lang::sets::{IntSet, StrSet};
 use camus_lang::value::{Type, Value};
 use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::BuildHasherDefault;
 
 /// Errors from table generation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -131,12 +132,15 @@ pub fn bdd_to_pipeline(bdd: &Bdd, mcast: &mut MulticastAllocator) -> Result<Pipe
     // A stage's match kind follows the predicates the diagram still
     // tests, not the alphabet: a predicate whose every node was reduced
     // away must not widen the table, or a diagram emitted in place and
-    // its compacted snapshot would disagree.
+    // its compacted snapshot would disagree. Its node count sizes its
+    // entries: a walk leaves a band by each hi branch and the last lo.
     let mut kinds = vec![MatchKind::Exact; bdd.field_groups().len()];
+    let mut sizes = vec![0; bdd.field_groups().len()];
     for nid in bdd.reachable_nodes() {
         let n = bdd.node(nid);
         let g = group(nid);
         kinds[g as usize] = widen_kind(kinds[g as usize], bdd.pred(n.var));
+        sizes[g as usize] += 1;
         for child in [n.lo, n.hi] {
             if !matches!(child, NodeRef::Node(c) if group(c) == g) {
                 states.assign(bdd, child);
@@ -155,7 +159,7 @@ pub fn bdd_to_pipeline(bdd: &Bdd, mcast: &mut MulticastAllocator) -> Result<Pipe
     let mut region_stack = Vec::new();
     let mut exact_stack = Vec::new();
     let mut excluded = Exclusions::default();
-    let mut stages = Vec::new();
+    let mut stages = Vec::with_capacity(group_order.len());
     for gid in group_order {
         let (operand, _) = &bdd.field_groups()[gid];
         let ins = &states.in_nodes[gid];
@@ -163,7 +167,7 @@ pub fn bdd_to_pipeline(bdd: &Bdd, mcast: &mut MulticastAllocator) -> Result<Pipe
             continue; // no reachable node tests this field
         }
         let kind = kinds[gid];
-        let mut entries = Vec::new();
+        let mut entries = Vec::with_capacity(sizes[gid] + ins.len());
         for &u in ins {
             let first = entries.len();
             let component =
@@ -383,7 +387,9 @@ impl<'a> Component<'a, '_> {
 }
 
 /// The values an exact walk's current path excludes: in path order,
-/// and as a set per type, so integer keys hash and compare inline.
+/// and as a set per type, so integer keys hash and compare inline. The
+/// sets are on [`WordHasher`], randomly seeded: the values are filter
+/// constants, which subscribers choose.
 #[derive(Default)]
 struct Exclusions<'a> {
     path: Vec<&'a Value>,
@@ -420,38 +426,6 @@ impl<'a> Exclusions<'a> {
             Value::Int(i) => self.ints.contains(i),
             Value::Str(s) => self.strs.contains(s.as_str()),
         }
-    }
-}
-
-/// The exclusion set's hasher: one multiply-rotate per word, then a
-/// final mix that spreads the high bits into the low ones the table
-/// indexes by (without it, strings that share their first bytes land
-/// in a few buckets). SipHash spent most of an exact walk's time on a
-/// band's lo-spine, three set operations per node. The keys are the
-/// diagram's own constants, hashed for one walk.
-#[derive(Default)]
-struct WordHasher(u64);
-
-impl Hasher for WordHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u64(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-
-    fn finish(&self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 33;
-        x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
-        x ^= x >> 33;
-        x = x.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-        x ^ (x >> 33)
     }
 }
 

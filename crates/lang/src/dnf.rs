@@ -128,7 +128,7 @@ impl<'a> DnfBuf<'a> {
     }
 
     /// Every atom, in filter, conjunction, atom order.
-    pub fn atoms(&self) -> impl Iterator<Item = &Predicate> + '_ {
+    pub fn atoms(&self) -> impl Iterator<Item = &Predicate> + Clone + '_ {
         self.terms.iter().flat_map(|t| &self.atoms[t.clone()]).map(|a| &**a)
     }
 
@@ -237,6 +237,20 @@ impl<'a> DnfBuf<'a> {
             }
         }
         self.terms.drain(first..end);
+    }
+}
+
+/// Collecting filters pushes each ([`DnfBuf::push`]), with room for as
+/// many filters, conjunctions and atoms as the iterator promises filters.
+impl<'a> FromIterator<&'a Expr> for DnfBuf<'a> {
+    fn from_iter<I: IntoIterator<Item = &'a Expr>>(filters: I) -> Self {
+        let (filters, mut buf) = (filters.into_iter(), DnfBuf::default());
+        let n = filters.size_hint().0;
+        buf.atoms.reserve(n);
+        buf.terms.reserve(n);
+        buf.filters.reserve(n);
+        filters.for_each(|filter| buf.push(filter));
+        buf
     }
 }
 

@@ -379,15 +379,7 @@ impl Network {
             }
         });
         let card = ev.card;
-        let counted: Vec<(Port, Packet, u64)> = out
-            .ports
-            .into_iter()
-            .map(|(port, copy)| {
-                let n = self.message_units(id, &copy);
-                (port, copy, n)
-            })
-            .collect();
-        if counted.is_empty() {
+        if out.ports.is_empty() {
             // The data plane forwarded nowhere: a legitimate filter
             // (or every egress suppressed). The postcard ends here.
             if let (Some(c), Some(hop)) = (card, base_hop) {
@@ -397,7 +389,8 @@ impl Network {
             }
             return;
         }
-        for (port, copy, msgs) in counted {
+        for (port, copy) in out.ports {
+            let msgs = self.message_units(id, &copy);
             // Each forwarded copy carries its own postcard clone with
             // this switch's hop stamped with the copy's egress.
             let copy_card = match (&card, &base_hop) {

@@ -113,10 +113,6 @@ impl Sampler {
         Sampler { mask: rate.mask, ticks: 0 }
     }
 
-    pub fn rate(&self) -> SampleRate {
-        SampleRate { mask: self.mask }
-    }
-
     /// Advance and report whether this packet is sampled.
     #[inline]
     pub fn tick(&mut self) -> bool {
