@@ -235,17 +235,22 @@ impl IncrementalBdd {
     /// `if p₁ then T₁ else if p₂ then T₂ … else ∅` is already the
     /// reduced diagram for all of them — O(k log k), where pairwise
     /// unions of k one-rule chains cost O(k²) and strand their
-    /// intermediates. A residual (`id == K and price > t`) hangs off
-    /// its member's hi branch instead of being unioned through the
-    /// band. Everything else is a miscellaneous chain; those are merged
-    /// by balanced union and the bands folded over the result bottom-up
-    /// in level order.
+    /// intermediates; a pure-equality band links each member by one
+    /// intern ([`Bdd::link`]). A residual (`id == K and price > t`)
+    /// hangs off its member's hi branch instead of being unioned through
+    /// the band. Everything else is a miscellaneous chain; those are
+    /// merged by balanced union and the bands folded over the result
+    /// bottom-up in level order. A constant rule (MR's `true: fwd(up)`)
+    /// is a terminal chain: without digests, when every chain is one,
+    /// their union is the deepest band's base (the `∅` above) and joins
+    /// each member's hi instead, so no union rebuilds that band. A seed
+    /// keeps its bands unfolded, as churn re-merges them.
     ///
     /// Hashing and allocation are a small constant per rule. The
-    /// alphabet is sorted, not hashed ([`sorted_alphabet`]), and the
-    /// alphabet is built sorted, so an atom's id is its level: no atom
-    /// is interned again. Each conjunction's ids go through one reused
-    /// buffer. What it brings to a band member is recorded as one
+    /// alphabet is sorted on one packed key per atom occurrence, not
+    /// hashed ([`sorted_alphabet`]), so an atom's id is its level: no
+    /// atom is interned again. Each conjunction's ids go through one
+    /// reused buffer. What it brings to a band member is recorded as one
     /// `(member, label or tail)` pair, and one sort of those pairs
     /// lists each member's contributions in a run, duplicates adjacent:
     /// one pass counts them, whatever a member's size, and each band is
@@ -314,10 +319,15 @@ impl IncrementalBdd {
                 inc.instances.entry(digest).or_default().push(Instance { label, parts });
             }
         }
+        // The constant rules' union: the deepest band's base, if folded.
+        let fold = inc.misc.iter().all(|m| matches!(m, NodeRef::Term(_))) && !joins.is_empty();
+        let folded = if fold && digests.is_none() { std::mem::take(&mut inc.misc) } else { vec![] };
+        let base = union_all(&mut inc.bdd, folded);
         // Chain each band once, in group-id order, so node ids — and
         // with them every later tie-break — repeat exactly from one
         // build of a list to the next. A band's members are the id run
-        // of its group's level range, already in level order.
+        // of its group's level range, already in level order; the last
+        // band is the deepest.
         joins.sort_unstable();
         let mut rest = &joins[..];
         for g in 0..inc.bdd.field_groups().len() {
@@ -327,15 +337,17 @@ impl IncrementalBdd {
             if band.is_empty() {
                 continue;
             }
+            let exit = if rest.is_empty() { base } else { EMPTY };
             let member = |a: &(PredId, Delta), b: &(PredId, Delta)| a.0 == b.0;
             let mut members = Vec::with_capacity(band.chunk_by(member).count());
             members.extend(band.chunk_by(member).map(|joined| {
                 let counted = joined.chunk_by(|a, b| a == b).map(|c| (c[0].1, c.len() as u32));
                 let hi = member_hi(&mut inc.bdd, counted.clone().map(|(delta, _)| delta));
+                let hi = inc.bdd.union(hi, exit);
                 let counts = if digests.is_some() { counted.collect() } else { Vec::new() };
                 Member { pred: joined[0].0, counts, hi }
             }));
-            let mut group = EqGroup { suffix: vec![EMPTY; members.len() + 1], members };
+            let mut group = EqGroup { suffix: vec![exit; members.len() + 1], members };
             let last = group.members.len() - 1;
             rebuild_from(&mut inc.bdd, &mut group, last);
             inc.groups.insert(g as u32, group);
@@ -622,16 +634,13 @@ fn member_hi(bdd: &mut Bdd, deltas: impl Iterator<Item = Delta> + Clone) -> Node
     hi
 }
 
-/// Rebuild a group's chain suffixes from member `idx` up to the top.
+/// Rebuild a group's chain suffixes from member `idx` up to the top,
+/// over the chain's base `suffix[members.len()]` ([`Bdd::link`]).
 fn rebuild_from(bdd: &mut Bdd, g: &mut EqGroup, idx: usize) {
-    if g.members.is_empty() {
-        g.suffix[0] = EMPTY;
-        return;
-    }
+    let exit = g.suffix[g.members.len()];
     for j in (0..=idx).rev() {
         let (pred, hi) = (g.members[j].pred, g.members[j].hi);
-        let lo = g.suffix[j + 1];
-        g.suffix[j] = bdd.mk(pred, lo, hi);
+        g.suffix[j] = bdd.link(pred, g.suffix[j + 1], hi, exit);
     }
 }
 
@@ -671,8 +680,6 @@ fn eq_apply(bdd: &mut Bdd, g: &mut EqGroup, pred: PredId, delta: Delta, add: boo
             g.suffix.remove(idx);
             if idx > 0 {
                 rebuild_from(bdd, g, idx - 1);
-            } else if g.members.is_empty() {
-                g.suffix[0] = EMPTY;
             }
         } else {
             let hi = member_hi(bdd, g.members[idx].deltas());

@@ -195,33 +195,17 @@ impl FieldStats {
     }
 }
 
-/// Canonical within-field ordering of predicates: by relation class,
-/// then constant. Any fixed total order works for correctness; keeping
-/// equalities together helps the compiler emit dense exact-match tables.
-/// The key borrows the predicate's string constant, so comparing two
-/// keys allocates nothing.
+/// Canonical within-field ordering of predicates: by relation class
+/// (in `Rel`'s declaration order, equalities first), then constant. Any
+/// fixed total order works for correctness; keeping equalities together
+/// helps the compiler emit dense exact-match tables. The key borrows
+/// the predicate's string constant, so comparing two keys allocates
+/// nothing.
 pub(crate) fn pred_sort_key(p: &Predicate) -> (u8, Option<i64>, Option<&str>) {
-    let relk = match p.rel {
-        Rel::Eq => 0u8,
-        Rel::Ne => 1,
-        Rel::Lt => 2,
-        Rel::Le => 3,
-        Rel::Gt => 4,
-        Rel::Ge => 5,
-        Rel::Prefix => 6,
-        Rel::NotPrefix => 7,
-    };
     match &p.constant {
-        Value::Int(i) => (relk, Some(*i), None),
-        Value::Str(s) => (relk, None, Some(s)),
+        Value::Int(i) => (p.rel as u8, Some(*i), None),
+        Value::Str(s) => (p.rel as u8, None, Some(s)),
     }
-}
-
-/// An atom occurrence as [`sorted_alphabet`] sorts it: rank, key, index.
-type Keyed<'a> = (usize, (u8, Option<i64>, Option<&'a str>), u32, &'a Predicate);
-
-fn same_key(a: &Keyed, b: &Keyed) -> bool {
-    (a.0, &a.1) == (b.0, &b.1)
 }
 
 /// The bulk constructor's alphabet: the distinct atoms of `atoms` in
@@ -231,48 +215,64 @@ fn same_key(a: &Keyed, b: &Keyed) -> bool {
 /// The order is the operand's rank in `order` — operands missing from
 /// it rank after every listed one, in first-appearance order — then
 /// [`pred_sort_key`]. A rank is resolved once per run of occurrences
-/// with one operand. Nothing is hashed but a changed operand: one sort
-/// of the occurrences by `(rank, pred_sort_key, index)`, on borrowed
-/// keys, puts the occurrences of each atom in one run, and one pass
-/// over the runs lists each atom once and reads off every occurrence's
-/// level. Ranks are distinct per operand key, so a run holds one atom
-/// unless two operands share a key; those are told apart by operand,
-/// in first-appearance order.
+/// with one operand. Each occurrence packs its rank and its key into
+/// one `u128`, from the top: rank (28 bits), relation (3), whether the
+/// constant is an integer (1: `None` before `Some`), the constant (64:
+/// an integer sign-biased, so unsigned order is signed order; a string
+/// by its rank among the list's distinct strings) and the occurrence's
+/// index (32). One sort of the keys puts the occurrences of each atom
+/// in one run, and one pass over the runs lists each atom once and
+/// reads off every occurrence's level. Ranks
+/// are distinct per operand key, so a run holds one atom unless two
+/// operands share a key; those are told apart by operand, in
+/// first-appearance order.
 pub(crate) fn sorted_alphabet<'a>(
     order: &VarOrder,
-    atoms: impl Iterator<Item = &'a Predicate> + Clone,
+    atoms: impl Iterator<Item = &'a Predicate>,
 ) -> (Vec<Predicate>, Vec<u32>) {
-    let mut ranks: HashMap<&Operand, usize> = HashMap::new();
-    let mut last: Option<(&Operand, usize)> = None;
-    let mut keyed = Vec::with_capacity(atoms.clone().count());
-    for (i, atom) in atoms.enumerate() {
+    let atoms: Vec<&Predicate> = atoms.collect();
+    let mut strs: Vec<&str> = atoms.iter().filter_map(|a| pred_sort_key(a).2).collect();
+    strs.sort_unstable();
+    strs.dedup();
+    let mut ranks: HashMap<&Operand, u128> = HashMap::new();
+    let mut last: Option<(&Operand, u128)> = None;
+    let mut keys: Vec<u128> = Vec::with_capacity(atoms.len());
+    for (i, atom) in atoms.iter().enumerate() {
         let rank = match last {
             Some((op, rank)) if *op == atom.operand => rank,
             _ => {
                 let appeared = ranks.len();
                 let rank = *ranks.entry(&atom.operand).or_insert_with(|| {
-                    order.rank_of(&atom.operand).unwrap_or(order.len() + appeared)
+                    order.rank_of(&atom.operand).unwrap_or(order.len() + appeared) as u128
                 });
+                debug_assert!(rank < 1 << 28, "operand rank {rank} overflows its key bits");
                 last = Some((&atom.operand, rank));
                 rank
             }
         };
-        keyed.push((rank, pred_sort_key(atom), i as u32, atom));
+        let (rel, int, string) = pred_sort_key(atom);
+        let constant = match int {
+            Some(v) => 1 << 64 | u128::from(v as u64 ^ 1 << 63),
+            None => strs.partition_point(|t| Some(*t) < string) as u128,
+        };
+        keys.push((rank << 3 | u128::from(rel)) << 97 | constant << 32 | i as u128);
     }
-    keyed.sort_unstable_by(|a, b| (a.0, &a.1, a.2).cmp(&(b.0, &b.1, b.2)));
-    let mut preds: Vec<Predicate> = Vec::with_capacity(keyed.chunk_by(same_key).count());
-    let mut levels = vec![0u32; keyed.len()];
-    for run in keyed.chunk_by(same_key) {
+    keys.sort_unstable();
+    let same_atom = |a: &u128, b: &u128| a >> 32 == b >> 32;
+    let mut preds: Vec<Predicate> = Vec::with_capacity(keys.chunk_by(same_atom).count());
+    let mut levels = vec![0u32; keys.len()];
+    for run in keys.chunk_by(same_atom) {
         let first = preds.len();
-        for &(.., i, atom) in run {
-            let level = match preds[first..].iter().position(|p| p.operand == atom.operand) {
+        for &key in run {
+            let i = key as u32 as usize;
+            let level = match preds[first..].iter().position(|p| p.operand == atoms[i].operand) {
                 Some(k) => first + k,
                 None => {
-                    preds.push(atom.clone());
+                    preds.push(atoms[i].clone());
                     preds.len() - 1
                 }
             };
-            levels[i as usize] = level as u32;
+            levels[i] = level as u32;
         }
     }
     (preds, levels)

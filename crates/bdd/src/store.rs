@@ -41,7 +41,7 @@ use camus_lang::ast::{Action, Operand, Predicate, Rel};
 use camus_lang::sets::implication;
 use camus_lang::value::Value;
 use std::collections::{BTreeSet, HashMap};
-use std::hash::BuildHasherDefault;
+use std::hash::{BuildHasher, BuildHasherDefault};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -88,11 +88,12 @@ pub struct Node {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Alphabet {
     preds: Vec<Predicate>,
-    /// Every predicate's id, for [`Alphabet::insert_pred`]: built by its
+    /// Every predicate's id by its word hash, for [`Alphabet::insert_pred`]
+    /// (of two with one hash, the other is scanned for): built by its
     /// first call, so an alphabet nothing is spliced into (a one-shot
-    /// build, a snapshot) clones and hashes no predicate for it. Either
-    /// empty or complete.
-    pred_index: HashMap<Predicate, PredId>,
+    /// build, a snapshot) hashes no predicate for it, and it clones none.
+    /// Either empty or complete.
+    pred_index: IdMap<u64, PredId>,
     /// Field-group id per predicate (same operand ⇒ same group).
     groups: Vec<u32>,
     /// Variable level per predicate: *all* ordering comparisons go
@@ -174,11 +175,19 @@ impl Alphabet {
     /// canonical [`crate::order::pred_sort_key`] position (the slot a
     /// from-scratch sorted build would choose).
     pub(crate) fn insert_pred(&mut self, p: &Predicate) -> PredId {
-        if self.pred_index.len() < self.preds.len() {
-            self.pred_index = (self.preds.iter().cloned()).zip((0..).map(PredId)).collect();
+        let hash = |q: &Predicate| BuildHasherDefault::<WordHasher>::default().hash_one(q);
+        if self.pred_index.is_empty() {
+            self.pred_index = self.preds.iter().map(hash).zip((0..).map(PredId)).collect();
         }
-        if let Some(&id) = self.pred_index.get(p) {
-            return id;
+        let key = hash(p);
+        if let Some(&id) = self.pred_index.get(&key) {
+            if self.preds[id.0 as usize] == *p {
+                return id;
+            }
+            // Another predicate holds the hash: scan for this one.
+            if let Some(i) = self.preds.iter().position(|q| q == p) {
+                return PredId(i as u32);
+            }
         }
         let id = PredId(self.preds.len() as u32);
         let level = match self.group_index.get(&p.operand) {
@@ -245,7 +254,7 @@ impl Alphabet {
                     self.levels.push(slot);
                 }
                 self.preds.push(p.clone());
-                self.pred_index.insert(p.clone(), id);
+                self.pred_index.entry(key).or_insert(id);
                 return id;
             }
         };
@@ -267,7 +276,7 @@ impl Alphabet {
             }
         }
         self.preds.push(p.clone());
-        self.pred_index.insert(p.clone(), id);
+        self.pred_index.entry(key).or_insert(id);
         id
     }
 }
@@ -309,6 +318,39 @@ struct Scratch {
     epoch: u32,
     marks: Vec<u32>,
     stack: Vec<NodeRef>,
+}
+
+impl Scratch {
+    /// Mark every node reachable from `roots` under a fresh epoch,
+    /// calling `term` on each terminal met; returns the nodes marked.
+    fn mark(
+        &mut self,
+        nodes: &[Node],
+        roots: impl IntoIterator<Item = NodeRef>,
+        mut term: impl FnMut(TermId),
+    ) -> usize {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.marks.iter_mut().for_each(|m| *m = u32::MAX);
+            self.epoch = 1;
+        }
+        self.marks.resize(nodes.len(), self.epoch.wrapping_sub(1));
+        self.stack.clear();
+        self.stack.extend(roots);
+        let mut count = 0;
+        while let Some(r) = self.stack.pop() {
+            match r {
+                NodeRef::Term(t) => term(t),
+                NodeRef::Node(id) if self.marks[id as usize] != self.epoch => {
+                    self.marks[id as usize] = self.epoch;
+                    count += 1;
+                    self.stack.extend([nodes[id as usize].lo, nodes[id as usize].hi]);
+                }
+                NodeRef::Node(_) => {}
+            }
+        }
+        count
+    }
 }
 
 /// One step on the construction kernels' work stack ([`Bdd::run`]). A
@@ -601,33 +643,7 @@ impl Bdd {
     /// [`Bdd::reachable_nodes`], which keeps its allocating `&self`
     /// signature for read-only callers).
     pub(crate) fn live_nodes(&mut self) -> usize {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let n = {
-            scratch.epoch = scratch.epoch.wrapping_add(1);
-            if scratch.epoch == 0 {
-                scratch.marks.iter_mut().for_each(|m| *m = u32::MAX);
-                scratch.epoch = 1;
-            }
-            scratch.marks.resize(self.nodes.len(), scratch.epoch.wrapping_sub(1));
-            scratch.stack.clear();
-            scratch.stack.push(self.root);
-            let mut count = 0usize;
-            while let Some(r) = scratch.stack.pop() {
-                if let NodeRef::Node(id) = r {
-                    let i = id as usize;
-                    if scratch.marks[i] != scratch.epoch {
-                        scratch.marks[i] = scratch.epoch;
-                        count += 1;
-                        let n = self.nodes[i];
-                        scratch.stack.push(n.lo);
-                        scratch.stack.push(n.hi);
-                    }
-                }
-            }
-            count
-        };
-        self.scratch = scratch;
-        n
+        self.scratch.mark(&self.nodes, [self.root], |_| {})
     }
 
     /// Total nodes allocated, including unreachable intermediates.
@@ -666,6 +682,23 @@ impl Bdd {
     /// four reductions.
     pub(crate) fn mk(&mut self, var: PredId, lo: NodeRef, hi: NodeRef) -> NodeRef {
         self.run(&[lo, hi], Work::Mk(var))
+    }
+
+    /// `mk(var, lo, hi)` for a band member over `lo`, the chain below it,
+    /// whose base is `exit`. In a pure-equality band, when `hi` tests no
+    /// atom of the band's field, `mk`'s pruning steps are identities and
+    /// `lo` under `var = true` is `exit`: reductions (ii) and (iv) are
+    /// `lo == hi` and `hi == exit`, and the rest is one intern.
+    pub(crate) fn link(&mut self, var: PredId, lo: NodeRef, hi: NodeRef, exit: NodeRef) -> NodeRef {
+        let group = self.group_of(var);
+        let pure = self.alphabet.group_pure_eq[group as usize];
+        if !pure || top_var(self, hi).is_some_and(|v| self.group_of(v) == group) {
+            self.mk(var, lo, hi)
+        } else if lo == hi || hi == exit {
+            lo
+        } else {
+            self.intern(Node { var, lo, hi })
+        }
     }
 
     /// Union of two BDDs (pointwise union of terminal rule sets).
@@ -1008,50 +1041,18 @@ impl Bdd {
     /// cleared (the spine memo, which stays valid, is remapped).
     pub(crate) fn gc(&mut self, external_roots: &[NodeRef]) -> NodeRemap {
         let before = self.nodes.len();
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.epoch = scratch.epoch.wrapping_add(1);
-        if scratch.epoch == 0 {
-            scratch.marks.iter_mut().for_each(|m| *m = u32::MAX);
-            scratch.epoch = 1;
-        }
-        scratch.marks.resize(self.nodes.len(), scratch.epoch.wrapping_sub(1));
-        scratch.stack.clear();
         let mut term_live = vec![false; self.terminals.len()];
         term_live[0] = true; // the canonical empty terminal survives
-        scratch.stack.push(self.root);
-        scratch.stack.extend_from_slice(external_roots);
-        while let Some(r) = scratch.stack.pop() {
-            match r {
-                NodeRef::Term(t) => term_live[t.0 as usize] = true,
-                NodeRef::Node(id) => {
-                    let i = id as usize;
-                    if scratch.marks[i] != scratch.epoch {
-                        scratch.marks[i] = scratch.epoch;
-                        let n = self.nodes[i];
-                        scratch.stack.push(n.lo);
-                        scratch.stack.push(n.hi);
-                    }
-                }
-            }
-        }
+        let roots = std::iter::once(self.root).chain(external_roots.iter().copied());
+        self.scratch.mark(&self.nodes, roots, |t| term_live[t.0 as usize] = true);
 
         // Terminal remap + compaction (ascending, so TermId(0) stays 0).
-        let mut terms = vec![u32::MAX; self.terminals.len()];
-        let mut tkeep = 0u32;
-        for (i, live) in term_live.iter().enumerate() {
-            if *live {
-                terms[i] = tkeep;
-                tkeep += 1;
-            }
-        }
-        {
-            let mut i = 0;
-            self.terminals.retain(|_| {
-                let keep = term_live[i];
-                i += 1;
-                keep
-            });
-        }
+        let mut kept = 0..;
+        let terms =
+            term_live.iter().map(|&live| if live { kept.next().unwrap() } else { u32::MAX });
+        let mut remap = NodeRemap { nodes: vec![u32::MAX; before], terms: terms.collect() };
+        let mut live = term_live.into_iter();
+        self.terminals.retain(|_| live.next() == Some(true));
         self.term_index.clear();
         for (i, set) in self.terminals.iter().enumerate() {
             self.term_index.insert(Arc::clone(set), TermId(i as u32));
@@ -1059,28 +1060,20 @@ impl Bdd {
 
         // Node remap + compaction. Children always precede parents in
         // the arena, so one ascending pass rewrites refs in place.
-        let mut nodes = vec![u32::MAX; self.nodes.len()];
-        let remap_ref = |r: NodeRef, nodes: &[u32], terms: &[u32]| -> NodeRef {
-            match r {
-                NodeRef::Term(t) => NodeRef::Term(TermId(terms[t.0 as usize])),
-                NodeRef::Node(n) => NodeRef::Node(nodes[n as usize]),
-            }
-        };
+        let scratch = &mut self.scratch;
         let mut keep = 0usize;
-        for i in 0..self.nodes.len() {
+        for i in 0..before {
             if scratch.marks[i] == scratch.epoch {
-                let mut n = self.nodes[i];
-                n.lo = remap_ref(n.lo, &nodes, &terms);
-                n.hi = remap_ref(n.hi, &nodes, &terms);
-                nodes[i] = keep as u32;
-                self.nodes[keep] = n;
+                let n = self.nodes[i];
+                self.nodes[keep] =
+                    Node { var: n.var, lo: remap.apply(n.lo), hi: remap.apply(n.hi) };
+                remap.nodes[i] = keep as u32;
                 keep += 1;
             }
         }
         self.nodes.truncate(keep);
         scratch.marks.truncate(keep);
         scratch.marks.iter_mut().for_each(|m| *m = scratch.epoch.wrapping_sub(1));
-        self.scratch = scratch;
 
         // Rebuild the unique table; clear memos keyed by dead ids. The
         // spine memo survives (a live node's lo-spine is live) modulo
@@ -1096,15 +1089,15 @@ impl Bdd {
         let spine = std::mem::take(&mut self.spine_memo);
         self.spine_memo = spine
             .into_iter()
-            .filter(|(k, _)| nodes[*k as usize] != u32::MAX)
-            .map(|(k, v)| (nodes[k as usize], remap_ref(v, &nodes, &terms)))
+            .filter(|(k, _)| remap.nodes[*k as usize] != u32::MAX)
+            .map(|(k, v)| (remap.nodes[k as usize], remap.apply(v)))
             .collect();
 
-        self.root = remap_ref(self.root, &nodes, &terms);
+        self.root = remap.apply(self.root);
         self.stats.runs += 1;
         self.stats.collected += (before - keep) as u64;
         self.stats.live_after_gc = keep;
-        NodeRemap { nodes, terms }
+        remap
     }
 
     /// Compact the predicate alphabet to the predicates actually used
@@ -1403,5 +1396,41 @@ mod tests {
         let again = bdd.mk(PredId(2), e, t);
         assert_eq!(again, n2);
         assert_eq!(bdd.allocated_nodes(), 1);
+    }
+
+    #[test]
+    fn link_is_mk() {
+        // Chains over a pure-equality `id` band, the base a terminal,
+        // each hi a terminal (the base and the empty one among them) or
+        // a `price` node: every node `link` interns directly, or
+        // every branch it returns, is what `mk` returns on the same
+        // store, and `mk` then allocates nothing.
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut preds: Vec<Predicate> =
+            (0..12).map(|k| Predicate::field("id", Rel::Eq, k)).collect();
+        preds.extend((0..4).map(|t| Predicate::field("price", Rel::Gt, t)));
+        let mut bdd = Bdd::with_alphabet(preds);
+        let mut rng = StdRng::seed_from_u64(3);
+        for _ in 0..200 {
+            let exit = bdd.term(BTreeSet::from([rng.gen_range(0..3)]));
+            let mut lo = exit;
+            let members: Vec<u32> = (0..12).rev().filter(|_| rng.gen_bool(0.6)).collect();
+            for id in members {
+                let hi = match rng.gen_range(0..4) {
+                    0 => exit,
+                    1 => NodeRef::Term(TermId(0)),
+                    2 => bdd.term(BTreeSet::from([rng.gen_range(0..3)])),
+                    _ => {
+                        let set = bdd.term(BTreeSet::from([rng.gen_range(0..3)]));
+                        bdd.mk(PredId(12 + rng.gen_range(0..4)), exit, set)
+                    }
+                };
+                let linked = bdd.link(PredId(id), lo, hi, exit);
+                let allocated = bdd.allocated_nodes();
+                assert_eq!(linked, bdd.mk(PredId(id), lo, hi));
+                assert_eq!(bdd.allocated_nodes(), allocated);
+                lo = linked;
+            }
+        }
     }
 }

@@ -3,7 +3,7 @@
 //! must be deterministic, and the reductions must never lose sharing
 //! below the trivial bound.
 
-use camus_bdd::{rule_digest, Bdd, BddBuilder, IncrementalBdd, VarOrder};
+use camus_bdd::{rule_digest, Bdd, BddBuilder, IncrementalBdd, NodeRef, VarOrder};
 use camus_lang::ast::{Action, AggFunc, Expr, Operand, Predicate, Rel, Rule};
 use camus_lang::dnf::{to_dnf, Dnf};
 use camus_lang::value::Value;
@@ -119,26 +119,99 @@ fn arb_band_rules() -> impl Strategy<Value = Vec<Rule>> {
     })
 }
 
-/// `arb_rules()` with single-atom rules spliced in over two operands it
-/// lacks: the field `r`, which no order of the alphabet test ranks, and
-/// the aggregate `avg(p)`.
-fn arb_rules_two_more_operands() -> impl Strategy<Value = Vec<Rule>> {
+/// `arb_rules()` with single-atom rules spliced in over three operands
+/// it lacks: the field `r`, which no order of the alphabet test ranks,
+/// the aggregate `avg(p)`, both with the extreme integers among their
+/// constants, and the field `m`, tested against integers and strings
+/// alike.
+fn arb_rules_more_operands() -> impl Strategy<Value = Vec<Rule>> {
     let rel = prop_oneof![Just(Rel::Eq), Just(Rel::Ne), Just(Rel::Lt), Just(Rel::Gt)];
-    let extra = (any::<bool>(), rel, -4i64..4, 0usize..16).prop_map(|(agg, rel, c, at)| {
+    let int = prop_oneof![-4i64..4, Just(i64::MIN), Just(i64::MAX), Just(0), Just(-1)];
+    let ranged = (any::<bool>(), rel, int.clone()).prop_map(|(agg, rel, c)| {
         let operand = if agg {
             Operand::Aggregate { func: AggFunc::Avg, field: "p".into() }
         } else {
             Operand::Field("r".into())
         };
-        (at, Predicate::new(operand, rel, c))
+        Predicate::new(operand, rel, c)
     });
-    (arb_rules(), prop::collection::vec(extra, 0..6)).prop_map(|(mut rules, extras)| {
-        for (at, pred) in extras {
+    let sym = prop_oneof![Just("A"), Just("AB"), Just("Z")].prop_map(Value::from);
+    let mixed =
+        (prop_oneof![Just(Rel::Eq), Just(Rel::Ne)], prop_oneof![int.prop_map(Value::Int), sym])
+            .prop_map(|(rel, c)| Predicate::field("m", rel, c));
+    let extra = (prop_oneof![ranged, mixed], 0usize..16);
+    (arb_rules(), prop::collection::vec(extra, 0..8)).prop_map(|(mut rules, extras)| {
+        for (pred, at) in extras {
             let at = at % (rules.len() + 1);
             rules.insert(at, Rule { filter: Expr::Atom(pred), action: Action::Forward(vec![99]) });
         }
         rules
     })
+}
+
+/// Rule lists for the fold of constant rules into the deepest band,
+/// over `g`, `id` and `price`: `true` beside `id == K` members, price
+/// tails, tails on the band's own field (`id == K and id != J` and
+/// `id == K and id < J`, which the normaliser drops as implied), a `g`
+/// band above with `id` tails (an `id > K` one leaves the `id` band
+/// not pure-equality, so its members go through `mk`), and, when
+/// `unfolded`, chains that are not terminals, which keep the constant
+/// rules out of the bands.
+fn arb_fold_rules() -> impl Strategy<Value = Vec<Rule>> {
+    let rule = (0i64..16, 0i64..8, 0u16..4, 0u8..14);
+    (prop::collection::vec(rule, 1..24), any::<bool>()).prop_map(|(rules, unfolded)| {
+        let atom = |f: &str, rel, c: i64| Expr::Atom(Predicate::field(f, rel, c));
+        let rule = |(k, t, a, shape): (i64, i64, u16, u8)| {
+            let id = atom("id", Rel::Eq, k);
+            let filter = match if unfolded { shape } else { shape % 12 } {
+                0..=2 => id,
+                3 => id.and(atom("price", Rel::Gt, t)),
+                4 => id.and(atom("price", Rel::Lt, t + 3)),
+                5 | 6 => Expr::True,
+                7 => id.and(atom("id", Rel::Ne, k + 1)),
+                8 => id.and(atom("id", Rel::Lt, k + 3)),
+                9 => atom("g", Rel::Eq, t).and(atom("id", Rel::Gt, k)),
+                10 => atom("g", Rel::Eq, t).and(id),
+                11 => atom("g", Rel::Eq, t).or(Expr::False),
+                12 => atom("price", Rel::Gt, t),
+                _ => atom("id", Rel::Lt, k),
+            };
+            Rule { filter, action: Action::Forward(vec![a + 1]) }
+        };
+        rules.into_iter().map(rule).collect()
+    })
+}
+
+/// Whether two diagrams are one reduced diagram: a walk from both roots
+/// in step pairs each node of `a` with one node of `b` that tests the
+/// same predicate, and each terminal with one that matches the same
+/// actions.
+fn same_diagram(a: &Bdd, b: &Bdd) -> bool {
+    let actions = |bdd: &Bdd, t| -> BTreeSet<String> {
+        bdd.terminal(t).iter().map(|&l| format!("{:?}", bdd.label(l))).collect()
+    };
+    let mut paired: HashMap<NodeRef, NodeRef> = HashMap::new();
+    let mut stack = vec![(a.root(), b.root())];
+    while let Some((x, y)) = stack.pop() {
+        if let Some(&z) = paired.get(&x) {
+            if z != y {
+                return false;
+            }
+            continue;
+        }
+        paired.insert(x, y);
+        match (x, y) {
+            (NodeRef::Term(s), NodeRef::Term(t)) if actions(a, s) == actions(b, t) => {}
+            (NodeRef::Node(m), NodeRef::Node(n))
+                if a.pred(a.node(m).var) == b.pred(b.node(n).var) =>
+            {
+                stack.push((a.node(m).lo, b.node(n).lo));
+                stack.push((a.node(m).hi, b.node(n).hi));
+            }
+            _ => return false,
+        }
+    }
+    paired.values().collect::<HashSet<_>>().len() == paired.len()
 }
 
 /// The within-field order as the bulk constructor first compared it,
@@ -430,16 +503,34 @@ proptest! {
         prop_assert_eq!(a.terminal_count(), b.terminal_count());
     }
 
+    /// Folding constant rules into the deepest band changes no diagram:
+    /// the one-shot build (no digests: folded) and the seed (digests:
+    /// unfolded, the constant rules unioned over the bands) reduce to
+    /// one diagram, node for node, under each field order.
+    #[test]
+    fn bulk_without_digests_equals_bulk_with_digests(rules in arb_fold_rules()) {
+        for order in [
+            VarOrder::from_keys(["g", "id", "price"]),
+            VarOrder::from_keys(["price", "id", "g"]),
+            VarOrder::empty(),
+        ] {
+            let cold = BddBuilder::from_rules(&rules).with_order(order.clone()).build();
+            let seed = IncrementalBdd::from_rules(&rules, &order);
+            prop_assert_eq!(cold.node_count(), seed.bdd().node_count(), "rules: {:#?}", rules);
+            prop_assert!(same_diagram(&cold, seed.bdd()), "rules: {:#?}", rules);
+        }
+    }
+
     /// The bulk alphabet is the reference order: with no field order,
     /// with a pinned one and with a fitted tie-break order, levels list
     /// the distinct atoms exactly as the per-comparison comparator
     /// sorted them, ranked under the order the diagram records.
     #[test]
-    fn bulk_alphabet_equals_reference_order(rules in arb_rules_two_more_operands()) {
+    fn bulk_alphabet_equals_reference_order(rules in arb_rules_more_operands()) {
         for order in [
             VarOrder::empty(),
-            VarOrder::from_keys(["s", "avg(p)", "q"]),
-            VarOrder::tie_break(["q", "s", "p", "avg(p)"]),
+            VarOrder::from_keys(["s", "avg(p)", "m", "q"]),
+            VarOrder::tie_break(["q", "m", "s", "p", "avg(p)"]),
         ] {
             let bdd = BddBuilder::from_rules(&rules).with_order(order).build();
             let levels: Vec<&Predicate> = (0..bdd.preds().len() as u32)

@@ -27,10 +27,14 @@
 //! * [`baselines`] — software filtering and broker models (Figs. 8, 9);
 //! * [`bigtable`] — the naive one-big-table entry count (Fig. 12);
 //! * [`spanning`] — MST/MST++ trees for general topologies (Fig. 15).
+//!
+//! [`ledger`] rebuilds the ledger benchmark's `cold-deploy` input for
+//! the compiler's probes and tests.
 
 pub mod baselines;
 pub mod bigtable;
 pub mod experiments;
+pub mod ledger;
 pub mod mem;
 pub mod output;
 pub mod spanning;

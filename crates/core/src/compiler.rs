@@ -782,4 +782,31 @@ mod tests {
         digest.write(pipeline.to_string().as_bytes());
         assert_eq!(digest.finish(), 0x33c2_a476_6744_e8e6, "{} entries", pipeline.total_entries());
     }
+
+    #[test]
+    fn a_constant_rule_folds_into_the_band_as_the_seed_unions_it() {
+        // MR's shape: identifiers, some with a price tail, and the up
+        // rule `true: fwd(9)`. The cold build folds the up rule into the
+        // `id` band; the seed keeps the band unfolded, as maintenance
+        // re-merges it. Both must emit one pipeline from one diagram,
+        // and the fold leaves little garbage: unioning the up rule over
+        // the built band rebuilt all of it (4 225 nodes for 2 100).
+        let mut src = String::new();
+        for k in 0..2_000 {
+            src.push_str(&format!("id == {k}: fwd({})\n", k % 4 + 1));
+            if k % 7 == 0 {
+                src.push_str(&format!("id == {k} and price > {}: fwd(5)\n", k % 25));
+            }
+        }
+        src.push_str("true: fwd(9)\n");
+        let rules = parse_rules(&src).unwrap();
+        let compiler = Compiler::new().with_order(VarOrder::from_keys(["id", "price"]));
+        let cold = compiler.compile(&rules).unwrap();
+        let view = RuleView::from(&rules[..]);
+        let seeded = compiler.compile_delta(&mut CompileState::default(), &view).unwrap();
+        assert_eq!(cold.pipeline, seeded.pipeline);
+        let (live, allocated) = (cold.bdd.node_count(), cold.bdd.allocated_nodes());
+        assert_eq!(live, seeded.bdd.node_count());
+        assert!(10 * allocated <= 11 * live, "{allocated} nodes allocated for {live}");
+    }
 }

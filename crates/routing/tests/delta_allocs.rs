@@ -14,16 +14,16 @@
 //! subscriptions do, so the predicate alphabet barely grows with the
 //! table and neither does what the diagram itself costs to snapshot and
 //! emit. Two subscribes are counted. A fresh symbol joins the top of
-//! its band in O(1) (1 241 and 1 361 allocations at 1 024 and 2 048
+//! its band in O(1) (1 065 and 1 134 allocations at 1 024 and 2 048
 //! subscriptions). A new second-attribute value under an existing
 //! symbol (`stock == S7 and volume == 999`) adds a residual chain to
 //! that symbol's member, whose tails — 32 at 1 024 subscriptions, 64 at
 //! 2 048 — are unioned again, since the seed's sweep cleared the union
-//! memo (1 244 and 1 367). While each lo-spine walk of those unions
-//! allocated its path, that cost grew with the square of the tails
-//! (1 569 and 2 522). What is left to grow is the copy this guards. The
-//! counts are exact up to the pool's thread handoffs, so this guards
-//! the cost model independently of how noisy the host is.
+//! memo (1 070 and 1 143); a lo-spine walk that allocated its path
+//! would make that cost grow with the square of the tails. What is left
+//! to grow is the copy this guards. The counts are exact up to the
+//! pool's thread handoffs, so this guards the cost model independently
+//! of how noisy the host is.
 //!
 //! This file holds exactly one `#[test]`: the allocator counter is
 //! global, so a second concurrently running test would pollute it.
